@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 import time
@@ -28,11 +29,11 @@ from .budget import DEFAULT_BUDGET, EvalBudget
 from .certify import CertificateReport, Verdict, certify_linear, certify_radial_Lp, preset
 from .dimension import (best_lower_bound, crude_bound, grid_lower_bound,
                         rectangle_bound)
-from .errors import BudgetExceededError, ConfigError
+from .errors import BudgetExceededError, ConfigError, SymbolicBaseError
 from .fourier import fourier_transform_batch
 from .graham import density_report, enumerate_restricted, enumerate_scaled, parse_system
 from .measure import as_product, hausdorff_dim, parse_spec, total_dim
-from .projection import (exceptional_directions, linear_density,
+from .projection import (exceptional_from_scan, linear_density,
                          linear_density_mc, lp_criterion_integral,
                          radial_density_mc, radial_tube_profile, slab_integral,
                          stripe_scan)
@@ -77,6 +78,14 @@ class RunManifest:
 # -------------------------------------------------------------- plumbing
 
 
+def real(text: str) -> float:
+    """argparse type for a finite real (argparse names it in errors)."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
 def _add_common(sub: argparse.ArgumentParser, with_seed: bool = True):
     sub.add_argument("--config", metavar="FILE",
                      help="JSON file of defaults (spec text, seed, workers, budget)")
@@ -88,7 +97,7 @@ def _add_common(sub: argparse.ArgumentParser, with_seed: bool = True):
     sub.add_argument("--json", action="store_true",
                      help="force tabular rows inline in the JSON result")
     sub.add_argument("--csv", metavar="PATH", help="write tabular rows to PATH")
-    sub.add_argument("--budget", type=float, default=None, metavar="CELLS",
+    sub.add_argument("--budget", type=real, default=None, metavar="CELLS",
                      help=f"max lattice/cylinder evaluations (default {DEFAULT_BUDGET:g})")
 
 
@@ -124,15 +133,19 @@ class _Run:
         seed = getattr(args, "seed", None)
         if seed is None:
             seed = file_cfg.get("seed", 0)
-        if not 0 <= int(seed) < 2 ** 64:
+        self.seed = _as_int(seed, "seed")
+        if not 0 <= self.seed < 2 ** 64:
             raise ConfigError("seed must fit in an unsigned 64-bit integer")
-        self.seed = int(seed)
         workers = args.workers if args.workers is not None else file_cfg.get("workers")
-        self.workers = int(workers) if workers is not None else (os.cpu_count() or 1)
+        self.workers = (_as_int(workers, "workers") if workers is not None
+                        else (os.cpu_count() or 1))
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
         budget_cells = args.budget if args.budget is not None else file_cfg.get("budget")
-        self.budget_cells = int(budget_cells) if budget_cells is not None else DEFAULT_BUDGET
+        self.budget_cells = (_as_int(budget_cells, "budget") if budget_cells is not None
+                             else DEFAULT_BUDGET)
+        if self.budget_cells < 1:
+            raise ConfigError("budget must be at least one cell")
         self.budget = EvalBudget(self.budget_cells)
         self.outputs: list = []
 
@@ -185,11 +198,32 @@ def _csv_cell(v) -> str:
     return str(v)
 
 
-def _parse_vector(text: str, what: str) -> np.ndarray:
+def _as_int(value, what: str) -> int:
     try:
-        vec = np.array([float(c) for c in text.split(",")], dtype=np.float64)
+        return int(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{what} must be an integer, got {value!r}") from exc
+
+
+def _reals(text: str, what: str) -> list:
+    """Comma-separated finite reals."""
+    try:
+        values = [float(c) for c in text.split(",")]
     except ValueError as exc:
         raise ConfigError(f"{what} must be comma-separated reals: {text!r}") from exc
+    if not all(math.isfinite(v) for v in values):
+        raise ConfigError(f"{what} must be finite: {text!r}")
+    return values
+
+
+def _count(value: float, what: str) -> int:
+    if value != int(value) or value < 1:
+        raise ConfigError(f"{what} needs a positive whole point count")
+    return int(value)
+
+
+def _parse_vector(text: str, what: str) -> np.ndarray:
+    vec = np.array(_reals(text, what), dtype=np.float64)
     if vec.size != 2:
         raise ConfigError(f"{what} must have exactly two components")
     return vec
@@ -293,7 +327,7 @@ def _cmd_fourier_eval(args) -> int:
     if args.xi:
         pts = []
         for text in args.xi:
-            row = [float(c) for c in text.split(",")]
+            row = _reals(text, "--xi")
             if len(row) != n:
                 raise ConfigError(f"xi {text!r} needs {n} components")
             pts.append(row)
@@ -301,8 +335,11 @@ def _cmd_fourier_eval(args) -> int:
     elif args.grid is not None:
         if n != 1:
             raise ConfigError("--grid applies to one-dimensional measures; use --xi")
-        rmax_text, _, count_text = args.grid.partition(",")
-        rmax, count = float(rmax_text), int(count_text or "201")
+        parts = _reals(args.grid, "--grid")
+        if len(parts) > 2:
+            raise ConfigError("--grid takes RMAX[,COUNT]")
+        rmax = parts[0]
+        count = _count(parts[1], "--grid") if len(parts) == 2 else 201
         xis = np.linspace(-rmax, rmax, count)[:, None]
     else:
         raise ConfigError("pass --xi (repeatable) or --grid RMAX,COUNT")
@@ -375,8 +412,10 @@ def _cmd_linear_density(args) -> int:
         corners = np.array([[0, 0], [0, 1], [1, 0], [1, 1]], dtype=np.float64) @ unit
         lo, hi = float(corners.min()) - 0.05, float(corners.max()) + 0.05
         if args.grid is not None:
-            lo_t, hi_t, count_t = args.grid.split(",")
-            lo, hi, count = float(lo_t), float(hi_t), int(count_t)
+            parts = _reals(args.grid, "--grid")
+            if len(parts) != 3:
+                raise ConfigError("--grid takes LO,HI,COUNT")
+            lo, hi, count = parts[0], parts[1], _count(parts[2], "--grid")
         else:
             count = 501
         u_grid = np.linspace(lo, hi, count)
@@ -402,12 +441,9 @@ def _cmd_stripe_scan(args) -> int:
     run = _Run(args)
     spec = run.spec()
     angles, integrals = stripe_scan(spec, args.radius, args.angles,
-                                    tol=args.tol, budget=run.budget,
-                                    workers=run.workers)
-    threshold = args.radius ** (total_dim(spec) - 1 - args.s1 + 2 * args.eps)
-    exceptional = exceptional_directions(spec, args.radius, args.eps, args.s1,
-                                         angle_count=args.angles, tol=args.tol,
-                                         budget=run.budget, workers=run.workers)
+                                    tol=args.tol, budget=run.budget)
+    threshold, exceptional = exceptional_from_scan(spec, args.radius, args.eps, args.s1,
+                                                   angles, integrals)
     run.write_csv(
         ["direction_angle_rad", "stripe_weighted_l1_sum"],
         list(zip(angles.tolist(), integrals.tolist())),
@@ -523,52 +559,52 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--xi", action="append", metavar="C1,..",
                    help="frequency point (repeatable)")
     p.add_argument("--grid", metavar="RMAX,COUNT", help="symmetric 1-D grid")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=real, default=1e-9)
     p.set_defaults(fn=_cmd_fourier_eval)
 
     p = subs.add_parser("radial-density", help="density of directions seen from a viewpoint")
     _add_common(p)
     p.add_argument("--viewpoint", required=True, metavar="X,Y")
-    p.add_argument("--delta", type=float, default=None, metavar="W",
+    p.add_argument("--delta", type=real, default=None, metavar="W",
                    help="tube half-width (tube-count method)")
     p.add_argument("--angles", type=int, default=400, metavar="K")
     p.add_argument("--mc", type=int, default=None, metavar="SAMPLES",
                    help="use Monte Carlo instead of tube counts")
-    p.add_argument("--bandwidth", type=float, default=0.01)
+    p.add_argument("--bandwidth", type=real, default=0.01)
     p.set_defaults(fn=_cmd_radial_density)
 
     p = subs.add_parser("linear-density", help="density of the projection onto a line")
     _add_common(p)
     p.add_argument("--direction", required=True, metavar="DX,DY")
     p.add_argument("--grid", metavar="LO,HI,COUNT", default=None)
-    p.add_argument("--tmax", type=float, default=729.0,
+    p.add_argument("--tmax", type=real, default=729.0,
                    help="frequency cutoff for Fourier inversion")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=real, default=1e-9)
     p.add_argument("--mc", type=int, default=None, metavar="SAMPLES")
-    p.add_argument("--bandwidth", type=float, default=0.01)
+    p.add_argument("--bandwidth", type=real, default=0.01)
     p.set_defaults(fn=_cmd_linear_density)
 
     p = subs.add_parser("stripe-scan", help="directional stripe sums over an annulus")
     _add_common(p, with_seed=False)
-    p.add_argument("--radius", type=float, default=81.0, metavar="R")
+    p.add_argument("--radius", type=real, default=81.0, metavar="R")
     p.add_argument("--angles", type=int, default=256, metavar="K")
-    p.add_argument("--s1", type=float, default=0.7376)
-    p.add_argument("--eps", type=float, default=0.05)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--s1", type=real, default=0.7376)
+    p.add_argument("--eps", type=real, default=0.05)
+    p.add_argument("--tol", type=real, default=1e-9)
     p.set_defaults(fn=_cmd_stripe_scan)
 
     p = subs.add_parser("lp-integral", help="weighted transform sum deciding radial L^p")
     _add_common(p, with_seed=False)
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--rmax", type=int, default=1024)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=real, default=1e-9)
     p.set_defaults(fn=_cmd_lp_integral)
 
     p = subs.add_parser("slab-integral", help="transform sum over a thin slab of frequencies")
     _add_common(p, with_seed=False)
     p.add_argument("--direction", required=True, metavar="DX,DY")
-    p.add_argument("--tmax", type=float, default=2048.0)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tmax", type=real, default=2048.0)
+    p.add_argument("--tol", type=real, default=1e-9)
     p.set_defaults(fn=_cmd_slab)
 
     p = subs.add_parser("graham", help="integers with digit restrictions in several bases")
@@ -588,7 +624,7 @@ def main(argv=None) -> int:
     args.run_argv = list(sys.argv[1:] if argv is None else argv)
     try:
         return args.fn(args)
-    except ConfigError as exc:
+    except (ConfigError, SymbolicBaseError) as exc:
         print(f"missingdigits: config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except BudgetExceededError as exc:

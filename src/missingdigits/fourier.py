@@ -224,14 +224,3 @@ def fourier_oracle(
         out *= total / k ** depth
     return out
 
-
-def _oracle_naive(spec: Spec, xi, depth: int) -> complex:
-    """Single-pass full corner enumeration; small depths only, used to
-    validate the split oracle."""
-    prod = as_product(spec)
-    xi = np.atleast_1d(np.asarray(xi, dtype=np.float64))
-    out = 1.0 + 0.0j
-    for factor, sl in zip(prod.factors, prod.factor_slices()):
-        corners = _corner_values(factor, depth)
-        out *= _corner_sum(corners, xi[sl]) / factor.digit_count() ** depth
-    return out

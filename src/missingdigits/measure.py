@@ -26,7 +26,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -585,13 +584,3 @@ def _parse_plain_int(text: str) -> int:
         raise ConfigError(f"expected a nonnegative integer, got {text!r}")
     return int(text)
 
-
-def parse_fraction(text: str) -> Fraction:
-    """Exact rational from '3', '1/2' or '0' (floats are rejected)."""
-    text = text.strip()
-    if re.fullmatch(r"\d+", text):
-        return Fraction(int(text))
-    m = re.fullmatch(r"(\d+)\s*/\s*(\d+)", text)
-    if m:
-        return Fraction(int(m.group(1)), int(m.group(2)))
-    raise ConfigError(f"expected an integer or fraction, got {text!r}")

@@ -52,6 +52,11 @@ from .measure import Spec, as_product, sample, total_dim
 # a comfortable guard band around any sensible u-grid.
 LINEAR_QUADRATURE_STEP = 0.25
 
+# linear_density's u-grid may deviate from an exact arithmetic
+# progression by this fraction of its span (linspace and arange stay
+# near 1e-16).
+GRID_SPACING_RTOL = 1e-12
+
 # Fraction of a tube half-width (or bandwidth) that sampling-depth
 # truncation is allowed to perturb a Monte-Carlo point by.
 _MC_DEPTH_SLACK = 8.0
@@ -236,11 +241,16 @@ def radial_tube_profile(spec: Spec, x, delta: float, angle_grid_count: int,
     """Tube-density profile theta -> f_delta(theta) at enclosure
     midpoints, over the viewing sector of the unit square padded by two
     tube windows.  Lower/upper enclosure curves ride along in the
-    metadata."""
+    metadata.  As for radial_tube_density, the viewpoint must clear the
+    unit square by at least delta."""
     _require_plane(spec, "radial_tube_profile")
     x = np.asarray(x, dtype=float)
     if delta <= 0:
         raise ConfigError("tube half-width must be positive")
+    if _square_clearance(x) < delta:
+        raise ConfigError(
+            "viewpoint must clear the unit square by at least the tube half-width"
+        )
     if angle_grid_count < 2:
         raise ConfigError("angle grid needs at least two points")
     if depth is None:
@@ -427,6 +437,8 @@ def _unit_direction(theta) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (2,):
         raise ConfigError("direction must be a 2-vector")
+    if not np.all(np.isfinite(theta)):
+        raise ConfigError("direction must be finite")
     norm = float(np.hypot(theta[0], theta[1]))
     if norm == 0.0:
         raise ConfigError("direction must be nonzero")
@@ -441,10 +453,94 @@ def _common_shell_base(spec: Spec) -> int:
     return bases.pop() if len(bases) == 1 else 2
 
 
+def _equal_spacing(u_grid) -> tuple:
+    """(u_0, du, deviation) of an increasing, equally spaced grid: the
+    largest distance of a grid point from u_0 + j du.  Anything else is
+    refused before the caller does any work."""
+    if u_grid.ndim != 1 or u_grid.size < 2:
+        raise ConfigError("u_grid needs at least two points")
+    if not np.all(np.isfinite(u_grid)):
+        raise ConfigError("u_grid must be finite")
+    span = float(u_grid[-1] - u_grid[0])
+    if not span > 0.0:
+        raise ConfigError("u_grid must be increasing")
+    du = span / (u_grid.size - 1)
+    deviation = float(np.max(np.abs(u_grid - (u_grid[0] + np.arange(u_grid.size) * du))))
+    if deviation > GRID_SPACING_RTOL * span:
+        raise ConfigError("u_grid must be equally spaced (linspace or arange)")
+    return float(u_grid[0]), du, deviation
+
+
+def _half_turns(x) -> np.ndarray:
+    """exp(i pi x), with x reduced mod 2 first so large phases lose no
+    more than the rounding of x itself."""
+    return np.exp(1j * math.pi * np.mod(x, 2.0))
+
+
+def _ray_inversion(weights, dt, u_0, du, count, deviation, budget):
+    """Chirp-z (Bluestein) evaluation of
+
+        sum_k weights_k exp(2 pi i u_j t_k),  t_k = (k - S) dt,  u_j = u_0 + j du,
+
+    for j < count, with N = 2S + 1 weights.  Both index ranges are
+    centred (k' = k - S, j' = j - J) so the chirp phases stay small, and
+    j' k' = (j'^2 + k'^2 - (k' - j')^2) / 2 turns the sum into one
+    linear convolution, done by zero-padded FFTs of a power-of-two
+    length L >= N + count - 1: O(L log L) time, O(L) memory.
+
+    Returns the sums and an a-priori bound on their rounding error,
+    including the error of evaluating at u_0 + j du rather than at grid
+    points that deviate from it by up to `deviation`."""
+    size = weights.size
+    half = (size - 1) // 2
+    centre_j = (count - 1) // 2
+    length = 1 << (size + count - 2).bit_length()
+    budget.charge(length, "ray inversion")
+    # u_j t_k = centre_u k' dt + alpha j' k'; phases below are in half-turns
+    alpha = du * dt
+    centre_u = u_0 + centre_j * du
+    k = np.arange(-half, half + 1, dtype=np.float64)
+    pre = weights * _half_turns(2.0 * centre_u * dt * k + alpha * k * k)
+    m = np.arange(-half - centre_j, half + count - centre_j, dtype=np.float64)
+    chirp = _half_turns(-alpha * m * m)
+    conv = np.fft.ifft(np.fft.fft(pre, length) * np.fft.fft(chirp, length))
+    j = np.arange(count, dtype=np.float64) - centre_j
+    sums = conv[size - 1:size - 1 + count] * _half_turns(alpha * j * j)
+
+    # Rounding, to first order in the unit roundoff u.  FFT: Higham,
+    # Accuracy and Stability of Numerical Algorithms (2nd ed.), Thm
+    # 24.2: a radix-2 transform of length 2^t has relative 2-norm error
+    # t (u + gamma_4 (sqrt 2 + u)) <= 7 t u =: tau.  Through the
+    # pointwise product and the inverse transform, with |chirp| = 1 on
+    # n = N + count - 1 entries, that is tau (n |w|_2 + 2 sqrt(n) |w|_1)
+    # + 3 u sqrt(n) |w|_1.  Each phase x of exp(i pi x) is computed in
+    # at most four roundings (pi u |x| each) and reduced, multiplied by
+    # pi and exponentiated with ~8u more; three of them meet each term,
+    # and each of the three products adds ~3u.
+    unit = np.finfo(np.float64).eps / 2.0
+    tau = 7.0 * math.log2(length) * unit
+    n = size + count - 1
+    l1 = float(np.abs(weights).sum())
+    l2 = float(np.sqrt(np.sum(np.abs(weights) ** 2)))
+    j_max = max(centre_j, count - 1 - centre_j)
+    phases = (2.0 * abs(centre_u) * dt * half
+              + alpha * (half ** 2 + (half + j_max) ** 2 + j_max ** 2))
+    bound = (tau * (n * l2 + 2.0 * math.sqrt(n) * l1) + 3.0 * unit * math.sqrt(n) * l1
+             + l1 * unit * (4.0 * math.pi * phases + 3.0 * 8.0 + 3.0 * 3.0)
+             + l1 * 2.0 * math.pi * deviation * half * dt)
+    return sums, bound
+
+
 def linear_density(spec: Spec, theta, u_grid, T_max: float, tol: float = 1e-9,
                    budget: EvalBudget | None = None) -> DensityProfile:
     """Density of the projection y -> (y, theta) by inverse-transform
     quadrature over t in [-T_max, T_max] at step LINEAR_QUADRATURE_STEP.
+
+    u_grid must be equally spaced (within GRID_SPACING_RTOL of its
+    span, as linspace and arange give) with at least two points: the
+    quadrature sum is then a chirp-z transform, evaluated by FFT in
+    O((U + T) log(U + T)) time and O(U + T) memory.  Its a-priori
+    rounding bound is recorded as `inversion_rounding_bound`.
 
     The real part is returned on u_grid; the imaginary part must cancel
     by conjugate symmetry and its trapezoidal L1 residue is recorded
@@ -455,18 +551,16 @@ def linear_density(spec: Spec, theta, u_grid, T_max: float, tol: float = 1e-9,
     _require_plane(spec, "linear_density")
     theta = _unit_direction(theta)
     u_grid = np.asarray(u_grid, dtype=float)
-    if T_max <= 1:
-        raise ConfigError("T_max must exceed 1")
+    u_0, du, deviation = _equal_spacing(u_grid)
+    if not 1 < T_max < math.inf:
+        raise ConfigError("T_max must be finite and exceed 1")
+    bud = ensure_budget(budget)
     dt = LINEAR_QUADRATURE_STEP
     steps = int(round(T_max / dt))
     t = np.arange(-steps, steps + 1) * dt
-    values, _ = fourier_transform_batch(spec, t[:, None] * theta[None, :], tol, budget)
-
-    density = np.empty(u_grid.shape, dtype=complex)
-    weighted = values * dt
-    for s in range(0, u_grid.size, 512):
-        block = u_grid[s:s + 512]
-        density[s:s + 512] = np.exp(2j * math.pi * np.outer(block, t)) @ weighted
+    values, _ = fourier_transform_batch(spec, t[:, None] * theta[None, :], tol, bud)
+    density, rounding = _ray_inversion(values * dt, dt, u_0, du, u_grid.size,
+                                       deviation, bud)
     real = density.real
     imag_l1 = float(np.trapezoid(np.abs(density.imag), u_grid))
     mass = float(np.trapezoid(real, u_grid))
@@ -485,6 +579,7 @@ def linear_density(spec: Spec, theta, u_grid, T_max: float, tol: float = 1e-9,
         "tol": tol,
         "mass": mass,
         "imag_l1": imag_l1,
+        "inversion_rounding_bound": rounding,
         "shell_base": base,
         "shell_totals": totals,
         "shell_slopes": slopes,
@@ -582,55 +677,75 @@ def _annulus_points(R: float):
 
 
 def stripe_scan(spec: Spec, R: float, angle_count: int, tol: float = 1e-9,
-                budget: EvalBudget | None = None, workers: int = 1):
-    """stripe_integral at angle_count directions spread over a half
-    turn (stripes are symmetric under theta -> -theta), evaluating
-    |lambda_hat| once over the whole annulus.  Returns (angles,
-    values)."""
+                budget: EvalBudget | None = None):
+    """stripe_integral at angle_count directions theta_i = i pi /
+    angle_count over a half turn (stripes are symmetric under theta ->
+    -theta), evaluating |lambda_hat| once over the whole annulus.
+    Returns (angles, values).
+
+    xi lies in the stripe of theta exactly when theta is within
+    arcsin(1/R) of arg xi + pi/2 (mod pi), so each point's stripes form
+    one contiguous run of angle indices.  The two candidate indices at
+    each end of the run are settled with the stripe predicate
+    |(theta, xi)| <= |xi|/R itself, and the runs are summed with a
+    wrapped difference array: O(points + angles)."""
     _require_plane(spec, "stripe_scan")
     if R < 2:
         raise ConfigError("stripe annulus needs R >= 2")
     if angle_count < 1:
         raise ConfigError("angle_count must be positive")
+    bud = ensure_budget(budget)
     pts, norms = _annulus_points(R)
-    values, _ = fourier_transform_batch(spec, pts, tol, budget)
+    bud.charge(pts.shape[0] + angle_count, "stripe binning")
+    values, _ = fourier_transform_batch(spec, pts, tol, bud)
     mags = np.abs(values)
     angles = np.arange(angle_count) * math.pi / angle_count
-    dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    cos, sin = np.cos(angles), np.sin(angles)
+    limit = norms / R
 
-    def block(rows):
-        # |(theta_i, xi)| <= |xi|/R for each direction in the block
-        inner = np.abs(pts @ dirs[rows].T)
-        return (mags[:, None] * (inner <= (norms / R)[:, None])).sum(axis=0)
+    def member(i):
+        i = np.mod(i, angle_count)
+        return np.abs(pts[:, 0] * cos[i] + pts[:, 1] * sin[i]) <= limit
 
-    chunks = [slice(s, min(s + 32, angle_count)) for s in range(0, angle_count, 32)]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(block, chunks))
-    else:
-        parts = [block(c) for c in chunks]
-    return angles, np.concatenate(parts)
+    step = math.pi / angle_count
+    reach = math.asin(1.0 / R)
+    centre = np.mod(np.arctan2(pts[:, 1], pts[:, 0]) + 0.5 * math.pi, math.pi)
+    lo = np.ceil((centre - reach) / step).astype(np.int64)
+    hi = np.floor((centre + reach) / step).astype(np.int64)
+    first = np.where(member(lo - 1), lo - 1, np.where(member(lo), lo, lo + 1))
+    last = np.where(member(hi + 1), hi + 1, np.where(member(hi), hi, hi - 1))
+    # An empty run (a stripe narrower than the angle spacing) adds
+    # nothing; with one angle, lo - 1 and hi + 1 are that angle again.
+    run = np.clip(last - first + 1, 0, angle_count)
+    first = np.mod(first, angle_count)
+    slots = 2 * angle_count + 1
+    diff = np.bincount(first, mags, slots) - np.bincount(first + run, mags, slots)
+    total = np.cumsum(diff[:2 * angle_count])
+    return angles, total[:angle_count] + total[angle_count:]
+
+
+def exceptional_from_scan(spec: Spec, R: float, eps: float, s1: float,
+                          angles, values) -> tuple:
+    """(threshold, directions) for a stripe_scan result: the threshold
+    is R^(n - 1 - s1 + 2 eps), s1 being a certified l1-dimension lower
+    bound, and the directions are the unit vectors of the scanned
+    angles whose stripe sum reaches it."""
+    if eps <= 0:
+        raise ConfigError("eps must be positive")
+    threshold = float(R) ** (total_dim(spec) - 1 - s1 + 2 * eps)
+    return threshold, [(math.cos(a), math.sin(a))
+                       for a, v in zip(angles, values) if v >= threshold]
 
 
 def exceptional_directions(spec: Spec, R: float, eps: float, s1: float,
                            angle_count: int, tol: float = 1e-9,
-                           budget: EvalBudget | None = None,
-                           workers: int = 1) -> list:
+                           budget: EvalBudget | None = None) -> list:
     """Grid directions whose annulus-stripe sum reaches the exceptional
-    threshold R^(n - 1 - s1 + 2 eps), s1 being a certified l1-dimension
-    lower bound.  For measures with decaying generic directions this
-    isolates the coordinate-like rays along which |lambda_hat| keeps
-    its mass."""
-    if eps <= 0:
-        raise ConfigError("eps must be positive")
-    n = total_dim(spec)
-    angles, values = stripe_scan(spec, R, angle_count, tol, budget, workers)
-    threshold = float(R) ** (n - 1 - s1 + 2 * eps)
-    out = []
-    for a, v in zip(angles, values):
-        if v >= threshold:
-            out.append((math.cos(a), math.sin(a)))
-    return out
+    threshold of exceptional_from_scan.  For measures with decaying
+    generic directions this isolates the coordinate-like rays along
+    which |lambda_hat| keeps its mass."""
+    angles, values = stripe_scan(spec, R, angle_count, tol, budget)
+    return exceptional_from_scan(spec, R, eps, s1, angles, values)[1]
 
 
 def slab_integral(spec: Spec, theta, T_max: float, tol: float = 1e-9,

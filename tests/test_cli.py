@@ -6,6 +6,8 @@ import sys
 
 import pytest
 
+import missingdigits.cli as cli
+from missingdigits import exceptional_directions, parse_spec
 from missingdigits.cli import main
 
 C3 = "factor { base = 3; digits = {0,2}; }"
@@ -64,6 +66,21 @@ def test_exit_64_usage_errors():
     assert run(["dim-bound"])[0] == 64  # no spec anywhere
 
 
+@pytest.mark.parametrize("argv", [
+    ["fourier-eval", "--spec", C3, "--xi", "nan"],
+    ["linear-density", "--spec", C32_SQ, "--direction", "1,1", "--tmax", "nan"],
+    ["linear-density", "--spec", C32_SQ, "--direction", "nan,1"],
+    ["stripe-scan", "--spec", C32_SQ, "--radius", "nan"],
+    ["fourier-eval", "--spec", "factor { base = 10^100; digits = 0..9; }", "--xi", "1"],
+    ["radial-density", "--spec", C32_SQ, "--viewpoint=0.5,0.5", "--delta", "0.01",
+     "--angles", "50"],
+    ["linear-density", "--spec", C32_SQ, "--direction", "1,1", "--grid", "0,1,1"],
+    ["stripe-scan", "--spec", C32_SQ, "--radius", "27", "--angles", "8", "--eps", "0"],
+])
+def test_exit_64_on_bad_numeric_input(argv):
+    assert run(argv)[0] == 64
+
+
 def test_exit_64_on_bad_config_file(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"spec": C3, "bogus": 1}))
@@ -120,6 +137,24 @@ def test_repeat_runs_identical_outside_wall_time():
 
 
 # ------------------------------------------------------------------ results
+
+
+def test_stripe_scan_scans_once(monkeypatch):
+    calls = []
+    scan = cli.stripe_scan
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return scan(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "stripe_scan", counted)
+    code, doc = run_json(["stripe-scan", "--spec", C32_SQ, "--radius", "27",
+                          "--angles", "64", "--s1", "0.7376", "--eps", "0.05"])
+    assert code == 0
+    assert len(calls) == 1
+    expected = exceptional_directions(parse_spec(C32_SQ), 27.0, 0.05, 0.7376, 64)
+    assert doc["result"]["exceptional_directions"] == [list(d) for d in expected]
+    assert doc["result"]["exceptional_count"] == len(expected) > 0
 
 
 def test_dim_bound_reports_candidates():

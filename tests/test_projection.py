@@ -35,6 +35,40 @@ def _leb_angular_density(phis, x=(-1.0, -1.0)):
     return np.array(out)
 
 
+def _direct_inversion(spec, theta, u, T_max, tol=1e-9):
+    """Reference for linear_density's chirp-z transform: the direct
+    O(U T) quadrature sum_k lambda_hat(t_k theta) e^{2 pi i u t_k} dt."""
+    theta = np.asarray(theta, dtype=float) / math.hypot(*theta)
+    dt = 0.25
+    steps = int(round(T_max / dt))
+    t = np.arange(-steps, steps + 1) * dt
+    values, _ = fourier_transform_batch(spec, t[:, None] * theta[None, :], tol)
+    return np.exp(2j * math.pi * np.outer(u, t)) @ (values * dt)
+
+
+def _annulus(R):
+    top = int(2 * R)
+    axis = np.arange(-top, top + 1)
+    grid = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+    norms = np.hypot(grid[:, 0], grid[:, 1])
+    keep = (norms >= R) & (norms <= 2 * R)
+    return grid[keep].astype(float), norms[keep]
+
+
+class _Ledger(EvalBudget):
+    """A budget that remembers its charges by label."""
+
+    __slots__ = ("cells",)
+
+    def __init__(self):
+        super().__init__()
+        self.cells = {}
+
+    def charge(self, cells, what="evaluation"):
+        super().charge(cells, what)
+        self.cells[what] = self.cells.get(what, 0) + int(cells)
+
+
 def _triangle_density(u):
     """Density of (X+Y)/sqrt(2) for independent uniforms on [0,1]."""
     s = SQRT2 * np.asarray(u, dtype=float)
@@ -118,6 +152,13 @@ def test_radial_l2_norm_stability_references():
     assert atom[1] / atom[0] >= 2.0
 
 
+def test_radial_profile_requires_clearance():
+    with pytest.raises(ConfigError):
+        radial_tube_profile(C32, (0.5, 0.5), 0.01, 50)
+    with pytest.raises(ConfigError):  # outside, but nearer than delta
+        radial_tube_profile(C32, (1.005, 0.5), 0.01, 50)
+
+
 def test_radial_mc_matches_analytic_density():
     profile = radial_density_mc(LEB2, (-1.0, -1.0), 400_000, 0.01, seed=9)
     f = _leb_angular_density(profile.grid)
@@ -181,6 +222,29 @@ def test_linear_density_requires_wide_cutoff():
         linear_density(LEB2, (1.0, 1.0), np.linspace(0, 1, 50), 0.5)
 
 
+def test_linear_density_matches_direct_sum():
+    theta = (math.cos(0.9), math.sin(0.9))
+    u = np.linspace(-0.3, 1.6, 381)
+    ledger = _Ledger()
+    profile = linear_density(C32, theta, u, 729.0, tol=1e-9, budget=ledger)
+    direct = _direct_inversion(C32, theta, u, 729.0)
+    bound = profile.metadata["inversion_rounding_bound"]
+    assert 0.0 < bound < 1e-8 * np.abs(direct.real).max()
+    assert np.abs(profile.values - direct.real).max() <= bound + 1e-9
+    # cells proportional to the FFT length, the next power of two >= N + U - 1
+    assert ledger.cells["ray inversion"] == 8192
+
+
+def test_linear_density_refuses_unequal_or_single_point_grid():
+    # refused before the transform is evaluated: a one-cell budget would
+    # otherwise raise BudgetExceededError first
+    u = np.linspace(0.0, 1.0, 101)
+    u[50] += 1e-9
+    for grid in (u, np.array([0.5]), np.linspace(1.0, 0.0, 11)):
+        with pytest.raises(ConfigError):
+            linear_density(LEB2, (1.0, 1.0), grid, 81.0, budget=EvalBudget(1))
+
+
 def test_linear_mc_independent_of_worker_count():
     a = linear_density_mc(C32, (2.0, 1.0), 80_000, 0.01, seed=6, workers=1)
     b = linear_density_mc(C32, (2.0, 1.0), 80_000, 0.01, seed=6, workers=4)
@@ -239,6 +303,23 @@ def test_stripe_scan_matches_single_integrals():
         assert v == pytest.approx(single, rel=1e-12)
 
 
+@pytest.mark.parametrize("R, angle_count", [
+    (16.0, 8),                             # stripes narrower than the spacing
+    (27.0, int(round(math.pi * 27.0))),    # neighbouring stripes just touch
+    (2.0, 1), (2.0, 3), (5.5, 7), (40.0, 256),
+])
+def test_stripe_scan_matches_brute_mask(R, angle_count):
+    ledger = _Ledger()
+    angles, values = stripe_scan(C32, R, angle_count, budget=ledger)
+    pts, norms = _annulus(R)
+    mags = np.abs(fourier_transform_batch(C32, pts)[0])
+    dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    mask = np.abs(pts @ dirs.T) <= (norms / R)[:, None]
+    brute = (mags[:, None] * mask).sum(axis=0)
+    assert np.abs(values - brute).max() <= 1e-12 * max(brute.max(), 1.0)
+    assert ledger.cells["stripe binning"] == len(pts) + angle_count
+
+
 def test_exceptional_directions_contain_coordinate_axis():
     dirs = exceptional_directions(C32, 27.0, 0.05, 0.7376, angle_count=64)
     assert any(abs(d[0] - 1.0) < 1e-12 and abs(d[1]) < 1e-12 for d in dirs)
@@ -250,12 +331,7 @@ def test_stripe_net_multiplicity_bounded():
     # point at most ~C times: their sum is <= 8x the annulus total
     R = 27.0
     angles, values = stripe_scan(C32, R, int(round(math.pi * R)))
-    top = int(2 * R)
-    axis = np.arange(-top, top + 1)
-    grid = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
-    norms = np.hypot(grid[:, 0], grid[:, 1])
-    keep = (norms >= R) & (norms <= 2 * R)
-    transform, _ = fourier_transform_batch(C32, grid[keep].astype(float))
+    transform, _ = fourier_transform_batch(C32, _annulus(R)[0])
     annulus_total = float(np.abs(transform).sum())
     assert values.sum() <= 8.0 * annulus_total
 
