@@ -1,10 +1,10 @@
 """Evaluation budget accounting.
 
 Lattice sums, cylinder refinements and digit enumerations all reduce to
-"cells": single transform evaluations, box classifications or candidate
-integers.  A budget caps the total number of cells a computation may
-touch so that runaway parameter choices fail fast instead of freezing
-the process.
+"cells": single transform evaluations, box classifications or digit
+restriction tests.  A budget caps the total number of cells a
+computation may touch so that runaway parameter choices fail fast
+instead of freezing the process.
 """
 
 from __future__ import annotations

@@ -469,12 +469,12 @@ def _cmd_graham(args) -> int:
     run = _Run(args)
     system_ = parse_system(args.system, args.scales)
     if args.checkpoints:
-        checkpoints = [int(c) for c in args.checkpoints.split(",")]
+        checkpoints = [_as_int(c, "checkpoints") for c in args.checkpoints.split(",")]
         rows = density_report(system_, checkpoints, run.budget)
         run.write_csv(["limit", "count", "exponent_log_count_over_log_limit"],
                       [[r["limit"], r["count"], r["exponent"]] for r in rows],
                       ["counts of qualifying integers up to each limit",
-                       "method: digit DFS in the most selective base, "
+                       "method: exact jump-to-next-allowed enumeration, "
                        "exponent = log(count)/log(limit), dimensionless"])
         result = {"rows": rows}
         empty = all(r["count"] == 0 for r in rows)
@@ -482,14 +482,14 @@ def _cmd_graham(args) -> int:
         if args.limit is None:
             raise ConfigError("graham needs --limit N (or --checkpoints)")
         if system_.unscaled:
-            members = enumerate_restricted(system_, args.limit, run.budget,
-                                           workers=run.workers)
+            members = enumerate_restricted(system_, args.limit, run.budget)
         else:
             members = enumerate_scaled(system_, args.limit, run.budget)
         run.write_csv(["qualifying_integer"], [[m] for m in members],
                       ["positive integers whose scaled digit expansions "
                        "stay inside every digit set",
-                       "method: exact integer scan (dimensionless)"])
+                       "method: exact jump-to-next-allowed enumeration "
+                       "(dimensionless)"])
         result = {"count": len(members)}
         if run.want_rows_inline():
             result["members"] = members

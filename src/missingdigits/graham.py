@@ -2,14 +2,16 @@
 
 A restriction system is a list of (base b_i, digit set D_i, scale t_i)
 with t_i in (0, 1].  An integer n qualifies when, for every i, the
-base-b_i expansion of floor(t_i * n) uses only digits from D_i.  The
-unscaled enumeration generates candidates by digit DFS in the most
-restrictive base -- the one with the smallest #D/b ratio, so only about
-(#D)^(log_b N) candidates are ever built -- and filters them against
-the remaining bases.  The scaled variant must walk n = 1..N linearly
-because floor(t*n) is not monotone in the digit tree; scales are exact
-fractions so the floor never suffers a boundary misclassification,
-which is why floating-point scales are rejected outright.
+base-b_i expansion of floor(t_i * n) uses only digits from D_i.  Both
+the unscaled and the scaled enumeration run one output-sensitive
+kernel: starting from x = 1, a restriction that rejects floor(t_i * x)
+moves x straight to ceil(y / t_i), where y is the next integer whose
+digits D_i allows (found digit by digit, `next_allowed`), until every
+restriction accepts x.  Because floor(t*n) is nondecreasing in n no
+member is ever jumped over, and the work grows with the number of
+jumps, not with N.  Scales are exact fractions so the floor never
+suffers a boundary misclassification, which is why floating-point
+scales are rejected outright.
 
 By convention 0 never appears in the output: the subject is positive
 integers, even though 0's digit string "0" passes any digit set
@@ -18,8 +20,8 @@ containing 0.
 
 from __future__ import annotations
 
+import bisect
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -108,7 +110,10 @@ def parse_system(text: str, scales_text: str | None = None) -> RestrictionSystem
         parts.append((base, digits))
     scales = None
     if scales_text is not None:
-        scales = [Fraction(s.strip()) for s in scales_text.split(",")]
+        try:
+            scales = [Fraction(s.strip()) for s in scales_text.split(",")]
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ConfigError(f"bad scales {scales_text!r}: {exc}") from exc
     return system(*parts, scales=scales)
 
 
@@ -127,68 +132,99 @@ def digits_ok(m: int, base: int, digits) -> bool:
     return True
 
 
-def _passes(system_: RestrictionSystem, n: int) -> bool:
-    for r in system_.restrictions:
-        scaled = (r.scale.numerator * n) // r.scale.denominator
-        if not digits_ok(scaled, r.base, r.digits):
-            return False
-    return True
+def next_allowed(m: int, base: int, digits) -> int | None:
+    """Smallest y >= m whose base-`base` digits all lie in `digits`
+    (0 has the single digit 0), or None when no such y exists, which
+    happens only for digits = {0} and m > 0.  Costs O(number of digits
+    of m) integer steps."""
+    if digits_ok(m, base, digits):
+        return m
+    ordered = sorted(digits)
+    low = ordered[0]
+    expansion = []  # least significant digit first
+    rest = m
+    while True:
+        rest, d = divmod(rest, base)
+        expansion.append(d)
+        if not rest:
+            break
+    first_bad = len(expansion) - 1
+    while expansion[first_bad] in digits:
+        first_bad -= 1
+    expansion.append(0)  # a leading zero: y may have one digit more than m
+    # Keep the allowed digits above some position j >= first_bad, raise
+    # digit j to the next allowed one and fill below with the least.
+    for j in range(first_bad, len(expansion)):
+        up = bisect.bisect_right(ordered, expansion[j])
+        if up < len(ordered):
+            scale = base ** j
+            head = (m // (scale * base)) * base + ordered[up]
+            return head * scale + low * (scale - 1) // (base - 1)
+    return None
 
 
 # ------------------------------------------------------------ enumeration
 
+# Restriction tests charged to the budget per charge() call.
+CHARGE_BLOCK = 1 << 16
 
-def _dfs_from(seeds, base, digits, limit):
-    """All integers <= limit whose base-`base` expansion extends a seed
-    (most significant digit first) using only `digits`."""
+
+def _members(system_: RestrictionSystem, limit: int, bud: EvalBudget,
+             label: str) -> list:
+    """Sorted n in [1, limit] passing every restriction, by fixpoint
+    jumps: a restriction that rejects x moves x to the least n whose
+    scaled floor reaches the next allowed integer.
+
+    floor(t*n) is nondecreasing in n, so no n between x and the jump
+    target qualifies; since t <= 1 the target's floor equals that
+    allowed integer, so the restriction that jumped already passes
+    there.  Each restriction test is one budget cell, charged in
+    blocks under `label` as the enumeration runs.
+    """
+    order = sorted(system_.restrictions, key=lambda r: r.selectivity)
+    rules = [(r.base, r.digits, r.scale.numerator, r.scale.denominator)
+             for r in order]
+    k = len(rules)
     out = []
-    stack = list(seeds)
-    while stack:
-        m = stack.pop()
-        out.append(m)
-        for d in digits:
-            child = m * base + d
-            if child <= limit:
-                stack.append(child)
+    x, i, clean, cells = 1, 0, 0, 0
+    while x <= limit:
+        base, digits, num, den = rules[i]
+        i = (i + 1) % k
+        cells += 1
+        if cells == CHARGE_BLOCK:
+            bud.charge(cells, label)
+            cells = 0
+        s = num * x // den
+        y = next_allowed(s, base, digits)
+        if y == s:
+            clean += 1
+        elif y is None:
+            break
+        else:
+            x = -(-y * den // num)
+            clean = 1
+        if clean == k and x <= limit:
+            out.append(x)
+            x += 1
+            clean = 0
+    bud.charge(cells, label)
     return out
 
 
 def enumerate_restricted(system_: RestrictionSystem, limit: int,
-                         budget: EvalBudget | None = None,
-                         workers: int = 1) -> list:
+                         budget: EvalBudget | None = None) -> list:
     """Sorted list of n in [1, limit] meeting every restriction; all
     scales must be 1 (use enumerate_scaled otherwise)."""
     if not system_.unscaled:
         raise ConfigError("enumerate_restricted requires all scales = 1")
-    if limit < 1:
-        return []
-    bud = ensure_budget(budget)
-    order = sorted(system_.restrictions, key=lambda r: r.selectivity)
-    lead, rest = order[0], order[1:]
-    depth = int(math.log(limit, lead.base)) + 1
-    bud.charge(len(lead.digits) ** min(depth, 63), "digit tree")
-    seeds = [d for d in sorted(lead.digits) if 0 < d <= limit]
-    if workers > 1 and len(seeds) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = pool.map(
-                lambda s: _dfs_from([s], lead.base, lead.digits, limit), seeds)
-        candidates = [m for chunk in chunks for m in chunk]
-    else:
-        candidates = _dfs_from(seeds, lead.base, lead.digits, limit)
-    keep = sorted(
-        m for m in candidates
-        if all(digits_ok(m, r.base, r.digits) for r in rest)
-    )
-    return keep
+    return _members(system_, limit, ensure_budget(budget), "digit tree")
 
 
 def enumerate_scaled(system_: RestrictionSystem, limit: int,
                      budget: EvalBudget | None = None) -> list:
     """Sorted list of n in [1, limit] such that floor(scale_i * n)
-    passes every digit restriction; linear scan with exact floors."""
-    bud = ensure_budget(budget)
-    bud.charge(max(limit, 0) * len(system_.restrictions), "scaled scan")
-    return [n for n in range(1, limit + 1) if _passes(system_, n)]
+    passes every digit restriction."""
+    return _members(system_, limit, ensure_budget(budget), "scaled scan")
 
 
 def density_report(system_: RestrictionSystem, checkpoints,

@@ -337,5 +337,5 @@ def test_acceptance_10_restricted_digit_enumeration():
     elapsed = time.monotonic() - t0
     ok = exact and agree and counts and elapsed < 60.0
     assert _verdict(10, "restricted digit enumeration", ok,
-                    f"exact_set={exact} dfs_vs_brute={agree} "
+                    f"exact_set={exact} kernel_vs_brute={agree} "
                     f"power_counts={counts} elapsed={elapsed:.1f}s")

@@ -76,6 +76,9 @@ def test_exit_64_usage_errors():
      "--angles", "50"],
     ["linear-density", "--spec", C32_SQ, "--direction", "1,1", "--grid", "0,1,1"],
     ["stripe-scan", "--spec", C32_SQ, "--radius", "27", "--angles", "8", "--eps", "0"],
+    ["graham", "--system", "3:{0,1};5:{0,1,2}", "--scales", "1,abc", "--limit", "100"],
+    ["graham", "--system", "3:{0,1};5:{0,1,2}", "--scales", "1,1/0", "--limit", "100"],
+    ["graham", "--system", "3:{0,1};5:{0,1,2}", "--checkpoints", "10,abc"],
 ])
 def test_exit_64_on_bad_numeric_input(argv):
     assert run(argv)[0] == 64

@@ -3,13 +3,25 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from missingdigits import (BudgetExceededError, ConfigError, EvalBudget,
                            Restriction, density_report, digits_ok,
                            enumerate_restricted, enumerate_scaled,
                            parse_system, system)
+from missingdigits.graham import ONE, next_allowed
 
 PAIR = system((3, {0, 1}), (5, {0, 1, 2}))
+SCALED_PAIR = system((3, {0, 1}), (5, {0, 1, 2}),
+                     scales=[Fraction(1), Fraction(1, 2)])
+
+
+def brute_force(parts, scales, limit):
+    """Linear scan of 1..limit with exact integer floors."""
+    return [n for n in range(1, limit + 1)
+            if all(digits_ok(n * t.numerator // t.denominator, b, d)
+                   for (b, d), t in zip(parts, scales))]
 
 
 # --------------------------------------------------------------- digit test
@@ -75,11 +87,11 @@ def test_dfs_equals_brute_force_on_random_systems():
         assert enumerate_restricted(sys_, limit) == brute
 
 
-def test_worker_partition_matches_serial():
-    triple = system((3, {0, 1}), (5, {0, 1, 2}), (7, {0, 1, 2, 3}))
-    serial = enumerate_restricted(triple, 10 ** 6)
-    parallel = enumerate_restricted(triple, 10 ** 6, workers=4)
-    assert serial == parallel
+def test_three_base_system_matches_brute_force():
+    parts = [(3, {0, 1}), (5, {0, 1, 2}), (7, {0, 1, 2, 3})]
+    limit = 10 ** 6
+    want = brute_force(parts, [ONE] * 3, limit)
+    assert enumerate_restricted(system(*parts), limit) == want
 
 
 def test_count_below_base_power_with_zero_digit():
@@ -93,6 +105,17 @@ def test_enumeration_budget():
     wide = system((10, range(10)))
     with pytest.raises(BudgetExceededError):
         enumerate_restricted(wide, 10 ** 7, budget=EvalBudget(1000))
+    wide_scaled = system((10, range(10)), scales=[Fraction(1, 3)])
+    with pytest.raises(BudgetExceededError):
+        enumerate_scaled(wide_scaled, 10 ** 7, budget=EvalBudget(1000))
+
+
+def test_scaled_budget_charges_steps_taken():
+    # A scan of 1..N would need N cells per restriction, 4e8 here.
+    budget = EvalBudget()
+    members = enumerate_scaled(SCALED_PAIR, 2 * 10 ** 8, budget)
+    assert len(members) == 1243
+    assert 0 < budget.spent < 10 ** 5
 
 
 # ------------------------------------------------------------------ scaling
@@ -103,13 +126,24 @@ def test_scaled_with_unit_scales_matches_enumerate():
 
 
 def test_scaled_floor_uses_exact_rationals():
-    scaled = system((3, {0, 1}), (5, {0, 1, 2}),
-                    scales=[Fraction(1), Fraction(1, 2)])
-    got = enumerate_scaled(scaled, 100)
+    got = enumerate_scaled(SCALED_PAIR, 100)
     # independent re-scan with integer arithmetic
     want = [n for n in range(1, 101)
             if digits_ok(n, 3, {0, 1}) and digits_ok(n // 2, 5, {0, 1, 2})]
     assert got == want
+
+
+def test_scaled_pair_members_up_to_a_million():
+    members = enumerate_scaled(SCALED_PAIR, 10 ** 6)
+    assert len(members) == 172
+    assert members == brute_force([(3, {0, 1}), (5, {0, 1, 2})],
+                                  [ONE, Fraction(1, 2)], 10 ** 6)
+
+
+def test_zero_digit_set_stops_once_floor_is_positive():
+    only_zero = system((3, {0, 1}), (5, {0}), scales=[ONE, Fraction(1, 40)])
+    assert enumerate_scaled(only_zero, 10 ** 9) == [1, 3, 4, 9, 10, 12, 13, 27,
+                                                    28, 30, 31, 36, 37, 39]
 
 
 def test_tiny_scale_floors_to_zero_digit():
@@ -139,6 +173,12 @@ def test_parse_system_errors():
             parse_system(text)
 
 
+@pytest.mark.parametrize("scales", ["1,abc", "1,1/0"])
+def test_parse_system_bad_scales_are_config_errors(scales):
+    with pytest.raises(ConfigError):
+        parse_system("3:{0,1};5:{0,1,2}", scales)
+
+
 # ------------------------------------------------------------------ density
 
 
@@ -158,3 +198,43 @@ def test_density_counts_cumulative():
     counts = [r["count"] for r in rows]
     assert counts == sorted(counts)
     assert counts[1] == 8  # the reference set up to 100
+
+
+# ------------------------------------------------------- kernel properties
+
+
+@settings(deadline=None)
+@given(base=st.integers(3, 12), data=st.data(), m=st.integers(0, 3000))
+def test_next_allowed_is_least_allowed_at_or_above(base, data, m):
+    digits = frozenset(data.draw(st.sets(st.integers(0, base - 1), min_size=1)))
+    y = next_allowed(m, base, digits)
+    if y is None:
+        assert digits == {0} and m > 0
+        return
+    assert y >= m and digits_ok(y, base, digits)
+    # no allowed integer lies strictly between m and y
+    assert not any(digits_ok(v, base, digits) for v in range(m, y))
+
+
+@st.composite
+def restriction_systems(draw):
+    parts, scales = [], []
+    for _ in range(draw(st.integers(1, 3))):
+        base = draw(st.integers(3, 12))
+        digits = draw(st.one_of(
+            st.just(frozenset({0})),
+            st.frozensets(st.integers(0, base - 1), min_size=1)))
+        parts.append((base, digits))
+        den = draw(st.integers(1, 60))
+        scales.append(Fraction(draw(st.integers(1, den)), den))
+    return parts, scales
+
+
+@settings(max_examples=150, deadline=None)
+@given(spec=restriction_systems(), limit=st.integers(1, 3 * 10 ** 4))
+def test_kernel_equals_brute_force(spec, limit):
+    parts, scales = spec
+    assert enumerate_scaled(system(*parts, scales=scales), limit) == \
+        brute_force(parts, scales, limit)
+    assert enumerate_restricted(system(*parts), limit) == \
+        brute_force(parts, [ONE] * len(parts), limit)
