@@ -1,13 +1,17 @@
 """Evaluation budget accounting.
 
-Lattice sums, cylinder refinements and digit enumerations all reduce to
-"cells": single transform evaluations, box classifications or digit
+Lattice sums, cylinder refinements, f(theta) grids and digit
+enumerations all reduce to "cells": single transform evaluations, box
+classifications, f(theta) terms (one per residue for interval digit
+sets, one per residue and digit for explicit ones) or digit
 restriction tests.  A budget caps the total number of cells a
 computation may touch so that runaway parameter choices fail fast
 instead of freezing the process.
 """
 
 from __future__ import annotations
+
+import threading
 
 from .errors import BudgetExceededError
 
@@ -19,29 +23,33 @@ class EvalBudget:
 
     charge(n) adds n cells and raises BudgetExceededError once the
     running total would pass the limit.  A single budget may be threaded
-    through several operations so their combined cost is capped.
+    through several operations so their combined cost is capped, and
+    shared by worker threads: the check and the add happen under one
+    lock.
     """
 
-    __slots__ = ("limit", "spent")
+    __slots__ = ("limit", "spent", "_lock")
 
     def __init__(self, limit: int = DEFAULT_BUDGET):
         if limit <= 0:
             raise ValueError("budget limit must be positive")
         self.limit = int(limit)
         self.spent = 0
+        self._lock = threading.Lock()
 
     def charge(self, cells: int, what: str = "evaluation") -> None:
         cells = int(cells)
         if cells < 0:
             raise ValueError("cannot charge a negative cell count")
-        if self.spent + cells > self.limit:
-            raise BudgetExceededError(
-                f"budget exceeded: {what} needs {cells} cells, "
-                f"{self.limit - self.spent} of {self.limit} remain",
-                spent=self.spent,
-                limit=self.limit,
-            )
-        self.spent += cells
+        with self._lock:
+            if self.spent + cells > self.limit:
+                raise BudgetExceededError(
+                    f"budget exceeded: {what} needs {cells} cells, "
+                    f"{self.limit - self.spent} of {self.limit} remain",
+                    spent=self.spent,
+                    limit=self.limit,
+                )
+            self.spent += cells
 
     def remaining(self) -> int:
         return self.limit - self.spent

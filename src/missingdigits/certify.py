@@ -94,10 +94,8 @@ def _decide(margin: float, bound: DimensionBound, side_conditions: tuple) -> Ver
     return Verdict.CERTIFIED if bound.rigorous else Verdict.INCONCLUSIVE
 
 
-def _certified_report(spec: Spec, threshold: float, theorem: Theorem,
-                      p_exp: int | None, side_conditions: tuple,
-                      budget: EvalBudget | None) -> CertificateReport:
-    bound = best_lower_bound(spec, budget=budget)
+def _certified_report(bound: DimensionBound, threshold: float, theorem: Theorem,
+                      p_exp: int | None, side_conditions: tuple) -> CertificateReport:
     margin = bound.value - threshold
     return CertificateReport(
         theorem=theorem,
@@ -123,16 +121,16 @@ def certify_radial_Lp(spec: Spec, p_exp: int,
         raise ConfigError("p_exp must be an integer >= 1")
     n = total_dim(spec)
     threshold = n - 1.0 / p_exp
+    bound = best_lower_bound(spec, budget=budget)
     side = ()
     if p_exp == 1:
-        bound = best_lower_bound(spec, budget=budget)
         part = "passes" if bound.value > threshold else "fails"
         side = (
             "L^1 radial density additionally requires the radial image "
             "to have full dimension n-1, which is not computable here",
             f"dim_l1 > n-1 check {part} with bound {bound.value!r}",
         )
-    return _certified_report(spec, threshold, Theorem.RADIAL_LP, int(p_exp), side, budget)
+    return _certified_report(bound, threshold, Theorem.RADIAL_LP, int(p_exp), side)
 
 
 def certify_linear(spec: Spec, budget: EvalBudget | None = None) -> CertificateReport:
@@ -140,7 +138,8 @@ def certify_linear(spec: Spec, budget: EvalBudget | None = None) -> CertificateR
     absolutely continuous with a continuous density, threshold
     dim_l1 > n - 1."""
     n = total_dim(spec)
-    return _certified_report(spec, n - 1.0, Theorem.LINEAR_CONTINUOUS, None, (), budget)
+    bound = best_lower_bound(spec, budget=budget)
+    return _certified_report(bound, n - 1.0, Theorem.LINEAR_CONTINUOUS, None, ())
 
 
 # ------------------------------------------------------------------ presets

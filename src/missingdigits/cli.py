@@ -27,12 +27,11 @@ import numpy as np
 from . import __version__
 from .budget import DEFAULT_BUDGET, EvalBudget
 from .certify import CertificateReport, Verdict, certify_linear, certify_radial_Lp, preset
-from .dimension import (best_lower_bound, crude_bound, grid_lower_bound,
-                        rectangle_bound)
+from .dimension import best_of_candidates, factor_candidates
 from .errors import BudgetExceededError, ConfigError, SymbolicBaseError
 from .fourier import fourier_transform_batch
 from .graham import density_report, enumerate_restricted, enumerate_scaled, parse_system
-from .measure import as_product, hausdorff_dim, parse_spec, total_dim
+from .measure import hausdorff_dim, parse_spec, total_dim
 from .projection import (exceptional_from_scan, linear_density,
                          linear_density_mc, lp_criterion_integral,
                          radial_density_mc, radial_tube_profile, slab_integral,
@@ -273,22 +272,16 @@ def _report_payload(report: CertificateReport) -> dict:
 def _cmd_dim_bound(args) -> int:
     run = _Run(args)
     spec = run.spec()
-    best = best_lower_bound(spec, budget=run.budget)
-    candidates = []
-    for factor in as_product(spec).factors:
-        per = {}
-        for name, fun in (("grid", lambda f: grid_lower_bound(f, budget=run.budget)),
-                          ("crude", crude_bound), ("rectangle", rectangle_bound)):
-            try:
-                per[name] = _bound_payload(fun(factor))
-            except (ValueError, ConfigError):
-                per[name] = None
-        candidates.append(per)
+    candidates = factor_candidates(spec, budget=run.budget)
     result = {
         "hausdorff_dim": hausdorff_dim(spec),
         "ambient_dim": total_dim(spec),
-        "best": _bound_payload(best),
-        "per_factor_candidates": candidates,
+        "best": _bound_payload(best_of_candidates(candidates)),
+        "per_factor_candidates": [
+            {name: None if bound is None else _bound_payload(bound)
+             for name, bound in per.items()}
+            for _, per in candidates
+        ],
     }
     return run.finish("dim-bound", result)
 

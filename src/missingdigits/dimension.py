@@ -44,9 +44,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .budget import EvalBudget, ensure_budget
-from .errors import SymbolicBaseError
-from .fourier import digit_symbol, fourier_transform_batch
+from .errors import ConfigError, SymbolicBaseError
+from .fourier import fourier_transform_batch, symbol_modulus
 from .measure import (
+    DigitInterval,
     MissingDigitsSpec,
     ProductMeasureSpec,
     Spec,
@@ -90,9 +91,27 @@ def _clamp(value: float, ambient: float) -> tuple[float, bool]:
 # ---------------------------------------------------------------- f(theta)
 
 
+# Entries per temporary array in f_theta: thetas x residues, times #D
+# for explicit digit sets.
+F_THETA_BLOCK = 1 << 20
+
+# Largest residue grid p^n that f_theta accepts.
+_RESIDUE_CAP = 100_000_000
+
+
 def f_theta(factor: MissingDigitsSpec, thetas, budget: EvalBudget | None = None) -> np.ndarray:
     """f(theta) = sum_i |g((i+theta)/p)| over the full residue grid
-    i in {0..p-1}^n; thetas has shape (K, n) (or (K,) when n = 1)."""
+    i in {0..p-1}^n; thetas has shape (K, n) (or (K,) when n = 1).
+
+    Interval digit sets sum the Dirichlet modulus
+    |sin(pi N eta) / (N sin(pi eta))| with no complex phase; explicit
+    digit sets average their #D digit exponentials.  The whole call is
+    charged up front as "f(theta) residues": one cell per residue term
+    for interval sets (K p^n) and one per digit term for explicit sets
+    (K p^n #D).  Thetas and residues are taken in blocks of about
+    F_THETA_BLOCK entries (counting #D for explicit sets), so memory
+    stays bounded whatever K and p^n are.
+    """
     if not factor.is_enumerable():
         raise SymbolicBaseError("f(theta) needs an enumerable factor")
     thetas = np.asarray(thetas, dtype=np.float64)
@@ -102,25 +121,31 @@ def f_theta(factor: MissingDigitsSpec, thetas, budget: EvalBudget | None = None)
     elif thetas.ndim == 1:
         thetas = thetas[None, :]
     p = factor.p_int()
-    grid = _residue_grid(p, n)
-    bud = ensure_budget(budget)
-    bud.charge(thetas.shape[0] * grid.shape[0], "f(theta) residues")
-    out = np.zeros(thetas.shape[0], dtype=np.float64)
-    # Chunk the residue axis so K x p^n never materializes at once.
-    chunk = max(1, 8_000_000 // max(thetas.shape[0], 1))
-    for start in range(0, grid.shape[0], chunk):
-        part = grid[start: start + chunk]
-        eta = (thetas[:, None, :] + part[None, :, :]) / p
-        out += np.abs(digit_symbol(factor, eta)).sum(axis=1)
+    size = p ** n
+    if size > _RESIDUE_CAP:
+        raise SymbolicBaseError(f"residue grid {p}^{n} is too large")
+    terms = 1 if isinstance(factor.digits, DigitInterval) else factor.digit_count()
+    count = thetas.shape[0]
+    ensure_budget(budget).charge(count * size * terms, "f(theta) residues")
+    cols = min(size, max(1, F_THETA_BLOCK // terms))
+    rows = max(1, F_THETA_BLOCK // (cols * terms))
+    out = np.zeros(count, dtype=np.float64)
+    for r0 in range(0, count, rows):
+        block = thetas[r0: r0 + rows]
+        for c0 in range(0, size, cols):
+            part = _residues(p, n, c0, min(size, c0 + cols))
+            eta = (block[:, None, :] + part[None, :, :]) / p
+            out[r0: r0 + rows] += symbol_modulus(factor, eta).sum(axis=1)
     return out
 
 
-def _residue_grid(p: int, n: int) -> np.ndarray:
-    if p ** n > 100_000_000:
-        raise SymbolicBaseError(f"residue grid {p}^{n} is too large")
-    axes = [np.arange(p, dtype=np.float64)] * n
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=-1)
+def _residues(p: int, n: int, start: int, stop: int) -> np.ndarray:
+    """Rows start..stop-1 of the residue grid {0..p-1}^n in C order,
+    shape (stop - start, n)."""
+    index = np.arange(start, stop)
+    if n == 1:
+        return index.astype(np.float64).reshape(-1, 1)
+    return np.stack(np.unravel_index(index, (p,) * n), axis=-1).astype(np.float64)
 
 
 def lipschitz_f(factor: MissingDigitsSpec) -> float:
@@ -170,13 +195,18 @@ def sup_f(
     arg = thetas[order[-1]]
     estimate = best
     if n == 1:
+        # The searches shrink to ulp-wide brackets that probe the same
+        # theta again; each theta is evaluated once.
+        seen = {}
+
+        def f_at(s: float) -> float:
+            if s not in seen:
+                seen[s] = float(f_theta(factor, np.array([s]), bud)[0])
+            return seen[s]
+
         for idx in order[-10:]:
             t0 = float(thetas[idx, 0])
-            t, v = _golden_max(
-                lambda s: float(f_theta(factor, np.array([s]), bud)[0]),
-                max(0.0, t0 - h),
-                min(1.0, t0 + h),
-            )
+            t, v = _golden_max(f_at, max(0.0, t0 - h), min(1.0, t0 + h))
             if v > estimate:
                 estimate, arg = v, np.array([t])
     lip = lipschitz_f(factor)
@@ -341,6 +371,49 @@ _METHOD_FUNS = {
 }
 
 
+def factor_candidates(
+    spec: Spec,
+    h: float = 1e-4,
+    budget: EvalBudget | None = None,
+    methods: tuple = ("grid", "crude", "rectangle"),
+) -> list:
+    """Every method's bound for every factor: one (factor, {method:
+    DimensionBound, or None where the method does not apply}) pair per
+    factor, in factor order.
+
+    Each distinct factor is evaluated once per call, so both halves of
+    square(f) share one grid pass; nothing is kept between calls.
+    """
+    prod = as_product(spec)
+    bud = ensure_budget(budget)
+    seen = {}
+    out = []
+    for factor in prod.factors:
+        if factor not in seen:
+            per = {}
+            for name in methods:
+                try:
+                    per[name] = _METHOD_FUNS[name](factor, h, bud)
+                except ValueError:  # includes SymbolicBaseError
+                    per[name] = None
+            seen[factor] = per
+        out.append((factor, seen[factor]))
+    return out
+
+
+def best_of_candidates(candidates) -> DimensionBound:
+    """The largest bound per factor of factor_candidates' output,
+    summed over factors; ConfigError when no method applies to a
+    factor."""
+    parts = []
+    for factor, per in candidates:
+        found = sorted((b for b in per.values() if b is not None), key=lambda b: b.value)
+        if not found:
+            raise ConfigError(f"no dimension bound applies to factor {factor}")
+        parts.append(found[-1])
+    return product_bound(parts) if len(parts) > 1 else parts[0]
+
+
 def best_lower_bound(
     spec: Spec,
     h: float = 1e-4,
@@ -348,22 +421,9 @@ def best_lower_bound(
     methods: tuple = ("grid", "crude", "rectangle"),
 ) -> DimensionBound:
     """Best rigorous l1 lower bound per factor (max over applicable
-    methods), summed over factors."""
-    prod = as_product(spec)
-    bud = ensure_budget(budget)
-    parts = []
-    for factor in prod.factors:
-        candidates = []
-        for name in methods:
-            try:
-                candidates.append(_METHOD_FUNS[name](factor, h, bud))
-            except (ValueError, SymbolicBaseError):
-                continue
-        if not candidates:
-            raise ValueError(f"no dimension bound applies to factor {factor}")
-        candidates.sort(key=lambda b: b.value)
-        parts.append(candidates[-1])
-    return product_bound(parts) if len(parts) > 1 else parts[0]
+    methods), summed over factors.  Repeated factors are bounded once
+    (see factor_candidates)."""
+    return best_of_candidates(factor_candidates(spec, h, budget, methods))
 
 
 # ---------------------------------------------------------------- S_k sums

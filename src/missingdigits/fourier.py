@@ -75,13 +75,35 @@ def digit_symbol(factor: MissingDigitsSpec, eta) -> np.ndarray:
     return np.exp(-2j * np.pi * args).mean(axis=-1)
 
 
+def symbol_modulus(factor: MissingDigitsSpec, eta) -> np.ndarray:
+    """|g(eta)|, same shapes as digit_symbol.
+
+    Interval digit sets take the modulus of the Dirichlet ratio,
+    |sin(pi N eta) / (N sin(pi eta))|, without building the complex
+    phase; explicit digit sets take |digit_symbol|.
+    """
+    if isinstance(factor.digits, DigitInterval):
+        eta = np.asarray(eta, dtype=np.float64)
+        if eta.ndim and eta.shape[-1] == 1:
+            eta = eta[..., 0]
+        count, eta_r = _interval_reduce(factor.digits, eta)
+        return np.abs(_dirichlet_ratio(count, eta_r))
+    return np.abs(digit_symbol(factor, eta))
+
+
 def _interval_symbol(factor: MissingDigitsSpec, eta: np.ndarray) -> np.ndarray:
-    digits: DigitInterval = factor.digits
+    count, eta_r = _interval_reduce(factor.digits, eta)
+    lo = float(factor.digits.lo)
+    phase = np.exp(-1j * np.pi * (2 * lo + count - 1) * eta_r)
+    return phase * _dirichlet_ratio(count, eta_r)
+
+
+def _interval_reduce(digits: DigitInterval, eta: np.ndarray) -> tuple[int, np.ndarray]:
+    """(#D, eta reduced mod 1 to |eta_r| <= 1/2) for an interval digit set."""
     if digits.is_symbolic():
         raise SymbolicBaseError(
             "pointwise evaluation needs materializable digit endpoints"
         )
-    lo = float(digits.lo)
     count = digits.count()
     if count * float(np.max(np.abs(eta), initial=0.0)) > _PHASE_CAP:
         raise SymbolicBaseError(
@@ -89,14 +111,16 @@ def _interval_symbol(factor: MissingDigitsSpec, eta: np.ndarray) -> np.ndarray:
         )
     # g is 1-periodic; reduce to |eta_r| <= 1/2 so the Dirichlet ratio
     # is singular only at eta_r = 0, where its limit is 1.
-    eta_r = eta - np.round(eta)
+    return count, eta - np.round(eta)
+
+
+def _dirichlet_ratio(count: int, eta_r: np.ndarray) -> np.ndarray:
+    """sin(pi N eta_r) / (N sin(pi eta_r)), with value 1 at eta_r = 0."""
     denom = np.sin(np.pi * eta_r)
     num = np.sin(np.pi * count * eta_r)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = num / (count * denom)
-    ratio = np.where(eta_r == 0.0, 1.0, ratio)
-    phase = np.exp(-1j * np.pi * (2 * lo + count - 1) * eta_r)
-    return phase * ratio
+    return np.where(eta_r == 0.0, 1.0, ratio)
 
 
 # ------------------------------------------------------- truncation depth

@@ -2,9 +2,10 @@ import time
 
 import pytest
 
-from missingdigits import (CertificateReport, ConfigError, Theorem, Verdict,
-                           certify_linear, certify_radial_Lp, explicit_spec,
-                           interval_spec, lebesgue_spec, preset, square)
+from missingdigits import (CertificateReport, ConfigError, EvalBudget, Theorem,
+                           Verdict, best_lower_bound, certify_linear,
+                           certify_radial_Lp, explicit_spec, interval_spec,
+                           lebesgue_spec, preset, square)
 
 C32 = square(explicit_spec(3, [0, 2]))
 
@@ -34,6 +35,15 @@ def test_radial_l1_always_inconclusive():
     assert report.verdict is Verdict.INCONCLUSIVE
     assert report.side_conditions
     assert report.threshold == pytest.approx(1.0)
+
+
+def test_radial_l1_computes_its_bound_once():
+    once, report_budget = EvalBudget(), EvalBudget()
+    bound = best_lower_bound(C32, budget=once)
+    report = certify_radial_Lp(C32, 1, report_budget)
+    assert report_budget.spent == once.spent > 0
+    assert report.bound_used.value == bound.value
+    assert repr(bound.value) in report.side_conditions[1]
 
 
 def test_radial_rejects_bad_exponent():

@@ -7,7 +7,8 @@ import sys
 import pytest
 
 import missingdigits.cli as cli
-from missingdigits import exceptional_directions, parse_spec
+from missingdigits import (EvalBudget, crude_bound, exceptional_directions,
+                           grid_lower_bound, parse_spec, rectangle_bound)
 from missingdigits.cli import main
 
 C3 = "factor { base = 3; digits = {0,2}; }"
@@ -167,6 +168,49 @@ def test_dim_bound_reports_candidates():
     kinds = res["per_factor_candidates"][0]
     assert kinds["grid"]["rigorous"] is True
     assert res["best"]["value"] <= res["hausdorff_dim"] + 1e-9
+
+
+def test_dim_bound_runs_each_factor_grid_once():
+    # both factors of I512 x I512 are equal, so one factor's grid cells
+    # are the whole budget of the run
+    factor = parse_spec("factor { base = 512; digits = 0..499; }")
+    one_grid = EvalBudget()
+    grid = grid_lower_bound(factor, budget=one_grid)
+    spec = f"{factor.config_text()} {factor.config_text()}"
+    code, doc = run_json(["dim-bound", "--spec", spec, "--budget", str(one_grid.spent)])
+    assert code == 0
+    res = doc["result"]
+    expected = {"grid": grid.value, "crude": crude_bound(factor).value,
+                "rectangle": rectangle_bound(factor).value}
+    for per in res["per_factor_candidates"]:
+        assert {name: b["value"] for name, b in per.items()} == expected
+    assert res["best"]["value"] == 2 * max(expected.values())
+    assert res["best"]["kind"] == "ProductSum"
+    code, _, err = run(["dim-bound", "--spec", spec, "--budget", str(one_grid.spent - 1)])
+    assert code == 65
+    assert "f(theta) residues" in err
+
+
+@pytest.mark.parametrize("count", [182, 700])
+def test_dim_bound_charges_explicit_digit_terms(count):
+    # the grid of sup_f has 10001 thetas; each residue of base 729
+    # carries count digit terms, far past the default budget
+    digits = ",".join(str(d) for d in range(count))
+    code, out, err = run(["dim-bound", "--spec",
+                          f"factor {{ base = 729; digits = {{{digits}}}; }}"])
+    assert code == 65
+    assert out == ""
+    assert f"f(theta) residues needs {10001 * 729 * count} cells" in err
+
+
+def test_exit_64_when_no_dimension_bound_applies():
+    # 3^17 residues exceed the grid cap; crude and rectangle need p >= 4
+    corners = "(" + ",".join(["0"] * 17) + "),(" + ",".join(["2"] * 17) + ")"
+    code, out, err = run(["dim-bound", "--spec",
+                          f"factor {{ base = 3; n = 17; digits = {{{corners}}}; }}"])
+    assert code == 64
+    assert out == ""
+    assert "no dimension bound applies" in err
 
 
 def test_fourier_eval_point_values():

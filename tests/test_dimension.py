@@ -4,8 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from missingdigits import (BoundKind, SymbolicBaseError, best_lower_bound,
-                           crude_bound, explicit_spec, f_theta,
+import missingdigits.dimension as dimension
+from missingdigits import (BoundKind, DigitInterval, EvalBudget,
+                           SymbolicBaseError, best_lower_bound, crude_bound,
+                           digit_symbol, explicit_spec, f_theta,
                            grid_lower_bound, hausdorff_dim, interval_spec,
                            l2_dimension, lebesgue_spec, partial_sum_S_k,
                            rectangle_bound, square, sup_f)
@@ -14,6 +16,30 @@ from missingdigits.measure import BasePower
 C3 = explicit_spec(3, [0, 2])
 C5 = explicit_spec(5, [0, 1, 2, 3])
 RNG = np.random.default_rng(4)
+
+FACTORS = {
+    "I512": interval_spec(512, 0, 499),
+    "I729": interval_spec(729, 0, 700),
+    "L10": interval_spec(10, 0, 9),
+    "C3": C3,
+    "E48": explicit_spec(48, range(0, 48, 2)),
+    "CARPET": explicit_spec(3, [(0, 0), (1, 0), (2, 0), (0, 1), (2, 1),
+                                (0, 2), (1, 2), (2, 2)], n=2),
+}
+
+
+def _terms(factor):
+    """f(theta) terms per theta and residue: #D for explicit digit sets."""
+    return 1 if isinstance(factor.digits, DigitInterval) else factor.digit_count()
+
+
+def _f_theta_reference(factor, thetas):
+    """sum_i |g((i + theta)/p)| from digit_symbol, whole residue grid at once."""
+    p, n = factor.p_int(), factor.ambient_dim
+    mesh = np.meshgrid(*([np.arange(p, dtype=float)] * n), indexing="ij")
+    grid = np.stack([m.ravel() for m in mesh], axis=-1)
+    eta = (thetas[:, None, :] + grid[None, :, :]) / p
+    return np.abs(digit_symbol(factor, eta)).sum(axis=1)
 
 
 # -------------------------------------------------------------- f and sup f
@@ -30,6 +56,33 @@ def test_f_theta_periodic():
     a = f_theta(C3, thetas)
     b = f_theta(C3, thetas + 1.0)
     assert np.max(np.abs(a - b)) < 1e-10
+
+
+@pytest.mark.parametrize("name", sorted(FACTORS))
+def test_f_theta_matches_symbol_modulus_sum_over_several_blocks(name):
+    factor = FACTORS[name]
+    per_theta = factor.p_int() ** factor.ambient_dim * _terms(factor)
+    k = 3 * max(1, dimension.F_THETA_BLOCK // per_theta) + 5  # four theta blocks
+    thetas = np.random.default_rng(11).uniform(-0.5, 1.5, size=(k, factor.ambient_dim))
+    np.testing.assert_allclose(f_theta(factor, thetas),
+                               _f_theta_reference(factor, thetas), rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("name", ["I729", "E48", "CARPET"])
+def test_f_theta_splits_the_residue_grid_when_a_row_exceeds_the_block(name, monkeypatch):
+    factor = FACTORS[name]
+    monkeypatch.setattr(dimension, "F_THETA_BLOCK", 50)
+    thetas = np.random.default_rng(12).uniform(0, 1, size=(7, factor.ambient_dim))
+    np.testing.assert_allclose(f_theta(factor, thetas),
+                               _f_theta_reference(factor, thetas), rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("name", ["I512", "E48", "CARPET"])
+def test_f_theta_charges_one_cell_per_term(name):
+    factor = FACTORS[name]
+    budget = EvalBudget()
+    f_theta(factor, np.zeros((10, factor.ambient_dim)), budget)
+    assert budget.spent == 10 * factor.p_int() ** factor.ambient_dim * _terms(factor)
 
 
 def test_sup_f_certificate_brackets_estimate():
@@ -113,6 +166,16 @@ def test_best_lower_bound_is_the_max_of_methods():
     candidates = [grid_lower_bound(spec).value, crude_bound(spec).value,
                   rectangle_bound(spec).value]
     assert best_lower_bound(spec).value == pytest.approx(max(candidates), abs=1e-12)
+
+
+def test_best_lower_bound_bounds_a_repeated_factor_once():
+    factor = interval_spec(10, 0, 8)
+    single, pair = EvalBudget(), EvalBudget()
+    one = best_lower_bound(factor, budget=single)
+    two = best_lower_bound(square(factor), budget=pair)
+    assert single.spent > 0
+    assert pair.spent == single.spent
+    assert two.value == 2 * one.value
 
 
 def test_grid_bound_rejects_symbolic_base():
