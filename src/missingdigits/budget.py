@@ -43,16 +43,24 @@ class EvalBudget:
             raise ValueError("cannot charge a negative cell count")
         with self._lock:
             if self.spent + cells > self.limit:
-                raise BudgetExceededError(
-                    f"budget exceeded: {what} needs {cells} cells, "
-                    f"{self.limit - self.spent} of {self.limit} remain",
-                    spent=self.spent,
-                    limit=self.limit,
-                )
+                raise self._exceeded(cells, what)
             self.spent += cells
 
-    def remaining(self) -> int:
-        return self.limit - self.spent
+    def check(self, cells: int, what: str = "evaluation") -> None:
+        """Raise as charge(cells, what) would, but charge nothing: work
+        the budget cannot pay for is refused before it is set up, and
+        the charges that pay for it still enforce the limit."""
+        cells = int(cells)
+        if self.spent + cells > self.limit:
+            raise self._exceeded(cells, what)
+
+    def _exceeded(self, cells: int, what: str) -> BudgetExceededError:
+        return BudgetExceededError(
+            f"budget exceeded: {what} needs {cells} cells, "
+            f"{self.limit - self.spent} of {self.limit} remain",
+            spent=self.spent,
+            limit=self.limit,
+        )
 
 
 def ensure_budget(budget: EvalBudget | None) -> EvalBudget:

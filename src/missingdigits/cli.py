@@ -32,7 +32,7 @@ from .errors import BudgetExceededError, ConfigError, SymbolicBaseError
 from .fourier import fourier_transform_batch
 from .graham import density_report, enumerate_restricted, enumerate_scaled, parse_system
 from .measure import hausdorff_dim, parse_spec, total_dim
-from .projection import (exceptional_from_scan, linear_density,
+from .projection import (_unit_direction, exceptional_from_scan, linear_density,
                          linear_density_mc, lp_criterion_integral,
                          radial_density_mc, radial_tube_profile, slab_integral,
                          stripe_scan)
@@ -215,9 +215,12 @@ def _reals(text: str, what: str) -> list:
     return values
 
 
-def _count(value: float, what: str) -> int:
+def _count(value: float, what: str, budget: EvalBudget) -> int:
+    """A positive whole point count; every point costs at least one
+    cell, so a count past the budget is refused before the points exist."""
     if value != int(value) or value < 1:
         raise ConfigError(f"{what} needs a positive whole point count")
+    budget.check(int(value), f"{what} points")
     return int(value)
 
 
@@ -332,7 +335,7 @@ def _cmd_fourier_eval(args) -> int:
         if len(parts) > 2:
             raise ConfigError("--grid takes RMAX[,COUNT]")
         rmax = parts[0]
-        count = _count(parts[1], "--grid") if len(parts) == 2 else 201
+        count = _count(parts[1], "--grid", run.budget) if len(parts) == 2 else 201
         xis = np.linspace(-rmax, rmax, count)[:, None]
     else:
         raise ConfigError("pass --xi (repeatable) or --grid RMAX,COUNT")
@@ -391,7 +394,7 @@ def _cmd_linear_density(args) -> int:
     run = _Run(args)
     spec = run.spec()
     theta = _parse_vector(args.direction, "--direction")
-    unit = theta / float(np.hypot(theta[0], theta[1]))
+    unit = _unit_direction(theta)
     if args.mc is not None:
         profile = linear_density_mc(spec, theta, args.mc, args.bandwidth,
                                     seed=run.seed, budget=run.budget,
@@ -408,7 +411,7 @@ def _cmd_linear_density(args) -> int:
             parts = _reals(args.grid, "--grid")
             if len(parts) != 3:
                 raise ConfigError("--grid takes LO,HI,COUNT")
-            lo, hi, count = parts[0], parts[1], _count(parts[2], "--grid")
+            lo, hi, count = parts[0], parts[1], _count(parts[2], "--grid", run.budget)
         else:
             count = 501
         u_grid = np.linspace(lo, hi, count)
@@ -422,12 +425,10 @@ def _cmd_linear_density(args) -> int:
     run.write_csv(["offset_along_direction", "density_mass_per_unit_offset"],
                   list(zip(profile.grid.tolist(), profile.values.tolist())),
                   comments)
-    exit_code = EXIT_OK
     return run.finish(
         "linear-density",
         {"direction": [float(unit[0]), float(unit[1])],
-         "profile": _profile_payload(profile, run.want_rows_inline())},
-        exit_code)
+         "profile": _profile_payload(profile, run.want_rows_inline())})
 
 
 def _cmd_stripe_scan(args) -> int:

@@ -92,11 +92,24 @@ def _clamp(value: float, ambient: float) -> tuple[float, bool]:
 
 
 # Entries per temporary array in f_theta: thetas x residues, times #D
-# for explicit digit sets.
+# for explicit digit sets.  sup_f walks its theta grid in blocks of as
+# many thetas.
 F_THETA_BLOCK = 1 << 20
 
 # Largest residue grid p^n that f_theta accepts.
 _RESIDUE_CAP = 100_000_000
+
+
+def _residue_terms(factor: MissingDigitsSpec) -> tuple[int, int]:
+    """(p^n, terms per residue) of f(theta): 1 for interval digit sets,
+    #D for explicit ones.  SymbolicBaseError when the residue grid
+    cannot be enumerated."""
+    if not factor.is_enumerable():
+        raise SymbolicBaseError("f(theta) needs an enumerable factor")
+    p, n = factor.p_int(), factor.ambient_dim
+    if p ** n > _RESIDUE_CAP:
+        raise SymbolicBaseError(f"residue grid {p}^{n} is too large")
+    return p ** n, 1 if isinstance(factor.digits, DigitInterval) else factor.digit_count()
 
 
 def f_theta(factor: MissingDigitsSpec, thetas, budget: EvalBudget | None = None) -> np.ndarray:
@@ -112,8 +125,7 @@ def f_theta(factor: MissingDigitsSpec, thetas, budget: EvalBudget | None = None)
     F_THETA_BLOCK entries (counting #D for explicit sets), so memory
     stays bounded whatever K and p^n are.
     """
-    if not factor.is_enumerable():
-        raise SymbolicBaseError("f(theta) needs an enumerable factor")
+    size, terms = _residue_terms(factor)
     thetas = np.asarray(thetas, dtype=np.float64)
     n = factor.ambient_dim
     if n == 1 and (thetas.ndim < 2 or thetas.shape[-1] != 1):
@@ -121,10 +133,6 @@ def f_theta(factor: MissingDigitsSpec, thetas, budget: EvalBudget | None = None)
     elif thetas.ndim == 1:
         thetas = thetas[None, :]
     p = factor.p_int()
-    size = p ** n
-    if size > _RESIDUE_CAP:
-        raise SymbolicBaseError(f"residue grid {p}^{n} is too large")
-    terms = 1 if isinstance(factor.digits, DigitInterval) else factor.digit_count()
     count = thetas.shape[0]
     ensure_budget(budget).charge(count * size * terms, "f(theta) residues")
     cols = min(size, max(1, F_THETA_BLOCK // terms))
@@ -140,8 +148,8 @@ def f_theta(factor: MissingDigitsSpec, thetas, budget: EvalBudget | None = None)
 
 
 def _residues(p: int, n: int, start: int, stop: int) -> np.ndarray:
-    """Rows start..stop-1 of the residue grid {0..p-1}^n in C order,
-    shape (stop - start, n)."""
+    """Rows start..stop-1 of the grid {0..p-1}^n in C order, shape
+    (stop - start, n)."""
     index = np.arange(start, stop)
     if n == 1:
         return index.astype(np.float64).reshape(-1, 1)
@@ -157,7 +165,7 @@ def lipschitz_f(factor: MissingDigitsSpec) -> float:
 
 @dataclass(frozen=True)
 class SupF:
-    """Grid estimate of sup f with a Lipschitz-certified upper bound."""
+    """Grid maximum of f with a Lipschitz-certified upper bound."""
 
     sup_estimate: float
     certified_upper: float
@@ -175,69 +183,41 @@ def sup_f(
 
     certified_upper = grid max + L * h * sqrt(n) / 2 dominates the true
     sup because no point of the cube is farther than h sqrt(n)/2 from
-    the grid.  In one dimension a golden-section pass around the ten
-    best cells sharpens sup_estimate (never the certificate, which only
-    relies on the grid and L).
+    the grid; sup_estimate and argmax are the grid max and its theta.
+    Each axis holds the m points of np.arange(0, 1 + h/2, h), and the
+    m^n grid is walked in blocks of F_THETA_BLOCK thetas.  A grid the
+    budget cannot pay for is refused before any block is built.
     """
     if not (0 < h <= 0.5):
         raise ValueError("grid step must be in (0, 1/2]")
     n = factor.ambient_dim
     bud = ensure_budget(budget)
-    axis = np.arange(0.0, 1.0 + h / 2, h)
-    if n == 1:
-        thetas = axis.reshape(-1, 1)
-    else:
-        mesh = np.meshgrid(*([axis] * n), indexing="ij")
-        thetas = np.stack([m.ravel() for m in mesh], axis=-1)
-    vals = f_theta(factor, thetas, bud)
-    order = np.argsort(vals)
-    best = float(vals[order[-1]])
-    arg = thetas[order[-1]]
-    estimate = best
-    if n == 1:
-        # The searches shrink to ulp-wide brackets that probe the same
-        # theta again; each theta is evaluated once.
-        seen = {}
-
-        def f_at(s: float) -> float:
-            if s not in seen:
-                seen[s] = float(f_theta(factor, np.array([s]), bud)[0])
-            return seen[s]
-
-        for idx in order[-10:]:
-            t0 = float(thetas[idx, 0])
-            t, v = _golden_max(f_at, max(0.0, t0 - h), min(1.0, t0 + h))
-            if v > estimate:
-                estimate, arg = v, np.array([t])
+    size, terms = _residue_terms(factor)
+    m = math.ceil((1.0 + h / 2) / h)
+    count = m ** n
+    bud.check(count * size * terms, "f(theta) residues")
+    best, arg = -math.inf, None
+    for start in range(0, count, F_THETA_BLOCK):
+        # index * h is bit for bit the value np.arange gives at index
+        thetas = _residues(m, n, start, min(count, start + F_THETA_BLOCK)) * h
+        vals = f_theta(factor, thetas, bud)
+        i = int(np.argmax(vals))
+        if vals[i] > best:
+            best, arg = float(vals[i]), thetas[i]
     lip = lipschitz_f(factor)
-    certified = best + lip * h * math.sqrt(n) / 2.0
     return SupF(
-        sup_estimate=float(estimate),
-        certified_upper=float(certified),
-        argmax=tuple(float(a) for a in np.atleast_1d(arg)),
+        sup_estimate=best,
+        certified_upper=best + lip * h * math.sqrt(n) / 2.0,
+        argmax=tuple(float(a) for a in arg),
         grid_step=float(h),
         lipschitz=float(lip),
     )
 
 
-def _golden_max(fun, a: float, b: float, iters: int = 60) -> tuple[float, float]:
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = fun(c), fun(d)
-    for _ in range(iters):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = fun(d)
-    return (c, fc) if fc >= fd else (d, fd)
-
-
 # ---------------------------------------------------------------- bounds
+#
+# Each method has a per-factor kernel; product_bound adds up a spec's
+# factors.
 
 
 def grid_lower_bound(
@@ -246,39 +226,33 @@ def grid_lower_bound(
     budget: EvalBudget | None = None,
 ) -> DimensionBound:
     """dim_l1 >= sum over factors of n_f - log(certified sup f)/log p_f."""
-    prod = as_product(spec)
     bud = ensure_budget(budget)
-    parts = []
-    for factor in prod.factors:
-        sup = sup_f(factor, h, bud)
-        raw = factor.ambient_dim - math.log(sup.certified_upper) / factor.log_base()
-        value, clamped = _clamp(raw, factor.ambient_dim)
-        parts.append(
-            DimensionBound(
-                value=value,
-                kind=BoundKind.GRID_SUP,
-                rigorous=True,
-                details={
-                    "sup_estimate": sup.sup_estimate,
-                    "certified_upper": sup.certified_upper,
-                    "grid_step": sup.grid_step,
-                    "lipschitz": sup.lipschitz,
-                    "argmax": sup.argmax,
-                    "clamped": clamped,
-                },
-            )
-        )
-    return product_bound(parts) if len(parts) > 1 else parts[0]
+    return product_bound(_grid_factor(f, h, bud) for f in as_product(spec).factors)
+
+
+def _grid_factor(factor: MissingDigitsSpec, h: float, budget: EvalBudget) -> DimensionBound:
+    sup = sup_f(factor, h, budget)
+    raw = factor.ambient_dim - math.log(sup.certified_upper) / factor.log_base()
+    value, clamped = _clamp(raw, factor.ambient_dim)
+    return DimensionBound(
+        value=value,
+        kind=BoundKind.GRID_SUP,
+        rigorous=True,
+        details={
+            "sup_estimate": sup.sup_estimate,
+            "certified_upper": sup.certified_upper,
+            "grid_step": sup.grid_step,
+            "lipschitz": sup.lipschitz,
+            "argmax": sup.argmax,
+            "clamped": clamped,
+        },
+    )
 
 
 def crude_bound(spec: Spec) -> DimensionBound:
     """Closed-form bound from #D = p^n - t; needs p >= 4.  Pure
     log-arithmetic, hence available for symbolic bases."""
-    prod = as_product(spec)
-    parts = []
-    for factor in prod.factors:
-        parts.append(_crude_factor(factor))
-    return product_bound(parts) if len(parts) > 1 else parts[0]
+    return product_bound(_crude_factor(f) for f in as_product(spec).factors)
 
 
 def _crude_factor(factor: MissingDigitsSpec) -> DimensionBound:
@@ -316,34 +290,34 @@ def _crude_factor(factor: MissingDigitsSpec) -> DimensionBound:
 def rectangle_bound(spec: Spec) -> DimensionBound:
     """dim_H - n log(2 log p)/log p for digit sets that are products of
     integer intervals; needs p >= 4.  Pure log-arithmetic."""
-    prod = as_product(spec)
-    parts = []
-    for factor in prod.factors:
-        if not factor.digits.is_rectangle():
-            raise ValueError("rectangle bound needs a rectangle digit set")
-        log_p = factor.log_base()
-        if log_p < math.log(4.0) - 1e-12:
-            raise ValueError("rectangle bound requires base >= 4")
-        n = factor.ambient_dim
-        penalty = n * math.log(2.0 * log_p) / log_p
-        raw = factor.hausdorff_dim() - penalty
-        value, clamped = _clamp(raw, n)
-        parts.append(
-            DimensionBound(
-                value=value,
-                kind=BoundKind.RECTANGLE,
-                rigorous=True,
-                details={"penalty": penalty, "clamped": clamped},
-            )
-        )
-    return product_bound(parts) if len(parts) > 1 else parts[0]
+    return product_bound(_rectangle_factor(f) for f in as_product(spec).factors)
+
+
+def _rectangle_factor(factor: MissingDigitsSpec) -> DimensionBound:
+    if not factor.digits.is_rectangle():
+        raise ValueError("rectangle bound needs a rectangle digit set")
+    log_p = factor.log_base()
+    if log_p < math.log(4.0) - 1e-12:
+        raise ValueError("rectangle bound requires base >= 4")
+    n = factor.ambient_dim
+    penalty = n * math.log(2.0 * log_p) / log_p
+    value, clamped = _clamp(factor.hausdorff_dim() - penalty, n)
+    return DimensionBound(
+        value=value,
+        kind=BoundKind.RECTANGLE,
+        rigorous=True,
+        details={"penalty": penalty, "clamped": clamped},
+    )
 
 
 def product_bound(parts) -> DimensionBound:
-    """Sum of factor bounds; rigorous only when every part is."""
+    """Sum of factor bounds, rigorous only when every part is; a single
+    part is returned as it is."""
     parts = list(parts)
     if not parts:
         raise ValueError("product bound needs at least one part")
+    if len(parts) == 1:
+        return parts[0]
     return DimensionBound(
         value=sum(p.value for p in parts),
         kind=BoundKind.PRODUCT_SUM,
@@ -364,18 +338,18 @@ def l2_dimension(spec: Spec) -> DimensionBound:
     )
 
 
-_METHOD_FUNS = {
-    "grid": lambda spec, h, bud: grid_lower_bound(spec, h, bud),
-    "crude": lambda spec, h, bud: crude_bound(spec),
-    "rectangle": lambda spec, h, bud: rectangle_bound(spec),
-}
+def _applicable(compute):
+    """compute(), or None where the method does not apply."""
+    try:
+        return compute()
+    except ValueError:  # includes SymbolicBaseError
+        return None
 
 
 def factor_candidates(
     spec: Spec,
     h: float = 1e-4,
     budget: EvalBudget | None = None,
-    methods: tuple = ("grid", "crude", "rectangle"),
 ) -> list:
     """Every method's bound for every factor: one (factor, {method:
     DimensionBound, or None where the method does not apply}) pair per
@@ -384,21 +358,17 @@ def factor_candidates(
     Each distinct factor is evaluated once per call, so both halves of
     square(f) share one grid pass; nothing is kept between calls.
     """
-    prod = as_product(spec)
     bud = ensure_budget(budget)
-    seen = {}
-    out = []
-    for factor in prod.factors:
-        if factor not in seen:
-            per = {}
-            for name in methods:
-                try:
-                    per[name] = _METHOD_FUNS[name](factor, h, bud)
-                except ValueError:  # includes SymbolicBaseError
-                    per[name] = None
-            seen[factor] = per
-        out.append((factor, seen[factor]))
-    return out
+    factors = as_product(spec).factors
+    per = {}
+    for factor in factors:
+        if factor not in per:
+            per[factor] = {
+                "grid": _applicable(lambda: grid_lower_bound(factor, h, bud)),
+                "crude": _applicable(lambda: _crude_factor(factor)),
+                "rectangle": _applicable(lambda: _rectangle_factor(factor)),
+            }
+    return [(factor, per[factor]) for factor in factors]
 
 
 def best_of_candidates(candidates) -> DimensionBound:
@@ -411,19 +381,18 @@ def best_of_candidates(candidates) -> DimensionBound:
         if not found:
             raise ConfigError(f"no dimension bound applies to factor {factor}")
         parts.append(found[-1])
-    return product_bound(parts) if len(parts) > 1 else parts[0]
+    return product_bound(parts)
 
 
 def best_lower_bound(
     spec: Spec,
     h: float = 1e-4,
     budget: EvalBudget | None = None,
-    methods: tuple = ("grid", "crude", "rectangle"),
 ) -> DimensionBound:
     """Best rigorous l1 lower bound per factor (max over applicable
     methods), summed over factors.  Repeated factors are bounded once
     (see factor_candidates)."""
-    return best_of_candidates(factor_candidates(spec, h, budget, methods))
+    return best_of_candidates(factor_candidates(spec, h, budget))
 
 
 # ---------------------------------------------------------------- S_k sums

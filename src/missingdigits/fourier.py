@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .budget import EvalBudget, ensure_budget
-from .errors import SymbolicBaseError
+from .errors import ConfigError, SymbolicBaseError
 from .measure import DigitInterval, MissingDigitsSpec, Spec, as_product
 
 # Tolerances below this floor are meaningless in double precision.
@@ -128,6 +128,8 @@ def _dirichlet_ratio(count: int, eta_r: np.ndarray) -> np.ndarray:
 
 def truncation_depth(factor: MissingDigitsSpec, xi_norm: float, tol: float) -> int:
     """Smallest J with 2 pi M |xi| / (p^J (p-1)) <= tol."""
+    if not math.isfinite(xi_norm):
+        raise ConfigError("frequency norms must be finite")
     tol = max(float(tol), TOL_FLOOR)
     if xi_norm == 0.0:
         return 0
@@ -173,7 +175,8 @@ def fourier_transform_batch(
     share = tol / len(prod.factors)
     for factor, sl in zip(prod.factors, prod.factor_slices()):
         block = xis[:, sl]
-        norms = np.sqrt((block * block).sum(axis=1))
+        with np.errstate(over="ignore"):  # truncation_depth refuses an infinite |xi|
+            norms = np.sqrt((block * block).sum(axis=1))
         depth = truncation_depth(factor, float(norms.max(initial=0.0)), share)
         bud.charge(xis.shape[0] * max(depth, 1), "transform levels")
         p = float(factor.p_int())

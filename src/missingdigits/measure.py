@@ -83,9 +83,9 @@ class BasePower:
         text = text.strip()
         m = re.fullmatch(r"(\d+)\s*\^\s*(\d+)", text)
         if m:
-            return BasePower(int(m.group(1)), int(m.group(2)))
+            return BasePower(_parse_int(m.group(1), "base"), _parse_int(m.group(2), "exponent"))
         if re.fullmatch(r"\d+", text):
-            return BasePower(int(text), 1)
+            return BasePower(_parse_int(text, "base"), 1)
         raise ConfigError(f"cannot parse integer or power: {text!r}")
 
 
@@ -198,12 +198,6 @@ class ExplicitDigits:
         # Consecutive per-coordinate ranges with matching cardinality
         # force the set to be the full product.
         return True
-
-    def rectangle_sides(self) -> list[tuple[int, int]]:
-        if not self.is_rectangle():
-            raise ValueError("digit set is not a rectangle")
-        mat = self.digit_matrix()
-        return [(int(mat[:, j].min()), int(mat[:, j].max())) for j in range(mat.shape[1])]
 
     def __str__(self) -> str:
         if self.dim == 1:
@@ -552,7 +546,7 @@ def _parse_factor_body(body: str) -> MissingDigitsSpec:
     if "base" not in entries or "digits" not in entries:
         raise ConfigError("factor needs both base and digits")
     base = BasePower.parse(entries["base"])
-    n = int(entries.get("n", "1"))
+    n = _parse_int(entries.get("n", "1"), "n")
     digits = _parse_digits(entries["digits"])
     return MissingDigitsSpec(base, digits, n)
 
@@ -567,9 +561,9 @@ def _parse_digits(text: str) -> DigitSet:
             raise ConfigError("digit set must be nonempty")
         if "(" in inner:
             tuples = re.findall(r"\(([^)]*)\)", inner)
-            vecs = [tuple(int(c) for c in t.split(",")) for t in tuples]
+            vecs = [tuple(_parse_int(c, "digit") for c in t.split(",")) for t in tuples]
             return ExplicitDigits(vecs)
-        return ExplicitDigits(int(v) for v in inner.split(","))
+        return ExplicitDigits(_parse_int(v, "digit") for v in inner.split(","))
     if ".." in text:
         lo_text, hi_text = text.split("..", 1)
         lo = BasePower.parse(lo_text) if "^" in lo_text else _parse_plain_int(lo_text)
@@ -578,9 +572,16 @@ def _parse_digits(text: str) -> DigitSet:
     raise ConfigError(f"cannot parse digit set: {text!r}")
 
 
+def _parse_int(text: str, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise ConfigError(f"{what} must be an integer, got {text.strip()!r}") from exc
+
+
 def _parse_plain_int(text: str) -> int:
     text = text.strip()
     if not re.fullmatch(r"\d+", text):
         raise ConfigError(f"expected a nonnegative integer, got {text!r}")
-    return int(text)
+    return _parse_int(text, "digit bound")
 

@@ -209,11 +209,10 @@ def _require_plane(spec: Spec, what: str):
 
 def _enumeration_depth(spec: Spec, scale: float) -> int:
     """Smallest cylinder depth whose cells are finer than scale/4 in
-    every factor."""
+    every factor: 0, the unit cube itself, once scale >= 4."""
     prod = as_product(spec)
-    return max(
-        math.ceil(math.log(4.0 / scale) / math.log(f.p_int())) for f in prod.factors
-    )
+    ratio = 4.0 / min(scale, 4.0)
+    return max(math.ceil(math.log(ratio) / math.log(f.p_int())) for f in prod.factors)
 
 
 def radial_tube_density(spec: Spec, tube: TubeSpec, depth: int,
@@ -256,6 +255,8 @@ def radial_tube_profile(spec: Spec, x, delta: float, angle_grid_count: int,
     if depth is None:
         depth = _enumeration_depth(spec, delta)
     bud = ensure_budget(budget)
+    # each tube costs at least one classification
+    bud.check(angle_grid_count, "tube angles")
     lo_a, hi_a = _viewing_sector(x)
     r_min = _corner_distances(x).min()
     pad = 2.0 * delta / r_min
@@ -328,7 +329,11 @@ def _mc_offsets(spec: Spec, depth: int, samples: int, seed, project, budget,
     """Chunked, seed-stable sampling: chunk i always draws with seed
     (seed, i) regardless of how chunks are scheduled across workers, so
     results do not depend on worker count."""
-    starts = list(range(0, samples, _MC_CHUNK))
+    if int(samples) != samples or samples < 1:
+        raise ConfigError("Monte-Carlo sampling needs a positive whole sample count")
+    # the draws of all chunks, as sample charges them, before any is scheduled
+    budget.check(samples * depth * len(as_product(spec).factors), "digit draws")
+    starts = range(0, samples, _MC_CHUNK)
 
     def draw(i):
         count = min(_MC_CHUNK, samples - starts[i])
@@ -343,8 +348,9 @@ def _mc_offsets(spec: Spec, depth: int, samples: int, seed, project, budget,
     return np.concatenate(outs)
 
 
-def _histogram_profile(offsets, window, bandwidth, samples):
+def _histogram_profile(offsets, window, bandwidth, samples, budget):
     nbins = max(2, math.ceil((window[1] - window[0]) / bandwidth))
+    budget.check(nbins, "histogram bins")
     edges = np.linspace(window[0], window[1], nbins + 1)
     counts, _ = np.histogram(offsets, bins=edges)
     width = edges[1] - edges[0]
@@ -369,7 +375,7 @@ def radial_density_mc(spec: Spec, x, samples: int, bandwidth: float, seed: int =
     if bandwidth <= 0:
         raise ConfigError("bandwidth must be positive")
     r_min = _corner_distances(x).min()
-    depth = _enumeration_depth(spec, bandwidth * r_min * 4.0 / _MC_DEPTH_SLACK)
+    depth = max(1, _enumeration_depth(spec, bandwidth * r_min * 4.0 / _MC_DEPTH_SLACK))
     lo_a, hi_a = _viewing_sector(x)
     window = (lo_a - 3 * bandwidth, hi_a + 3 * bandwidth)
 
@@ -380,8 +386,9 @@ def radial_density_mc(spec: Spec, x, samples: int, bandwidth: float, seed: int =
             ang = np.where(ang < 0, ang + 2 * math.pi, ang)
         return ang
 
-    offsets = _mc_offsets(spec, depth, samples, seed, project, budget, workers)
-    grid, values, coverage, width = _histogram_profile(offsets, window, bandwidth, samples)
+    bud = ensure_budget(budget)
+    offsets = _mc_offsets(spec, depth, samples, seed, project, bud, workers)
+    grid, values, coverage, width = _histogram_profile(offsets, window, bandwidth, samples, bud)
     meta = {
         "samples": samples,
         "bandwidth": bandwidth,
@@ -407,13 +414,13 @@ def linear_density_mc(spec: Spec, theta, samples: int, bandwidth: float, seed: i
     theta = _unit_direction(theta)
     if bandwidth <= 0:
         raise ConfigError("bandwidth must be positive")
-    depth = _enumeration_depth(spec, bandwidth * 4.0 / _MC_DEPTH_SLACK)
+    depth = max(1, _enumeration_depth(spec, bandwidth * 4.0 / _MC_DEPTH_SLACK))
     proj_corners = _UNIT_SQUARE_CORNERS @ theta
     window = (float(proj_corners.min()) - 3 * bandwidth,
               float(proj_corners.max()) + 3 * bandwidth)
-    offsets = _mc_offsets(spec, depth, samples, seed,
-                          lambda pts: pts @ theta, budget, workers)
-    grid, values, coverage, width = _histogram_profile(offsets, window, bandwidth, samples)
+    bud = ensure_budget(budget)
+    offsets = _mc_offsets(spec, depth, samples, seed, lambda pts: pts @ theta, bud, workers)
+    grid, values, coverage, width = _histogram_profile(offsets, window, bandwidth, samples, bud)
     meta = {
         "samples": samples,
         "bandwidth": bandwidth,
@@ -477,7 +484,13 @@ def _half_turns(x) -> np.ndarray:
     return np.exp(1j * math.pi * np.mod(x, 2.0))
 
 
-def _ray_inversion(weights, dt, u_0, du, count, deviation, budget):
+def _ray_length(size: int, count: int) -> int:
+    """FFT length of the ray inversion: the smallest power of two that
+    holds the linear convolution of size weights with count outputs."""
+    return 1 << (size + count - 2).bit_length()
+
+
+def _ray_inversion(weights, dt, u_0, du, count, deviation):
     """Chirp-z (Bluestein) evaluation of
 
         sum_k weights_k exp(2 pi i u_j t_k),  t_k = (k - S) dt,  u_j = u_0 + j du,
@@ -494,8 +507,7 @@ def _ray_inversion(weights, dt, u_0, du, count, deviation, budget):
     size = weights.size
     half = (size - 1) // 2
     centre_j = (count - 1) // 2
-    length = 1 << (size + count - 2).bit_length()
-    budget.charge(length, "ray inversion")
+    length = _ray_length(size, count)
     # u_j t_k = centre_u k' dt + alpha j' k'; phases below are in half-turns
     alpha = du * dt
     centre_u = u_0 + centre_j * du
@@ -557,10 +569,11 @@ def linear_density(spec: Spec, theta, u_grid, T_max: float, tol: float = 1e-9,
     bud = ensure_budget(budget)
     dt = LINEAR_QUADRATURE_STEP
     steps = int(round(T_max / dt))
+    # charged before t is built, so a huge T_max is refused at once
+    bud.charge(_ray_length(2 * steps + 1, u_grid.size), "ray inversion")
     t = np.arange(-steps, steps + 1) * dt
     values, _ = fourier_transform_batch(spec, t[:, None] * theta[None, :], tol, bud)
-    density, rounding = _ray_inversion(values * dt, dt, u_0, du, u_grid.size,
-                                       deviation, bud)
+    density, rounding = _ray_inversion(values * dt, dt, u_0, du, u_grid.size, deviation)
     real = density.real
     imag_l1 = float(np.trapezoid(np.abs(density.imag), u_grid))
     mass = float(np.trapezoid(real, u_grid))
@@ -598,6 +611,8 @@ def _lattice_ball_diagnostics(spec, weight_of, R_max, tol, budget, base=2):
     lattice points with |xi| <= R_max, in row chunks."""
     bud = ensure_budget(budget)
     n = total_dim(spec)
+    if n not in (1, 2):
+        raise ConfigError("lattice-ball sums need a measure of total dimension 1 or 2")
     n_shells = 1 + math.ceil(math.log(R_max) / math.log(base))
     totals = np.zeros(n_shells)
     R = int(math.floor(R_max))
@@ -659,16 +674,21 @@ def stripe_integral(spec: Spec, theta, R: float, tol: float = 1e-9,
     if R < 2:
         raise ConfigError("stripe annulus needs R >= 2")
     theta = _unit_direction(theta)
-    pts, norms = _annulus_points(R)
+    bud = ensure_budget(budget)
+    pts, norms = _annulus_points(R, bud)
     keep = np.abs(pts @ theta) <= norms / R
     if not keep.any():
         return 0.0
-    values, _ = fourier_transform_batch(spec, pts[keep], tol, budget)
+    values, _ = fourier_transform_batch(spec, pts[keep], tol, bud)
     return float(np.abs(values).sum())
 
 
-def _annulus_points(R: float):
+def _annulus_points(R: float, budget: EvalBudget):
+    """Lattice points of R <= |xi| <= 2R and their norms, cut from the
+    square |xi|_inf <= 2R; a square the budget cannot pay for is refused
+    before it is built."""
     top = int(math.floor(2 * R))
+    budget.check((2 * top + 1) ** 2, "annulus square")
     axis = np.arange(-top, top + 1)
     grid = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
     norms = np.hypot(grid[:, 0], grid[:, 1])
@@ -695,7 +715,7 @@ def stripe_scan(spec: Spec, R: float, angle_count: int, tol: float = 1e-9,
     if angle_count < 1:
         raise ConfigError("angle_count must be positive")
     bud = ensure_budget(budget)
-    pts, norms = _annulus_points(R)
+    pts, norms = _annulus_points(R, bud)
     bud.charge(pts.shape[0] + angle_count, "stripe binning")
     values, _ = fourier_transform_batch(spec, pts, tol, bud)
     mags = np.abs(values)
@@ -761,6 +781,8 @@ def slab_integral(spec: Spec, theta, T_max: float, tol: float = 1e-9,
     if T_max < 2:
         raise ConfigError("T_max must be at least 2")
     T = int(math.floor(T_max))
+    bud = ensure_budget(budget)
+    bud.check(2 * T + 1, "slab columns")
     # The slab half-width 1/200 is < 1/2, so along the thicker axis each
     # column holds at most one candidate lattice row.
     if abs(theta[1]) >= abs(theta[0]):
@@ -774,7 +796,7 @@ def slab_integral(spec: Spec, theta, T_max: float, tol: float = 1e-9,
     pts[:, other] = rows
     keep = (np.abs(pts @ theta) <= 1.0 / 200.0) & ((pts ** 2).sum(axis=1) <= T_max * T_max)
     pts = pts[keep]
-    values, _ = fourier_transform_batch(spec, pts, tol, budget)
+    values, _ = fourier_transform_batch(spec, pts, tol, bud)
     mags = np.abs(values)
     norms = np.hypot(pts[:, 0], pts[:, 1])
     n_shells = 1 + max(1, math.ceil(math.log(max(T_max, 2.0)) / math.log(2)))

@@ -3,8 +3,16 @@ import io
 import json
 import subprocess
 import sys
+import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+try:
+    import resource
+except ImportError:  # not on every platform
+    resource = None
 
 import missingdigits.cli as cli
 from missingdigits import (EvalBudget, crude_bound, exceptional_directions,
@@ -80,9 +88,63 @@ def test_exit_64_usage_errors():
     ["graham", "--system", "3:{0,1};5:{0,1,2}", "--scales", "1,abc", "--limit", "100"],
     ["graham", "--system", "3:{0,1};5:{0,1,2}", "--scales", "1,1/0", "--limit", "100"],
     ["graham", "--system", "3:{0,1};5:{0,1,2}", "--checkpoints", "10,abc"],
+    ["radial-density", "--spec", C32_SQ, "--viewpoint=-1,0.5", "--mc", "0"],
+    ["linear-density", "--spec", C32_SQ, "--direction", "1,1", "--mc", "-5"],
+    ["dim-bound", "--spec", "factor { base = 3; digits = {0,x}; }"],
+    ["dim-bound", "--spec", "factor { base = 3; n = abc; digits = {0,2}; }"],
+    ["lp-integral", "--spec", f"{C3} {C3} {C3}", "--p", "2", "--rmax", "4"],
+    ["fourier-eval", "--spec", C3, "--xi", "1e300"],  # |xi| overflows
+    # past Python's 4300-digit limit for int(str)
+    ["dim-bound", "--spec", f"factor {{ base = 1{'0' * 5000}; digits = 0..9; }}"],
+    ["dim-bound", "--spec", f"factor {{ base = 10; digits = 0..1{'0' * 5000}; }}"],
 ])
 def test_exit_64_on_bad_numeric_input(argv):
     assert run(argv)[0] == 64
+
+
+HUGE = "100000000000000000000"
+
+
+@pytest.mark.parametrize("argv", [
+    ["linear-density", "--spec", C32_SQ, "--direction", "1,1", "--tmax", "1e300"],
+    ["linear-density", "--spec", C32_SQ, "--direction", "1,1", "--grid", f"0,1,{HUGE}"],
+    ["fourier-eval", "--spec", C3, "--grid", f"1,{HUGE}"],
+    ["stripe-scan", "--spec", C32_SQ, "--radius", "1e300"],
+    ["slab-integral", "--spec", C32_SQ, "--direction", "1,1", "--tmax", "1e300"],
+    ["radial-density", "--spec", C32_SQ, "--viewpoint=-1,-1", "--delta", "0.5",
+     "--angles", HUGE],
+    ["radial-density", "--spec", C32_SQ, "--viewpoint=-1,0.5", "--mc", HUGE],
+    ["radial-density", "--spec", C32_SQ, "--viewpoint=-1,0.5", "--mc", "3",
+     "--bandwidth", "1e-300", "--budget", "100000"],
+])
+def test_exit_65_on_oversized_numeric_input(argv):
+    code, out, err = run(argv)
+    assert code == 65
+    assert out == ""
+    assert "budget exceeded" in err
+
+
+def test_monte_carlo_bandwidth_wider_than_the_square_samples_at_depth_one():
+    code, doc = run_json(["linear-density", "--spec", C32_SQ, "--direction", "1,1",
+                          "--mc", "64", "--bandwidth", "1e300"])
+    assert code == 0
+    assert doc["result"]["profile"]["metadata"]["depth"] == 1
+
+
+def test_tube_wider_than_the_square_counts_at_depth_zero():
+    code, doc = run_json(["radial-density", "--spec", C32_SQ, "--viewpoint=-100,-100",
+                          "--delta", "50", "--angles", "4"])
+    assert code == 0
+    assert doc["result"]["profile"]["metadata"]["depth"] == 0
+
+
+def test_zero_direction_is_refused_without_a_warning():
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(["linear-density", "--spec", C32_SQ, "--direction", "0,0"])
+    assert code == 64
+    assert "direction must be nonzero" in err
+    assert not caught
 
 
 def test_exit_64_on_bad_config_file(tmp_path):
@@ -203,6 +265,25 @@ def test_dim_bound_charges_explicit_digit_terms(count):
     assert f"f(theta) residues needs {10001 * 729 * count} cells" in err
 
 
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.skipif(resource is None, reason="needs the resource module")
+@pytest.mark.parametrize("spec", [
+    "factor { base = 2; n = 2; digits = {(0,0)}; }",
+    "factor { base = 3; n = 2; digits = {(0,0),(1,0),(2,0),(0,1),(2,1),(0,2),(1,2),(2,2)}; }",
+])
+def test_dim_bound_refuses_an_over_budget_theta_grid_before_building_it(spec):
+    # the 10001^2 theta grid alone would take 1.6 GB; the refusal must
+    # come before any of it exists, so a 1 GB address space suffices
+    proc = subprocess.run([sys.executable, "-m", "missingdigits", "dim-bound", "--spec", spec],
+                          capture_output=True, text=True, preexec_fn=_cap_address_space)
+    assert proc.returncode == 65, proc.stderr
+    assert "f(theta) residues" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_exit_64_when_no_dimension_bound_applies():
     # 3^17 residues exceed the grid cap; crude and rectangle need p >= 4
     corners = "(" + ",".join(["0"] * 17) + "),(" + ",".join(["2"] * 17) + ")"
@@ -283,3 +364,68 @@ def test_console_script_smoke():
     doc = json.loads(proc.stdout)
     report = doc["result"]["reports"][0]["report"]
     assert report["bound"] == pytest.approx(1.5990674, abs=1e-4)
+
+
+# --------------------------------------------------------------- argv fuzz
+
+CARPET = ("factor { base = 3; n = 2; digits = "
+          "{(0,0),(1,0),(2,0),(0,1),(2,1),(0,2),(1,2),(2,2)}; }")
+FUZZ_SPECS = [C3, C32_SQ, LEB, CARPET, f"{C3} {C3} {C3}",
+              "factor { base = 10^100; digits = 0..9; }",
+              "factor { base = 3; digits = {0,x}; }",
+              "factor { base = 3; n = abc; digits = {0,2}; }",
+              f"factor {{ base = 1{'0' * 5000}; digits = 0..9; }}"]
+REALS = ["0", "-5", "1e-300", "0.5", "3", "1e300", "-1e300", "nan", "abc"]
+INTS = ["0", "-5", "1", "3", "64", HUGE, "1.5", "abc"]
+PAIRS = ["1,1", "0,0", "-1,0.5", "2,0.5", "1e300,1", "abc,1", "1"]
+FUZZ_FLAGS = {
+    "dim-bound": {},
+    "certify": {"--radial-lp": INTS, "--linear": [None]},
+    "fourier-eval": {"--xi": REALS, "--grid": REALS + PAIRS + [f"1,{HUGE}"],
+                     "--tol": REALS},
+    "radial-density": {"--viewpoint": PAIRS, "--delta": REALS, "--angles": INTS,
+                       "--mc": INTS, "--bandwidth": REALS, "--seed": INTS},
+    "linear-density": {"--direction": PAIRS,
+                       "--grid": ["0,1,5", "0,1,0", "1,0,5", f"0,1,{HUGE}", "a,b,c"],
+                       "--tmax": REALS, "--tol": REALS, "--mc": INTS, "--bandwidth": REALS},
+    "stripe-scan": {"--radius": REALS, "--angles": INTS, "--s1": REALS, "--eps": REALS},
+    "lp-integral": {"--p": INTS, "--rmax": INTS},
+    "slab-integral": {"--direction": PAIRS, "--tmax": REALS},
+    "graham": {"--system": ["3:{0,1};5:{0,1,2}", "3:{0,x}", "1:{0}"], "--limit": INTS,
+               "--scales": ["1,1/2", "1,1/0", "1,abc"], "--checkpoints": INTS + ["10,abc"]},
+}
+
+
+@st.composite
+def fuzz_argv(draw):
+    sub = draw(st.sampled_from(sorted(FUZZ_FLAGS)))
+    # one worker, so no drawn count can start a thread pool
+    argv = [sub, "--workers", "1", "--budget", draw(st.sampled_from(["1", "1000", "100000"]))]
+    if sub != "graham":
+        argv += ["--spec", draw(st.sampled_from(FUZZ_SPECS))]
+    flags = FUZZ_FLAGS[sub]
+    for flag in draw(st.lists(st.sampled_from(sorted(flags)), unique=True)) if flags else []:
+        value = draw(st.sampled_from(flags[flag]))
+        argv += [flag] if value is None else [f"{flag}={value}"]
+    return argv
+
+
+def _negative_result(result: dict) -> bool:
+    """Exit 1 is owed to a NotCertified verdict or an empty result."""
+    if "verdict" in result:
+        return result["verdict"] == "NotCertified"
+    if "reports" in result:
+        return any(r["report"]["verdict"] == "NotCertified" for r in result["reports"])
+    if "rows" in result:
+        return all(row["count"] == 0 for row in result["rows"])
+    return result.get("count") == 0
+
+
+@settings(derandomize=True, deadline=None, max_examples=300, database=None)
+@given(fuzz_argv())
+def test_fuzzed_argv_exits_cleanly(argv):
+    code, out, err = run(argv)  # any exception other than SystemExit fails here
+    assert code in (0, 1, 2, 64, 65), (argv, code, err)
+    assert "Traceback" not in err
+    if code == 1:
+        assert _negative_result(json.loads(out)["result"]), argv

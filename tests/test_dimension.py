@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import missingdigits.dimension as dimension
-from missingdigits import (BoundKind, DigitInterval, EvalBudget,
+from missingdigits import (BoundKind, BudgetExceededError, DigitInterval, EvalBudget,
                            SymbolicBaseError, best_lower_bound, crude_bound,
                            digit_symbol, explicit_spec, f_theta,
                            grid_lower_bound, hausdorff_dim, interval_spec,
@@ -92,6 +92,50 @@ def test_sup_f_certificate_brackets_estimate():
     assert dense.max() <= sup.certified_upper + 1e-12
 
 
+def test_sup_f_is_the_grid_max_plus_lipschitz_slack():
+    h = 1e-3
+    axis = np.arange(0.0, 1.0 + h / 2, h)
+    vals = f_theta(C3, axis)
+    sup = sup_f(C3, h=h)
+    assert sup.sup_estimate == vals.max()
+    assert sup.argmax == (axis[np.argmax(vals)],)
+    assert sup.certified_upper == vals.max() + sup.lipschitz * h / 2.0
+
+
+def test_sup_f_carpet_cells_and_certificate():
+    budget = EvalBudget()
+    sup = sup_f(FACTORS["CARPET"], h=1e-2, budget=budget)
+    assert budget.spent == 734_472  # 101^2 thetas x 9 residues x 8 digits
+    assert sup.certified_upper == 3.3769911184307753
+
+
+def test_sup_f_walks_the_theta_grid_in_blocks(monkeypatch):
+    whole = sup_f(C3, h=1e-2)
+    carpet = FACTORS["CARPET"]
+    h = 0.05
+    axis = np.arange(0.0, 1.0 + h / 2, h)
+    mesh = np.meshgrid(axis, axis, indexing="ij")
+    reference = _f_theta_reference(carpet, np.stack([m.ravel() for m in mesh], axis=-1))
+    monkeypatch.setattr(dimension, "F_THETA_BLOCK", 50)
+    assert sup_f(C3, h=1e-2) == whole
+    budget = EvalBudget()
+    sup = sup_f(carpet, h=h, budget=budget)
+    assert budget.spent == axis.size ** 2 * 9 * 8
+    assert sup.sup_estimate == pytest.approx(reference.max(), rel=1e-12)
+    assert sup.argmax == tuple(m.ravel()[np.argmax(reference)] for m in mesh)
+
+
+def test_sup_f_refuses_an_over_budget_grid_before_building_it(monkeypatch):
+    def no_grid(*args, **kwargs):
+        raise AssertionError("f_theta ran on a grid the budget cannot pay for")
+
+    monkeypatch.setattr(dimension, "f_theta", no_grid)
+    budget = EvalBudget(10 ** 9)
+    with pytest.raises(BudgetExceededError, match="f\\(theta\\) residues"):
+        sup_f(FACTORS["CARPET"], budget=budget)  # 10001^2 x 72 cells
+    assert budget.spent == 0
+
+
 # ------------------------------------------------------------------ bounds
 
 
@@ -176,6 +220,20 @@ def test_best_lower_bound_bounds_a_repeated_factor_once():
     assert single.spent > 0
     assert pair.spent == single.spent
     assert two.value == 2 * one.value
+
+
+def test_candidates_reach_the_grid_bound_by_its_module_name(monkeypatch):
+    calls = []
+    grid = dimension.grid_lower_bound
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return grid(*args, **kwargs)
+
+    monkeypatch.setattr(dimension, "grid_lower_bound", counted)
+    factor = interval_spec(10, 0, 8)
+    best_lower_bound(square(factor))
+    assert calls == [factor]
 
 
 def test_grid_bound_rejects_symbolic_base():
