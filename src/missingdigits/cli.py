@@ -18,7 +18,6 @@ import argparse
 import dataclasses
 import json
 import math
-import os
 import sys
 import time
 
@@ -64,7 +63,6 @@ class RunManifest:
     subcommand: str
     config: dict
     seed: int
-    workers: int
     budget: int
     versions: dict
     wall_time_s: float
@@ -87,12 +85,11 @@ def real(text: str) -> float:
 
 def _add_common(sub: argparse.ArgumentParser, with_seed: bool = True):
     sub.add_argument("--config", metavar="FILE",
-                     help="JSON file of defaults (spec text, seed, workers, budget)")
+                     help="JSON file of defaults (spec text, seed, budget)")
     sub.add_argument("--spec", metavar="TEXT",
                      help="measure config, e.g. \"factor { base = 3; digits = {0,2}; n = 2; }\"")
     if with_seed:
         sub.add_argument("--seed", type=int, default=None, metavar="U64")
-    sub.add_argument("--workers", type=int, default=None, metavar="K")
     sub.add_argument("--json", action="store_true",
                      help="force tabular rows inline in the JSON result")
     sub.add_argument("--csv", metavar="PATH", help="write tabular rows to PATH")
@@ -100,7 +97,7 @@ def _add_common(sub: argparse.ArgumentParser, with_seed: bool = True):
                      help=f"max lattice/cylinder evaluations (default {DEFAULT_BUDGET:g})")
 
 
-_CONFIG_KEYS = {"spec", "seed", "workers", "budget"}
+_CONFIG_KEYS = {"spec", "seed", "budget"}
 
 
 def _load_config(path: str | None) -> dict:
@@ -135,11 +132,6 @@ class _Run:
         self.seed = _as_int(seed, "seed")
         if not 0 <= self.seed < 2 ** 64:
             raise ConfigError("seed must fit in an unsigned 64-bit integer")
-        workers = args.workers if args.workers is not None else file_cfg.get("workers")
-        self.workers = (_as_int(workers, "workers") if workers is not None
-                        else (os.cpu_count() or 1))
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
         budget_cells = args.budget if args.budget is not None else file_cfg.get("budget")
         self.budget_cells = (_as_int(budget_cells, "budget") if budget_cells is not None
                              else DEFAULT_BUDGET)
@@ -175,7 +167,6 @@ class _Run:
                 "spec": self.spec_text,
             },
             seed=self.seed,
-            workers=self.workers,
             budget=self.budget_cells,
             versions={
                 "package": __version__,
@@ -262,6 +253,15 @@ def _bound_payload(bound) -> dict:
         "value": bound.value,
         "kind": bound.kind.value,
         "rigorous": bound.rigorous,
+    }
+
+
+def _lattice_payload(diag) -> dict:
+    return {
+        "partial": diag.partial,
+        "shell_totals": [repr(float(v)) for v in diag.shell_totals],
+        "dyadic_slopes": [repr(float(v)) for v in diag.dyadic_slopes],
+        "non_convergent": diag.non_convergent,
     }
 
 
@@ -366,16 +366,14 @@ def _cmd_radial_density(args) -> int:
         raise ConfigError("radial-density needs --delta W (tube counts) or --mc SAMPLES")
     if args.mc is not None:
         profile = radial_density_mc(spec, x, args.mc, args.bandwidth,
-                                    seed=run.seed, budget=run.budget,
-                                    workers=run.workers)
+                                    seed=run.seed, budget=run.budget)
         comments = [
             "radial density on the viewing circle: mass per radian of direction",
             f"method: Monte Carlo histogram, {args.mc} samples, "
             f"bandwidth {args.bandwidth!r} rad, seed {run.seed}",
         ]
     else:
-        profile = radial_tube_profile(spec, x, args.delta, args.angles,
-                                      budget=run.budget, workers=run.workers)
+        profile = radial_tube_profile(spec, x, args.delta, args.angles, budget=run.budget)
         comments = [
             "radial density on the viewing circle: tube mass / (2 * half-width)",
             f"method: cylinder tube counts at half-width {args.delta!r}",
@@ -397,8 +395,7 @@ def _cmd_linear_density(args) -> int:
     unit = _unit_direction(theta)
     if args.mc is not None:
         profile = linear_density_mc(spec, theta, args.mc, args.bandwidth,
-                                    seed=run.seed, budget=run.budget,
-                                    workers=run.workers)
+                                    seed=run.seed, budget=run.budget)
         comments = [
             "density of the projection onto the line through the origin with the given direction",
             f"method: Monte Carlo histogram, {args.mc} samples, "
@@ -496,14 +493,8 @@ def _cmd_lp_integral(args) -> int:
     spec = run.spec()
     diag = lp_criterion_integral(spec, args.p, args.rmax, tol=args.tol,
                                  budget=run.budget)
-    result = {
-        "p_exp": args.p, "r_max": args.rmax,
-        "partial": diag.partial,
-        "shell_totals": [repr(float(v)) for v in diag.shell_totals],
-        "dyadic_slopes": [repr(float(v)) for v in diag.dyadic_slopes],
-        "non_convergent": diag.non_convergent,
-    }
-    return run.finish("lp-integral", result)
+    return run.finish("lp-integral",
+                      {"p_exp": args.p, "r_max": args.rmax, **_lattice_payload(diag)})
 
 
 def _cmd_slab(args) -> int:
@@ -511,14 +502,7 @@ def _cmd_slab(args) -> int:
     spec = run.spec()
     theta = _parse_vector(args.direction, "--direction")
     diag = slab_integral(spec, theta, args.tmax, tol=args.tol, budget=run.budget)
-    result = {
-        "t_max": args.tmax,
-        "partial": diag.partial,
-        "shell_totals": [repr(float(v)) for v in diag.shell_totals],
-        "dyadic_slopes": [repr(float(v)) for v in diag.dyadic_slopes],
-        "non_convergent": diag.non_convergent,
-    }
-    return run.finish("slab-integral", result)
+    return run.finish("slab-integral", {"t_max": args.tmax, **_lattice_payload(diag)})
 
 
 # --------------------------------------------------------------- parser

@@ -152,6 +152,34 @@ def _tail_bound(factor: MissingDigitsSpec, xi_norm, depth: int) -> np.ndarray:
 # ------------------------------------------------------------- transform
 
 
+def _factor_blocks(prod, xis: np.ndarray, tol: float) -> list:
+    """(factor, coordinate block, row norms, truncation depth) for each
+    factor of a batch; each depth meets the factor's share of tol at the
+    batch's largest norm on that block."""
+    share = max(float(tol), TOL_FLOOR) / len(prod.factors)
+    out = []
+    for factor, sl in zip(prod.factors, prod.factor_slices()):
+        block = xis[:, sl]
+        with np.errstate(over="ignore"):  # truncation_depth refuses an infinite |xi|
+            norms = np.sqrt((block * block).sum(axis=1))
+        out.append((factor, block, norms,
+                    truncation_depth(factor, float(norms.max(initial=0.0)), share)))
+    return out
+
+
+def _levels(blocks: list) -> int:
+    return sum(max(depth, 1) for *_, depth in blocks)
+
+
+def transform_levels(spec: Spec, xis, tol: float = 1e-9) -> int:
+    """Cells fourier_transform_batch(spec, batch, tol) charges per point
+    when the batch's largest per-factor norms are those of xis' rows:
+    sum over factors of max(depth, 1).  Depths grow with the norms, so
+    rows no larger than the batch's give a lower bound."""
+    xis = np.atleast_2d(np.asarray(xis, dtype=np.float64))
+    return _levels(_factor_blocks(as_product(spec), xis, tol))
+
+
 def fourier_transform_batch(
     spec: Spec,
     xis: np.ndarray,
@@ -162,23 +190,19 @@ def fourier_transform_batch(
 
     Each factor's truncation depth is chosen from the largest |xi_f| in
     the batch, so every returned point meets the per-point tail bound.
+    The whole batch is charged before any output is allocated.
     """
     prod = as_product(spec)
     xis = np.atleast_2d(np.asarray(xis, dtype=np.float64))
     if xis.shape[1] != prod.total_dim:
         raise ValueError(f"xi rows must have length {prod.total_dim}")
-    tol = max(float(tol), TOL_FLOOR)
     bud = ensure_budget(budget)
+    blocks = _factor_blocks(prod, xis, tol)
+    bud.charge(xis.shape[0] * _levels(blocks), "transform levels")
 
     values = np.ones(xis.shape[0], dtype=np.complex128)
     errs = np.zeros(xis.shape[0], dtype=np.float64)
-    share = tol / len(prod.factors)
-    for factor, sl in zip(prod.factors, prod.factor_slices()):
-        block = xis[:, sl]
-        with np.errstate(over="ignore"):  # truncation_depth refuses an infinite |xi|
-            norms = np.sqrt((block * block).sum(axis=1))
-        depth = truncation_depth(factor, float(norms.max(initial=0.0)), share)
-        bud.charge(xis.shape[0] * max(depth, 1), "transform levels")
+    for factor, block, norms, depth in blocks:
         p = float(factor.p_int())
         for j in range(1, depth + 1):
             values *= digit_symbol(factor, block / p ** j)

@@ -25,16 +25,18 @@ together with their log-slopes; when the last three slopes are all
 nonnegative the result is flagged NonConvergent rather than silently
 averaged.
 
-Monte-Carlo estimators (seeded, chunked, reproducible independent of
-worker count) provide cross-checks for both families, and annulus
-stripe sums detect the exceptional directions along which the lattice
-mass of |lambda_hat| refuses to decay.
+Monte-Carlo estimators (seeded, chunked, reproducible however their
+chunks are scheduled) provide cross-checks for both families, and
+annulus stripe sums detect the exceptional directions along which the
+lattice mass of |lambda_hat| refuses to decay.  Chunked work (tube
+angle blocks, Monte-Carlo draws) runs on one thread per core.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -43,7 +45,7 @@ import numpy as np
 from .budget import EvalBudget, ensure_budget
 from .cylinders import TubeSpec, cylinder_mass
 from .errors import ConfigError
-from .fourier import fourier_transform_batch
+from .fourier import fourier_transform_batch, transform_levels
 from .measure import Spec, as_product, sample, total_dim
 
 # Fixed step for the inverse-transform quadrature along a ray.  The
@@ -64,6 +66,8 @@ _MC_DEPTH_SLACK = 8.0
 _UNIT_SQUARE_CORNERS = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
 
 _MC_CHUNK = 1 << 17
+
+_SLAB_BLOCK = 1 << 16
 
 
 class ProfileAxis(enum.Enum):
@@ -172,12 +176,16 @@ def _shell_diagnostics(radii, weights, base=2, n_shells=None):
     edges = float(base) ** np.arange(n_shells)
     idx = np.searchsorted(edges, radii, side="left")
     totals = np.bincount(idx, weights=weights, minlength=n_shells)[:n_shells]
-    # Slopes of exactly-vanishing shells (e.g. Lebesgue off the zero
-    # frequency) are floored instead of -inf so they serialize cleanly.
+    return tuple(float(t) for t in totals), _floored_slopes(totals, base)
+
+
+def _floored_slopes(totals: np.ndarray, base) -> tuple:
+    """Base-log ratios of consecutive shell totals.  Slopes of
+    exactly-vanishing shells (e.g. Lebesgue off the zero frequency) are
+    floored instead of -inf so they serialize cleanly."""
     floor = max(totals.max(initial=0.0), 1.0) * 1e-30
     logs = np.log(np.maximum(totals, floor)) / math.log(base)
-    slopes = np.diff(logs)
-    return tuple(float(t) for t in totals), tuple(float(s) for s in slopes)
+    return tuple(float(s) for s in np.diff(logs))
 
 
 # -------------------------------------------------------------- radial side
@@ -200,6 +208,13 @@ def _square_clearance(x: np.ndarray) -> float:
 
 def _corner_distances(x: np.ndarray) -> np.ndarray:
     return np.hypot(*(_UNIT_SQUARE_CORNERS - x).T)
+
+
+def _map_chunks(fn, chunks) -> list:
+    """[fn(c) for c in chunks], run on one thread per core (at most one
+    per chunk)."""
+    with ThreadPoolExecutor(min(os.cpu_count() or 1, len(chunks))) as pool:
+        return list(pool.map(fn, chunks))
 
 
 def _require_plane(spec: Spec, what: str):
@@ -235,8 +250,7 @@ def radial_tube_density(spec: Spec, tube: TubeSpec, depth: int,
 
 def radial_tube_profile(spec: Spec, x, delta: float, angle_grid_count: int,
                         depth: int | None = None,
-                        budget: EvalBudget | None = None,
-                        workers: int = 1) -> DensityProfile:
+                        budget: EvalBudget | None = None) -> DensityProfile:
     """Tube-density profile theta -> f_delta(theta) at enclosure
     midpoints, over the viewing sector of the unit square padded by two
     tube windows.  Lower/upper enclosure curves ride along in the
@@ -270,12 +284,7 @@ def radial_tube_profile(spec: Spec, x, delta: float, angle_grid_count: int,
         return out
 
     chunks = [range(s, min(s + 64, angle_grid_count)) for s in range(0, angle_grid_count, 64)]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(block, chunks))
-    else:
-        parts = [block(c) for c in chunks]
-    bounds = np.concatenate(parts, axis=0) / delta
+    bounds = np.concatenate(_map_chunks(block, chunks), axis=0) / delta
     mid = bounds.mean(axis=1)
     meta = {
         "delta": delta,
@@ -291,13 +300,12 @@ def radial_tube_profile(spec: Spec, x, delta: float, angle_grid_count: int,
 
 def radial_l2_norm(spec: Spec, x, delta: float, angle_grid_count: int,
                    depth: int | None = None,
-                   budget: EvalBudget | None = None,
-                   workers: int = 1) -> float:
+                   budget: EvalBudget | None = None) -> float:
     """Trapezoidal quadrature of f_delta(theta)^2 over the viewing
     sector, f_delta taken at tube-enclosure midpoints.  Bounded in
     delta exactly when the radial pushforward has an L^2 density;
     diverging like 1/delta for an atom."""
-    profile = radial_tube_profile(spec, x, delta, angle_grid_count, depth, budget, workers)
+    profile = radial_tube_profile(spec, x, delta, angle_grid_count, depth, budget)
     return float(np.trapezoid(profile.values ** 2, profile.grid))
 
 
@@ -324,11 +332,11 @@ def tube_mass_mc(spec: Spec, tube: TubeSpec, samples: int, seed: int = 0,
     return p_hat, sigma
 
 
-def _mc_offsets(spec: Spec, depth: int, samples: int, seed, project, budget,
-                workers: int = 1):
-    """Chunked, seed-stable sampling: chunk i always draws with seed
-    (seed, i) regardless of how chunks are scheduled across workers, so
-    results do not depend on worker count."""
+def _mc_offsets(spec: Spec, depth: int, samples: int, seed, project, budget):
+    """Projected offsets of samples draws in chunks of _MC_CHUNK: chunk
+    i always draws with seed (seed, i) and the chunks are joined in
+    order, so the offsets do not depend on how the chunks are scheduled
+    across threads."""
     if int(samples) != samples or samples < 1:
         raise ConfigError("Monte-Carlo sampling needs a positive whole sample count")
     # the draws of all chunks, as sample charges them, before any is scheduled
@@ -340,12 +348,7 @@ def _mc_offsets(spec: Spec, depth: int, samples: int, seed, project, budget,
         pts = sample(spec, depth, count, seed=(seed, i), budget=budget)
         return project(pts)
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outs = list(pool.map(draw, range(len(starts))))
-    else:
-        outs = [draw(i) for i in range(len(starts))]
-    return np.concatenate(outs)
+    return np.concatenate(_map_chunks(draw, range(len(starts))))
 
 
 def _histogram_profile(offsets, window, bandwidth, samples, budget):
@@ -360,9 +363,31 @@ def _histogram_profile(offsets, window, bandwidth, samples, budget):
     return centers, values, float(coverage), width
 
 
+def _mc_profile(spec: Spec, axis: ProfileAxis, depth: int, window: tuple, project,
+                samples: int, bandwidth: float, seed, budget, **located) -> DensityProfile:
+    """The Monte-Carlo histogram profile shared by the radial and linear
+    estimators; `located` is the one metadata entry that places the
+    projection (its viewpoint or direction)."""
+    bud = ensure_budget(budget)
+    offsets = _mc_offsets(spec, depth, samples, seed, project, bud)
+    grid, values, coverage, width = _histogram_profile(offsets, window, bandwidth, samples, bud)
+    meta = {
+        "samples": samples,
+        "bandwidth": bandwidth,
+        "bin_width": width,
+        "seed": seed,
+        "depth": depth,
+        "rng": "PCG64",
+        "window": window,
+        "coverage": coverage,
+        **located,
+        "flags": [] if coverage >= 1.0 else ["WindowClipped"],
+    }
+    return DensityProfile(axis, grid, values, ProfileMethod.MONTE_CARLO, meta)
+
+
 def radial_density_mc(spec: Spec, x, samples: int, bandwidth: float, seed: int = 0,
-                      budget: EvalBudget | None = None,
-                      workers: int = 1) -> DensityProfile:
+                      budget: EvalBudget | None = None) -> DensityProfile:
     """Histogram estimate of the radial pushforward density on the
     circle: sampled points y are mapped to the angle of (y - x) and
     binned at the given angular bandwidth.  Values integrate to one
@@ -386,28 +411,12 @@ def radial_density_mc(spec: Spec, x, samples: int, bandwidth: float, seed: int =
             ang = np.where(ang < 0, ang + 2 * math.pi, ang)
         return ang
 
-    bud = ensure_budget(budget)
-    offsets = _mc_offsets(spec, depth, samples, seed, project, bud, workers)
-    grid, values, coverage, width = _histogram_profile(offsets, window, bandwidth, samples, bud)
-    meta = {
-        "samples": samples,
-        "bandwidth": bandwidth,
-        "bin_width": width,
-        "seed": seed,
-        "depth": depth,
-        "rng": "PCG64",
-        "window": window,
-        "coverage": coverage,
-        "viewpoint": tuple(x),
-        "flags": [] if coverage >= 1.0 else ["WindowClipped"],
-    }
-    return DensityProfile(ProfileAxis.ANGLE_ON_SPHERE, grid, values,
-                          ProfileMethod.MONTE_CARLO, meta)
+    return _mc_profile(spec, ProfileAxis.ANGLE_ON_SPHERE, depth, window, project,
+                       samples, bandwidth, seed, budget, viewpoint=tuple(x))
 
 
 def linear_density_mc(spec: Spec, theta, samples: int, bandwidth: float, seed: int = 0,
-                      budget: EvalBudget | None = None,
-                      workers: int = 1) -> DensityProfile:
+                      budget: EvalBudget | None = None) -> DensityProfile:
     """Histogram estimate of the density of the projection
     y -> (y, theta): the Monte-Carlo cross-check for linear_density."""
     _require_plane(spec, "linear_density_mc")
@@ -418,23 +427,8 @@ def linear_density_mc(spec: Spec, theta, samples: int, bandwidth: float, seed: i
     proj_corners = _UNIT_SQUARE_CORNERS @ theta
     window = (float(proj_corners.min()) - 3 * bandwidth,
               float(proj_corners.max()) + 3 * bandwidth)
-    bud = ensure_budget(budget)
-    offsets = _mc_offsets(spec, depth, samples, seed, lambda pts: pts @ theta, bud, workers)
-    grid, values, coverage, width = _histogram_profile(offsets, window, bandwidth, samples, bud)
-    meta = {
-        "samples": samples,
-        "bandwidth": bandwidth,
-        "bin_width": width,
-        "seed": seed,
-        "depth": depth,
-        "rng": "PCG64",
-        "window": window,
-        "coverage": coverage,
-        "direction": tuple(theta),
-        "flags": [] if coverage >= 1.0 else ["WindowClipped"],
-    }
-    return DensityProfile(ProfileAxis.OFFSET_ON_LINE, grid, values,
-                          ProfileMethod.MONTE_CARLO, meta)
+    return _mc_profile(spec, ProfileAxis.OFFSET_ON_LINE, depth, window, lambda pts: pts @ theta,
+                       samples, bandwidth, seed, budget, direction=tuple(theta))
 
 
 # -------------------------------------------------------------- linear side
@@ -571,6 +565,9 @@ def linear_density(spec: Spec, theta, u_grid, T_max: float, tol: float = 1e-9,
     steps = int(round(T_max / dt))
     # charged before t is built, so a huge T_max is refused at once
     bud.charge(_ray_length(2 * steps + 1, u_grid.size), "ray inversion")
+    # every point of the ray is charged the levels of its two ends
+    bud.check((2 * steps + 1) * transform_levels(spec, steps * dt * theta, tol),
+              "transform levels")
     t = np.arange(-steps, steps + 1) * dt
     values, _ = fourier_transform_batch(spec, t[:, None] * theta[None, :], tol, bud)
     density, rounding = _ray_inversion(values * dt, dt, u_0, du, u_grid.size, deviation)
@@ -639,10 +636,8 @@ def _lattice_ball_diagnostics(spec, weight_of, R_max, tol, budget, base=2):
         partial += float(w.sum())
         t, _ = _shell_diagnostics(norms, w, base=base, n_shells=n_shells)
         totals += np.asarray(t)
-    floor = max(totals.max(initial=0.0), 1.0) * 1e-30
-    logs = np.log(np.maximum(totals, floor)) / math.log(base)
-    slopes = tuple(float(s) for s in np.diff(logs))
-    return LatticeDiagnostics(partial, tuple(float(v) for v in totals), slopes, base)
+    return LatticeDiagnostics(partial, tuple(float(v) for v in totals),
+                              _floored_slopes(totals, base), base)
 
 
 def lp_criterion_integral(spec: Spec, p_exp: int, R_max: int, tol: float = 1e-9,
@@ -675,7 +670,7 @@ def stripe_integral(spec: Spec, theta, R: float, tol: float = 1e-9,
         raise ConfigError("stripe annulus needs R >= 2")
     theta = _unit_direction(theta)
     bud = ensure_budget(budget)
-    pts, norms = _annulus_points(R, bud)
+    pts, norms = _annulus_points(R, _annulus_top(R, bud))
     keep = np.abs(pts @ theta) <= norms / R
     if not keep.any():
         return 0.0
@@ -683,12 +678,17 @@ def stripe_integral(spec: Spec, theta, R: float, tol: float = 1e-9,
     return float(np.abs(values).sum())
 
 
-def _annulus_points(R: float, budget: EvalBudget):
-    """Lattice points of R <= |xi| <= 2R and their norms, cut from the
-    square |xi|_inf <= 2R; a square the budget cannot pay for is refused
-    before it is built."""
+def _annulus_top(R: float, budget: EvalBudget) -> int:
+    """floor(2R), once the budget can pay for the square |xi|_inf <= 2R
+    that _annulus_points cuts the annulus from."""
     top = int(math.floor(2 * R))
     budget.check((2 * top + 1) ** 2, "annulus square")
+    return top
+
+
+def _annulus_points(R: float, top: int):
+    """Lattice points of R <= |xi| <= 2R and their norms, cut from the
+    square |xi|_inf <= top = floor(2R)."""
     axis = np.arange(-top, top + 1)
     grid = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
     norms = np.hypot(grid[:, 0], grid[:, 1])
@@ -715,7 +715,16 @@ def stripe_scan(spec: Spec, R: float, angle_count: int, tol: float = 1e-9,
     if angle_count < 1:
         raise ConfigError("angle_count must be positive")
     bud = ensure_budget(budget)
-    pts, norms = _annulus_points(R, bud)
+    top = _annulus_top(R, bud)
+    # Refused before the annulus is built: the transform charges each of
+    # its points at least the levels of (top, 0) and (0, top), which lie
+    # in it.  The unit cells of its points cover the annulus of radii
+    # R + s .. 2R - s (s = sqrt(2)/2), of area 3 pi R (R - sqrt(2)); the
+    # relative 1e-9 shaved off absorbs rounding.
+    floor_points = math.floor(3.0 * math.pi * R * (R - math.sqrt(2.0)) * (1.0 - 1e-9))
+    bud.check(floor_points * transform_levels(spec, [[top, 0.0], [0.0, top]], tol),
+              "transform levels")
+    pts, norms = _annulus_points(R, top)
     bud.charge(pts.shape[0] + angle_count, "stripe binning")
     values, _ = fourier_transform_batch(spec, pts, tol, bud)
     mags = np.abs(values)
@@ -789,13 +798,21 @@ def slab_integral(spec: Spec, theta, T_max: float, tol: float = 1e-9,
         lead, other = 0, 1
     else:
         lead, other = 1, 0
-    cols = np.arange(-T, T + 1)
-    rows = np.round(-theta[lead] * cols / theta[other]).astype(np.int64)
-    pts = np.empty((cols.size, 2))
-    pts[:, lead] = cols
-    pts[:, other] = rows
-    keep = (np.abs(pts @ theta) <= 1.0 / 200.0) & ((pts ** 2).sum(axis=1) <= T_max * T_max)
-    pts = pts[keep]
+    parts, kept, levels = [], 0, 0
+    for start in range(-T, T + 1, _SLAB_BLOCK):
+        cols = np.arange(start, min(start + _SLAB_BLOCK, T + 1))
+        rows = np.round(-theta[lead] * cols / theta[other]).astype(np.int64)
+        block = np.empty((cols.size, 2))
+        block[:, lead] = cols
+        block[:, other] = rows
+        keep = (np.abs(block @ theta) <= 1.0 / 200.0) & ((block ** 2).sum(axis=1) <= T_max * T_max)
+        parts.append(block[keep])
+        # the transform charges every slab point at least the levels of
+        # any block of them, so the slab is refused as it grows
+        kept += parts[-1].shape[0]
+        levels = max(levels, transform_levels(spec, parts[-1], tol))
+        bud.check(kept * levels, "transform levels")
+    pts = np.concatenate(parts)
     values, _ = fourier_transform_batch(spec, pts, tol, bud)
     mags = np.abs(values)
     norms = np.hypot(pts[:, 0], pts[:, 1])

@@ -73,6 +73,7 @@ def test_exit_64_usage_errors():
     assert run(["certify", "--spec", C32_SQ])[0] == 64  # no mode picked
     assert run(["dim-bound", "--spec", "factor { nope }"])[0] == 64
     assert run(["dim-bound"])[0] == 64  # no spec anywhere
+    assert run(["dim-bound", "--spec", C3, "--workers", "2"])[0] == 64  # no such flag
 
 
 @pytest.mark.parametrize("argv", [
@@ -154,6 +155,11 @@ def test_exit_64_on_bad_config_file(tmp_path):
     notjson = tmp_path / "notjson.json"
     notjson.write_text("[1, 2, 3]")
     assert run(["dim-bound", "--config", str(notjson)])[0] == 64
+    threads = tmp_path / "threads.json"
+    threads.write_text(json.dumps({"spec": C3, "workers": 2}))  # no such key
+    code, _, err = run(["dim-bound", "--config", str(threads)])
+    assert code == 64
+    assert "unknown config keys" in err
 
 
 def test_exit_65_on_budget_exhaustion():
@@ -172,6 +178,8 @@ def test_manifest_fields_present():
                        "--viewpoint=-1,0.5", "--mc", "5000",
                        "--angles", "32", "--seed", "11"])
     man = doc["manifest"]
+    assert sorted(man) == ["budget", "config", "outputs", "seed", "subcommand",
+                           "versions", "wall_time_s"]
     assert man["subcommand"] == "radial-density"
     assert man["seed"] == 11
     assert man["config"]["argv"][0] == "radial-density"
@@ -281,6 +289,22 @@ def test_dim_bound_refuses_an_over_budget_theta_grid_before_building_it(spec):
                           capture_output=True, text=True, preexec_fn=_cap_address_space)
     assert proc.returncode == 65, proc.stderr
     assert "f(theta) residues" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.skipif(resource is None, reason="needs the resource module")
+@pytest.mark.parametrize("argv", [
+    ["stripe-scan", "--radius", "2000"],
+    ["linear-density", "--direction", "1,2", "--tmax", "5e6"],
+    ["slab-integral", "--direction", "1,2", "--tmax", "2e7"],
+])
+def test_fourier_chain_refuses_transform_levels_before_building_points(argv):
+    # each would build 300-600 MiB of frequency points before the
+    # transform charged them; the refusal must come first
+    proc = subprocess.run([sys.executable, "-m", "missingdigits", *argv, "--spec", C32_SQ],
+                          capture_output=True, text=True, preexec_fn=_cap_address_space)
+    assert proc.returncode == 65, proc.stderr
+    assert "transform levels" in proc.stderr
     assert "Traceback" not in proc.stderr
 
 
@@ -399,8 +423,7 @@ FUZZ_FLAGS = {
 @st.composite
 def fuzz_argv(draw):
     sub = draw(st.sampled_from(sorted(FUZZ_FLAGS)))
-    # one worker, so no drawn count can start a thread pool
-    argv = [sub, "--workers", "1", "--budget", draw(st.sampled_from(["1", "1000", "100000"]))]
+    argv = [sub, "--budget", draw(st.sampled_from(["1", "1000", "100000"]))]
     if sub != "graham":
         argv += ["--spec", draw(st.sampled_from(FUZZ_SPECS))]
     flags = FUZZ_FLAGS[sub]
@@ -427,5 +450,7 @@ def test_fuzzed_argv_exits_cleanly(argv):
     code, out, err = run(argv)  # any exception other than SystemExit fails here
     assert code in (0, 1, 2, 64, 65), (argv, code, err)
     assert "Traceback" not in err
+    # every drawn flag exists, so argparse never refuses the argv whole
+    assert "unrecognized arguments" not in err, argv
     if code == 1:
         assert _negative_result(json.loads(out)["result"]), argv

@@ -7,6 +7,7 @@ from missingdigits import (BudgetExceededError, EvalBudget, digit_symbol,
                            explicit_spec, fourier_oracle, fourier_transform,
                            fourier_transform_batch, lebesgue_spec, square,
                            truncation_depth)
+from missingdigits.fourier import transform_levels
 from missingdigits.measure import as_product
 
 C3 = explicit_spec(3, [0, 2])
@@ -164,3 +165,20 @@ def test_budget_exhaustion():
     xi = RNG.uniform(-100, 100, size=(4000, 2))
     with pytest.raises(BudgetExceededError):
         fourier_transform_batch(C52, xi, budget=EvalBudget(500))
+
+
+def test_batch_charges_its_transform_levels_before_any_work():
+    # per point, each factor's depth at its largest norm (at least one
+    # level), at that factor's half of tol
+    xi = RNG.uniform(-100, 100, size=(300, 2))
+    levels = sum(max(truncation_depth(f, float(np.abs(xi[:, i]).max()), 0.5e-9), 1)
+                 for i, f in enumerate(as_product(C52).factors))
+    assert transform_levels(C52, xi) == levels
+    budget = EvalBudget()
+    fourier_transform_batch(C52, xi, budget=budget)
+    assert budget.spent == 300 * levels
+    # one cell short: refused whole, nothing charged
+    short = EvalBudget(300 * levels - 1)
+    with pytest.raises(BudgetExceededError, match="transform levels"):
+        fourier_transform_batch(C52, xi, budget=short)
+    assert short.spent == 0

@@ -1,8 +1,12 @@
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from missingdigits import projection
+from missingdigits.fourier import transform_levels
+from missingdigits.measure import sample
 from missingdigits import (BudgetExceededError, ConfigError, DensityProfile,
                            EvalBudget, ProfileAxis, ProfileMethod, TubeSpec,
                            exceptional_directions, explicit_spec,
@@ -144,6 +148,38 @@ def test_radial_profile_metadata_and_enclosures():
     assert profile.metadata["delta"] == pytest.approx(3.0 ** -3)
 
 
+def _machine_with(monkeypatch, cores) -> list:
+    """Pretend the machine has `cores` cores; returns the list of thread
+    counts the pools of projection are then built with."""
+    sizes = []
+
+    class Recording(ThreadPoolExecutor):
+        def __init__(self, threads):
+            sizes.append(threads)
+            super().__init__(threads)
+
+    monkeypatch.setattr(projection.os, "cpu_count", lambda: cores)
+    monkeypatch.setattr(projection, "ThreadPoolExecutor", Recording)
+    return sizes
+
+
+# three chunks, so three cores run them all at once
+MC_SAMPLES = 2 * projection._MC_CHUNK + 1000
+
+
+def test_radial_profile_independent_of_worker_count(monkeypatch):
+    # 200 angles make four blocks of at most 64
+    profiles = []
+    for cores in (1, 3):
+        sizes = _machine_with(monkeypatch, cores)
+        profiles.append(radial_tube_profile(C32, (-1.0, 0.5), 3.0 ** -3, 200))
+        assert sizes == [cores]
+    a, b = profiles
+    assert np.array_equal(a.metadata["lower"], b.metadata["lower"])
+    assert np.array_equal(a.metadata["upper"], b.metadata["upper"])
+    assert np.array_equal(a.values, b.values)
+
+
 def test_radial_l2_norm_stability_references():
     # Lebesgue: delta-stable; atom: grows at least 2x per delta step
     leb = [radial_l2_norm(LEB2, (-1.0, -1.0), 3.0 ** -k, 250) for k in (3, 4)]
@@ -169,9 +205,13 @@ def test_radial_mc_matches_analytic_density():
     assert abs(profile.mass - 1.0) <= 0.02
 
 
-def test_radial_mc_independent_of_worker_count():
-    a = radial_density_mc(C32, (-1.0, 0.5), 100_000, 0.01, seed=3, workers=1)
-    b = radial_density_mc(C32, (-1.0, 0.5), 100_000, 0.01, seed=3, workers=3)
+def test_radial_mc_independent_of_worker_count(monkeypatch):
+    profiles = []
+    for cores in (1, 3):
+        sizes = _machine_with(monkeypatch, cores)
+        profiles.append(radial_density_mc(C32, (-1.0, 0.5), MC_SAMPLES, 0.01, seed=3))
+        assert sizes == [cores]
+    a, b = profiles
     assert np.array_equal(a.values, b.values)
     assert np.array_equal(a.grid, b.grid)
 
@@ -245,10 +285,38 @@ def test_linear_density_refuses_unequal_or_single_point_grid():
             linear_density(LEB2, (1.0, 1.0), grid, 81.0, budget=EvalBudget(1))
 
 
-def test_linear_mc_independent_of_worker_count():
-    a = linear_density_mc(C32, (2.0, 1.0), 80_000, 0.01, seed=6, workers=1)
-    b = linear_density_mc(C32, (2.0, 1.0), 80_000, 0.01, seed=6, workers=4)
+def test_linear_mc_independent_of_worker_count(monkeypatch):
+    theta = np.array([2.0, 1.0]) / math.sqrt(5.0)
+    depth, seed, chunk = 6, 6, projection._MC_CHUNK
+    # serial reference: chunk i drawn with seed (seed, i), chunks in order
+    serial = np.concatenate([
+        sample(C32, depth, min(chunk, MC_SAMPLES - start), seed=(seed, i)) @ theta
+        for i, start in enumerate(range(0, MC_SAMPLES, chunk))])
+    profiles = []
+    for cores in (1, 3):
+        sizes = _machine_with(monkeypatch, cores)
+        offsets = projection._mc_offsets(C32, depth, MC_SAMPLES, seed,
+                                         lambda pts: pts @ theta, EvalBudget())
+        assert np.array_equal(offsets, serial)
+        profiles.append(linear_density_mc(C32, (2.0, 1.0), MC_SAMPLES, 0.01, seed=seed))
+        assert sizes == [cores, cores]
+    a, b = profiles
     assert np.array_equal(a.values, b.values)
+
+
+def test_linear_density_checks_the_ray_levels_it_is_charged():
+    theta = np.array([1.0, 2.0]) / math.sqrt(5.0)
+    ledger = _Ledger()
+    linear_density(C32, theta, np.linspace(0.0, 1.0, 11), 100.0, budget=ledger)
+    steps = 400
+    assert ledger.cells["transform levels"] == (
+        (2 * steps + 1) * transform_levels(C32, steps * 0.25 * theta))
+    # the same check refuses a ray whose levels the budget cannot pay for
+    ray = ledger.cells["ray inversion"]
+    budget = EvalBudget(ray + (2 * steps + 1) * 10)
+    with pytest.raises(BudgetExceededError, match="transform levels"):
+        linear_density(C32, theta, np.linspace(0.0, 1.0, 11), 100.0, budget=budget)
+    assert budget.spent == ray
 
 
 # ------------------------------------------------------------ lattice sums
@@ -337,6 +405,25 @@ def test_stripe_net_multiplicity_bounded():
 
 
 # -------------------------------------------------------------------- slab
+
+
+def test_slab_walked_in_blocks_matches_one_block(monkeypatch):
+    theta = (1.0, 1.2345)
+    whole = slab_integral(C32, theta, 2048.0)
+    monkeypatch.setattr(projection, "_SLAB_BLOCK", 97)
+    blocked = slab_integral(C32, theta, 2048.0)
+    assert blocked == whole
+
+
+def test_slab_refused_once_its_kept_points_outgrow_the_budget(monkeypatch):
+    # about half the columns of direction (1, 2) lie in the slab; the
+    # refusal comes from the running check, before the transform
+    monkeypatch.setattr(projection, "fourier_transform_batch",
+                        lambda *args: pytest.fail("slab transformed past the budget"))
+    budget = EvalBudget(100_000)
+    with pytest.raises(BudgetExceededError, match="transform levels"):
+        slab_integral(C32, (1.0, 2.0), 20_000.0, budget=budget)
+    assert budget.spent == 0
 
 
 def test_slab_flags_split_by_direction():
