@@ -6,7 +6,7 @@ restrictions in several bases."""
 from .budget import DEFAULT_BUDGET, EvalBudget
 from .certify import (CertificateReport, Theorem, Verdict, certify_linear,
                       certify_radial_Lp, preset)
-from .cylinders import AxisBox, TubeSpec, cylinder_mass
+from .cylinders import AxisBox, TubeSpec, cylinder_mass, ray_tube_masses
 from .dimension import (BoundKind, DimensionBound, best_lower_bound,
                         crude_bound, f_theta, grid_lower_bound, l2_dimension,
                         partial_sum_S_k, rectangle_bound, sup_f)
@@ -48,7 +48,7 @@ __all__ = [
     "linear_density", "linear_density_mc", "lp_criterion_integral",
     "parse_spec", "parse_system", "partial_sum_S_k", "preset", "product",
     "profile_l1_distance", "radial_density_mc", "radial_l2_norm",
-    "radial_tube_density", "radial_tube_profile", "rectangle_bound",
+    "radial_tube_density", "radial_tube_profile", "ray_tube_masses", "rectangle_bound",
     "sample", "slab_integral", "square", "stripe_integral", "stripe_scan",
     "sup_f", "system", "total_dim", "truncation_depth", "tube_mass_mc",
 ]

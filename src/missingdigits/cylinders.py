@@ -63,6 +63,16 @@ class AxisBox:
         return out
 
 
+def _unit(theta) -> tuple:
+    theta = np.atleast_1d(np.asarray(theta, dtype=float))
+    if theta.shape != (2,):
+        raise ValueError("tubes are two-dimensional")
+    norm = float(np.hypot(theta[0], theta[1]))
+    if norm == 0.0:
+        raise ValueError("tube direction must be nonzero")
+    return (theta[0] / norm, theta[1] / norm)
+
+
 @dataclass(frozen=True)
 class TubeSpec:
     """Closed tube {y : |(y-x).theta| <= half_length, |(y-x).perp| <=
@@ -78,12 +88,9 @@ class TubeSpec:
 
     def __init__(self, x, theta, half_width, half_length=None):
         x = tuple(float(v) for v in np.atleast_1d(x))
-        theta = np.atleast_1d(np.asarray(theta, dtype=float))
-        if len(x) != 2 or theta.shape != (2,):
+        if len(x) != 2:
             raise ValueError("tubes are two-dimensional")
-        norm = float(np.hypot(theta[0], theta[1]))
-        if norm == 0.0:
-            raise ValueError("tube direction must be nonzero")
+        theta = _unit(theta)
         if half_length is None:
             half_length = float(np.hypot(x[0], x[1])) + math.sqrt(2.0)
         if half_width <= 0 or half_length <= 0:
@@ -91,9 +98,22 @@ class TubeSpec:
         if half_width > half_length:
             raise ValueError("tube half-width cannot exceed its half-length")
         object.__setattr__(self, "x", x)
-        object.__setattr__(self, "theta", (theta[0] / norm, theta[1] / norm))
+        object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "half_width", float(half_width))
         object.__setattr__(self, "half_length", float(half_length))
+
+    @classmethod
+    def ray(cls, x, angle: float, half_width: float) -> "TubeSpec":
+        """The tube of f_delta(angle) seen from x: half-width half_width
+        around the ray from x in direction angle, reaching |x| + sqrt(2)
+        forward (past every point of the unit square) and not behind x.
+        A tube centred at x would also reach behind the viewpoint and
+        count mass lying in direction angle + pi."""
+        x = np.asarray(x, dtype=float)
+        reach = float(np.hypot(x[0], x[1])) + math.sqrt(2.0)
+        theta = _unit((math.cos(angle), math.sin(angle)))
+        center = x + np.asarray(theta) * (reach / 2.0)
+        return cls(center, theta, half_width, max(reach / 2.0, half_width))
 
     @property
     def dim(self) -> int:
@@ -102,32 +122,95 @@ class TubeSpec:
     def perp(self) -> tuple:
         return (-self.theta[1], self.theta[0])
 
+    def frame(self) -> np.ndarray:
+        """center, direction and normal: [cx, cy, tx, ty, wx, wy]."""
+        return np.array([*self.x, *self.theta, *self.perp()])
+
     def classify(self, lows: np.ndarray, sides: np.ndarray) -> np.ndarray:
-        t = np.asarray(self.theta)
-        w = np.asarray(self.perp())
-        x = np.asarray(self.x)
-        L, d = self.half_length, self.half_width
-        half = sides / 2.0
-        centers = lows + half - x
+        terms = _tube_terms(self.frame(), sides, self.half_length, self.half_width)
+        return _tube_codes(lows[:, 0], lows[:, 1], sides, terms,
+                           self.half_length, self.half_width)
 
-        proj_t = centers @ t
-        proj_w = centers @ w
-        rad_t = half @ np.abs(t)
-        rad_w = half @ np.abs(w)
 
-        inside = (np.abs(proj_t) + rad_t <= L) & (np.abs(proj_w) + rad_w <= d)
-        # Separating axes: the tube's own two axes and the box axes.
-        sep = (np.abs(proj_t) - rad_t > L) | (np.abs(proj_w) - rad_w > d)
-        tube_ext = L * np.abs(t) + d * np.abs(w)
-        sep |= (np.abs(centers) - half > tube_ext).any(axis=1)
+def _tube_terms(frames, sides, half_length, half_width) -> np.ndarray:
+    """Frames (TubeSpec.frame: (6,) for one tube, (6, N) for N) with the
+    per-tube terms of _tube_codes for boxes of the given sides
+    appended: the box's radius along the tube's axes and the tube's
+    extent along the box's axes."""
+    hx, hy = sides / 2.0
+    atx, aty, awx, awy = np.abs(frames[2:])
+    return np.stack([*frames, hx * atx + hy * aty, hx * awx + hy * awy,
+                     half_length * atx + half_width * awx,
+                     half_length * aty + half_width * awy])
 
-        out = np.full(lows.shape[0], STRADDLE, dtype=np.int8)
-        out[sep] = OUTSIDE
-        out[inside] = INSIDE
-        return out
+
+def _tube_codes(low_x, low_y, sides, terms, half_length, half_width) -> np.ndarray:
+    """OUTSIDE/INSIDE/STRADDLE codes of the boxes with low corners
+    (low_x, low_y) and the given sides against tubes of the given
+    half-sides: one tube with (10,) terms (_tube_terms), or one tube per
+    box with (10, N) terms.
+
+    Every product is written out elementwise, so a box's code depends
+    on its own row alone and not on where it sits in the frontier (a
+    BLAS matrix-vector product may round a row differently by
+    position)."""
+    L, d = half_length, half_width
+    hx, hy = sides / 2.0
+    ox, oy, tx, ty, wx, wy, rad_t, rad_w, ext_x, ext_y = terms
+    cx = low_x + hx - ox
+    cy = low_y + hy - oy
+    proj_t = np.abs(cx * tx + cy * ty)
+    proj_w = np.abs(cx * wx + cy * wy)
+
+    inside = (proj_t + rad_t <= L) & (proj_w + rad_w <= d)
+    # Separating axes: the tube's own two axes and the box axes.
+    sep = (proj_t - rad_t > L) | (proj_w - rad_w > d)
+    sep |= np.abs(cx) - hx > ext_x
+    sep |= np.abs(cy) - hy > ext_y
+
+    out = np.full(cx.shape, STRADDLE, dtype=np.int8)
+    out[sep] = OUTSIDE
+    out[inside] = INSIDE
+    return out
 
 
 Region = AxisBox | TubeSpec
+
+
+class _Tree:
+    """Level geometry of the cylinder tree of a product spec."""
+
+    def __init__(self, spec: Spec):
+        prod = as_product(spec)
+        self.n = prod.total_dim
+        self.mats = [f.digit_matrix().astype(np.float64) for f in prod.factors]
+        self.bases = [float(f.p_int()) for f in prod.factors]
+        self.counts = [m.shape[0] for m in self.mats]
+        self.slices = prod.factor_slices()
+        self.branching = math.prod(self.counts)
+
+    def sides(self, level: int) -> np.ndarray:
+        sides = np.empty(self.n, dtype=np.float64)
+        for base, sl in zip(self.bases, self.slices):
+            sides[sl] = base ** -level
+        return sides
+
+    def mass(self, level: int) -> float:
+        mass = 1.0
+        for c in self.counts:
+            mass *= float(c) ** -level
+        return mass
+
+    def offsets(self, level: int) -> np.ndarray:
+        """Low corners of a depth-(level-1) box's digit children,
+        relative to its own, for level >= 1."""
+        offsets = np.zeros((1, self.n), dtype=np.float64)
+        for mat, base, sl in zip(self.mats, self.bases, self.slices):
+            block = mat * base ** -level
+            reps = offsets.shape[0]
+            offsets = np.repeat(offsets, block.shape[0], axis=0)
+            offsets[:, sl] += np.tile(block, (reps, 1))
+        return offsets
 
 
 def cylinder_mass(
@@ -144,31 +227,21 @@ def cylinder_mass(
     straddling box.  Enclosures at greater depth are nested within
     shallower ones.
     """
-    prod = as_product(spec)
-    n = prod.total_dim
+    tree = _Tree(spec)
+    n = tree.n
     if region.dim != n:
         raise ValueError(f"region dimension {region.dim} != spec dimension {n}")
     if depth < 0:
         raise ValueError("depth must be >= 0")
     bud = ensure_budget(budget)
 
-    mats = [f.digit_matrix().astype(np.float64) for f in prod.factors]
-    bases = [float(f.p_int()) for f in prod.factors]
-    counts = [m.shape[0] for m in mats]
-    slices = prod.factor_slices()
-
     lows = np.zeros((1, n), dtype=np.float64)
     lower = 0.0
     upper = 0.0
     for level in range(depth + 1):
-        sides = np.empty(n, dtype=np.float64)
-        for base, sl in zip(bases, slices):
-            sides[sl] = base ** -level
         bud.charge(lows.shape[0], "cylinder classifications")
-        codes = region.classify(lows, sides)
-        mass = 1.0
-        for c in counts:
-            mass *= float(c) ** -level
+        codes = region.classify(lows, tree.sides(level))
+        mass = tree.mass(level)
         n_inside = int((codes == INSIDE).sum())
         lower += n_inside * mass
         upper += n_inside * mass
@@ -177,13 +250,314 @@ def cylinder_mass(
             upper += undecided.shape[0] * mass
             break
         # Expand straddling boxes into their digit children.
-        offsets = np.zeros((1, n), dtype=np.float64)
-        for mat, base, sl in zip(mats, bases, slices):
-            step = base ** -(level + 1)
-            block = mat * step
-            reps = offsets.shape[0]
-            offsets = np.repeat(offsets, block.shape[0], axis=0)
-            offsets[:, sl] += np.tile(block, (reps, 1))
+        offsets = tree.offsets(level + 1)
         bud.charge(undecided.shape[0] * offsets.shape[0], "cylinder expansions")
         lows = (undecided[:, None, :] + offsets[None, :, :]).reshape(-1, n)
+    return lower, upper
+
+
+# Children built and classified at once by ray_tube_masses.
+_CHILD_BLOCK = 1 << 13
+
+# Smallest angular guard (radians) around a closed-form run endpoint.
+_ANGLE_GUARD = 1e-9
+
+# Boxes with at most this many angles in their runs cost less pair by
+# pair than by the closed form.
+_SHORT_RUN = 2
+
+
+def _ragged_arange(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The concatenation of arange(s, s + c) over zip(starts, counts)."""
+    begins = np.cumsum(counts) - counts
+    return np.arange(int(counts.sum())) - np.repeat(begins - starts, counts)
+
+
+class _AngleGrid:
+    """Index lookups on a strictly increasing angle grid: a bucket table
+    four times finer than the mean spacing, then steps to the exact
+    index, in place of a binary search per angle."""
+
+    def __init__(self, grid: np.ndarray):
+        self.grid = grid
+        # padded[i + 2] is grid[i]
+        self.padded = np.concatenate([[-np.inf, -np.inf], grid, [np.inf, np.inf]])
+        buckets = 4 * grid.shape[0]
+        span = grid[-1] - grid[0]
+        self.scale = buckets / span if span > 0 else 0.0
+        starts = grid[0] + np.arange(buckets + 1) / self.scale if span > 0 else grid[:1]
+        self.first = np.searchsorted(grid, starts)
+
+    def left(self, end: np.ndarray) -> np.ndarray:
+        """np.searchsorted(grid, end) for finite end."""
+        at = np.clip((end - self.grid[0]) * self.scale, 0, self.first.shape[0] - 1)
+        j = self.first[at.astype(np.int64)]
+        while (down := (j > 0) & (self.padded[j + 1] >= end)).any():
+            j -= down
+        while (up := self.padded[j + 2] < end).any():
+            j += up
+        return j
+
+    def window(self, end: np.ndarray, guard: np.ndarray) -> tuple:
+        """The index range [lo, hi) of the grid angles within guard of
+        end: searchsorted(grid, end - guard, "left") and
+        searchsorted(grid, end + guard, "right"), from one lookup of end
+        when the range holds at most the two grid angles around end."""
+        lo_end, hi_end = end - guard, end + guard
+        padded = self.padded
+        j = self.left(end)
+        lo = j - (padded[j + 1] >= lo_end)
+        hi = j + (padded[j + 2] <= hi_end)
+        wide = np.flatnonzero((padded[lo + 1] >= lo_end) | (padded[hi + 2] <= hi_end))
+        lo[wide] = np.searchsorted(self.grid, lo_end[wide], side="left")
+        hi[wide] = np.searchsorted(self.grid, hi_end[wide], side="right")
+        return lo, hi
+
+
+def ray_tube_masses(spec: Spec, x, half_width: float, angles, depth: int,
+                    budget: EvalBudget | None = None) -> tuple:
+    """Arrays lower, upper with [lower[i], upper[i]] =
+    cylinder_mass(spec, TubeSpec.ray(x, angles[i], half_width), depth),
+    bit for bit, from one descent of the cylinder tree shared by all
+    angles, which must increase strictly.
+
+    Each box carries the runs of angle indices for which its parent
+    straddles the tube; the root carries all of them.  Seen from x, a
+    box lies inside the ray's tube exactly for angles in
+    [max_k(phi_k - a_k), min_k(phi_k + a_k)] and meets it exactly for
+    angles in [min_k(phi_k - a_k), max_k(phi_k + a_k)], where phi_k is
+    the angle of corner k from x, r_k its distance and
+    a_k = asin(half_width / r_k).  That holds while every angle of the
+    run is within pi/2 of every corner angle.  The exact per-box
+    predicate of cylinder_mass takes over, so that every code agrees
+    with it, for angles within a rounding guard of an endpoint, for runs
+    outside that domain, for the INSIDE range of a box with a corner at
+    the tube's far end (a tie there) and for boxes whose runs hold at
+    most _SHORT_RUN angles; those take all siblings of an angle at once.
+    INSIDE and STRADDLE counts per angle are added up per level in
+    difference arrays, and lower and upper are formed from them in
+    cylinder_mass's level order.
+
+    Boxes are refined level by level in blocks of at most _CHILD_BLOCK
+    children, and a block's straddling children are refined before the
+    next block, so memory stays bounded by depth blocks.  Budget: one
+    "cylinder classifications" cell per box and one per exactly
+    classified (box, angle) pair; each block's box count is checked
+    before any box of it is built.
+    """
+    tree = _Tree(spec)
+    if tree.n != 2:
+        raise ValueError("ray tubes are two-dimensional")
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
+    grid = np.asarray(angles, dtype=np.float64)
+    if grid.ndim != 1 or grid.shape[0] == 0 or not np.all(np.isfinite(grid)) \
+            or not np.all(np.diff(grid) > 0):
+        raise ValueError("angles must be a nonempty strictly increasing 1-D array")
+    count = grid.shape[0]
+    bud = ensure_budget(budget)
+    x = np.asarray(x, dtype=np.float64)
+    lookup = _AngleGrid(grid)
+
+    frames = np.empty((6, count))
+    for i, angle in enumerate(grid.tolist()):
+        tube = TubeSpec.ray(x, angle, half_width)
+        frames[:, i] = tube.frame()
+    half_length = tube.half_length
+    reach = float(np.hypot(x[0], x[1])) + math.sqrt(2.0)
+    # A distance far above the rounding of the exact predicate and of
+    # the closed form, both some 1e-16 of the coordinates' scale.
+    tol = 1e-12 * (reach + float(np.abs(x).max()) + 1.0)
+    far = reach / 2.0 + half_length - tol
+    # Corner angles are measured from the grid's mid angle, so they
+    # fall on the grid's branch.
+    mid_angle = 0.5 * (grid[0] + grid[-1])
+    cos_mid, sin_mid = math.cos(mid_angle), math.sin(mid_angle)
+
+    def formula(lows, sides):
+        """Per box: the cut points of the guard windows around its four
+        run endpoints in angle order, whether INSIDE lies between the
+        middle two, and the angle range [first, last] of its domain."""
+        dx, dy = lows[0] - x[0], lows[1] - x[1]
+        u, v = dx * cos_mid + dy * sin_mid, dy * cos_mid - dx * sin_mid
+        su, sv = sides[0] * cos_mid, -sides[0] * sin_mid
+        tu, tv = sides[1] * sin_mid, sides[1] * cos_mid
+        ends = None
+        for cu, cv in ((u, v), (u + su, v + sv), (u + tu, v + tv), (u + su + tu, v + sv + tv)):
+            r = np.sqrt(cu * cu + cv * cv)
+            phi = np.arctan2(cv, cu) + mid_angle
+            with np.errstate(divide="ignore"):
+                a = np.arcsin(np.minimum(half_width / r, 1.0))
+            corner = (phi - a, phi - a, phi + a, phi + a, phi, phi, r, r)
+            ends = corner if ends is None else [
+                np.minimum(old, new) if at % 2 == 0 else np.maximum(old, new)
+                for at, (old, new) in enumerate(zip(ends, corner))]
+        e1, e2, e3, e4, phi_min, phi_max, r_min, r_max = ends
+        slack = (r_min - half_width) * (r_min + half_width)
+        with np.errstate(divide="ignore"):
+            guard = np.maximum(_ANGLE_GUARD, tol / np.sqrt(np.maximum(slack, 0.0)))
+        # A corner at the tube's far end makes the INSIDE decision a tie
+        # there: the windows around e2 and e3 then cover [e2, e3] whole.
+        inner = np.where((r_max > far) & (e2 <= e3), guard + (e3 - e2), guard)
+        cuts = np.empty((8, lows.shape[1]), dtype=np.int64)
+        for row, (end, width) in enumerate(((e1, guard), (np.minimum(e2, e3), inner),
+                                            (np.maximum(e2, e3), inner), (e4, guard))):
+            cuts[2 * row], cuts[2 * row + 1] = lookup.window(end, width)
+        first = phi_max - math.pi / 2.0 + guard
+        last = phi_min + math.pi / 2.0 - guard
+        return cuts, e2 <= e3, first, last
+
+    def add_runs(diff, lo, hi, weight=1):
+        np.add.at(diff, lo, weight)
+        np.add.at(diff, hi, -weight)
+
+    def exact_codes(level, lows, node, ang):
+        """Codes of the boxes lows[:, node] against the tubes of the
+        angle indices ang (broadcast against node) by the exact
+        predicate, one budget cell each."""
+        bud.charge(node.size, "cylinder classifications")
+        fixed = np.take(fixed_terms, ang, axis=1)
+        terms = (*fixed[:6], *np.take(radii[level], ang, axis=1), *fixed[6:])
+        return _tube_codes(np.take(lows[0], node), np.take(lows[1], node), tree.sides(level),
+                           terms, half_length, half_width)
+
+    def classify(level, lows, run_node, run_lo, run_hi, straddle_diff):
+        """Add the INSIDE pieces of the runs [run_lo, run_hi) of the
+        level-`level` boxes run_node, by the closed form, to that level's
+        difference array.  Add their STRADDLE pieces to straddle_diff
+        when one is given; else return them as (run, lo, hi),
+        unordered."""
+        inside_diff = inside_diffs[level]
+        straddle = []
+
+        def add_straddle(run, lo, hi):
+            if straddle_diff is not None:
+                add_runs(straddle_diff, lo, hi)
+            else:
+                some = hi > lo
+                straddle.append((run[some], lo[some], hi[some]))
+
+        has = np.bincount(run_node, minlength=lows.shape[1]) > 0
+        cuts, middle, first, last = formula(lows[:, has], tree.sides(level))
+        f = (np.cumsum(has) - 1)[run_node]
+        closed, s, e = np.arange(run_lo.shape[0]), run_lo, run_hi
+        ok = (grid[s] >= first[f]) & (grid[e - 1] <= last[f])
+        exact = [(closed[~ok], s[~ok], e[~ok])]
+        closed, f, s, e = closed[ok], f[ok], s[ok], e[ok]
+        # p[0] <= ... <= p[7]: the cuts clipped to the run; the windows
+        # [p0, p1), [p2, p3), [p4, p5), [p6, p7) are exact.
+        p, prev = [], s
+        for row in cuts:
+            prev = np.minimum(np.maximum(row[f], prev), e)
+            p.append(prev)
+        for a, b in ((0, 1), (2, 3), (4, 5), (6, 7)):
+            some = np.flatnonzero(p[b] > p[a])
+            exact.append((closed[some], p[a][some], p[b][some]))
+        mid = middle[f]
+        add_runs(inside_diff, p[3][mid], p[4][mid])
+        add_straddle(closed[~mid], p[3][~mid], p[4][~mid])
+        add_straddle(closed, p[1], p[2])
+        add_straddle(closed, p[5], p[6])
+
+        run, lo, hi = (np.concatenate(part) for part in zip(*exact))
+        widths = hi - lo
+        run = np.repeat(run, widths)
+        ang = _ragged_arange(lo, widths)
+        codes = exact_codes(level, lows, run_node[run], ang)
+        hit = ang[codes == INSIDE]
+        add_runs(inside_diff, hit, hit + 1)
+        hit = codes == STRADDLE
+        add_straddle(run[hit], ang[hit], ang[hit] + 1)
+        if straddle_diff is None:
+            return (np.concatenate(part) for part in zip(*straddle))
+
+    def blocks(level, parents, run_node, run_lo, run_hi):
+        """Split parents whose children sit at `level`, their runs grouped
+        by parent, into blocks of at most _CHILD_BLOCK children (or one
+        parent)."""
+        step = max(1, _CHILD_BLOCK // (tree.branching if level else 1))
+        for q0 in range(0, parents.shape[1], step):
+            q1 = min(q0 + step, parents.shape[1])
+            r0, r1 = np.searchsorted(run_node, [q0, q1])
+            yield (level, parents[:, q0:q1], run_node[r0:r1] - q0,
+                   run_lo[r0:r1], run_hi[r0:r1])
+
+    inside_diffs = np.zeros((depth + 1, count + 1), dtype=np.int64)
+    straddle_diff = np.zeros(count + 1, dtype=np.int64)
+    kids = {0: np.zeros((2, 1))}
+    # The terms of _tube_codes for every angle; of them only the box's
+    # radii along the tube's axes (rows 6 and 7) depend on the level.
+    terms = _tube_terms(frames, tree.sides(0), half_length, half_width)
+    fixed_terms = terms[[0, 1, 2, 3, 4, 5, 8, 9]]
+    radii = {0: terms[6:8].copy()}
+    # Blocks still to refine, the newest first.  The root is the only
+    # child of a parent with low corner 0 and one run of all angles.
+    todo = list(blocks(0, np.zeros((2, 1)), np.zeros(1, dtype=np.int64),
+                       np.zeros(1, dtype=np.int64), np.full(1, count, dtype=np.int64)))
+    while todo:
+        level, parents, run_node, run_lo, run_hi = todo.pop()
+        k = tree.branching if level else 1
+        bud.check(parents.shape[1] * k, "cylinder classifications")
+        if level not in kids:
+            kids[level] = tree.offsets(level).T
+            radii[level] = _tube_terms(frames, tree.sides(level), half_length,
+                                       half_width)[6:8].copy()
+        lows = (parents[:, :, None] + kids[level][:, None, :]).reshape(2, -1)
+        bud.charge(lows.shape[1], "cylinder classifications")
+        last_level = level == depth
+        pieces = []
+        # Children of parents with at most _SHORT_RUN angles in their
+        # runs: every (angle, child) pair exactly, siblings together.
+        span = np.bincount(run_node, weights=run_hi - run_lo, minlength=parents.shape[1])
+        short = span[run_node] <= _SHORT_RUN
+        if short.any():
+            widths = run_hi[short] - run_lo[short]
+            ang = _ragged_arange(run_lo[short], widths)
+            node = np.repeat(run_node[short], widths)[:, None] * k + np.arange(k)
+            codes = exact_codes(level, lows, node, ang[:, None])
+            add_runs(inside_diffs[level], ang, ang + 1, (codes == INSIDE).sum(axis=1))
+            hit = codes == STRADDLE
+            if last_level:
+                add_runs(straddle_diff, ang, ang + 1, hit.sum(axis=1))
+            else:
+                at, kid = np.nonzero(hit)
+                pieces.append((node[at, kid], ang[at], ang[at] + 1))
+        if not short.all():
+            # Every child of the other parents inherits all their runs.
+            wide = ~short
+            per_parent = np.bincount(run_node[wide], minlength=parents.shape[1])
+            per_child = np.repeat(per_parent, k)
+            src = _ragged_arange(np.repeat(np.cumsum(per_parent) - per_parent, k), per_child)
+            src = np.flatnonzero(wide)[src]
+            child = np.repeat(np.arange(lows.shape[1]), per_child)
+            found = classify(level, lows, child, run_lo[src], run_hi[src],
+                             straddle_diff if last_level else None)
+            if not last_level:
+                run, lo, hi = found
+                pieces.append((child[run], lo, hi))
+        if last_level:
+            continue
+        # Runs in index order, adjacent pieces of one box merged.
+        node, lo, hi = (np.concatenate(part) for part in zip(*pieces))
+        order = np.argsort(node * (count + 1) + lo)
+        node, lo, hi = node[order], lo[order], hi[order]
+        start = np.ones(node.shape[0], dtype=bool)
+        start[1:] = (node[1:] != node[:-1]) | (lo[1:] != hi[:-1])
+        stop = np.empty_like(start)
+        stop[:-1] = start[1:]
+        stop[-1:] = True
+        node, lo, hi = node[start], lo[start], hi[stop]
+        hit = np.zeros(lows.shape[1], dtype=bool)
+        hit[node] = True
+        renumber = np.cumsum(hit) - 1
+        todo.extend(blocks(level + 1, lows[:, hit], renumber[node], lo, hi))
+
+    lower = np.zeros(count)
+    upper = np.zeros(count)
+    for level, diff in enumerate(inside_diffs):
+        inside = np.cumsum(diff[:-1])
+        mass = tree.mass(level)
+        lower += inside * mass
+        upper += inside * mass
+    upper += np.cumsum(straddle_diff[:-1]) * tree.mass(depth)
     return lower, upper

@@ -28,8 +28,9 @@ averaged.
 Monte-Carlo estimators (seeded, chunked, reproducible however their
 chunks are scheduled) provide cross-checks for both families, and
 annulus stripe sums detect the exceptional directions along which the
-lattice mass of |lambda_hat| refuses to decay.  Chunked work (tube
-angle blocks, Monte-Carlo draws) runs on one thread per core.
+lattice mass of |lambda_hat| refuses to decay.  Monte-Carlo draws run
+in chunks on one thread per core; a tube profile is one cylinder
+descent shared by all of its angles, on the calling thread.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .budget import EvalBudget, ensure_budget
-from .cylinders import TubeSpec, cylinder_mass
+from .cylinders import TubeSpec, cylinder_mass, ray_tube_masses
 from .errors import ConfigError
 from .fourier import fourier_transform_batch, transform_levels
 from .measure import Spec, as_product, sample, total_dim
@@ -212,7 +213,7 @@ def _corner_distances(x: np.ndarray) -> np.ndarray:
 
 def _map_chunks(fn, chunks) -> list:
     """[fn(c) for c in chunks], run on one thread per core (at most one
-    per chunk)."""
+    per chunk): the pool of the Monte-Carlo draws."""
     with ThreadPoolExecutor(min(os.cpu_count() or 1, len(chunks))) as pool:
         return list(pool.map(fn, chunks))
 
@@ -232,11 +233,15 @@ def _enumeration_depth(spec: Spec, scale: float) -> int:
 
 def radial_tube_density(spec: Spec, tube: TubeSpec, depth: int,
                         budget: EvalBudget | None = None) -> tuple:
-    """Enclosure [lower, upper] of f_delta(theta) = lambda(tube)/delta
-    for one tube of transverse half-width delta = tube.half_width.
+    """Enclosure [lower, upper] of lambda(tube)/delta for one tube of
+    transverse half-width delta = tube.half_width, centred at the
+    viewpoint tube.x, which must clear the unit square by at least delta.
 
-    The viewpoint must clear the unit square by at least delta, so the
-    tube meets the support only forward along the ray."""
+    A tube centred at the viewpoint also reaches behind it.
+    radial_tube_profile counts f_delta(theta) in the forward tube
+    TubeSpec.ray(x, theta, delta) instead; the two differ only where the
+    backward half reaches the square, as from a viewpoint hugging an
+    edge."""
     _require_plane(spec, "radial_tube_density")
     x = np.asarray(tube.x, dtype=float)
     if _square_clearance(x) < tube.half_width:
@@ -254,8 +259,14 @@ def radial_tube_profile(spec: Spec, x, delta: float, angle_grid_count: int,
     """Tube-density profile theta -> f_delta(theta) at enclosure
     midpoints, over the viewing sector of the unit square padded by two
     tube windows.  Lower/upper enclosure curves ride along in the
-    metadata.  As for radial_tube_density, the viewpoint must clear the
-    unit square by at least delta."""
+    metadata.  The viewpoint must clear the unit square by at least
+    delta.
+
+    f_delta(theta) counts the forward tube TubeSpec.ray(x, theta, delta).
+    All angles share one descent of the cylinder tree, run on the
+    calling thread (cylinders.ray_tube_masses).  Its enclosures equal
+    those of per-angle cylinder_mass bit for bit, and its cost follows
+    the tree's nodes rather than angles times nodes."""
     _require_plane(spec, "radial_tube_profile")
     x = np.asarray(x, dtype=float)
     if delta <= 0:
@@ -276,15 +287,8 @@ def radial_tube_profile(spec: Spec, x, delta: float, angle_grid_count: int,
     pad = 2.0 * delta / r_min
     grid = np.linspace(lo_a - pad, hi_a + pad, angle_grid_count)
 
-    def block(indices):
-        out = np.empty((len(indices), 2))
-        for row, i in enumerate(indices):
-            tube = TubeSpec(x, (math.cos(grid[i]), math.sin(grid[i])), delta)
-            out[row] = cylinder_mass(spec, tube, depth, bud)
-        return out
-
-    chunks = [range(s, min(s + 64, angle_grid_count)) for s in range(0, angle_grid_count, 64)]
-    bounds = np.concatenate(_map_chunks(block, chunks), axis=0) / delta
+    lower, upper = ray_tube_masses(spec, x, delta, grid, depth, bud)
+    bounds = np.stack([lower, upper], axis=1) / delta
     mid = bounds.mean(axis=1)
     meta = {
         "delta": delta,

@@ -454,3 +454,17 @@ def test_fuzzed_argv_exits_cleanly(argv):
     assert "unrecognized arguments" not in err, argv
     if code == 1:
         assert _negative_result(json.loads(out)["result"]), argv
+
+
+@pytest.mark.skipif(resource is None, reason="needs the resource module")
+def test_radial_density_refuses_a_level_of_the_tube_descent_before_building_it():
+    # 2^30 depth-1 children would take 16 GiB; their count is checked
+    # against the budget before any of them exists
+    big = "factor { base = 32768; digits = 0..32767; }"
+    proc = subprocess.run([sys.executable, "-m", "missingdigits", "radial-density",
+                           "--spec", f"{big} {big}", "--viewpoint=-1,-1", "--delta", "0.01",
+                           "--budget", "1000000"],
+                          capture_output=True, text=True, preexec_fn=_cap_address_space)
+    assert proc.returncode == 65, proc.stderr
+    assert "cylinder classifications needs 1073741824 cells" in proc.stderr
+    assert "Traceback" not in proc.stderr

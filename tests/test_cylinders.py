@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from missingdigits import (AxisBox, TubeSpec, cylinder_mass, explicit_spec,
-                           lebesgue_spec, square, tube_mass_mc)
+                           lebesgue_spec, ray_tube_masses, square, tube_mass_mc)
+from missingdigits.cylinders import _AngleGrid
 
 C32 = square(explicit_spec(3, [0, 2]))
 LEB2 = lebesgue_spec(3, 2)
@@ -56,6 +59,32 @@ def test_tube_normalizes_direction_and_defaults_length():
     assert tube.half_length == pytest.approx(2.0 + math.sqrt(2.0), abs=1e-12)
     px, py = tube.perp()
     assert px * tube.theta[0] + py * tube.theta[1] == pytest.approx(0.0, abs=1e-12)
+
+
+def test_ray_tube_reaches_forward_only():
+    x = (0.5, -0.01)
+    tube = TubeSpec.ray(x, 2.0, 0.01)  # up-left, across the square
+    back = TubeSpec.ray(x, 2.0 - math.pi, 0.01)  # down-right, away from it
+    assert tube.half_length == pytest.approx((math.hypot(*x) + math.sqrt(2.0)) / 2.0)
+    along = np.subtract(x, tube.x) @ np.asarray(tube.theta)
+    assert along == pytest.approx(-tube.half_length)  # x is the tube's back end
+    assert cylinder_mass(LEB2, tube, depth=5)[0] > 0.01
+    assert cylinder_mass(LEB2, back, depth=5) == (0.0, 0.0)
+
+
+def test_ray_tube_wider_than_long_keeps_half_width_within_half_length():
+    tube = TubeSpec.ray((-100.0, -100.0), 0.8, 200.0)
+    assert tube.half_length == 200.0
+
+
+def test_tube_codes_of_a_box_do_not_depend_on_its_row():
+    rng = np.random.default_rng(4)
+    lows = rng.random((4099, 2))
+    sides = np.array([3.0 ** -4, 3.0 ** -4])
+    tube = TubeSpec.ray((-0.7, 0.3), 0.21, 0.05)
+    codes = tube.classify(lows, sides)
+    assert np.array_equal(codes[1:], tube.classify(lows[1:], sides))
+    assert all(tube.classify(lows[i:i + 1], sides)[0] == codes[i] for i in range(0, 4099, 97))
 
 
 def test_tube_validation():
@@ -115,3 +144,64 @@ def test_tube_mass_monotone_in_half_width():
         tube = TubeSpec((-1.0, 0.2), (1.0, 0.3), half_width=delta)
         masses.append(cylinder_mass(C32, tube, depth=6)[1])
     assert masses == sorted(masses)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(delta=st.floats(0.02, 0.2), heading=st.floats(-math.pi, math.pi),
+       offset=st.floats(-0.3, 0.3), depth=st.integers(3, 5))
+def test_ray_tube_enclosures_nest_by_depth_and_bracket_monte_carlo(delta, heading,
+                                                                   offset, depth):
+    x = (0.5 - 1.5 * math.cos(heading), 0.5 - 1.5 * math.sin(heading))
+    tube = TubeSpec.ray(x, heading + offset, delta)
+    lo, hi = cylinder_mass(C32, tube, depth)
+    lo_next, hi_next = cylinder_mass(C32, tube, depth + 1)
+    assert lo <= lo_next <= hi_next <= hi
+    p_hat, sigma = tube_mass_mc(C32, tube, samples=20_000, seed=depth)
+    assert lo_next - 4 * sigma <= p_hat <= hi_next + 4 * sigma
+
+
+@pytest.mark.parametrize("x", [(0.5, 0.5), (0.0, 0.0), (1.0, 0.3), (-1.0, -1.0), (1.3, 0.5),
+                               (0.5, -0.05)])
+@pytest.mark.parametrize("count", [37, 64])
+def test_ray_tube_masses_equal_per_angle_cylinder_mass_all_around(x, count):
+    # Viewpoints inside the square, on it, on its diagonal (where the
+    # far corner sits at the tube's far end) and beside it, with angles
+    # all around the circle: no closed form covers every node there.
+    angles = np.linspace(-math.pi, math.pi, count)
+    lower, upper = ray_tube_masses(C32, x, 0.05, angles, depth=3)
+    oracle = np.array([cylinder_mass(C32, TubeSpec.ray(x, a, 0.05), 3) for a in angles])
+    assert np.array_equal(lower, oracle[:, 0])
+    assert np.array_equal(upper, oracle[:, 1])
+
+
+@pytest.mark.parametrize("x", [(-1.0, -1.0), (-3.0, -3.0), (-2.05, -2.05), (-0.4, 0.45),
+                               (1.05, 0.5)])
+def test_ray_tube_masses_on_angles_where_boxes_touch_the_tube(x):
+    # Every angle is a closed-form endpoint: a ray whose tube edge
+    # passes through a depth-2 corner, or the diagonal through the far
+    # corner (1, 1).  The exact predicate decides these ties.
+    delta = 0.05
+    corners = np.array([(i / 9.0, j / 9.0) for i in range(10) for j in range(10)]) - x
+    phi = np.arctan2(corners[:, 1], corners[:, 0])
+    tangent = np.arcsin(delta / np.hypot(corners[:, 0], corners[:, 1]))
+    angles = np.unique(np.concatenate([phi - tangent, phi + tangent, [math.pi / 4]]))
+    if x[0] > 1.0:  # the square lies across the cut at +-pi
+        angles = np.unique(np.where(angles < 0, angles + 2 * math.pi, angles))
+    lower, upper = ray_tube_masses(C32, x, delta, angles, depth=3)
+    oracle = np.array([cylinder_mass(C32, TubeSpec.ray(x, a, delta), 3) for a in angles])
+    assert np.array_equal(lower, oracle[:, 0])
+    assert np.array_equal(upper, oracle[:, 1])
+
+
+@pytest.mark.parametrize("grid", [np.linspace(-0.3, 2.9, 41),
+                                  np.array([-1.0, -0.99, 0.5, 2.0, 2.0001]), np.array([0.25])])
+def test_angle_grid_lookups_equal_searchsorted(grid):
+    rng = np.random.default_rng(2)
+    ends = np.concatenate([rng.uniform(-2.0, 4.0, 500), grid, np.nextafter(grid, -9.0),
+                           np.nextafter(grid, 9.0)])
+    guards = rng.choice([0.0, 1e-9, 0.02, 0.7, np.inf], size=ends.shape)
+    lookup = _AngleGrid(grid)
+    assert np.array_equal(lookup.left(ends), np.searchsorted(grid, ends))
+    lo, hi = lookup.window(ends, guards)
+    assert np.array_equal(lo, np.searchsorted(grid, ends - guards))
+    assert np.array_equal(hi, np.searchsorted(grid, ends + guards, side="right"))

@@ -3,19 +3,22 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from missingdigits import projection
 from missingdigits.fourier import transform_levels
 from missingdigits.measure import sample
 from missingdigits import (BudgetExceededError, ConfigError, DensityProfile,
                            EvalBudget, ProfileAxis, ProfileMethod, TubeSpec,
-                           exceptional_directions, explicit_spec,
+                           cylinder_mass, exceptional_directions, explicit_spec,
                            fourier_transform_batch, lebesgue_spec,
                            linear_density, linear_density_mc,
-                           lp_criterion_integral, profile_l1_distance,
+                           lp_criterion_integral, product, profile_l1_distance,
                            radial_density_mc, radial_l2_norm,
                            radial_tube_density, radial_tube_profile,
-                           slab_integral, square, stripe_integral, stripe_scan)
+                           slab_integral, square, stripe_integral, stripe_scan,
+                           tube_mass_mc)
 
 LEB2 = lebesgue_spec(3, 2)
 C32 = square(explicit_spec(3, [0, 2]))
@@ -168,16 +171,72 @@ MC_SAMPLES = 2 * projection._MC_CHUNK + 1000
 
 
 def test_radial_profile_independent_of_worker_count(monkeypatch):
-    # 200 angles make four blocks of at most 64
+    # one shared descent for all angles, on the calling thread
     profiles = []
     for cores in (1, 3):
         sizes = _machine_with(monkeypatch, cores)
         profiles.append(radial_tube_profile(C32, (-1.0, 0.5), 3.0 ** -3, 200))
-        assert sizes == [cores]
+        assert sizes == []
     a, b = profiles
     assert np.array_equal(a.metadata["lower"], b.metadata["lower"])
     assert np.array_equal(a.metadata["upper"], b.metadata["upper"])
     assert np.array_equal(a.values, b.values)
+
+
+CARPET = explicit_spec(3, [(0, 0), (1, 0), (2, 0), (0, 1), (2, 1), (0, 2), (1, 2), (2, 2)],
+                       n=2)
+LEB10 = lebesgue_spec(10, 2)
+PAIR_57 = product(explicit_spec(5, [0, 1, 2, 3]), explicit_spec(7, [0, 2, 3, 5, 6]))
+# (spec, deepest level drawn): keeps the per-angle oracle fast
+DESCENT_SPECS = [(C32, 4), (CARPET, 3), (LEB10, 2), (PAIR_57, 2)]
+
+
+@st.composite
+def viewpoints(draw, delta):
+    """Viewpoints all around the square, ones hugging an edge at
+    clearance [delta, 1.5 delta], and ones to its right, whose viewing
+    sector crosses +-pi."""
+    kind = draw(st.sampled_from(["around", "edge", "right"]))
+    if kind == "edge":
+        t = draw(st.floats(0.0, 1.0))
+        gap = delta * draw(st.floats(1.0, 1.5))
+        x = [(t, -gap), (1.0 + gap, t), (t, 1.0 + gap), (-gap, t)][draw(st.integers(0, 3))]
+    elif kind == "right":
+        x = (1.0 + draw(st.floats(delta, 1.5)), draw(st.floats(-0.5, 1.5)))
+    else:
+        x = (draw(st.floats(-2.5, 3.5)), draw(st.floats(-2.5, 3.5)))
+    # 1 + gap may round to a clearance just below delta
+    assume(projection._square_clearance(np.array(x)) >= delta)
+    return x
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data(), which=st.integers(0, len(DESCENT_SPECS) - 1),
+       delta=st.floats(0.02, 0.2), angles=st.integers(2, 12))
+def test_shared_descent_equals_per_angle_cylinder_mass(data, which, delta, angles):
+    spec, deepest = DESCENT_SPECS[which]
+    x = data.draw(viewpoints(delta))
+    depth = data.draw(st.integers(0, deepest))
+    profile = radial_tube_profile(spec, x, delta, angles, depth=depth)
+    oracle = np.array([cylinder_mass(spec, TubeSpec.ray(x, theta, delta), depth)
+                       for theta in profile.grid]) / delta
+    assert np.array_equal(profile.metadata["lower"], oracle[:, 0])
+    assert np.array_equal(profile.metadata["upper"], oracle[:, 1])
+
+
+def test_radial_profile_of_an_edge_hugging_viewpoint_looks_forward_only():
+    # The first angles point away from the square.  A tube centred at x
+    # reached behind the viewpoint and counted the mass in direction
+    # theta + pi there: [0.225, 0.276] at the first angle.
+    x = (0.5, -0.01)
+    profile = radial_tube_profile(LEB10, x, 0.01, 41)
+    lower, upper = profile.metadata["lower"], profile.metadata["upper"]
+    assert profile.grid[0] == pytest.approx(-0.02, abs=1e-3)
+    assert upper[0] == 0.0
+    for i in (0, 1, 20):
+        tube = TubeSpec.ray(x, profile.grid[i], 0.01)
+        p_hat, sigma = tube_mass_mc(LEB10, tube, samples=200_000, seed=i)
+        assert lower[i] - 4 * sigma / 0.01 <= p_hat / 0.01 <= upper[i] + 4 * sigma / 0.01
 
 
 def test_radial_l2_norm_stability_references():
