@@ -109,11 +109,10 @@ class TubeSpec:
         forward (past every point of the unit square) and not behind x.
         A tube centred at x would also reach behind the viewpoint and
         count mass lying in direction angle + pi."""
-        x = np.asarray(x, dtype=float)
-        reach = float(np.hypot(x[0], x[1])) + math.sqrt(2.0)
-        theta = _unit((math.cos(angle), math.sin(angle)))
-        center = x + np.asarray(theta) * (reach / 2.0)
-        return cls(center, theta, half_width, max(reach / 2.0, half_width))
+        angles = np.array([float(angle)])
+        frame, half_length = _ray_frames(x, angles, half_width)
+        return cls(frame[:2, 0], (np.cos(angles)[0], np.sin(angles)[0]), half_width,
+                   half_length)
 
     @property
     def dim(self) -> int:
@@ -130,6 +129,21 @@ class TubeSpec:
         terms = _tube_terms(self.frame(), sides, self.half_length, self.half_width)
         return _tube_codes(lows[:, 0], lows[:, 1], sides, terms,
                            self.half_length, self.half_width)
+
+
+def _ray_frames(x, angles: np.ndarray, half_width: float) -> tuple:
+    """Frames (TubeSpec.frame, one column per angle) of the tubes
+    TubeSpec.ray(x, angle, half_width), and their common half-length.
+    Every column is computed elementwise, as TubeSpec normalises one
+    direction, so it equals the frame of its own TubeSpec.ray bit for
+    bit."""
+    x = np.asarray(x, dtype=float)
+    reach = float(np.hypot(x[0], x[1])) + math.sqrt(2.0)
+    cos, sin = np.cos(angles), np.sin(angles)
+    norm = np.hypot(cos, sin)
+    tx, ty = cos / norm, sin / norm
+    frames = np.stack([x[0] + tx * (reach / 2.0), x[1] + ty * (reach / 2.0), tx, ty, -ty, tx])
+    return frames, max(reach / 2.0, half_width)
 
 
 def _tube_terms(frames, sides, half_length, half_width) -> np.ndarray:
@@ -259,12 +273,27 @@ def cylinder_mass(
 # Children built and classified at once by ray_tube_masses.
 _CHILD_BLOCK = 1 << 13
 
+# (box, angle) pairs classified exactly at once by ray_tube_masses.
+_PAIR_BLOCK = 1 << 16
+
+# Longest run of angles that ray_tube_masses decides pair by pair.
+_SHORT_RUN = 2
+
 # Smallest angular guard (radians) around a closed-form run endpoint.
 _ANGLE_GUARD = 1e-9
 
-# Boxes with at most this many angles in their runs cost less pair by
-# pair than by the closed form.
-_SHORT_RUN = 2
+# Arrays over the angles that ray_tube_masses holds at once, besides
+# three per level (the INSIDE counts and the boxes' two radii along the
+# tube's axes): the grid, the tube terms and their set-up, the STRADDLE
+# counts and the results.
+_ANGLE_ROWS = 32
+
+
+def ray_tube_cells(count: int, depth: int) -> int:
+    """Budget cells that ray_tube_masses checks before it sets up count
+    angles at the given depth: one per angle and array over the angles
+    that it holds."""
+    return count * (3 * (depth + 1) + _ANGLE_ROWS)
 
 
 def _ragged_arange(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -273,45 +302,31 @@ def _ragged_arange(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.arange(int(counts.sum())) - np.repeat(begins - starts, counts)
 
 
-class _AngleGrid:
-    """Index lookups on a strictly increasing angle grid: a bucket table
-    four times finer than the mean spacing, then steps to the exact
-    index, in place of a binary search per angle."""
+def _merge_runs(node: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple:
+    """The pieces [lo, hi) of the boxes node, with each piece that
+    continues the one before it (same box, lo at the previous hi)
+    merged into it."""
+    start = np.ones(node.shape[0], dtype=bool)
+    start[1:] = (node[1:] != node[:-1]) | (lo[1:] != hi[:-1])
+    stop = np.empty_like(start)
+    stop[:-1] = start[1:]
+    stop[-1:] = True
+    return node[start], lo[start], hi[stop]
 
-    def __init__(self, grid: np.ndarray):
-        self.grid = grid
-        # padded[i + 2] is grid[i]
-        self.padded = np.concatenate([[-np.inf, -np.inf], grid, [np.inf, np.inf]])
-        buckets = 4 * grid.shape[0]
-        span = grid[-1] - grid[0]
-        self.scale = buckets / span if span > 0 else 0.0
-        starts = grid[0] + np.arange(buckets + 1) / self.scale if span > 0 else grid[:1]
-        self.first = np.searchsorted(grid, starts)
 
-    def left(self, end: np.ndarray) -> np.ndarray:
-        """np.searchsorted(grid, end) for finite end."""
-        at = np.clip((end - self.grid[0]) * self.scale, 0, self.first.shape[0] - 1)
-        j = self.first[at.astype(np.int64)]
-        while (down := (j > 0) & (self.padded[j + 1] >= end)).any():
-            j -= down
-        while (up := self.padded[j + 2] < end).any():
-            j += up
-        return j
-
-    def window(self, end: np.ndarray, guard: np.ndarray) -> tuple:
-        """The index range [lo, hi) of the grid angles within guard of
-        end: searchsorted(grid, end - guard, "left") and
-        searchsorted(grid, end + guard, "right"), from one lookup of end
-        when the range holds at most the two grid angles around end."""
-        lo_end, hi_end = end - guard, end + guard
-        padded = self.padded
-        j = self.left(end)
-        lo = j - (padded[j + 1] >= lo_end)
-        hi = j + (padded[j + 2] <= hi_end)
-        wide = np.flatnonzero((padded[lo + 1] >= lo_end) | (padded[hi + 2] <= hi_end))
-        lo[wide] = np.searchsorted(self.grid, lo_end[wide], side="left")
-        hi[wide] = np.searchsorted(self.grid, hi_end[wide], side="right")
-        return lo, hi
+def _pair_blocks(run: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """The nonempty windows [lo, hi) of the runs `run` in groups of fewer
+    than 2 * _PAIR_BLOCK angles, wider windows cut into pieces of at
+    most _PAIR_BLOCK angles first."""
+    if int((hi - lo).sum()) <= _PAIR_BLOCK:
+        return [(run, lo, hi)]
+    cuts = (hi - lo - 1) // _PAIR_BLOCK + 1
+    lo = np.repeat(lo, cuts) + _ragged_arange(np.zeros_like(cuts), cuts) * _PAIR_BLOCK
+    run, hi = np.repeat(run, cuts), np.minimum(np.repeat(hi, cuts), lo + _PAIR_BLOCK)
+    widths = hi - lo
+    group = (np.cumsum(widths) - widths) // _PAIR_BLOCK
+    edges = np.flatnonzero(np.diff(group)) + 1
+    return zip(*(np.split(part, edges) for part in (run, lo, hi)))
 
 
 def ray_tube_masses(spec: Spec, x, half_width: float, angles, depth: int,
@@ -331,19 +346,19 @@ def ray_tube_masses(spec: Spec, x, half_width: float, angles, depth: int,
     run is within pi/2 of every corner angle.  The exact per-box
     predicate of cylinder_mass takes over, so that every code agrees
     with it, for angles within a rounding guard of an endpoint, for runs
-    outside that domain, for the INSIDE range of a box with a corner at
-    the tube's far end (a tie there) and for boxes whose runs hold at
-    most _SHORT_RUN angles; those take all siblings of an angle at once.
-    INSIDE and STRADDLE counts per angle are added up per level in
-    difference arrays, and lower and upper are formed from them in
-    cylinder_mass's level order.
+    outside that domain and for the INSIDE range of a box with a corner
+    at the tube's far end (a tie there).  INSIDE and STRADDLE counts
+    per angle are added up per level in difference arrays, and lower
+    and upper are formed from them in cylinder_mass's level order.
 
     Boxes are refined level by level in blocks of at most _CHILD_BLOCK
     children, and a block's straddling children are refined before the
-    next block, so memory stays bounded by depth blocks.  Budget: one
-    "cylinder classifications" cell per box and one per exactly
-    classified (box, angle) pair; each block's box count is checked
-    before any box of it is built.
+    next block, so memory stays bounded by depth blocks; exact pairs are
+    classified _PAIR_BLOCK or so at a time.  Budget: the arrays over the
+    angles are checked (ray_tube_cells) before they are set up, each
+    block's box count before any box of it is built; one "cylinder
+    classifications" cell is charged per box and one per exactly
+    classified (box, angle) pair.
     """
     tree = _Tree(spec)
     if tree.n != 2:
@@ -356,14 +371,17 @@ def ray_tube_masses(spec: Spec, x, half_width: float, angles, depth: int,
         raise ValueError("angles must be a nonempty strictly increasing 1-D array")
     count = grid.shape[0]
     bud = ensure_budget(budget)
+    bud.check(ray_tube_cells(count, depth), "tube angles")
     x = np.asarray(x, dtype=np.float64)
-    lookup = _AngleGrid(grid)
-
-    frames = np.empty((6, count))
-    for i, angle in enumerate(grid.tolist()):
-        tube = TubeSpec.ray(x, angle, half_width)
-        frames[:, i] = tube.frame()
-    half_length = tube.half_length
+    frames, half_length = _ray_frames(x, grid, half_width)
+    # The terms of _tube_codes for every angle: the frame, the box's
+    # radii along the tube's axes (rows 6 and 7, which alone depend on
+    # the level) and the tube's extent along the box's axes.
+    terms = _tube_terms(frames, tree.sides(0), half_length, half_width)
+    del frames
+    fixed_terms = terms[[0, 1, 2, 3, 4, 5, 8, 9]]
+    radii = {0: terms[6:8].copy()}
+    del terms
     reach = float(np.hypot(x[0], x[1])) + math.sqrt(2.0)
     # A distance far above the rounding of the exact predicate and of
     # the closed form, both some 1e-16 of the coordinates' scale.
@@ -402,20 +420,24 @@ def ray_tube_masses(spec: Spec, x, half_width: float, angles, depth: int,
         cuts = np.empty((8, lows.shape[1]), dtype=np.int64)
         for row, (end, width) in enumerate(((e1, guard), (np.minimum(e2, e3), inner),
                                             (np.maximum(e2, e3), inner), (e4, guard))):
-            cuts[2 * row], cuts[2 * row + 1] = lookup.window(end, width)
+            cuts[2 * row] = np.searchsorted(grid, end - width)
+            cuts[2 * row + 1] = np.searchsorted(grid, end + width, side="right")
         first = phi_max - math.pi / 2.0 + guard
         last = phi_min + math.pi / 2.0 - guard
         return cuts, e2 <= e3, first, last
 
-    def add_runs(diff, lo, hi, weight=1):
-        np.add.at(diff, lo, weight)
-        np.add.at(diff, hi, -weight)
+    def add_runs(diff, lo, hi):
+        np.add.at(diff, lo, 1)
+        np.add.at(diff, hi, -1)
 
     def exact_codes(level, lows, node, ang):
         """Codes of the boxes lows[:, node] against the tubes of the
-        angle indices ang (broadcast against node) by the exact
-        predicate, one budget cell each."""
+        angle indices ang by the exact predicate, one budget cell
+        each."""
         bud.charge(node.size, "cylinder classifications")
+        if level not in radii:
+            radii[level] = _tube_terms(fixed_terms[:6], tree.sides(level), half_length,
+                                       half_width)[6:8].copy()
         fixed = np.take(fixed_terms, ang, axis=1)
         terms = (*fixed[:6], *np.take(radii[level], ang, axis=1), *fixed[6:])
         return _tube_codes(np.take(lows[0], node), np.take(lows[1], node), tree.sides(level),
@@ -423,10 +445,9 @@ def ray_tube_masses(spec: Spec, x, half_width: float, angles, depth: int,
 
     def classify(level, lows, run_node, run_lo, run_hi, straddle_diff):
         """Add the INSIDE pieces of the runs [run_lo, run_hi) of the
-        level-`level` boxes run_node, by the closed form, to that level's
-        difference array.  Add their STRADDLE pieces to straddle_diff
-        when one is given; else return them as (run, lo, hi),
-        unordered."""
+        level-`level` boxes run_node to that level's difference array.
+        Add their STRADDLE pieces to straddle_diff when one is given;
+        else return them as (run, lo, hi), unordered."""
         inside_diff = inside_diffs[level]
         straddle = []
 
@@ -437,12 +458,17 @@ def ray_tube_masses(spec: Spec, x, half_width: float, angles, depth: int,
                 some = hi > lo
                 straddle.append((run[some], lo[some], hi[some]))
 
-        has = np.bincount(run_node, minlength=lows.shape[1]) > 0
+        # Runs of at most _SHORT_RUN angles are decided exactly: that
+        # costs less than their box's closed form.
+        long = run_hi - run_lo > _SHORT_RUN
+        has = np.bincount(run_node[long], minlength=lows.shape[1]) > 0
         cuts, middle, first, last = formula(lows[:, has], tree.sides(level))
-        f = (np.cumsum(has) - 1)[run_node]
-        closed, s, e = np.arange(run_lo.shape[0]), run_lo, run_hi
+        closed = np.flatnonzero(long)
+        f = (np.cumsum(has) - 1)[run_node[closed]]
+        s, e = run_lo[closed], run_hi[closed]
         ok = (grid[s] >= first[f]) & (grid[e - 1] <= last[f])
-        exact = [(closed[~ok], s[~ok], e[~ok])]
+        short = np.flatnonzero(~long)
+        exact = [(short, run_lo[short], run_hi[short]), (closed[~ok], s[~ok], e[~ok])]
         closed, f, s, e = closed[ok], f[ok], s[ok], e[ok]
         # p[0] <= ... <= p[7]: the cuts clipped to the run; the windows
         # [p0, p1), [p2, p3), [p4, p5), [p6, p7) are exact.
@@ -459,15 +485,16 @@ def ray_tube_masses(spec: Spec, x, half_width: float, angles, depth: int,
         add_straddle(closed, p[1], p[2])
         add_straddle(closed, p[5], p[6])
 
-        run, lo, hi = (np.concatenate(part) for part in zip(*exact))
-        widths = hi - lo
-        run = np.repeat(run, widths)
-        ang = _ragged_arange(lo, widths)
-        codes = exact_codes(level, lows, run_node[run], ang)
-        hit = ang[codes == INSIDE]
-        add_runs(inside_diff, hit, hit + 1)
-        hit = codes == STRADDLE
-        add_straddle(run[hit], ang[hit], ang[hit] + 1)
+        windows = (np.concatenate(part) for part in zip(*exact))
+        for run, lo, hi in _pair_blocks(*windows):
+            widths = hi - lo
+            run = np.repeat(run, widths)
+            ang = _ragged_arange(lo, widths)
+            codes = exact_codes(level, lows, run_node[run], ang)
+            hit = ang[codes == INSIDE]
+            add_runs(inside_diff, hit, hit + 1)
+            hit = codes == STRADDLE
+            add_straddle(*_merge_runs(run[hit], ang[hit], ang[hit] + 1))
         if straddle_diff is None:
             return (np.concatenate(part) for part in zip(*straddle))
 
@@ -485,11 +512,6 @@ def ray_tube_masses(spec: Spec, x, half_width: float, angles, depth: int,
     inside_diffs = np.zeros((depth + 1, count + 1), dtype=np.int64)
     straddle_diff = np.zeros(count + 1, dtype=np.int64)
     kids = {0: np.zeros((2, 1))}
-    # The terms of _tube_codes for every angle; of them only the box's
-    # radii along the tube's axes (rows 6 and 7) depend on the level.
-    terms = _tube_terms(frames, tree.sides(0), half_length, half_width)
-    fixed_terms = terms[[0, 1, 2, 3, 4, 5, 8, 9]]
-    radii = {0: terms[6:8].copy()}
     # Blocks still to refine, the newest first.  The root is the only
     # child of a parent with low corner 0 and one run of all angles.
     todo = list(blocks(0, np.zeros((2, 1)), np.zeros(1, dtype=np.int64),
@@ -500,53 +522,21 @@ def ray_tube_masses(spec: Spec, x, half_width: float, angles, depth: int,
         bud.check(parents.shape[1] * k, "cylinder classifications")
         if level not in kids:
             kids[level] = tree.offsets(level).T
-            radii[level] = _tube_terms(frames, tree.sides(level), half_length,
-                                       half_width)[6:8].copy()
         lows = (parents[:, :, None] + kids[level][:, None, :]).reshape(2, -1)
         bud.charge(lows.shape[1], "cylinder classifications")
-        last_level = level == depth
-        pieces = []
-        # Children of parents with at most _SHORT_RUN angles in their
-        # runs: every (angle, child) pair exactly, siblings together.
-        span = np.bincount(run_node, weights=run_hi - run_lo, minlength=parents.shape[1])
-        short = span[run_node] <= _SHORT_RUN
-        if short.any():
-            widths = run_hi[short] - run_lo[short]
-            ang = _ragged_arange(run_lo[short], widths)
-            node = np.repeat(run_node[short], widths)[:, None] * k + np.arange(k)
-            codes = exact_codes(level, lows, node, ang[:, None])
-            add_runs(inside_diffs[level], ang, ang + 1, (codes == INSIDE).sum(axis=1))
-            hit = codes == STRADDLE
-            if last_level:
-                add_runs(straddle_diff, ang, ang + 1, hit.sum(axis=1))
-            else:
-                at, kid = np.nonzero(hit)
-                pieces.append((node[at, kid], ang[at], ang[at] + 1))
-        if not short.all():
-            # Every child of the other parents inherits all their runs.
-            wide = ~short
-            per_parent = np.bincount(run_node[wide], minlength=parents.shape[1])
-            per_child = np.repeat(per_parent, k)
-            src = _ragged_arange(np.repeat(np.cumsum(per_parent) - per_parent, k), per_child)
-            src = np.flatnonzero(wide)[src]
-            child = np.repeat(np.arange(lows.shape[1]), per_child)
-            found = classify(level, lows, child, run_lo[src], run_hi[src],
-                             straddle_diff if last_level else None)
-            if not last_level:
-                run, lo, hi = found
-                pieces.append((child[run], lo, hi))
-        if last_level:
+        # Every child inherits all runs of its parent.
+        per_parent = np.bincount(run_node, minlength=parents.shape[1])
+        per_child = np.repeat(per_parent, k)
+        src = _ragged_arange(np.repeat(np.cumsum(per_parent) - per_parent, k), per_child)
+        child = np.repeat(np.arange(lows.shape[1]), per_child)
+        if level == depth:
+            classify(level, lows, child, run_lo[src], run_hi[src], straddle_diff)
             continue
+        run, lo, hi = classify(level, lows, child, run_lo[src], run_hi[src], None)
         # Runs in index order, adjacent pieces of one box merged.
-        node, lo, hi = (np.concatenate(part) for part in zip(*pieces))
+        node = child[run]
         order = np.argsort(node * (count + 1) + lo)
-        node, lo, hi = node[order], lo[order], hi[order]
-        start = np.ones(node.shape[0], dtype=bool)
-        start[1:] = (node[1:] != node[:-1]) | (lo[1:] != hi[:-1])
-        stop = np.empty_like(start)
-        stop[:-1] = start[1:]
-        stop[-1:] = True
-        node, lo, hi = node[start], lo[start], hi[stop]
+        node, lo, hi = _merge_runs(node[order], lo[order], hi[order])
         hit = np.zeros(lows.shape[1], dtype=bool)
         hit[node] = True
         renumber = np.cumsum(hit) - 1

@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .budget import EvalBudget, ensure_budget
-from .cylinders import TubeSpec, cylinder_mass, ray_tube_masses
+from .cylinders import TubeSpec, cylinder_mass, ray_tube_cells, ray_tube_masses
 from .errors import ConfigError
 from .fourier import fourier_transform_batch, transform_levels
 from .measure import Spec, as_product, sample, total_dim
@@ -231,26 +231,22 @@ def _enumeration_depth(spec: Spec, scale: float) -> int:
     return max(math.ceil(math.log(ratio) / math.log(f.p_int())) for f in prod.factors)
 
 
-def radial_tube_density(spec: Spec, tube: TubeSpec, depth: int,
+def radial_tube_density(spec: Spec, x, angle: float, delta: float, depth: int,
                         budget: EvalBudget | None = None) -> tuple:
-    """Enclosure [lower, upper] of lambda(tube)/delta for one tube of
-    transverse half-width delta = tube.half_width, centred at the
-    viewpoint tube.x, which must clear the unit square by at least delta.
-
-    A tube centred at the viewpoint also reaches behind it.
-    radial_tube_profile counts f_delta(theta) in the forward tube
-    TubeSpec.ray(x, theta, delta) instead; the two differ only where the
-    backward half reaches the square, as from a viewpoint hugging an
-    edge."""
+    """Enclosure [lower, upper] of f_delta(angle) = lambda(T)/delta seen
+    from the viewpoint x, for the forward tube T = TubeSpec.ray(x, angle,
+    delta); x must clear the unit square by at least delta.  At each
+    angle of its grid, radial_tube_profile gives the same enclosure."""
     _require_plane(spec, "radial_tube_density")
-    x = np.asarray(tube.x, dtype=float)
-    if _square_clearance(x) < tube.half_width:
+    x = np.asarray(x, dtype=float)
+    if delta <= 0:
+        raise ConfigError("tube half-width must be positive")
+    if _square_clearance(x) < delta:
         raise ConfigError(
             "viewpoint must clear the unit square by at least the tube half-width"
         )
-    lo, hi = cylinder_mass(spec, tube, depth, budget)
-    norm = tube.half_width ** (total_dim(spec) - 1)
-    return lo / norm, hi / norm
+    lo, hi = cylinder_mass(spec, TubeSpec.ray(x, angle, delta), depth, budget)
+    return lo / delta, hi / delta
 
 
 def radial_tube_profile(spec: Spec, x, delta: float, angle_grid_count: int,
@@ -265,8 +261,10 @@ def radial_tube_profile(spec: Spec, x, delta: float, angle_grid_count: int,
     f_delta(theta) counts the forward tube TubeSpec.ray(x, theta, delta).
     All angles share one descent of the cylinder tree, run on the
     calling thread (cylinders.ray_tube_masses).  Its enclosures equal
-    those of per-angle cylinder_mass bit for bit, and its cost follows
-    the tree's nodes rather than angles times nodes."""
+    radial_tube_density's at every grid angle bit for bit, and its cost
+    follows the tree's nodes rather than angles times nodes.  The
+    arrays over the angles are checked against the budget
+    (cylinders.ray_tube_cells) before the grid is built."""
     _require_plane(spec, "radial_tube_profile")
     x = np.asarray(x, dtype=float)
     if delta <= 0:
@@ -280,8 +278,7 @@ def radial_tube_profile(spec: Spec, x, delta: float, angle_grid_count: int,
     if depth is None:
         depth = _enumeration_depth(spec, delta)
     bud = ensure_budget(budget)
-    # each tube costs at least one classification
-    bud.check(angle_grid_count, "tube angles")
+    bud.check(ray_tube_cells(angle_grid_count, depth), "tube angles")
     lo_a, hi_a = _viewing_sector(x)
     r_min = _corner_distances(x).min()
     pad = 2.0 * delta / r_min

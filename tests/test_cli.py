@@ -468,3 +468,17 @@ def test_radial_density_refuses_a_level_of_the_tube_descent_before_building_it()
     assert proc.returncode == 65, proc.stderr
     assert "cylinder classifications needs 1073741824 cells" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.skipif(resource is None, reason="needs the resource module")
+def test_radial_density_refuses_an_over_budget_angle_grid_before_building_it():
+    # 2 * 10^7 angles fit the default budget one cell each, but the
+    # grid, tube frames and per-level counts over them would take some
+    # 7 GB; they are checked against the budget before any exists
+    proc = subprocess.run([sys.executable, "-m", "missingdigits", "radial-density",
+                           "--spec", C32_SQ, "--viewpoint=-1,-1", "--delta", "0.05",
+                           "--angles", "20000000"],
+                          capture_output=True, text=True, preexec_fn=_cap_address_space)
+    assert proc.returncode == 65, proc.stderr
+    assert "tube angles needs 940000000 cells" in proc.stderr
+    assert "Traceback" not in proc.stderr

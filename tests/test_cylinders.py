@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from missingdigits import (AxisBox, TubeSpec, cylinder_mass, explicit_spec,
-                           lebesgue_spec, ray_tube_masses, square, tube_mass_mc)
-from missingdigits.cylinders import _AngleGrid
+from missingdigits import (AxisBox, BudgetExceededError, EvalBudget, TubeSpec, cylinder_mass,
+                           cylinders, explicit_spec, lebesgue_spec, ray_tube_masses, square,
+                           tube_mass_mc)
+from missingdigits.cylinders import _ray_frames
 
 C32 = square(explicit_spec(3, [0, 2]))
 LEB2 = lebesgue_spec(3, 2)
@@ -162,11 +163,15 @@ def test_ray_tube_enclosures_nest_by_depth_and_bracket_monte_carlo(delta, headin
 
 @pytest.mark.parametrize("x", [(0.5, 0.5), (0.0, 0.0), (1.0, 0.3), (-1.0, -1.0), (1.3, 0.5),
                                (0.5, -0.05)])
-@pytest.mark.parametrize("count", [37, 64])
-def test_ray_tube_masses_equal_per_angle_cylinder_mass_all_around(x, count):
+@pytest.mark.parametrize("count, pair_block", [(37, 1 << 16), (64, 1 << 16), (53, 3)])
+def test_ray_tube_masses_equal_per_angle_cylinder_mass_all_around(x, count, pair_block,
+                                                                 monkeypatch):
     # Viewpoints inside the square, on it, on its diagonal (where the
     # far corner sits at the tube's far end) and beside it, with angles
     # all around the circle: no closed form covers every node there.
+    # With small pair blocks, exact pairs are classified a few at a
+    # time and wide windows are cut across blocks.
+    monkeypatch.setattr(cylinders, "_PAIR_BLOCK", pair_block)
     angles = np.linspace(-math.pi, math.pi, count)
     lower, upper = ray_tube_masses(C32, x, 0.05, angles, depth=3)
     oracle = np.array([cylinder_mass(C32, TubeSpec.ray(x, a, 0.05), 3) for a in angles])
@@ -193,15 +198,18 @@ def test_ray_tube_masses_on_angles_where_boxes_touch_the_tube(x):
     assert np.array_equal(upper, oracle[:, 1])
 
 
-@pytest.mark.parametrize("grid", [np.linspace(-0.3, 2.9, 41),
-                                  np.array([-1.0, -0.99, 0.5, 2.0, 2.0001]), np.array([0.25])])
-def test_angle_grid_lookups_equal_searchsorted(grid):
+def test_ray_frames_equal_the_frames_of_single_ray_tubes():
     rng = np.random.default_rng(2)
-    ends = np.concatenate([rng.uniform(-2.0, 4.0, 500), grid, np.nextafter(grid, -9.0),
-                           np.nextafter(grid, 9.0)])
-    guards = rng.choice([0.0, 1e-9, 0.02, 0.7, np.inf], size=ends.shape)
-    lookup = _AngleGrid(grid)
-    assert np.array_equal(lookup.left(ends), np.searchsorted(grid, ends))
-    lo, hi = lookup.window(ends, guards)
-    assert np.array_equal(lo, np.searchsorted(grid, ends - guards))
-    assert np.array_equal(hi, np.searchsorted(grid, ends + guards, side="right"))
+    angles = np.sort(rng.uniform(-4.0, 4.0, 3001))
+    frames, half_length = _ray_frames((1.7, -0.4), angles, 0.03)
+    for i in range(0, angles.shape[0], 7):
+        tube = TubeSpec.ray((1.7, -0.4), angles[i], 0.03)
+        assert np.array_equal(frames[:, i], tube.frame())
+        assert half_length == tube.half_length
+
+
+def test_ray_tube_masses_check_the_arrays_over_the_angles_first():
+    budget = EvalBudget(10_000)
+    with pytest.raises(BudgetExceededError, match="tube angles needs 41000 cells"):
+        ray_tube_masses(C32, (-1.0, -1.0), 0.05, np.linspace(0.2, 1.3, 1000), 2, budget)
+    assert budget.spent == 0

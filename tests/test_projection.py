@@ -116,16 +116,14 @@ def test_profile_l1_distance_basics():
 
 def test_tube_density_matches_strip_area():
     # horizontal tube at mid-height: Lebesgue mass 2*delta, density ~ 2
-    tube = TubeSpec((-1.0, 0.5), (1.0, 0.0), half_width=1.0 / 27.0)
-    lo, hi = radial_tube_density(LEB2, tube, depth=6)
+    lo, hi = radial_tube_density(LEB2, (-1.0, 0.5), 0.0, 1.0 / 27.0, depth=6)
     assert lo <= 2.0 <= hi
     assert hi - lo < 0.1
 
 
 def test_tube_density_requires_clearance():
-    tube = TubeSpec((0.5, 0.5), (1.0, 0.0), half_width=0.01, half_length=3.0)
     with pytest.raises(ConfigError):
-        radial_tube_density(LEB2, tube, depth=4)
+        radial_tube_density(LEB2, (0.5, 0.5), 0.0, 0.01, depth=4)
 
 
 def test_radial_profile_tracks_angular_density_up_to_range_factor():
@@ -237,6 +235,18 @@ def test_radial_profile_of_an_edge_hugging_viewpoint_looks_forward_only():
         tube = TubeSpec.ray(x, profile.grid[i], 0.01)
         p_hat, sigma = tube_mass_mc(LEB10, tube, samples=200_000, seed=i)
         assert lower[i] - 4 * sigma / 0.01 <= p_hat / 0.01 <= upper[i] + 4 * sigma / 0.01
+
+
+def test_tube_density_of_an_edge_hugging_viewpoint_looks_forward_only():
+    # The same viewpoint and angle: the density counts the forward tube
+    # too, and gives the profile's enclosure at each grid angle.
+    x = (0.5, -0.01)
+    assert radial_tube_density(LEB10, x, -0.02, 0.01, depth=3) == (0.0, 0.0)
+    profile = radial_tube_profile(LEB10, x, 0.01, 41)
+    for i in (0, 1, 20, 40):
+        lo, hi = radial_tube_density(LEB10, x, profile.grid[i], 0.01, depth=3)
+        assert lo == profile.metadata["lower"][i]
+        assert hi == profile.metadata["upper"][i]
 
 
 def test_radial_l2_norm_stability_references():
