@@ -31,8 +31,8 @@ from .errors import BudgetExceededError, ConfigError, SymbolicBaseError
 from .fourier import fourier_transform_batch
 from .graham import density_report, enumerate_restricted, enumerate_scaled, parse_system
 from .measure import hausdorff_dim, parse_spec, total_dim
-from .projection import (_unit_direction, exceptional_from_scan, linear_density,
-                         linear_density_mc, lp_criterion_integral,
+from .projection import (_unit_direction, exceptional_from_scan, exceptional_threshold,
+                         linear_density, linear_density_mc, lp_criterion_integral,
                          radial_density_mc, radial_tube_profile, slab_integral,
                          stripe_scan)
 
@@ -431,10 +431,10 @@ def _cmd_linear_density(args) -> int:
 def _cmd_stripe_scan(args) -> int:
     run = _Run(args)
     spec = run.spec()
+    threshold = exceptional_threshold(spec, args.radius, args.eps, args.s1)
     angles, integrals = stripe_scan(spec, args.radius, args.angles,
                                     tol=args.tol, budget=run.budget)
-    threshold, exceptional = exceptional_from_scan(spec, args.radius, args.eps, args.s1,
-                                                   angles, integrals)
+    exceptional = exceptional_from_scan(threshold, angles, integrals)
     run.write_csv(
         ["direction_angle_rad", "stripe_weighted_l1_sum"],
         list(zip(angles.tolist(), integrals.tolist())),

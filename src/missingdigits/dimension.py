@@ -45,7 +45,8 @@ import numpy as np
 
 from .budget import EvalBudget, ensure_budget
 from .errors import ConfigError, SymbolicBaseError
-from .fourier import fourier_transform_batch, symbol_modulus
+from .fourier import (box_blocks, fourier_transform_batch, gather_points, lattice_rows,
+                      symbol_modulus)
 from .measure import (
     DigitInterval,
     MissingDigitsSpec,
@@ -141,19 +142,10 @@ def f_theta(factor: MissingDigitsSpec, thetas, budget: EvalBudget | None = None)
     for r0 in range(0, count, rows):
         block = thetas[r0: r0 + rows]
         for c0 in range(0, size, cols):
-            part = _residues(p, n, c0, min(size, c0 + cols))
+            part = lattice_rows(p, n, c0, min(size, c0 + cols))
             eta = (block[:, None, :] + part[None, :, :]) / p
             out[r0: r0 + rows] += symbol_modulus(factor, eta).sum(axis=1)
     return out
-
-
-def _residues(p: int, n: int, start: int, stop: int) -> np.ndarray:
-    """Rows start..stop-1 of the grid {0..p-1}^n in C order, shape
-    (stop - start, n)."""
-    index = np.arange(start, stop)
-    if n == 1:
-        return index.astype(np.float64).reshape(-1, 1)
-    return np.stack(np.unravel_index(index, (p,) * n), axis=-1).astype(np.float64)
 
 
 def lipschitz_f(factor: MissingDigitsSpec) -> float:
@@ -199,7 +191,7 @@ def sup_f(
     best, arg = -math.inf, None
     for start in range(0, count, F_THETA_BLOCK):
         # index * h is bit for bit the value np.arange gives at index
-        thetas = _residues(m, n, start, min(count, start + F_THETA_BLOCK)) * h
+        thetas = lattice_rows(m, n, start, min(count, start + F_THETA_BLOCK)) * h
         vals = f_theta(factor, thetas, bud)
         i = int(np.argmax(vals))
         if vals[i] > best:
@@ -411,7 +403,8 @@ def partial_sum_S_k(
     All factors must share one base p so the window is well defined.
     The symmetric window is covered by 2^n residue periods, so
     S_k <= 2^n (sup f)^k; one period, such as [0, p^k)^n, obeys the
-    bare (sup f)^k.
+    bare (sup f)^k.  A window the budget cannot pay for is refused
+    (BudgetExceededError) before it is built.
     """
     prod = as_product(spec)
     bases = {f.p_int() for f in prod.factors}
@@ -424,15 +417,8 @@ def partial_sum_S_k(
     theta = np.atleast_1d(np.asarray(theta, dtype=np.float64))
     if theta.shape != (n,):
         raise ValueError(f"theta must have shape ({n},)")
-    half = p ** k
-    axis = np.arange(-half + 1, half, dtype=np.float64)
-    if n == 1:
-        lattice = axis.reshape(-1, 1)
-    else:
-        if len(axis) ** n > 50_000_000:
-            raise ValueError("S_k lattice too large")
-        mesh = np.meshgrid(*([axis] * n), indexing="ij")
-        lattice = np.stack([m.ravel() for m in mesh], axis=-1)
     bud = ensure_budget(budget)
-    values, _ = fourier_transform_batch(spec, lattice + theta[None, :], tol, bud)
+    window = box_blocks(2 * p ** k - 1, n, bud, "S_k window")
+    points = gather_points(spec, (block + theta[None, :] for block in window), tol, bud)
+    values, _ = fourier_transform_batch(spec, points, tol, bud)
     return float(np.abs(values).sum())

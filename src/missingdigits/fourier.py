@@ -43,6 +43,9 @@ TOL_FLOOR = 1e-12
 # interval digit set is trusted in double precision.
 _PHASE_CAP = float(1 << 46)
 
+# Points per block of box_blocks.
+LATTICE_BLOCK = 1 << 16
+
 
 @dataclass(frozen=True)
 class FourierValue:
@@ -178,6 +181,40 @@ def transform_levels(spec: Spec, xis, tol: float = 1e-9) -> int:
     rows no larger than the batch's give a lower bound."""
     xis = np.atleast_2d(np.asarray(xis, dtype=np.float64))
     return _levels(_factor_blocks(as_product(spec), xis, tol))
+
+
+def lattice_rows(side: int, n: int, start: int, stop: int) -> np.ndarray:
+    """Rows start..stop-1 of the grid {0..side-1}^n in C order, shape
+    (stop - start, n)."""
+    index = np.arange(start, stop)
+    return np.stack(np.unravel_index(index, (side,) * n), axis=-1).astype(np.float64)
+
+
+def box_blocks(side: int, n: int, budget: EvalBudget, label: str, rows: int | None = None):
+    """The integer box {-h..h}^n, h = (side - 1) // 2, as a generator of
+    blocks of `rows` points (LATTICE_BLOCK by default) in C order.  Its
+    side^n points are checked against the budget under `label` at the
+    call, so an oversized box is refused before any block is built."""
+    count = side ** n
+    budget.check(count, label)
+    rows = rows or LATTICE_BLOCK
+    half = (side - 1) // 2
+    return (lattice_rows(side, n, start, min(count, start + rows)) - half
+            for start in range(0, count, rows))
+
+
+def gather_points(spec: Spec, blocks, tol: float, budget: EvalBudget) -> np.ndarray:
+    """Join blocks of frequency points into one fourier_transform_batch
+    batch, checking after each block the points so far times the largest
+    transform_levels of any block so far ("transform levels"): the
+    transform charges at least that, so the check only refuses earlier."""
+    parts, kept, levels = [], 0, 0
+    for block in blocks:
+        parts.append(block)
+        kept += block.shape[0]
+        levels = max(levels, transform_levels(spec, block, tol))
+        budget.check(kept * levels, "transform levels")
+    return np.concatenate(parts)
 
 
 def fourier_transform_batch(

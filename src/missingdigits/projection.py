@@ -46,7 +46,7 @@ import numpy as np
 from .budget import EvalBudget, ensure_budget
 from .cylinders import TubeSpec, cylinder_mass, ray_tube_cells, ray_tube_masses
 from .errors import ConfigError
-from .fourier import fourier_transform_batch, transform_levels
+from .fourier import box_blocks, fourier_transform_batch, gather_points, transform_levels
 from .measure import Spec, as_product, sample, total_dim
 
 # Fixed step for the inverse-transform quadrature along a ray.  The
@@ -67,8 +67,6 @@ _MC_DEPTH_SLACK = 8.0
 _UNIT_SQUARE_CORNERS = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
 
 _MC_CHUNK = 1 << 17
-
-_SLAB_BLOCK = 1 << 16
 
 
 class ProfileAxis(enum.Enum):
@@ -168,12 +166,21 @@ def _still_growing(totals, slopes) -> bool:
     return totals[-1] > 1e-12 * top
 
 
+def _shell_count(top, base: int) -> int:
+    """Smallest s >= 0 with base^s >= top, compared exactly (Python int
+    against int or float): shells 0..s hold every radius up to top."""
+    top = top if isinstance(top, int) else float(top)
+    s = 0
+    while base ** s < top:
+        s += 1
+    return s
+
+
 def _shell_diagnostics(radii, weights, base=2, n_shells=None):
     radii = np.asarray(radii, dtype=float)
     weights = np.asarray(weights, dtype=float)
     if n_shells is None:
-        top = float(radii.max(initial=0.0))
-        n_shells = 1 + max(0, math.ceil(math.log(max(top, 1.0)) / math.log(base) - 1e-12))
+        n_shells = 1 + _shell_count(radii.max(initial=0.0), base)
     edges = float(base) ** np.arange(n_shells)
     idx = np.searchsorted(edges, radii, side="left")
     totals = np.bincount(idx, weights=weights, minlength=n_shells)[:n_shells]
@@ -604,43 +611,6 @@ def linear_density(spec: Spec, theta, u_grid, T_max: float, tol: float = 1e-9,
 # ------------------------------------------------------------ lattice sums
 
 
-def _lattice_ball_diagnostics(spec, weight_of, R_max, tol, budget, base=2):
-    """Shared accumulation of weight_of(|lambda_hat|, |xi|) over the
-    lattice points with |xi| <= R_max, in row chunks."""
-    bud = ensure_budget(budget)
-    n = total_dim(spec)
-    if n not in (1, 2):
-        raise ConfigError("lattice-ball sums need a measure of total dimension 1 or 2")
-    n_shells = 1 + math.ceil(math.log(R_max) / math.log(base))
-    totals = np.zeros(n_shells)
-    R = int(math.floor(R_max))
-    if n == 1:
-        chunks = [np.arange(-R, R + 1)[:, None].astype(float)]
-    else:
-        axis = np.arange(-R, R + 1)
-
-        def rows():
-            for s in range(0, axis.size, 256):
-                a = axis[s:s + 256]
-                block = np.stack(np.meshgrid(a, axis, indexing="ij"), axis=-1).reshape(-1, 2)
-                keep = (block ** 2).sum(axis=1) <= R_max * R_max
-                yield block[keep].astype(float)
-
-        chunks = rows()
-    partial = 0.0
-    for block in chunks:
-        if block.size == 0:
-            continue
-        values, _ = fourier_transform_batch(spec, block, tol, bud)
-        norms = np.sqrt((block ** 2).sum(axis=1))
-        w = weight_of(np.abs(values), norms)
-        partial += float(w.sum())
-        t, _ = _shell_diagnostics(norms, w, base=base, n_shells=n_shells)
-        totals += np.asarray(t)
-    return LatticeDiagnostics(partial, tuple(float(v) for v in totals),
-                              _floored_slopes(totals, base), base)
-
-
 def lp_criterion_integral(spec: Spec, p_exp: int, R_max: int, tol: float = 1e-9,
                           budget: EvalBudget | None = None) -> LatticeDiagnostics:
     """Unit-lattice quadrature of |lambda_hat(xi)| |xi|^(-1/p_exp) over
@@ -650,15 +620,46 @@ def lp_criterion_integral(spec: Spec, p_exp: int, R_max: int, tol: float = 1e-9,
     projected densities; negative slopes across the last shells signal
     the geometric decay that makes it converge.  The singular weight is
     capped at 1 inside the unit ball (the origin cell's exact integral
-    is finite and the same for every probability measure)."""
+    is finite and the same for every probability measure).
+
+    The ball is cut from the box |xi|_inf <= R_max and transformed 256
+    first-axis rows at a time, after the budget is checked for the box's
+    points ("lattice ball") and the first chunk's transform."""
     if int(p_exp) != p_exp or p_exp < 1:
         raise ConfigError("p_exp must be an integer >= 1")
     R_max = int(R_max)
     if R_max < 2 or R_max & (R_max - 1):
         raise ConfigError("R_max must be a power of 2")
-    return _lattice_ball_diagnostics(
-        spec, lambda a, r: a * np.maximum(r, 1.0) ** (-1.0 / p_exp), R_max, tol, budget
-    )
+    bud = ensure_budget(budget)
+    n = total_dim(spec)
+    if n not in (1, 2):
+        raise ConfigError("lattice-ball sums need a measure of total dimension 1 or 2")
+    n_shells = 1 + _shell_count(R_max, 2)
+    totals = np.zeros(n_shells)
+    partial = 0.0
+    side = 2 * R_max + 1
+    blocks = box_blocks(side, n, bud, "lattice ball", max(256 * side ** (n - 1), side))
+    # the first chunk (in 1-D the whole axis) holds at least `side` ball
+    # points and reaches (-R_max, 0), so its transform charges at least this
+    bud.check(side * transform_levels(spec, [[R_max] + [0] * (n - 1)], tol), "transform levels")
+    for block in blocks:
+        block = block[(block ** 2).sum(axis=1) <= R_max * R_max]
+        values, _ = fourier_transform_batch(spec, block, tol, bud)
+        norms = np.sqrt((block ** 2).sum(axis=1))
+        w = np.abs(values) * np.maximum(norms, 1.0) ** (-1.0 / p_exp)
+        partial += float(w.sum())
+        totals += _shell_diagnostics(norms, w, base=2, n_shells=n_shells)[0]
+    return LatticeDiagnostics(partial, tuple(float(v) for v in totals),
+                              _floored_slopes(totals, 2), 2)
+
+
+def _annulus(R: float, budget: EvalBudget):
+    """Blocks of the lattice points of R <= |xi| <= 2R, walked in C order
+    through the square |xi|_inf <= floor(2R) ("annulus square")."""
+    top = int(math.floor(2 * R))
+    for block in box_blocks(2 * top + 1, 2, budget, "annulus square"):
+        norms = np.hypot(block[:, 0], block[:, 1])
+        yield block[(norms >= R) & (norms <= 2 * R)]
 
 
 def stripe_integral(spec: Spec, theta, R: float, tol: float = 1e-9,
@@ -671,30 +672,12 @@ def stripe_integral(spec: Spec, theta, R: float, tol: float = 1e-9,
         raise ConfigError("stripe annulus needs R >= 2")
     theta = _unit_direction(theta)
     bud = ensure_budget(budget)
-    pts, norms = _annulus_points(R, _annulus_top(R, bud))
-    keep = np.abs(pts @ theta) <= norms / R
+    pts = np.concatenate(tuple(_annulus(R, bud)))
+    keep = np.abs(pts @ theta) <= np.hypot(pts[:, 0], pts[:, 1]) / R
     if not keep.any():
         return 0.0
     values, _ = fourier_transform_batch(spec, pts[keep], tol, bud)
     return float(np.abs(values).sum())
-
-
-def _annulus_top(R: float, budget: EvalBudget) -> int:
-    """floor(2R), once the budget can pay for the square |xi|_inf <= 2R
-    that _annulus_points cuts the annulus from."""
-    top = int(math.floor(2 * R))
-    budget.check((2 * top + 1) ** 2, "annulus square")
-    return top
-
-
-def _annulus_points(R: float, top: int):
-    """Lattice points of R <= |xi| <= 2R and their norms, cut from the
-    square |xi|_inf <= top = floor(2R)."""
-    axis = np.arange(-top, top + 1)
-    grid = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
-    norms = np.hypot(grid[:, 0], grid[:, 1])
-    keep = (norms >= R) & (norms <= 2 * R)
-    return grid[keep].astype(float), norms[keep]
 
 
 def stripe_scan(spec: Spec, R: float, angle_count: int, tol: float = 1e-9,
@@ -716,16 +699,8 @@ def stripe_scan(spec: Spec, R: float, angle_count: int, tol: float = 1e-9,
     if angle_count < 1:
         raise ConfigError("angle_count must be positive")
     bud = ensure_budget(budget)
-    top = _annulus_top(R, bud)
-    # Refused before the annulus is built: the transform charges each of
-    # its points at least the levels of (top, 0) and (0, top), which lie
-    # in it.  The unit cells of its points cover the annulus of radii
-    # R + s .. 2R - s (s = sqrt(2)/2), of area 3 pi R (R - sqrt(2)); the
-    # relative 1e-9 shaved off absorbs rounding.
-    floor_points = math.floor(3.0 * math.pi * R * (R - math.sqrt(2.0)) * (1.0 - 1e-9))
-    bud.check(floor_points * transform_levels(spec, [[top, 0.0], [0.0, top]], tol),
-              "transform levels")
-    pts, norms = _annulus_points(R, top)
+    pts = gather_points(spec, _annulus(R, bud), tol, bud)
+    norms = np.hypot(pts[:, 0], pts[:, 1])
     bud.charge(pts.shape[0] + angle_count, "stripe binning")
     values, _ = fourier_transform_batch(spec, pts, tol, bud)
     mags = np.abs(values)
@@ -754,28 +729,31 @@ def stripe_scan(spec: Spec, R: float, angle_count: int, tol: float = 1e-9,
     return angles, total[:angle_count] + total[angle_count:]
 
 
-def exceptional_from_scan(spec: Spec, R: float, eps: float, s1: float,
-                          angles, values) -> tuple:
-    """(threshold, directions) for a stripe_scan result: the threshold
-    is R^(n - 1 - s1 + 2 eps), s1 being a certified l1-dimension lower
-    bound, and the directions are the unit vectors of the scanned
-    angles whose stripe sum reaches it."""
+def exceptional_threshold(spec: Spec, R: float, eps: float, s1: float) -> float:
+    """R^(n - 1 - s1 + 2 eps), s1 being a certified l1-dimension lower
+    bound: a direction is exceptional when its stripe sum reaches it.
+    eps is checked here, before any scan is paid for."""
     if eps <= 0:
         raise ConfigError("eps must be positive")
-    threshold = float(R) ** (total_dim(spec) - 1 - s1 + 2 * eps)
-    return threshold, [(math.cos(a), math.sin(a))
-                       for a, v in zip(angles, values) if v >= threshold]
+    return float(R) ** (total_dim(spec) - 1 - s1 + 2 * eps)
+
+
+def exceptional_from_scan(threshold: float, angles, values) -> list:
+    """The unit vectors of the scanned angles whose stripe sum reaches
+    threshold."""
+    return [(math.cos(a), math.sin(a)) for a, v in zip(angles, values) if v >= threshold]
 
 
 def exceptional_directions(spec: Spec, R: float, eps: float, s1: float,
                            angle_count: int, tol: float = 1e-9,
                            budget: EvalBudget | None = None) -> list:
-    """Grid directions whose annulus-stripe sum reaches the exceptional
-    threshold of exceptional_from_scan.  For measures with decaying
-    generic directions this isolates the coordinate-like rays along
-    which |lambda_hat| keeps its mass."""
+    """Grid directions whose annulus-stripe sum reaches
+    exceptional_threshold.  For measures with decaying generic
+    directions this isolates the coordinate-like rays along which
+    |lambda_hat| keeps its mass."""
+    threshold = exceptional_threshold(spec, R, eps, s1)
     angles, values = stripe_scan(spec, R, angle_count, tol, budget)
-    return exceptional_from_scan(spec, R, eps, s1, angles, values)[1]
+    return exceptional_from_scan(threshold, angles, values)
 
 
 def slab_integral(spec: Spec, theta, T_max: float, tol: float = 1e-9,
@@ -792,31 +770,26 @@ def slab_integral(spec: Spec, theta, T_max: float, tol: float = 1e-9,
         raise ConfigError("T_max must be at least 2")
     T = int(math.floor(T_max))
     bud = ensure_budget(budget)
-    bud.check(2 * T + 1, "slab columns")
     # The slab half-width 1/200 is < 1/2, so along the thicker axis each
     # column holds at most one candidate lattice row.
     if abs(theta[1]) >= abs(theta[0]):
         lead, other = 0, 1
     else:
         lead, other = 1, 0
-    parts, kept, levels = [], 0, 0
-    for start in range(-T, T + 1, _SLAB_BLOCK):
-        cols = np.arange(start, min(start + _SLAB_BLOCK, T + 1))
-        rows = np.round(-theta[lead] * cols / theta[other]).astype(np.int64)
-        block = np.empty((cols.size, 2))
-        block[:, lead] = cols
-        block[:, other] = rows
-        keep = (np.abs(block @ theta) <= 1.0 / 200.0) & ((block ** 2).sum(axis=1) <= T_max * T_max)
-        parts.append(block[keep])
-        # the transform charges every slab point at least the levels of
-        # any block of them, so the slab is refused as it grows
-        kept += parts[-1].shape[0]
-        levels = max(levels, transform_levels(spec, parts[-1], tol))
-        bud.check(kept * levels, "transform levels")
-    pts = np.concatenate(parts)
+
+    def kept(columns):
+        for block in columns:
+            cols = block[:, 0]
+            rows = np.round(-theta[lead] * cols / theta[other]).astype(np.int64)
+            block = np.empty((cols.size, 2))
+            block[:, lead] = cols
+            block[:, other] = rows
+            yield block[(np.abs(block @ theta) <= 1.0 / 200.0)
+                        & ((block ** 2).sum(axis=1) <= T_max * T_max)]
+
+    pts = gather_points(spec, kept(box_blocks(2 * T + 1, 1, bud, "slab columns")), tol, bud)
     values, _ = fourier_transform_batch(spec, pts, tol, bud)
     mags = np.abs(values)
     norms = np.hypot(pts[:, 0], pts[:, 1])
-    n_shells = 1 + max(1, math.ceil(math.log(max(T_max, 2.0)) / math.log(2)))
-    totals, slopes = _shell_diagnostics(norms, mags, base=2, n_shells=n_shells)
+    totals, slopes = _shell_diagnostics(norms, mags, base=2, n_shells=1 + _shell_count(T_max, 2))
     return LatticeDiagnostics(float(mags.sum()), totals, slopes, 2)

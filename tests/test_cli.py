@@ -74,6 +74,8 @@ def test_exit_64_usage_errors():
     assert run(["dim-bound", "--spec", "factor { nope }"])[0] == 64
     assert run(["dim-bound"])[0] == 64  # no spec anywhere
     assert run(["dim-bound", "--spec", C3, "--workers", "2"])[0] == 64  # no such flag
+    # eps is refused before the scan, which alone would exceed the budget
+    assert run(["stripe-scan", "--spec", C32_SQ, "--radius", "2000", "--eps", "0"])[0] == 64
 
 
 @pytest.mark.parametrize("argv", [
@@ -305,6 +307,21 @@ def test_fourier_chain_refuses_transform_levels_before_building_points(argv):
                           capture_output=True, text=True, preexec_fn=_cap_address_space)
     assert proc.returncode == 65, proc.stderr
     assert "transform levels" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.skipif(resource is None, reason="needs the resource module")
+@pytest.mark.parametrize("spec, rmax, label", [
+    (C32_SQ, 2 ** 26, "lattice ball"),   # a 256-row chunk would be 256 GiB
+    (C3, 2 ** 30, "lattice ball"),       # the one chunk, the axis, 16 GiB
+    (C3, 2 ** 25, "transform levels"),   # a box the budget admits; its axis is 512 MiB
+])
+def test_lp_integral_refuses_an_oversized_ball_before_building_it(spec, rmax, label):
+    proc = subprocess.run([sys.executable, "-m", "missingdigits", "lp-integral", "--spec", spec,
+                           "--p", "2", "--rmax", str(rmax)],
+                          capture_output=True, text=True, preexec_fn=_cap_address_space)
+    assert proc.returncode == 65, proc.stderr
+    assert label in proc.stderr
     assert "Traceback" not in proc.stderr
 
 

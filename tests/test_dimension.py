@@ -7,11 +7,11 @@ import pytest
 import missingdigits.dimension as dimension
 from missingdigits import (BoundKind, BudgetExceededError, DigitInterval, EvalBudget,
                            SymbolicBaseError, best_lower_bound, crude_bound,
-                           digit_symbol, explicit_spec, f_theta,
+                           digit_symbol, explicit_spec, f_theta, fourier_transform_batch,
                            grid_lower_bound, hausdorff_dim, interval_spec,
                            l2_dimension, lebesgue_spec, partial_sum_S_k,
                            rectangle_bound, square, sup_f)
-from missingdigits.measure import BasePower
+from missingdigits.measure import BasePower, as_product
 
 C3 = explicit_spec(3, [0, 2])
 C5 = explicit_spec(5, [0, 1, 2, 3])
@@ -275,6 +275,37 @@ def test_partial_sum_monotone_in_k():
     theta = [0.37]
     values = [partial_sum_S_k(C3, theta, k) for k in range(1, 5)]
     assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
+
+
+def _s_k_reference(spec, theta, k, budget):
+    """S_k from the meshgrid of the whole window, transformed in one
+    batch."""
+    p, n = as_product(spec).factors[0].p_int(), len(theta)
+    axis = np.arange(-p ** k + 1, p ** k, dtype=np.float64)
+    mesh = np.meshgrid(*([axis] * n), indexing="ij")
+    window = np.stack([m.ravel() for m in mesh], axis=-1)
+    values, _ = fourier_transform_batch(spec, window + np.asarray(theta)[None, :], 1e-9, budget)
+    return float(np.abs(values).sum())
+
+
+@pytest.mark.parametrize("spec, theta, k", [
+    (C3, [0.37], 4), (C5, [0.2], 3), (square(C3), [0.3, 0.1], 3),
+    (FACTORS["CARPET"], [0.25, 0.6], 2), (square(interval_spec(10, 0, 9)), [0.5, 0.0], 1),
+])
+def test_partial_sum_walks_the_meshgrid_window_bit_for_bit(spec, theta, k):
+    budget, reference_budget = EvalBudget(), EvalBudget()
+    assert partial_sum_S_k(spec, theta, k, budget=budget) == _s_k_reference(
+        spec, theta, k, reference_budget)
+    assert budget.spent == reference_budget.spent
+
+
+def test_partial_sum_refuses_an_oversized_window_before_building_it(monkeypatch):
+    monkeypatch.setattr(dimension, "fourier_transform_batch",
+                        lambda *args: pytest.fail("window transformed past the budget"))
+    budget = EvalBudget()
+    with pytest.raises(BudgetExceededError, match="S_k window"):
+        partial_sum_S_k(square(C3), [0.3, 0.1], 12, budget=budget)  # 1062881^2 points
+    assert budget.spent == 0
 
 
 def test_partial_sum_needs_common_base():

@@ -1,4 +1,5 @@
 import math
+import pickle
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -6,9 +7,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from missingdigits import projection
+from missingdigits import fourier, projection
+from missingdigits.dimension import partial_sum_S_k
 from missingdigits.fourier import transform_levels
-from missingdigits.measure import sample
+from missingdigits.measure import sample, total_dim
 from missingdigits import (BudgetExceededError, ConfigError, DensityProfile,
                            EvalBudget, ProfileAxis, ProfileMethod, TubeSpec,
                            cylinder_mass, exceptional_directions, explicit_spec,
@@ -424,6 +426,85 @@ def test_lp_integral_budget():
         lp_criterion_integral(C32, 2, 1024, budget=EvalBudget(10_000))
 
 
+def _lp_ball_reference(spec, p_exp, R_max, budget):
+    """The ball sum built from meshgrids: the whole axis at once in 1-D,
+    256 first-axis rows of the square at a time in 2-D, each chunk
+    transformed on its own."""
+    n_shells = 1 + math.ceil(math.log(R_max) / math.log(2))
+    totals = np.zeros(n_shells)
+    axis = np.arange(-R_max, R_max + 1)
+    if total_dim(spec) == 1:
+        chunks = [axis[:, None].astype(float)]
+    else:
+        chunks = []
+        for s in range(0, axis.size, 256):
+            block = np.stack(np.meshgrid(axis[s:s + 256], axis, indexing="ij"),
+                             axis=-1).reshape(-1, 2)
+            chunks.append(block[(block ** 2).sum(axis=1) <= R_max * R_max].astype(float))
+    partial = 0.0
+    for block in chunks:
+        values, _ = fourier_transform_batch(spec, block, 1e-9, budget)
+        norms = np.sqrt((block ** 2).sum(axis=1))
+        w = np.abs(values) * np.maximum(norms, 1.0) ** (-1.0 / p_exp)
+        partial += float(w.sum())
+        totals += projection._shell_diagnostics(norms, w, n_shells=n_shells)[0]
+    return projection.LatticeDiagnostics(partial, tuple(float(v) for v in totals),
+                                         projection._floored_slopes(totals, 2), 2)
+
+
+@pytest.mark.parametrize("spec, R_max", [(C3, 256), (C32, 128), (LEB2, 256)])
+def test_lp_integral_walks_the_meshgrid_ball_bit_for_bit(spec, R_max):
+    # in 2-D, R = 128 and 256 walk 257 and 513 first-axis rows: chunks of
+    # 256 rows and a last chunk of one row
+    budget, reference_budget = EvalBudget(), EvalBudget()
+    diag = lp_criterion_integral(spec, 2, R_max, budget=budget)
+    reference = _lp_ball_reference(spec, 2, R_max, reference_budget)
+    assert pickle.dumps(diag) == pickle.dumps(reference)
+    assert budget.spent == reference_budget.spent
+
+
+def test_lp_integral_refuses_an_oversized_ball_box_before_building_it(monkeypatch):
+    monkeypatch.setattr(projection, "fourier_transform_batch",
+                        lambda *args: pytest.fail("ball transformed past the budget"))
+    budget = EvalBudget(1000)
+    with pytest.raises(BudgetExceededError, match="lattice ball needs 1089 cells"):
+        lp_criterion_integral(C32, 2, 16, budget=budget)  # the 33^2 box
+    assert budget.spent == 0
+
+
+def _base_digits(m, base):
+    """Number of base-`base` digits of the integer m >= 0 (0 for m = 0)."""
+    count = 0
+    while m:
+        m //= base
+        count += 1
+    return count
+
+
+def test_shell_count_is_exact():
+    # for an integer top >= 1, base^s >= top exactly when top - 1 has at
+    # most s digits in base `base`
+    for base in range(2, 41):
+        tops = {1, 2, 3, base - 1, base + 1}
+        for s in range(1, 64):
+            if base ** s > 2 ** 53:
+                break
+            tops |= {base ** s - 1, base ** s, base ** s + 1, base ** s // 2 + 1}
+        for top in tops:
+            expected = _base_digits(top - 1, base)
+            assert projection._shell_count(top, base) == expected
+            if float(top) == top:
+                assert projection._shell_count(float(top), base) == expected
+    assert projection._shell_count(0.0, 2) == projection._shell_count(0.5, 2) == 0
+    # floating point log ratios overshoot here (ceil gives 30 shells)
+    assert math.ceil(math.log(2 ** 29) / math.log(2)) == 30
+    assert projection._shell_count(2 ** 29, 2) == 29
+    # the shell counts of the benchmark's lp-256, slab-2048 and ld-generic
+    assert projection._shell_count(256, 2) == 8
+    assert projection._shell_count(2048.0, 2) == 11
+    assert projection._shell_count(6561.0, 3) == 8
+
+
 # ----------------------------------------------------------------- stripes
 
 
@@ -431,6 +512,16 @@ def test_stripe_coordinate_exceeds_generic():
     coord = stripe_integral(C32, (1.0, 0.0), 27.0)
     generic = stripe_integral(C32, (math.cos(0.61), math.sin(0.61)), 27.0)
     assert coord / generic >= 3.0
+
+
+def test_annulus_walks_the_meshgrid_square_bit_for_bit(monkeypatch):
+    for R in (2.0, 5.5, 40.0, 81.0):
+        pts, _ = _annulus(R)
+        walked = np.concatenate(tuple(projection._annulus(R, EvalBudget())))
+        assert walked.dtype == pts.dtype and np.array_equal(walked, pts)
+    monkeypatch.setattr(fourier, "LATTICE_BLOCK", 97)
+    walked = np.concatenate(tuple(projection._annulus(40.0, EvalBudget())))
+    assert np.array_equal(walked, _annulus(40.0)[0])
 
 
 def test_stripe_scan_matches_single_integrals():
@@ -477,11 +568,19 @@ def test_stripe_net_multiplicity_bounded():
 
 
 def test_slab_walked_in_blocks_matches_one_block(monkeypatch):
-    theta = (1.0, 1.2345)
-    whole = slab_integral(C32, theta, 2048.0)
-    monkeypatch.setattr(projection, "_SLAB_BLOCK", 97)
-    blocked = slab_integral(C32, theta, 2048.0)
-    assert blocked == whole
+    # every sum that joins box_blocks into one batch, at the default
+    # block and at 97 points a block
+    sums = (lambda budget: slab_integral(C32, (1.0, 1.2345), 2048.0, budget=budget),
+            lambda budget: stripe_scan(C32, 27.0, 64, budget=budget),
+            lambda budget: partial_sum_S_k(C32, (0.3, 0.1), 3, budget=budget))
+    whole = []
+    for compute in sums:
+        budget = EvalBudget()
+        whole.append((pickle.dumps(compute(budget)), budget.spent))
+    monkeypatch.setattr(fourier, "LATTICE_BLOCK", 97)
+    for compute, expected in zip(sums, whole):
+        budget = EvalBudget()
+        assert (pickle.dumps(compute(budget)), budget.spent) == expected
 
 
 def test_slab_refused_once_its_kept_points_outgrow_the_budget(monkeypatch):
