@@ -189,10 +189,15 @@ def _csv_cell(v) -> str:
 
 
 def _as_int(value, what: str) -> int:
+    """An integral value (1e8 is one, 2.5 is not), refused rather than
+    truncated."""
     try:
-        return int(value)
+        number = int(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{what} must be an integer, got {value!r}") from exc
+    if not isinstance(value, str) and number != value:
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    return number
 
 
 def _reals(text: str, what: str) -> list:
@@ -320,7 +325,9 @@ def _cmd_fourier_eval(args) -> int:
     run = _Run(args)
     spec = run.spec()
     n = total_dim(spec)
-    if args.xi:
+    if (args.xi is None) == (args.grid is None):
+        raise ConfigError("choose one of --xi (repeatable) or --grid RMAX,COUNT")
+    if args.xi is not None:
         pts = []
         for text in args.xi:
             row = _reals(text, "--xi")
@@ -328,7 +335,7 @@ def _cmd_fourier_eval(args) -> int:
                 raise ConfigError(f"xi {text!r} needs {n} components")
             pts.append(row)
         xis = np.array(pts, dtype=np.float64)
-    elif args.grid is not None:
+    else:
         if n != 1:
             raise ConfigError("--grid applies to one-dimensional measures; use --xi")
         parts = _reals(args.grid, "--grid")
@@ -337,8 +344,6 @@ def _cmd_fourier_eval(args) -> int:
         rmax = parts[0]
         count = _count(parts[1], "--grid", run.budget) if len(parts) == 2 else 201
         xis = np.linspace(-rmax, rmax, count)[:, None]
-    else:
-        raise ConfigError("pass --xi (repeatable) or --grid RMAX,COUNT")
     values, errs = fourier_transform_batch(spec, xis, tol=args.tol, budget=run.budget)
     columns = [f"xi_{i + 1}" for i in range(n)] + [
         "transform_re", "transform_im", "transform_abs", "truncation_error_bound"]
@@ -362,8 +367,8 @@ def _cmd_radial_density(args) -> int:
     run = _Run(args)
     spec = run.spec()
     x = _parse_vector(args.viewpoint, "--viewpoint")
-    if args.mc is None and args.delta is None:
-        raise ConfigError("radial-density needs --delta W (tube counts) or --mc SAMPLES")
+    if (args.mc is None) == (args.delta is None):
+        raise ConfigError("choose one of --delta W (tube counts) or --mc SAMPLES")
     if args.mc is not None:
         profile = radial_density_mc(spec, x, args.mc, args.bandwidth,
                                     seed=run.seed, budget=run.budget)
@@ -459,7 +464,9 @@ def _cmd_stripe_scan(args) -> int:
 def _cmd_graham(args) -> int:
     run = _Run(args)
     system_ = parse_system(args.system, args.scales)
-    if args.checkpoints:
+    if (args.limit is None) == (args.checkpoints is None):
+        raise ConfigError("choose one of --limit N or --checkpoints N1,N2,..")
+    if args.checkpoints is not None:
         checkpoints = [_as_int(c, "checkpoints") for c in args.checkpoints.split(",")]
         rows = density_report(system_, checkpoints, run.budget)
         run.write_csv(["limit", "count", "exponent_log_count_over_log_limit"],
@@ -470,8 +477,6 @@ def _cmd_graham(args) -> int:
         result = {"rows": rows}
         empty = all(r["count"] == 0 for r in rows)
     else:
-        if args.limit is None:
-            raise ConfigError("graham needs --limit N (or --checkpoints)")
         if system_.unscaled:
             members = enumerate_restricted(system_, args.limit, run.budget)
         else:

@@ -47,14 +47,7 @@ from .budget import EvalBudget, ensure_budget
 from .errors import ConfigError, SymbolicBaseError
 from .fourier import (box_blocks, fourier_transform_batch, gather_points, lattice_rows,
                       symbol_modulus)
-from .measure import (
-    DigitInterval,
-    MissingDigitsSpec,
-    ProductMeasureSpec,
-    Spec,
-    as_product,
-    log_int,
-)
+from .measure import DigitInterval, MissingDigitsSpec, Spec, as_product
 
 
 class BoundKind(enum.Enum):

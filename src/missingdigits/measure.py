@@ -436,6 +436,12 @@ def square(factor: MissingDigitsSpec) -> ProductMeasureSpec:
 # ---------------------------------------------------------------- sampling
 
 
+def draw_cells(spec: Spec, depth: int, count: int) -> int:
+    """Budget cells that sample(spec, depth, count) charges: one per
+    point, digit level and factor."""
+    return count * depth * len(as_product(spec).factors)
+
+
 def sample(
     spec: Spec,
     depth: int,
@@ -458,7 +464,7 @@ def sample(
     if not prod.is_enumerable():
         raise SymbolicBaseError("sampling requires enumerable factors")
     bud = ensure_budget(budget)
-    bud.charge(count * depth * len(prod.factors), "digit draws")
+    bud.charge(draw_cells(prod, depth, count), "digit draws")
     rng = np.random.Generator(np.random.PCG64(seed))
     cols = np.empty((count, prod.total_dim), dtype=np.float64)
     for f, sl in zip(prod.factors, prod.factor_slices()):

@@ -29,8 +29,9 @@ Monte-Carlo estimators (seeded, chunked, reproducible however their
 chunks are scheduled) provide cross-checks for both families, and
 annulus stripe sums detect the exceptional directions along which the
 lattice mass of |lambda_hat| refuses to decay.  Monte-Carlo draws run
-in chunks on one thread per core; a tube profile is one cylinder
-descent shared by all of its angles, on the calling thread.
+in chunks on one thread per core, each chunk binned where it is drawn
+and the chunks' counts added; a tube profile is one cylinder descent
+shared by all of its angles, on the calling thread.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from .budget import EvalBudget, ensure_budget
 from .cylinders import TubeSpec, cylinder_mass, ray_tube_cells, ray_tube_masses
 from .errors import ConfigError
 from .fourier import box_blocks, fourier_transform_batch, gather_points, transform_levels
-from .measure import Spec, as_product, sample, total_dim
+from .measure import Spec, as_product, draw_cells, sample, total_dim
 
 # Fixed step for the inverse-transform quadrature along a ray.  The
 # quadrature aliases the density with period 1/step; the projected
@@ -218,13 +219,6 @@ def _corner_distances(x: np.ndarray) -> np.ndarray:
     return np.hypot(*(_UNIT_SQUARE_CORNERS - x).T)
 
 
-def _map_chunks(fn, chunks) -> list:
-    """[fn(c) for c in chunks], run on one thread per core (at most one
-    per chunk): the pool of the Monte-Carlo draws."""
-    with ThreadPoolExecutor(min(os.cpu_count() or 1, len(chunks))) as pool:
-        return list(pool.map(fn, chunks))
-
-
 def _require_plane(spec: Spec, what: str):
     if total_dim(spec) != 2:
         raise ConfigError(f"{what} requires a measure of total dimension 2")
@@ -340,45 +334,38 @@ def tube_mass_mc(spec: Spec, tube: TubeSpec, samples: int, seed: int = 0,
     return p_hat, sigma
 
 
-def _mc_offsets(spec: Spec, depth: int, samples: int, seed, project, budget):
-    """Projected offsets of samples draws in chunks of _MC_CHUNK: chunk
-    i always draws with seed (seed, i) and the chunks are joined in
-    order, so the offsets do not depend on how the chunks are scheduled
-    across threads."""
-    if int(samples) != samples or samples < 1:
-        raise ConfigError("Monte-Carlo sampling needs a positive whole sample count")
-    # the draws of all chunks, as sample charges them, before any is scheduled
-    budget.check(samples * depth * len(as_product(spec).factors), "digit draws")
-    starts = range(0, samples, _MC_CHUNK)
-
-    def draw(i):
-        count = min(_MC_CHUNK, samples - starts[i])
-        pts = sample(spec, depth, count, seed=(seed, i), budget=budget)
-        return project(pts)
-
-    return np.concatenate(_map_chunks(draw, range(len(starts))))
-
-
-def _histogram_profile(offsets, window, bandwidth, samples, budget):
-    nbins = max(2, math.ceil((window[1] - window[0]) / bandwidth))
-    budget.check(nbins, "histogram bins")
-    edges = np.linspace(window[0], window[1], nbins + 1)
-    counts, _ = np.histogram(offsets, bins=edges)
-    width = edges[1] - edges[0]
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    values = counts / (samples * width)
-    coverage = counts.sum() / samples
-    return centers, values, float(coverage), width
-
-
 def _mc_profile(spec: Spec, axis: ProfileAxis, depth: int, window: tuple, project,
                 samples: int, bandwidth: float, seed, budget, **located) -> DensityProfile:
     """The Monte-Carlo histogram profile shared by the radial and linear
     estimators; `located` is the one metadata entry that places the
-    projection (its viewpoint or direction)."""
+    projection (its viewpoint or direction).
+
+    Chunk i of _MC_CHUNK draws always draws with seed (seed, i) and is
+    projected and binned where it is drawn, on one thread per core (at
+    most one per chunk).  Fixed edges decide each draw on its own and
+    the chunks' integer counts add exactly, so the profile does not
+    depend on how the chunks are scheduled."""
+    if int(samples) != samples or samples < 1:
+        raise ConfigError("Monte-Carlo sampling needs a positive whole sample count")
     bud = ensure_budget(budget)
-    offsets = _mc_offsets(spec, depth, samples, seed, project, bud)
-    grid, values, coverage, width = _histogram_profile(offsets, window, bandwidth, samples, bud)
+    # the draws of all chunks, as sample charges them, and the bins on
+    # top of them, before any chunk is drawn
+    draws = draw_cells(spec, depth, samples)
+    bud.check(draws, "digit draws")
+    nbins = max(2, math.ceil((window[1] - window[0]) / bandwidth))
+    bud.check(draws + nbins, "histogram bins")
+    edges = np.linspace(window[0], window[1], nbins + 1)
+    starts = range(0, samples, _MC_CHUNK)
+
+    def binned(i):
+        count = min(_MC_CHUNK, samples - starts[i])
+        pts = sample(spec, depth, count, seed=(seed, i), budget=bud)
+        return np.histogram(project(pts), bins=edges)[0]
+
+    with ThreadPoolExecutor(min(os.cpu_count() or 1, len(starts))) as pool:
+        counts = sum(pool.map(binned, range(len(starts))))
+    width = edges[1] - edges[0]
+    coverage = float(counts.sum() / samples)
     meta = {
         "samples": samples,
         "bandwidth": bandwidth,
@@ -391,7 +378,8 @@ def _mc_profile(spec: Spec, axis: ProfileAxis, depth: int, window: tuple, projec
         **located,
         "flags": [] if coverage >= 1.0 else ["WindowClipped"],
     }
-    return DensityProfile(axis, grid, values, ProfileMethod.MONTE_CARLO, meta)
+    return DensityProfile(axis, 0.5 * (edges[:-1] + edges[1:]), counts / (samples * width),
+                          ProfileMethod.MONTE_CARLO, meta)
 
 
 def radial_density_mc(spec: Spec, x, samples: int, bandwidth: float, seed: int = 0,

@@ -76,6 +76,15 @@ def test_exit_64_usage_errors():
     assert run(["dim-bound", "--spec", C3, "--workers", "2"])[0] == 64  # no such flag
     # eps is refused before the scan, which alone would exceed the budget
     assert run(["stripe-scan", "--spec", C32_SQ, "--radius", "2000", "--eps", "0"])[0] == 64
+    # flag pairs of which one would be silently dropped
+    for argv in (["radial-density", "--spec", C32_SQ, "--viewpoint=-1,0.5",
+                  "--delta", "0.01", "--mc", "2000"],
+                 ["fourier-eval", "--spec", C3, "--xi", "1", "--grid", "10,5"],
+                 ["graham", "--system", "3:{0,1};5:{0,1,2}", "--limit", "100",
+                  "--checkpoints", "1000"]):
+        code, out, err = run(argv)
+        assert (code, out) == (64, ""), argv
+        assert "choose one of" in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -100,6 +109,7 @@ def test_exit_64_usage_errors():
     # past Python's 4300-digit limit for int(str)
     ["dim-bound", "--spec", f"factor {{ base = 1{'0' * 5000}; digits = 0..9; }}"],
     ["dim-bound", "--spec", f"factor {{ base = 10; digits = 0..1{'0' * 5000}; }}"],
+    ["dim-bound", "--spec", C3, "--budget", "150000.7"],  # refused, not truncated
 ])
 def test_exit_64_on_bad_numeric_input(argv):
     assert run(argv)[0] == 64
@@ -162,6 +172,11 @@ def test_exit_64_on_bad_config_file(tmp_path):
     code, _, err = run(["dim-bound", "--config", str(threads)])
     assert code == 64
     assert "unknown config keys" in err
+    fractional = tmp_path / "fractional.json"
+    fractional.write_text(json.dumps({"spec": C3, "seed": 2.5}))  # refused, not truncated
+    code, _, err = run(["dim-bound", "--config", str(fractional)])
+    assert code == 64
+    assert "seed must be an integer" in err
 
 
 def test_exit_65_on_budget_exhaustion():
@@ -178,12 +193,13 @@ def test_exit_65_on_budget_exhaustion():
 def test_manifest_fields_present():
     _, doc = run_json(["radial-density", "--spec", C32_SQ,
                        "--viewpoint=-1,0.5", "--mc", "5000",
-                       "--angles", "32", "--seed", "11"])
+                       "--angles", "32", "--seed", "11", "--budget", "1e8"])
     man = doc["manifest"]
     assert sorted(man) == ["budget", "config", "outputs", "seed", "subcommand",
                            "versions", "wall_time_s"]
     assert man["subcommand"] == "radial-density"
     assert man["seed"] == 11
+    assert man["budget"] == 100_000_000  # an integral float is a whole count
     assert man["config"]["argv"][0] == "radial-density"
     assert man["versions"]["rng"] == "PCG64"
     assert "numpy" in man["versions"] and "python" in man["versions"]

@@ -357,22 +357,32 @@ def test_linear_density_refuses_unequal_or_single_point_grid():
 
 
 def test_linear_mc_independent_of_worker_count(monkeypatch):
-    theta = np.array([2.0, 1.0]) / math.sqrt(5.0)
-    depth, seed, chunk = 6, 6, projection._MC_CHUNK
-    # serial reference: chunk i drawn with seed (seed, i), chunks in order
-    serial = np.concatenate([
-        sample(C32, depth, min(chunk, MC_SAMPLES - start), seed=(seed, i)) @ theta
-        for i, start in enumerate(range(0, MC_SAMPLES, chunk))])
+    seed, chunk = 6, projection._MC_CHUNK
     profiles = []
     for cores in (1, 3):
         sizes = _machine_with(monkeypatch, cores)
-        offsets = projection._mc_offsets(C32, depth, MC_SAMPLES, seed,
-                                         lambda pts: pts @ theta, EvalBudget())
-        assert np.array_equal(offsets, serial)
         profiles.append(linear_density_mc(C32, (2.0, 1.0), MC_SAMPLES, 0.01, seed=seed))
-        assert sizes == [cores, cores]
-    a, b = profiles
-    assert np.array_equal(a.values, b.values)
+        assert sizes == [cores]
+    # serial reference: chunk i drawn with seed (seed, i), the chunks
+    # joined in order and binned once on the profile's edges
+    meta = profiles[0].metadata
+    theta = np.array(meta["direction"])
+    offsets = np.concatenate([
+        sample(C32, meta["depth"], min(chunk, MC_SAMPLES - start), seed=(seed, i)) @ theta
+        for i, start in enumerate(range(0, MC_SAMPLES, chunk))])
+    edges = np.linspace(*meta["window"], len(profiles[0].grid) + 1)
+    counts, _ = np.histogram(offsets, bins=edges)
+    serial = counts / (MC_SAMPLES * (edges[1] - edges[0]))
+    for profile in profiles:
+        assert np.array_equal(profile.values, serial)
+
+
+def test_linear_mc_refuses_its_bins_before_drawing():
+    # 5 draws fit the budget, about 1.4e5 bins of width 1e-5 do not
+    budget = EvalBudget(10_000)
+    with pytest.raises(BudgetExceededError, match="histogram bins"):
+        linear_density_mc(C32, (1.0, 1.0), 5, 1e-5, budget=budget)
+    assert budget.spent == 0
 
 
 def test_linear_density_checks_the_ray_levels_it_is_charged():
