@@ -53,8 +53,8 @@ C3_SQ = parse_spec(f"{C3} {C3}")
 L10 = "factor { base = 10; digits = 0..9; }"
 CARPET = ("factor { base = 3; n = 2; digits = "
           "{(0,0),(1,0),(2,0),(0,1),(2,1),(0,2),(1,2),(2,2)}; }")
-MC_DIRECTION = (math.cos(1.0), math.sin(1.0))  # a generic angle of mc-linear
 I512 = parse_spec("factor { base = 512; digits = 0..499; }")
+MC_DIRECTION = (math.cos(1.0), math.sin(1.0))  # a generic angle of mc-linear
 
 
 def tube(spec, viewpoint, delta, angles):
@@ -108,8 +108,8 @@ def run_once(name: str) -> dict:
 
 def run_case(name: str, repeat: int) -> dict:
     """`repeat` runs of case `name`, each in a fresh child process."""
-    runs = [json.loads(subprocess.run([sys.executable, str(Path(__file__).resolve()), "--child", name],
-                                      check=True, capture_output=True, text=True).stdout)
+    child = [sys.executable, str(Path(__file__).resolve()), "--child", name]
+    runs = [json.loads(subprocess.run(child, check=True, capture_output=True, text=True).stdout)
             for _ in range(repeat)]
     exact = {(r["cells"], r["result_sha256"]) for r in runs}
     if len(exact) != 1:
