@@ -6,9 +6,9 @@ restrictions in several bases."""
 from .budget import DEFAULT_BUDGET, EvalBudget
 from .certify import (CertificateReport, Theorem, Verdict, certify_linear,
                       certify_radial_Lp, preset)
-from .cylinders import AxisBox, TubeSpec, cylinder_mass, ray_tube_masses
+from .cylinders import TubeSpec, cylinder_mass, ray_tube_masses
 from .dimension import (BoundKind, DimensionBound, best_lower_bound,
-                        crude_bound, f_theta, grid_lower_bound, l2_dimension,
+                        crude_bound, f_theta, grid_lower_bound,
                         partial_sum_S_k, rectangle_bound, sup_f)
 from .errors import BudgetExceededError, ConfigError, SymbolicBaseError
 from .fourier import (digit_symbol, fourier_oracle, fourier_transform,
@@ -26,14 +26,13 @@ from .projection import (DensityProfile, LatticeDiagnostics, ProfileAxis,
                          linear_density, linear_density_mc,
                          lp_criterion_integral, profile_l1_distance,
                          radial_density_mc, radial_l2_norm,
-                         radial_tube_density, radial_tube_profile,
-                         slab_integral, stripe_integral, stripe_scan,
-                         tube_mass_mc)
+                         radial_tube_profile, slab_integral, stripe_integral,
+                         stripe_scan, tube_mass_mc)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AxisBox", "BasePower", "BoundKind", "BudgetExceededError",
+    "BasePower", "BoundKind", "BudgetExceededError",
     "CertificateReport", "ConfigError", "DEFAULT_BUDGET", "DensityProfile",
     "DigitInterval", "DimensionBound", "EvalBudget", "ExplicitDigits",
     "LatticeDiagnostics", "MissingDigitsSpec", "ProductMeasureSpec",
@@ -44,11 +43,11 @@ __all__ = [
     "digits_ok", "enumerate_restricted", "enumerate_scaled",
     "exceptional_directions", "explicit_spec", "f_theta", "fourier_oracle",
     "fourier_transform", "fourier_transform_batch", "grid_lower_bound",
-    "hausdorff_dim", "interval_spec", "l2_dimension", "lebesgue_spec",
+    "hausdorff_dim", "interval_spec", "lebesgue_spec",
     "linear_density", "linear_density_mc", "lp_criterion_integral",
     "parse_spec", "parse_system", "partial_sum_S_k", "preset", "product",
     "profile_l1_distance", "radial_density_mc", "radial_l2_norm",
-    "radial_tube_density", "radial_tube_profile", "ray_tube_masses", "rectangle_bound",
+    "radial_tube_profile", "ray_tube_masses", "rectangle_bound",
     "sample", "slab_integral", "square", "stripe_integral", "stripe_scan",
     "sup_f", "system", "total_dim", "truncation_depth", "tube_mass_mc",
 ]

@@ -2,10 +2,11 @@
 
 Output discipline: each run prints exactly one JSON document to stdout
 holding a run manifest (subcommand, resolved configuration, seed,
-versions, wall time, output paths) plus the result; `--csv PATH`
-additionally writes tabular rows to PATH with comment headers naming
-the method and units of every column.  Identical argv and seed produce
-identical bytes apart from the wall-time field.
+versions, wall time, output paths) plus the result; where a subcommand
+produces tabular rows, `--csv PATH` additionally writes them to PATH
+with comment headers naming the method and units of every column.
+Identical argv and seed produce identical bytes apart from the
+wall-time field.
 
 Exit codes: 0 success (or verdict Certified), 1 NotCertified or an
 empty result set, 2 Inconclusive, 64 usage/config errors, 65 budget
@@ -83,18 +84,23 @@ def real(text: str) -> float:
     return value
 
 
-def _add_common(sub: argparse.ArgumentParser, with_seed: bool = True):
-    sub.add_argument("--config", metavar="FILE",
-                     help="JSON file of defaults (spec text, seed, budget)")
-    sub.add_argument("--spec", metavar="TEXT",
-                     help="measure config, e.g. \"factor { base = 3; digits = {0,2}; n = 2; }\"")
-    if with_seed:
-        sub.add_argument("--seed", type=int, default=None, metavar="U64")
-    sub.add_argument("--json", action="store_true",
-                     help="force tabular rows inline in the JSON result")
-    sub.add_argument("--csv", metavar="PATH", help="write tabular rows to PATH")
-    sub.add_argument("--budget", type=real, default=None, metavar="CELLS",
-                     help=f"max lattice/cylinder evaluations (default {DEFAULT_BUDGET:g})")
+def _shared_options() -> tuple:
+    """Parent parsers of the options that subcommands share: `common`
+    for every subcommand, `spec` for those that parse a measure, `seed`
+    for those that draw at random and `rows` for those that write
+    tabular rows."""
+    common, spec, seed, rows = (argparse.ArgumentParser(add_help=False) for _ in range(4))
+    common.add_argument("--config", metavar="FILE",
+                        help="JSON file of defaults (spec text, seed, budget)")
+    common.add_argument("--budget", type=real, default=None, metavar="CELLS",
+                        help=f"max lattice/cylinder evaluations (default {DEFAULT_BUDGET:g})")
+    spec.add_argument("--spec", metavar="TEXT",
+                      help="measure config, e.g. \"factor { base = 3; digits = {0,2}; n = 2; }\"")
+    seed.add_argument("--seed", type=int, default=None, metavar="U64")
+    rows.add_argument("--json", action="store_true",
+                      help="force tabular rows inline in the JSON result")
+    rows.add_argument("--csv", metavar="PATH", help="write tabular rows to PATH")
+    return common, spec, seed, rows
 
 
 _CONFIG_KEYS = {"spec", "seed", "budget"}
@@ -125,7 +131,10 @@ class _Run:
         self.t0 = time.monotonic()
         self.args = args
         file_cfg = _load_config(getattr(args, "config", None))
-        self.spec_text = args.spec if args.spec is not None else file_cfg.get("spec")
+        # a subcommand without --spec reads no measure, from argv or file
+        self.spec_text = getattr(args, "spec", None)
+        if self.spec_text is None and "spec" in args:
+            self.spec_text = file_cfg.get("spec")
         seed = getattr(args, "seed", None)
         if seed is None:
             seed = file_cfg.get("seed", 0)
@@ -398,6 +407,8 @@ def _cmd_linear_density(args) -> int:
     spec = run.spec()
     theta = _parse_vector(args.direction, "--direction")
     unit = _unit_direction(theta)
+    if args.mc is not None and args.grid is not None:
+        raise ConfigError("choose one of --grid LO,HI,COUNT (Fourier inversion) or --mc SAMPLES")
     if args.mc is not None:
         profile = linear_density_mc(spec, theta, args.mc, args.bandwidth,
                                     seed=run.seed, budget=run.budget)
@@ -519,34 +530,34 @@ def build_parser() -> argparse.ArgumentParser:
                                  "Fourier decay, projection densities, digit "
                                  "enumeration.")
     subs = parser.add_subparsers(dest="subcommand", required=True)
+    common, spec, seed, rows = _shared_options()
 
-    p = subs.add_parser("dim-bound", parents=[], help="rigorous l1-dimension lower bounds")
-    _add_common(p, with_seed=False)
+    p = subs.add_parser("dim-bound", parents=[common, spec],
+                        help="rigorous l1-dimension lower bounds")
     p.set_defaults(fn=_cmd_dim_bound)
 
-    p = subs.add_parser("certify", help="certify a projection hypothesis")
-    _add_common(p, with_seed=False)
+    p = subs.add_parser("certify", parents=[common, spec], help="certify a projection hypothesis")
     p.add_argument("--radial-lp", type=int, metavar="P", default=None,
                    help="radial L^p density hypothesis (threshold n - 1/P)")
     p.add_argument("--linear", action="store_true",
                    help="continuous linear-projection density hypothesis (threshold n - 1)")
     p.set_defaults(fn=_cmd_certify)
 
-    p = subs.add_parser("preset", help="rebuild and certify a named flagship parameter set")
+    p = subs.add_parser("preset", parents=[common],
+                        help="rebuild and certify a named flagship parameter set")
     p.add_argument("name", choices=["theorem-a", "theorem-b", "theorem-b-homogeneous"])
-    _add_common(p, with_seed=False)
     p.set_defaults(fn=_cmd_preset)
 
-    p = subs.add_parser("fourier-eval", help="evaluate the measure's Fourier transform")
-    _add_common(p, with_seed=False)
+    p = subs.add_parser("fourier-eval", parents=[common, spec, rows],
+                        help="evaluate the measure's Fourier transform")
     p.add_argument("--xi", action="append", metavar="C1,..",
                    help="frequency point (repeatable)")
     p.add_argument("--grid", metavar="RMAX,COUNT", help="symmetric 1-D grid")
     p.add_argument("--tol", type=real, default=1e-9)
     p.set_defaults(fn=_cmd_fourier_eval)
 
-    p = subs.add_parser("radial-density", help="density of directions seen from a viewpoint")
-    _add_common(p)
+    p = subs.add_parser("radial-density", parents=[common, spec, seed, rows],
+                        help="density of directions seen from a viewpoint")
     p.add_argument("--viewpoint", required=True, metavar="X,Y")
     p.add_argument("--delta", type=real, default=None, metavar="W",
                    help="tube half-width (tube-count method)")
@@ -556,8 +567,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bandwidth", type=real, default=0.01)
     p.set_defaults(fn=_cmd_radial_density)
 
-    p = subs.add_parser("linear-density", help="density of the projection onto a line")
-    _add_common(p)
+    p = subs.add_parser("linear-density", parents=[common, spec, seed, rows],
+                        help="density of the projection onto a line")
     p.add_argument("--direction", required=True, metavar="DX,DY")
     p.add_argument("--grid", metavar="LO,HI,COUNT", default=None)
     p.add_argument("--tmax", type=real, default=729.0,
@@ -567,8 +578,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bandwidth", type=real, default=0.01)
     p.set_defaults(fn=_cmd_linear_density)
 
-    p = subs.add_parser("stripe-scan", help="directional stripe sums over an annulus")
-    _add_common(p, with_seed=False)
+    p = subs.add_parser("stripe-scan", parents=[common, spec, rows],
+                        help="directional stripe sums over an annulus")
     p.add_argument("--radius", type=real, default=81.0, metavar="R")
     p.add_argument("--angles", type=int, default=256, metavar="K")
     p.add_argument("--s1", type=real, default=0.7376)
@@ -576,22 +587,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=real, default=1e-9)
     p.set_defaults(fn=_cmd_stripe_scan)
 
-    p = subs.add_parser("lp-integral", help="weighted transform sum deciding radial L^p")
-    _add_common(p, with_seed=False)
+    p = subs.add_parser("lp-integral", parents=[common, spec],
+                        help="weighted transform sum deciding radial L^p")
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--rmax", type=int, default=1024)
     p.add_argument("--tol", type=real, default=1e-9)
     p.set_defaults(fn=_cmd_lp_integral)
 
-    p = subs.add_parser("slab-integral", help="transform sum over a thin slab of frequencies")
-    _add_common(p, with_seed=False)
+    p = subs.add_parser("slab-integral", parents=[common, spec],
+                        help="transform sum over a thin slab of frequencies")
     p.add_argument("--direction", required=True, metavar="DX,DY")
     p.add_argument("--tmax", type=real, default=2048.0)
     p.add_argument("--tol", type=real, default=1e-9)
     p.set_defaults(fn=_cmd_slab)
 
-    p = subs.add_parser("graham", help="integers with digit restrictions in several bases")
-    _add_common(p, with_seed=False)
+    p = subs.add_parser("graham", parents=[common, rows],
+                        help="integers with digit restrictions in several bases")
     p.add_argument("--system", required=True, metavar="B:{D};B:{D}")
     p.add_argument("--limit", type=int, default=None, metavar="N")
     p.add_argument("--scales", default=None, metavar="T1,T2,..")

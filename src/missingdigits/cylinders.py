@@ -12,9 +12,8 @@ with boundary-touching cylinders counting toward the upper bound only.
 Refinement is breadth-first: boxes decided at a coarse depth leave the
 frontier early, so work concentrates on the boundary of G.
 
-Regions are axis-aligned boxes or two-dimensional tubes (rotated
-rectangles); classification is exact separating-axis arithmetic, fully
-vectorized over the frontier.
+Regions are tubes in the plane (rotated rectangles); classification is
+exact separating-axis arithmetic, fully vectorized over the frontier.
 """
 
 from __future__ import annotations
@@ -28,39 +27,6 @@ from .budget import EvalBudget, ensure_budget
 from .measure import Spec, as_product
 
 OUTSIDE, INSIDE, STRADDLE = 0, 1, 2
-
-
-@dataclass(frozen=True)
-class AxisBox:
-    """Closed axis-aligned box prod [lo_i, hi_i]."""
-
-    lo: tuple
-    hi: tuple
-
-    def __init__(self, lo, hi):
-        lo = tuple(float(v) for v in np.atleast_1d(lo))
-        hi = tuple(float(v) for v in np.atleast_1d(hi))
-        if len(lo) != len(hi):
-            raise ValueError("box corners must share a dimension")
-        if any(h < l for l, h in zip(lo, hi)):
-            raise ValueError("box has negative side")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-
-    @property
-    def dim(self) -> int:
-        return len(self.lo)
-
-    def classify(self, lows: np.ndarray, sides: np.ndarray) -> np.ndarray:
-        lo = np.asarray(self.lo)
-        hi = np.asarray(self.hi)
-        highs = lows + sides
-        inside = np.logical_and(lows >= lo, highs <= hi).all(axis=1)
-        outside = np.logical_or(lows > hi, highs < lo).any(axis=1)
-        out = np.full(lows.shape[0], STRADDLE, dtype=np.int8)
-        out[outside] = OUTSIDE
-        out[inside] = INSIDE
-        return out
 
 
 def _unit(theta) -> tuple:
@@ -113,10 +79,6 @@ class TubeSpec:
         frame, half_length = _ray_frames(x, angles, half_width)
         return cls(frame[:2, 0], (np.cos(angles)[0], np.sin(angles)[0]), half_width,
                    half_length)
-
-    @property
-    def dim(self) -> int:
-        return 2
 
     def perp(self) -> tuple:
         return (-self.theta[1], self.theta[0])
@@ -188,9 +150,6 @@ def _tube_codes(low_x, low_y, sides, terms, half_length, half_width) -> np.ndarr
     return out
 
 
-Region = AxisBox | TubeSpec
-
-
 class _Tree:
     """Level geometry of the cylinder tree of a product spec."""
 
@@ -229,22 +188,23 @@ class _Tree:
 
 def cylinder_mass(
     spec: Spec,
-    region: Region,
+    tube: TubeSpec,
     depth: int,
     budget: EvalBudget | None = None,
 ) -> tuple[float, float]:
-    """Enclosure [lower, upper] of lambda(region) from depth-`depth`
-    cylinder counting.
+    """Enclosure [lower, upper] of lambda(tube) from depth-`depth`
+    cylinder counting, for a planar spec: the reference that
+    ray_tube_masses equals.
 
     The enclosure is exact for the stated depth: lower counts cylinders
-    whose closed box lies in the region, upper additionally counts every
+    whose closed box lies in the tube, upper additionally counts every
     straddling box.  Enclosures at greater depth are nested within
     shallower ones.
     """
     tree = _Tree(spec)
     n = tree.n
-    if region.dim != n:
-        raise ValueError(f"region dimension {region.dim} != spec dimension {n}")
+    if n != 2:
+        raise ValueError("tubes are two-dimensional")
     if depth < 0:
         raise ValueError("depth must be >= 0")
     bud = ensure_budget(budget)
@@ -254,7 +214,7 @@ def cylinder_mass(
     upper = 0.0
     for level in range(depth + 1):
         bud.charge(lows.shape[0], "cylinder classifications")
-        codes = region.classify(lows, tree.sides(level))
+        codes = tube.classify(lows, tree.sides(level))
         mass = tree.mass(level)
         n_inside = int((codes == INSIDE).sum())
         lower += n_inside * mass

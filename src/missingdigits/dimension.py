@@ -55,7 +55,6 @@ class BoundKind(enum.Enum):
     CRUDE = "Crude"
     RECTANGLE = "Rectangle"
     PRODUCT_SUM = "ProductSum"
-    L2_EXACT = "L2Exact"
 
 
 @dataclass(frozen=True)
@@ -308,18 +307,6 @@ def product_bound(parts) -> DimensionBound:
         kind=BoundKind.PRODUCT_SUM,
         rigorous=all(p.rigorous for p in parts),
         details={"parts": parts},
-    )
-
-
-def l2_dimension(spec: Spec) -> DimensionBound:
-    """The L2-average dimension equals the Hausdorff dimension for
-    these measures (they are Ahlfors-David regular)."""
-    prod = as_product(spec)
-    return DimensionBound(
-        value=prod.hausdorff_dim(),
-        kind=BoundKind.L2_EXACT,
-        rigorous=True,
-        details={},
     )
 
 

@@ -115,6 +115,11 @@ def int_less(x: IntLike, y: IntLike) -> bool:
         return as_exact_int(x) < as_exact_int(y)
     if isinstance(x, BasePower) and isinstance(y, BasePower) and x.b == y.b:
         return x.e < y.e
+    # one side is a symbolic power, so positive; the other may have no log
+    if is_exact_int(x) and as_exact_int(x) < 1:
+        return True
+    if is_exact_int(y) and as_exact_int(y) < 1:
+        return False
     lx, ly = log_int(x), log_int(y)
     if abs(lx - ly) > 1e-9 * max(1.0, abs(lx), abs(ly)):
         return lx < ly
@@ -224,9 +229,8 @@ class DigitInterval:
             object.__setattr__(self, "hi", hi.exact_int())
         if isinstance(self.lo, int) and self.lo < 0:
             raise ConfigError("digit interval must start at >= 0")
-        if is_exact_int(self.lo) and is_exact_int(self.hi):
-            if as_exact_int(self.hi) < as_exact_int(self.lo):
-                raise ConfigError("digit interval is empty")
+        if int_less(self.hi, self.lo):
+            raise ConfigError("digit interval is empty")
 
     @property
     def dim(self) -> int:
@@ -243,6 +247,8 @@ class DigitInterval:
     def log_count(self) -> float:
         if not self.is_symbolic():
             return math.log(self.count())
+        if self.lo == self.hi:  # one digit, where the form below cancels to log(0)
+            return 0.0
         # #D = hi - lo + 1 = hi * (1 - lo/hi + 1/hi), in logs:
         log_hi = log_int(self.hi)
         ratio = math.exp(log_int(self.lo) - log_hi) if not _is_zero(self.lo) else 0.0

@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .budget import EvalBudget, ensure_budget
-from .cylinders import TubeSpec, cylinder_mass, ray_tube_cells, ray_tube_masses
+from .cylinders import TubeSpec, ray_tube_cells, ray_tube_masses
 from .errors import ConfigError
 from .fourier import box_blocks, fourier_transform_batch, gather_points, transform_levels
 from .measure import Spec, as_product, draw_cells, sample, total_dim
@@ -232,24 +232,6 @@ def _enumeration_depth(spec: Spec, scale: float) -> int:
     return max(math.ceil(math.log(ratio) / math.log(f.p_int())) for f in prod.factors)
 
 
-def radial_tube_density(spec: Spec, x, angle: float, delta: float, depth: int,
-                        budget: EvalBudget | None = None) -> tuple:
-    """Enclosure [lower, upper] of f_delta(angle) = lambda(T)/delta seen
-    from the viewpoint x, for the forward tube T = TubeSpec.ray(x, angle,
-    delta); x must clear the unit square by at least delta.  At each
-    angle of its grid, radial_tube_profile gives the same enclosure."""
-    _require_plane(spec, "radial_tube_density")
-    x = np.asarray(x, dtype=float)
-    if delta <= 0:
-        raise ConfigError("tube half-width must be positive")
-    if _square_clearance(x) < delta:
-        raise ConfigError(
-            "viewpoint must clear the unit square by at least the tube half-width"
-        )
-    lo, hi = cylinder_mass(spec, TubeSpec.ray(x, angle, delta), depth, budget)
-    return lo / delta, hi / delta
-
-
 def radial_tube_profile(spec: Spec, x, delta: float, angle_grid_count: int,
                         depth: int | None = None,
                         budget: EvalBudget | None = None) -> DensityProfile:
@@ -262,7 +244,7 @@ def radial_tube_profile(spec: Spec, x, delta: float, angle_grid_count: int,
     f_delta(theta) counts the forward tube TubeSpec.ray(x, theta, delta).
     All angles share one descent of the cylinder tree, run on the
     calling thread (cylinders.ray_tube_masses).  Its enclosures equal
-    radial_tube_density's at every grid angle bit for bit, and its cost
+    cylinder_mass's for each grid angle's tube bit for bit, and its cost
     follows the tree's nodes rather than angles times nodes.  The
     arrays over the angles are checked against the budget
     (cylinders.ray_tube_cells) before the grid is built."""
@@ -347,6 +329,7 @@ def _mc_profile(spec: Spec, axis: ProfileAxis, depth: int, window: tuple, projec
     depend on how the chunks are scheduled."""
     if int(samples) != samples or samples < 1:
         raise ConfigError("Monte-Carlo sampling needs a positive whole sample count")
+    samples = int(samples)
     bud = ensure_budget(budget)
     # the draws of all chunks, as sample charges them, and the bins on
     # top of them, before any chunk is drawn
@@ -720,10 +703,15 @@ def stripe_scan(spec: Spec, R: float, angle_count: int, tol: float = 1e-9,
 def exceptional_threshold(spec: Spec, R: float, eps: float, s1: float) -> float:
     """R^(n - 1 - s1 + 2 eps), s1 being a certified l1-dimension lower
     bound: a direction is exceptional when its stripe sum reaches it.
-    eps is checked here, before any scan is paid for."""
+    eps and R are checked here, before any scan is paid for."""
     if eps <= 0:
         raise ConfigError("eps must be positive")
-    return float(R) ** (total_dim(spec) - 1 - s1 + 2 * eps)
+    if R < 2:
+        raise ConfigError("stripe annulus needs R >= 2")
+    try:
+        return float(R) ** (total_dim(spec) - 1 - s1 + 2 * eps)
+    except OverflowError as exc:
+        raise ConfigError("exceptional threshold R^(n-1-s1+2eps) overflows") from exc
 
 
 def exceptional_from_scan(threshold: float, angles, values) -> list:

@@ -81,10 +81,28 @@ def test_exit_64_usage_errors():
                   "--delta", "0.01", "--mc", "2000"],
                  ["fourier-eval", "--spec", C3, "--xi", "1", "--grid", "10,5"],
                  ["graham", "--system", "3:{0,1};5:{0,1,2}", "--limit", "100",
-                  "--checkpoints", "1000"]):
+                  "--checkpoints", "1000"],
+                 ["linear-density", "--spec", C32_SQ, "--direction", "1,1", "--mc", "2000",
+                  "--grid", "0,1,5"]):
         code, out, err = run(argv)
         assert (code, out) == (64, ""), argv
         assert "choose one of" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["dim-bound", "--spec", C3, "--csv", "bounds.csv"],
+    ["certify", "--spec", C32_SQ, "--linear", "--json"],
+    ["preset", "theorem-a", "--spec", C3],
+    ["lp-integral", "--spec", C32_SQ, "--p", "2", "--rmax", "4", "--csv", "sums.csv"],
+    ["slab-integral", "--spec", C32_SQ, "--direction", "1,0", "--tmax", "8", "--json"],
+    ["graham", "--system", "3:{0,1};5:{0,1,2}", "--limit", "100", "--spec", "garbage"],
+])
+def test_exit_64_on_an_option_the_subcommand_does_not_read(argv):
+    # --csv and --json only where rows are written, --spec only where a
+    # measure is parsed
+    code, out, err = run(argv)
+    assert (code, out) == (64, "")
+    assert "unrecognized arguments" in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -97,6 +115,8 @@ def test_exit_64_usage_errors():
      "--angles", "50"],
     ["linear-density", "--spec", C32_SQ, "--direction", "1,1", "--grid", "0,1,1"],
     ["stripe-scan", "--spec", C32_SQ, "--radius", "27", "--angles", "8", "--eps", "0"],
+    ["stripe-scan", "--spec", C3, "--radius", "0"],  # R^x with x < 0 would divide by 0
+    ["stripe-scan", "--spec", C32_SQ, "--radius", "27", "--eps", "1e300"],  # R^x overflows
     ["graham", "--system", "3:{0,1};5:{0,1,2}", "--scales", "1,abc", "--limit", "100"],
     ["graham", "--system", "3:{0,1};5:{0,1,2}", "--scales", "1,1/0", "--limit", "100"],
     ["graham", "--system", "3:{0,1};5:{0,1,2}", "--checkpoints", "10,abc"],
@@ -216,6 +236,10 @@ def test_config_file_supplies_defaults_and_flags_override(tmp_path):
     assert doc["manifest"]["config"]["spec"] == C32_SQ
     _, doc = run_json(base + ["--seed", "9"])
     assert doc["manifest"]["seed"] == 9
+    # a subcommand that parses no measure leaves the file's spec unread
+    _, doc = run_json(["graham", "--config", str(cfg), "--system", "3:{0,1};5:{0,1,2}",
+                       "--limit", "10"])
+    assert doc["manifest"]["config"]["spec"] is None
 
 
 def test_repeat_runs_identical_outside_wall_time():
@@ -429,6 +453,7 @@ CARPET = ("factor { base = 3; n = 2; digits = "
           "{(0,0),(1,0),(2,0),(0,1),(2,1),(0,2),(1,2),(2,2)}; }")
 FUZZ_SPECS = [C3, C32_SQ, LEB, CARPET, f"{C3} {C3} {C3}",
               "factor { base = 10^100; digits = 0..9; }",
+              "factor { base = 10^200; digits = 10^100..5; }",
               "factor { base = 3; digits = {0,x}; }",
               "factor { base = 3; n = abc; digits = {0,2}; }",
               f"factor {{ base = 1{'0' * 5000}; digits = 0..9; }}"]

@@ -5,50 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from missingdigits import (AxisBox, BudgetExceededError, EvalBudget, TubeSpec, cylinder_mass,
+from missingdigits import (BudgetExceededError, EvalBudget, TubeSpec, cylinder_mass,
                            cylinders, explicit_spec, lebesgue_spec, ray_tube_masses, square,
                            tube_mass_mc)
 from missingdigits.cylinders import _ray_frames
 
 C32 = square(explicit_spec(3, [0, 2]))
 LEB2 = lebesgue_spec(3, 2)
-
-
-# ------------------------------------------------------------------ boxes
-
-
-def test_axis_box_on_cylinder_boundary_is_exact():
-    # [0, 1/3] x [0, 1] catches exactly the digit-0 column of Cantor:
-    # half the mass, and the enclosure is tight already at depth 1
-    box = AxisBox((0.0, 0.0), (1.0 / 3.0, 1.0))
-    for depth in (1, 4):
-        lo, hi = cylinder_mass(C32, box, depth=depth)
-        assert lo == pytest.approx(0.5, abs=1e-12)
-        assert hi == pytest.approx(0.5, abs=1e-12)
-
-
-def test_axis_box_off_boundary_brackets_lebesgue_area():
-    box = AxisBox((0.0, 0.0), (0.5, 1.0))
-    lo, hi = cylinder_mass(LEB2, box, depth=3)
-    assert lo <= 0.5 <= hi
-    assert hi - lo <= 1.0 / 27.0 + 1e-12
-
-
-def test_axis_box_enclosures_nest_with_depth():
-    box = AxisBox((0.1, 0.2), (0.62, 0.9))
-    prev_lo, prev_hi = cylinder_mass(C32, box, depth=2)
-    for depth in (3, 4, 5, 6):
-        lo, hi = cylinder_mass(C32, box, depth=depth)
-        assert lo >= prev_lo - 1e-12
-        assert hi <= prev_hi + 1e-12
-        prev_lo, prev_hi = lo, hi
-    assert prev_hi - prev_lo < 0.05
-
-
-def test_axis_box_whole_square_has_unit_mass():
-    lo, hi = cylinder_mass(C32, AxisBox((0.0, 0.0), (1.0, 1.0)), depth=1)
-    assert lo == pytest.approx(1.0, abs=1e-12)
-    assert hi == pytest.approx(1.0, abs=1e-12)
 
 
 # ------------------------------------------------------------------ tubes
@@ -95,6 +58,13 @@ def test_tube_validation():
         TubeSpec((0.0, 0.0), (1.0, 0.0), half_width=0.5, half_length=0.1)
     with pytest.raises(ValueError):
         TubeSpec((0.0, 0.0), (1.0, 0.0), half_width=-0.1)
+
+
+def test_cylinder_mass_refuses_a_spec_that_is_not_planar():
+    tube = TubeSpec((-1.0, 0.5), (1.0, 0.0), half_width=0.05)
+    for spec in (explicit_spec(3, [0, 2]), lebesgue_spec(3, 3)):
+        with pytest.raises(ValueError, match="two-dimensional"):
+            cylinder_mass(spec, tube, depth=2)
 
 
 def test_lebesgue_horizontal_tube_matches_area():

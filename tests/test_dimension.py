@@ -9,7 +9,7 @@ from missingdigits import (BoundKind, BudgetExceededError, DigitInterval, EvalBu
                            SymbolicBaseError, best_lower_bound, crude_bound,
                            digit_symbol, explicit_spec, f_theta, fourier_transform_batch,
                            grid_lower_bound, hausdorff_dim, interval_spec,
-                           l2_dimension, lebesgue_spec, partial_sum_S_k,
+                           lebesgue_spec, partial_sum_S_k,
                            rectangle_bound, square, sup_f)
 from missingdigits.measure import BasePower, as_product
 
@@ -249,13 +249,6 @@ def test_product_bound_adds_factors():
     pair = best_lower_bound(square(C3))
     assert pair.value == pytest.approx(2 * single, abs=1e-12)
     assert pair.rigorous
-
-
-def test_l2_dimension_between_l1_bound_and_hausdorff():
-    for spec in (C3, C5):
-        l2 = l2_dimension(spec)
-        assert best_lower_bound(spec).value <= l2.value + 1e-9
-        assert l2.value <= hausdorff_dim(spec) + 1e-9
 
 
 # -------------------------------------------------------------- S_k sums

@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from missingdigits import (BasePower, ConfigError, MissingDigitsSpec,
                            ProductMeasureSpec, SymbolicBaseError,
                            explicit_spec, hausdorff_dim, interval_spec,
                            lebesgue_spec, parse_spec, product, sample, square,
                            total_dim)
-from missingdigits.measure import as_product
+from missingdigits.measure import DigitInterval, ExplicitDigits, as_product
 
 C3 = explicit_spec(3, [0, 2])
 C5 = explicit_spec(5, [0, 1, 2, 3])
@@ -49,6 +51,13 @@ def test_interval_endpoints():
         interval_spec(10, 0, 10)  # hi must stay below the base
     spec = interval_spec(10, 1, 8)
     assert spec.digit_count() == 8
+    # symbolic endpoints: empty intervals are refused, 0 compares below a power
+    big = BasePower(10, 200)
+    for lo, hi in ((BasePower(10, 100), 5), (BasePower(10, 100), BasePower(10, 50))):
+        with pytest.raises(ConfigError, match="empty"):
+            interval_spec(big, lo, hi)
+    assert interval_spec(big, 0, 0).hausdorff_dim() == 0.0
+    assert interval_spec(big, BasePower(10, 100), BasePower(10, 100)).hausdorff_dim() == 0.0
 
 
 def test_symbolic_base_stays_symbolic():
@@ -139,6 +148,51 @@ def test_parse_planar_digit_tuples():
 def test_config_text_round_trip():
     for spec in (C3, C5, interval_spec(10, 1, 8)):
         assert parse_spec(spec.config_text()) == spec
+
+
+@st.composite
+def explicit_factors(draw):
+    p = draw(st.integers(2, 7))
+    n = draw(st.integers(1, 3))
+    vectors = draw(st.lists(st.tuples(*[st.integers(0, p - 1)] * n), min_size=1,
+                            max_size=8, unique=True))
+    return MissingDigitsSpec(BasePower(p), ExplicitDigits(vectors), n)
+
+
+@st.composite
+def interval_factors(draw):
+    # bases b^e up to 10^10000; each endpoint a whole number or a power
+    # of b, symbolic once it is too large to materialize
+    b = draw(st.sampled_from([2, 3, 10]))
+    e = draw(st.one_of(st.just(10000), st.integers(1, 10000)))
+    if e > 1 and draw(st.booleans()):
+        k = draw(st.integers(1, e - 1))
+        hi = BasePower(b, k)
+        lo = draw(st.one_of(st.integers(0, 10 ** 6) if k > 20 else st.just(0),
+                            st.integers(1, k).map(lambda j: BasePower(b, j))))
+    else:
+        hi = draw(st.integers(0, min(b ** e - 1, 10 ** 12)))
+        lo = draw(st.integers(0, hi))
+    return MissingDigitsSpec(BasePower(b, e), DigitInterval(lo, hi), 1)
+
+
+@st.composite
+def specs(draw):
+    factors = draw(st.lists(st.one_of(explicit_factors(), interval_factors()),
+                            min_size=1, max_size=3))
+    if len(factors) == 1 and draw(st.booleans()):
+        return factors[0]
+    return ProductMeasureSpec(factors)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(specs())
+@example(interval_spec(BasePower(10, 10000), 1, BasePower(10, 8000)))
+@example(product(interval_spec(BasePower(10, 10000), BasePower(10, 3), BasePower(10, 9999)),
+                 explicit_spec(3, [(0, 0), (2, 1)], n=2)))
+def test_config_text_round_trips_through_the_grammar(spec):
+    # a one-factor product parses back as its bare factor
+    assert as_product(parse_spec(spec.config_text())) == as_product(spec)
 
 
 def test_parse_errors():

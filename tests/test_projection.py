@@ -18,7 +18,7 @@ from missingdigits import (BudgetExceededError, ConfigError, DensityProfile,
                            linear_density, linear_density_mc,
                            lp_criterion_integral, product, profile_l1_distance,
                            radial_density_mc, radial_l2_norm,
-                           radial_tube_density, radial_tube_profile,
+                           radial_tube_profile,
                            slab_integral, square, stripe_integral, stripe_scan,
                            tube_mass_mc)
 
@@ -118,14 +118,10 @@ def test_profile_l1_distance_basics():
 
 def test_tube_density_matches_strip_area():
     # horizontal tube at mid-height: Lebesgue mass 2*delta, density ~ 2
-    lo, hi = radial_tube_density(LEB2, (-1.0, 0.5), 0.0, 1.0 / 27.0, depth=6)
-    assert lo <= 2.0 <= hi
-    assert hi - lo < 0.1
-
-
-def test_tube_density_requires_clearance():
-    with pytest.raises(ConfigError):
-        radial_tube_density(LEB2, (0.5, 0.5), 0.0, 0.01, depth=4)
+    delta = 1.0 / 27.0
+    lo, hi = cylinder_mass(LEB2, TubeSpec.ray((-1.0, 0.5), 0.0, delta), depth=6)
+    assert lo / delta <= 2.0 <= hi / delta
+    assert (hi - lo) / delta < 0.1
 
 
 def test_radial_profile_tracks_angular_density_up_to_range_factor():
@@ -240,15 +236,16 @@ def test_radial_profile_of_an_edge_hugging_viewpoint_looks_forward_only():
 
 
 def test_tube_density_of_an_edge_hugging_viewpoint_looks_forward_only():
-    # The same viewpoint and angle: the density counts the forward tube
-    # too, and gives the profile's enclosure at each grid angle.
+    # The same viewpoint and angle: the reference count of the forward
+    # tube is empty there, and the profile's enclosure at each grid
+    # angle is that count over delta.
     x = (0.5, -0.01)
-    assert radial_tube_density(LEB10, x, -0.02, 0.01, depth=3) == (0.0, 0.0)
+    assert cylinder_mass(LEB10, TubeSpec.ray(x, -0.02, 0.01), 3) == (0.0, 0.0)
     profile = radial_tube_profile(LEB10, x, 0.01, 41)
     for i in (0, 1, 20, 40):
-        lo, hi = radial_tube_density(LEB10, x, profile.grid[i], 0.01, depth=3)
-        assert lo == profile.metadata["lower"][i]
-        assert hi == profile.metadata["upper"][i]
+        lo, hi = cylinder_mass(LEB10, TubeSpec.ray(x, profile.grid[i], 0.01), 3)
+        assert lo / 0.01 == profile.metadata["lower"][i]
+        assert hi / 0.01 == profile.metadata["upper"][i]
 
 
 def test_radial_l2_norm_stability_references():
@@ -375,6 +372,14 @@ def test_linear_mc_independent_of_worker_count(monkeypatch):
     serial = counts / (MC_SAMPLES * (edges[1] - edges[0]))
     for profile in profiles:
         assert np.array_equal(profile.values, serial)
+
+
+def test_linear_mc_takes_a_whole_float_sample_count():
+    whole = linear_density_mc(C32, (1.0, 1.0), 2000, 0.01)
+    floating = linear_density_mc(C32, (1.0, 1.0), 2000.0, 0.01)
+    assert np.array_equal(floating.grid, whole.grid)
+    assert np.array_equal(floating.values, whole.values)
+    assert floating.metadata == whole.metadata
 
 
 def test_linear_mc_refuses_its_bins_before_drawing():
