@@ -1,38 +1,30 @@
-"""Per-layer timing of the tube profile, the Monte-Carlo estimators and
-the lattice sums, recorded as BENCH_*.json.
+"""Time the benchmark's CLI jobs on several source trees, alternated run
+by run, and check that the trees print the same output.
 
-    PYTHONPATH=src python bench/run.py --label NAME --out BENCH_N.json [--repeat R]
+    python bench/run.py --tree NAME=SRC [--tree NAME=SRC ...] --out BENCH_N.json [--repeat R]
 
-Times `radial_tube_profile` on the three tube cases of the `counting`
-benchmark workload, its Monte-Carlo jobs mc-linear and mc-radial as
-library calls at a fixed seed, and the lattice sums of the
-`fourier-lattice` jobs lp-256, stripe-81 and slab-2048
-(`benchmark/workloads.py`), plus `partial_sum_S_k` on C3 x C3 and
-`sup_f` on the interval factor I512.  Each of the R runs of a case is
-timed in a child process of its own, after the import, so no case
-inherits what another left behind.  Per case it records the wall
-seconds of each run, their median, the largest peak RSS of its children
-(import included), the budget cells one run spends and a SHA-256 of its
-result: the lower/upper enclosure arrays of a tube profile, the values
-of a Monte-Carlo profile, the pickled result of the others.  The
-package under test is whatever `missingdigits` PYTHONPATH imports, so
-pointing it at the `src/` of another checkout records that commit.
-Each call merges one entry under LABEL into OUT, so one file holds
-several commits side by side.
-
-Cells and digests are deterministic: equal cells and equal digests across
-entries are an exact check.  Seconds and peak RSS depend on the machine
-and its load and only show the trend.
+The jobs are the 22 of `benchmark/workloads.py` at seed 1; SRC holds a
+tree's `missingdigits` package (a checkout's `src/`).  Each of R rounds
+runs every tree once per job, back to back, in an order reversed every
+round, so drift of the host's speed falls on all trees alike.  Each run
+is a child process that imports `missingdigits.cli` from its tree and
+times `cli.main(argv)`.  Per tree and job OUT records the seconds of
+each run, their median, the largest peak RSS (import included), the
+exit code, the budget cells spent and a SHA-256 of the JSON printed,
+without `manifest.wall_time_s`.  A tree's runs must agree on the last
+three, with the exit code `workloads.py` expects.  Jobs on which trees
+differ are listed under `differ`, and then the command exits 1.  Cells
+and digests are exact checks; seconds and peak RSS only show the trend.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
-import math
 import os
-import pickle
 import platform
 import resource
 import statistics
@@ -43,83 +35,78 @@ from pathlib import Path
 
 import numpy as np
 
-import missingdigits
-from missingdigits import (EvalBudget, linear_density_mc, lp_criterion_integral, parse_spec,
-                           partial_sum_S_k, radial_density_mc, radial_tube_profile,
-                           slab_integral, stripe_scan, sup_f)
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmark"))
 
-C3 = "factor { base = 3; digits = {0,2}; }"
-C3_SQ = parse_spec(f"{C3} {C3}")
-L10 = "factor { base = 10; digits = 0..9; }"
-CARPET = ("factor { base = 3; n = 2; digits = "
-          "{(0,0),(1,0),(2,0),(0,1),(2,1),(0,2),(1,2),(2,2)}; }")
-I512 = parse_spec("factor { base = 512; digits = 0..499; }")
-MC_DIRECTION = (math.cos(1.0), math.sin(1.0))  # a generic angle of mc-linear
+import workloads  # noqa: E402
+
+JOBS = {job.id: job for job in workloads.all_jobs(1)}
+OUTCOME = ("exit_code", "cells", "sha256")  # what every run of a job must repeat
 
 
-def tube(spec, viewpoint, delta, angles):
-    """The tube profile of a counting job; its result is the enclosure."""
-    spec = parse_spec(spec)
-
-    def run(budget):
-        profile = radial_tube_profile(spec, viewpoint, delta, angles, budget=budget)
-        return profile.metadata["lower"].tobytes() + profile.metadata["upper"].tobytes()
-    return run
+def digest(stdout: str) -> str:
+    """SHA-256 of a CLI JSON document without its wall time."""
+    doc = json.loads(stdout)
+    del doc["manifest"]["wall_time_s"]
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
 
 
-def monte_carlo(estimate, spec, where):
-    """A Monte-Carlo job of the counting workload: 4M draws at bandwidth
-    0.002 and seed 1; its result is the profile's values."""
-    spec = parse_spec(spec)
-    return lambda budget: estimate(spec, where, 4_000_000, 0.002, seed=1,
-                                   budget=budget).values.tobytes()
+def run_once(job_id: str) -> dict:
+    """One timed run of a job through `cli.main` in this process."""
+    from missingdigits import cli
+    budgets = []
 
+    class RecordingBudget(cli.EvalBudget):
+        """Keeps every budget the CLI makes, so that its cells can be read."""
 
-def pickled(compute):
-    return lambda budget: pickle.dumps(compute(budget), protocol=4)
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            budgets.append(self)
 
-
-# name -> run(budget), returning the bytes the digest is taken of
-CASES = {
-    "tube-carpet": tube(CARPET, (-1.0, -1.0), 0.002, 400),
-    "tube-c3sq": tube(f"{C3} {C3}", (-1.0, -1.0), 0.001, 800),
-    "tube-leb10": tube(f"{L10} {L10}", (-1.0, -1.0), 0.01, 800),
-    "mc-linear": monte_carlo(linear_density_mc, f"{C3} {C3}", MC_DIRECTION),
-    "mc-radial": monte_carlo(radial_density_mc, CARPET, (2.0, 0.5)),
-    "lp-256": pickled(lambda b: lp_criterion_integral(C3_SQ, 2, 256, budget=b)),
-    "stripe-81": pickled(lambda b: stripe_scan(C3_SQ, 81.0, 256, budget=b)),
-    "slab-2048": pickled(lambda b: slab_integral(C3_SQ, (1.0, 0.0), 2048.0, budget=b)),
-    "s_k-c3sq": pickled(lambda b: partial_sum_S_k(C3_SQ, (0.3, 0.1), 4, budget=b)),
-    "sup_f-i512": pickled(lambda b: sup_f(I512, budget=b)),
-}
-
-
-def run_once(name: str) -> dict:
-    """One timed run of case `name` in this process."""
-    budget = EvalBudget()
+    cli.EvalBudget = RecordingBudget
+    out = io.StringIO()
     start = time.perf_counter()
-    result = CASES[name](budget)
+    with contextlib.redirect_stdout(out):
+        try:
+            exit_code = cli.main(list(JOBS[job_id].argv))
+        except SystemExit as exc:
+            exit_code = exc.code
     seconds = time.perf_counter() - start
-    return {"seconds": seconds, "cells": budget.spent,
-            "result_sha256": hashlib.sha256(result).hexdigest(),
+    return {"seconds": seconds, "exit_code": exit_code, "module": cli.__file__,
+            "cells": sum(b.spent for b in budgets), "sha256": digest(out.getvalue()),
             # kibibytes on Linux
             "peak_rss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}
 
 
-def run_case(name: str, repeat: int) -> dict:
-    """`repeat` runs of case `name`, each in a fresh child process."""
-    child = [sys.executable, str(Path(__file__).resolve()), "--child", name]
-    runs = [json.loads(subprocess.run(child, check=True, capture_output=True, text=True).stdout)
-            for _ in range(repeat)]
-    exact = {(r["cells"], r["result_sha256"]) for r in runs}
-    if len(exact) != 1:
-        raise RuntimeError(f"{name}: runs disagree on cells or result: {sorted(exact)}")
+def run_child(job_id: str, src: str) -> dict:
+    """One run of a job in a fresh child process that imports from `src`."""
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    child = subprocess.run([sys.executable, str(Path(__file__).resolve()), "--child", job_id],
+                           capture_output=True, text=True,
+                           env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)))
+    if child.returncode != 0:
+        raise RuntimeError(f"{job_id}: child failed:\n{child.stderr}")
+    run = json.loads(child.stdout)
+    if not Path(run.pop("module")).resolve().is_relative_to(Path(src).resolve()):
+        raise RuntimeError(f"{job_id}: the child did not import missingdigits from {src}")
+    return run
+
+
+def schedule(trees: list, repeat: int) -> list:
+    """The tree order of each round: every tree once, reversed every round."""
+    return [trees if r % 2 == 0 else trees[::-1] for r in range(repeat)]
+
+
+def summarize(job_id: str, runs: list) -> dict:
+    """The record of one tree's runs of a job, which must agree exactly."""
+    exact = {tuple(r[k] for k in OUTCOME) for r in runs}
+    if len(exact) != 1 or runs[0]["exit_code"] != JOBS[job_id].exit_code:
+        raise RuntimeError(f"{job_id}: runs give (exit code, cells, digest) {sorted(exact)}; "
+                           f"expected one, with exit code {JOBS[job_id].exit_code}")
     seconds = [r["seconds"] for r in runs]
     return {"seconds": [round(s, 4) for s in seconds],
             "median_s": round(statistics.median(seconds), 4),
             "peak_rss_mib": round(max(r["peak_rss_mib"] for r in runs), 1),
-            "cells": runs[0]["cells"],
-            "result_sha256": runs[0]["result_sha256"]}
+            **{k: runs[0][k] for k in OUTCOME}}
 
 
 def machine() -> dict:
@@ -136,27 +123,39 @@ def machine() -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--label")
+    parser.add_argument("--tree", action="append", metavar="NAME=SRC")
     parser.add_argument("--out", type=Path)
     parser.add_argument("--repeat", type=int, default=5)
-    parser.add_argument("--child", choices=sorted(CASES), help=argparse.SUPPRESS)
+    parser.add_argument("--child", choices=sorted(JOBS), help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.child is not None:
         print(json.dumps(run_once(args.child)))
         return 0
-    if args.label is None or args.out is None:
-        parser.error("--label and --out are required")
+    if not args.tree or args.out is None:
+        parser.error("--tree and --out are required")
+    trees = dict(t.partition("=")[::2] for t in args.tree)
+    if len(trees) != len(args.tree) or not all(name and src for name, src in trees.items()):
+        parser.error("each --tree needs a NAME=SRC of its own")
     if args.repeat < 1:
         parser.error("--repeat must be at least 1")
 
-    doc = json.loads(args.out.read_text()) if args.out.exists() else {"entries": {}}
-    entry = {"package_version": missingdigits.__version__, "machine": machine(),
-             "cases": {}}
-    for name in CASES:
-        entry["cases"][name] = run_case(name, args.repeat)
-        print(name, entry["cases"][name], file=sys.stderr)
-    doc["entries"][args.label] = entry
+    records = {name: {} for name in trees}
+    for job_id in JOBS:
+        runs = {name: [] for name in trees}
+        for order in schedule(list(trees), args.repeat):
+            for name in order:
+                runs[name].append(run_child(job_id, trees[name]))
+        for name in trees:
+            records[name][job_id] = summarize(job_id, runs[name])
+            print(job_id, name, records[name][job_id], file=sys.stderr)
+    differ = [job_id for job_id in JOBS
+              if len({tuple(records[name][job_id][k] for k in OUTCOME) for name in trees}) != 1]
+    doc = {"machine": machine(), "seed": 1, "repeat": args.repeat, "trees": records,
+           "differ": differ}
     args.out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    if differ:
+        print("exit code, cells or output differ between trees:", *differ, file=sys.stderr)
+        return 1
     return 0
 
 

@@ -10,7 +10,7 @@ wall-time field.
 
 Exit codes: 0 success (or verdict Certified), 1 NotCertified or an
 empty result set, 2 Inconclusive, 64 usage/config errors, 65 budget
-exhaustion.
+exhaustion, 74 stdout closed before the document was written.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
 import time
 
@@ -42,6 +43,7 @@ EXIT_NEGATIVE = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 64
 EXIT_BUDGET = 65
+EXIT_IOERR = 74
 
 _VERDICT_EXIT = {
     Verdict.CERTIFIED: EXIT_OK,
@@ -164,8 +166,11 @@ class _Run:
         lines.append(",".join(columns))
         for row in rows:
             lines.append(",".join(_csv_cell(v) for v in row))
-        with open(self.args.csv, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+        try:
+            with open(self.args.csv, "w", encoding="utf-8") as fh:
+                fh.write("\n".join(lines) + "\n")
+        except OSError as exc:
+            raise ConfigError(f"cannot write --csv file: {exc}") from exc
         self.outputs.append(self.args.csv)
 
     def finish(self, subcommand: str, result: dict, exit_code: int = EXIT_OK) -> int:
@@ -187,7 +192,8 @@ class _Run:
             outputs=self.outputs,
         )
         doc = {"manifest": manifest.as_dict(), "result": result}
-        print(json.dumps(doc, sort_keys=True))
+        # flushed here, so that a closed stdout raises inside main()
+        print(json.dumps(doc, sort_keys=True), flush=True)
         return exit_code
 
 
@@ -624,6 +630,12 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"missingdigits: budget exhausted: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except BrokenPipeError:
+        # the reader is gone; point stdout at devnull so that the flush
+        # at interpreter exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("missingdigits: stdout closed before the result was written", file=sys.stderr)
+        return EXIT_IOERR
 
 
 if __name__ == "__main__":

@@ -41,6 +41,9 @@ _EXACT_LOG_CAP = 62 * math.log(2.0)
 # Cap on explicit digit enumeration (rows of a digit matrix).
 _ENUM_CAP = 1 << 22
 
+# Largest bit length int_less builds to settle a tie of logarithms.
+_TIE_BITS = 1 << 20
+
 
 # ---------------------------------------------------------------- BasePower
 
@@ -109,6 +112,11 @@ def is_exact_int(x: IntLike) -> bool:
     return not isinstance(x, BasePower) or x.is_exact()
 
 
+def _python_int(x: IntLike) -> int:
+    """x as a Python int, however large."""
+    return x.b ** x.e if isinstance(x, BasePower) else int(x)
+
+
 def int_less(x: IntLike, y: IntLike) -> bool:
     """Exact x < y for possibly-symbolic integers."""
     if is_exact_int(x) and is_exact_int(y):
@@ -123,6 +131,9 @@ def int_less(x: IntLike, y: IntLike) -> bool:
     lx, ly = log_int(x), log_int(y)
     if abs(lx - ly) > 1e-9 * max(1.0, abs(lx), abs(ly)):
         return lx < ly
+    if max(lx, ly) <= _TIE_BITS * math.log(2.0):
+        # equal powers in different bases, say 2^400 and 4^200
+        return _python_int(x) < _python_int(y)
     raise ConfigError(
         f"cannot compare {x} and {y} exactly; rewrite them with a common base"
     )
@@ -247,7 +258,7 @@ class DigitInterval:
     def log_count(self) -> float:
         if not self.is_symbolic():
             return math.log(self.count())
-        if self.lo == self.hi:  # one digit, where the form below cancels to log(0)
+        if not int_less(self.lo, self.hi):  # one digit: the form below cancels to log(0)
             return 0.0
         # #D = hi - lo + 1 = hi * (1 - lo/hi + 1/hi), in logs:
         log_hi = log_int(self.hi)

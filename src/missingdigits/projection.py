@@ -226,9 +226,14 @@ def _require_plane(spec: Spec, what: str):
 
 def _enumeration_depth(spec: Spec, scale: float) -> int:
     """Smallest cylinder depth whose cells are finer than scale/4 in
-    every factor: 0, the unit cube itself, once scale >= 4."""
+    every factor: 0, the unit cube itself, once scale >= 4.  A scale so
+    small that 4/scale overflows (or scale underflowed to 0) has no
+    finite depth and is refused."""
     prod = as_product(spec)
-    ratio = 4.0 / min(scale, 4.0)
+    scale = float(scale)
+    ratio = 4.0 / min(scale, 4.0) if scale > 0 else math.inf
+    if not math.isfinite(ratio):
+        raise ConfigError(f"scale {scale!r} is too small for a finite cylinder depth")
     return max(math.ceil(math.log(ratio) / math.log(f.p_int())) for f in prod.factors)
 
 

@@ -1,0 +1,59 @@
+"""bench/run.py: its jobs, its child runs and its round schedule."""
+
+import importlib.util
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _load_bench():
+    spec = importlib.util.spec_from_file_location("bench_run", ROOT / "bench" / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+bench = _load_bench()
+
+
+def test_jobs_are_the_benchmark_workloads_at_seed_1():
+    assert Path(bench.workloads.__file__).resolve() == ROOT / "benchmark" / "workloads.py"
+    assert list(bench.JOBS.values()) == bench.workloads.all_jobs(1)
+    assert len(bench.JOBS) == 22
+
+
+def test_child_runs_agree_and_digest_the_cli_document_without_wall_time():
+    job = bench.JOBS["gr-scaled"]
+    runs = [bench.run_child(job.id, str(ROOT / "src")) for _ in range(2)]
+    record = bench.summarize(job.id, runs)  # refuses runs that disagree
+    assert (record["exit_code"], record["cells"]) == (job.exit_code, runs[1]["cells"])
+    assert record["cells"] > 0 and record["sha256"] == runs[1]["sha256"]
+
+    # the child's digest is that of the document the CLI prints, whatever its wall time
+    stdout = subprocess.run([sys.executable, "-m", "missingdigits", *job.argv],
+                            capture_output=True, text=True, check=True).stdout
+    assert bench.digest(stdout) == record["sha256"]
+    doc = json.loads(stdout)
+    doc["manifest"]["wall_time_s"] += 123.0
+    assert bench.digest(json.dumps(doc)) == record["sha256"]
+    doc["result"]["count"] += 1
+    assert bench.digest(json.dumps(doc)) != record["sha256"]
+
+
+def test_runs_that_disagree_or_exit_unexpectedly_are_refused():
+    run = {"seconds": 0.1, "peak_rss_mib": 40.0, "exit_code": 0, "cells": 526, "sha256": "a"}
+    with pytest.raises(RuntimeError, match="gr-scaled"):
+        bench.summarize("gr-scaled", [run, dict(run, cells=527)])
+    with pytest.raises(RuntimeError, match="expected one, with exit code 2"):
+        bench.summarize("cert-l1", [run])
+
+
+def test_round_schedule_reverses_the_tree_order_every_round():
+    assert bench.schedule(["A", "B"], 2) == [["A", "B"], ["B", "A"]]
+    assert bench.schedule(["A", "B", "C"], 3) == [["A", "B", "C"], ["C", "B", "A"],
+                                                  ["A", "B", "C"]]

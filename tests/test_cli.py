@@ -130,6 +130,12 @@ def test_exit_64_on_an_option_the_subcommand_does_not_read(argv):
     ["dim-bound", "--spec", f"factor {{ base = 1{'0' * 5000}; digits = 0..9; }}"],
     ["dim-bound", "--spec", f"factor {{ base = 10; digits = 0..1{'0' * 5000}; }}"],
     ["dim-bound", "--spec", C3, "--budget", "150000.7"],  # refused, not truncated
+    # subnormal scales: 4/scale overflows, so no cylinder depth resolves them
+    ["radial-density", "--spec", C32_SQ, "--viewpoint=-1,-1", "--delta", "1e-320"],
+    ["radial-density", "--spec", C32_SQ, "--viewpoint=-1,-1", "--mc", "10",
+     "--bandwidth", "1e-320"],
+    ["linear-density", "--spec", C32_SQ, "--direction", "1,1", "--mc", "10",
+     "--bandwidth", "1e-320"],
 ])
 def test_exit_64_on_bad_numeric_input(argv):
     assert run(argv)[0] == 64
@@ -426,6 +432,26 @@ def test_radial_density_csv_names_units(tmp_path):
     assert "radian" in text.lower() or "angle" in text.lower()
 
 
+def test_unwritable_csv_path_exits_64():
+    code, out, err = run(["graham", "--system", "3:{0,1};5:{0,1,2}", "--limit", "100",
+                          "--csv", "/nonexistent/x.csv"])
+    assert (code, out) == (64, "")
+    assert "cannot write --csv file" in err
+
+
+def test_stdout_closed_by_the_reader_exits_74():
+    proc = subprocess.Popen([sys.executable, "-m", "missingdigits", "fourier-eval",
+                             "--spec", C3, "--grid", "1000,20001"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    # the document is megabytes long, far past what the pipe buffers
+    assert len(proc.stdout.read(300)) == 300
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 74, err
+    assert "Traceback" not in err
+    assert "stdout closed" in err
+
+
 def test_preset_theorem_b_emits_both_reports():
     code, doc = run_json(["preset", "theorem-b"])
     assert code == 0
@@ -457,7 +483,7 @@ FUZZ_SPECS = [C3, C32_SQ, LEB, CARPET, f"{C3} {C3} {C3}",
               "factor { base = 3; digits = {0,x}; }",
               "factor { base = 3; n = abc; digits = {0,2}; }",
               f"factor {{ base = 1{'0' * 5000}; digits = 0..9; }}"]
-REALS = ["0", "-5", "1e-300", "0.5", "3", "1e300", "-1e300", "nan", "abc"]
+REALS = ["0", "-5", "1e-300", "1e-320", "0.5", "3", "1e300", "-1e300", "nan", "abc"]
 INTS = ["0", "-5", "1", "3", "64", HUGE, "1.5", "abc"]
 PAIRS = ["1,1", "0,0", "-1,0.5", "2,0.5", "1e300,1", "abc,1", "1"]
 FUZZ_FLAGS = {

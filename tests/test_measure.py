@@ -10,7 +10,7 @@ from missingdigits import (BasePower, ConfigError, MissingDigitsSpec,
                            explicit_spec, hausdorff_dim, interval_spec,
                            lebesgue_spec, parse_spec, product, sample, square,
                            total_dim)
-from missingdigits.measure import DigitInterval, ExplicitDigits, as_product
+from missingdigits.measure import DigitInterval, ExplicitDigits, as_product, int_less
 
 C3 = explicit_spec(3, [0, 2])
 C5 = explicit_spec(5, [0, 1, 2, 3])
@@ -58,6 +58,17 @@ def test_interval_endpoints():
             interval_spec(big, lo, hi)
     assert interval_spec(big, 0, 0).hausdorff_dim() == 0.0
     assert interval_spec(big, BasePower(10, 100), BasePower(10, 100)).hausdorff_dim() == 0.0
+
+
+def test_equal_powers_in_different_bases_compare_exactly():
+    two, four = BasePower(2, 400), BasePower(4, 200)
+    assert not int_less(two, four) and not int_less(four, two)
+    assert int_less(2 ** 400 - 1, four) and not int_less(four, 2 ** 400 - 1)
+    spec = parse_spec("factor { base = 10^200; digits = 2^400..4^200; }")
+    assert hausdorff_dim(spec) == 0.0
+    # past 2^20 bits a tie of logarithms is still refused
+    with pytest.raises(ConfigError, match="cannot compare"):
+        int_less(BasePower(2, 1 << 21), BasePower(4, 1 << 20))
 
 
 def test_symbolic_base_stays_symbolic():
