@@ -12,6 +12,7 @@ instead of freezing the process.
 from __future__ import annotations
 
 import threading
+from decimal import Decimal
 
 from .errors import BudgetExceededError
 
@@ -55,8 +56,11 @@ class EvalBudget:
             raise self._exceeded(cells, what)
 
     def _exceeded(self, cells: int, what: str) -> BudgetExceededError:
+        # counts of more than 15 digits in scientific form; Decimal takes
+        # ints past the float range
+        need = cells if cells < 10 ** 15 else f"{Decimal(cells):.3e}"
         return BudgetExceededError(
-            f"budget exceeded: {what} needs {cells} cells, "
+            f"budget exceeded: {what} needs {need} cells, "
             f"{self.limit - self.spent} of {self.limit} remain",
             spent=self.spent,
             limit=self.limit,

@@ -16,6 +16,16 @@ digit norm), which geometrically sums to
 
     tail(J) <= 2 pi M |xi| / (p^J (p - 1)).
 
+Lattice sums repeat each factor's coordinates: the radius-256 ball on
+C3 x C3 has about 206k points but only 513 values per axis.  So when a
+factor's coordinate block is all integers (no negative zero), the batch
+evaluates g once per level on the integer box min..max of the block and
+gathers it back by the index (row - min), in O(rows) without a sort.
+The gathered values are those of evaluating every row, bit for bit.
+The table is skipped when that box holds more than half as many points
+as the block has rows, as for the carpet's 2-D factor, whose rows are
+all distinct.  The budget charge stays rows x levels either way.
+
 The oracle path never touches g or the product: it enumerates the
 depth-m digit prefix sums c = sum_{i<=m} p^-i d_i (the cylinder corner
 points) and averages exp(-2 pi i (c, xi)) directly, which is the exact
@@ -217,6 +227,30 @@ def gather_points(spec: Spec, blocks, tol: float, budget: EvalBudget) -> np.ndar
     return np.concatenate(parts)
 
 
+def _symbol_table(block: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """(table_rows, index) with table_rows[index] equal to block bit for
+    bit, where table_rows is the integer box min..max of block's
+    coordinates in C order and index is (row - min) raveled, found in
+    O(rows) without a sort; or (block, None) when that box would hold
+    more than half as many points as block has rows, or block is not
+    all integers (a negative zero counts as none, since the box holds
+    only +0.0)."""
+    lo, hi = block.min(axis=0), block.max(axis=0)
+    # spans stay floats until they are known to be small: rows near
+    # 1e18 or 1e150 must not overflow int64
+    spans = hi - lo + 1.0
+    if not float(np.prod(spans)) <= block.shape[0] / 2:
+        return block, None
+    if not (np.round(block) == block).all() or (np.signbit(block) & (block == 0)).any():
+        return block, None
+    # every integer difference here is below 2^53, so each subtraction
+    # and each table entry lo + k is exact
+    shape = tuple(int(s) for s in spans)
+    index = np.ravel_multi_index(tuple((block - lo).astype(np.int64).T), shape)
+    rows = np.indices(shape, dtype=np.float64).reshape(len(shape), -1).T + lo
+    return rows, index
+
+
 def fourier_transform_batch(
     spec: Spec,
     xis: np.ndarray,
@@ -241,8 +275,10 @@ def fourier_transform_batch(
     errs = np.zeros(xis.shape[0], dtype=np.float64)
     for factor, block, norms, depth in blocks:
         p = float(factor.p_int())
+        rows, index = _symbol_table(block) if depth else (block, None)
         for j in range(1, depth + 1):
-            values *= digit_symbol(factor, block / p ** j)
+            sym = digit_symbol(factor, rows / p ** j)
+            values *= sym if index is None else sym[index]
         errs += _tail_bound(factor, norms, depth)
     return values, errs
 

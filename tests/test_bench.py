@@ -53,6 +53,19 @@ def test_runs_that_disagree_or_exit_unexpectedly_are_refused():
         bench.summarize("cert-l1", [run])
 
 
+def test_records_give_the_median_and_quartiles_of_the_seconds():
+    run = {"seconds": 0.1, "peak_rss_mib": 40.0, "exit_code": 0, "cells": 526, "sha256": "a"}
+    runs = [dict(run, seconds=s) for s in (0.5, 0.1, 0.4, 0.2, 0.3)]
+    record = bench.summarize("gr-scaled", runs)
+    assert record["seconds"] == [0.5, 0.1, 0.4, 0.2, 0.3]
+    assert (record["q1_s"], record["median_s"], record["q3_s"]) == (0.2, 0.3, 0.4)
+    # between two runs, linear interpolation
+    record = bench.summarize("gr-scaled", [dict(run, seconds=1.0), dict(run, seconds=2.0)])
+    assert (record["q1_s"], record["median_s"], record["q3_s"]) == (1.25, 1.5, 1.75)
+    record = bench.summarize("gr-scaled", [run])
+    assert record["q1_s"] == record["median_s"] == record["q3_s"] == 0.1
+
+
 def test_round_schedule_reverses_the_tree_order_every_round():
     assert bench.schedule(["A", "B"], 2) == [["A", "B"], ["B", "A"]]
     assert bench.schedule(["A", "B", "C"], 3) == [["A", "B", "C"], ["C", "B", "A"],

@@ -1,3 +1,4 @@
+import re
 import threading
 import time
 
@@ -64,3 +65,11 @@ def test_concurrent_overflow_still_raises():
     budget = _YieldingBudget(limit)
     assert _charge_concurrently(budget) == 7
     assert budget.spent == limit
+
+
+def test_refusals_give_counts_past_15_digits_in_scientific_form():
+    budget = EvalBudget(10)
+    for cells, shown in ((10 ** 15 - 1, "999999999999999"), (10 ** 15, "1.000e+15"),
+                         (643 * 10 ** 297, "6.430e+299"), (10 ** 400, "1.000e+400")):
+        with pytest.raises(BudgetExceededError, match=re.escape(f"needs {shown} cells")):
+            budget.check(cells, "x")

@@ -213,6 +213,15 @@ def test_exit_65_on_budget_exhaustion():
     assert out == ""  # no partial result document
 
 
+def test_a_huge_cell_count_is_refused_in_scientific_form():
+    # a 1e-300 bandwidth asks for some 6e299 histogram bins
+    code, out, err = run(["radial-density", "--spec", C32_SQ, "--viewpoint=-1,-1",
+                          "--mc", "10", "--bandwidth", "1e-300"])
+    assert code == 65 and out == ""
+    assert "histogram bins needs 6.435e+299 cells" in err
+    assert err.count("\n") == 1 and len(err.encode()) < 200
+
+
 # ----------------------------------------------------------------- manifest
 
 

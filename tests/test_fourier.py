@@ -1,13 +1,14 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from missingdigits import (BudgetExceededError, EvalBudget, digit_symbol,
                            explicit_spec, fourier_oracle, fourier_transform,
-                           fourier_transform_batch, lebesgue_spec, square,
-                           truncation_depth)
-from missingdigits.fourier import transform_levels
+                           fourier_transform_batch, interval_spec, lebesgue_spec,
+                           square, truncation_depth)
+from missingdigits.fourier import _symbol_table, box_blocks, transform_levels
 from missingdigits.measure import as_product
 
 C3 = explicit_spec(3, [0, 2])
@@ -182,3 +183,91 @@ def test_batch_charges_its_transform_levels_before_any_work():
     with pytest.raises(BudgetExceededError, match="transform levels"):
         fourier_transform_batch(C52, xi, budget=short)
     assert short.spent == 0
+
+
+# ---------------------------------------------------- per-factor symbol tables
+
+C3_SQ = square(C3)
+I512 = interval_spec(512, 0, 499)
+CARPET = explicit_spec(3, [(a, b) for a in range(3) for b in range(3) if (a, b) != (1, 1)], n=2)
+
+
+def _per_level_product(spec, xis, tol=1e-9):
+    # the transform as a plain product over factors and levels, with
+    # every row evaluated at every level
+    prod = as_product(spec)
+    values = np.ones(xis.shape[0], dtype=complex)
+    for factor, sl in zip(prod.factors, prod.factor_slices()):
+        block = xis[:, sl]
+        norm = float(np.sqrt((block * block).sum(axis=1)).max())
+        p = float(factor.p_int())
+        for j in range(1, truncation_depth(factor, norm, tol / len(prod.factors)) + 1):
+            values *= digit_symbol(factor, block / p ** j)
+    return values
+
+
+def _assert_same_bits(spec, xis):
+    values, _ = fourier_transform_batch(spec, xis)
+    assert np.array_equal(values.view(np.uint64), _per_level_product(spec, xis).view(np.uint64))
+
+
+def _tabled(block):
+    # the helper's table, after checking that it gathers back to block bit for bit
+    rows, index = _symbol_table(block)
+    if index is None:
+        assert rows is block
+    else:
+        assert rows.shape[0] <= block.shape[0] / 2
+        assert np.array_equal(rows[index].view(np.uint64), block.view(np.uint64))
+    return index is not None
+
+
+def test_symbol_table_on_the_c3_squared_lp_ball():
+    box = np.concatenate(list(box_blocks(161, 2, EvalBudget(), "ball")))
+    ball = box[np.hypot(box[:, 0], box[:, 1]) <= 80]
+    assert _tabled(ball[:, :1]) and _tabled(ball[:, 1:])
+    _assert_same_bits(C3_SQ, ball)
+
+
+def test_symbol_table_on_a_one_dimensional_interval_factor():
+    # I512 takes the Dirichlet path; 20000 integer rows over 6001 values
+    rows = RNG.integers(-3000, 3001, size=20000).astype(np.float64)[:, None]
+    assert _tabled(rows)
+    _assert_same_bits(I512, rows)
+
+
+def test_a_negative_zero_declines_the_table():
+    # the ray along (1, 0) holds -0.0 in its second block
+    t = np.arange(-400, 401) * 0.25
+    ray = t[:, None] * np.array([1.0, 0.0])
+    assert np.signbit(ray[:400, 1]).all()
+    assert not _tabled(ray[:, :1]) and not _tabled(ray[:, 1:])
+    _assert_same_bits(C3_SQ, ray)
+    # an integral block that is tabled without its negative zeros
+    block = np.repeat(np.arange(-20.0, 21.0), 10)[:, None]
+    assert _tabled(block)
+    block[block == 0] = -0.0
+    assert not _tabled(block)
+    _assert_same_bits(C3_SQ, np.hstack([block, block[::-1]]))
+
+
+def test_a_carpet_block_has_all_rows_distinct_and_no_table():
+    box = np.concatenate(list(box_blocks(129, 2, EvalBudget(), "box")))
+    assert not _tabled(box)
+    _assert_same_bits(CARPET, box)
+
+
+@pytest.mark.parametrize("top", [1e18, 1e150])
+def test_symbol_table_spans_of_huge_integral_rows_do_not_overflow(top):
+    step = np.spacing(top)  # 128 at 1e18, the next float up at 1e150
+    near = np.repeat([top, top + step, top + 2 * step], 400)
+    spread = np.repeat([-top, top], 600)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an int64 overflow in a cast warns
+        assert _tabled(near[:, None]) == (2 * step + 1 <= 600)
+        assert _tabled(np.full((1200, 1), -top))
+        assert not _tabled(spread[:, None])
+        assert not _tabled(np.stack([near, spread], axis=-1))
+    small = np.tile(np.arange(-5.0, 7.0), 100)
+    for first in (near, -near, spread):
+        _assert_same_bits(C3_SQ, np.stack([first, small], axis=-1))
