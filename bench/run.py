@@ -5,6 +5,7 @@ by run, and check that the trees print the same output.
 
 The jobs are the 22 of `benchmark/workloads.py` at seed 1; SRC holds a
 tree's `missingdigits` package (a checkout's `src/`).  Each of R rounds
+(default 10, so that medians and quartiles rest on ten alternated runs)
 runs every tree once per job, back to back, in an order reversed every
 round, so drift of the host's speed falls on all trees alike.  Each run
 is a child process that imports `missingdigits.cli` from its tree and
@@ -126,7 +127,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--tree", action="append", metavar="NAME=SRC")
     parser.add_argument("--out", type=Path)
-    parser.add_argument("--repeat", type=int, default=5)
+    parser.add_argument("--repeat", type=int, default=10)
     parser.add_argument("--child", choices=sorted(JOBS), help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.child is not None:

@@ -69,10 +69,9 @@ class CertificateReport:
     p_exp: int | None = None
     side_conditions: tuple = ()
 
-    def to_json(self) -> str:
-        """Deterministic serialization: identical reports give
-        identical bytes."""
-        payload = {
+    def as_dict(self) -> dict:
+        """The report as plain JSON values."""
+        return {
             "theorem": self.theorem.value,
             "p_exp": self.p_exp,
             "threshold": self.threshold,
@@ -83,7 +82,11 @@ class CertificateReport:
             "verdict": self.verdict.value,
             "side_conditions": list(self.side_conditions),
         }
-        return json.dumps(payload, sort_keys=True)
+
+    def to_json(self) -> str:
+        """Deterministic serialization: identical reports give
+        identical bytes."""
+        return json.dumps(self.as_dict(), sort_keys=True)
 
 
 def _decide(margin: float, bound: DimensionBound, side_conditions: tuple) -> Verdict:

@@ -16,7 +16,6 @@ exhaustion, 74 stdout closed before the document was written.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import os
@@ -27,16 +26,15 @@ import numpy as np
 
 from . import __version__
 from .budget import DEFAULT_BUDGET, EvalBudget
-from .certify import CertificateReport, Verdict, certify_linear, certify_radial_Lp, preset
+from .certify import PRESET_NAMES, Verdict, certify_linear, certify_radial_Lp, preset
 from .dimension import best_of_candidates, factor_candidates
 from .errors import BudgetExceededError, ConfigError, SymbolicBaseError
 from .fourier import fourier_transform_batch
 from .graham import density_report, enumerate_restricted, enumerate_scaled, parse_system
 from .measure import hausdorff_dim, parse_spec, total_dim
-from .projection import (_unit_direction, exceptional_from_scan, exceptional_threshold,
-                         linear_density, linear_density_mc, lp_criterion_integral,
-                         radial_density_mc, radial_tube_profile, slab_integral,
-                         stripe_scan)
+from .projection import (_unit_direction, exceptional_directions, linear_density,
+                         linear_density_mc, lp_criterion_integral, radial_density_mc,
+                         radial_tube_profile, slab_integral)
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -59,20 +57,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
-
-
-@dataclasses.dataclass
-class RunManifest:
-    subcommand: str
-    config: dict
-    seed: int
-    budget: int
-    versions: dict
-    wall_time_s: float
-    outputs: list
-
-    def as_dict(self) -> dict:
-        return dataclasses.asdict(self)
 
 
 # -------------------------------------------------------------- plumbing
@@ -174,24 +158,24 @@ class _Run:
         self.outputs.append(self.args.csv)
 
     def finish(self, subcommand: str, result: dict, exit_code: int = EXIT_OK) -> int:
-        manifest = RunManifest(
-            subcommand=subcommand,
-            config={
+        manifest = {
+            "subcommand": subcommand,
+            "config": {
                 "argv": getattr(self.args, "run_argv", sys.argv[1:]),
                 "spec": self.spec_text,
             },
-            seed=self.seed,
-            budget=self.budget_cells,
-            versions={
+            "seed": self.seed,
+            "budget": self.budget_cells,
+            "versions": {
                 "package": __version__,
                 "numpy": np.__version__,
                 "python": ".".join(str(v) for v in sys.version_info[:3]),
                 "rng": "PCG64",
             },
-            wall_time_s=round(time.monotonic() - self.t0, 6),
-            outputs=self.outputs,
-        )
-        doc = {"manifest": manifest.as_dict(), "result": result}
+            "wall_time_s": round(time.monotonic() - self.t0, 6),
+            "outputs": self.outputs,
+        }
+        doc = {"manifest": manifest, "result": result}
         # flushed here, so that a closed stdout raises inside main()
         print(json.dumps(doc, sort_keys=True), flush=True)
         return exit_code
@@ -285,10 +269,6 @@ def _lattice_payload(diag) -> dict:
     }
 
 
-def _report_payload(report: CertificateReport) -> dict:
-    return json.loads(report.to_json())
-
-
 # ---------------------------------------------------------- subcommands
 
 
@@ -318,7 +298,7 @@ def _cmd_certify(args) -> int:
         report = certify_linear(spec, run.budget)
     else:
         report = certify_radial_Lp(spec, args.radial_lp, run.budget)
-    return run.finish("certify", _report_payload(report), _VERDICT_EXIT[report.verdict])
+    return run.finish("certify", report.as_dict(), _VERDICT_EXIT[report.verdict])
 
 
 def _cmd_preset(args) -> int:
@@ -326,11 +306,11 @@ def _cmd_preset(args) -> int:
     names = [args.name]
     if args.name == "theorem-b":
         names.append("theorem-b-homogeneous")
-    reports = []
+    reports, codes = [], []
     for name in names:
         _, report = preset(name, run.budget)
-        reports.append({"preset": name, "report": _report_payload(report)})
-    codes = [_VERDICT_EXIT[Verdict(e["report"]["verdict"])] for e in reports]
+        reports.append({"preset": name, "report": report.as_dict()})
+        codes.append(_VERDICT_EXIT[report.verdict])
     exit_code = (EXIT_NEGATIVE if EXIT_NEGATIVE in codes
                  else EXIT_INCONCLUSIVE if EXIT_INCONCLUSIVE in codes else EXIT_OK)
     return run.finish("preset", {"reports": reports}, exit_code)
@@ -394,17 +374,17 @@ def _cmd_radial_density(args) -> int:
         ]
     else:
         profile = radial_tube_profile(spec, x, args.delta, args.angles, budget=run.budget)
+        delta = profile.metadata["delta"]
         comments = [
-            "radial density on the viewing circle: tube mass / (2 * half-width)",
-            f"method: cylinder tube counts at half-width {args.delta!r}",
+            f"radial density on the viewing circle: tube mass / half-width {delta!r} "
+            "(about 2/r times the mass per radian at distance r)",
+            f"method: cylinder tube counts at half-width {delta!r}",
         ]
-    values_sq = profile.values.astype(np.float64) ** 2
-    l2_sq = float(np.trapezoid(values_sq, profile.grid))
     run.write_csv(["angle_rad", "density_mass_per_rad"],
                   list(zip(profile.grid.tolist(), profile.values.tolist())),
                   comments)
     result = {"profile": _profile_payload(profile, run.want_rows_inline()),
-              "l2_norm_squared": l2_sq}
+              "l2_norm_squared": profile.l2_squared}
     return run.finish("radial-density", result)
 
 
@@ -438,8 +418,8 @@ def _cmd_linear_density(args) -> int:
                                  tol=args.tol, budget=run.budget)
         comments = [
             "density of the projection onto the line through the origin with the given direction",
-            f"method: Fourier inversion, frequency cutoff {args.tmax!r}, "
-            f"quadrature step 0.25",
+            f"method: Fourier inversion, frequency cutoff {profile.metadata['T_max']!r}, "
+            f"quadrature step {profile.metadata['quadrature_step']!r}",
         ]
     run.write_csv(["offset_along_direction", "density_mass_per_unit_offset"],
                   list(zip(profile.grid.tolist(), profile.values.tolist())),
@@ -453,10 +433,8 @@ def _cmd_linear_density(args) -> int:
 def _cmd_stripe_scan(args) -> int:
     run = _Run(args)
     spec = run.spec()
-    threshold = exceptional_threshold(spec, args.radius, args.eps, args.s1)
-    angles, integrals = stripe_scan(spec, args.radius, args.angles,
-                                    tol=args.tol, budget=run.budget)
-    exceptional = exceptional_from_scan(threshold, angles, integrals)
+    threshold, angles, integrals, exceptional = exceptional_directions(
+        spec, args.radius, args.eps, args.s1, args.angles, tol=args.tol, budget=run.budget)
     run.write_csv(
         ["direction_angle_rad", "stripe_weighted_l1_sum"],
         list(zip(angles.tolist(), integrals.tolist())),
@@ -551,7 +529,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("preset", parents=[common],
                         help="rebuild and certify a named flagship parameter set")
-    p.add_argument("name", choices=["theorem-a", "theorem-b", "theorem-b-homogeneous"])
+    p.add_argument("name", choices=PRESET_NAMES)
     p.set_defaults(fn=_cmd_preset)
 
     p = subs.add_parser("fourier-eval", parents=[common, spec, rows],

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,19 +66,14 @@ class DimensionBound:
     value: float
     kind: BoundKind
     rigorous: bool
-    details: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         if not math.isfinite(self.value):
             raise ValueError("dimension bound must be finite")
 
 
-def _clamp(value: float, ambient: float) -> tuple[float, bool]:
-    if value < 0.0:
-        return 0.0, True
-    if value > ambient:
-        return float(ambient), True
-    return value, False
+def _clamp(value: float, ambient: float) -> float:
+    return min(max(value, 0.0), float(ambient))
 
 
 # ---------------------------------------------------------------- f(theta)
@@ -217,20 +212,7 @@ def grid_lower_bound(
 def _grid_factor(factor: MissingDigitsSpec, h: float, budget: EvalBudget) -> DimensionBound:
     sup = sup_f(factor, h, budget)
     raw = factor.ambient_dim - math.log(sup.certified_upper) / factor.log_base()
-    value, clamped = _clamp(raw, factor.ambient_dim)
-    return DimensionBound(
-        value=value,
-        kind=BoundKind.GRID_SUP,
-        rigorous=True,
-        details={
-            "sup_estimate": sup.sup_estimate,
-            "certified_upper": sup.certified_upper,
-            "grid_step": sup.grid_step,
-            "lipschitz": sup.lipschitz,
-            "argmax": sup.argmax,
-            "clamped": clamped,
-        },
-    )
+    return DimensionBound(_clamp(raw, factor.ambient_dim), BoundKind.GRID_SUP, rigorous=True)
 
 
 def crude_bound(spec: Spec) -> DimensionBound:
@@ -262,13 +244,7 @@ def _crude_factor(factor: MissingDigitsSpec) -> DimensionBound:
     term_b = n * (math.log(2.0) + log_p + math.log(log_p))
     log_num = np.logaddexp(term_a, term_b)
     raw = n - (log_num - log_card) / log_p
-    value, clamped = _clamp(raw, n)
-    return DimensionBound(
-        value=value,
-        kind=BoundKind.CRUDE,
-        rigorous=True,
-        details={"log_t": log_t, "log_card": log_card, "clamped": clamped},
-    )
+    return DimensionBound(_clamp(raw, n), BoundKind.CRUDE, rigorous=True)
 
 
 def rectangle_bound(spec: Spec) -> DimensionBound:
@@ -285,13 +261,8 @@ def _rectangle_factor(factor: MissingDigitsSpec) -> DimensionBound:
         raise ValueError("rectangle bound requires base >= 4")
     n = factor.ambient_dim
     penalty = n * math.log(2.0 * log_p) / log_p
-    value, clamped = _clamp(factor.hausdorff_dim() - penalty, n)
-    return DimensionBound(
-        value=value,
-        kind=BoundKind.RECTANGLE,
-        rigorous=True,
-        details={"penalty": penalty, "clamped": clamped},
-    )
+    return DimensionBound(_clamp(factor.hausdorff_dim() - penalty, n), BoundKind.RECTANGLE,
+                          rigorous=True)
 
 
 def product_bound(parts) -> DimensionBound:
@@ -302,12 +273,8 @@ def product_bound(parts) -> DimensionBound:
         raise ValueError("product bound needs at least one part")
     if len(parts) == 1:
         return parts[0]
-    return DimensionBound(
-        value=sum(p.value for p in parts),
-        kind=BoundKind.PRODUCT_SUM,
-        rigorous=all(p.rigorous for p in parts),
-        details={"parts": parts},
-    )
+    return DimensionBound(sum(p.value for p in parts), BoundKind.PRODUCT_SUM,
+                          rigorous=all(p.rigorous for p in parts))
 
 
 def _applicable(compute):

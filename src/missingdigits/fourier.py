@@ -142,7 +142,7 @@ def _dirichlet_ratio(count: int, eta_r: np.ndarray) -> np.ndarray:
 def truncation_depth(factor: MissingDigitsSpec, xi_norm: float, tol: float) -> int:
     """Smallest J with 2 pi M |xi| / (p^J (p-1)) <= tol."""
     if not math.isfinite(xi_norm):
-        raise ConfigError("frequency norms must be finite")
+        raise ConfigError("frequency norm |xi| is not finite (or overflows a float)")
     tol = max(float(tol), TOL_FLOOR)
     if xi_norm == 0.0:
         return 0

@@ -121,6 +121,11 @@ class DensityProfile:
         return float(np.trapezoid(self.values, self.grid))
 
     @property
+    def l2_squared(self) -> float:
+        """Trapezoidal integral of the squared profile over its grid."""
+        return float(np.trapezoid(self.values ** 2, self.grid))
+
+    @property
     def flags(self) -> tuple:
         return tuple(self.metadata.get("flags", ()))
 
@@ -138,16 +143,15 @@ def profile_l1_distance(a: DensityProfile, b: DensityProfile) -> float:
 @dataclass(frozen=True)
 class LatticeDiagnostics:
     """A partial sum of |lambda_hat| weights together with its
-    geometric-shell decomposition.  Shell k collects radii in
-    (base^(k-1), base^k] (shell 0 takes [0, 1]); `dyadic_slopes` are the
-    base-log ratios of consecutive shell totals.  Nonnegative slopes
+    dyadic-shell decomposition.  Shell k collects radii in
+    (2^(k-1), 2^k] (shell 0 takes [0, 1]); `dyadic_slopes` are the
+    base-2 log ratios of consecutive shell totals.  Nonnegative slopes
     across the last three shells mean the partial sums are still
     growing: `non_convergent` is then set."""
 
     partial: float
     shell_totals: tuple
     dyadic_slopes: tuple
-    shell_base: int = 2
 
     @property
     def non_convergent(self) -> bool:
@@ -271,6 +275,11 @@ def radial_tube_profile(spec: Spec, x, delta: float, angle_grid_count: int,
     r_min = _corner_distances(x).min()
     pad = 2.0 * delta / r_min
     grid = np.linspace(lo_a - pad, hi_a + pad, angle_grid_count)
+    if not np.all(np.diff(grid) > 0):
+        # from far enough away the sector is narrower than the float
+        # spacing of its angles, and linspace repeats them
+        raise ConfigError("viewing sector is too narrow for distinct angles: "
+                          "move the viewpoint closer or use fewer angles")
 
     lower, upper = ray_tube_masses(spec, x, delta, grid, depth, bud)
     bounds = np.stack([lower, upper], axis=1) / delta
@@ -294,8 +303,7 @@ def radial_l2_norm(spec: Spec, x, delta: float, angle_grid_count: int,
     sector, f_delta taken at tube-enclosure midpoints.  Bounded in
     delta exactly when the radial pushforward has an L^2 density;
     diverging like 1/delta for an atom."""
-    profile = radial_tube_profile(spec, x, delta, angle_grid_count, depth, budget)
-    return float(np.trapezoid(profile.values ** 2, profile.grid))
+    return radial_tube_profile(spec, x, delta, angle_grid_count, depth, budget).l2_squared
 
 
 def tube_mass_mc(spec: Spec, tube: TubeSpec, samples: int, seed: int = 0,
@@ -626,7 +634,7 @@ def lp_criterion_integral(spec: Spec, p_exp: int, R_max: int, tol: float = 1e-9,
         partial += float(w.sum())
         totals += _shell_diagnostics(norms, w, base=2, n_shells=n_shells)[0]
     return LatticeDiagnostics(partial, tuple(float(v) for v in totals),
-                              _floored_slopes(totals, 2), 2)
+                              _floored_slopes(totals, 2))
 
 
 def _annulus(R: float, budget: EvalBudget):
@@ -705,36 +713,27 @@ def stripe_scan(spec: Spec, R: float, angle_count: int, tol: float = 1e-9,
     return angles, total[:angle_count] + total[angle_count:]
 
 
-def exceptional_threshold(spec: Spec, R: float, eps: float, s1: float) -> float:
-    """R^(n - 1 - s1 + 2 eps), s1 being a certified l1-dimension lower
-    bound: a direction is exceptional when its stripe sum reaches it.
-    eps and R are checked here, before any scan is paid for."""
+def exceptional_directions(spec: Spec, R: float, eps: float, s1: float,
+                           angle_count: int, tol: float = 1e-9,
+                           budget: EvalBudget | None = None) -> tuple:
+    """(threshold, angles, sums, directions): the stripe_scan of the
+    annulus at angle_count directions, and the unit vectors of the
+    scanned angles whose stripe sum reaches threshold =
+    R^(n - 1 - s1 + 2 eps), s1 being a certified l1-dimension lower
+    bound.  For measures with decaying generic directions this isolates
+    the coordinate-like rays along which |lambda_hat| keeps its mass.
+    eps, R and the threshold are checked before the scan is paid for."""
     if eps <= 0:
         raise ConfigError("eps must be positive")
     if R < 2:
         raise ConfigError("stripe annulus needs R >= 2")
     try:
-        return float(R) ** (total_dim(spec) - 1 - s1 + 2 * eps)
+        threshold = float(R) ** (total_dim(spec) - 1 - s1 + 2 * eps)
     except OverflowError as exc:
         raise ConfigError("exceptional threshold R^(n-1-s1+2eps) overflows") from exc
-
-
-def exceptional_from_scan(threshold: float, angles, values) -> list:
-    """The unit vectors of the scanned angles whose stripe sum reaches
-    threshold."""
-    return [(math.cos(a), math.sin(a)) for a, v in zip(angles, values) if v >= threshold]
-
-
-def exceptional_directions(spec: Spec, R: float, eps: float, s1: float,
-                           angle_count: int, tol: float = 1e-9,
-                           budget: EvalBudget | None = None) -> list:
-    """Grid directions whose annulus-stripe sum reaches
-    exceptional_threshold.  For measures with decaying generic
-    directions this isolates the coordinate-like rays along which
-    |lambda_hat| keeps its mass."""
-    threshold = exceptional_threshold(spec, R, eps, s1)
-    angles, values = stripe_scan(spec, R, angle_count, tol, budget)
-    return exceptional_from_scan(threshold, angles, values)
+    angles, sums = stripe_scan(spec, R, angle_count, tol, budget)
+    directions = [(math.cos(a), math.sin(a)) for a, v in zip(angles, sums) if v >= threshold]
+    return threshold, angles, sums, directions
 
 
 def slab_integral(spec: Spec, theta, T_max: float, tol: float = 1e-9,
@@ -773,4 +772,4 @@ def slab_integral(spec: Spec, theta, T_max: float, tol: float = 1e-9,
     mags = np.abs(values)
     norms = np.hypot(pts[:, 0], pts[:, 1])
     totals, slopes = _shell_diagnostics(norms, mags, base=2, n_shells=1 + _shell_count(T_max, 2))
-    return LatticeDiagnostics(float(mags.sum()), totals, slopes, 2)
+    return LatticeDiagnostics(float(mags.sum()), totals, slopes)

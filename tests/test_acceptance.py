@@ -294,7 +294,7 @@ def test_acceptance_09_exceptional_direction_detector():
                                     (math.cos(1.0), math.sin(1.0)), 81.0)
     ratio = axis_low / max(generic_median, generic_point)
 
-    q_r = np.asarray(exceptional_directions(C32_SQ, 81.0, 0.05, s1, 256))
+    q_r = np.asarray(exceptional_directions(C32_SQ, 81.0, 0.05, s1, 256)[3])
     has_axes = (
         bool(np.any(np.all(np.abs(q_r - np.array([1.0, 0.0])) < 1e-9, axis=1)))
         and bool(np.any(np.all(np.abs(q_r - np.array([0.0, 1.0])) < 1e-9,

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,9 +15,9 @@ try:
 except ImportError:  # not on every platform
     resource = None
 
-import missingdigits.cli as cli
+import missingdigits.projection as projection
 from missingdigits import (EvalBudget, crude_bound, exceptional_directions,
-                           grid_lower_bound, parse_spec, rectangle_bound)
+                           grid_lower_bound, parse_spec, radial_l2_norm, rectangle_bound)
 from missingdigits.cli import main
 
 C3 = "factor { base = 3; digits = {0,2}; }"
@@ -136,9 +137,17 @@ def test_exit_64_on_an_option_the_subcommand_does_not_read(argv):
      "--bandwidth", "1e-320"],
     ["linear-density", "--spec", C32_SQ, "--direction", "1,1", "--mc", "10",
      "--bandwidth", "1e-320"],
+    # the viewing sector is narrower than the float spacing of its angles
+    ["radial-density", "--spec", C32_SQ, "--viewpoint=1e14,0.5", "--delta", "0.01"],
 ])
 def test_exit_64_on_bad_numeric_input(argv):
     assert run(argv)[0] == 64
+
+
+def test_an_overflowing_frequency_norm_is_named_as_such():
+    code, _, err = run(["fourier-eval", "--spec", C3, "--xi", "1e300"])
+    assert code == 64
+    assert "frequency norm |xi| is not finite (or overflows a float)" in err
 
 
 HUGE = "100000000000000000000"
@@ -272,18 +281,18 @@ def test_repeat_runs_identical_outside_wall_time():
 
 def test_stripe_scan_scans_once(monkeypatch):
     calls = []
-    scan = cli.stripe_scan
+    scan = projection.stripe_scan
 
     def counted(*args, **kwargs):
         calls.append(args)
         return scan(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "stripe_scan", counted)
+    monkeypatch.setattr(projection, "stripe_scan", counted)
     code, doc = run_json(["stripe-scan", "--spec", C32_SQ, "--radius", "27",
                           "--angles", "64", "--s1", "0.7376", "--eps", "0.05"])
     assert code == 0
     assert len(calls) == 1
-    expected = exceptional_directions(parse_spec(C32_SQ), 27.0, 0.05, 0.7376, 64)
+    *_, expected = exceptional_directions(parse_spec(C32_SQ), 27.0, 0.05, 0.7376, 64)
     assert doc["result"]["exceptional_directions"] == [list(d) for d in expected]
     assert doc["result"]["exceptional_count"] == len(expected) > 0
 
@@ -441,6 +450,50 @@ def test_radial_density_csv_names_units(tmp_path):
     assert "radian" in text.lower() or "angle" in text.lower()
 
 
+def _csv_comments(path) -> list:
+    return [ln for ln in path.read_text().splitlines() if ln.startswith("#")]
+
+
+def test_tube_csv_comments_give_the_half_width_the_mass_is_divided_by(tmp_path):
+    out_csv = tmp_path / "tube.csv"
+    code, _, _ = run(["radial-density", "--spec", C32_SQ, "--viewpoint=-1,0.5",
+                      "--delta", "0.04", "--angles", "8", "--csv", str(out_csv)])
+    assert code == 0
+    assert _csv_comments(out_csv) == [
+        "# radial density on the viewing circle: tube mass / half-width 0.04 "
+        "(about 2/r times the mass per radian at distance r)",
+        "# method: cylinder tube counts at half-width 0.04",
+    ]
+
+
+def test_linear_csv_comments_read_the_quadrature_step_of_the_profile(tmp_path, monkeypatch):
+    monkeypatch.setattr(projection, "LINEAR_QUADRATURE_STEP", 0.125)
+    out_csv = tmp_path / "linear.csv"
+    code, _, _ = run(["linear-density", "--spec", C32_SQ, "--direction", "1,2",
+                      "--tmax", "9", "--grid", "0,1,5", "--csv", str(out_csv)])
+    assert code == 0
+    assert _csv_comments(out_csv)[1] == (
+        "# method: Fourier inversion, frequency cutoff 9.0, quadrature step 0.125")
+
+
+def test_radial_l2_norm_squared_is_the_library_norm_bit_for_bit():
+    code, doc = run_json(["radial-density", "--spec", C32_SQ, "--viewpoint=-1,0.5",
+                          "--delta", "0.04"])
+    assert code == 0
+    expected = radial_l2_norm(parse_spec(C32_SQ), (-1.0, 0.5), 0.04, 400)
+    assert doc["result"]["l2_norm_squared"] == expected
+
+
+def test_radial_l2_norm_squared_of_monte_carlo_is_the_trapezoid_of_its_rows():
+    code, doc = run_json(["radial-density", "--spec", C32_SQ, "--viewpoint=-1,0.5",
+                          "--mc", "5000", "--bandwidth", "0.05", "--seed", "3"])
+    assert code == 0
+    profile = doc["result"]["profile"]
+    grid = np.array([float(g) for g in profile["grid"]])
+    values = np.array([float(v) for v in profile["values"]])
+    assert doc["result"]["l2_norm_squared"] == float(np.trapezoid(values ** 2, grid))
+
+
 def test_unwritable_csv_path_exits_64():
     code, out, err = run(["graham", "--system", "3:{0,1};5:{0,1,2}", "--limit", "100",
                           "--csv", "/nonexistent/x.csv"])
@@ -494,7 +547,7 @@ FUZZ_SPECS = [C3, C32_SQ, LEB, CARPET, f"{C3} {C3} {C3}",
               f"factor {{ base = 1{'0' * 5000}; digits = 0..9; }}"]
 REALS = ["0", "-5", "1e-300", "1e-320", "0.5", "3", "1e300", "-1e300", "nan", "abc"]
 INTS = ["0", "-5", "1", "3", "64", HUGE, "1.5", "abc"]
-PAIRS = ["1,1", "0,0", "-1,0.5", "2,0.5", "1e300,1", "abc,1", "1"]
+PAIRS = ["1,1", "0,0", "-1,0.5", "2,0.5", "1e14,0.5", "1e300,1", "abc,1", "1"]
 FUZZ_FLAGS = {
     "dim-bound": {},
     "certify": {"--radial-lp": INTS, "--linear": [None]},

@@ -464,7 +464,7 @@ def _lp_ball_reference(spec, p_exp, R_max, budget):
         partial += float(w.sum())
         totals += projection._shell_diagnostics(norms, w, n_shells=n_shells)[0]
     return projection.LatticeDiagnostics(partial, tuple(float(v) for v in totals),
-                                         projection._floored_slopes(totals, 2), 2)
+                                         projection._floored_slopes(totals, 2))
 
 
 @pytest.mark.parametrize("spec, R_max", [(C3, 256), (C32, 128), (LEB2, 256)])
@@ -564,9 +564,18 @@ def test_stripe_scan_matches_brute_mask(R, angle_count):
 
 
 def test_exceptional_directions_contain_coordinate_axis():
-    dirs = exceptional_directions(C32, 27.0, 0.05, 0.7376, angle_count=64)
+    *_, dirs = exceptional_directions(C32, 27.0, 0.05, 0.7376, angle_count=64)
     assert any(abs(d[0] - 1.0) < 1e-12 and abs(d[1]) < 1e-12 for d in dirs)
     assert len(dirs) < 64  # most directions are unexceptional
+
+
+@pytest.mark.parametrize("eps", [0.0, -0.05])
+def test_exceptional_directions_refuse_eps_before_the_scan(eps):
+    # the scan would exceed this budget; the refusal of eps comes first
+    with pytest.raises(BudgetExceededError):
+        stripe_scan(C32, 27.0, 64, budget=EvalBudget(1000))
+    with pytest.raises(ConfigError, match="eps must be positive"):
+        exceptional_directions(C32, 27.0, eps, 0.7376, 64, budget=EvalBudget(1000))
 
 
 def test_stripe_net_multiplicity_bounded():
