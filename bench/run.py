@@ -11,8 +11,9 @@ round, so drift of the host's speed falls on all trees alike.  Each run
 is a child process that imports `missingdigits.cli` from its tree and
 times `cli.main(argv)`.  Per tree and job OUT records the seconds of
 each run, their median and quartiles (linear interpolation, as
-`numpy.percentile`), the largest peak RSS (import included), the
-exit code, the budget cells spent and a SHA-256 of the JSON printed,
+`numpy.percentile`), the median of the runs' peak RSS (import
+included; a median, so that one outlier does not set it), the exit
+code, the budget cells spent and a SHA-256 of the JSON printed,
 without `manifest.wall_time_s`.  A tree's runs must agree on the last
 three, with the exit code `workloads.py` expects.  Jobs on which trees
 differ are listed under `differ`, and then the command exits 1.  Cells
@@ -105,9 +106,10 @@ def summarize(job_id: str, runs: list) -> dict:
                            f"expected one, with exit code {JOBS[job_id].exit_code}")
     seconds = [r["seconds"] for r in runs]
     q1, median, q3 = np.percentile(seconds, (25, 50, 75)).tolist()
+    rss = np.percentile([r["peak_rss_mib"] for r in runs], 50).item()
     return {"seconds": [round(s, 4) for s in seconds],
             "q1_s": round(q1, 4), "median_s": round(median, 4), "q3_s": round(q3, 4),
-            "peak_rss_mib": round(max(r["peak_rss_mib"] for r in runs), 1),
+            "peak_rss_mib": round(rss, 1),
             **{k: runs[0][k] for k in OUTCOME}}
 
 

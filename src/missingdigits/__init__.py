@@ -6,7 +6,7 @@ restrictions in several bases."""
 from .budget import DEFAULT_BUDGET, EvalBudget
 from .certify import (CertificateReport, Theorem, Verdict, certify_linear,
                       certify_radial_Lp, preset)
-from .cylinders import TubeSpec, cylinder_mass, ray_tube_masses
+from .cylinders import cylinder_mass, ray_tube_masses
 from .dimension import (BoundKind, DimensionBound, best_lower_bound,
                         crude_bound, f_theta, grid_lower_bound,
                         partial_sum_S_k, rectangle_bound, sup_f)
@@ -24,10 +24,9 @@ from .measure import (BasePower, DigitInterval, ExplicitDigits,
 from .projection import (DensityProfile, LatticeDiagnostics, ProfileAxis,
                          ProfileMethod, exceptional_directions,
                          linear_density, linear_density_mc,
-                         lp_criterion_integral, profile_l1_distance,
-                         radial_density_mc, radial_l2_norm,
-                         radial_tube_profile, slab_integral, stripe_integral,
-                         stripe_scan, tube_mass_mc)
+                         lp_criterion_integral, radial_density_mc,
+                         radial_l2_norm, radial_tube_profile, slab_integral,
+                         stripe_integral, stripe_scan, tube_mass_mc)
 
 __version__ = "0.1.0"
 
@@ -37,7 +36,7 @@ __all__ = [
     "DigitInterval", "DimensionBound", "EvalBudget", "ExplicitDigits",
     "LatticeDiagnostics", "MissingDigitsSpec", "ProductMeasureSpec",
     "ProfileAxis", "ProfileMethod", "Restriction", "RestrictionSystem",
-    "Spec", "SymbolicBaseError", "Theorem", "TubeSpec", "Verdict",
+    "Spec", "SymbolicBaseError", "Theorem", "Verdict",
     "best_lower_bound", "certify_linear", "certify_radial_Lp",
     "crude_bound", "cylinder_mass", "density_report", "digit_symbol",
     "digits_ok", "enumerate_restricted", "enumerate_scaled",
@@ -46,8 +45,8 @@ __all__ = [
     "hausdorff_dim", "interval_spec", "lebesgue_spec",
     "linear_density", "linear_density_mc", "lp_criterion_integral",
     "parse_spec", "parse_system", "partial_sum_S_k", "preset", "product",
-    "profile_l1_distance", "radial_density_mc", "radial_l2_norm",
-    "radial_tube_profile", "ray_tube_masses", "rectangle_bound",
+    "radial_density_mc", "radial_l2_norm", "radial_tube_profile",
+    "ray_tube_masses", "rectangle_bound",
     "sample", "slab_integral", "square", "stripe_integral", "stripe_scan",
     "sup_f", "system", "total_dim", "truncation_depth", "tube_mass_mc",
 ]

@@ -182,6 +182,8 @@ class _Run:
 
 
 def _csv_cell(v) -> str:
+    if v is None:
+        return ""
     if isinstance(v, float):
         return repr(v)
     return str(v)

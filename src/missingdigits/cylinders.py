@@ -12,14 +12,14 @@ with boundary-touching cylinders counting toward the upper bound only.
 Refinement is breadth-first: boxes decided at a coarse depth leave the
 frontier early, so work concentrates on the boundary of G.
 
-Regions are tubes in the plane (rotated rectangles); classification is
-exact separating-axis arithmetic, fully vectorized over the frontier.
+Regions are the ray tubes of radial projections (rotated rectangles in
+the plane, _ray_frames); classification is exact separating-axis
+arithmetic, fully vectorized over the frontier.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,77 +29,22 @@ from .measure import Spec, as_product
 OUTSIDE, INSIDE, STRADDLE = 0, 1, 2
 
 
-def _unit(theta) -> tuple:
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    if theta.shape != (2,):
-        raise ValueError("tubes are two-dimensional")
-    norm = float(np.hypot(theta[0], theta[1]))
-    if norm == 0.0:
-        raise ValueError("tube direction must be nonzero")
-    return (theta[0] / norm, theta[1] / norm)
-
-
-@dataclass(frozen=True)
-class TubeSpec:
-    """Closed tube {y : |(y-x).theta| <= half_length, |(y-x).perp| <=
-    half_width} in the plane: a rectangle of half-sides (half_length,
-    half_width) rotated to direction theta and centered at the viewpoint
-    x.  half_length defaults to |x| + sqrt(2), long enough to cover the
-    unit square from any outside viewpoint."""
-
-    x: tuple
-    theta: tuple
-    half_width: float
-    half_length: float
-
-    def __init__(self, x, theta, half_width, half_length=None):
-        x = tuple(float(v) for v in np.atleast_1d(x))
-        if len(x) != 2:
-            raise ValueError("tubes are two-dimensional")
-        theta = _unit(theta)
-        if half_length is None:
-            half_length = float(np.hypot(x[0], x[1])) + math.sqrt(2.0)
-        if half_width <= 0 or half_length <= 0:
-            raise ValueError("tube half-width and half-length must be positive")
-        if half_width > half_length:
-            raise ValueError("tube half-width cannot exceed its half-length")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "half_width", float(half_width))
-        object.__setattr__(self, "half_length", float(half_length))
-
-    @classmethod
-    def ray(cls, x, angle: float, half_width: float) -> "TubeSpec":
-        """The tube of f_delta(angle) seen from x: half-width half_width
-        around the ray from x in direction angle, reaching |x| + sqrt(2)
-        forward (past every point of the unit square) and not behind x.
-        A tube centred at x would also reach behind the viewpoint and
-        count mass lying in direction angle + pi."""
-        angles = np.array([float(angle)])
-        frame, half_length = _ray_frames(x, angles, half_width)
-        return cls(frame[:2, 0], (np.cos(angles)[0], np.sin(angles)[0]), half_width,
-                   half_length)
-
-    def perp(self) -> tuple:
-        return (-self.theta[1], self.theta[0])
-
-    def frame(self) -> np.ndarray:
-        """center, direction and normal: [cx, cy, tx, ty, wx, wy]."""
-        return np.array([*self.x, *self.theta, *self.perp()])
-
-    def classify(self, lows: np.ndarray, sides: np.ndarray) -> np.ndarray:
-        terms = _tube_terms(self.frame(), sides, self.half_length, self.half_width)
-        return _tube_codes(lows[:, 0], lows[:, 1], sides, terms,
-                           self.half_length, self.half_width)
-
-
-def _ray_frames(x, angles: np.ndarray, half_width: float) -> tuple:
-    """Frames (TubeSpec.frame, one column per angle) of the tubes
-    TubeSpec.ray(x, angle, half_width), and their common half-length.
-    Every column is computed elementwise, as TubeSpec normalises one
-    direction, so it equals the frame of its own TubeSpec.ray bit for
-    bit."""
+def _ray_frames(x, angles, half_width: float) -> tuple:
+    """Frames of the ray tubes of half-width half_width from the
+    viewpoint x, one column per angle: centre, direction and normal,
+    [cx, cy, tx, ty, wx, wy]; and their common half-length.  A ray tube
+    reaches |x| + sqrt(2) forward from x (past every point of the unit
+    square) and not behind x: a tube centred at x would also count mass
+    lying in direction angle + pi.  Every column is computed
+    elementwise, so a one-angle call gives the same column bit for bit.
+    This is the one place where a tube is validated."""
     x = np.asarray(x, dtype=float)
+    if x.shape != (2,):
+        raise ValueError("tubes are two-dimensional: the viewpoint must be a 2-vector")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("tube viewpoint must be finite")
+    if not half_width > 0:
+        raise ValueError("tube half-width must be positive")
     reach = float(np.hypot(x[0], x[1])) + math.sqrt(2.0)
     cos, sin = np.cos(angles), np.sin(angles)
     norm = np.hypot(cos, sin)
@@ -109,7 +54,7 @@ def _ray_frames(x, angles: np.ndarray, half_width: float) -> tuple:
 
 
 def _tube_terms(frames, sides, half_length, half_width) -> np.ndarray:
-    """Frames (TubeSpec.frame: (6,) for one tube, (6, N) for N) with the
+    """Frames (_ray_frames: (6,) for one tube, (6, N) for N) with the
     per-tube terms of _tube_codes for boxes of the given sides
     appended: the box's radius along the tube's axes and the tube's
     extent along the box's axes."""
@@ -188,13 +133,16 @@ class _Tree:
 
 def cylinder_mass(
     spec: Spec,
-    tube: TubeSpec,
+    x,
+    angle: float,
+    half_width: float,
     depth: int,
     budget: EvalBudget | None = None,
 ) -> tuple[float, float]:
-    """Enclosure [lower, upper] of lambda(tube) from depth-`depth`
-    cylinder counting, for a planar spec: the reference that
-    ray_tube_masses equals.
+    """Enclosure [lower, upper] of lambda(T) for the ray tube T of
+    half-width half_width from x in direction angle (_ray_frames), from
+    depth-`depth` cylinder counting, for a planar spec: the reference
+    that ray_tube_masses equals.
 
     The enclosure is exact for the stated depth: lower counts cylinders
     whose closed box lies in the tube, upper additionally counts every
@@ -207,6 +155,7 @@ def cylinder_mass(
         raise ValueError("tubes are two-dimensional")
     if depth < 0:
         raise ValueError("depth must be >= 0")
+    frames, half_length = _ray_frames(x, [angle], half_width)
     bud = ensure_budget(budget)
 
     lows = np.zeros((1, n), dtype=np.float64)
@@ -214,7 +163,9 @@ def cylinder_mass(
     upper = 0.0
     for level in range(depth + 1):
         bud.charge(lows.shape[0], "cylinder classifications")
-        codes = tube.classify(lows, tree.sides(level))
+        sides = tree.sides(level)
+        terms = _tube_terms(frames[:, 0], sides, half_length, half_width)
+        codes = _tube_codes(lows[:, 0], lows[:, 1], sides, terms, half_length, half_width)
         mass = tree.mass(level)
         n_inside = int((codes == INSIDE).sum())
         lower += n_inside * mass
@@ -292,9 +243,9 @@ def _pair_blocks(run: np.ndarray, lo: np.ndarray, hi: np.ndarray):
 def ray_tube_masses(spec: Spec, x, half_width: float, angles, depth: int,
                     budget: EvalBudget | None = None) -> tuple:
     """Arrays lower, upper with [lower[i], upper[i]] =
-    cylinder_mass(spec, TubeSpec.ray(x, angles[i], half_width), depth),
-    bit for bit, from one descent of the cylinder tree shared by all
-    angles, which must increase strictly.
+    cylinder_mass(spec, x, angles[i], half_width, depth), bit for bit,
+    from one descent of the cylinder tree shared by all angles, which
+    must increase strictly.
 
     Each box carries the runs of angle indices for which its parent
     straddles the tube; the root carries all of them.  Seen from x, a
@@ -315,10 +266,10 @@ def ray_tube_masses(spec: Spec, x, half_width: float, angles, depth: int,
     children, and a block's straddling children are refined before the
     next block, so memory stays bounded by depth blocks; exact pairs are
     classified _PAIR_BLOCK or so at a time.  Budget: the arrays over the
-    angles are checked (ray_tube_cells) before they are set up, each
-    block's box count before any box of it is built; one "cylinder
-    classifications" cell is charged per box and one per exactly
-    classified (box, angle) pair.
+    angles are checked (ray_tube_cells) before they are set up; one
+    "cylinder classifications" cell is charged per box, for a whole
+    block before any box of it is built, and one per exactly classified
+    (box, angle) pair.
     """
     tree = _Tree(spec)
     if tree.n != 2:
@@ -334,14 +285,13 @@ def ray_tube_masses(spec: Spec, x, half_width: float, angles, depth: int,
     bud.check(ray_tube_cells(count, depth), "tube angles")
     x = np.asarray(x, dtype=np.float64)
     frames, half_length = _ray_frames(x, grid, half_width)
-    # The terms of _tube_codes for every angle: the frame, the box's
-    # radii along the tube's axes (rows 6 and 7, which alone depend on
-    # the level) and the tube's extent along the box's axes.
-    terms = _tube_terms(frames, tree.sides(0), half_length, half_width)
+    # The terms of _tube_codes for every angle: the frame and the tube's
+    # extent along the box's axes (rows 0-5, 8 and 9) once, and per
+    # level the box's radii along the tube's axes (rows 6 and 7).
+    sides = [tree.sides(level) for level in range(depth + 1)]
+    fixed_terms = _tube_terms(frames, sides[0], half_length, half_width)[[0, 1, 2, 3, 4, 5, 8, 9]]
+    radii = [_tube_terms(frames, side, half_length, half_width)[6:8].copy() for side in sides]
     del frames
-    fixed_terms = terms[[0, 1, 2, 3, 4, 5, 8, 9]]
-    radii = {0: terms[6:8].copy()}
-    del terms
     reach = float(np.hypot(x[0], x[1])) + math.sqrt(2.0)
     # A distance far above the rounding of the exact predicate and of
     # the closed form, both some 1e-16 of the coordinates' scale.
@@ -395,34 +345,22 @@ def ray_tube_masses(spec: Spec, x, half_width: float, angles, depth: int,
         angle indices ang by the exact predicate, one budget cell
         each."""
         bud.charge(node.size, "cylinder classifications")
-        if level not in radii:
-            radii[level] = _tube_terms(fixed_terms[:6], tree.sides(level), half_length,
-                                       half_width)[6:8].copy()
         fixed = np.take(fixed_terms, ang, axis=1)
         terms = (*fixed[:6], *np.take(radii[level], ang, axis=1), *fixed[6:])
-        return _tube_codes(np.take(lows[0], node), np.take(lows[1], node), tree.sides(level),
+        return _tube_codes(np.take(lows[0], node), np.take(lows[1], node), sides[level],
                            terms, half_length, half_width)
 
-    def classify(level, lows, run_node, run_lo, run_hi, straddle_diff):
+    def classify(level, lows, run_node, run_lo, run_hi):
         """Add the INSIDE pieces of the runs [run_lo, run_hi) of the
-        level-`level` boxes run_node to that level's difference array.
-        Add their STRADDLE pieces to straddle_diff when one is given;
-        else return them as (run, lo, hi), unordered."""
+        level-`level` boxes run_node to that level's difference array,
+        and return their STRADDLE pieces as (run, lo, hi), unordered."""
         inside_diff = inside_diffs[level]
         straddle = []
-
-        def add_straddle(run, lo, hi):
-            if straddle_diff is not None:
-                add_runs(straddle_diff, lo, hi)
-            else:
-                some = hi > lo
-                straddle.append((run[some], lo[some], hi[some]))
-
         # Runs of at most _SHORT_RUN angles are decided exactly: that
         # costs less than their box's closed form.
         long = run_hi - run_lo > _SHORT_RUN
         has = np.bincount(run_node[long], minlength=lows.shape[1]) > 0
-        cuts, middle, first, last = formula(lows[:, has], tree.sides(level))
+        cuts, middle, first, last = formula(lows[:, has], sides[level])
         closed = np.flatnonzero(long)
         f = (np.cumsum(has) - 1)[run_node[closed]]
         s, e = run_lo[closed], run_hi[closed]
@@ -441,9 +379,8 @@ def ray_tube_masses(spec: Spec, x, half_width: float, angles, depth: int,
             exact.append((closed[some], p[a][some], p[b][some]))
         mid = middle[f]
         add_runs(inside_diff, p[3][mid], p[4][mid])
-        add_straddle(closed[~mid], p[3][~mid], p[4][~mid])
-        add_straddle(closed, p[1], p[2])
-        add_straddle(closed, p[5], p[6])
+        straddle += [(closed[~mid], p[3][~mid], p[4][~mid]), (closed, p[1], p[2]),
+                     (closed, p[5], p[6])]
 
         windows = (np.concatenate(part) for part in zip(*exact))
         for run, lo, hi in _pair_blocks(*windows):
@@ -454,9 +391,10 @@ def ray_tube_masses(spec: Spec, x, half_width: float, angles, depth: int,
             hit = ang[codes == INSIDE]
             add_runs(inside_diff, hit, hit + 1)
             hit = codes == STRADDLE
-            add_straddle(*_merge_runs(run[hit], ang[hit], ang[hit] + 1))
-        if straddle_diff is None:
-            return (np.concatenate(part) for part in zip(*straddle))
+            straddle.append(_merge_runs(run[hit], ang[hit], ang[hit] + 1))
+        run, lo, hi = (np.concatenate(part) for part in zip(*straddle))
+        some = hi > lo
+        return run[some], lo[some], hi[some]
 
     def blocks(level, parents, run_node, run_lo, run_hi):
         """Split parents whose children sit at `level`, their runs grouped
@@ -479,20 +417,19 @@ def ray_tube_masses(spec: Spec, x, half_width: float, angles, depth: int,
     while todo:
         level, parents, run_node, run_lo, run_hi = todo.pop()
         k = tree.branching if level else 1
-        bud.check(parents.shape[1] * k, "cylinder classifications")
+        bud.charge(parents.shape[1] * k, "cylinder classifications")
         if level not in kids:
             kids[level] = tree.offsets(level).T
         lows = (parents[:, :, None] + kids[level][:, None, :]).reshape(2, -1)
-        bud.charge(lows.shape[1], "cylinder classifications")
         # Every child inherits all runs of its parent.
         per_parent = np.bincount(run_node, minlength=parents.shape[1])
         per_child = np.repeat(per_parent, k)
         src = _ragged_arange(np.repeat(np.cumsum(per_parent) - per_parent, k), per_child)
         child = np.repeat(np.arange(lows.shape[1]), per_child)
+        run, lo, hi = classify(level, lows, child, run_lo[src], run_hi[src])
         if level == depth:
-            classify(level, lows, child, run_lo[src], run_hi[src], straddle_diff)
+            add_runs(straddle_diff, lo, hi)
             continue
-        run, lo, hi = classify(level, lows, child, run_lo[src], run_hi[src], None)
         # Runs in index order, adjacent pieces of one box merged.
         node = child[run]
         order = np.argsort(node * (count + 1) + lo)

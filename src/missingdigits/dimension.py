@@ -199,18 +199,15 @@ def sup_f(
 # factors.
 
 
-def grid_lower_bound(
-    spec: Spec,
-    h: float = 1e-4,
-    budget: EvalBudget | None = None,
-) -> DimensionBound:
-    """dim_l1 >= sum over factors of n_f - log(certified sup f)/log p_f."""
+def grid_lower_bound(spec: Spec, budget: EvalBudget | None = None) -> DimensionBound:
+    """dim_l1 >= sum over factors of n_f - log(certified sup f)/log p_f,
+    sup f from sup_f's default grid."""
     bud = ensure_budget(budget)
-    return product_bound(_grid_factor(f, h, bud) for f in as_product(spec).factors)
+    return product_bound(_grid_factor(f, bud) for f in as_product(spec).factors)
 
 
-def _grid_factor(factor: MissingDigitsSpec, h: float, budget: EvalBudget) -> DimensionBound:
-    sup = sup_f(factor, h, budget)
+def _grid_factor(factor: MissingDigitsSpec, budget: EvalBudget) -> DimensionBound:
+    sup = sup_f(factor, budget=budget)
     raw = factor.ambient_dim - math.log(sup.certified_upper) / factor.log_base()
     return DimensionBound(_clamp(raw, factor.ambient_dim), BoundKind.GRID_SUP, rigorous=True)
 
@@ -285,11 +282,7 @@ def _applicable(compute):
         return None
 
 
-def factor_candidates(
-    spec: Spec,
-    h: float = 1e-4,
-    budget: EvalBudget | None = None,
-) -> list:
+def factor_candidates(spec: Spec, budget: EvalBudget | None = None) -> list:
     """Every method's bound for every factor: one (factor, {method:
     DimensionBound, or None where the method does not apply}) pair per
     factor, in factor order.
@@ -303,7 +296,7 @@ def factor_candidates(
     for factor in factors:
         if factor not in per:
             per[factor] = {
-                "grid": _applicable(lambda: grid_lower_bound(factor, h, bud)),
+                "grid": _applicable(lambda: grid_lower_bound(factor, bud)),
                 "crude": _applicable(lambda: _crude_factor(factor)),
                 "rectangle": _applicable(lambda: _rectangle_factor(factor)),
             }
@@ -323,15 +316,11 @@ def best_of_candidates(candidates) -> DimensionBound:
     return product_bound(parts)
 
 
-def best_lower_bound(
-    spec: Spec,
-    h: float = 1e-4,
-    budget: EvalBudget | None = None,
-) -> DimensionBound:
+def best_lower_bound(spec: Spec, budget: EvalBudget | None = None) -> DimensionBound:
     """Best rigorous l1 lower bound per factor (max over applicable
     methods), summed over factors.  Repeated factors are bounded once
     (see factor_candidates)."""
-    return best_of_candidates(factor_candidates(spec, h, budget))
+    return best_of_candidates(factor_candidates(spec, budget))
 
 
 # ---------------------------------------------------------------- S_k sums

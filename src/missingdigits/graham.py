@@ -230,7 +230,8 @@ def enumerate_scaled(system_: RestrictionSystem, limit: int,
 def density_report(system_: RestrictionSystem, checkpoints,
                    budget: EvalBudget | None = None) -> list:
     """Counts of qualifying integers up to each checkpoint N together
-    with the fitted exponent log(count)/log(N); rows are dicts."""
+    with the fitted exponent log(count)/log(N), None for a count of 0;
+    rows are dicts."""
     checkpoints = sorted(int(n) for n in checkpoints)
     if any(n < 2 for n in checkpoints):
         raise ConfigError("checkpoints must be >= 2")
@@ -245,6 +246,6 @@ def density_report(system_: RestrictionSystem, checkpoints,
         while idx < len(members) and members[idx] <= n:
             idx += 1
         count = idx
-        exponent = math.log(count) / math.log(n) if count else float("nan")
+        exponent = math.log(count) / math.log(n) if count else None
         rows.append({"limit": n, "count": count, "exponent": exponent})
     return rows

@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .budget import EvalBudget, ensure_budget
-from .cylinders import TubeSpec, ray_tube_cells, ray_tube_masses
+from .cylinders import _ray_frames, ray_tube_cells, ray_tube_masses
 from .errors import ConfigError
 from .fourier import box_blocks, fourier_transform_batch, gather_points, transform_levels
 from .measure import Spec, as_product, draw_cells, sample, total_dim
@@ -128,13 +128,6 @@ class DensityProfile:
     @property
     def flags(self) -> tuple:
         return tuple(self.metadata.get("flags", ()))
-
-
-def profile_l1_distance(a: DensityProfile, b: DensityProfile) -> float:
-    """L1 distance between two profiles on a's grid (b is linearly
-    interpolated, zero outside its own grid)."""
-    other = np.interp(a.grid, b.grid, b.values, left=0.0, right=0.0)
-    return float(np.trapezoid(np.abs(a.values - other), a.grid))
 
 
 # ------------------------------------------------------------ shell slopes
@@ -250,7 +243,8 @@ def radial_tube_profile(spec: Spec, x, delta: float, angle_grid_count: int,
     metadata.  The viewpoint must clear the unit square by at least
     delta.
 
-    f_delta(theta) counts the forward tube TubeSpec.ray(x, theta, delta).
+    f_delta(theta) counts the ray tube of half-width delta from x in
+    direction theta (cylinders._ray_frames).
     All angles share one descent of the cylinder tree, run on the
     calling thread (cylinders.ray_tube_masses).  Its enclosures equal
     cylinder_mass's for each grid angle's tube bit for bit, and its cost
@@ -297,33 +291,34 @@ def radial_tube_profile(spec: Spec, x, delta: float, angle_grid_count: int,
 
 
 def radial_l2_norm(spec: Spec, x, delta: float, angle_grid_count: int,
-                   depth: int | None = None,
                    budget: EvalBudget | None = None) -> float:
     """Trapezoidal quadrature of f_delta(theta)^2 over the viewing
     sector, f_delta taken at tube-enclosure midpoints.  Bounded in
     delta exactly when the radial pushforward has an L^2 density;
     diverging like 1/delta for an atom."""
-    return radial_tube_profile(spec, x, delta, angle_grid_count, depth, budget).l2_squared
+    return radial_tube_profile(spec, x, delta, angle_grid_count, budget=budget).l2_squared
 
 
-def tube_mass_mc(spec: Spec, tube: TubeSpec, samples: int, seed: int = 0,
-                 depth: int | None = None,
-                 budget: EvalBudget | None = None) -> tuple:
-    """Monte-Carlo estimate of lambda(tube) with its binomial standard
-    error; the seeded cross-check for cylinder enclosures.
+def tube_mass_mc(spec: Spec, x, angle: float, half_width: float, samples: int,
+                 seed: int = 0, budget: EvalBudget | None = None) -> tuple:
+    """Monte-Carlo estimate of lambda(T) for the ray tube T of
+    half-width half_width from x in direction angle
+    (cylinders._ray_frames), with its binomial standard error; the
+    seeded cross-check for cylinder_mass enclosures.
 
     Sampled points are depth-m digit truncations, displaced from the
     law by up to the cylinder diameter; four levels beyond the tube
     scale keep that bias below the standard error at typical sample
     counts."""
     _require_plane(spec, "tube_mass_mc")
-    if depth is None:
-        depth = _enumeration_depth(spec, tube.half_width) + 4
+    frames, half_length = _ray_frames(x, [angle], half_width)
+    frame = frames[:, 0]  # centre, direction, normal
+    depth = _enumeration_depth(spec, half_width) + 4
     pts = sample(spec, depth, samples, seed=seed, budget=budget)
-    v = pts - np.asarray(tube.x, dtype=float)
-    along = v @ np.asarray(tube.theta)
-    across = v @ np.asarray(tube.perp())
-    inside = (np.abs(along) <= tube.half_length) & (np.abs(across) <= tube.half_width)
+    v = pts - frame[:2]
+    along = v @ frame[2:4]
+    across = v @ frame[4:]
+    inside = (np.abs(along) <= half_length) & (np.abs(across) <= half_width)
     p_hat = float(inside.mean())
     sigma = math.sqrt(max(p_hat * (1.0 - p_hat), 1.0 / samples) / samples)
     return p_hat, sigma

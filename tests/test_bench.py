@@ -66,6 +66,14 @@ def test_records_give_the_median_and_quartiles_of_the_seconds():
     assert record["q1_s"] == record["median_s"] == record["q3_s"] == 0.1
 
 
+def test_records_give_the_median_peak_rss_of_the_runs():
+    run = {"seconds": 0.1, "peak_rss_mib": 40.0, "exit_code": 0, "cells": 526, "sha256": "a"}
+    runs = [dict(run, peak_rss_mib=m) for m in (77.5, 82.7, 77.6)]
+    assert bench.summarize("gr-scaled", runs)["peak_rss_mib"] == 77.6  # not the outlier
+    runs = [dict(run, peak_rss_mib=m) for m in (40.0, 41.0)]
+    assert bench.summarize("gr-scaled", runs)["peak_rss_mib"] == 40.5
+
+
 def test_round_schedule_reverses_the_tree_order_every_round():
     assert bench.schedule(["A", "B"], 2) == [["A", "B"], ["B", "A"]]
     assert bench.schedule(["A", "B", "C"], 3) == [["A", "B", "C"], ["C", "B", "A"],

@@ -36,9 +36,18 @@ def run(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def strict_json(text):
+    """The document in text, refused if it holds NaN or Infinity."""
+    return json.loads(text, parse_constant=_refuse_constant)
+
+
 def run_json(argv):
     code, out, _ = run(argv)
-    return code, json.loads(out)
+    return code, strict_json(out)
 
 
 # --------------------------------------------------------------- exit codes
@@ -431,6 +440,18 @@ def test_graham_csv_golden_rows(tmp_path):
     assert str(out_csv) in doc["manifest"]["outputs"]
 
 
+def test_graham_checkpoints_without_members_print_strict_json(tmp_path):
+    # log(0) has no exponent: null in the JSON, an empty cell in the CSV
+    out_csv = tmp_path / "density.csv"
+    code, doc = run_json(["graham", "--system", "3:{2};5:{3}", "--checkpoints", "2,10",
+                          "--csv", str(out_csv)])
+    assert code == 1
+    assert doc["result"]["rows"] == [{"limit": 2, "count": 0, "exponent": None},
+                                     {"limit": 10, "count": 0, "exponent": None}]
+    body = [ln for ln in out_csv.read_text().splitlines() if not ln.startswith("#")]
+    assert body[1:] == ["2,0,", "10,0,"]
+
+
 def test_graham_inline_members_without_csv():
     code, doc = run_json(["graham", "--system", "3:{0,1};5:{0,1,2}",
                           "--limit", "100"])
@@ -598,8 +619,10 @@ def test_fuzzed_argv_exits_cleanly(argv):
     assert "Traceback" not in err
     # every drawn flag exists, so argparse never refuses the argv whole
     assert "unrecognized arguments" not in err, argv
-    if code == 1:
-        assert _negative_result(json.loads(out)["result"]), argv
+    if out:
+        doc = strict_json(out)
+        if code == 1:
+            assert _negative_result(doc["result"]), argv
 
 
 @pytest.mark.skipif(resource is None, reason="needs the resource module")

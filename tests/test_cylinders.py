@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from missingdigits import (BudgetExceededError, EvalBudget, TubeSpec, cylinder_mass,
-                           cylinders, explicit_spec, lebesgue_spec, ray_tube_masses, square,
-                           tube_mass_mc)
-from missingdigits.cylinders import _ray_frames
+from missingdigits import (BudgetExceededError, EvalBudget, cylinder_mass, cylinders,
+                           explicit_spec, lebesgue_spec, ray_tube_masses, square, tube_mass_mc)
+from missingdigits.cylinders import _ray_frames, _tube_codes, _tube_terms
 
 C32 = square(explicit_spec(3, [0, 2]))
 LEB2 = lebesgue_spec(3, 2)
@@ -17,61 +16,59 @@ LEB2 = lebesgue_spec(3, 2)
 # ------------------------------------------------------------------ tubes
 
 
-def test_tube_normalizes_direction_and_defaults_length():
-    tube = TubeSpec((-2.0, 0.0), (3.0, 4.0), half_width=0.1)
-    assert np.hypot(*tube.theta) == pytest.approx(1.0, abs=1e-12)
-    assert tube.half_length == pytest.approx(2.0 + math.sqrt(2.0), abs=1e-12)
-    px, py = tube.perp()
-    assert px * tube.theta[0] + py * tube.theta[1] == pytest.approx(0.0, abs=1e-12)
-
-
 def test_ray_tube_reaches_forward_only():
     x = (0.5, -0.01)
-    tube = TubeSpec.ray(x, 2.0, 0.01)  # up-left, across the square
-    back = TubeSpec.ray(x, 2.0 - math.pi, 0.01)  # down-right, away from it
-    assert tube.half_length == pytest.approx((math.hypot(*x) + math.sqrt(2.0)) / 2.0)
-    along = np.subtract(x, tube.x) @ np.asarray(tube.theta)
-    assert along == pytest.approx(-tube.half_length)  # x is the tube's back end
-    assert cylinder_mass(LEB2, tube, depth=5)[0] > 0.01
-    assert cylinder_mass(LEB2, back, depth=5) == (0.0, 0.0)
+    frames, half_length = _ray_frames(x, [2.0], 0.01)  # up-left, across the square
+    assert half_length == pytest.approx((math.hypot(*x) + math.sqrt(2.0)) / 2.0)
+    along = np.subtract(x, frames[:2, 0]) @ frames[2:4, 0]
+    assert along == pytest.approx(-half_length)  # x is the tube's back end
+    assert cylinder_mass(LEB2, x, 2.0, 0.01, depth=5)[0] > 0.01
+    # down-right, away from the square
+    assert cylinder_mass(LEB2, x, 2.0 - math.pi, 0.01, depth=5) == (0.0, 0.0)
 
 
 def test_ray_tube_wider_than_long_keeps_half_width_within_half_length():
-    tube = TubeSpec.ray((-100.0, -100.0), 0.8, 200.0)
-    assert tube.half_length == 200.0
+    assert _ray_frames((-100.0, -100.0), [0.8], 200.0)[1] == 200.0
 
 
 def test_tube_codes_of_a_box_do_not_depend_on_its_row():
     rng = np.random.default_rng(4)
     lows = rng.random((4099, 2))
     sides = np.array([3.0 ** -4, 3.0 ** -4])
-    tube = TubeSpec.ray((-0.7, 0.3), 0.21, 0.05)
-    codes = tube.classify(lows, sides)
-    assert np.array_equal(codes[1:], tube.classify(lows[1:], sides))
-    assert all(tube.classify(lows[i:i + 1], sides)[0] == codes[i] for i in range(0, 4099, 97))
+    frames, half_length = _ray_frames((-0.7, 0.3), [0.21], 0.05)
+    terms = _tube_terms(frames[:, 0], sides, half_length, 0.05)
+
+    def classify(boxes):
+        return _tube_codes(boxes[:, 0], boxes[:, 1], sides, terms, half_length, 0.05)
+
+    codes = classify(lows)
+    assert np.array_equal(codes[1:], classify(lows[1:]))
+    assert all(classify(lows[i:i + 1])[0] == codes[i] for i in range(0, 4099, 97))
 
 
 def test_tube_validation():
-    with pytest.raises(ValueError):
-        TubeSpec((0.0, 0.0), (0.0, 0.0), half_width=0.1)
-    with pytest.raises(ValueError):
-        TubeSpec((0.0, 0.0), (1.0, 0.0), half_width=0.5, half_length=0.1)
-    with pytest.raises(ValueError):
-        TubeSpec((0.0, 0.0), (1.0, 0.0), half_width=-0.1)
+    # A tube of width 0 or less, or seen from a viewpoint that is not a
+    # finite point of the plane, is refused by the descent and by its
+    # reference alike.
+    angles = np.linspace(0.3, 1.2, 5)
+    for x, half_width in (((-1.0, -1.0), -0.05), ((-1.0, -1.0), 0.0),
+                          ((-1.0, -1.0, 5.0), 0.05), ((-1.0,), 0.05), ((math.nan, 0.5), 0.05)):
+        with pytest.raises(ValueError, match="half-width|two-dimensional|finite"):
+            ray_tube_masses(LEB2, x, half_width, angles, 3)
+        with pytest.raises(ValueError, match="half-width|two-dimensional|finite"):
+            cylinder_mass(LEB2, x, 0.5, half_width, 3)
 
 
 def test_cylinder_mass_refuses_a_spec_that_is_not_planar():
-    tube = TubeSpec((-1.0, 0.5), (1.0, 0.0), half_width=0.05)
     for spec in (explicit_spec(3, [0, 2]), lebesgue_spec(3, 3)):
         with pytest.raises(ValueError, match="two-dimensional"):
-            cylinder_mass(spec, tube, depth=2)
+            cylinder_mass(spec, (-1.0, 0.5), 0.0, 0.05, depth=2)
 
 
 def test_lebesgue_horizontal_tube_matches_area():
     # tube along y = 0.5 of half-width delta cuts a 1 x 2delta strip
     delta = 0.05
-    tube = TubeSpec((-1.0, 0.5), (1.0, 0.0), half_width=delta)
-    lo, hi = cylinder_mass(LEB2, tube, depth=6)
+    lo, hi = cylinder_mass(LEB2, (-1.0, 0.5), 0.0, delta, depth=6)
     assert lo <= 2 * delta <= hi
     assert hi - lo < 0.01
 
@@ -79,41 +76,33 @@ def test_lebesgue_horizontal_tube_matches_area():
 def test_lebesgue_diagonal_tube_matches_area():
     # tube through the center along (1,1): area 2 sqrt(2) delta - 2 delta^2
     delta = 0.05
-    tube = TubeSpec((-1.0, -1.0), (1.0, 1.0), half_width=delta)
     exact = 2 * math.sqrt(2) * delta - 2 * delta ** 2
-    lo, hi = cylinder_mass(LEB2, tube, depth=6)
+    lo, hi = cylinder_mass(LEB2, (-1.0, -1.0), math.pi / 4, delta, depth=6)
     assert lo <= exact <= hi
     assert hi - lo < 0.012
 
 
 def test_tube_through_middle_third_gap_has_zero_mass():
     # the horizontal ray at height 1/2 runs inside the removed band
-    tube = TubeSpec((-1.0, 0.5), (1.0, 0.0), half_width=0.05)
-    lo, hi = cylinder_mass(C32, tube, depth=2)
-    assert lo == 0.0
-    assert hi == 0.0
+    assert cylinder_mass(C32, (-1.0, 0.5), 0.0, 0.05, depth=2) == (0.0, 0.0)
 
 
 def test_tube_missing_the_square_entirely():
-    tube = TubeSpec((-1.0, -1.0), (0.0, 1.0), half_width=0.1)
-    lo, hi = cylinder_mass(C32, tube, depth=3)
-    assert lo == 0.0 and hi == 0.0
+    assert cylinder_mass(C32, (-1.0, -1.0), math.pi / 2, 0.1, depth=3) == (0.0, 0.0)
 
 
 def test_tube_enclosures_nest_and_bracket_monte_carlo():
-    tube = TubeSpec((-1.0, 0.5), (1.5, -0.4), half_width=0.05)
-    lo6, hi6 = cylinder_mass(C32, tube, depth=6)
-    lo8, hi8 = cylinder_mass(C32, tube, depth=8)
+    x, angle = (-1.0, 0.5), math.atan2(-0.4, 1.5)
+    lo6, hi6 = cylinder_mass(C32, x, angle, 0.05, depth=6)
+    lo8, hi8 = cylinder_mass(C32, x, angle, 0.05, depth=8)
     assert lo6 <= lo8 <= hi8 <= hi6
-    p_hat, sigma = tube_mass_mc(C32, tube, samples=200_000, seed=5)
+    p_hat, sigma = tube_mass_mc(C32, x, angle, 0.05, samples=200_000, seed=5)
     assert lo8 - 3 * sigma <= p_hat <= hi8 + 3 * sigma
 
 
 def test_tube_mass_monotone_in_half_width():
-    masses = []
-    for delta in (0.02, 0.05, 0.1):
-        tube = TubeSpec((-1.0, 0.2), (1.0, 0.3), half_width=delta)
-        masses.append(cylinder_mass(C32, tube, depth=6)[1])
+    masses = [cylinder_mass(C32, (-1.0, 0.2), math.atan2(0.3, 1.0), delta, depth=6)[1]
+              for delta in (0.02, 0.05, 0.1)]
     assert masses == sorted(masses)
 
 
@@ -123,11 +112,11 @@ def test_tube_mass_monotone_in_half_width():
 def test_ray_tube_enclosures_nest_by_depth_and_bracket_monte_carlo(delta, heading,
                                                                    offset, depth):
     x = (0.5 - 1.5 * math.cos(heading), 0.5 - 1.5 * math.sin(heading))
-    tube = TubeSpec.ray(x, heading + offset, delta)
-    lo, hi = cylinder_mass(C32, tube, depth)
-    lo_next, hi_next = cylinder_mass(C32, tube, depth + 1)
+    angle = heading + offset
+    lo, hi = cylinder_mass(C32, x, angle, delta, depth)
+    lo_next, hi_next = cylinder_mass(C32, x, angle, delta, depth + 1)
     assert lo <= lo_next <= hi_next <= hi
-    p_hat, sigma = tube_mass_mc(C32, tube, samples=20_000, seed=depth)
+    p_hat, sigma = tube_mass_mc(C32, x, angle, delta, samples=20_000, seed=depth)
     assert lo_next - 4 * sigma <= p_hat <= hi_next + 4 * sigma
 
 
@@ -144,7 +133,7 @@ def test_ray_tube_masses_equal_per_angle_cylinder_mass_all_around(x, count, pair
     monkeypatch.setattr(cylinders, "_PAIR_BLOCK", pair_block)
     angles = np.linspace(-math.pi, math.pi, count)
     lower, upper = ray_tube_masses(C32, x, 0.05, angles, depth=3)
-    oracle = np.array([cylinder_mass(C32, TubeSpec.ray(x, a, 0.05), 3) for a in angles])
+    oracle = np.array([cylinder_mass(C32, x, a, 0.05, 3) for a in angles])
     assert np.array_equal(lower, oracle[:, 0])
     assert np.array_equal(upper, oracle[:, 1])
 
@@ -163,7 +152,7 @@ def test_ray_tube_masses_on_angles_where_boxes_touch_the_tube(x):
     if x[0] > 1.0:  # the square lies across the cut at +-pi
         angles = np.unique(np.where(angles < 0, angles + 2 * math.pi, angles))
     lower, upper = ray_tube_masses(C32, x, delta, angles, depth=3)
-    oracle = np.array([cylinder_mass(C32, TubeSpec.ray(x, a, delta), 3) for a in angles])
+    oracle = np.array([cylinder_mass(C32, x, a, delta, 3) for a in angles])
     assert np.array_equal(lower, oracle[:, 0])
     assert np.array_equal(upper, oracle[:, 1])
 
@@ -172,10 +161,15 @@ def test_ray_frames_equal_the_frames_of_single_ray_tubes():
     rng = np.random.default_rng(2)
     angles = np.sort(rng.uniform(-4.0, 4.0, 3001))
     frames, half_length = _ray_frames((1.7, -0.4), angles, 0.03)
+    # unit directions, with the normal a quarter turn ahead
+    tx, ty, wx, wy = frames[2:]
+    assert np.allclose(np.hypot(tx, ty), 1.0, rtol=0, atol=1e-15)
+    assert np.array_equal(wx, -ty) and np.array_equal(wy, tx)
+    # each column is the frame cylinder_mass reads for its angle alone
     for i in range(0, angles.shape[0], 7):
-        tube = TubeSpec.ray((1.7, -0.4), angles[i], 0.03)
-        assert np.array_equal(frames[:, i], tube.frame())
-        assert half_length == tube.half_length
+        frame, length = _ray_frames((1.7, -0.4), [angles[i]], 0.03)
+        assert np.array_equal(frames[:, i], frame[:, 0])
+        assert half_length == length
 
 
 def test_ray_tube_masses_check_the_arrays_over_the_angles_first():

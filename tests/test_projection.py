@@ -12,11 +12,11 @@ from missingdigits.dimension import partial_sum_S_k
 from missingdigits.fourier import transform_levels
 from missingdigits.measure import sample, total_dim
 from missingdigits import (BudgetExceededError, ConfigError, DensityProfile,
-                           EvalBudget, ProfileAxis, ProfileMethod, TubeSpec,
+                           EvalBudget, ProfileAxis, ProfileMethod,
                            cylinder_mass, exceptional_directions, explicit_spec,
                            fourier_transform_batch, lebesgue_spec,
                            linear_density, linear_density_mc,
-                           lp_criterion_integral, product, profile_l1_distance,
+                           lp_criterion_integral, product,
                            radial_density_mc, radial_l2_norm,
                            radial_tube_profile,
                            slab_integral, square, stripe_integral, stripe_scan,
@@ -103,23 +103,13 @@ def test_profile_validation():
                        [np.nan, 0.0], ProfileMethod.FOURIER_INVERSION)
 
 
-def test_profile_l1_distance_basics():
-    grid = np.linspace(0.0, 1.0, 101)
-    a = DensityProfile(ProfileAxis.OFFSET_ON_LINE, grid, np.ones_like(grid),
-                       ProfileMethod.TUBE_COUNT)
-    b = DensityProfile(ProfileAxis.OFFSET_ON_LINE, grid, np.full_like(grid, 2.0),
-                       ProfileMethod.TUBE_COUNT)
-    assert profile_l1_distance(a, a) == 0.0
-    assert profile_l1_distance(a, b) == pytest.approx(1.0, abs=1e-12)
-
-
 # ------------------------------------------------------------ radial side
 
 
 def test_tube_density_matches_strip_area():
     # horizontal tube at mid-height: Lebesgue mass 2*delta, density ~ 2
     delta = 1.0 / 27.0
-    lo, hi = cylinder_mass(LEB2, TubeSpec.ray((-1.0, 0.5), 0.0, delta), depth=6)
+    lo, hi = cylinder_mass(LEB2, (-1.0, 0.5), 0.0, delta, depth=6)
     assert lo / delta <= 2.0 <= hi / delta
     assert (hi - lo) / delta < 0.1
 
@@ -214,7 +204,7 @@ def test_shared_descent_equals_per_angle_cylinder_mass(data, which, delta, angle
     x = data.draw(viewpoints(delta))
     depth = data.draw(st.integers(0, deepest))
     profile = radial_tube_profile(spec, x, delta, angles, depth=depth)
-    oracle = np.array([cylinder_mass(spec, TubeSpec.ray(x, theta, delta), depth)
+    oracle = np.array([cylinder_mass(spec, x, theta, delta, depth)
                        for theta in profile.grid]) / delta
     assert np.array_equal(profile.metadata["lower"], oracle[:, 0])
     assert np.array_equal(profile.metadata["upper"], oracle[:, 1])
@@ -230,8 +220,7 @@ def test_radial_profile_of_an_edge_hugging_viewpoint_looks_forward_only():
     assert profile.grid[0] == pytest.approx(-0.02, abs=1e-3)
     assert upper[0] == 0.0
     for i in (0, 1, 20):
-        tube = TubeSpec.ray(x, profile.grid[i], 0.01)
-        p_hat, sigma = tube_mass_mc(LEB10, tube, samples=200_000, seed=i)
+        p_hat, sigma = tube_mass_mc(LEB10, x, profile.grid[i], 0.01, samples=200_000, seed=i)
         assert lower[i] - 4 * sigma / 0.01 <= p_hat / 0.01 <= upper[i] + 4 * sigma / 0.01
 
 
@@ -240,10 +229,10 @@ def test_tube_density_of_an_edge_hugging_viewpoint_looks_forward_only():
     # tube is empty there, and the profile's enclosure at each grid
     # angle is that count over delta.
     x = (0.5, -0.01)
-    assert cylinder_mass(LEB10, TubeSpec.ray(x, -0.02, 0.01), 3) == (0.0, 0.0)
+    assert cylinder_mass(LEB10, x, -0.02, 0.01, 3) == (0.0, 0.0)
     profile = radial_tube_profile(LEB10, x, 0.01, 41)
     for i in (0, 1, 20, 40):
-        lo, hi = cylinder_mass(LEB10, TubeSpec.ray(x, profile.grid[i], 0.01), 3)
+        lo, hi = cylinder_mass(LEB10, x, profile.grid[i], 0.01, 3)
         assert lo / 0.01 == profile.metadata["lower"][i]
         assert hi / 0.01 == profile.metadata["upper"][i]
 
