@@ -9,12 +9,11 @@ tree's `missingdigits` package (a checkout's `src/`).  Each of R rounds
 runs every tree once per job, back to back, in an order reversed every
 round, so drift of the host's speed falls on all trees alike.  Each run
 is a child process that imports `missingdigits.cli` from its tree and
-times `cli.main(argv)`.  Per tree and job OUT records the seconds of
-each run, their median and quartiles (linear interpolation, as
-`numpy.percentile`), the median of the runs' peak RSS (import
-included; a median, so that one outlier does not set it), the exit
-code, the budget cells spent and a SHA-256 of the JSON printed,
-without `manifest.wall_time_s`.  A tree's runs must agree on the last
+times `cli.main(argv)`.  Per tree and job OUT records the seconds and
+the peak RSS (import included) of each run, each with its median and
+quartiles (linear interpolation, as `numpy.percentile`), the exit code,
+the budget cells spent and a SHA-256 of the JSON printed, without
+`manifest.wall_time_s`.  A tree's runs must agree on the last
 three, with the exit code `workloads.py` expects.  Jobs on which trees
 differ are listed under `differ`, and then the command exits 1.  Cells
 and digests are exact checks; seconds and peak RSS only show the trend.
@@ -106,10 +105,13 @@ def summarize(job_id: str, runs: list) -> dict:
                            f"expected one, with exit code {JOBS[job_id].exit_code}")
     seconds = [r["seconds"] for r in runs]
     q1, median, q3 = np.percentile(seconds, (25, 50, 75)).tolist()
-    rss = np.percentile([r["peak_rss_mib"] for r in runs], 50).item()
+    rss = [r["peak_rss_mib"] for r in runs]
+    rss_q1, rss_median, rss_q3 = np.percentile(rss, (25, 50, 75)).tolist()
     return {"seconds": [round(s, 4) for s in seconds],
             "q1_s": round(q1, 4), "median_s": round(median, 4), "q3_s": round(q3, 4),
-            "peak_rss_mib": round(rss, 1),
+            "peak_rss_mib_runs": [round(m, 1) for m in rss],
+            "q1_rss_mib": round(rss_q1, 1), "peak_rss_mib": round(rss_median, 1),
+            "q3_rss_mib": round(rss_q3, 1),
             **{k: runs[0][k] for k in OUTCOME}}
 
 

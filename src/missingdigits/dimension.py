@@ -80,8 +80,7 @@ def _clamp(value: float, ambient: float) -> float:
 
 
 # Entries per temporary array in f_theta: thetas x residues, times #D
-# for explicit digit sets.  sup_f walks its theta grid in blocks of as
-# many thetas.
+# for explicit digit sets.
 F_THETA_BLOCK = 1 << 20
 
 # Largest residue grid p^n that f_theta accepts.
@@ -135,22 +134,63 @@ def f_theta(factor: MissingDigitsSpec, thetas, budget: EvalBudget | None = None)
     return out
 
 
-def lipschitz_f(factor: MissingDigitsSpec) -> float:
-    """Upper bound for the Lipschitz constant of f: each of the p^n
-    terms moves at most 2 pi M / p per unit of theta."""
-    p = factor.p_int()
-    return p ** factor.ambient_dim * 2.0 * math.pi * factor.max_digit_norm() / p
+def _centred_square_sum(digits) -> int:
+    """sum over d in D of |2(d - c)|^2, exactly, with c the midpoint of
+    each coordinate's digit range: N(N^2 - 1)/3 for an interval of N
+    digits, which needs no digit array."""
+    if isinstance(digits, DigitInterval):
+        count = digits.count()
+        return count * (count * count - 1) // 3
+    columns = list(zip(*digits.vectors))
+    return sum((2 * d - min(col) - max(col)) ** 2 for col in columns for d in col)
+
+
+def _up(x: float) -> float:
+    return math.nextafter(x, math.inf)
+
+
+def _parseval_lipschitz(factor: MissingDigitsSpec) -> float:
+    """L' = p^(n-1) 2 pi sqrt(sum_d |d - c|^2) / #D, a Lipschitz constant
+    of f (Euclidean norm on theta), rounded upward.
+
+    |g| does not change when every digit d is shifted to d - c, so take
+    g_c(eta) = e(c . eta) g(eta) with c the midpoint of each coordinate's
+    digit range.  The p^n points eta_i = (i + theta)/p cover Z_p^n, and
+    distinct digits are distinct mod p, so Parseval gives
+
+        sum_i |grad g_c(eta_i)|^2 = p^n (2 pi)^2 sum_d |d - c|^2 / #D^2,
+
+    and Cauchy-Schwarz bounds |grad f| <= sum_i |grad g_c(eta_i)| / p by
+    L'.  |g(a)| - |g(b)| <= |g(a) - g(b)| covers the zeros of g.  With
+    S = sum_d |2(d - c)|^2, an exact integer, L' = p^(n-1) pi sqrt(S)/#D;
+    every float step below is rounded up.  One digit gives S = 0, L' = 0.
+    """
+    p, n = factor.p_int(), factor.ambient_dim
+    total = _centred_square_sum(factor.digits)
+    if total == 0:
+        return 0.0
+    root = _up(math.sqrt(_up(float(total))))
+    return _up(_up(_up(_up(math.pi) * p ** (n - 1)) * root) / factor.digit_count())
 
 
 @dataclass(frozen=True)
 class SupF:
-    """Grid maximum of f with a Lipschitz-certified upper bound."""
+    """sup f lies in [sup_estimate, certified_upper]; sup_estimate is f
+    at argmax.  The boxes were bounded with the Lipschitz constant
+    `lipschitz`, and none of side <= h was split.  f was evaluated at
+    `evaluations` thetas for `cells` budget cells."""
 
     sup_estimate: float
     certified_upper: float
     argmax: tuple
-    grid_step: float
+    h: float
     lipschitz: float
+    evaluations: int
+    cells: int
+
+
+# Boxes per axis of sup_f's first level.
+_START_BOXES = 16
 
 
 def sup_f(
@@ -158,38 +198,61 @@ def sup_f(
     h: float = 1e-4,
     budget: EvalBudget | None = None,
 ) -> SupF:
-    """Maximize f over the period cube [0,1]^n on a step-h grid.
+    """Certified upper bound for sup f over the period cube [0,1]^n, by
+    branch-and-bound over theta-boxes (Moore, Interval Analysis, 1966;
+    Tucker, Validated Numerics, 2011).
 
-    certified_upper = grid max + L * h * sqrt(n) / 2 dominates the true
-    sup because no point of the cube is farther than h sqrt(n)/2 from
-    the grid; sup_estimate and argmax are the grid max and its theta.
-    Each axis holds the m points of np.arange(0, 1 + h/2, h), and the
-    m^n grid is walked in blocks of F_THETA_BLOCK thetas.  A grid the
-    budget cannot pay for is refused before any block is built.
+    On a box of side s and centre t, f <= f(t) + L' s sqrt(n)/2, with L'
+    from _parseval_lipschitz, capped by the crude constant
+    L = p^(n-1) 2 pi M (M the largest digit norm).  The search starts
+    from the 16^n boxes of side 1/16 and evaluates each level's centres
+    in one f_theta call.  A box is split into its 2^n children while its
+    bound exceeds best + eps, where best is the largest f seen and
+    eps = (L - L') h sqrt(n)/2; a box of side <= h is never split.
+    certified_upper is the largest bound among the retired boxes, so
+
+        sup f <= certified_upper <= sup f + max(eps, L' h sqrt(n)/2).
+
+    As sup f <= grid max + L' h sqrt(n)/2 on the step-h grid, this is at
+    most that grid's max + L h sqrt(n)/2 whenever 2 L' <= L.  Each
+    level's thetas x p^n x terms cells are checked against the budget
+    before their array is built, so a search the budget cannot pay for
+    is refused before it allocates.
     """
     if not (0 < h <= 0.5):
-        raise ValueError("grid step must be in (0, 1/2]")
+        raise ValueError("box side h must be in (0, 1/2]")
     n = factor.ambient_dim
     bud = ensure_budget(budget)
     size, terms = _residue_terms(factor)
-    m = math.ceil((1.0 + h / 2) / h)
-    count = m ** n
-    bud.check(count * size * terms, "f(theta) residues")
-    best, arg = -math.inf, None
-    for start in range(0, count, F_THETA_BLOCK):
-        # index * h is bit for bit the value np.arange gives at index
-        thetas = lattice_rows(m, n, start, min(count, start + F_THETA_BLOCK)) * h
-        vals = f_theta(factor, thetas, bud)
+    crude = factor.p_int() ** (n - 1) * 2.0 * math.pi * factor.max_digit_norm()
+    lip = min(crude, _parseval_lipschitz(factor))
+    half_diagonal = math.sqrt(n) / 2.0  # of a box of side 1
+    eps = (crude - lip) * h * half_diagonal
+    side = 1.0 / _START_BOXES
+    bud.check(_START_BOXES ** n * size * terms, "f(theta) residues")
+    centres = (lattice_rows(_START_BOXES, n, 0, _START_BOXES ** n) + 0.5) * side
+    offsets = (lattice_rows(2, n, 0, 2 ** n) - 0.5) / 2  # child centres, per unit side
+    best, arg, upper, evaluations = -math.inf, None, -math.inf, 0
+    while len(centres):
+        vals = f_theta(factor, centres, bud)
+        evaluations += len(centres)
         i = int(np.argmax(vals))
         if vals[i] > best:
-            best, arg = float(vals[i]), thetas[i]
-    lip = lipschitz_f(factor)
+            best, arg = float(vals[i]), centres[i]
+        bounds = vals + lip * side * half_diagonal
+        split = (bounds > best + eps) & (side > h)
+        upper = max(upper, float(bounds[~split].max(initial=-math.inf)))
+        bud.check(int(split.sum()) * 2 ** n * size * terms, "f(theta) residues")
+        centres = (centres[split][:, None, :] + offsets * side).reshape(-1, n)
+        side /= 2
     return SupF(
         sup_estimate=best,
-        certified_upper=best + lip * h * math.sqrt(n) / 2.0,
+        certified_upper=upper,
         argmax=tuple(float(a) for a in arg),
-        grid_step=float(h),
+        h=float(h),
         lipschitz=float(lip),
+        evaluations=evaluations,
+        cells=evaluations * size * terms,
     )
 
 
@@ -201,7 +264,7 @@ def sup_f(
 
 def grid_lower_bound(spec: Spec, budget: EvalBudget | None = None) -> DimensionBound:
     """dim_l1 >= sum over factors of n_f - log(certified sup f)/log p_f,
-    sup f from sup_f's default grid."""
+    sup f from sup_f at its default h."""
     bud = ensure_budget(budget)
     return product_bound(_grid_factor(f, bud) for f in as_product(spec).factors)
 

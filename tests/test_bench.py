@@ -74,6 +74,15 @@ def test_records_give_the_median_peak_rss_of_the_runs():
     assert bench.summarize("gr-scaled", runs)["peak_rss_mib"] == 40.5
 
 
+def test_records_keep_every_run_peak_rss_with_its_quartiles():
+    run = {"seconds": 0.1, "peak_rss_mib": 40.0, "exit_code": 0, "cells": 526, "sha256": "a"}
+    runs = [dict(run, peak_rss_mib=m) for m in (82.44, 77.2, 77.5, 82.7, 77.6)]
+    record = bench.summarize("gr-scaled", runs)
+    assert record["peak_rss_mib_runs"] == [82.4, 77.2, 77.5, 82.7, 77.6]
+    assert (record["q1_rss_mib"], record["peak_rss_mib"], record["q3_rss_mib"]) == (
+        77.5, 77.6, 82.4)
+
+
 def test_round_schedule_reverses_the_tree_order_every_round():
     assert bench.schedule(["A", "B"], 2) == [["A", "B"], ["B", "A"]]
     assert bench.schedule(["A", "B", "C"], 3) == [["A", "B", "C"], ["C", "B", "A"],

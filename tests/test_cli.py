@@ -23,6 +23,8 @@ from missingdigits.cli import main
 C3 = "factor { base = 3; digits = {0,2}; }"
 C32_SQ = "factor { base = 3; digits = {0,2}; } factor { base = 3; digits = {0,2}; }"
 LEB = "factor { base = 10; digits = 0..9; }"
+CARPET = ("factor { base = 3; n = 2; digits = "
+          "{(0,0),(1,0),(2,0),(0,1),(2,1),(0,2),(1,2),(2,2)}; }")
 
 
 def run(argv):
@@ -338,14 +340,24 @@ def test_dim_bound_runs_each_factor_grid_once():
 
 @pytest.mark.parametrize("count", [182, 700])
 def test_dim_bound_charges_explicit_digit_terms(count):
-    # the grid of sup_f has 10001 thetas; each residue of base 729
-    # carries count digit terms, far past the default budget
+    # sup_f's first level has 16 thetas; each residue of base 729 carries
+    # count digit terms, one cell more than the budget allows
+    first = 16 * 729 * count
     digits = ",".join(str(d) for d in range(count))
-    code, out, err = run(["dim-bound", "--spec",
-                          f"factor {{ base = 729; digits = {{{digits}}}; }}"])
+    code, out, err = run(["dim-bound", "--spec", f"factor {{ base = 729; digits = {{{digits}}}; }}",
+                          "--budget", str(first - 1)])
     assert code == 65
     assert out == ""
-    assert f"f(theta) residues needs {10001 * 729 * count} cells" in err
+    assert f"f(theta) residues needs {first} cells" in err
+
+
+def test_dim_bound_certifies_the_carpet_at_the_default_budget():
+    code, doc = run_json(["dim-bound", "--spec", CARPET])
+    assert code == 0
+    grid = doc["result"]["per_factor_candidates"][0]["grid"]
+    assert grid["rigorous"] is True
+    assert grid["value"] > 0.999
+    assert doc["result"]["best"] == grid
 
 
 def _cap_address_space():
@@ -358,9 +370,11 @@ def _cap_address_space():
     "factor { base = 3; n = 2; digits = {(0,0),(1,0),(2,0),(0,1),(2,1),(0,2),(1,2),(2,2)}; }",
 ])
 def test_dim_bound_refuses_an_over_budget_theta_grid_before_building_it(spec):
-    # the 10001^2 theta grid alone would take 1.6 GB; the refusal must
-    # come before any of it exists, so a 1 GB address space suffices
-    proc = subprocess.run([sys.executable, "-m", "missingdigits", "dim-bound", "--spec", spec],
+    # the 16^2 boxes of sup_f's first level cost more than 1000 cells
+    # (1,024 and 18,432); the refusal comes before f_theta runs, in a
+    # 1 GB address space
+    proc = subprocess.run([sys.executable, "-m", "missingdigits", "dim-bound", "--spec", spec,
+                           "--budget", "1000"],
                           capture_output=True, text=True, preexec_fn=_cap_address_space)
     assert proc.returncode == 65, proc.stderr
     assert "f(theta) residues" in proc.stderr
@@ -558,8 +572,6 @@ def test_console_script_smoke():
 
 # --------------------------------------------------------------- argv fuzz
 
-CARPET = ("factor { base = 3; n = 2; digits = "
-          "{(0,0),(1,0),(2,0),(0,1),(2,1),(0,2),(1,2),(2,2)}; }")
 FUZZ_SPECS = [C3, C32_SQ, LEB, CARPET, f"{C3} {C3} {C3}",
               "factor { base = 10^100; digits = 0..9; }",
               "factor { base = 10^200; digits = 10^100..5; }",

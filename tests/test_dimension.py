@@ -1,6 +1,8 @@
 import decimal
 import math
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -92,48 +94,142 @@ def test_sup_f_certificate_brackets_estimate():
     assert dense.max() <= sup.certified_upper + 1e-12
 
 
-def test_sup_f_is_the_grid_max_plus_lipschitz_slack():
+def _gradient_sums(factor, thetas):
+    """(sum_i |grad g_c(eta_i)| / p, sum_i |grad g_c(eta_i)|^2) at each
+    theta, eta_i = (i + theta)/p over the residue grid, from the digit
+    exponentials of g_c (digits shifted by their range midpoint c)."""
+    p, n = factor.p_int(), factor.ambient_dim
+    digits = factor.digit_matrix().astype(float)
+    shifted = digits - (digits.min(axis=0) + digits.max(axis=0)) / 2
+    mesh = np.meshgrid(*([np.arange(p, dtype=float)] * n), indexing="ij")
+    residues = np.stack([m.ravel() for m in mesh], axis=-1)
+    sums, squares = [], []
+    for theta in thetas:
+        eta = (residues + theta) / p
+        phases = np.exp(2j * np.pi * (eta @ shifted.T))
+        grad = 2j * np.pi * (phases @ shifted) / len(digits)
+        norms = np.sqrt((np.abs(grad) ** 2).sum(axis=1))
+        sums.append(norms.sum() / p)
+        squares.append((norms ** 2).sum())
+    return np.array(sums), np.array(squares)
+
+
+@pytest.mark.parametrize("name, count", [("C3", 4000), ("E48", 2000), ("I512", 100),
+                                         ("CARPET", 4000)])
+def test_parseval_lipschitz_bounds_the_gradient_sum(name, count):
+    factor = FACTORS[name]
+    p, n = factor.p_int(), factor.ambient_dim
+    lip = dimension._parseval_lipschitz(factor)
+    thetas = np.random.default_rng(13).uniform(0, 1, size=(count, n))
+    sums, squares = _gradient_sums(factor, thetas)
+    # Parseval: the squares sum to (L')^2 / p^(n-2) at every theta
+    np.testing.assert_allclose(squares * p ** (n - 2), lip ** 2, rtol=1e-9)
+    assert sums.max() <= lip  # Cauchy-Schwarz
+
+
+@pytest.mark.parametrize("factor", [
+    *FACTORS.values(), C5, explicit_spec(7, [0, 2, 3, 5, 6]), explicit_spec(5, [3]),
+    explicit_spec(2, [(1, 0), (0, 1)], n=2), interval_spec(10 ** 8, 0, 10 ** 8 - 1),
+    interval_spec(97, 40, 40),
+])
+def test_parseval_lipschitz_is_exact_then_rounded_up(factor):
+    p, n = factor.p_int(), factor.ambient_dim
+    total = dimension._centred_square_sum(factor.digits)
+    if factor.digit_count() < 10 ** 6:
+        vectors = factor.digit_matrix().tolist()
+        centre = [Fraction(min(col) + max(col), 2) for col in zip(*vectors)]
+        assert total == 4 * sum((c - m) ** 2 for d in vectors for c, m in zip(d, centre))
+    else:  # 0..N-1: sum_d (d - c)^2 = N (N^2 - 1) / 12
+        count = factor.digit_count()
+        assert total == 4 * Fraction(count * (count ** 2 - 1), 12)
+    lip = dimension._parseval_lipschitz(factor)
+    with mpmath.workprec(200):
+        exact = mpmath.iv.mpf(p) ** (n - 1) * mpmath.iv.pi * mpmath.iv.sqrt(total) \
+            / factor.digit_count()
+        assert lip >= exact.b  # rounded up ...
+        assert lip <= exact.b * (1 + 1e-14)  # ... by a few ulps
+
+
+def _random_max(factor):
+    thetas = np.random.default_rng(14).uniform(0, 1, size=(10 ** 5, factor.ambient_dim))
+    return f_theta(factor, thetas, EvalBudget(10 ** 9)).max()
+
+
+@pytest.mark.parametrize("factor", [C3, FACTORS["E48"], C5, FACTORS["CARPET"]],
+                         ids=["C3", "E48", "LP5", "CARPET"])
+def test_sup_f_certificate_dominates_random_thetas(factor):
+    assert sup_f(factor).certified_upper >= _random_max(factor)
+
+
+@pytest.mark.parametrize("factor", [C3, C5, FACTORS["E48"], FACTORS["I512"]],
+                         ids=["C3", "LP5", "E48", "I512"])
+def test_sup_f_is_at_most_the_grid_max_plus_lipschitz_slack(factor):
     h = 1e-3
+    p, n = factor.p_int(), factor.ambient_dim
     axis = np.arange(0.0, 1.0 + h / 2, h)
-    vals = f_theta(C3, axis)
-    sup = sup_f(C3, h=h)
-    assert sup.sup_estimate == vals.max()
-    assert sup.argmax == (axis[np.argmax(vals)],)
-    assert sup.certified_upper == vals.max() + sup.lipschitz * h / 2.0
+    crude = p ** (n - 1) * 2.0 * math.pi * factor.max_digit_norm()
+    sup = sup_f(factor, h=h)
+    assert sup.certified_upper <= f_theta(factor, axis).max() + crude * h * math.sqrt(n) / 2
+    assert sup.sup_estimate <= sup.certified_upper
+    assert sup.h == h
+
+
+@pytest.mark.parametrize("name", ["C3", "E48", "I512"])
+def test_sup_f_reports_the_cells_the_budget_was_charged(name):
+    factor = FACTORS[name]
+    budget = EvalBudget()
+    sup = sup_f(factor, budget=budget)
+    assert sup.cells == budget.spent
+    assert sup.cells == sup.evaluations * factor.p_int() ** factor.ambient_dim * _terms(factor)
+    assert sup.lipschitz == dimension._parseval_lipschitz(factor)
+    assert f_theta(factor, np.array([sup.argmax]))[0] == sup.sup_estimate
 
 
 def test_sup_f_carpet_cells_and_certificate():
-    budget = EvalBudget()
-    sup = sup_f(FACTORS["CARPET"], h=1e-2, budget=budget)
-    assert budget.spent == 734_472  # 101^2 thetas x 9 residues x 8 digits
-    assert sup.certified_upper == 3.3769911184307753
-
-
-def test_sup_f_walks_the_theta_grid_in_blocks(monkeypatch):
-    whole = sup_f(C3, h=1e-2)
     carpet = FACTORS["CARPET"]
-    h = 0.05
-    axis = np.arange(0.0, 1.0 + h / 2, h)
-    mesh = np.meshgrid(axis, axis, indexing="ij")
-    reference = _f_theta_reference(carpet, np.stack([m.ravel() for m in mesh], axis=-1))
-    monkeypatch.setattr(dimension, "F_THETA_BLOCK", 50)
-    assert sup_f(C3, h=1e-2) == whole
     budget = EvalBudget()
-    sup = sup_f(carpet, h=h, budget=budget)
-    assert budget.spent == axis.size ** 2 * 9 * 8
-    assert sup.sup_estimate == pytest.approx(reference.max(), rel=1e-12)
-    assert sup.argmax == tuple(m.ravel()[np.argmax(reference)] for m in mesh)
+    sup = sup_f(carpet, budget=budget)
+    assert budget.spent == sup.cells == 1_527_552  # 21,216 thetas x 9 residues x 8 digits
+    assert 3.0 <= sup.certified_upper < 3.0032
+    assert 2 - math.log(sup.certified_upper) / math.log(3) > 0.999
 
 
 def test_sup_f_refuses_an_over_budget_grid_before_building_it(monkeypatch):
     def no_grid(*args, **kwargs):
-        raise AssertionError("f_theta ran on a grid the budget cannot pay for")
+        raise AssertionError("f_theta ran on a level the budget cannot pay for")
 
     monkeypatch.setattr(dimension, "f_theta", no_grid)
-    budget = EvalBudget(10 ** 9)
+    budget = EvalBudget(16 ** 2 * 72 - 1)
     with pytest.raises(BudgetExceededError, match="f\\(theta\\) residues"):
-        sup_f(FACTORS["CARPET"], budget=budget)  # 10001^2 x 72 cells
+        sup_f(FACTORS["CARPET"], budget=budget)  # 16^2 first boxes x 72 cells
     assert budget.spent == 0
+
+
+def test_sup_f_refuses_a_later_level_before_evaluating_it(monkeypatch):
+    levels = []
+    evaluate = dimension.f_theta
+
+    def counted(factor, thetas, budget=None):
+        levels.append(len(thetas))
+        return evaluate(factor, thetas, budget)
+
+    monkeypatch.setattr(dimension, "f_theta", counted)
+    budget = EvalBudget(16 * 3 * 2 + 1)  # the first level and one theta more
+    with pytest.raises(BudgetExceededError, match="f\\(theta\\) residues"):
+        sup_f(C3, budget=budget)
+    assert levels == [16]
+    assert budget.spent == 16 * 3 * 2
+
+
+@pytest.mark.parametrize("factor", [explicit_spec(5, [3]), interval_spec(7, 2, 2),
+                                    explicit_spec(3, [(1, 2)], n=2)])
+def test_sup_f_of_a_single_digit_factor_stops_on_its_first_level(factor):
+    # |g| = 1 everywhere, so f = p^n and L' = 0
+    n = factor.ambient_dim
+    sup = sup_f(factor)
+    assert sup.lipschitz == 0.0
+    assert sup.evaluations == 16 ** n
+    assert sup.certified_upper == sup.sup_estimate == pytest.approx(factor.p_int() ** n)
 
 
 # ------------------------------------------------------------------ bounds
