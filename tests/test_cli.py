@@ -341,7 +341,7 @@ def test_dim_bound_runs_each_factor_grid_once():
 @pytest.mark.parametrize("count", [182, 700])
 def test_dim_bound_charges_explicit_digit_terms(count):
     # sup_f's first level has 16 thetas; each residue of base 729 carries
-    # count digit terms, one cell more than the budget allows
+    # count digit terms; that level costs one cell more than the budget
     first = 16 * 729 * count
     digits = ",".join(str(d) for d in range(count))
     code, out, err = run(["dim-bound", "--spec", f"factor {{ base = 729; digits = {{{digits}}}; }}",
