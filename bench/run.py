@@ -4,7 +4,10 @@ by run, and check that the trees print the same output.
     python bench/run.py --tree NAME=SRC [--tree NAME=SRC ...] --out BENCH_N.json [--repeat R]
 
 The jobs are the 22 of `benchmark/workloads.py` at seed 1; SRC holds a
-tree's `missingdigits` package (a checkout's `src/`).  Each of R rounds
+tree's `missingdigits` package (a checkout's `src/`).  Before the first
+round every SRC is copied, without bytecode caches, to a directory of
+its own under one temporary parent, so that all trees are timed from
+equivalent places; the copies are removed at the end.  Each of R rounds
 (default 10, so that medians and quartiles rest on ten alternated runs)
 runs every tree once per job, back to back, in an order reversed every
 round, so drift of the host's speed falls on all trees alike.  Each run
@@ -29,8 +32,10 @@ import json
 import os
 import platform
 import resource
+import shutil
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -92,6 +97,14 @@ def run_child(job_id: str, src: str) -> dict:
     return run
 
 
+def copy_trees(trees: dict, parent: Path) -> dict:
+    """Copy each tree's SRC to parent/<i> without its `__pycache__`
+    directories; returns the copies by tree name."""
+    return {name: str(shutil.copytree(src, parent / str(i),
+                                      ignore=shutil.ignore_patterns("__pycache__")))
+            for i, (name, src) in enumerate(trees.items())}
+
+
 def schedule(trees: list, repeat: int) -> list:
     """The tree order of each round: every tree once, reversed every round."""
     return [trees if r % 2 == 0 else trees[::-1] for r in range(repeat)]
@@ -146,14 +159,16 @@ def main(argv=None) -> int:
         parser.error("--repeat must be at least 1")
 
     records = {name: {} for name in trees}
-    for job_id in JOBS:
-        runs = {name: [] for name in trees}
-        for order in schedule(list(trees), args.repeat):
-            for name in order:
-                runs[name].append(run_child(job_id, trees[name]))
-        for name in trees:
-            records[name][job_id] = summarize(job_id, runs[name])
-            print(job_id, name, records[name][job_id], file=sys.stderr)
+    with tempfile.TemporaryDirectory(prefix="bench-trees-") as parent:
+        copies = copy_trees(trees, Path(parent))
+        for job_id in JOBS:
+            runs = {name: [] for name in trees}
+            for order in schedule(list(trees), args.repeat):
+                for name in order:
+                    runs[name].append(run_child(job_id, copies[name]))
+            for name in trees:
+                records[name][job_id] = summarize(job_id, runs[name])
+                print(job_id, name, records[name][job_id], file=sys.stderr)
     differ = [job_id for job_id in JOBS
               if len({tuple(records[name][job_id][k] for k in OUTCOME) for name in trees}) != 1]
     doc = {"machine": machine(), "seed": 1, "repeat": args.repeat, "trees": records,

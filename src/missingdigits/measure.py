@@ -452,11 +452,37 @@ def square(factor: MissingDigitsSpec) -> ProductMeasureSpec:
 
 # ---------------------------------------------------------------- sampling
 
+# Most rows of a block table: a factor with k digits draws b levels at
+# once, for the largest b with k^b <= _BLOCK_ROWS.
+_BLOCK_ROWS = 4096
+
 
 def draw_cells(spec: Spec, depth: int, count: int) -> int:
     """Budget cells that sample(spec, depth, count) charges: one per
     point, digit level and factor."""
     return count * depth * len(as_product(spec).factors)
+
+
+def block_levels(k: int, depth: int) -> int:
+    """Digit levels that one block code of a k-digit factor covers: the
+    largest b <= depth with k^b <= _BLOCK_ROWS (at least 1), and depth
+    itself when k = 1."""
+    if k == 1:
+        return depth
+    b = 1
+    while b < depth and k ** (b + 1) <= _BLOCK_ROWS:
+        b += 1
+    return b
+
+
+def _block_table(mat: np.ndarray, p: int, b: int) -> np.ndarray:
+    """Row c holds sum_{j<b} p^-(j+1) mat[digit_j(c)], where digit_j(c)
+    is the j-th base-k digit of c read most significant first; shape
+    (k^b, n)."""
+    table = np.zeros((1, mat.shape[1]))
+    for j in range(1, b + 1):
+        table = (table[:, None, :] + mat * (1 / p ** j)).reshape(-1, mat.shape[1])
+    return table
 
 
 def sample(
@@ -468,6 +494,18 @@ def sample(
 ) -> np.ndarray:
     """Draw `count` points of the depth-truncated series sum_{i<=depth}
     p^{-i} d_i with i.i.d. uniform digits; returns (count, total_dim).
+
+    Each factor draws its digits as block codes: one integer per run of
+    b = block_levels(k, depth) levels, for k digits, so k^b <= 4096.
+    A code uniform on [0, k^b) is exactly b i.i.d. uniform digits, read
+    most significant first, so every point is still uniform over the
+    depth-d cylinders.  A table of at most 4096 rows per block length
+    (_block_table) holds each code's partial sum, and a point is
+    sum_i p^-(b i) table[code_i]: ceil(depth/b) draws per point and
+    factor, not depth, with (count, n) arrays only.  All terms are
+    nonnegative and each passes at most depth + 3 roundings, so each
+    coordinate is within (depth + 4) 2^-53 (relative) of the exact
+    truncated sum.
 
     The truncation error per point is at most sqrt(n) * max(D) * p^-depth
     / (p-1) in each factor.  PCG64 generator; identical seed, identical
@@ -483,14 +521,21 @@ def sample(
     bud = ensure_budget(budget)
     bud.charge(draw_cells(prod, depth, count), "digit draws")
     rng = np.random.Generator(np.random.PCG64(seed))
-    cols = np.empty((count, prod.total_dim), dtype=np.float64)
+    cols = np.zeros((count, prod.total_dim), dtype=np.float64)
     for f, sl in zip(prod.factors, prod.factor_slices()):
         mat = f.digit_matrix().astype(np.float64)
-        p = f.p_int()
-        idx = rng.integers(0, mat.shape[0], size=(count, depth))
-        scales = p ** -np.arange(1, depth + 1, dtype=np.float64)
-        # (count, depth, nf) digits weighted by p^-i, summed over i
-        cols[:, sl] = np.einsum("d,cdn->cn", scales, mat[idx])
+        p, k = f.p_int(), mat.shape[0]
+        b = block_levels(k, depth)
+        tables = {}
+        for start in range(0, depth, b):
+            levels = min(b, depth - start)
+            if levels not in tables:
+                tables[levels] = _block_table(mat, p, levels)
+            code = rng.integers(0, k ** levels, size=count)
+            block = np.take(tables[levels], code, axis=0)
+            if start:
+                block *= 1 / p ** start
+            cols[:, sl] += block
     return cols
 
 

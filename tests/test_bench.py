@@ -87,3 +87,21 @@ def test_round_schedule_reverses_the_tree_order_every_round():
     assert bench.schedule(["A", "B"], 2) == [["A", "B"], ["B", "A"]]
     assert bench.schedule(["A", "B", "C"], 3) == [["A", "B", "C"], ["C", "B", "A"],
                                                   ["A", "B", "C"]]
+
+
+def test_trees_are_copied_to_equivalent_places_without_bytecode(tmp_path):
+    src = ROOT / "src"
+    trees = {"parent": str(src), "change": str(src)}
+    copies = bench.copy_trees(trees, tmp_path)
+    assert list(copies) == ["parent", "change"]
+    paths = [Path(c) for c in copies.values()]
+    assert paths[0] != paths[1]
+    assert [p.parent for p in paths] == [tmp_path, tmp_path]
+    assert len(str(paths[0])) == len(str(paths[1]))
+    for path in paths:
+        assert not list(path.rglob("__pycache__"))
+        for module in (src / "missingdigits").glob("*.py"):
+            assert (path / "missingdigits" / module.name).read_bytes() == module.read_bytes()
+    # a child imports from the copy it is given, which run_child checks
+    run = bench.run_child("gr-scaled", copies["change"])
+    assert run["exit_code"] == bench.JOBS["gr-scaled"].exit_code

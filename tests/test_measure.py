@@ -1,19 +1,25 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from missingdigits import (BasePower, ConfigError, MissingDigitsSpec,
-                           ProductMeasureSpec, SymbolicBaseError,
+from missingdigits import (BasePower, BudgetExceededError, ConfigError, EvalBudget,
+                           MissingDigitsSpec, ProductMeasureSpec, SymbolicBaseError,
                            explicit_spec, hausdorff_dim, interval_spec,
                            lebesgue_spec, parse_spec, product, sample, square,
                            total_dim)
-from missingdigits.measure import DigitInterval, ExplicitDigits, as_product, int_less
+from missingdigits import measure
+from missingdigits.measure import (DigitInterval, ExplicitDigits, as_product, block_levels,
+                                   draw_cells, int_less)
 
 C3 = explicit_spec(3, [0, 2])
 C5 = explicit_spec(5, [0, 1, 2, 3])
+CARPET = explicit_spec(3, [(a, b) for a in range(3) for b in range(3) if (a, b) != (1, 1)], n=2)
+L10 = interval_spec(10, 0, 9)
+I512 = interval_spec(512, 0, 499)
 
 
 # ------------------------------------------------------------ construction
@@ -236,15 +242,130 @@ def test_sample_accepts_tuple_seed():
     assert a.shape == b.shape and not np.array_equal(a, b)
 
 
+def _digits(pts, p, depth):
+    """(count, depth, n) base-p digits of depth-truncated points, the
+    first level first."""
+    scaled = np.rint(pts * float(p) ** depth).astype(np.int64)
+    levels = []
+    for _ in range(depth):
+        scaled, digit = np.divmod(scaled, p)
+        levels.append(digit)
+    return np.stack(levels[::-1], axis=1)
+
+
 def test_sample_digits_stay_in_digit_set():
-    depth = 6
-    pts = sample(square(C3), depth=depth, count=400, seed=3)
-    scaled = np.rint(pts * 3 ** depth).astype(np.int64)
-    for column in scaled.T:
-        for value in column:
-            for _ in range(depth):
-                value, digit = divmod(value, 3)
-                assert digit in (0, 2)
+    digits = _digits(sample(square(C3), depth=6, count=400, seed=3), 3, 6)
+    assert set(digits.ravel().tolist()) <= {0, 2}
+    allowed = {tuple(v) for v in CARPET.digit_matrix()}
+    for depth in (6, 7):
+        digits = _digits(sample(CARPET, depth=depth, count=400, seed=3), 3, depth)
+        assert {tuple(d) for d in digits.reshape(-1, 2)} <= allowed
+
+
+def test_block_levels_fill_at_most_4096_rows():
+    assert block_levels(2, 100) == 12 and block_levels(16, 100) == 3
+    assert block_levels(8, 100) == 4 and block_levels(10, 100) == 3
+    assert block_levels(64, 100) == 2 and block_levels(65, 100) == 1
+    assert block_levels(500, 100) == 1 and block_levels(10 ** 6, 100) == 1
+    assert block_levels(2, 8) == 8 and block_levels(1, 9) == 9
+    for k in range(2, 300):
+        b = block_levels(k, 100)
+        assert k ** b <= 4096 or b == 1
+        assert k ** (b + 1) > 4096
+
+
+def _chi2_critical(dof, z=3.719):
+    """Upper chi-square quantile by the Wilson-Hilferty cube; z = 3.719
+    is the normal quantile of tail 1e-4."""
+    c = 2.0 / (9.0 * dof)
+    return dof * (1.0 - c + z * math.sqrt(c)) ** 3
+
+
+def _chi2(labels, cells):
+    counts = np.bincount(labels, minlength=cells)
+    expected = len(labels) / cells
+    return float(((counts - expected) ** 2).sum() / expected)
+
+
+def _cylinder_labels(digits, factor):
+    """Label in [0, k^levels) of each point's cylinder, from its digits
+    (count, levels, n) in a factor of k digits."""
+    rows = factor.digit_matrix()
+    row_of = np.full((factor.p_int(),) * factor.ambient_dim, -1)
+    row_of[tuple(rows.T)] = np.arange(len(rows))
+    labels = np.zeros(len(digits), dtype=np.int64)
+    for level in range(digits.shape[1]):
+        labels = labels * len(rows) + row_of[tuple(digits[:, level].T)]
+    return labels
+
+
+@pytest.mark.parametrize("seed", [5, 6])
+def test_sampled_cylinders_are_uniform_on_c3_squared(seed):
+    # depth 3 in one block per factor: 8 x 8 cylinders
+    digits = _digits(sample(square(C3), 3, 32_000, seed=seed), 3, 3)
+    labels = _cylinder_labels(digits[:, :, :1], C3) * 8 + _cylinder_labels(digits[:, :, 1:], C3)
+    assert _chi2(labels, 64) < _chi2_critical(63)
+
+
+@pytest.mark.parametrize("seed", [5, 6])
+def test_sampled_cylinders_are_uniform_on_the_carpet(seed):
+    # depth 2, one block: all 64 cylinders
+    digits = _digits(sample(CARPET, 2, 32_000, seed=seed), 3, 2)
+    assert _chi2(_cylinder_labels(digits, CARPET), 64) < _chi2_critical(63)
+
+
+def test_carpet_depth_7_draws_uniform_level_pairs_across_its_blocks():
+    # blocks of 4 and 3 levels: every pair of adjacent levels, the pair
+    # (4, 5) straddling the blocks, is uniform on its 64 cells
+    assert block_levels(8, 7) == 4
+    digits = _digits(sample(CARPET, 7, 32_000, seed=8), 3, 7)
+    for level in range(6):
+        labels = _cylinder_labels(digits[:, level:level + 2], CARPET)
+        assert _chi2(labels, 64) < _chi2_critical(63), level
+
+
+@pytest.mark.parametrize("spec, depth", [
+    (CARPET, 7), (CARPET, 8), (L10, 7), (I512, 4), (square(C3), 13),
+    (explicit_spec(5, [3]), 9), (product(explicit_spec(7, [(4, 1)], n=2), C3), 12)])
+def test_sampled_points_are_exact_truncated_sums_within_rounding(spec, depth):
+    # every coordinate is within (depth + 4) 2^-53, relative, of the
+    # exact sum over the digits the point lies on, which are its own
+    count = 300
+    pts = sample(spec, depth, count, seed=4)
+    prod = as_product(spec)
+    for f, sl in zip(prod.factors, prod.factor_slices()):
+        p = f.p_int()
+        allowed = {tuple(v) for v in f.digit_matrix()}
+        digits = _digits(pts[:, sl], p, depth)
+        for point, point_digits in zip(pts[:, sl], digits):
+            assert {tuple(d) for d in point_digits} <= allowed
+            for c in range(f.ambient_dim):
+                exact = sum(Fraction(int(d), p ** (j + 1))
+                            for j, d in enumerate(point_digits[:, c]))
+                assert abs(Fraction(point[c]) - exact) <= (depth + 4) * Fraction(1, 2 ** 53) * exact
+
+
+def test_sample_charges_its_draw_cells():
+    for spec, depth, count in ((square(C3), 8, 1000), (CARPET, 7, 333), (I512, 3, 10)):
+        budget = EvalBudget()
+        sample(spec, depth, count, seed=1, budget=budget)
+        assert budget.spent == draw_cells(spec, depth, count) == \
+            count * depth * len(as_product(spec).factors)
+        exact = EvalBudget(draw_cells(spec, depth, count))
+        sample(spec, depth, count, seed=1, budget=exact)
+        assert exact.spent == exact.limit
+
+
+def test_sample_one_cell_short_is_refused_before_any_draw(monkeypatch):
+    def reached(*args, **kwargs):
+        raise AssertionError("drew codes or built a table past the budget")
+    monkeypatch.setattr(np.random, "Generator", reached)
+    monkeypatch.setattr(measure, "_block_table", reached)
+    for spec, depth, count in ((square(C3), 8, 1000), (CARPET, 7, 333)):
+        budget = EvalBudget(draw_cells(spec, depth, count) - 1)
+        with pytest.raises(BudgetExceededError, match="digit draws"):
+            sample(spec, depth, count, budget=budget)
+        assert budget.spent == 0
 
 
 def test_sample_mean_matches_digit_average():
