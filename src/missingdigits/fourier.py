@@ -44,7 +44,7 @@ import numpy as np
 
 from .budget import EvalBudget, ensure_budget
 from .errors import ConfigError, SymbolicBaseError
-from .measure import DigitInterval, MissingDigitsSpec, Spec, as_product
+from .measure import DigitInterval, MissingDigitsSpec, Spec, _block_table, as_product
 
 # Tolerances below this floor are meaningless in double precision.
 TOL_FLOOR = 1e-12
@@ -294,18 +294,6 @@ def fourier_transform(spec: Spec, xi, tol: float = 1e-9,
 # ---------------------------------------------------------------- oracle
 
 
-def _corner_values(factor: MissingDigitsSpec, levels: int) -> np.ndarray:
-    """All sums sum_{i=1..levels} p^-i d_i, brute-force enumerated;
-    shape ((#D)^levels, n)."""
-    mat = factor.digit_matrix().astype(np.float64)
-    p = float(factor.p_int())
-    corners = np.zeros((1, factor.ambient_dim), dtype=np.float64)
-    for level in range(1, levels + 1):
-        step = mat * p ** -level
-        corners = (corners[:, None, :] + step[None, :, :]).reshape(-1, factor.ambient_dim)
-    return corners
-
-
 def _corner_sum(corners: np.ndarray, xi_block: np.ndarray) -> complex:
     args = corners @ xi_block
     return complex(np.exp(-2j * np.pi * args).sum())
@@ -321,9 +309,10 @@ def fourier_oracle(
     prod over factors of (#D)^-m sum_corners exp(-2 pi i (c, xi)).
 
     Differs from the true transform by at most
-    sum_f 2 pi |xi_f| sqrt(n_f) p_f^-m.  Corner sets are enumerated in
-    two halves of depth ceil(m/2) and floor(m/2); the second half's
-    corners are scaled by p^-h, and the two exponential sums multiply.
+    sum_f 2 pi |xi_f| sqrt(n_f) p_f^-m.  Corner sets are enumerated by
+    the sampler's digit-prefix table (measure._block_table) in two
+    halves of depth ceil(m/2) and floor(m/2); the second half's corners
+    are scaled by p^-h, and the two exponential sums multiply.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -340,11 +329,12 @@ def fourier_oracle(
         rest = depth - half
         bud.charge(k ** half + k ** rest, "oracle corners")
         block = xi[sl]
+        mat, p = factor.digit_matrix().astype(np.float64), factor.p_int()
         total = 1.0 + 0.0j
         if half:
-            total *= _corner_sum(_corner_values(factor, half), block)
-        scale = float(factor.p_int()) ** -half
-        total *= _corner_sum(_corner_values(factor, rest) * scale, block)
+            total *= _corner_sum(_block_table(mat, p, half), block)
+        scale = float(p) ** -half
+        total *= _corner_sum(_block_table(mat, p, rest) * scale, block)
         out *= total / k ** depth
     return out
 

@@ -11,6 +11,7 @@ from missingdigits.cylinders import _ray_frames, _tube_codes, _tube_terms
 
 C32 = square(explicit_spec(3, [0, 2]))
 LEB2 = lebesgue_spec(3, 2)
+CARPET = explicit_spec(3, [(a, b) for a in range(3) for b in range(3) if (a, b) != (1, 1)], n=2)
 
 
 # ------------------------------------------------------------------ tubes
@@ -122,28 +123,28 @@ def test_ray_tube_enclosures_nest_by_depth_and_bracket_monte_carlo(delta, headin
 
 @pytest.mark.parametrize("x", [(0.5, 0.5), (0.0, 0.0), (1.0, 0.3), (-1.0, -1.0), (1.3, 0.5),
                                (0.5, -0.05)])
-@pytest.mark.parametrize("count, pair_block", [(37, 1 << 16), (64, 1 << 16), (53, 3)])
-def test_ray_tube_masses_equal_per_angle_cylinder_mass_all_around(x, count, pair_block,
+@pytest.mark.parametrize("count, child_block", [(37, 1 << 16), (64, 1 << 16), (53, 3)])
+def test_ray_tube_masses_equal_per_angle_cylinder_mass_all_around(x, count, child_block,
                                                                  monkeypatch):
     # Viewpoints inside the square, on it, on its diagonal (where the
     # far corner sits at the tube's far end) and beside it, with angles
-    # all around the circle: no closed form covers every node there.
-    # With small pair blocks, exact pairs are classified a few at a
-    # time and wide windows are cut across blocks.
-    monkeypatch.setattr(cylinders, "_PAIR_BLOCK", pair_block)
+    # all around the circle, in order and shuffled.  With small child
+    # blocks, every level is cut into blocks of one parent.
+    monkeypatch.setattr(cylinders, "_CHILD_BLOCK", child_block)
     angles = np.linspace(-math.pi, math.pi, count)
-    lower, upper = ray_tube_masses(C32, x, 0.05, angles, depth=3)
     oracle = np.array([cylinder_mass(C32, x, a, 0.05, 3) for a in angles])
-    assert np.array_equal(lower, oracle[:, 0])
-    assert np.array_equal(upper, oracle[:, 1])
+    for order in (np.arange(count), np.random.default_rng(count).permutation(count)):
+        lower, upper = ray_tube_masses(C32, x, 0.05, angles[order], depth=3)
+        assert np.array_equal(lower, oracle[order, 0])
+        assert np.array_equal(upper, oracle[order, 1])
 
 
 @pytest.mark.parametrize("x", [(-1.0, -1.0), (-3.0, -3.0), (-2.05, -2.05), (-0.4, 0.45),
                                (1.05, 0.5)])
 def test_ray_tube_masses_on_angles_where_boxes_touch_the_tube(x):
-    # Every angle is a closed-form endpoint: a ray whose tube edge
+    # Every angle is a tie of the tube predicate: a ray whose tube edge
     # passes through a depth-2 corner, or the diagonal through the far
-    # corner (1, 1).  The exact predicate decides these ties.
+    # corner (1, 1).
     delta = 0.05
     corners = np.array([(i / 9.0, j / 9.0) for i in range(10) for j in range(10)]) - x
     phi = np.arctan2(corners[:, 1], corners[:, 0])
@@ -177,3 +178,31 @@ def test_ray_tube_masses_check_the_arrays_over_the_angles_first():
     with pytest.raises(BudgetExceededError, match="tube angles needs 41000 cells"):
         ray_tube_masses(C32, (-1.0, -1.0), 0.05, np.linspace(0.2, 1.3, 1000), 2, budget)
     assert budget.spent == 0
+
+
+class _LabelBudget(EvalBudget):
+    """A budget that adds up its charges per label."""
+
+    def __init__(self):
+        super().__init__()
+        self.cells = {}
+
+    def charge(self, cells, what="evaluation"):
+        super().charge(cells, what)
+        self.cells[what] = self.cells.get(what, 0) + int(cells)
+
+
+@pytest.mark.parametrize("spec, x, delta, depth", [
+    (CARPET, (-1.0, -1.0), 0.02, 4),
+    (lebesgue_spec(10, 2), (-0.3, 1.4), 0.01, 2),
+])
+def test_ray_tube_masses_charge_cylinder_mass_classifications_summed_over_angles(
+        spec, x, delta, depth):
+    angles = np.linspace(-math.pi, math.pi, 120)
+    descent = _LabelBudget()
+    ray_tube_masses(spec, x, delta, angles, depth, descent)
+    reference = _LabelBudget()
+    for angle in angles:
+        cylinder_mass(spec, x, angle, delta, depth, reference)
+    assert descent.cells["cylinder classifications"] \
+        == reference.cells["cylinder classifications"] > 120
