@@ -14,9 +14,11 @@ out early, so work concentrates on the boundary of G.
 
 Regions are the ray tubes of radial projections (rotated rectangles in
 the plane, _ray_frames); classification is exact separating-axis
-arithmetic (_tube_codes), vectorized over the boxes.  cylinder_mass
-refines one tube breadth-first; ray_tube_masses refines (box, angle)
-pairs for many tubes at once, depth-first, with the same predicate.
+arithmetic (_tube_codes) over a grid of boxes, with the terms of each
+grid row and column computed once.  cylinder_mass refines one tube
+breadth-first, its boxes as a one-row grid; ray_tube_masses refines
+(box, angle) pairs for many tubes at once, depth-first, a parent's
+children as the grid of their low corners, with the same predicate.
 """
 
 from __future__ import annotations
@@ -27,8 +29,6 @@ import numpy as np
 
 from .budget import EvalBudget, ensure_budget
 from .measure import Spec, as_product
-
-OUTSIDE, INSIDE, STRADDLE = 0, 1, 2
 
 
 def _ray_frames(x, angles, half_width: float) -> tuple:
@@ -43,8 +43,8 @@ def _ray_frames(x, angles, half_width: float) -> tuple:
     x = np.asarray(x, dtype=float)
     if x.shape != (2,):
         raise ValueError("tubes are two-dimensional: the viewpoint must be a 2-vector")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("tube viewpoint must be finite")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(angles))):
+        raise ValueError("tube viewpoint and angles must be finite")
     if not half_width > 0:
         raise ValueError("tube half-width must be positive")
     reach = float(np.hypot(x[0], x[1])) + math.sqrt(2.0)
@@ -67,34 +67,33 @@ def _tube_terms(frames, sides, half_length, half_width) -> np.ndarray:
                      half_length * aty + half_width * awy])
 
 
-def _tube_codes(low_x, low_y, sides, terms, half_length, half_width) -> np.ndarray:
-    """OUTSIDE/INSIDE/STRADDLE codes of the boxes with low corners
-    (low_x, low_y) and the given sides against tubes of the given
-    half-sides: one tube with (10,) terms (_tube_terms), or one tube per
-    box with (10, N) terms.
+def _tube_codes(low_x, low_y, sides, terms, half_length, half_width) -> tuple:
+    """INSIDE and STRADDLE masks, each (p_x, p_y, P), of the boxes of
+    the given sides with low corners (low_x[i, k], low_y[j, k]) against
+    tubes of the given half-sides: one tube with (10,) terms
+    (_tube_terms), or tube k for the boxes (i, j, k) with (10, P) terms.
+    A box in neither mask is OUTSIDE.
 
-    Every product is written out elementwise, so a box's code depends
-    on its own row alone and not on where it sits in the frontier (a
-    BLAS matrix-vector product may round a row differently by
-    position)."""
+    The centre offsets, their products with the tube's axes and the
+    box-axis tests are computed once per row of low_x (p_x, P) and of
+    low_y (p_y, P); a box adds its two products.  Every product is
+    written out elementwise, so a box's codes depend on its own corner
+    and tube alone, not on the rest of the grid (a BLAS matrix-vector
+    product may round a row differently by position)."""
     L, d = half_length, half_width
     hx, hy = sides / 2.0
     ox, oy, tx, ty, wx, wy, rad_t, rad_w, ext_x, ext_y = terms
     cx = low_x + hx - ox
     cy = low_y + hy - oy
-    proj_t = np.abs(cx * tx + cy * ty)
-    proj_w = np.abs(cx * wx + cy * wy)
+    proj_t = np.abs((cx * tx)[:, None] + cy * ty)
+    proj_w = np.abs((cx * wx)[:, None] + cy * wy)
 
     inside = (proj_t + rad_t <= L) & (proj_w + rad_w <= d)
     # Separating axes: the tube's own two axes and the box axes.
     sep = (proj_t - rad_t > L) | (proj_w - rad_w > d)
-    sep |= np.abs(cx) - hx > ext_x
+    sep |= (np.abs(cx) - hx > ext_x)[:, None]
     sep |= np.abs(cy) - hy > ext_y
-
-    out = np.full(cx.shape, STRADDLE, dtype=np.int8)
-    out[sep] = OUTSIDE
-    out[inside] = INSIDE
-    return out
+    return inside, ~(inside | sep)
 
 
 class _Tree:
@@ -132,15 +131,17 @@ class _Tree:
             offsets[:, sl] += np.tile(block, (reps, 1))
         return offsets
 
+    def grid(self, level: int) -> tuple:
+        """The offsets of a planar tree as a grid: its distinct x and y
+        offsets, and the (x, y, 1) mask of the pairs that are offsets."""
+        (xs, ix), (ys, iy) = (np.unique(o, return_inverse=True) for o in self.offsets(level).T)
+        mask = np.zeros((xs.shape[0], ys.shape[0], 1), dtype=bool)
+        mask[ix, iy] = True
+        return xs, ys, mask
 
-def cylinder_mass(
-    spec: Spec,
-    x,
-    angle: float,
-    half_width: float,
-    depth: int,
-    budget: EvalBudget | None = None,
-) -> tuple[float, float]:
+
+def cylinder_mass(spec: Spec, x, angle: float, half_width: float, depth: int,
+                  budget: EvalBudget | None = None) -> tuple[float, float]:
     """Enclosure [lower, upper] of lambda(T) for the ray tube T of
     half-width half_width from x in direction angle (_ray_frames), from
     depth-`depth` cylinder counting, for a planar spec: the reference
@@ -162,25 +163,21 @@ def cylinder_mass(
 
     lows = np.zeros((1, n), dtype=np.float64)
     lower = 0.0
-    upper = 0.0
     for level in range(depth + 1):
         bud.charge(lows.shape[0], "cylinder classifications")
         sides = tree.sides(level)
         terms = _tube_terms(frames[:, 0], sides, half_length, half_width)
-        codes = _tube_codes(lows[:, 0], lows[:, 1], sides, terms, half_length, half_width)
+        inside, straddle = _tube_codes(lows[None, :, 0], lows[None, :, 1], sides, terms,
+                                       half_length, half_width)
         mass = tree.mass(level)
-        n_inside = int((codes == INSIDE).sum())
-        lower += n_inside * mass
-        upper += n_inside * mass
-        undecided = lows[codes == STRADDLE]
+        lower += int(np.count_nonzero(inside)) * mass
+        undecided = lows[straddle[0, 0]]
         if level == depth or undecided.shape[0] == 0:
-            upper += undecided.shape[0] * mass
-            break
+            return lower, lower + undecided.shape[0] * mass
         # Expand straddling boxes into their digit children.
         offsets = tree.offsets(level + 1)
         bud.charge(undecided.shape[0] * offsets.shape[0], "cylinder expansions")
         lows = (undecided[:, None, :] + offsets[None, :, :]).reshape(-1, n)
-    return lower, upper
 
 
 # Children built and classified at once by ray_tube_masses.
@@ -209,12 +206,17 @@ def ray_tube_masses(spec: Spec, x, half_width: float, angles, depth: int,
     come in any order.
 
     A block is a set of parent boxes, each with the index of one angle.
-    Each parent's children are classified against its angle's tube by
-    cylinder_mass's own predicate (_tube_codes), with the tube's terms
-    gathered once per parent.  INSIDE and STRADDLE children are counted
-    per angle and level, straddling children become the parents of the
-    next level's blocks, and lower and upper are formed from the counts
-    in cylinder_mass's level order.
+    A parent's children lie on the grid of their distinct x and y
+    offsets (_Tree.grid), all of it for a product of 1-D factors and a
+    masked part for a 2-D factor such as the carpet.  cylinder_mass's
+    own predicate (_tube_codes) classifies them against the parent's
+    tube from terms of each grid row and column, p_x + p_y of them, not
+    p_x * p_y; a child's projection adds its row's product to its
+    column's: the same floats, in the same order, as for a child
+    classified alone, so no rounding changes.  INSIDE and STRADDLE
+    children are counted per angle and level, straddling children become
+    the parents of the next level's blocks, and lower and upper are
+    formed from the counts in cylinder_mass's level order.
 
     A block holds at most _CHILD_BLOCK children (or one parent), and the
     newest block is refined first, so about depth * _CHILD_BLOCK boxes
@@ -229,13 +231,13 @@ def ray_tube_masses(spec: Spec, x, half_width: float, angles, depth: int,
         raise ValueError("ray tubes are two-dimensional")
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    grid = np.asarray(angles, dtype=np.float64)
-    if grid.ndim != 1 or grid.shape[0] == 0 or not np.all(np.isfinite(grid)):
-        raise ValueError("angles must be a nonempty finite 1-D array")
-    count = grid.shape[0]
+    angles = np.asarray(angles, dtype=np.float64)
+    if angles.ndim != 1 or angles.shape[0] == 0:
+        raise ValueError("angles must be a nonempty 1-D array")
+    count = angles.shape[0]
     bud = ensure_budget(budget)
     bud.check(ray_tube_cells(count, depth), "tube angles")
-    frames, half_length = _ray_frames(x, grid, half_width)
+    frames, half_length = _ray_frames(x, angles, half_width)
     # The terms of _tube_codes for every angle: the frame and the tube's
     # extent along the box's axes (rows 0-5, 8 and 9) once, and per
     # level the box's radii along the tube's axes (rows 6 and 7).
@@ -244,11 +246,11 @@ def ray_tube_masses(spec: Spec, x, half_width: float, angles, depth: int,
     radii = [_tube_terms(frames, side, half_length, half_width)[6:8].copy() for side in sides]
     del frames
 
-    inside = np.zeros((depth + 1, count))
-    straddle = np.zeros(count)
-    # Per level, the children's offsets as (2, k, 1): a block's children
-    # lie in (2, k, P) arrays, one column per parent.
-    offsets = {0: np.zeros((2, 1, 1))}
+    n_inside = np.zeros((depth + 1, count))
+    n_straddle = np.zeros(count)
+    # Per level, the children's grid: a block's children lie in
+    # (p_x, p_y, P) arrays, one column per parent.
+    grids = {0: (np.zeros(1), np.zeros(1), np.ones((1, 1, 1), dtype=bool))}
     todo = []  # blocks still to refine, the newest last
 
     def push(level, parents, ang):
@@ -256,32 +258,27 @@ def ray_tube_masses(spec: Spec, x, half_width: float, angles, depth: int,
         for start in range(0, ang.shape[0], step):
             todo.append((level, parents[:, start:start + step], ang[start:start + step]))
 
-    # The root is the only child of a parent with low corner 0, once per
-    # angle.
+    # The root is the only child of a parent at 0, once per angle.
     push(0, np.zeros((2, count)), np.arange(count))
     while todo:
         level, parents, ang = todo.pop()
         bud.charge(ang.shape[0] * (tree.branching if level else 1), "cylinder classifications")
-        if level not in offsets:
-            offsets[level] = tree.offsets(level).T[:, :, None]
-        kids = offsets[level] + parents[:, None, :]
+        if level not in grids:
+            grids[level] = tree.grid(level)
+        xs, ys, mask = grids[level]
+        low_x, low_y = xs[:, None] + parents[0], ys[:, None] + parents[1]
         fixed = np.take(fixed_terms, ang, axis=1)
         terms = np.concatenate([fixed[:6], np.take(radii[level], ang, axis=1), fixed[6:]])
-        codes = _tube_codes(kids[0], kids[1], sides[level], terms[:, None, :],
-                            half_length, half_width)
-        inside[level] += np.bincount(ang, weights=np.count_nonzero(codes == INSIDE, axis=0),
-                                     minlength=count)
-        hit = codes == STRADDLE
+        inside, straddle = (m & mask for m in _tube_codes(low_x, low_y, sides[level], terms,
+                                                          half_length, half_width))
+        n_inside[level] += np.bincount(ang, np.count_nonzero(inside, axis=(0, 1)), count)
         if level == depth:
-            straddle += np.bincount(ang, weights=np.count_nonzero(hit, axis=0), minlength=count)
+            n_straddle += np.bincount(ang, np.count_nonzero(straddle, axis=(0, 1)), count)
         else:
-            push(level + 1, kids[:, hit], np.broadcast_to(ang, hit.shape)[hit])
+            i, j, k = np.nonzero(straddle)
+            push(level + 1, np.stack([low_x[i, k], low_y[j, k]]), ang[k])
 
     lower = np.zeros(count)
-    upper = np.zeros(count)
-    for level, counts in enumerate(inside):
-        mass = tree.mass(level)
-        lower += counts * mass
-        upper += counts * mass
-    upper += straddle * tree.mass(depth)
-    return lower, upper
+    for level, counts in enumerate(n_inside):
+        lower += counts * tree.mass(level)
+    return lower, lower + n_straddle * tree.mass(depth)

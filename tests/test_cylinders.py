@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from missingdigits import (BudgetExceededError, EvalBudget, cylinder_mass, cylinders,
-                           explicit_spec, lebesgue_spec, ray_tube_masses, square, tube_mass_mc)
+                           explicit_spec, lebesgue_spec, product, ray_tube_masses, square,
+                           tube_mass_mc)
 from missingdigits.cylinders import _ray_frames, _tube_codes, _tube_terms
 
 C32 = square(explicit_spec(3, [0, 2]))
@@ -32,19 +33,125 @@ def test_ray_tube_wider_than_long_keeps_half_width_within_half_length():
     assert _ray_frames((-100.0, -100.0), [0.8], 200.0)[1] == 200.0
 
 
+def _elementwise_codes(low_x, low_y, sides, terms, half_length, half_width):
+    """The tube predicate computed box by box: 0 outside, 1 inside,
+    2 straddling, for boxes with low corners (low_x, low_y) of one shape
+    and terms broadcast to it."""
+    hx, hy = sides / 2.0
+    ox, oy, tx, ty, wx, wy, rad_t, rad_w, ext_x, ext_y = terms
+    cx = low_x + hx - ox
+    cy = low_y + hy - oy
+    proj_t = np.abs(cx * tx + cy * ty)
+    proj_w = np.abs(cx * wx + cy * wy)
+    inside = (proj_t + rad_t <= half_length) & (proj_w + rad_w <= half_width)
+    sep = (proj_t - rad_t > half_length) | (proj_w - rad_w > half_width)
+    sep |= np.abs(cx) - hx > ext_x
+    sep |= np.abs(cy) - hy > ext_y
+    codes = np.full(cx.shape, 2, dtype=np.int8)
+    codes[sep] = 0
+    codes[inside] = 1
+    return codes
+
+
+def _grid_of_tubes(x, angles, half_width, sides, rows, cols):
+    """Terms (10, P) of the tubes from x at the given angles, and the
+    grid rows (p_x, P) and columns (p_y, P) of low corners that give
+    every tube the boxes (rows[i], cols[j])."""
+    frames, half_length = _ray_frames(x, angles, half_width)
+    terms = _tube_terms(frames, sides, half_length, half_width)
+    count = len(angles)
+    return (terms, half_length, np.repeat(np.asarray(rows)[:, None], count, axis=1),
+            np.repeat(np.asarray(cols)[:, None], count, axis=1))
+
+
+def _assert_codes_equal(low_x, low_y, sides, terms, half_length, half_width):
+    inside, straddle = _tube_codes(low_x, low_y, sides, terms, half_length, half_width)
+    full_x = np.broadcast_to(low_x[:, None, :], inside.shape)
+    full_y = np.broadcast_to(low_y[None, :, :], inside.shape)
+    # one tube: (10,) terms; one tube per parent: (10, 1, 1, P)
+    per_box = terms if terms.ndim == 1 else terms[:, None, None, :]
+    codes = _elementwise_codes(full_x, full_y, sides, per_box, half_length, half_width)
+    assert np.array_equal(inside, codes == 1)
+    assert np.array_equal(straddle, codes == 2)
+    return codes
+
+
+def test_tube_codes_per_grid_axis_equal_the_box_by_box_predicate():
+    rng = np.random.default_rng(11)
+    sides = np.array([3.0 ** -3, 7.0 ** -3])
+    # random boxes against random tubes, one tube per parent column
+    terms, half_length, low_x, low_y = _grid_of_tubes(
+        (-0.6, 0.2), rng.uniform(-1.0, 1.0, 57), 0.05, sides, rng.random(13), rng.random(9))
+    low_x += rng.random(low_x.shape) * 0.01
+    codes = _assert_codes_equal(low_x, low_y, sides, terms, half_length, 0.05)
+    assert {0, 1, 2} <= set(np.unique(codes))
+    # one tube for the whole grid, as cylinder_mass classifies
+    _assert_codes_equal(low_x, low_y, sides, terms[:, 3], half_length, 0.05)
+
+
+def test_tube_codes_per_grid_axis_equal_the_box_by_box_predicate_on_tube_edges():
+    # Tubes whose long edges pass through corners of depth-3 boxes of
+    # the lattice of 27ths: the boxes beside each edge are ties of the
+    # predicate, up to rounding.
+    x, delta = (-1.0, -0.7), 0.05
+    lattice = np.arange(28) / 27.0
+    corners = np.array([(a, b) for a in lattice for b in lattice]) - x
+    phi = np.arctan2(corners[:, 1], corners[:, 0])
+    tangent = np.arcsin(delta / np.hypot(corners[:, 0], corners[:, 1]))
+    angles = np.concatenate([phi - tangent, phi + tangent])
+    sides = np.array([1.0 / 27.0, 1.0 / 27.0])
+    terms, half_length, low_x, low_y = _grid_of_tubes(x, angles, delta, sides,
+                                                      lattice[:27], lattice[:27])
+    codes = _assert_codes_equal(low_x, low_y, sides, terms, half_length, delta)
+    assert {0, 1, 2} <= set(np.unique(codes))
+    # A tube's back end passes through its viewpoint: seen from a
+    # lattice corner, the boxes at that corner are ties on the end, and
+    # along the axes the box-axis tests tie as well.
+    angles = np.concatenate([angles, np.arange(-2, 3) * (math.pi / 2)])
+    terms, half_length, low_x, low_y = _grid_of_tubes((lattice[5], lattice[4]), angles, delta,
+                                                      sides, lattice[:27], lattice[:27])
+    codes = _assert_codes_equal(low_x, low_y, sides, terms, half_length, delta)
+    assert {0, 1, 2} <= set(np.unique(codes))
+
+
 def test_tube_codes_of_a_box_do_not_depend_on_its_row():
+    # A box's codes depend on its own corner and tube alone: not on the
+    # other rows, columns or parents of its grid.
     rng = np.random.default_rng(4)
-    lows = rng.random((4099, 2))
     sides = np.array([3.0 ** -4, 3.0 ** -4])
+    terms, half_length, low_x, low_y = _grid_of_tubes(
+        (-0.7, 0.3), rng.uniform(0.0, 0.8, 67), 0.05, sides, rng.random(31), rng.random(29))
+    low_x += rng.random(low_x.shape) * 0.05
+    low_y += rng.random(low_y.shape) * 0.05
+
+    def classify(rows, cols, parents):
+        inside, straddle = _tube_codes(low_x[rows][:, parents], low_y[cols][:, parents], sides,
+                                       terms[:, parents], half_length, 0.05)
+        return inside.astype(np.int8) + 2 * straddle
+
+    everything = slice(None)
+    codes = classify(everything, everything, everything)
+    assert {0, 1, 2} <= set(np.unique(codes))
+    assert np.array_equal(codes[1:], classify(slice(1, None), everything, everything))
+    assert np.array_equal(codes[:, 1:], classify(everything, slice(1, None), everything))
+    assert np.array_equal(codes[:, :, 1:], classify(everything, everything, slice(1, None)))
+    for i, j, k in rng.integers(0, (31, 29, 67), size=(200, 3)):
+        alone = classify(slice(i, i + 1), slice(j, j + 1), slice(k, k + 1))
+        assert alone.shape == (1, 1, 1) and alone[0, 0, 0] == codes[i, j, k]
+
+    # One tube and a one-row grid of boxes, as cylinder_mass classifies.
+    lows = rng.random((4099, 2))
     frames, half_length = _ray_frames((-0.7, 0.3), [0.21], 0.05)
-    terms = _tube_terms(frames[:, 0], sides, half_length, 0.05)
+    one = _tube_terms(frames[:, 0], sides, half_length, 0.05)
 
-    def classify(boxes):
-        return _tube_codes(boxes[:, 0], boxes[:, 1], sides, terms, half_length, 0.05)
+    def row(boxes):
+        inside, straddle = _tube_codes(boxes[None, :, 0], boxes[None, :, 1], sides, one,
+                                       half_length, 0.05)
+        return (inside.astype(np.int8) + 2 * straddle)[0, 0]
 
-    codes = classify(lows)
-    assert np.array_equal(codes[1:], classify(lows[1:]))
-    assert all(classify(lows[i:i + 1])[0] == codes[i] for i in range(0, 4099, 97))
+    single = row(lows)
+    assert np.array_equal(single[1:], row(lows[1:]))
+    assert all(row(lows[i:i + 1])[0] == single[i] for i in range(0, 4099, 97))
 
 
 def test_tube_validation():
@@ -139,12 +246,37 @@ def test_ray_tube_masses_equal_per_angle_cylinder_mass_all_around(x, count, chil
         assert np.array_equal(upper, oracle[order, 1])
 
 
+PAIR57 = product(explicit_spec(5, [0, 2, 4]), explicit_spec(7, [1, 3, 6]))
+
+
+@pytest.mark.parametrize("spec, x, delta, depth", [
+    (CARPET, (2.0, 0.5), 0.05, 4),  # a masked child grid
+    (lebesgue_spec(10, 2), (-0.3, 1.4), 0.03, 2),
+    (PAIR57, (1.5, -0.3), 0.04, 3),  # axes of different bases
+], ids=["carpet", "leb10", "pair57"])
+@pytest.mark.parametrize("child_block", [3, 1 << 16])
+def test_ray_tube_masses_equal_per_angle_cylinder_mass_on_other_specs(spec, x, delta, depth,
+                                                                      child_block, monkeypatch):
+    monkeypatch.setattr(cylinders, "_CHILD_BLOCK", child_block)
+    angles = np.linspace(-math.pi, math.pi, 47)
+    reference = _LabelBudget()
+    oracle = np.array([cylinder_mass(spec, x, a, delta, depth, reference) for a in angles])
+    assert 0.0 < oracle[:, 0].max() and oracle[:, 1].max() < 1.0
+    for order in (np.arange(47), np.random.default_rng(depth).permutation(47)):
+        descent = _LabelBudget()
+        lower, upper = ray_tube_masses(spec, x, delta, angles[order], depth, descent)
+        assert np.array_equal(lower, oracle[order, 0])
+        assert np.array_equal(upper, oracle[order, 1])
+        assert descent.cells["cylinder classifications"] \
+            == reference.cells["cylinder classifications"]
+
+
 @pytest.mark.parametrize("x", [(-1.0, -1.0), (-3.0, -3.0), (-2.05, -2.05), (-0.4, 0.45),
                                (1.05, 0.5)])
 def test_ray_tube_masses_on_angles_where_boxes_touch_the_tube(x):
     # Every angle is a tie of the tube predicate: a ray whose tube edge
     # passes through a depth-2 corner, or the diagonal through the far
-    # corner (1, 1).
+    # corner (1, 1).  The carpet's children fill a masked grid.
     delta = 0.05
     corners = np.array([(i / 9.0, j / 9.0) for i in range(10) for j in range(10)]) - x
     phi = np.arctan2(corners[:, 1], corners[:, 0])
@@ -152,10 +284,23 @@ def test_ray_tube_masses_on_angles_where_boxes_touch_the_tube(x):
     angles = np.unique(np.concatenate([phi - tangent, phi + tangent, [math.pi / 4]]))
     if x[0] > 1.0:  # the square lies across the cut at +-pi
         angles = np.unique(np.where(angles < 0, angles + 2 * math.pi, angles))
-    lower, upper = ray_tube_masses(C32, x, delta, angles, depth=3)
-    oracle = np.array([cylinder_mass(C32, x, a, delta, 3) for a in angles])
-    assert np.array_equal(lower, oracle[:, 0])
-    assert np.array_equal(upper, oracle[:, 1])
+    for spec in (C32, CARPET):
+        lower, upper = ray_tube_masses(spec, x, delta, angles, depth=3)
+        oracle = np.array([cylinder_mass(spec, x, a, delta, 3) for a in angles])
+        assert np.array_equal(lower, oracle[:, 0])
+        assert np.array_equal(upper, oracle[:, 1])
+
+
+def test_non_finite_angles_are_refused_before_any_cell_is_spent():
+    for angle in (math.nan, math.inf, -math.inf):
+        budget = EvalBudget()
+        with pytest.raises(ValueError, match="finite"):
+            cylinder_mass(LEB2, (-1.0, -1.0), angle, 0.05, 6, budget)
+        with pytest.raises(ValueError, match="finite"):
+            ray_tube_masses(LEB2, (-1.0, -1.0), 0.05, [0.3, angle, 0.9], 3, budget)
+        with pytest.raises(ValueError, match="finite"):
+            tube_mass_mc(LEB2, (-1.0, -1.0), angle, 0.05, samples=1000, budget=budget)
+        assert budget.spent == 0
 
 
 def test_ray_frames_equal_the_frames_of_single_ray_tubes():
