@@ -29,8 +29,8 @@ from .budget import DEFAULT_BUDGET, EvalBudget
 from .certify import PRESET_NAMES, Verdict, certify_linear, certify_radial_Lp, preset
 from .dimension import best_of_candidates, factor_candidates
 from .errors import BudgetExceededError, ConfigError, SymbolicBaseError
-from .fourier import fourier_transform_batch
-from .graham import density_report, enumerate_restricted, enumerate_scaled, parse_system
+from .fourier import TOL_FLOOR, fourier_transform_batch
+from .graham import density_report, enumerate_members, parse_system
 from .measure import hausdorff_dim, parse_spec, total_dim
 from .projection import (_unit_direction, exceptional_directions, linear_density,
                          linear_density_mc, lp_criterion_integral, radial_density_mc,
@@ -70,23 +70,37 @@ def real(text: str) -> float:
     return value
 
 
+def tolerance(text: str) -> float:
+    """argparse type for a transform tail bound: a finite real of at
+    least TOL_FLOOR, below which the transform cannot honour it."""
+    value = real(text)
+    if value < TOL_FLOOR:
+        raise argparse.ArgumentTypeError(f"must be at least {TOL_FLOOR:g}, got {text!r}")
+    return value
+
+
 def _shared_options() -> tuple:
     """Parent parsers of the options that subcommands share: `common`
-    for every subcommand, `spec` for those that parse a measure, `seed`
-    for those that draw at random and `rows` for those that write
-    tabular rows."""
-    common, spec, seed, rows = (argparse.ArgumentParser(add_help=False) for _ in range(4))
+    for every subcommand, `spec` for those that parse a measure, `rows`
+    for those that write tabular rows, `tol` for those that sum the
+    transform and `mc` for the density profiles, which can sample."""
+    common, spec, rows, tol, mc = (argparse.ArgumentParser(add_help=False) for _ in range(5))
     common.add_argument("--config", metavar="FILE",
                         help="JSON file of defaults (spec text, seed, budget)")
     common.add_argument("--budget", type=real, default=None, metavar="CELLS",
                         help=f"max lattice/cylinder evaluations (default {DEFAULT_BUDGET:g})")
     spec.add_argument("--spec", metavar="TEXT",
                       help="measure config, e.g. \"factor { base = 3; digits = {0,2}; n = 2; }\"")
-    seed.add_argument("--seed", type=int, default=None, metavar="U64")
     rows.add_argument("--json", action="store_true",
                       help="force tabular rows inline in the JSON result")
     rows.add_argument("--csv", metavar="PATH", help="write tabular rows to PATH")
-    return common, spec, seed, rows
+    tol.add_argument("--tol", type=tolerance, default=1e-9,
+                     help=f"transform tail bound, at least {TOL_FLOOR:g} (default 1e-9)")
+    mc.add_argument("--seed", type=int, default=None, metavar="U64")
+    mc.add_argument("--mc", type=int, default=None, metavar="SAMPLES",
+                    help="estimate by Monte Carlo from SAMPLES draws")
+    mc.add_argument("--bandwidth", type=real, default=0.01)
+    return common, spec, rows, tol, mc
 
 
 _CONFIG_KEYS = {"spec", "seed", "budget"}
@@ -113,9 +127,10 @@ def _load_config(path: str | None) -> dict:
 class _Run:
     """Resolved common options plus manifest bookkeeping."""
 
-    def __init__(self, args):
+    def __init__(self, args, argv: list):
         self.t0 = time.monotonic()
         self.args = args
+        self.argv = argv
         file_cfg = _load_config(getattr(args, "config", None))
         # a subcommand without --spec reads no measure, from argv or file
         self.spec_text = getattr(args, "spec", None)
@@ -149,7 +164,7 @@ class _Run:
         lines = [f"# {c}" for c in comments]
         lines.append(",".join(columns))
         for row in rows:
-            lines.append(",".join(_csv_cell(v) for v in row))
+            lines.append(",".join("" if v is None else str(v) for v in row))
         try:
             with open(self.args.csv, "w", encoding="utf-8") as fh:
                 fh.write("\n".join(lines) + "\n")
@@ -157,11 +172,11 @@ class _Run:
             raise ConfigError(f"cannot write --csv file: {exc}") from exc
         self.outputs.append(self.args.csv)
 
-    def finish(self, subcommand: str, result: dict, exit_code: int = EXIT_OK) -> int:
+    def finish(self, result: dict, exit_code: int) -> int:
         manifest = {
-            "subcommand": subcommand,
+            "subcommand": self.args.subcommand,
             "config": {
-                "argv": getattr(self.args, "run_argv", sys.argv[1:]),
+                "argv": self.argv,
                 "spec": self.spec_text,
             },
             "seed": self.seed,
@@ -179,14 +194,6 @@ class _Run:
         # flushed here, so that a closed stdout raises inside main()
         print(json.dumps(doc, sort_keys=True), flush=True)
         return exit_code
-
-
-def _csv_cell(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
 
 
 def _as_int(value, what: str) -> int:
@@ -228,7 +235,17 @@ def _parse_vector(text: str, what: str) -> np.ndarray:
     return vec
 
 
-def _profile_payload(profile, inline: bool) -> dict:
+def _grid(lo: float, hi: float, count: int) -> np.ndarray:
+    """COUNT evenly spaced points from LO to HI; a span past the float
+    range is refused before numpy warns of it."""
+    if not math.isfinite(hi - lo):
+        raise ConfigError(f"--grid span must be finite: {lo!r} to {hi!r}")
+    return np.linspace(lo, hi, count)
+
+
+def _profile_result(run, profile, columns: list, comments: list) -> dict:
+    """Writes a density profile's rows and returns its payload."""
+    run.write_csv(columns, np.column_stack([profile.grid, profile.values]).tolist(), comments)
     payload = {
         "axis": profile.axis.value,
         "method": profile.method.value,
@@ -236,10 +253,10 @@ def _profile_payload(profile, inline: bool) -> dict:
         "flags": sorted(profile.flags),
         "metadata": _jsonable(profile.metadata),
     }
-    if inline:
+    if run.want_rows_inline():
         payload["grid"] = [repr(g) for g in profile.grid.tolist()]
         payload["values"] = [repr(v) for v in profile.values.tolist()]
-    return payload
+    return {"profile": payload}
 
 
 def _jsonable(obj):
@@ -272,10 +289,10 @@ def _lattice_payload(diag) -> dict:
 
 
 # ---------------------------------------------------------- subcommands
+# Each takes the run and the parsed arguments and returns (result, exit code).
 
 
-def _cmd_dim_bound(args) -> int:
-    run = _Run(args)
+def _cmd_dim_bound(run, args) -> tuple:
     spec = run.spec()
     candidates = factor_candidates(spec, budget=run.budget)
     result = {
@@ -288,11 +305,10 @@ def _cmd_dim_bound(args) -> int:
             for _, per in candidates
         ],
     }
-    return run.finish("dim-bound", result)
+    return result, EXIT_OK
 
 
-def _cmd_certify(args) -> int:
-    run = _Run(args)
+def _cmd_certify(run, args) -> tuple:
     if (args.radial_lp is None) == (not args.linear):
         raise ConfigError("choose exactly one of --radial-lp P or --linear")
     spec = run.spec()
@@ -300,11 +316,10 @@ def _cmd_certify(args) -> int:
         report = certify_linear(spec, run.budget)
     else:
         report = certify_radial_Lp(spec, args.radial_lp, run.budget)
-    return run.finish("certify", report.as_dict(), _VERDICT_EXIT[report.verdict])
+    return report.as_dict(), _VERDICT_EXIT[report.verdict]
 
 
-def _cmd_preset(args) -> int:
-    run = _Run(args)
+def _cmd_preset(run, args) -> tuple:
     names = [args.name]
     if args.name == "theorem-b":
         names.append("theorem-b-homogeneous")
@@ -315,11 +330,10 @@ def _cmd_preset(args) -> int:
         codes.append(_VERDICT_EXIT[report.verdict])
     exit_code = (EXIT_NEGATIVE if EXIT_NEGATIVE in codes
                  else EXIT_INCONCLUSIVE if EXIT_INCONCLUSIVE in codes else EXIT_OK)
-    return run.finish("preset", {"reports": reports}, exit_code)
+    return {"reports": reports}, exit_code
 
 
-def _cmd_fourier_eval(args) -> int:
-    run = _Run(args)
+def _cmd_fourier_eval(run, args) -> tuple:
     spec = run.spec()
     n = total_dim(spec)
     if (args.xi is None) == (args.grid is None):
@@ -338,30 +352,29 @@ def _cmd_fourier_eval(args) -> int:
         parts = _reals(args.grid, "--grid")
         if len(parts) > 2:
             raise ConfigError("--grid takes RMAX[,COUNT]")
-        rmax = parts[0]
         count = _count(parts[1], "--grid", run.budget) if len(parts) == 2 else 201
-        xis = np.linspace(-rmax, rmax, count)[:, None]
+        xis = _grid(-parts[0], parts[0], count)[:, None]
     values, errs = fourier_transform_batch(spec, xis, tol=args.tol, budget=run.budget)
+    # np.abs of a complex array may differ in the last bit from the
+    # scalar abs, which is hypot
+    modulus = np.hypot(values.real, values.imag)
     columns = [f"xi_{i + 1}" for i in range(n)] + [
         "transform_re", "transform_im", "transform_abs", "truncation_error_bound"]
-    rows = [list(map(float, xis[i])) + [values[i].real, values[i].imag,
-                                        abs(values[i]), float(errs[i])]
-            for i in range(len(xis))]
+    rows = np.column_stack([xis, values.real, values.imag, modulus, errs]).tolist()
     run.write_csv(columns, rows, [
         "fourier transform of the digit measure (dimensionless, |value| <= 1)",
         f"method: self-similar infinite product, tail bound <= {args.tol!r}",
     ])
     result = {"count": len(rows), "tol": args.tol,
-              "max_abs": max(abs(v) for v in values),
-              "max_error_bound": float(np.max(errs))}
+              "max_abs": float(modulus.max()),
+              "max_error_bound": float(errs.max())}
     if run.want_rows_inline():
         result["columns"] = columns
-        result["rows"] = [[repr(float(v)) for v in row] for row in rows]
-    return run.finish("fourier-eval", result)
+        result["rows"] = [[repr(v) for v in row] for row in rows]
+    return result, EXIT_OK
 
 
-def _cmd_radial_density(args) -> int:
-    run = _Run(args)
+def _cmd_radial_density(run, args) -> tuple:
     spec = run.spec()
     x = _parse_vector(args.viewpoint, "--viewpoint")
     if (args.mc is None) == (args.delta is None):
@@ -382,16 +395,12 @@ def _cmd_radial_density(args) -> int:
             "(about 2/r times the mass per radian at distance r)",
             f"method: cylinder tube counts at half-width {delta!r}",
         ]
-    run.write_csv(["angle_rad", "density_mass_per_rad"],
-                  list(zip(profile.grid.tolist(), profile.values.tolist())),
-                  comments)
-    result = {"profile": _profile_payload(profile, run.want_rows_inline()),
-              "l2_norm_squared": profile.l2_squared}
-    return run.finish("radial-density", result)
+    result = _profile_result(run, profile, ["angle_rad", "density_mass_per_rad"], comments)
+    result["l2_norm_squared"] = profile.l2_squared
+    return result, EXIT_OK
 
 
-def _cmd_linear_density(args) -> int:
-    run = _Run(args)
+def _cmd_linear_density(run, args) -> tuple:
     spec = run.spec()
     theta = _parse_vector(args.direction, "--direction")
     unit = _unit_direction(theta)
@@ -407,39 +416,32 @@ def _cmd_linear_density(args) -> int:
         ]
     else:
         corners = np.array([[0, 0], [0, 1], [1, 0], [1, 1]], dtype=np.float64) @ unit
-        lo, hi = float(corners.min()) - 0.05, float(corners.max()) + 0.05
+        lo, hi, count = float(corners.min()) - 0.05, float(corners.max()) + 0.05, 501
         if args.grid is not None:
             parts = _reals(args.grid, "--grid")
             if len(parts) != 3:
                 raise ConfigError("--grid takes LO,HI,COUNT")
             lo, hi, count = parts[0], parts[1], _count(parts[2], "--grid", run.budget)
-        else:
-            count = 501
-        u_grid = np.linspace(lo, hi, count)
-        profile = linear_density(spec, theta, u_grid, args.tmax,
+        profile = linear_density(spec, theta, _grid(lo, hi, count), args.tmax,
                                  tol=args.tol, budget=run.budget)
         comments = [
             "density of the projection onto the line through the origin with the given direction",
             f"method: Fourier inversion, frequency cutoff {profile.metadata['T_max']!r}, "
             f"quadrature step {profile.metadata['quadrature_step']!r}",
         ]
-    run.write_csv(["offset_along_direction", "density_mass_per_unit_offset"],
-                  list(zip(profile.grid.tolist(), profile.values.tolist())),
-                  comments)
-    return run.finish(
-        "linear-density",
-        {"direction": [float(unit[0]), float(unit[1])],
-         "profile": _profile_payload(profile, run.want_rows_inline())})
+    result = _profile_result(
+        run, profile, ["offset_along_direction", "density_mass_per_unit_offset"], comments)
+    result["direction"] = [float(unit[0]), float(unit[1])]
+    return result, EXIT_OK
 
 
-def _cmd_stripe_scan(args) -> int:
-    run = _Run(args)
+def _cmd_stripe_scan(run, args) -> tuple:
     spec = run.spec()
     threshold, angles, integrals, exceptional = exceptional_directions(
         spec, args.radius, args.eps, args.s1, args.angles, tol=args.tol, budget=run.budget)
     run.write_csv(
         ["direction_angle_rad", "stripe_weighted_l1_sum"],
-        list(zip(angles.tolist(), integrals.tolist())),
+        np.column_stack([angles, integrals]).tolist(),
         ["stripe sums: |transform| summed over lattice points of the annulus "
          f"R <= |xi| <= 2R nearly orthogonal to the direction, R = {args.radius!r}",
          f"method: exact lattice scan; exceptional threshold R^(n-1-s1+2eps) = {threshold!r}"],
@@ -453,13 +455,12 @@ def _cmd_stripe_scan(args) -> int:
         "exceptional_directions": [[float(c) for c in d] for d in exceptional],
     }
     if run.want_rows_inline():
-        result["angles"] = [repr(float(a)) for a in angles]
-        result["integrals"] = [repr(float(v)) for v in integrals]
-    return run.finish("stripe-scan", result)
+        result["angles"] = [repr(a) for a in angles.tolist()]
+        result["integrals"] = [repr(v) for v in integrals.tolist()]
+    return result, EXIT_OK
 
 
-def _cmd_graham(args) -> int:
-    run = _Run(args)
+def _cmd_graham(run, args) -> tuple:
     system_ = parse_system(args.system, args.scales)
     if (args.limit is None) == (args.checkpoints is None):
         raise ConfigError("choose one of --limit N or --checkpoints N1,N2,..")
@@ -474,10 +475,7 @@ def _cmd_graham(args) -> int:
         result = {"rows": rows}
         empty = all(r["count"] == 0 for r in rows)
     else:
-        if system_.unscaled:
-            members = enumerate_restricted(system_, args.limit, run.budget)
-        else:
-            members = enumerate_scaled(system_, args.limit, run.budget)
+        members = enumerate_members(system_, args.limit, run.budget)
         run.write_csv(["qualifying_integer"], [[m] for m in members],
                       ["positive integers whose scaled digit expansions "
                        "stay inside every digit set",
@@ -487,24 +485,20 @@ def _cmd_graham(args) -> int:
         if run.want_rows_inline():
             result["members"] = members
         empty = not members
-    return run.finish("graham", result, EXIT_NEGATIVE if empty else EXIT_OK)
+    return result, EXIT_NEGATIVE if empty else EXIT_OK
 
 
-def _cmd_lp_integral(args) -> int:
-    run = _Run(args)
-    spec = run.spec()
-    diag = lp_criterion_integral(spec, args.p, args.rmax, tol=args.tol,
+def _cmd_lp_integral(run, args) -> tuple:
+    diag = lp_criterion_integral(run.spec(), args.p, args.rmax, tol=args.tol,
                                  budget=run.budget)
-    return run.finish("lp-integral",
-                      {"p_exp": args.p, "r_max": args.rmax, **_lattice_payload(diag)})
+    return {"p_exp": args.p, "r_max": args.rmax, **_lattice_payload(diag)}, EXIT_OK
 
 
-def _cmd_slab(args) -> int:
-    run = _Run(args)
+def _cmd_slab(run, args) -> tuple:
     spec = run.spec()
     theta = _parse_vector(args.direction, "--direction")
     diag = slab_integral(spec, theta, args.tmax, tol=args.tol, budget=run.budget)
-    return run.finish("slab-integral", {"t_max": args.tmax, **_lattice_payload(diag)})
+    return {"t_max": args.tmax, **_lattice_payload(diag)}, EXIT_OK
 
 
 # --------------------------------------------------------------- parser
@@ -516,7 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
                                  "Fourier decay, projection densities, digit "
                                  "enumeration.")
     subs = parser.add_subparsers(dest="subcommand", required=True)
-    common, spec, seed, rows = _shared_options()
+    common, spec, rows, tol, mc = _shared_options()
 
     p = subs.add_parser("dim-bound", parents=[common, spec],
                         help="rigorous l1-dimension lower bounds")
@@ -534,57 +528,47 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("name", choices=PRESET_NAMES)
     p.set_defaults(fn=_cmd_preset)
 
-    p = subs.add_parser("fourier-eval", parents=[common, spec, rows],
+    p = subs.add_parser("fourier-eval", parents=[common, spec, rows, tol],
                         help="evaluate the measure's Fourier transform")
     p.add_argument("--xi", action="append", metavar="C1,..",
                    help="frequency point (repeatable)")
     p.add_argument("--grid", metavar="RMAX,COUNT", help="symmetric 1-D grid")
-    p.add_argument("--tol", type=real, default=1e-9)
     p.set_defaults(fn=_cmd_fourier_eval)
 
-    p = subs.add_parser("radial-density", parents=[common, spec, seed, rows],
+    p = subs.add_parser("radial-density", parents=[common, spec, rows, mc],
                         help="density of directions seen from a viewpoint")
     p.add_argument("--viewpoint", required=True, metavar="X,Y")
     p.add_argument("--delta", type=real, default=None, metavar="W",
                    help="tube half-width (tube-count method)")
     p.add_argument("--angles", type=int, default=400, metavar="K")
-    p.add_argument("--mc", type=int, default=None, metavar="SAMPLES",
-                   help="use Monte Carlo instead of tube counts")
-    p.add_argument("--bandwidth", type=real, default=0.01)
     p.set_defaults(fn=_cmd_radial_density)
 
-    p = subs.add_parser("linear-density", parents=[common, spec, seed, rows],
+    p = subs.add_parser("linear-density", parents=[common, spec, rows, tol, mc],
                         help="density of the projection onto a line")
     p.add_argument("--direction", required=True, metavar="DX,DY")
     p.add_argument("--grid", metavar="LO,HI,COUNT", default=None)
     p.add_argument("--tmax", type=real, default=729.0,
                    help="frequency cutoff for Fourier inversion")
-    p.add_argument("--tol", type=real, default=1e-9)
-    p.add_argument("--mc", type=int, default=None, metavar="SAMPLES")
-    p.add_argument("--bandwidth", type=real, default=0.01)
     p.set_defaults(fn=_cmd_linear_density)
 
-    p = subs.add_parser("stripe-scan", parents=[common, spec, rows],
+    p = subs.add_parser("stripe-scan", parents=[common, spec, rows, tol],
                         help="directional stripe sums over an annulus")
     p.add_argument("--radius", type=real, default=81.0, metavar="R")
     p.add_argument("--angles", type=int, default=256, metavar="K")
     p.add_argument("--s1", type=real, default=0.7376)
     p.add_argument("--eps", type=real, default=0.05)
-    p.add_argument("--tol", type=real, default=1e-9)
     p.set_defaults(fn=_cmd_stripe_scan)
 
-    p = subs.add_parser("lp-integral", parents=[common, spec],
+    p = subs.add_parser("lp-integral", parents=[common, spec, tol],
                         help="weighted transform sum deciding radial L^p")
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--rmax", type=int, default=1024)
-    p.add_argument("--tol", type=real, default=1e-9)
     p.set_defaults(fn=_cmd_lp_integral)
 
-    p = subs.add_parser("slab-integral", parents=[common, spec],
+    p = subs.add_parser("slab-integral", parents=[common, spec, tol],
                         help="transform sum over a thin slab of frequencies")
     p.add_argument("--direction", required=True, metavar="DX,DY")
     p.add_argument("--tmax", type=real, default=2048.0)
-    p.add_argument("--tol", type=real, default=1e-9)
     p.set_defaults(fn=_cmd_slab)
 
     p = subs.add_parser("graham", parents=[common, rows],
@@ -599,11 +583,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    args.run_argv = list(sys.argv[1:] if argv is None else argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        run = _Run(args, list(sys.argv[1:] if argv is None else argv))
+        return run.finish(*args.fn(run, args))
     except (ConfigError, SymbolicBaseError) as exc:
         print(f"missingdigits: config error: {exc}", file=sys.stderr)
         return EXIT_USAGE

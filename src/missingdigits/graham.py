@@ -227,6 +227,15 @@ def enumerate_scaled(system_: RestrictionSystem, limit: int,
     return _members(system_, limit, ensure_budget(budget), "scaled scan")
 
 
+def enumerate_members(system_: RestrictionSystem, limit: int,
+                      budget: EvalBudget | None = None) -> list:
+    """Sorted list of n in [1, limit] meeting every restriction, by
+    enumerate_restricted when all scales are 1, else enumerate_scaled."""
+    if system_.unscaled:
+        return enumerate_restricted(system_, limit, budget)
+    return enumerate_scaled(system_, limit, budget)
+
+
 def density_report(system_: RestrictionSystem, checkpoints,
                    budget: EvalBudget | None = None) -> list:
     """Counts of qualifying integers up to each checkpoint N together
@@ -235,11 +244,7 @@ def density_report(system_: RestrictionSystem, checkpoints,
     checkpoints = sorted(int(n) for n in checkpoints)
     if any(n < 2 for n in checkpoints):
         raise ConfigError("checkpoints must be >= 2")
-    top = checkpoints[-1]
-    if system_.unscaled:
-        members = enumerate_restricted(system_, top, budget)
-    else:
-        members = enumerate_scaled(system_, top, budget)
+    members = enumerate_members(system_, checkpoints[-1], budget)
     rows = []
     idx = 0
     for n in checkpoints:

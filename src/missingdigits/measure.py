@@ -542,7 +542,8 @@ def sample(
 # ---------------------------------------------------------------- parsing
 
 
-_FACTOR_RE = re.compile(r"factor\s*\{", re.IGNORECASE)
+# one factor block; its body may hold one level of braces (a digit set)
+_FACTOR_BLOCK = re.compile(r"\s*factor\s*\{((?:[^{}]|\{[^{}]*\})*)\}\s*", re.IGNORECASE)
 
 
 def parse_spec(text: str) -> Spec:
@@ -554,8 +555,9 @@ def parse_spec(text: str) -> Spec:
 
     where <set> is {d,d,...} (scalars, or (c,...,c) tuples for n >= 2),
     or an interval lo..hi whose endpoints may be powers.  n defaults
-    to 1.  A bare "base = ...; digits = ...;" body without the factor
-    wrapper is accepted as a single factor.
+    to 1.  The blocks must make up the whole text, apart from
+    whitespace.  A bare "base = ...; digits = ...;" body without the
+    factor wrapper is accepted as a single factor.
     """
     if not text or not text.strip():
         raise ConfigError("empty measure config")
@@ -567,31 +569,19 @@ def parse_spec(text: str) -> Spec:
 
 
 def _split_factor_bodies(text: str) -> list[str]:
-    bodies = []
-    pos = 0
-    found = False
-    while True:
-        m = _FACTOR_RE.search(text, pos)
-        if not m:
-            break
-        found = True
-        depth = 1
-        i = m.end()
-        while i < len(text) and depth:
-            if text[i] == "{":
-                depth += 1
-            elif text[i] == "}":
-                depth -= 1
-            i += 1
-        if depth:
-            raise ConfigError("unbalanced braces in factor block")
-        bodies.append(text[m.end(): i - 1])
-        pos = i
-    if not found:
+    """The bodies of the factor blocks that make up the whole text, or
+    the text itself as one bare body."""
+    bodies, pos = [], 0
+    while m := _FACTOR_BLOCK.match(text, pos):
+        bodies.append(m.group(1))
+        pos = m.end()
+    if not bodies:
         stripped = text.strip()
         if "{" in stripped.split("=", 1)[0]:
             raise ConfigError("expected 'factor { ... }' blocks")
         return [stripped]
+    if pos < len(text):
+        raise ConfigError(f"expected a 'factor {{ ... }}' block at {text[pos:pos + 40]!r}")
     return bodies
 
 

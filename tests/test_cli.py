@@ -155,6 +155,51 @@ def test_exit_64_on_bad_numeric_input(argv):
     assert run(argv)[0] == 64
 
 
+@pytest.mark.parametrize("spec", [
+    f"{C3} factr {{ base = 5; digits = {{0,1}}; }}",  # a misspelled block is not dropped
+    f"xyz {C3} junk",
+    f"{C3} factor",
+    f"{C3} }}",
+])
+def test_exit_64_on_text_outside_the_factor_blocks(spec):
+    code, out, err = run(["dim-bound", "--spec", spec])
+    assert (code, out) == (64, "")
+    assert err.startswith("missingdigits: config error:")
+
+
+TOL_READERS = [
+    ["fourier-eval", "--spec", C3, "--xi", "1"],
+    ["linear-density", "--spec", C32_SQ, "--direction", "1,2", "--tmax", "9"],
+    ["stripe-scan", "--spec", C32_SQ, "--radius", "9", "--angles", "8"],
+    ["lp-integral", "--spec", C32_SQ, "--p", "2", "--rmax", "4"],
+    ["slab-integral", "--spec", C32_SQ, "--direction", "1,0", "--tmax", "8"],
+]
+
+
+@pytest.mark.parametrize("argv", TOL_READERS, ids=lambda argv: argv[0])
+def test_a_tol_below_the_transform_floor_exits_64(argv):
+    # the transform would floor it to 1e-12 while the result reported it
+    for tol in ("0", "-1", "1e-13"):
+        code, out, err = run(argv + ["--tol", tol])
+        assert (code, out) == (64, ""), tol
+        assert f"argument --tol: must be at least 1e-12, got '{tol}'" in err
+    assert run(argv + ["--tol", "1e-12"])[0] == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["fourier-eval", "--spec", C3, "--grid", "1e308,3"],
+    ["linear-density", "--spec", C32_SQ, "--direction", "1,1", "--grid=1e308,-1e308,3"],
+])
+def test_an_overflowing_grid_span_is_refused_before_numpy_warns(argv):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(argv)
+    assert (code, out) == (64, "")
+    assert not caught
+    assert err.startswith("missingdigits: config error: --grid span must be finite")
+    assert err.count("\n") == 1
+
+
 def test_an_overflowing_frequency_norm_is_named_as_such():
     code, _, err = run(["fourier-eval", "--spec", C3, "--xi", "1e300"])
     assert code == 64
@@ -485,6 +530,27 @@ def test_radial_density_csv_names_units(tmp_path):
     assert "radian" in text.lower() or "angle" in text.lower()
 
 
+@pytest.mark.parametrize("argv", [
+    ["fourier-eval", "--spec", C3, "--xi", "0.5", "--xi", "3"],
+    ["radial-density", "--spec", C32_SQ, "--viewpoint=-1,0.5", "--delta", "0.04",
+     "--angles", "8"],
+    ["linear-density", "--spec", C32_SQ, "--direction", "1,2", "--tmax", "9",
+     "--grid", "0,1,5"],
+    ["stripe-scan", "--spec", C32_SQ, "--radius", "9", "--angles", "8"],
+    ["graham", "--system", "3:{0,1};5:{0,1,2}", "--checkpoints", "10,100"],
+], ids=lambda argv: argv[0])
+def test_csv_data_cells_are_plain_numbers(tmp_path, argv):
+    out_csv = tmp_path / "rows.csv"
+    assert run(argv + ["--csv", str(out_csv)])[0] == 0
+    header, *rows = [ln for ln in out_csv.read_text().splitlines() if not ln.startswith("#")]
+    assert rows
+    for row in rows:
+        cells = row.split(",")
+        assert len(cells) == len(header.split(","))
+        for cell in cells:
+            int(cell) if cell.lstrip("-").isdigit() else float(cell)
+
+
 def _csv_comments(path) -> list:
     return [ln for ln in path.read_text().splitlines() if ln.startswith("#")]
 
@@ -577,8 +643,10 @@ FUZZ_SPECS = [C3, C32_SQ, LEB, CARPET, f"{C3} {C3} {C3}",
               "factor { base = 10^200; digits = 10^100..5; }",
               "factor { base = 3; digits = {0,x}; }",
               "factor { base = 3; n = abc; digits = {0,2}; }",
-              f"factor {{ base = 1{'0' * 5000}; digits = 0..9; }}"]
-REALS = ["0", "-5", "1e-300", "1e-320", "0.5", "3", "1e300", "-1e300", "nan", "abc"]
+              f"factor {{ base = 1{'0' * 5000}; digits = 0..9; }}",
+              f"{C3} factr {{ base = 5; digits = {{0,1}}; }}"]
+REALS = ["0", "-5", "1e-300", "1e-320", "1e-12", "0.5", "3", "1e300", "1e308", "-1e300",
+         "nan", "abc"]
 INTS = ["0", "-5", "1", "3", "64", HUGE, "1.5", "abc"]
 PAIRS = ["1,1", "0,0", "-1,0.5", "2,0.5", "1e14,0.5", "1e300,1", "abc,1", "1"]
 FUZZ_FLAGS = {
@@ -589,11 +657,13 @@ FUZZ_FLAGS = {
     "radial-density": {"--viewpoint": PAIRS, "--delta": REALS, "--angles": INTS,
                        "--mc": INTS, "--bandwidth": REALS, "--seed": INTS},
     "linear-density": {"--direction": PAIRS,
-                       "--grid": ["0,1,5", "0,1,0", "1,0,5", f"0,1,{HUGE}", "a,b,c"],
+                       "--grid": ["0,1,5", "0,1,0", "1,0,5", f"0,1,{HUGE}", "1e308,-1e308,3",
+                                  "a,b,c"],
                        "--tmax": REALS, "--tol": REALS, "--mc": INTS, "--bandwidth": REALS},
-    "stripe-scan": {"--radius": REALS, "--angles": INTS, "--s1": REALS, "--eps": REALS},
-    "lp-integral": {"--p": INTS, "--rmax": INTS},
-    "slab-integral": {"--direction": PAIRS, "--tmax": REALS},
+    "stripe-scan": {"--radius": REALS, "--angles": INTS, "--s1": REALS, "--eps": REALS,
+                    "--tol": REALS},
+    "lp-integral": {"--p": INTS, "--rmax": INTS, "--tol": REALS},
+    "slab-integral": {"--direction": PAIRS, "--tmax": REALS, "--tol": REALS},
     "graham": {"--system": ["3:{0,1};5:{0,1,2}", "3:{0,x}", "1:{0}"], "--limit": INTS,
                "--scales": ["1,1/2", "1,1/0", "1,abc"], "--checkpoints": INTS + ["10,abc"]},
 }
