@@ -12,14 +12,20 @@ equivalent places; the copies are removed at the end.  Each of R rounds
 runs every tree once per job, back to back, in an order reversed every
 round, so drift of the host's speed falls on all trees alike.  Each run
 is a child process that imports `missingdigits.cli` from its tree and
-times `cli.main(argv)`.  Per tree and job OUT records the seconds and
-the peak RSS (import included) of each run, each with its median and
-quartiles (linear interpolation, as `numpy.percentile`), the exit code,
-the budget cells spent and a SHA-256 of the JSON printed, without
-`manifest.wall_time_s`.  A tree's runs must agree on the last
-three, with the exit code `workloads.py` expects.  Jobs on which trees
-differ are listed under `differ`, and then the command exits 1.  Cells
-and digests are exact checks; seconds and peak RSS only show the trend.
+times `cli.main(argv)` (the in-process seconds); the child then starts
+`python -m missingdigits ARGV` from the same tree, timed from spawn to
+exit with its CPU seconds from `os.wait4` (the spawn-to-exit seconds,
+start-up and imports included), whose exit code and printed JSON must
+equal those of `cli.main`.  Per tree and job OUT records the
+in-process seconds, the peak RSS (import included) and the
+spawn-to-exit seconds of each run, each with its median and quartiles
+(linear interpolation, as `numpy.percentile`), the median spawn-to-exit
+CPU seconds, the exit code, the budget cells spent and a SHA-256 of the
+JSON printed, without `manifest.wall_time_s`.  A tree's runs must agree
+on the last three, with the exit code `workloads.py` expects.  Jobs on
+which trees differ are listed under `differ`, and then the command exits
+1.  Cells and digests are exact checks; seconds and peak RSS only show
+the trend.
 """
 
 from __future__ import annotations
@@ -83,8 +89,41 @@ def run_once(job_id: str) -> dict:
             "peak_rss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}
 
 
+def run_spawned(job_id: str) -> dict:
+    """One run of a job as a user runs it, `python -m missingdigits ARGV`
+    in this process's environment: the seconds from spawn to exit, the
+    CPU seconds of its rusage, its exit code and the digest of its
+    output."""
+    with tempfile.TemporaryFile() as out:
+        start = time.perf_counter()
+        proc = subprocess.Popen([sys.executable, "-m", "missingdigits", *JOBS[job_id].argv],
+                                stdout=out)
+        _, status, usage = os.wait4(proc.pid, 0)
+        seconds = time.perf_counter() - start
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        out.seek(0)
+        stdout = out.read().decode()
+    return {"spawn_s": seconds, "spawn_cpu_s": usage.ru_utime + usage.ru_stime,
+            "spawn_exit_code": proc.returncode, "spawn_sha256": digest(stdout)}
+
+
+def agreed(job_id: str, run: dict) -> dict:
+    """A child's run without its spawned run's exit code and digest,
+    which must equal those of its `cli.main` run."""
+    run = dict(run)
+    for key in ("exit_code", "sha256"):
+        if run.pop(f"spawn_{key}") != run[key]:
+            raise RuntimeError(f"{job_id}: `python -m missingdigits` and cli.main differ "
+                               f"in {key}")
+    return run
+
+
 def run_child(job_id: str, src: str) -> dict:
-    """One run of a job in a fresh child process that imports from `src`."""
+    """One run of a job in a fresh child process that imports from `src`:
+    a `run_once` run, then a `run_spawned` one that must print the same.
+    The child, not this process, reads the spawned run's output, so that
+    this process's peak RSS, which every child it starts inherits, stays
+    below the jobs'."""
     path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     child = subprocess.run([sys.executable, str(Path(__file__).resolve()), "--child", job_id],
                            capture_output=True, text=True,
@@ -94,7 +133,7 @@ def run_child(job_id: str, src: str) -> dict:
     run = json.loads(child.stdout)
     if not Path(run.pop("module")).resolve().is_relative_to(Path(src).resolve()):
         raise RuntimeError(f"{job_id}: the child did not import missingdigits from {src}")
-    return run
+    return agreed(job_id, run)
 
 
 def copy_trees(trees: dict, parent: Path) -> dict:
@@ -116,15 +155,21 @@ def summarize(job_id: str, runs: list) -> dict:
     if len(exact) != 1 or runs[0]["exit_code"] != JOBS[job_id].exit_code:
         raise RuntimeError(f"{job_id}: runs give (exit code, cells, digest) {sorted(exact)}; "
                            f"expected one, with exit code {JOBS[job_id].exit_code}")
-    seconds = [r["seconds"] for r in runs]
-    q1, median, q3 = np.percentile(seconds, (25, 50, 75)).tolist()
-    rss = [r["peak_rss_mib"] for r in runs]
-    rss_q1, rss_median, rss_q3 = np.percentile(rss, (25, 50, 75)).tolist()
-    return {"seconds": [round(s, 4) for s in seconds],
-            "q1_s": round(q1, 4), "median_s": round(median, 4), "q3_s": round(q3, 4),
-            "peak_rss_mib_runs": [round(m, 1) for m in rss],
-            "q1_rss_mib": round(rss_q1, 1), "peak_rss_mib": round(rss_median, 1),
-            "q3_rss_mib": round(rss_q3, 1),
+
+    def quartiles(key: str, digits: int) -> list:
+        return [round(q, digits) for q in
+                np.percentile([r[key] for r in runs], (25, 50, 75)).tolist()]
+
+    q1, median, q3 = quartiles("seconds", 4)
+    rss_q1, rss_median, rss_q3 = quartiles("peak_rss_mib", 1)
+    spawn_q1, spawn_median, spawn_q3 = quartiles("spawn_s", 4)
+    return {"seconds": [round(r["seconds"], 4) for r in runs],
+            "q1_s": q1, "median_s": median, "q3_s": q3,
+            "peak_rss_mib_runs": [round(r["peak_rss_mib"], 1) for r in runs],
+            "q1_rss_mib": rss_q1, "peak_rss_mib": rss_median, "q3_rss_mib": rss_q3,
+            "spawn_s": [round(r["spawn_s"], 4) for r in runs],
+            "q1_spawn_s": spawn_q1, "median_spawn_s": spawn_median, "q3_spawn_s": spawn_q3,
+            "median_spawn_cpu_s": quartiles("spawn_cpu_s", 4)[1],
             **{k: runs[0][k] for k in OUTCOME}}
 
 
@@ -148,7 +193,8 @@ def main(argv=None) -> int:
     parser.add_argument("--child", choices=sorted(JOBS), help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.child is not None:
-        print(json.dumps(run_once(args.child)))
+        # the peak RSS of run_once is read before run_spawned reads an output
+        print(json.dumps({**run_once(args.child), **run_spawned(args.child)}))
         return 0
     if not args.tree or args.out is None:
         parser.error("--tree and --out are required")

@@ -18,6 +18,13 @@ from .errors import BudgetExceededError
 
 DEFAULT_BUDGET = 100_000_000
 
+# The other limits that the CLI checks its input against while it builds
+# its parser, kept beside DEFAULT_BUDGET so that building it loads no
+# numerics: transform tolerances below TOL_FLOOR are meaningless in
+# double precision, and certify.preset rebuilds the PRESET_NAMES.
+TOL_FLOOR = 1e-12
+PRESET_NAMES = ("theorem-a", "theorem-b", "theorem-b-homogeneous")
+
 
 class EvalBudget:
     """Mutable cell counter with a hard limit.

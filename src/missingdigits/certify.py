@@ -33,7 +33,7 @@ import enum
 import json
 from dataclasses import dataclass
 
-from .budget import EvalBudget
+from .budget import PRESET_NAMES, EvalBudget
 from .dimension import DimensionBound, best_lower_bound
 from .errors import ConfigError
 from .measure import BasePower, Spec, interval_spec, product, square, total_dim
@@ -157,9 +157,6 @@ def _theorem_b_factors():
     lam1 = interval_spec(BasePower(10, 10000), 1, BasePower(10, 5005))
     lam2 = interval_spec(BasePower(11, 10000), 1, BasePower(11, 5005))
     return lam1, lam2
-
-
-PRESET_NAMES = ("theorem-a", "theorem-b", "theorem-b-homogeneous")
 
 
 def preset(name: str, budget: EvalBudget | None = None):

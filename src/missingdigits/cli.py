@@ -22,19 +22,12 @@ import os
 import sys
 import time
 
-import numpy as np
-
 from . import __version__
-from .budget import DEFAULT_BUDGET, EvalBudget
-from .certify import PRESET_NAMES, Verdict, certify_linear, certify_radial_Lp, preset
-from .dimension import best_of_candidates, factor_candidates
+from .budget import DEFAULT_BUDGET, PRESET_NAMES, TOL_FLOOR, EvalBudget
 from .errors import BudgetExceededError, ConfigError, SymbolicBaseError
-from .fourier import TOL_FLOOR, fourier_transform_batch
-from .graham import density_report, enumerate_members, parse_system
-from .measure import hausdorff_dim, parse_spec, total_dim
-from .projection import (_unit_direction, exceptional_directions, linear_density,
-                         linear_density_mc, lp_criterion_integral, radial_density_mc,
-                         radial_tube_profile, slab_integral)
+
+# Library modules are imported by the subcommands that call them, so a
+# run loads only what it runs: `graham` and `preset` never load numpy.
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -43,10 +36,11 @@ EXIT_USAGE = 64
 EXIT_BUDGET = 65
 EXIT_IOERR = 74
 
+# by certify.Verdict value
 _VERDICT_EXIT = {
-    Verdict.CERTIFIED: EXIT_OK,
-    Verdict.NOT_CERTIFIED: EXIT_NEGATIVE,
-    Verdict.INCONCLUSIVE: EXIT_INCONCLUSIVE,
+    "Certified": EXIT_OK,
+    "NotCertified": EXIT_NEGATIVE,
+    "Inconclusive": EXIT_INCONCLUSIVE,
 }
 
 
@@ -151,6 +145,8 @@ class _Run:
         self.outputs: list = []
 
     def spec(self):
+        from .measure import parse_spec
+
         if self.spec_text is None:
             raise ConfigError("a measure is required: pass --spec or a --config with a spec entry")
         return parse_spec(self.spec_text)
@@ -183,7 +179,7 @@ class _Run:
             "budget": self.budget_cells,
             "versions": {
                 "package": __version__,
-                "numpy": np.__version__,
+                "numpy": _numpy_version(),
                 "python": ".".join(str(v) for v in sys.version_info[:3]),
                 "rng": "PCG64",
             },
@@ -194,6 +190,17 @@ class _Run:
         # flushed here, so that a closed stdout raises inside main()
         print(json.dumps(doc, sort_keys=True), flush=True)
         return exit_code
+
+
+def _numpy_version() -> str:
+    """numpy's version, read from numpy when this run imported it and
+    from its installed metadata otherwise, without importing it."""
+    numpy = sys.modules.get("numpy")
+    if numpy is not None:
+        return numpy.__version__
+    from importlib.metadata import version
+
+    return version("numpy")
 
 
 def _as_int(value, what: str) -> int:
@@ -228,16 +235,20 @@ def _count(value: float, what: str, budget: EvalBudget) -> int:
     return int(value)
 
 
-def _parse_vector(text: str, what: str) -> np.ndarray:
+def _parse_vector(text: str, what: str):
+    import numpy as np
+
     vec = np.array(_reals(text, what), dtype=np.float64)
     if vec.size != 2:
         raise ConfigError(f"{what} must have exactly two components")
     return vec
 
 
-def _grid(lo: float, hi: float, count: int) -> np.ndarray:
+def _grid(lo: float, hi: float, count: int):
     """COUNT evenly spaced points from LO to HI; a span past the float
     range is refused before numpy warns of it."""
+    import numpy as np
+
     if not math.isfinite(hi - lo):
         raise ConfigError(f"--grid span must be finite: {lo!r} to {hi!r}")
     return np.linspace(lo, hi, count)
@@ -245,6 +256,8 @@ def _grid(lo: float, hi: float, count: int) -> np.ndarray:
 
 def _profile_result(run, profile, columns: list, comments: list) -> dict:
     """Writes a density profile's rows and returns its payload."""
+    import numpy as np
+
     run.write_csv(columns, np.column_stack([profile.grid, profile.values]).tolist(), comments)
     payload = {
         "axis": profile.axis.value,
@@ -260,6 +273,8 @@ def _profile_result(run, profile, columns: list, comments: list) -> dict:
 
 
 def _jsonable(obj):
+    import numpy as np
+
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in sorted(obj.items())}
     if isinstance(obj, (list, tuple)):
@@ -293,6 +308,9 @@ def _lattice_payload(diag) -> dict:
 
 
 def _cmd_dim_bound(run, args) -> tuple:
+    from .dimension import best_of_candidates, factor_candidates
+    from .measure import hausdorff_dim, total_dim
+
     spec = run.spec()
     candidates = factor_candidates(spec, budget=run.budget)
     result = {
@@ -309,6 +327,8 @@ def _cmd_dim_bound(run, args) -> tuple:
 
 
 def _cmd_certify(run, args) -> tuple:
+    from .certify import certify_linear, certify_radial_Lp
+
     if (args.radial_lp is None) == (not args.linear):
         raise ConfigError("choose exactly one of --radial-lp P or --linear")
     spec = run.spec()
@@ -316,10 +336,12 @@ def _cmd_certify(run, args) -> tuple:
         report = certify_linear(spec, run.budget)
     else:
         report = certify_radial_Lp(spec, args.radial_lp, run.budget)
-    return report.as_dict(), _VERDICT_EXIT[report.verdict]
+    return report.as_dict(), _VERDICT_EXIT[report.verdict.value]
 
 
 def _cmd_preset(run, args) -> tuple:
+    from .certify import preset
+
     names = [args.name]
     if args.name == "theorem-b":
         names.append("theorem-b-homogeneous")
@@ -327,13 +349,18 @@ def _cmd_preset(run, args) -> tuple:
     for name in names:
         _, report = preset(name, run.budget)
         reports.append({"preset": name, "report": report.as_dict()})
-        codes.append(_VERDICT_EXIT[report.verdict])
+        codes.append(_VERDICT_EXIT[report.verdict.value])
     exit_code = (EXIT_NEGATIVE if EXIT_NEGATIVE in codes
                  else EXIT_INCONCLUSIVE if EXIT_INCONCLUSIVE in codes else EXIT_OK)
     return {"reports": reports}, exit_code
 
 
 def _cmd_fourier_eval(run, args) -> tuple:
+    import numpy as np
+
+    from .fourier import fourier_transform_batch
+    from .measure import total_dim
+
     spec = run.spec()
     n = total_dim(spec)
     if (args.xi is None) == (args.grid is None):
@@ -375,6 +402,8 @@ def _cmd_fourier_eval(run, args) -> tuple:
 
 
 def _cmd_radial_density(run, args) -> tuple:
+    from .projection import radial_density_mc, radial_tube_profile
+
     spec = run.spec()
     x = _parse_vector(args.viewpoint, "--viewpoint")
     if (args.mc is None) == (args.delta is None):
@@ -401,6 +430,10 @@ def _cmd_radial_density(run, args) -> tuple:
 
 
 def _cmd_linear_density(run, args) -> tuple:
+    import numpy as np
+
+    from .projection import _unit_direction, linear_density, linear_density_mc
+
     spec = run.spec()
     theta = _parse_vector(args.direction, "--direction")
     unit = _unit_direction(theta)
@@ -436,6 +469,10 @@ def _cmd_linear_density(run, args) -> tuple:
 
 
 def _cmd_stripe_scan(run, args) -> tuple:
+    import numpy as np
+
+    from .projection import exceptional_directions
+
     spec = run.spec()
     threshold, angles, integrals, exceptional = exceptional_directions(
         spec, args.radius, args.eps, args.s1, args.angles, tol=args.tol, budget=run.budget)
@@ -461,6 +498,8 @@ def _cmd_stripe_scan(run, args) -> tuple:
 
 
 def _cmd_graham(run, args) -> tuple:
+    from .graham import density_report, enumerate_members, parse_system
+
     system_ = parse_system(args.system, args.scales)
     if (args.limit is None) == (args.checkpoints is None):
         raise ConfigError("choose one of --limit N or --checkpoints N1,N2,..")
@@ -489,12 +528,16 @@ def _cmd_graham(run, args) -> tuple:
 
 
 def _cmd_lp_integral(run, args) -> tuple:
+    from .projection import lp_criterion_integral
+
     diag = lp_criterion_integral(run.spec(), args.p, args.rmax, tol=args.tol,
                                  budget=run.budget)
     return {"p_exp": args.p, "r_max": args.rmax, **_lattice_payload(diag)}, EXIT_OK
 
 
 def _cmd_slab(run, args) -> tuple:
+    from .projection import slab_integral
+
     spec = run.spec()
     theta = _parse_vector(args.direction, "--direction")
     diag = slab_integral(spec, theta, args.tmax, tol=args.tol, budget=run.budget)

@@ -40,14 +40,17 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .budget import EvalBudget, ensure_budget
 from .errors import ConfigError, SymbolicBaseError
-from .fourier import (box_blocks, fourier_transform_batch, gather_points, lattice_rows,
-                      symbol_modulus)
 from .measure import DigitInterval, MissingDigitsSpec, Spec, as_product
+
+if TYPE_CHECKING:
+    import numpy as np
+
+# numpy and the transform (fourier) are imported where f is evaluated,
+# so that the closed-form bounds of symbolic bases run without them.
 
 
 class BoundKind(enum.Enum):
@@ -113,6 +116,10 @@ def f_theta(factor: MissingDigitsSpec, thetas, budget: EvalBudget | None = None)
     stays bounded whatever K and p^n are.
     """
     size, terms = _residue_terms(factor)
+    import numpy as np
+
+    from .fourier import lattice_rows, symbol_modulus
+
     thetas = np.asarray(thetas, dtype=np.float64)
     n = factor.ambient_dim
     if n == 1 and (thetas.ndim < 2 or thetas.shape[-1] != 1):
@@ -224,6 +231,10 @@ def sup_f(
     n = factor.ambient_dim
     bud = ensure_budget(budget)
     size, terms = _residue_terms(factor)
+    import numpy as np
+
+    from .fourier import lattice_rows
+
     crude = factor.p_int() ** (n - 1) * 2.0 * math.pi * factor.max_digit_norm()
     lip = min(crude, _parseval_lipschitz(factor))
     half_diagonal = math.sqrt(n) / 2.0  # of a box of side 1
@@ -302,9 +313,23 @@ def _crude_factor(factor: MissingDigitsSpec) -> DimensionBound:
             log_t = log_pn + math.log1p(-ratio)
     term_a = log_t + log_pn
     term_b = n * (math.log(2.0) + log_p + math.log(log_p))
-    log_num = np.logaddexp(term_a, term_b)
+    log_num = _logaddexp(term_a, term_b)
     raw = n - (log_num - log_card) / log_p
     return DimensionBound(_clamp(raw, n), BoundKind.CRUDE, rigorous=True)
+
+
+def _logaddexp(x: float, y: float) -> float:
+    """log(e^x + e^y), with numpy.logaddexp's branches, so bit for bit
+    its value: x + log 2 at a tie (-inf stays -inf), else the larger
+    plus log1p(exp(-|x - y|)), and NaN for a NaN difference."""
+    if x == y:
+        return x + math.log(2.0)
+    diff = x - y
+    if diff > 0:
+        return x + math.log1p(math.exp(-diff))
+    if diff <= 0:
+        return y + math.log1p(math.exp(diff))
+    return diff
 
 
 def rectangle_bound(spec: Spec) -> DimensionBound:
@@ -384,40 +409,3 @@ def best_lower_bound(spec: Spec, budget: EvalBudget | None = None) -> DimensionB
     methods), summed over factors.  Repeated factors are bounded once
     (see factor_candidates)."""
     return best_of_candidates(factor_candidates(spec, budget))
-
-
-# ---------------------------------------------------------------- S_k sums
-
-
-def partial_sum_S_k(
-    spec: Spec,
-    theta,
-    k: int,
-    tol: float = 1e-9,
-    budget: EvalBudget | None = None,
-) -> float:
-    """S_k(theta) = sum over integer xi with |xi|_inf < p^k of
-    |lambda_hat(xi + theta)|.
-
-    All factors must share one base p so the window is well defined.
-    The symmetric window is covered by 2^n residue periods, so
-    S_k <= 2^n (sup f)^k; one period, such as [0, p^k)^n, obeys the
-    bare (sup f)^k.  A window the budget cannot pay for is refused
-    (BudgetExceededError) before it is built.
-    """
-    prod = as_product(spec)
-    bases = {f.p_int() for f in prod.factors}
-    if len(bases) != 1:
-        raise ValueError("S_k needs a single common base across factors")
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    p = bases.pop()
-    n = prod.total_dim
-    theta = np.atleast_1d(np.asarray(theta, dtype=np.float64))
-    if theta.shape != (n,):
-        raise ValueError(f"theta must have shape ({n},)")
-    bud = ensure_budget(budget)
-    window = box_blocks(2 * p ** k - 1, n, bud, "S_k window")
-    points = gather_points(spec, (block + theta[None, :] for block in window), tol, bud)
-    values, _ = fourier_transform_batch(spec, points, tol, bud)
-    return float(np.abs(values).sum())

@@ -25,29 +25,17 @@ The gathered values are those of evaluating every row, bit for bit.
 The table is skipped when that box holds more than half as many points
 as the block has rows, as for the carpet's 2-D factor, whose rows are
 all distinct.  The budget charge stays rows x levels either way.
-
-The oracle path never touches g or the product: it enumerates the
-depth-m digit prefix sums c = sum_{i<=m} p^-i d_i (the cylinder corner
-points) and averages exp(-2 pi i (c, xi)) directly, which is the exact
-transform of the depth-m discrete approximation.  Corner enumeration is
-split into two half-depth halves whose exponential sums multiply; the
-split is pure regrouping of the same finite sum (checked against full
-enumeration in the tests) and keeps the corner count tractable.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .budget import EvalBudget, ensure_budget
+from .budget import TOL_FLOOR, EvalBudget, ensure_budget
 from .errors import ConfigError, SymbolicBaseError
-from .measure import DigitInterval, MissingDigitsSpec, Spec, _block_table, as_product
-
-# Tolerances below this floor are meaningless in double precision.
-TOL_FLOOR = 1e-12
+from .measure import DigitInterval, MissingDigitsSpec, Spec, as_product
 
 # Largest N*|eta| for which the closed-form Dirichlet ratio of an
 # interval digit set is trusted in double precision.
@@ -55,14 +43,6 @@ _PHASE_CAP = float(1 << 46)
 
 # Points per block of box_blocks.
 LATTICE_BLOCK = 1 << 16
-
-
-@dataclass(frozen=True)
-class FourierValue:
-    """Truncated transform value with a rigorous truncation bound."""
-
-    value: complex
-    abs_err: float
 
 
 # ------------------------------------------------------------ digit symbol
@@ -281,60 +261,3 @@ def fourier_transform_batch(
             values *= sym if index is None else sym[index]
         errs += _tail_bound(factor, norms, depth)
     return values, errs
-
-
-def fourier_transform(spec: Spec, xi, tol: float = 1e-9,
-                      budget: EvalBudget | None = None) -> FourierValue:
-    """Transform at a single frequency point xi in R^n."""
-    xis = np.atleast_1d(np.asarray(xi, dtype=np.float64))[None, :]
-    values, errs = fourier_transform_batch(spec, xis, tol, budget)
-    return FourierValue(complex(values[0]), float(errs[0]))
-
-
-# ---------------------------------------------------------------- oracle
-
-
-def _corner_sum(corners: np.ndarray, xi_block: np.ndarray) -> complex:
-    args = corners @ xi_block
-    return complex(np.exp(-2j * np.pi * args).sum())
-
-
-def fourier_oracle(
-    spec: Spec,
-    xi,
-    depth: int,
-    budget: EvalBudget | None = None,
-) -> complex:
-    """Exact transform of the depth-m cylinder-corner approximation:
-    prod over factors of (#D)^-m sum_corners exp(-2 pi i (c, xi)).
-
-    Differs from the true transform by at most
-    sum_f 2 pi |xi_f| sqrt(n_f) p_f^-m.  Corner sets are enumerated by
-    the sampler's digit-prefix table (measure._block_table) in two
-    halves of depth ceil(m/2) and floor(m/2); the second half's corners
-    are scaled by p^-h, and the two exponential sums multiply.
-    """
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    prod = as_product(spec)
-    xi = np.atleast_1d(np.asarray(xi, dtype=np.float64))
-    if xi.shape != (prod.total_dim,):
-        raise ValueError(f"xi must have shape ({prod.total_dim},)")
-    bud = ensure_budget(budget)
-
-    out = 1.0 + 0.0j
-    for factor, sl in zip(prod.factors, prod.factor_slices()):
-        k = factor.digit_count()
-        half = depth // 2
-        rest = depth - half
-        bud.charge(k ** half + k ** rest, "oracle corners")
-        block = xi[sl]
-        mat, p = factor.digit_matrix().astype(np.float64), factor.p_int()
-        total = 1.0 + 0.0j
-        if half:
-            total *= _corner_sum(_block_table(mat, p, half), block)
-        scale = float(p) ** -half
-        total *= _corner_sum(_block_table(mat, p, rest) * scale, block)
-        out *= total / k ** depth
-    return out
-

@@ -24,14 +24,19 @@ the measure, since missing-digits measures are Ahlfors-David regular.
 from __future__ import annotations
 
 import math
+import numbers
 import re
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Sequence, Union
 
 from .budget import EvalBudget, ensure_budget
 from .errors import ConfigError, SymbolicBaseError
+
+if TYPE_CHECKING:
+    import numpy as np
+
+# numpy is imported where digit arrays are built, so that the log
+# arithmetic of symbolic bases runs without it.
 
 # Largest integer we are willing to materialize exactly: anything whose
 # logarithm exceeds ln(2^62) stays symbolic and supports only
@@ -156,7 +161,7 @@ class ExplicitDigits:
     def __init__(self, vectors: Iterable):
         rows = []
         for v in vectors:
-            if isinstance(v, (int, np.integer)):
+            if isinstance(v, numbers.Integral):  # int or numpy integer
                 rows.append((int(v),))
             else:
                 rows.append(tuple(int(c) for c in v))
@@ -194,14 +199,20 @@ class ExplicitDigits:
                 raise ConfigError(f"digit {v} outside {{0..{p - 1}}}^{ambient_dim}")
 
     def digit_matrix(self) -> np.ndarray:
+        import numpy as np
+
         return np.asarray(self.vectors, dtype=np.int64)
 
     def max_euclid_norm(self) -> float:
+        import numpy as np
+
         mat = self.digit_matrix()
         return float(np.sqrt((mat.astype(float) ** 2).sum(axis=1)).max())
 
     def is_rectangle(self) -> bool:
         """True when the set equals a product of integer intervals."""
+        import numpy as np
+
         mat = self.digit_matrix()
         sizes = []
         for j in range(mat.shape[1]):
@@ -274,6 +285,8 @@ class DigitInterval:
             raise ConfigError(f"digit interval end {self.hi} not below base {base}")
 
     def digit_matrix(self) -> np.ndarray:
+        import numpy as np
+
         n = self.count()
         if n > _ENUM_CAP:
             raise SymbolicBaseError(
@@ -479,6 +492,8 @@ def _block_table(mat: np.ndarray, p: int, b: int) -> np.ndarray:
     """Row c holds sum_{j<b} p^-(j+1) mat[digit_j(c)], where digit_j(c)
     is the j-th base-k digit of c read most significant first; shape
     (k^b, n)."""
+    import numpy as np
+
     table = np.zeros((1, mat.shape[1]))
     for j in range(1, b + 1):
         table = (table[:, None, :] + mat * (1 / p ** j)).reshape(-1, mat.shape[1])
@@ -511,6 +526,8 @@ def sample(
     / (p-1) in each factor.  PCG64 generator; identical seed, identical
     stream.
     """
+    import numpy as np
+
     if depth < 1:
         raise ValueError("depth must be >= 1")
     if count < 1:

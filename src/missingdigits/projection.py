@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .budget import EvalBudget, ensure_budget
-from .cylinders import _ray_frames, ray_tube_cells, ray_tube_masses
+from .cylinders import ray_tube_cells, ray_tube_masses
 from .errors import ConfigError
 from .fourier import box_blocks, fourier_transform_batch, gather_points, transform_levels
 from .measure import Spec, as_product, draw_cells, sample, total_dim
@@ -289,40 +289,6 @@ def radial_tube_profile(spec: Spec, x, delta: float, angle_grid_count: int,
     }
     return DensityProfile(ProfileAxis.ANGLE_ON_SPHERE, grid, mid,
                           ProfileMethod.TUBE_COUNT, meta)
-
-
-def radial_l2_norm(spec: Spec, x, delta: float, angle_grid_count: int,
-                   budget: EvalBudget | None = None) -> float:
-    """Trapezoidal quadrature of f_delta(theta)^2 over the viewing
-    sector, f_delta taken at tube-enclosure midpoints.  Bounded in
-    delta exactly when the radial pushforward has an L^2 density;
-    diverging like 1/delta for an atom."""
-    return radial_tube_profile(spec, x, delta, angle_grid_count, budget=budget).l2_squared
-
-
-def tube_mass_mc(spec: Spec, x, angle: float, half_width: float, samples: int,
-                 seed: int = 0, budget: EvalBudget | None = None) -> tuple:
-    """Monte-Carlo estimate of lambda(T) for the ray tube T of
-    half-width half_width from x in direction angle
-    (cylinders._ray_frames), with its binomial standard error; the
-    seeded cross-check for cylinder_mass enclosures.
-
-    Sampled points are depth-m digit truncations, displaced from the
-    law by up to the cylinder diameter; four levels beyond the tube
-    scale keep that bias below the standard error at typical sample
-    counts."""
-    _require_plane(spec, "tube_mass_mc")
-    frames, half_length = _ray_frames(x, [angle], half_width)
-    frame = frames[:, 0]  # centre, direction, normal
-    depth = _enumeration_depth(spec, half_width) + 4
-    pts = sample(spec, depth, samples, seed=seed, budget=budget)
-    v = pts - frame[:2]
-    along = v @ frame[2:4]
-    across = v @ frame[4:]
-    inside = (np.abs(along) <= half_length) & (np.abs(across) <= half_width)
-    p_hat = float(inside.mean())
-    sigma = math.sqrt(max(p_hat * (1.0 - p_hat), 1.0 / samples) / samples)
-    return p_hat, sigma
 
 
 def _mc_profile(spec: Spec, axis: ProfileAxis, depth: int, window: tuple, project,
@@ -642,30 +608,14 @@ def _annulus(R: float, budget: EvalBudget):
         yield block[(norms >= R) & (norms <= 2 * R)]
 
 
-def stripe_integral(spec: Spec, theta, R: float, tol: float = 1e-9,
-                    budget: EvalBudget | None = None) -> float:
-    """Sum of |lambda_hat| over the lattice points of the annulus
-    R <= |xi| <= 2R whose directions are nearly orthogonal to theta:
-    |(theta, xi/|xi|)| <= 1/R."""
-    _require_plane(spec, "stripe_integral")
-    if R < 2:
-        raise ConfigError("stripe annulus needs R >= 2")
-    theta = _unit_direction(theta)
-    bud = ensure_budget(budget)
-    pts = np.concatenate(tuple(_annulus(R, bud)))
-    keep = np.abs(pts @ theta) <= np.hypot(pts[:, 0], pts[:, 1]) / R
-    if not keep.any():
-        return 0.0
-    values, _ = fourier_transform_batch(spec, pts[keep], tol, bud)
-    return float(np.abs(values).sum())
-
-
 def stripe_scan(spec: Spec, R: float, angle_count: int, tol: float = 1e-9,
                 budget: EvalBudget | None = None):
-    """stripe_integral at angle_count directions theta_i = i pi /
-    angle_count over a half turn (stripes are symmetric under theta ->
-    -theta), evaluating |lambda_hat| once over the whole annulus.
-    Returns (angles, values).
+    """Stripe sums at angle_count directions theta_i = i pi / angle_count
+    over a half turn (stripes are symmetric under theta -> -theta): the
+    sum of |lambda_hat| over the lattice points xi of the annulus
+    R <= |xi| <= 2R whose directions are nearly orthogonal to theta,
+    |(theta, xi/|xi|)| <= 1/R, evaluating |lambda_hat| once over the
+    whole annulus.  Returns (angles, values).
 
     xi lies in the stripe of theta exactly when theta is within
     arcsin(1/R) of arg xi + pi/2 (mod pi), so each point's stripes form

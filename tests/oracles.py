@@ -1,0 +1,185 @@
+"""Independent references that the tests check the library against.
+
+No library or CLI path calls these; each recomputes a quantity by a
+second route (corner sums, direct window sums, a single stripe, a
+trapezoid, Monte-Carlo draws), so that the fast paths keep a
+cross-check.
+
+The corner-sum oracle never touches g or the product: it enumerates the
+depth-m digit prefix sums c = sum_{i<=m} p^-i d_i (the cylinder corner
+points) and averages exp(-2 pi i (c, xi)) directly, which is the exact
+transform of the depth-m discrete approximation.  Corner enumeration is
+split into two half-depth halves whose exponential sums multiply; the
+split is pure regrouping of the same finite sum (checked against full
+enumeration in the tests) and keeps the corner count tractable.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from missingdigits.budget import EvalBudget, ensure_budget
+from missingdigits.cylinders import _ray_frames
+from missingdigits.errors import ConfigError
+from missingdigits.fourier import box_blocks, fourier_transform_batch, gather_points
+from missingdigits.measure import Spec, _block_table, as_product, sample
+from missingdigits.projection import (_annulus, _enumeration_depth, _require_plane,
+                                      _unit_direction, radial_tube_profile)
+
+# ---------------------------------------------------------------- transform
+
+
+@dataclass(frozen=True)
+class FourierValue:
+    """Truncated transform value with a rigorous truncation bound."""
+
+    value: complex
+    abs_err: float
+
+
+def fourier_transform(spec: Spec, xi, tol: float = 1e-9,
+                      budget: EvalBudget | None = None) -> FourierValue:
+    """Transform at a single frequency point xi in R^n."""
+    xis = np.atleast_1d(np.asarray(xi, dtype=np.float64))[None, :]
+    values, errs = fourier_transform_batch(spec, xis, tol, budget)
+    return FourierValue(complex(values[0]), float(errs[0]))
+
+
+def _corner_sum(corners: np.ndarray, xi_block: np.ndarray) -> complex:
+    args = corners @ xi_block
+    return complex(np.exp(-2j * np.pi * args).sum())
+
+
+def fourier_oracle(
+    spec: Spec,
+    xi,
+    depth: int,
+    budget: EvalBudget | None = None,
+) -> complex:
+    """Exact transform of the depth-m cylinder-corner approximation:
+    prod over factors of (#D)^-m sum_corners exp(-2 pi i (c, xi)).
+
+    Differs from the true transform by at most
+    sum_f 2 pi |xi_f| sqrt(n_f) p_f^-m.  Corner sets are enumerated by
+    the sampler's digit-prefix table (measure._block_table) in two
+    halves of depth ceil(m/2) and floor(m/2); the second half's corners
+    are scaled by p^-h, and the two exponential sums multiply.
+    """
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
+    prod = as_product(spec)
+    xi = np.atleast_1d(np.asarray(xi, dtype=np.float64))
+    if xi.shape != (prod.total_dim,):
+        raise ValueError(f"xi must have shape ({prod.total_dim},)")
+    bud = ensure_budget(budget)
+
+    out = 1.0 + 0.0j
+    for factor, sl in zip(prod.factors, prod.factor_slices()):
+        k = factor.digit_count()
+        half = depth // 2
+        rest = depth - half
+        bud.charge(k ** half + k ** rest, "oracle corners")
+        block = xi[sl]
+        mat, p = factor.digit_matrix().astype(np.float64), factor.p_int()
+        total = 1.0 + 0.0j
+        if half:
+            total *= _corner_sum(_block_table(mat, p, half), block)
+        scale = float(p) ** -half
+        total *= _corner_sum(_block_table(mat, p, rest) * scale, block)
+        out *= total / k ** depth
+    return out
+
+
+# ---------------------------------------------------------------- S_k sums
+
+
+def partial_sum_S_k(
+    spec: Spec,
+    theta,
+    k: int,
+    tol: float = 1e-9,
+    budget: EvalBudget | None = None,
+) -> float:
+    """S_k(theta) = sum over integer xi with |xi|_inf < p^k of
+    |lambda_hat(xi + theta)|.
+
+    All factors must share one base p so the window is well defined.
+    The symmetric window is covered by 2^n residue periods, so
+    S_k <= 2^n (sup f)^k; one period, such as [0, p^k)^n, obeys the
+    bare (sup f)^k.  A window the budget cannot pay for is refused
+    (BudgetExceededError) before it is built.
+    """
+    prod = as_product(spec)
+    bases = {f.p_int() for f in prod.factors}
+    if len(bases) != 1:
+        raise ValueError("S_k needs a single common base across factors")
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    p = bases.pop()
+    n = prod.total_dim
+    theta = np.atleast_1d(np.asarray(theta, dtype=np.float64))
+    if theta.shape != (n,):
+        raise ValueError(f"theta must have shape ({n},)")
+    bud = ensure_budget(budget)
+    window = box_blocks(2 * p ** k - 1, n, bud, "S_k window")
+    points = gather_points(spec, (block + theta[None, :] for block in window), tol, bud)
+    values, _ = fourier_transform_batch(spec, points, tol, bud)
+    return float(np.abs(values).sum())
+
+
+# ---------------------------------------------------------------- projections
+
+
+def stripe_integral(spec: Spec, theta, R: float, tol: float = 1e-9,
+                    budget: EvalBudget | None = None) -> float:
+    """Sum of |lambda_hat| over the lattice points of the annulus
+    R <= |xi| <= 2R whose directions are nearly orthogonal to theta:
+    |(theta, xi/|xi|)| <= 1/R; one direction of stripe_scan."""
+    _require_plane(spec, "stripe_integral")
+    if R < 2:
+        raise ConfigError("stripe annulus needs R >= 2")
+    theta = _unit_direction(theta)
+    bud = ensure_budget(budget)
+    pts = np.concatenate(tuple(_annulus(R, bud)))
+    keep = np.abs(pts @ theta) <= np.hypot(pts[:, 0], pts[:, 1]) / R
+    if not keep.any():
+        return 0.0
+    values, _ = fourier_transform_batch(spec, pts[keep], tol, bud)
+    return float(np.abs(values).sum())
+
+
+def radial_l2_norm(spec: Spec, x, delta: float, angle_grid_count: int,
+                   budget: EvalBudget | None = None) -> float:
+    """Trapezoidal quadrature of f_delta(theta)^2 over the viewing
+    sector, f_delta taken at tube-enclosure midpoints.  Bounded in
+    delta exactly when the radial pushforward has an L^2 density;
+    diverging like 1/delta for an atom."""
+    return radial_tube_profile(spec, x, delta, angle_grid_count, budget=budget).l2_squared
+
+
+def tube_mass_mc(spec: Spec, x, angle: float, half_width: float, samples: int,
+                 seed: int = 0, budget: EvalBudget | None = None) -> tuple:
+    """Monte-Carlo estimate of lambda(T) for the ray tube T of
+    half-width half_width from x in direction angle
+    (cylinders._ray_frames), with its binomial standard error; the
+    seeded cross-check for cylinder_mass enclosures.
+
+    Sampled points are depth-m digit truncations, displaced from the
+    law by up to the cylinder diameter; four levels beyond the tube
+    scale keep that bias below the standard error at typical sample
+    counts."""
+    _require_plane(spec, "tube_mass_mc")
+    frames, half_length = _ray_frames(x, [angle], half_width)
+    frame = frames[:, 0]  # centre, direction, normal
+    depth = _enumeration_depth(spec, half_width) + 4
+    pts = sample(spec, depth, samples, seed=seed, budget=budget)
+    v = pts - frame[:2]
+    along = v @ frame[2:4]
+    across = v @ frame[4:]
+    inside = (np.abs(along) <= half_length) & (np.abs(across) <= half_width)
+    p_hat = float(inside.mean())
+    sigma = math.sqrt(max(p_hat * (1.0 - p_hat), 1.0 / samples) / samples)
+    return p_hat, sigma

@@ -29,12 +29,12 @@ import pytest
 
 from missingdigits import (best_lower_bound, crude_bound, digits_ok,
                            enumerate_restricted, exceptional_directions,
-                           explicit_spec, fourier_oracle, fourier_transform,
-                           fourier_transform_batch, grid_lower_bound,
+                           explicit_spec, fourier_transform_batch, grid_lower_bound,
                            hausdorff_dim, interval_spec, lebesgue_spec,
-                           linear_density, linear_density_mc,
-                           partial_sum_S_k, preset, radial_l2_norm, square,
-                           stripe_integral, stripe_scan, sup_f, system)
+                           linear_density, linear_density_mc, preset, square,
+                           stripe_scan, sup_f, system)
+from oracles import (fourier_oracle, fourier_transform, partial_sum_S_k, radial_l2_norm,
+                     stripe_integral)
 
 C3 = explicit_spec(3, [0, 2])
 C5 = interval_spec(5, 0, 3)

@@ -45,8 +45,34 @@ def test_child_runs_agree_and_digest_the_cli_document_without_wall_time():
     assert bench.digest(json.dumps(doc)) != record["sha256"]
 
 
+def test_child_runs_time_the_cli_from_spawn_to_exit():
+    job = bench.JOBS["gr-scaled"]
+    run = bench.run_child(job.id, str(ROOT / "src"))
+    # agreed() checked the spawned run's exit code and digest against cli.main's
+    assert "spawn_exit_code" not in run and "spawn_sha256" not in run
+    assert run["spawn_s"] > 0 and run["spawn_cpu_s"] > 0
+    assert run["spawn_s"] > run["seconds"]  # start-up and imports included
+    spawned = bench.run_spawned(job.id)
+    assert (spawned["spawn_exit_code"], spawned["spawn_sha256"]) == (
+        job.exit_code, run["sha256"])
+
+
+def test_a_spawned_run_that_prints_otherwise_is_refused():
+    run = {"seconds": 0.1, "peak_rss_mib": 40.0, "spawn_s": 0.2, "spawn_cpu_s": 0.1,
+           "exit_code": 0, "cells": 526, "sha256": "a",
+           "spawn_exit_code": 0, "spawn_sha256": "a"}
+    assert bench.agreed("gr-scaled", run) == {k: v for k, v in run.items()
+                                              if k not in ("spawn_exit_code", "spawn_sha256")}
+    with pytest.raises(RuntimeError, match="gr-scaled: `python -m missingdigits` and "
+                                           "cli.main differ in sha256"):
+        bench.agreed("gr-scaled", dict(run, spawn_sha256="b"))
+    with pytest.raises(RuntimeError, match="differ in exit_code"):
+        bench.agreed("gr-scaled", dict(run, spawn_exit_code=3))
+
+
 def test_runs_that_disagree_or_exit_unexpectedly_are_refused():
-    run = {"seconds": 0.1, "peak_rss_mib": 40.0, "exit_code": 0, "cells": 526, "sha256": "a"}
+    run = {"seconds": 0.1, "peak_rss_mib": 40.0, "spawn_s": 0.2, "spawn_cpu_s": 0.1,
+           "exit_code": 0, "cells": 526, "sha256": "a"}
     with pytest.raises(RuntimeError, match="gr-scaled"):
         bench.summarize("gr-scaled", [run, dict(run, cells=527)])
     with pytest.raises(RuntimeError, match="expected one, with exit code 2"):
@@ -54,7 +80,8 @@ def test_runs_that_disagree_or_exit_unexpectedly_are_refused():
 
 
 def test_records_give_the_median_and_quartiles_of_the_seconds():
-    run = {"seconds": 0.1, "peak_rss_mib": 40.0, "exit_code": 0, "cells": 526, "sha256": "a"}
+    run = {"seconds": 0.1, "peak_rss_mib": 40.0, "spawn_s": 0.2, "spawn_cpu_s": 0.1,
+           "exit_code": 0, "cells": 526, "sha256": "a"}
     runs = [dict(run, seconds=s) for s in (0.5, 0.1, 0.4, 0.2, 0.3)]
     record = bench.summarize("gr-scaled", runs)
     assert record["seconds"] == [0.5, 0.1, 0.4, 0.2, 0.3]
@@ -66,8 +93,22 @@ def test_records_give_the_median_and_quartiles_of_the_seconds():
     assert record["q1_s"] == record["median_s"] == record["q3_s"] == 0.1
 
 
+def test_records_give_the_spawn_to_exit_seconds_with_their_quartiles():
+    run = {"seconds": 0.1, "peak_rss_mib": 40.0, "spawn_s": 0.2, "spawn_cpu_s": 0.1,
+           "exit_code": 0, "cells": 526, "sha256": "a"}
+    runs = [dict(run, spawn_s=s, spawn_cpu_s=c)
+            for s, c in ((0.35, 0.3), (0.15, 0.1), (0.3, 0.25), (0.2, 0.15), (0.25, 0.2))]
+    record = bench.summarize("gr-scaled", runs)
+    assert record["spawn_s"] == [0.35, 0.15, 0.3, 0.2, 0.25]
+    assert (record["q1_spawn_s"], record["median_spawn_s"], record["q3_spawn_s"]) == (
+        0.2, 0.25, 0.3)
+    assert record["median_spawn_cpu_s"] == 0.2
+    assert record["median_s"] == 0.1  # the in-process seconds stay apart
+
+
 def test_records_give_the_median_peak_rss_of_the_runs():
-    run = {"seconds": 0.1, "peak_rss_mib": 40.0, "exit_code": 0, "cells": 526, "sha256": "a"}
+    run = {"seconds": 0.1, "peak_rss_mib": 40.0, "spawn_s": 0.2, "spawn_cpu_s": 0.1,
+           "exit_code": 0, "cells": 526, "sha256": "a"}
     runs = [dict(run, peak_rss_mib=m) for m in (77.5, 82.7, 77.6)]
     assert bench.summarize("gr-scaled", runs)["peak_rss_mib"] == 77.6  # not the outlier
     runs = [dict(run, peak_rss_mib=m) for m in (40.0, 41.0)]
@@ -75,7 +116,8 @@ def test_records_give_the_median_peak_rss_of_the_runs():
 
 
 def test_records_keep_every_run_peak_rss_with_its_quartiles():
-    run = {"seconds": 0.1, "peak_rss_mib": 40.0, "exit_code": 0, "cells": 526, "sha256": "a"}
+    run = {"seconds": 0.1, "peak_rss_mib": 40.0, "spawn_s": 0.2, "spawn_cpu_s": 0.1,
+           "exit_code": 0, "cells": 526, "sha256": "a"}
     runs = [dict(run, peak_rss_mib=m) for m in (82.44, 77.2, 77.5, 82.7, 77.6)]
     record = bench.summarize("gr-scaled", runs)
     assert record["peak_rss_mib_runs"] == [82.4, 77.2, 77.5, 82.7, 77.6]

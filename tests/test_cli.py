@@ -17,8 +17,9 @@ except ImportError:  # not on every platform
 
 import missingdigits.projection as projection
 from missingdigits import (EvalBudget, crude_bound, exceptional_directions,
-                           grid_lower_bound, parse_spec, radial_l2_norm, rectangle_bound)
+                           grid_lower_bound, parse_spec, rectangle_bound)
 from missingdigits.cli import main
+from oracles import radial_l2_norm
 
 C3 = "factor { base = 3; digits = {0,2}; }"
 C32_SQ = "factor { base = 3; digits = {0,2}; } factor { base = 3; digits = {0,2}; }"

@@ -1,0 +1,158 @@
+"""What each subcommand imports: a run loads only the modules it calls,
+so `graham` and the symbolic presets never load numpy, and the package
+resolves its public names lazily."""
+
+import json
+import math
+import struct
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+
+import missingdigits
+from missingdigits.dimension import _logaddexp
+
+C3 = "factor { base = 3; digits = {0,2}; }"
+C3_SQ = f"{C3} {C3}"
+
+# runs cli.main on its argv in a fresh interpreter and prints the modules loaded
+_LOADED = """
+import contextlib, io, json, sys
+from missingdigits.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
+"""
+
+
+def _loaded(*argv, code: int = 0) -> set:
+    child = subprocess.run([sys.executable, "-c", _LOADED, *argv],
+                           capture_output=True, text=True, check=True)
+    doc = json.loads(child.stdout)
+    assert doc["code"] == code, child.stderr
+    return set(doc["modules"])
+
+
+def _python(code: str) -> str:
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True).stdout
+
+
+@pytest.mark.parametrize("argv", [
+    ("graham", "--system", "3:{0,1};5:{0,1,2}", "--limit", "100000"),
+    ("preset", "theorem-a"),
+    ("preset", "theorem-b"),  # with theorem-b-homogeneous
+])
+def test_graham_and_the_presets_load_no_numpy(argv):
+    modules = _loaded(*argv)
+    assert "numpy" not in modules
+    assert "missingdigits.fourier" not in modules
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("dim-bound", "--spec", C3_SQ), 0),
+    (("certify", "--radial-lp", "2", "--spec", C3_SQ), 1),  # NotCertified
+])
+def test_dimension_bounds_load_no_projection_cylinders_or_graham(argv, code):
+    modules = _loaded(*argv, code=code)
+    assert "missingdigits.dimension" in modules
+    for name in ("projection", "cylinders", "graham"):
+        assert f"missingdigits.{name}" not in modules
+
+
+def test_radial_density_loads_no_certify_dimension_or_graham():
+    modules = _loaded("radial-density", "--spec", C3_SQ, "--viewpoint=-1,-1",
+                      "--delta", "0.05", "--angles", "10")
+    assert "missingdigits.projection" in modules
+    for name in ("certify", "dimension", "graham"):
+        assert f"missingdigits.{name}" not in modules
+
+
+def test_the_package_and_the_cli_import_no_library_module():
+    package = json.loads(_python("import json, sys, missingdigits; print(json.dumps(sorted("
+                                 "m for m in sys.modules if 'missingdigits' in m "
+                                 "or m == 'numpy')))"))
+    assert package == ["missingdigits"]
+    cli = json.loads(_python("import json, sys, missingdigits.cli; print(json.dumps(sorted("
+                             "m for m in sys.modules if 'missingdigits' in m "
+                             "or m == 'numpy')))"))
+    assert cli == ["missingdigits", "missingdigits.budget", "missingdigits.cli",
+                   "missingdigits.errors"]
+
+
+def test_a_numpy_free_run_reports_the_installed_numpy_version():
+    stdout = subprocess.run([sys.executable, "-m", "missingdigits", "graham", "--system",
+                             "3:{0,1};5:{0,1,2}", "--limit", "1000"],
+                            capture_output=True, text=True, check=True).stdout
+    assert json.loads(stdout)["manifest"]["versions"]["numpy"] == np.__version__
+
+
+# ------------------------------------------------------------- lazy package
+
+
+def test_every_public_name_resolves_to_its_module_attribute():
+    for name in missingdigits.__all__:
+        value = getattr(missingdigits, name)
+        module = missingdigits._MODULE_OF[name]
+        assert value is getattr(sys.modules[f"missingdigits.{module}"], name)
+
+
+def test_star_import_and_dir_give_every_public_name():
+    names = json.loads(_python("import json\nfrom missingdigits import *\n"
+                               "import missingdigits\n"
+                               "print(json.dumps([sorted(k for k in globals() "
+                               "if not k.startswith('_')), dir(missingdigits)]))"))
+    star, listed = names
+    assert set(missingdigits.__all__) <= set(star)
+    assert set(missingdigits.__all__) <= set(listed)
+    assert "__version__" in listed
+
+
+def test_an_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'fourier_oracle'"):
+        missingdigits.fourier_oracle  # noqa: B018 -- moved to the tests' oracles
+    assert not hasattr(missingdigits, "no_such_name")
+    with pytest.raises(ImportError):
+        from missingdigits import no_such_name  # noqa: F401
+
+
+def test_submodules_import_by_name_from_the_package():
+    out = _python("from missingdigits import (budget, certify, cli, cylinders, dimension, "
+                  "fourier, graham, measure, projection)\n"
+                  "print(cli.main.__module__, projection.stripe_scan.__module__)")
+    assert out.split() == ["missingdigits.cli", "missingdigits.projection"]
+
+
+# ------------------------------------------------------------ math logaddexp
+
+
+def _bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+def test_logaddexp_equals_numpy_bit_for_bit():
+    rng = np.random.default_rng(21)
+    pairs = [rng.uniform(-60.0, 60.0, (2, 50_000)),
+             rng.uniform(-1e5, 1e5, (2, 50_000)),
+             rng.normal(0.0, 3.0, (2, 50_000))]
+    near = rng.uniform(-1e4, 1e4, 50_000)
+    pairs.append(np.stack([near, near + rng.normal(0.0, 1e-9, 50_000)]))
+    xs, ys = np.concatenate(pairs, axis=1)
+    expected = np.logaddexp(xs, ys)
+    mismatched = [(x, y) for x, y, e in zip(xs.tolist(), ys.tolist(), expected.tolist())
+                  if _bits(_logaddexp(x, y)) != _bits(e)]
+    assert mismatched == []
+
+
+@pytest.mark.parametrize("x, y", [
+    (0.0, 0.0), (3.5, 3.5), (-7.25, -7.25), (1e300, 1e300),  # ties
+    (-math.inf, 2.0), (2.0, -math.inf), (-math.inf, -math.inf),  # t = 0: full digit set
+    (math.inf, 1.0), (math.inf, math.inf), (math.inf, -math.inf),
+    (math.nan, 1.0), (1.0, math.nan),
+])
+def test_logaddexp_equals_numpy_at_ties_and_infinities(x, y):
+    with np.errstate(invalid="ignore"):
+        expected = float(np.logaddexp(x, y))
+    assert _bits(_logaddexp(x, y)) == _bits(expected)

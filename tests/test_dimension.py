@@ -7,13 +7,14 @@ import numpy as np
 import pytest
 
 import missingdigits.dimension as dimension
+import oracles
 from missingdigits import (BoundKind, BudgetExceededError, DigitInterval, EvalBudget,
                            SymbolicBaseError, best_lower_bound, crude_bound,
                            digit_symbol, explicit_spec, f_theta, fourier_transform_batch,
                            grid_lower_bound, hausdorff_dim, interval_spec,
-                           lebesgue_spec, partial_sum_S_k,
-                           rectangle_bound, square, sup_f)
+                           lebesgue_spec, rectangle_bound, square, sup_f)
 from missingdigits.measure import BasePower, as_product
+from oracles import partial_sum_S_k
 
 C3 = explicit_spec(3, [0, 2])
 C5 = explicit_spec(5, [0, 1, 2, 3])
@@ -389,7 +390,7 @@ def test_partial_sum_walks_the_meshgrid_window_bit_for_bit(spec, theta, k):
 
 
 def test_partial_sum_refuses_an_oversized_window_before_building_it(monkeypatch):
-    monkeypatch.setattr(dimension, "fourier_transform_batch",
+    monkeypatch.setattr(oracles, "fourier_transform_batch",
                         lambda *args: pytest.fail("window transformed past the budget"))
     budget = EvalBudget()
     with pytest.raises(BudgetExceededError, match="S_k window"):

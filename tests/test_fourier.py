@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from missingdigits import (BudgetExceededError, EvalBudget, digit_symbol,
-                           explicit_spec, fourier_oracle, fourier_transform,
-                           fourier_transform_batch, interval_spec, lebesgue_spec,
-                           square, truncation_depth)
+                           explicit_spec, fourier_transform_batch, interval_spec,
+                           lebesgue_spec, square, truncation_depth)
 from missingdigits.fourier import _symbol_table, box_blocks, transform_levels
 from missingdigits.measure import as_product
+from oracles import fourier_oracle, fourier_transform
 
 C3 = explicit_spec(3, [0, 2])
 C52 = square(explicit_spec(5, [0, 1, 2, 3]))

@@ -8,7 +8,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from missingdigits import fourier, projection
-from missingdigits.dimension import partial_sum_S_k
 from missingdigits.fourier import transform_levels
 from missingdigits.measure import sample, total_dim
 from missingdigits import (BudgetExceededError, ConfigError, DensityProfile,
@@ -16,11 +15,10 @@ from missingdigits import (BudgetExceededError, ConfigError, DensityProfile,
                            cylinder_mass, exceptional_directions, explicit_spec,
                            fourier_transform_batch, lebesgue_spec,
                            linear_density, linear_density_mc,
-                           lp_criterion_integral, product,
-                           radial_density_mc, radial_l2_norm,
-                           radial_tube_profile,
-                           slab_integral, square, stripe_integral, stripe_scan,
-                           tube_mass_mc)
+                           lp_criterion_integral, product, radial_density_mc,
+                           radial_tube_profile, slab_integral, square, stripe_scan)
+from oracles import (partial_sum_S_k, radial_l2_norm, stripe_integral,
+                     tube_mass_mc)
 
 LEB2 = lebesgue_spec(3, 2)
 C32 = square(explicit_spec(3, [0, 2]))
