@@ -194,10 +194,24 @@ class _Run:
 
 def _numpy_version() -> str:
     """numpy's version, read from numpy when this run imported it and
-    from its installed metadata otherwise, without importing it."""
+    otherwise, without importing it, from the name of the one
+    numpy-VERSION.dist-info directory beside the numpy package, or from
+    importlib.metadata (slow to import) when there is not exactly one."""
     numpy = sys.modules.get("numpy")
     if numpy is not None:
         return numpy.__version__
+    from importlib.util import find_spec
+
+    spec = find_spec("numpy")
+    if spec is not None and spec.origin:
+        site = os.path.dirname(os.path.dirname(spec.origin))
+        try:
+            found = [name for name in os.listdir(site)
+                     if name.startswith("numpy-") and name.endswith(".dist-info")]
+        except OSError:
+            found = []
+        if len(found) == 1:
+            return found[0][len("numpy-"):-len(".dist-info")]
     from importlib.metadata import version
 
     return version("numpy")

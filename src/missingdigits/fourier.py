@@ -24,7 +24,26 @@ gathers it back by the index (row - min), in O(rows) without a sort.
 The gathered values are those of evaluating every row, bit for bit.
 The table is skipped when that box holds more than half as many points
 as the block has rows, as for the carpet's 2-D factor, whose rows are
-all distinct.  The budget charge stays rows x levels either way.
+all distinct.  The table does not change the charge.
+
+lambda is a real measure, so lambda_hat(-xi) = conj lambda_hat(xi).  A
+batch takes row K-1-i as the conjugate of row i wherever it is row i's
+bitwise negation (a -0.0 pairs only with a +0.0): every point of a ray
+t = k dt except t = 0, the lattice points of an annulus or ball walked
+in C order except its +0.0 axis points, and the symmetric points of a
+linspace.  The rest are evaluated as before.  This is bit-exact, not
+only exact in arithmetic: round-to-nearest commutes with negation, so
+the phases (d, -eta) are the negated phases; the platform's cos is even
+and its sin odd, so each exponential is the conjugate; and the sums,
+the division by #D and each complex product then conjugate term by
+term.  The norms of xi and -xi, and so the depths and tail bounds, are
+equal bit for bit.  The tests pin this on every benchmark spec, since
+the symmetry of cos and sin is a property of the libm.  The charge is
+(evaluated rows) x sum_f max(depth_f, 1).
+
+An explicit digit set averages its #D phases by adding the digit
+columns left to right and dividing by #D: numpy's mean bit for bit when
+#D <= 2, and within the rounding bound stated in digit_symbol otherwise.
 """
 
 from __future__ import annotations
@@ -51,9 +70,14 @@ LATTICE_BLOCK = 1 << 16
 def digit_symbol(factor: MissingDigitsSpec, eta) -> np.ndarray:
     """Evaluate g at eta, shape (..., n) (or (...,) when n = 1).
 
-    Explicit digit sets are averaged directly; interval digit sets use
-    the closed geometric-sum (Dirichlet) form, so their cost does not
-    grow with #D.
+    Explicit digit sets are averaged directly: the digit columns of the
+    (..., #D) phase array are added left to right and the sum divided
+    by #D, which is numpy's mean bit for bit when #D <= 2.  For more
+    digits the sum is within (#D - 1) u sum_d |exp(-2 pi i (d, eta))|
+    (u = 2^-53) of the exact sum of the computed phases, per real and
+    imaginary part, and the division adds one rounding of relative size
+    u.  Interval digit sets use the closed geometric-sum (Dirichlet)
+    form, so their cost does not grow with #D.
     """
     eta = np.asarray(eta, dtype=np.float64)
     n = factor.ambient_dim
@@ -64,8 +88,14 @@ def digit_symbol(factor: MissingDigitsSpec, eta) -> np.ndarray:
     if isinstance(factor.digits, DigitInterval):
         return _interval_symbol(factor, eta[..., 0])
     mat = factor.digit_matrix().astype(np.float64)
-    args = eta @ mat.T
-    return np.exp(-2j * np.pi * args).mean(axis=-1)
+    phases = np.exp(-2j * np.pi * (eta @ mat.T))
+    # whole-column adds: a per-row mean(axis=-1) over few digits costs
+    # about as much as the exponentials
+    total = phases[..., 0].copy()
+    for column in range(1, phases.shape[-1]):
+        total += phases[..., column]
+    total /= phases.shape[-1]
+    return total[()]  # a scalar for a scalar eta, as mean gave
 
 
 def symbol_modulus(factor: MissingDigitsSpec, eta) -> np.ndarray:
@@ -165,10 +195,10 @@ def _levels(blocks: list) -> int:
 
 
 def transform_levels(spec: Spec, xis, tol: float = 1e-9) -> int:
-    """Cells fourier_transform_batch(spec, batch, tol) charges per point
-    when the batch's largest per-factor norms are those of xis' rows:
-    sum over factors of max(depth, 1).  Depths grow with the norms, so
-    rows no larger than the batch's give a lower bound."""
+    """Cells fourier_transform_batch(spec, batch, tol) charges per
+    evaluated point when the batch's largest per-factor norms are those
+    of xis' rows: sum over factors of max(depth, 1).  Depths grow with
+    the norms, so rows no larger than the batch's give a lower bound."""
     xis = np.atleast_2d(np.asarray(xis, dtype=np.float64))
     return _levels(_factor_blocks(as_product(spec), xis, tol))
 
@@ -196,8 +226,10 @@ def box_blocks(side: int, n: int, budget: EvalBudget, label: str, rows: int | No
 def gather_points(spec: Spec, blocks, tol: float, budget: EvalBudget) -> np.ndarray:
     """Join blocks of frequency points into one fourier_transform_batch
     batch, checking after each block the points so far times the largest
-    transform_levels of any block so far ("transform levels"): the
-    transform charges at least that, so the check only refuses earlier."""
+    transform_levels of any block so far ("transform levels"), so an
+    oversized batch is refused as it grows.  The check counts every
+    point: it cannot know which rows the transform will take from their
+    negations, so a mirrored batch is charged less than it checks."""
     parts, kept, levels = [], 0, 0
     for block in blocks:
         parts.append(block)
@@ -241,18 +273,29 @@ def fourier_transform_batch(
 
     Each factor's truncation depth is chosen from the largest |xi_f| in
     the batch, so every returned point meets the per-point tail bound.
-    The whole batch is charged before any output is allocated.
+    Row K-1-i that is row i's bitwise negation is not evaluated: its
+    value is the conjugate of row i's and its bound is row i's.  The
+    evaluated rows are charged before any output is allocated.
     """
     prod = as_product(spec)
     xis = np.atleast_2d(np.asarray(xis, dtype=np.float64))
     if xis.shape[1] != prod.total_dim:
         raise ValueError(f"xi rows must have length {prod.total_dim}")
     bud = ensure_budget(budget)
-    blocks = _factor_blocks(prod, xis, tol)
-    bud.charge(xis.shape[0] * _levels(blocks), "transform levels")
+    count = xis.shape[0]
+    # compared as bits, column by column: == would pair a -0.0 with a
+    # +0.0, and a per-row all() costs more than the columns
+    mirrored = np.ones(count, dtype=bool)
+    for column in range(xis.shape[1]):
+        mirrored &= xis[::-1, column].view(np.uint64) == (-xis[:, column]).view(np.uint64)
+    mirrored[:(count + 1) // 2] = False
+    own = ~mirrored if mirrored.any() else None
+    evaluated = xis if own is None else xis[own]
+    blocks = _factor_blocks(prod, evaluated, tol)
+    bud.charge(evaluated.shape[0] * _levels(blocks), "transform levels")
 
-    values = np.ones(xis.shape[0], dtype=np.complex128)
-    errs = np.zeros(xis.shape[0], dtype=np.float64)
+    values = np.ones(evaluated.shape[0], dtype=np.complex128)
+    errs = np.zeros(evaluated.shape[0], dtype=np.float64)
     for factor, block, norms, depth in blocks:
         p = float(factor.p_int())
         rows, index = _symbol_table(block) if depth else (block, None)
@@ -260,4 +303,11 @@ def fourier_transform_batch(
             sym = digit_symbol(factor, rows / p ** j)
             values *= sym if index is None else sym[index]
         errs += _tail_bound(factor, norms, depth)
-    return values, errs
+    if own is None:
+        return values, errs
+    all_values = np.empty(count, dtype=np.complex128)
+    all_errs = np.empty(count, dtype=np.float64)
+    all_values[own], all_errs[own] = values, errs
+    all_values[mirrored] = np.conjugate(all_values[::-1][mirrored])
+    all_errs[mirrored] = all_errs[::-1][mirrored]
+    return all_values, all_errs

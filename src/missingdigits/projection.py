@@ -45,7 +45,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .budget import EvalBudget, ensure_budget
-from .cylinders import ray_tube_cells, ray_tube_masses
 from .errors import ConfigError
 from .fourier import box_blocks, fourier_transform_batch, gather_points, transform_levels
 from .measure import Spec, as_product, draw_cells, sample, total_dim
@@ -252,6 +251,8 @@ def radial_tube_profile(spec: Spec, x, delta: float, angle_grid_count: int,
     per-angle descents would be.  The arrays over the angles are checked
     against the budget (cylinders.ray_tube_cells) before the grid is
     built."""
+    from .cylinders import ray_tube_cells, ray_tube_masses
+
     _require_plane(spec, "radial_tube_profile")
     x = np.asarray(x, dtype=float)
     if delta <= 0:
@@ -519,8 +520,9 @@ def linear_density(spec: Spec, theta, u_grid, T_max: float, tol: float = 1e-9,
     steps = int(round(T_max / dt))
     # charged before t is built, so a huge T_max is refused at once
     bud.charge(_ray_length(2 * steps + 1, u_grid.size), "ray inversion")
-    # every point of the ray is charged the levels of its two ends
-    bud.check((2 * steps + 1) * transform_levels(spec, steps * dt * theta, tol),
+    # the ray's steps + 1 points up to t = 0 are charged the levels of
+    # its two ends; the others are their negations, taken by conjugation
+    bud.check((steps + 1) * transform_levels(spec, steps * dt * theta, tol),
               "transform levels")
     t = np.arange(-steps, steps + 1) * dt
     values, _ = fourier_transform_batch(spec, t[:, None] * theta[None, :], tol, bud)

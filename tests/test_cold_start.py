@@ -49,6 +49,19 @@ def test_graham_and_the_presets_load_no_numpy(argv):
     modules = _loaded(*argv)
     assert "numpy" not in modules
     assert "missingdigits.fourier" not in modules
+    assert "importlib.metadata" not in modules  # numpy's version comes from a directory name
+
+
+@pytest.mark.parametrize("argv", [
+    ("linear-density", "--direction", "0.6,0.8", "--grid=-0.1,1.1,61", "--tmax", "81"),
+    ("stripe-scan", "--radius", "9", "--angles", "16", "--s1", "0.7376", "--eps", "0.05"),
+    ("lp-integral", "--p", "2", "--rmax", "16"),
+    ("slab-integral", "--direction", "1,0", "--tmax", "64"),
+])
+def test_fourier_runs_load_no_cylinders(argv):
+    modules = _loaded(*argv, "--spec", C3_SQ)
+    assert "missingdigits.projection" in modules
+    assert "missingdigits.cylinders" not in modules
 
 
 @pytest.mark.parametrize("argv, code", [
@@ -87,6 +100,36 @@ def test_a_numpy_free_run_reports_the_installed_numpy_version():
                              "3:{0,1};5:{0,1,2}", "--limit", "1000"],
                             capture_output=True, text=True, check=True).stdout
     assert json.loads(stdout)["manifest"]["versions"]["numpy"] == np.__version__
+
+
+# reports what cli._numpy_version returned, without numpy imported, next
+# to importlib.metadata's answer; LISTED, when given, replaces the
+# directory listing beside the numpy package
+_VERSION = """
+import json, os, sys, types
+from missingdigits import cli
+LISTED = {listed!r}
+if LISTED is not None:
+    cli.os = types.SimpleNamespace(path=os.path, listdir=lambda path: LISTED)
+read = cli._numpy_version()
+loaded = [m for m in ("numpy", "importlib.metadata") if m in sys.modules]
+from importlib.metadata import version
+print(json.dumps([read, version("numpy"), loaded]))
+"""
+
+
+def test_the_numpy_version_comes_from_its_dist_info_directory():
+    read, expected, loaded = json.loads(_python(_VERSION.format(listed=None)))
+    assert read == expected
+    assert loaded == []
+
+
+@pytest.mark.parametrize("listed", [[], ["numpy-1.0.dist-info", "numpy-2.0.dist-info"]])
+def test_the_numpy_version_falls_back_to_importlib_metadata(listed):
+    # not exactly one numpy-*.dist-info directory: the metadata decides
+    read, expected, loaded = json.loads(_python(_VERSION.format(listed=listed)))
+    assert read == expected
+    assert loaded == ["importlib.metadata"]
 
 
 # ------------------------------------------------------------- lazy package

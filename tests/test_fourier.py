@@ -6,8 +6,8 @@ import pytest
 
 from missingdigits import (BudgetExceededError, EvalBudget, digit_symbol,
                            explicit_spec, fourier_transform_batch, interval_spec,
-                           lebesgue_spec, square, truncation_depth)
-from missingdigits.fourier import _symbol_table, box_blocks, transform_levels
+                           lebesgue_spec, product, square, truncation_depth)
+from missingdigits.fourier import _symbol_table, _tail_bound, box_blocks, transform_levels
 from missingdigits.measure import as_product
 from oracles import fourier_oracle, fourier_transform
 
@@ -193,22 +193,27 @@ CARPET = explicit_spec(3, [(a, b) for a in range(3) for b in range(3) if (a, b) 
 
 
 def _per_level_product(spec, xis, tol=1e-9):
-    # the transform as a plain product over factors and levels, with
-    # every row evaluated at every level
+    # the transform and its bound as a plain product over factors and
+    # levels, with every row evaluated at every level
     prod = as_product(spec)
     values = np.ones(xis.shape[0], dtype=complex)
+    errs = np.zeros(xis.shape[0])
     for factor, sl in zip(prod.factors, prod.factor_slices()):
         block = xis[:, sl]
-        norm = float(np.sqrt((block * block).sum(axis=1)).max())
+        norms = np.sqrt((block * block).sum(axis=1))
+        depth = truncation_depth(factor, float(norms.max()), tol / len(prod.factors))
         p = float(factor.p_int())
-        for j in range(1, truncation_depth(factor, norm, tol / len(prod.factors)) + 1):
+        for j in range(1, depth + 1):
             values *= digit_symbol(factor, block / p ** j)
-    return values
+        errs += _tail_bound(factor, norms, depth)
+    return values, errs
 
 
 def _assert_same_bits(spec, xis):
-    values, _ = fourier_transform_batch(spec, xis)
-    assert np.array_equal(values.view(np.uint64), _per_level_product(spec, xis).view(np.uint64))
+    values, errs = fourier_transform_batch(spec, xis)
+    every_values, every_errs = _per_level_product(spec, xis)
+    assert np.array_equal(values.view(np.uint64), every_values.view(np.uint64))
+    assert np.array_equal(errs.view(np.uint64), every_errs.view(np.uint64))
 
 
 def _tabled(block):
@@ -271,3 +276,98 @@ def test_symbol_table_spans_of_huge_integral_rows_do_not_overflow(top):
     small = np.tile(np.arange(-5.0, 7.0), 100)
     for first in (near, -near, spread):
         _assert_same_bits(C3_SQ, np.stack([first, small], axis=-1))
+
+
+# ------------------------------------------------------- mirrored ±xi pairs
+
+L10_SQ = lebesgue_spec(10, 2)
+E48 = explicit_spec(48, range(0, 48, 2))
+MIRROR_SPECS = {"C3": C3, "C3^2": C3_SQ, "carpet": CARPET,
+                "I512xI729": product(I512, interval_spec(729, 0, 499)),
+                "(5,7)": product(explicit_spec(5, [0, 1, 2, 3]), explicit_spec(7, [0, 2, 3, 5, 6])),
+                "E48": E48, "L10^2": L10_SQ}
+
+
+def _mirror_batch(kind, n):
+    t = np.arange(-600, 601) * 0.25
+    if kind == "ray":  # a generic direction
+        theta = np.array([math.cos(1.1), math.sin(1.1)]) if n == 2 else np.array([0.6180339887])
+        return t[:, None] * theta
+    if kind == "axis ray":  # (1, 0): its second block is -0.0 before the centre, +0.0 after
+        return t[:, None] * np.array([1.0, 0.0])[:n]
+    if kind == "annulus":  # integer points, in C order, with their +0.0 axis points
+        box = np.concatenate(list(box_blocks(97, n, EvalBudget(), "box")))
+        norms = np.sqrt((box * box).sum(axis=1))
+        return box[(norms >= 24) & (norms <= 48)]
+    if kind == "odd":  # an odd batch whose centre is 0
+        half = RNG.uniform(-40.0, 40.0, size=(200, n))
+        return np.concatenate([half, np.zeros((1, n)), -half[::-1]])
+    axes = [np.linspace(-300.7, 300.7, 1001), np.linspace(-55.3, 55.3, 41)][:n]
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
+
+
+@pytest.mark.parametrize("kind", ["ray", "axis ray", "annulus", "odd", "linspace"])
+@pytest.mark.parametrize("name", sorted(MIRROR_SPECS))
+def test_a_mirrored_batch_equals_evaluating_every_row(name, kind):
+    spec = MIRROR_SPECS[name]
+    xis = _mirror_batch(kind, as_product(spec).total_dim)
+    _assert_same_bits(spec, xis)
+    # some rows were taken from their partners, and only the rest charged
+    budget = EvalBudget()
+    fourier_transform_batch(spec, xis, budget=budget)
+    assert budget.spent < xis.shape[0] * transform_levels(spec, xis)
+
+
+def test_a_symmetric_batch_charges_the_levels_of_its_evaluated_half():
+    half = RNG.uniform(-100, 100, size=(150, 2))
+    xi = np.concatenate([half, -half[::-1]])
+    levels = transform_levels(C52, xi)
+    budget = EvalBudget()
+    fourier_transform_batch(C52, xi, budget=budget)
+    assert budget.spent == 150 * levels
+    # one cell short: refused whole, nothing charged
+    short = EvalBudget(150 * levels - 1)
+    with pytest.raises(BudgetExceededError, match="transform levels"):
+        fourier_transform_batch(C52, xi, budget=short)
+    assert short.spent == 0
+    # the bitwise negation is the test: -0.0 does not pair with +0.0
+    zeros = np.zeros((4, 2))
+    budget = EvalBudget()
+    fourier_transform_batch(C52, zeros, budget=budget)
+    assert budget.spent == 4 * transform_levels(C52, zeros)
+
+
+# ------------------------------------------------------------ digit average
+
+
+def _mean_symbol(factor, eta):
+    # the digit average as a per-row reduce
+    mat = factor.digit_matrix().astype(np.float64)
+    return np.exp(-2j * np.pi * (eta @ mat.T)).mean(axis=-1)
+
+
+@pytest.mark.parametrize("factor", [C3, explicit_spec(7, [1, 5]),
+                                    explicit_spec(5, [(0, 1), (3, 4)], n=2)])
+def test_a_two_digit_average_equals_the_mean_bit_for_bit(factor):
+    eta = RNG.uniform(-50.0, 50.0, size=(5000, factor.ambient_dim))
+    eta[:10] = 0.0
+    eta[10:20] = 0.5
+    assert np.array_equal(digit_symbol(factor, eta).view(np.uint64),
+                          _mean_symbol(factor, eta).view(np.uint64))
+
+
+@pytest.mark.parametrize("factor", [E48, CARPET])
+def test_a_many_digit_average_stays_within_its_summation_bound(factor):
+    # in any order, #D - 1 additions and one division put each component
+    # of the average within gamma_{#D} sum |terms| / #D of the exact
+    # average of the same phases; the two orders differ by at most twice that
+    count = factor.digit_count()
+    u = 2.0 ** -53
+    gamma = count * u / (1 - count * u)
+    eta = RNG.uniform(-50.0, 50.0, size=(5000, factor.ambient_dim))
+    new, old = digit_symbol(factor, eta), _mean_symbol(factor, eta)
+    mat = factor.digit_matrix().astype(np.float64)
+    phases = np.exp(-2j * np.pi * (eta @ mat.T))
+    for part in (np.real, np.imag):
+        bound = 2 * gamma * np.abs(part(phases)).sum(axis=-1) / count
+        assert np.all(np.abs(part(new) - part(old)) <= bound)

@@ -381,12 +381,13 @@ def test_linear_density_checks_the_ray_levels_it_is_charged():
     theta = np.array([1.0, 2.0]) / math.sqrt(5.0)
     ledger = _Ledger()
     linear_density(C32, theta, np.linspace(0.0, 1.0, 11), 100.0, budget=ledger)
+    # the points up to t = 0 are evaluated; the rest are their negations
     steps = 400
     assert ledger.cells["transform levels"] == (
-        (2 * steps + 1) * transform_levels(C32, steps * 0.25 * theta))
+        (steps + 1) * transform_levels(C32, steps * 0.25 * theta))
     # the same check refuses a ray whose levels the budget cannot pay for
     ray = ledger.cells["ray inversion"]
-    budget = EvalBudget(ray + (2 * steps + 1) * 10)
+    budget = EvalBudget(ray + (steps + 1) * 10)
     with pytest.raises(BudgetExceededError, match="transform levels"):
         linear_density(C32, theta, np.linspace(0.0, 1.0, 11), 100.0, budget=budget)
     assert budget.spent == ray
