@@ -7,7 +7,9 @@ The jobs are the 22 of `benchmark/workloads.py` at seed 1; SRC holds a
 tree's `missingdigits` package (a checkout's `src/`).  Before the first
 round every SRC is copied, without bytecode caches, to a directory of
 its own under one temporary parent, so that all trees are timed from
-equivalent places; the copies are removed at the end.  Each of R rounds
+equivalent places, and each copy is byte-compiled, so that every run
+imports cached bytecode as it would from an installed package; the
+copies are removed at the end.  Each of R rounds
 (default 10, so that medians and quartiles rest on ten alternated runs)
 runs every tree once per job, back to back, in an order reversed every
 round, so drift of the host's speed falls on all trees alike.  Each run
@@ -18,9 +20,9 @@ exit with its CPU seconds from `os.wait4` (the spawn-to-exit seconds,
 start-up and imports included), whose exit code and printed JSON must
 equal those of `cli.main`.  Per tree and job OUT records the
 in-process seconds, the peak RSS (import included) and the
-spawn-to-exit seconds of each run, each with its median and quartiles
-(linear interpolation, as `numpy.percentile`), the median spawn-to-exit
-CPU seconds, the exit code, the budget cells spent and a SHA-256 of the
+spawn-to-exit seconds and CPU seconds of each run, each with its
+median and quartiles (linear interpolation, as `numpy.percentile`),
+the exit code, the budget cells spent and a SHA-256 of the
 JSON printed, without `manifest.wall_time_s`.  A tree's runs must agree
 on the last three, with the exit code `workloads.py` expects.  Jobs on
 which trees differ are listed under `differ`, and then the command exits
@@ -31,6 +33,7 @@ the trend.
 from __future__ import annotations
 
 import argparse
+import compileall
 import contextlib
 import hashlib
 import io
@@ -144,6 +147,14 @@ def copy_trees(trees: dict, parent: Path) -> dict:
             for i, (name, src) in enumerate(trees.items())}
 
 
+def compile_trees(copies: dict) -> None:
+    """Byte-compile every copy for this interpreter, so that its runs read
+    bytecode (PYTHONDONTWRITEBYTECODE stops only the writing)."""
+    for name, copy in copies.items():
+        if not compileall.compile_dir(copy, quiet=1):
+            raise RuntimeError(f"{name}: cannot byte-compile {copy}")
+
+
 def schedule(trees: list, repeat: int) -> list:
     """The tree order of each round: every tree once, reversed every round."""
     return [trees if r % 2 == 0 else trees[::-1] for r in range(repeat)]
@@ -163,13 +174,16 @@ def summarize(job_id: str, runs: list) -> dict:
     q1, median, q3 = quartiles("seconds", 4)
     rss_q1, rss_median, rss_q3 = quartiles("peak_rss_mib", 1)
     spawn_q1, spawn_median, spawn_q3 = quartiles("spawn_s", 4)
+    cpu_q1, cpu_median, cpu_q3 = quartiles("spawn_cpu_s", 4)
     return {"seconds": [round(r["seconds"], 4) for r in runs],
             "q1_s": q1, "median_s": median, "q3_s": q3,
             "peak_rss_mib_runs": [round(r["peak_rss_mib"], 1) for r in runs],
             "q1_rss_mib": rss_q1, "peak_rss_mib": rss_median, "q3_rss_mib": rss_q3,
             "spawn_s": [round(r["spawn_s"], 4) for r in runs],
             "q1_spawn_s": spawn_q1, "median_spawn_s": spawn_median, "q3_spawn_s": spawn_q3,
-            "median_spawn_cpu_s": quartiles("spawn_cpu_s", 4)[1],
+            "spawn_cpu_s": [round(r["spawn_cpu_s"], 4) for r in runs],
+            "q1_spawn_cpu_s": cpu_q1, "median_spawn_cpu_s": cpu_median,
+            "q3_spawn_cpu_s": cpu_q3,
             **{k: runs[0][k] for k in OUTCOME}}
 
 
@@ -207,6 +221,7 @@ def main(argv=None) -> int:
     records = {name: {} for name in trees}
     with tempfile.TemporaryDirectory(prefix="bench-trees-") as parent:
         copies = copy_trees(trees, Path(parent))
+        compile_trees(copies)
         for job_id in JOBS:
             runs = {name: [] for name in trees}
             for order in schedule(list(trees), args.repeat):

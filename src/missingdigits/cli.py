@@ -36,6 +36,9 @@ EXIT_USAGE = 64
 EXIT_BUDGET = 65
 EXIT_IOERR = 74
 
+# Variables that set the thread count of numpy's OpenBLAS
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
 # by certify.Verdict value
 _VERDICT_EXIT = {
     "Certified": EXIT_OK,
@@ -639,7 +642,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _one_blas_thread() -> None:
+    """Have numpy's OpenBLAS start no threads of its own, unless the
+    user set a thread count.  It otherwise starts one per core when it
+    loads, and they spin; no run can use them, since every BLAS product
+    here has an inner dimension of at most a factor's ambient dimension.
+    OpenBLAS reads the variable once, when numpy is first imported, so
+    a process that has imported numpy keeps its environment as it is."""
+    if "numpy" not in sys.modules and not any(
+            name in os.environ for name in _BLAS_THREAD_VARIABLES):
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
+
 def main(argv=None) -> int:
+    _one_blas_thread()
     args = build_parser().parse_args(argv)
     try:
         run = _Run(args, list(sys.argv[1:] if argv is None else argv))

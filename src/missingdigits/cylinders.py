@@ -134,10 +134,19 @@ class _Tree:
     def grid(self, level: int) -> tuple:
         """The offsets of a planar tree as a grid: its distinct x and y
         offsets, and the (x, y, 1) mask of the pairs that are offsets."""
-        (xs, ix), (ys, iy) = (np.unique(o, return_inverse=True) for o in self.offsets(level).T)
+        (xs, ix), (ys, iy) = (_distinct(o) for o in self.offsets(level).T)
         mask = np.zeros((xs.shape[0], ys.shape[0], 1), dtype=bool)
         mask[ix, iy] = True
         return xs, ys, mask
+
+
+def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct values and each value's index among them, bit
+    for bit np.unique(values, return_inverse=True) (which sorts and
+    masks the same way) without the numpy.ma import that it costs."""
+    ordered = np.sort(values)
+    distinct = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
+    return distinct, np.searchsorted(distinct, values)
 
 
 def cylinder_mass(spec: Spec, x, angle: float, half_width: float, depth: int,

@@ -63,6 +63,10 @@ _PHASE_CAP = float(1 << 46)
 # Points per block of box_blocks.
 LATTICE_BLOCK = 1 << 16
 
+# Complex phases (128 KiB) per row chunk of an explicit digit average,
+# so that the column adds read the chunk from cache.
+_PHASE_CHUNK = 1 << 13
+
 
 # ------------------------------------------------------------ digit symbol
 
@@ -72,7 +76,9 @@ def digit_symbol(factor: MissingDigitsSpec, eta) -> np.ndarray:
 
     Explicit digit sets are averaged directly: the digit columns of the
     (..., #D) phase array are added left to right and the sum divided
-    by #D, which is numpy's mean bit for bit when #D <= 2.  For more
+    by #D, which is numpy's mean bit for bit when #D <= 2.  The phases
+    and their adds are taken over row chunks of _PHASE_CHUNK phases,
+    which changes no bit of the result.  For more
     digits the sum is within (#D - 1) u sum_d |exp(-2 pi i (d, eta))|
     (u = 2^-53) of the exact sum of the computed phases, per real and
     imaginary part, and the division adds one rounding of relative size
@@ -88,14 +94,21 @@ def digit_symbol(factor: MissingDigitsSpec, eta) -> np.ndarray:
     if isinstance(factor.digits, DigitInterval):
         return _interval_symbol(factor, eta[..., 0])
     mat = factor.digit_matrix().astype(np.float64)
-    phases = np.exp(-2j * np.pi * (eta @ mat.T))
-    # whole-column adds: a per-row mean(axis=-1) over few digits costs
-    # about as much as the exponentials
-    total = phases[..., 0].copy()
-    for column in range(1, phases.shape[-1]):
-        total += phases[..., column]
-    total /= phases.shape[-1]
-    return total[()]  # a scalar for a scalar eta, as mean gave
+    dots = eta @ mat.T
+    count = dots.shape[-1]
+    rows = dots.reshape(-1, count)
+    total = np.empty(rows.shape[0], dtype=np.complex128)
+    # column adds: a per-row mean(axis=-1) over few digits costs about as
+    # much as the exponentials; a chunk's columns are read from cache
+    step = max(1, _PHASE_CHUNK // count)
+    for start in range(0, rows.shape[0], step):
+        phases = np.exp(-2j * np.pi * rows[start:start + step])
+        part = total[start:start + step]
+        part[:] = phases[:, 0]
+        for column in range(1, count):
+            part += phases[:, column]
+    total /= count
+    return total.reshape(dots.shape[:-1])[()]  # a scalar for a scalar eta, as mean gave
 
 
 def symbol_modulus(factor: MissingDigitsSpec, eta) -> np.ndarray:
@@ -225,17 +238,18 @@ def box_blocks(side: int, n: int, budget: EvalBudget, label: str, rows: int | No
 
 def gather_points(spec: Spec, blocks, tol: float, budget: EvalBudget) -> np.ndarray:
     """Join blocks of frequency points into one fourier_transform_batch
-    batch, checking after each block the points so far times the largest
-    transform_levels of any block so far ("transform levels"), so an
-    oversized batch is refused as it grows.  The check counts every
-    point: it cannot know which rows the transform will take from their
-    negations, so a mirrored batch is charged less than it checks."""
+    batch, checking after each block half the points so far (rounded
+    up) times the largest transform_levels of any block so far
+    ("transform levels"), so an oversized batch is refused as it grows.
+    The transform evaluates at least one row of each pair of rows it
+    mirrors, so that is a lower bound on its charge, whatever rows the
+    later blocks mirror; fourier_transform_batch makes the exact check."""
     parts, kept, levels = [], 0, 0
     for block in blocks:
         parts.append(block)
         kept += block.shape[0]
         levels = max(levels, transform_levels(spec, block, tol))
-        budget.check(kept * levels, "transform levels")
+        budget.check(-(-kept // 2) * levels, "transform levels")
     return np.concatenate(parts)
 
 

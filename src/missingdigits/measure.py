@@ -211,13 +211,10 @@ class ExplicitDigits:
 
     def is_rectangle(self) -> bool:
         """True when the set equals a product of integer intervals."""
-        import numpy as np
-
-        mat = self.digit_matrix()
         sizes = []
-        for j in range(mat.shape[1]):
-            vals = np.unique(mat[:, j])
-            if vals[-1] - vals[0] + 1 != len(vals):
+        for column in zip(*self.vectors):
+            vals = set(column)
+            if max(vals) - min(vals) + 1 != len(vals):
                 return False
             sizes.append(len(vals))
         if math.prod(sizes) != len(self.vectors):

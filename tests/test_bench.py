@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -102,7 +103,9 @@ def test_records_give_the_spawn_to_exit_seconds_with_their_quartiles():
     assert record["spawn_s"] == [0.35, 0.15, 0.3, 0.2, 0.25]
     assert (record["q1_spawn_s"], record["median_spawn_s"], record["q3_spawn_s"]) == (
         0.2, 0.25, 0.3)
-    assert record["median_spawn_cpu_s"] == 0.2
+    assert record["spawn_cpu_s"] == [0.3, 0.1, 0.25, 0.15, 0.2]
+    assert (record["q1_spawn_cpu_s"], record["median_spawn_cpu_s"],
+            record["q3_spawn_cpu_s"]) == (0.15, 0.2, 0.25)
     assert record["median_s"] == 0.1  # the in-process seconds stay apart
 
 
@@ -147,3 +150,19 @@ def test_trees_are_copied_to_equivalent_places_without_bytecode(tmp_path):
     # a child imports from the copy it is given, which run_child checks
     run = bench.run_child("gr-scaled", copies["change"])
     assert run["exit_code"] == bench.JOBS["gr-scaled"].exit_code
+
+
+def test_copies_are_compiled_and_their_runs_import_the_bytecode(tmp_path):
+    copies = bench.copy_trees({"change": str(ROOT / "src")}, tmp_path)
+    bench.compile_trees(copies)
+    package = Path(copies["change"]) / "missingdigits"
+    for module in package.glob("*.py"):
+        assert list((package / "__pycache__").glob(f"{module.stem}.*.pyc")), module.name
+    # a run loads its modules from that bytecode, with or without
+    # PYTHONDONTWRITEBYTECODE, rather than compiling their sources
+    verbose = subprocess.run([sys.executable, "-v", "-c", "import missingdigits.cli"],
+                             capture_output=True, text=True, check=True,
+                             env=dict(os.environ, PYTHONPATH=copies["change"],
+                                      PYTHONDONTWRITEBYTECODE="1")).stderr
+    for module in ("__init__", "cli", "budget", "errors"):
+        assert f"code object from '{package / '__pycache__' / module}." in verbose, module

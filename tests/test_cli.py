@@ -458,6 +458,25 @@ def test_lp_integral_refuses_an_oversized_ball_before_building_it(spec, rmax, la
     assert "Traceback" not in proc.stderr
 
 
+STRIPE_81 = ["stripe-scan", "--spec", C32_SQ, "--radius", "81", "--angles", "256",
+             "--s1", "0.7376", "--eps", "0.05"]
+
+
+def test_a_mirrored_batch_runs_within_the_budget_it_is_charged():
+    # the annulus is gathered against the half of its points that the
+    # transform evaluates, not all of them (3,215,888 transform levels)
+    code, full = run_json(STRIPE_81)
+    assert code == 0
+    # the run spends 1,678,572 cells in all
+    for budget in ("2000000", "1678572"):
+        code, doc = run_json(STRIPE_81 + ["--budget", budget])
+        assert code == 0
+        assert doc["result"] == full["result"]
+    code, out, err = run(STRIPE_81 + ["--budget", "1678571"])
+    assert (code, out) == (65, "")
+    assert "budget exhausted" in err
+
+
 def test_exit_64_when_no_dimension_bound_applies():
     # 3^17 residues exceed the grid cap; crude and rectangle need p >= 4
     corners = "(" + ",".join(["0"] * 17) + "),(" + ",".join(["2"] * 17) + ")"

@@ -1,9 +1,13 @@
 """What each subcommand imports: a run loads only the modules it calls,
-so `graham` and the symbolic presets never load numpy, and the package
-resolves its public names lazily."""
+so `graham` and the symbolic presets never load numpy, no run loads
+numpy.ma or starts BLAS threads, and the package resolves its public
+names lazily."""
 
+import contextlib
+import io
 import json
 import math
+import os
 import struct
 import subprocess
 import sys
@@ -12,27 +16,46 @@ import numpy as np
 import pytest
 
 import missingdigits
+from missingdigits.cli import main
 from missingdigits.dimension import _logaddexp
 
 C3 = "factor { base = 3; digits = {0,2}; }"
 C3_SQ = f"{C3} {C3}"
 
-# runs cli.main on its argv in a fresh interpreter and prints the modules loaded
+# runs cli.main on its argv in a fresh interpreter and prints the modules
+# loaded, its thread count (None without /proc/self/task) and its
+# OPENBLAS_NUM_THREADS
 _LOADED = """
-import contextlib, io, json, sys
+import contextlib, io, json, os, sys
 from missingdigits.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
-print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
+tasks = "/proc/self/task"
+print(json.dumps({"code": code, "modules": sorted(sys.modules),
+                  "threads": len(os.listdir(tasks)) if os.path.isdir(tasks) else None,
+                  "openblas": os.environ.get("OPENBLAS_NUM_THREADS")}))
 """
+
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _child(*argv, code: int = 0, env: dict | None = None) -> dict:
+    child = subprocess.run([sys.executable, "-c", _LOADED, *argv],
+                           capture_output=True, text=True, check=True, env=env)
+    doc = json.loads(child.stdout)
+    assert doc["code"] == code, child.stderr
+    return doc
 
 
 def _loaded(*argv, code: int = 0) -> set:
-    child = subprocess.run([sys.executable, "-c", _LOADED, *argv],
-                           capture_output=True, text=True, check=True)
-    doc = json.loads(child.stdout)
-    assert doc["code"] == code, child.stderr
-    return set(doc["modules"])
+    return set(_child(*argv, code=code)["modules"])
+
+
+def _environment(**variables) -> dict:
+    """This process's environment without any BLAS thread count, plus
+    the given variables."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARIABLES}
+    return dict(env, **variables)
 
 
 def _python(code: str) -> str:
@@ -62,6 +85,7 @@ def test_fourier_runs_load_no_cylinders(argv):
     modules = _loaded(*argv, "--spec", C3_SQ)
     assert "missingdigits.projection" in modules
     assert "missingdigits.cylinders" not in modules
+    assert "numpy.ma" not in modules
 
 
 @pytest.mark.parametrize("argv, code", [
@@ -73,6 +97,7 @@ def test_dimension_bounds_load_no_projection_cylinders_or_graham(argv, code):
     assert "missingdigits.dimension" in modules
     for name in ("projection", "cylinders", "graham"):
         assert f"missingdigits.{name}" not in modules
+    assert "numpy.ma" not in modules  # np.unique would import it
 
 
 def test_radial_density_loads_no_certify_dimension_or_graham():
@@ -81,6 +106,38 @@ def test_radial_density_loads_no_certify_dimension_or_graham():
     assert "missingdigits.projection" in modules
     for name in ("certify", "dimension", "graham"):
         assert f"missingdigits.{name}" not in modules
+    assert "numpy.ma" not in modules
+
+
+# ------------------------------------------------------------ BLAS threads
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+def test_a_run_without_a_thread_count_starts_no_blas_threads():
+    doc = _child("dim-bound", "--spec", C3_SQ, env=_environment())
+    assert "numpy" in doc["modules"]
+    assert (doc["threads"], doc["openblas"]) == (1, "1")
+
+
+@pytest.mark.parametrize("name", BLAS_THREAD_VARIABLES)
+def test_a_thread_count_the_user_set_is_kept(name):
+    env = _environment(**{name: "2"})
+    doc = _child("dim-bound", "--spec", C3_SQ, env=env)
+    assert doc["openblas"] == env.get("OPENBLAS_NUM_THREADS")
+    # numpy starts the threads it starts on its own under that setting
+    bare = json.loads(subprocess.run(
+        [sys.executable, "-c", "import json, os, numpy; tasks = '/proc/self/task'; "
+         "print(json.dumps(len(os.listdir(tasks)) if os.path.isdir(tasks) else None))"],
+        capture_output=True, text=True, check=True, env=env).stdout)
+    assert doc["threads"] == bare
+
+
+def test_a_run_in_a_process_that_imported_numpy_leaves_its_environment_alone(monkeypatch):
+    for name in BLAS_THREAD_VARIABLES:
+        monkeypatch.delenv(name, raising=False)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["preset", "theorem-a"]) == 0
+    assert not set(BLAS_THREAD_VARIABLES) & set(os.environ)
 
 
 def test_the_package_and_the_cli_import_no_library_module():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from missingdigits import (BudgetExceededError, EvalBudget, cylinder_mass, cylinders,
                            explicit_spec, lebesgue_spec, product, ray_tube_masses, square)
-from missingdigits.cylinders import _ray_frames, _tube_codes, _tube_terms
+from missingdigits.cylinders import _distinct, _ray_frames, _tube_codes, _tube_terms, _Tree
 from oracles import tube_mass_mc
 
 C32 = square(explicit_spec(3, [0, 2]))
@@ -31,6 +31,21 @@ def test_ray_tube_reaches_forward_only():
 
 def test_ray_tube_wider_than_long_keeps_half_width_within_half_length():
     assert _ray_frames((-100.0, -100.0), [0.8], 200.0)[1] == 200.0
+
+
+SPARSE = explicit_spec(10, [(i, 3 * i % 10) for i in range(10)], n=2)
+
+
+@pytest.mark.parametrize("spec", [C32, LEB2, CARPET, SPARSE,
+                                  product(explicit_spec(5, [0, 1, 3]), explicit_spec(7, [2, 6]))])
+def test_grid_offsets_are_numpy_unique_bit_for_bit(spec):
+    tree = _Tree(spec)
+    for level in range(1, 6):
+        for offsets in tree.offsets(level).T:
+            distinct, index = _distinct(offsets)
+            expected, inverse = np.unique(offsets, return_inverse=True)
+            assert np.array_equal(distinct.view(np.uint64), expected.view(np.uint64))
+            assert np.array_equal(index, inverse)
 
 
 def _elementwise_codes(low_x, low_y, sides, terms, half_length, half_width):

@@ -371,3 +371,28 @@ def test_a_many_digit_average_stays_within_its_summation_bound(factor):
     for part in (np.real, np.imag):
         bound = 2 * gamma * np.abs(part(phases)).sum(axis=-1) / count
         assert np.all(np.abs(part(new) - part(old)) <= bound)
+
+
+def _column_symbol(factor, eta):
+    # the digit average by column adds over the whole phase array at once
+    mat = factor.digit_matrix().astype(np.float64)
+    phases = np.exp(-2j * np.pi * (eta @ mat.T))
+    total = phases[..., 0].copy()
+    for column in range(1, phases.shape[-1]):
+        total += phases[..., column]
+    total /= phases.shape[-1]
+    return total[()]
+
+
+@pytest.mark.parametrize("factor, shape", [
+    (C3, (50_000, 1)),
+    (C3, (1,)),  # a scalar eta gives a scalar
+    (CARPET, (7, 3001, 2)),
+    (E48, (910, 48, 1)),  # E48's f_theta block at F_THETA_BLOCK: 43,680 rows of 24 phases
+])
+def test_a_chunked_digit_average_equals_the_whole_array_form_bit_for_bit(factor, shape):
+    eta = RNG.uniform(-50.0, 50.0, size=shape)
+    chunked, whole = digit_symbol(factor, eta), _column_symbol(factor, eta)
+    assert np.shape(chunked) == np.shape(whole)
+    assert np.array_equal(np.atleast_1d(chunked).view(np.uint64),
+                          np.atleast_1d(whole).view(np.uint64))
