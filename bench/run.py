@@ -14,7 +14,9 @@ copies are removed at the end.  Each of R rounds
 runs every tree once per job, back to back, in an order reversed every
 round, so drift of the host's speed falls on all trees alike.  Each run
 is a child process that imports `missingdigits.cli` from its tree and
-times `cli.main(argv)` (the in-process seconds); the child then starts
+times `cli.main(argv)` (the in-process seconds), with numpy not yet
+imported, so that the run loads it as the CLI does (with one BLAS
+thread unless the environment sets a count); the child then starts
 `python -m missingdigits ARGV` from the same tree, timed from spawn to
 exit with its CPU seconds from `os.wait4` (the spawn-to-exit seconds,
 start-up and imports included), whose exit code and printed JSON must
@@ -47,8 +49,6 @@ import sys
 import tempfile
 import time
 from pathlib import Path
-
-import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmark"))
 
@@ -162,6 +162,8 @@ def schedule(trees: list, repeat: int) -> list:
 
 def summarize(job_id: str, runs: list) -> dict:
     """The record of one tree's runs of a job, which must agree exactly."""
+    import numpy as np
+
     exact = {tuple(r[k] for k in OUTCOME) for r in runs}
     if len(exact) != 1 or runs[0]["exit_code"] != JOBS[job_id].exit_code:
         raise RuntimeError(f"{job_id}: runs give (exit code, cells, digest) {sorted(exact)}; "
@@ -188,6 +190,8 @@ def summarize(job_id: str, runs: list) -> dict:
 
 
 def machine() -> dict:
+    import numpy as np
+
     model = platform.processor() or platform.machine()
     try:
         with open("/proc/cpuinfo") as info:

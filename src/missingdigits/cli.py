@@ -447,9 +447,8 @@ def _cmd_radial_density(run, args) -> tuple:
 
 
 def _cmd_linear_density(run, args) -> tuple:
-    import numpy as np
-
-    from .projection import _unit_direction, linear_density, linear_density_mc
+    from .projection import (_UNIT_SQUARE_CORNERS, _unit_direction, linear_density,
+                             linear_density_mc)
 
     spec = run.spec()
     theta = _parse_vector(args.direction, "--direction")
@@ -465,7 +464,7 @@ def _cmd_linear_density(run, args) -> tuple:
             f"bandwidth {args.bandwidth!r}, seed {run.seed}",
         ]
     else:
-        corners = np.array([[0, 0], [0, 1], [1, 0], [1, 1]], dtype=np.float64) @ unit
+        corners = _UNIT_SQUARE_CORNERS @ unit
         lo, hi, count = float(corners.min()) - 0.05, float(corners.max()) + 0.05, 501
         if args.grid is not None:
             parts = _reals(args.grid, "--grid")

@@ -223,27 +223,31 @@ def lattice_rows(side: int, n: int, start: int, stop: int) -> np.ndarray:
     return np.stack(np.unravel_index(index, (side,) * n), axis=-1).astype(np.float64)
 
 
-def box_blocks(side: int, n: int, budget: EvalBudget, label: str, rows: int | None = None):
+def box_blocks(side: int, n: int, budget: EvalBudget, label: str):
     """The integer box {-h..h}^n, h = (side - 1) // 2, as a generator of
-    blocks of `rows` points (LATTICE_BLOCK by default) in C order.  Its
-    side^n points are checked against the budget under `label` at the
-    call, so an oversized box is refused before any block is built."""
+    blocks of LATTICE_BLOCK points in C order.  Its side^n points are
+    checked against the budget under `label` at the call, so an
+    oversized box is refused before any block is built.  Point K-1-i is
+    the negation of point i, also in any part cut from the blocks by a
+    predicate symmetric under xi -> -xi, so the transform mirrors every
+    such point but those with a +0.0 coordinate."""
     count = side ** n
     budget.check(count, label)
-    rows = rows or LATTICE_BLOCK
     half = (side - 1) // 2
-    return (lattice_rows(side, n, start, min(count, start + rows)) - half
-            for start in range(0, count, rows))
+    return (lattice_rows(side, n, start, min(count, start + LATTICE_BLOCK)) - half
+            for start in range(0, count, LATTICE_BLOCK))
 
 
 def gather_points(spec: Spec, blocks, tol: float, budget: EvalBudget) -> np.ndarray:
     """Join blocks of frequency points into one fourier_transform_batch
     batch, checking after each block half the points so far (rounded
     up) times the largest transform_levels of any block so far
-    ("transform levels"), so an oversized batch is refused as it grows.
-    The transform evaluates at least one row of each pair of rows it
-    mirrors, so that is a lower bound on its charge, whatever rows the
-    later blocks mirror; fourier_transform_batch makes the exact check."""
+    ("transform levels"), so an oversized batch is refused as it grows,
+    before it is transformed.  The transform evaluates at least one row
+    of each pair of rows it mirrors, so that is a lower bound on its
+    charge; fourier_transform_batch makes the exact check.  A walk that
+    starts at its largest point, as the boxes and the ray do, is checked
+    at its final levels from the first block."""
     parts, kept, levels = [], 0, 0
     for block in blocks:
         parts.append(block)

@@ -46,7 +46,7 @@ import numpy as np
 
 from .budget import EvalBudget, ensure_budget
 from .errors import ConfigError
-from .fourier import box_blocks, fourier_transform_batch, gather_points, transform_levels
+from .fourier import LATTICE_BLOCK, box_blocks, fourier_transform_batch, gather_points
 from .measure import Spec, as_product, draw_cells, sample, total_dim
 
 # Fixed step for the inverse-transform quadrature along a ray.  The
@@ -520,12 +520,11 @@ def linear_density(spec: Spec, theta, u_grid, T_max: float, tol: float = 1e-9,
     steps = int(round(T_max / dt))
     # charged before t is built, so a huge T_max is refused at once
     bud.charge(_ray_length(2 * steps + 1, u_grid.size), "ray inversion")
-    # the ray's steps + 1 points up to t = 0 are charged the levels of
-    # its two ends; the others are their negations, taken by conjugation
-    bud.check((steps + 1) * transform_levels(spec, steps * dt * theta, tol),
-              "transform levels")
+    # the ray t theta, t = k dt, built from its negative end a block at a time
+    ray = (np.arange(k, min(k + LATTICE_BLOCK, steps + 1))[:, None] * dt * theta[None, :]
+           for k in range(-steps, steps + 1, LATTICE_BLOCK))
+    values, _ = fourier_transform_batch(spec, gather_points(spec, ray, tol, bud), tol, bud)
     t = np.arange(-steps, steps + 1) * dt
-    values, _ = fourier_transform_batch(spec, t[:, None] * theta[None, :], tol, bud)
     density, rounding = _ray_inversion(values * dt, dt, u_0, du, u_grid.size, deviation)
     real = density.real
     imag_l1 = float(np.trapezoid(np.abs(density.imag), u_grid))
@@ -570,9 +569,11 @@ def lp_criterion_integral(spec: Spec, p_exp: int, R_max: int, tol: float = 1e-9,
     capped at 1 inside the unit ball (the origin cell's exact integral
     is finite and the same for every probability measure).
 
-    The ball is cut from the box |xi|_inf <= R_max and transformed 256
-    first-axis rows at a time, after the budget is checked for the box's
-    points ("lattice ball") and the first chunk's transform."""
+    The ball is cut block by block from the box |xi|_inf <= R_max, whose
+    points are checked against the budget first ("lattice ball"), and
+    joined by gather_points into one batch, symmetric under xi -> -xi,
+    so the transform evaluates about half of it.  The whole ball is held
+    at once, as the stripe and slab batches are."""
     if int(p_exp) != p_exp or p_exp < 1:
         raise ConfigError("p_exp must be an integer >= 1")
     R_max = int(R_max)
@@ -582,23 +583,14 @@ def lp_criterion_integral(spec: Spec, p_exp: int, R_max: int, tol: float = 1e-9,
     n = total_dim(spec)
     if n not in (1, 2):
         raise ConfigError("lattice-ball sums need a measure of total dimension 1 or 2")
-    n_shells = 1 + _shell_count(R_max, 2)
-    totals = np.zeros(n_shells)
-    partial = 0.0
-    side = 2 * R_max + 1
-    blocks = box_blocks(side, n, bud, "lattice ball", max(256 * side ** (n - 1), side))
-    # the first chunk (in 1-D the whole axis) holds at least `side` ball
-    # points and reaches (-R_max, 0), so its transform charges at least this
-    bud.check(side * transform_levels(spec, [[R_max] + [0] * (n - 1)], tol), "transform levels")
-    for block in blocks:
-        block = block[(block ** 2).sum(axis=1) <= R_max * R_max]
-        values, _ = fourier_transform_batch(spec, block, tol, bud)
-        norms = np.sqrt((block ** 2).sum(axis=1))
-        w = np.abs(values) * np.maximum(norms, 1.0) ** (-1.0 / p_exp)
-        partial += float(w.sum())
-        totals += _shell_diagnostics(norms, w, base=2, n_shells=n_shells)[0]
-    return LatticeDiagnostics(partial, tuple(float(v) for v in totals),
-                              _floored_slopes(totals, 2))
+    ball = (block[(block ** 2).sum(axis=1) <= R_max * R_max]
+            for block in box_blocks(2 * R_max + 1, n, bud, "lattice ball"))
+    pts = gather_points(spec, ball, tol, bud)
+    values, _ = fourier_transform_batch(spec, pts, tol, bud)
+    norms = np.sqrt((pts ** 2).sum(axis=1))
+    w = np.abs(values) * np.maximum(norms, 1.0) ** (-1.0 / p_exp)
+    totals, slopes = _shell_diagnostics(norms, w, base=2, n_shells=1 + _shell_count(R_max, 2))
+    return LatticeDiagnostics(float(w.sum()), totals, slopes)
 
 
 def _annulus(R: float, budget: EvalBudget):

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import pytest
 
+from missingdigits.cli import _BLAS_THREAD_VARIABLES
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -44,6 +46,38 @@ def test_child_runs_agree_and_digest_the_cli_document_without_wall_time():
     assert bench.digest(json.dumps(doc)) == record["sha256"]
     doc["result"]["count"] += 1
     assert bench.digest(json.dumps(doc)) != record["sha256"]
+
+
+# runs bench/run.py --child JOB as __main__ with cli.main wrapped, then
+# prints whether numpy was loaded when cli.main was entered
+_CHILD_AT_MAIN = """
+import json, os, runpy, sys
+from missingdigits import cli
+main, seen = cli.main, []
+def spy(argv):
+    seen.append("numpy" in sys.modules)
+    return main(argv)
+cli.main = spy
+sys.argv[:] = [sys.argv[1], "--child", sys.argv[2]]
+try:
+    runpy.run_path(sys.argv[0], run_name="__main__")
+except SystemExit as exc:
+    assert not exc.code, exc.code
+print(json.dumps({"numpy_at_main": seen,
+                  "openblas": os.environ.get("OPENBLAS_NUM_THREADS")}))
+"""
+
+
+def test_the_child_reaches_cli_main_without_numpy():
+    env = {k: v for k, v in os.environ.items() if k not in _BLAS_THREAD_VARIABLES}
+    env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src")] + [
+        p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    child = subprocess.run([sys.executable, "-c", _CHILD_AT_MAIN, str(ROOT / "bench" / "run.py"),
+                            "gr-scaled"], capture_output=True, text=True, check=True, env=env)
+    record, seen = (json.loads(line) for line in child.stdout.splitlines())
+    assert record["exit_code"] == bench.JOBS["gr-scaled"].exit_code
+    # so cli.main, not the harness, settles numpy's BLAS threads
+    assert seen == {"numpy_at_main": [False], "openblas": "1"}
 
 
 def test_child_runs_time_the_cli_from_spawn_to_exit():

@@ -445,8 +445,8 @@ def test_fourier_chain_refuses_transform_levels_before_building_points(argv):
 
 @pytest.mark.skipif(resource is None, reason="needs the resource module")
 @pytest.mark.parametrize("spec, rmax, label", [
-    (C32_SQ, 2 ** 26, "lattice ball"),   # a 256-row chunk would be 256 GiB
-    (C3, 2 ** 30, "lattice ball"),       # the one chunk, the axis, 16 GiB
+    (C32_SQ, 2 ** 26, "lattice ball"),   # a box of 2^54 points
+    (C3, 2 ** 30, "lattice ball"),       # an axis of 16 GiB
     (C3, 2 ** 25, "transform levels"),   # a box the budget admits; its axis is 512 MiB
 ])
 def test_lp_integral_refuses_an_oversized_ball_before_building_it(spec, rmax, label):
@@ -585,6 +585,18 @@ def test_tube_csv_comments_give_the_half_width_the_mass_is_divided_by(tmp_path):
         "(about 2/r times the mass per radian at distance r)",
         "# method: cylinder tube counts at half-width 0.04",
     ]
+
+
+@pytest.mark.parametrize("direction, lo, hi", [
+    ("1,2", "-0.05", "1.3916407864998739"),           # 0 and (1 + 2)/sqrt 5, 0.05 out
+    ("-1,1", "-0.7571067811865475", "0.7571067811865475"),  # -+1/sqrt 2, 0.05 out
+])
+def test_linear_default_grid_spans_the_projected_unit_square(direction, lo, hi):
+    code, doc = run_json(["linear-density", "--spec", C32_SQ, f"--direction={direction}",
+                          "--tmax", "9"])
+    assert code == 0
+    grid = doc["result"]["profile"]["grid"]
+    assert (grid[0], grid[-1], len(grid)) == (lo, hi, 501)
 
 
 def test_linear_csv_comments_read_the_quadrature_step_of_the_profile(tmp_path, monkeypatch):

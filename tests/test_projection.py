@@ -430,40 +430,47 @@ def test_lp_integral_budget():
 
 
 def _lp_ball_reference(spec, p_exp, R_max, budget):
-    """The ball sum built from meshgrids: the whole axis at once in 1-D,
-    256 first-axis rows of the square at a time in 2-D, each chunk
-    transformed on its own."""
+    """The ball sum built from one meshgrid of the box, cut to the ball
+    and transformed as one batch."""
     n_shells = 1 + math.ceil(math.log(R_max) / math.log(2))
-    totals = np.zeros(n_shells)
     axis = np.arange(-R_max, R_max + 1)
-    if total_dim(spec) == 1:
-        chunks = [axis[:, None].astype(float)]
-    else:
-        chunks = []
-        for s in range(0, axis.size, 256):
-            block = np.stack(np.meshgrid(axis[s:s + 256], axis, indexing="ij"),
-                             axis=-1).reshape(-1, 2)
-            chunks.append(block[(block ** 2).sum(axis=1) <= R_max * R_max].astype(float))
-    partial = 0.0
-    for block in chunks:
-        values, _ = fourier_transform_batch(spec, block, 1e-9, budget)
-        norms = np.sqrt((block ** 2).sum(axis=1))
-        w = np.abs(values) * np.maximum(norms, 1.0) ** (-1.0 / p_exp)
-        partial += float(w.sum())
-        totals += projection._shell_diagnostics(norms, w, n_shells=n_shells)[0]
-    return projection.LatticeDiagnostics(partial, tuple(float(v) for v in totals),
-                                         projection._floored_slopes(totals, 2))
+    box = np.stack(np.meshgrid(*[axis] * total_dim(spec), indexing="ij"), axis=-1)
+    box = box.reshape(-1, total_dim(spec))
+    ball = box[(box ** 2).sum(axis=1) <= R_max * R_max].astype(float)
+    values, _ = fourier_transform_batch(spec, ball, 1e-9, budget)
+    norms = np.sqrt((ball ** 2).sum(axis=1))
+    w = np.abs(values) * np.maximum(norms, 1.0) ** (-1.0 / p_exp)
+    totals, slopes = projection._shell_diagnostics(norms, w, n_shells=n_shells)
+    return projection.LatticeDiagnostics(float(w.sum()), totals, slopes), ball
 
 
 @pytest.mark.parametrize("spec, R_max", [(C3, 256), (C32, 128), (LEB2, 256)])
 def test_lp_integral_walks_the_meshgrid_ball_bit_for_bit(spec, R_max):
-    # in 2-D, R = 128 and 256 walk 257 and 513 first-axis rows: chunks of
-    # 256 rows and a last chunk of one row
     budget, reference_budget = EvalBudget(), EvalBudget()
     diag = lp_criterion_integral(spec, 2, R_max, budget=budget)
-    reference = _lp_ball_reference(spec, 2, R_max, reference_budget)
+    reference, ball = _lp_ball_reference(spec, 2, R_max, reference_budget)
     assert pickle.dumps(diag) == pickle.dumps(reference)
     assert budget.spent == reference_budget.spent
+    # the ball is one batch symmetric under xi -> -xi, so the transform
+    # mirrors it: about half its points are charged
+    assert budget.spent < ball.shape[0] * transform_levels(spec, ball)
+
+
+def test_lp_integral_completes_within_the_budget_its_mirrored_ball_needs():
+    budget = EvalBudget(30_000_000)
+    lp_criterion_integral(C32, 2, 512, budget=budget)
+    assert budget.spent == 22_289_094
+
+
+def test_lp_integral_refuses_an_unaffordable_ball_before_any_transform(monkeypatch):
+    # the whole ball's levels are checked as it is gathered, not only
+    # those of a first part of it
+    monkeypatch.setattr(projection, "fourier_transform_batch",
+                        lambda *args: pytest.fail("ball transformed past the budget"))
+    budget = EvalBudget(50_000_000)
+    with pytest.raises(BudgetExceededError, match="transform levels"):
+        lp_criterion_integral(C32, 2, 1024, budget=budget)
+    assert budget.spent == 0
 
 
 def test_lp_integral_refuses_an_oversized_ball_box_before_building_it(monkeypatch):
@@ -580,16 +587,20 @@ def test_stripe_net_multiplicity_bounded():
 
 
 def test_slab_walked_in_blocks_matches_one_block(monkeypatch):
-    # every sum that joins box_blocks into one batch, at the default
-    # block and at 97 points a block
+    # every sum that joins blocks into one batch with gather_points, at
+    # the default block and at 97 points a block
     sums = (lambda budget: slab_integral(C32, (1.0, 1.2345), 2048.0, budget=budget),
             lambda budget: stripe_scan(C32, 27.0, 64, budget=budget),
-            lambda budget: partial_sum_S_k(C32, (0.3, 0.1), 3, budget=budget))
+            lambda budget: partial_sum_S_k(C32, (0.3, 0.1), 3, budget=budget),
+            lambda budget: lp_criterion_integral(C32, 2, 64, budget=budget),
+            lambda budget: linear_density(C32, (1.0, 2.0), np.linspace(0.0, 1.0, 11),
+                                          100.0, budget=budget))
     whole = []
     for compute in sums:
         budget = EvalBudget()
         whole.append((pickle.dumps(compute(budget)), budget.spent))
     monkeypatch.setattr(fourier, "LATTICE_BLOCK", 97)
+    monkeypatch.setattr(projection, "LATTICE_BLOCK", 97)
     for compute, expected in zip(sums, whole):
         budget = EvalBudget()
         assert (pickle.dumps(compute(budget)), budget.spent) == expected
