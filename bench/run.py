@@ -24,12 +24,13 @@ equal those of `cli.main`.  Per tree and job OUT records the
 in-process seconds, the peak RSS (import included) and the
 spawn-to-exit seconds and CPU seconds of each run, each with its
 median and quartiles (linear interpolation, as `numpy.percentile`),
-the exit code, the budget cells spent and a SHA-256 of the
-JSON printed, without `manifest.wall_time_s`.  A tree's runs must agree
-on the last three, with the exit code `workloads.py` expects.  Jobs on
-which trees differ are listed under `differ`, and then the command exits
-1.  Cells and digests are exact checks; seconds and peak RSS only show
-the trend.
+the exit code, the budget cells spent, a SHA-256 of the JSON printed,
+without `manifest.wall_time_s`, and whether `cli.main` left numpy
+loaded.  A tree's runs must agree on the last four, with the exit code
+`workloads.py` expects.  Jobs on which trees differ in exit code, cells
+or digest are listed under `differ`, and then the command exits 1.
+Cells and digests are exact checks; seconds and peak RSS only show the
+trend.
 """
 
 from __future__ import annotations
@@ -88,6 +89,7 @@ def run_once(job_id: str) -> dict:
     seconds = time.perf_counter() - start
     return {"seconds": seconds, "exit_code": exit_code, "module": cli.__file__,
             "cells": sum(b.spent for b in budgets), "sha256": digest(out.getvalue()),
+            "numpy_loaded": "numpy" in sys.modules,
             # kibibytes on Linux
             "peak_rss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}
 
@@ -164,10 +166,11 @@ def summarize(job_id: str, runs: list) -> dict:
     """The record of one tree's runs of a job, which must agree exactly."""
     import numpy as np
 
-    exact = {tuple(r[k] for k in OUTCOME) for r in runs}
+    exact = {tuple(r[k] for k in (*OUTCOME, "numpy_loaded")) for r in runs}
     if len(exact) != 1 or runs[0]["exit_code"] != JOBS[job_id].exit_code:
-        raise RuntimeError(f"{job_id}: runs give (exit code, cells, digest) {sorted(exact)}; "
-                           f"expected one, with exit code {JOBS[job_id].exit_code}")
+        raise RuntimeError(f"{job_id}: runs give (exit code, cells, digest, numpy loaded) "
+                           f"{sorted(exact)}; expected one, with exit code "
+                           f"{JOBS[job_id].exit_code}")
 
     def quartiles(key: str, digits: int) -> list:
         return [round(q, digits) for q in
@@ -186,7 +189,7 @@ def summarize(job_id: str, runs: list) -> dict:
             "spawn_cpu_s": [round(r["spawn_cpu_s"], 4) for r in runs],
             "q1_spawn_cpu_s": cpu_q1, "median_spawn_cpu_s": cpu_median,
             "q3_spawn_cpu_s": cpu_q3,
-            **{k: runs[0][k] for k in OUTCOME}}
+            **{k: runs[0][k] for k in (*OUTCOME, "numpy_loaded")}}
 
 
 def machine() -> dict:

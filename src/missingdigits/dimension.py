@@ -40,6 +40,8 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from itertools import product
+from operator import add, mul
 from typing import TYPE_CHECKING
 
 from .budget import EvalBudget, ensure_budget
@@ -49,8 +51,9 @@ from .measure import DigitInterval, MissingDigitsSpec, Spec, as_product
 if TYPE_CHECKING:
     import numpy as np
 
-# numpy and the transform (fourier) are imported where f is evaluated,
-# so that the closed-form bounds of symbolic bases run without them.
+# numpy and the transform (fourier) are imported only where f_theta
+# evaluates f: the closed-form bounds of symbolic bases, and sup_f
+# searches of at most _LIST_CELLS cells, run without them.
 
 
 class BoundKind(enum.Enum):
@@ -113,7 +116,9 @@ def f_theta(factor: MissingDigitsSpec, thetas, budget: EvalBudget | None = None)
     for interval sets (K p^n) and one per digit term for explicit sets
     (K p^n #D).  Thetas and residues are taken in blocks of about
     F_THETA_BLOCK entries (counting #D for explicit sets), so memory
-    stays bounded whatever K and p^n are.
+    stays bounded whatever K and p^n are.  sup_f calls it only once its
+    search passes _LIST_CELLS cells; until then it calls _f_theta_lists,
+    which needs no numpy.
     """
     size, terms = _residue_terms(factor)
     import numpy as np
@@ -139,6 +144,73 @@ def f_theta(factor: MissingDigitsSpec, thetas, budget: EvalBudget | None = None)
             eta = (block[:, None, :] + part[None, :, :]) / p
             out[r0: r0 + rows] += symbol_modulus(factor, eta).sum(axis=1)
     return out
+
+
+# Most "f(theta) residues" cells that one sup_f search evaluates on
+# Python lists; the level that would pass it, and every later one, goes
+# to f_theta.  Spawned dim-bound runs on 2 cores break even with numpy
+# (whose import costs about 0.13 s) near 300k cells for interval digit
+# sets and 480k for the carpet; the benchmark's factors spend 5,664 to
+# 179,712 per search.
+_LIST_CELLS = 1 << 18
+
+
+def _f_theta_lists(factor: MissingDigitsSpec, thetas: list, budget: EvalBudget | None = None
+                   ) -> list:
+    """f(theta) at each n-tuple of thetas, in Python floats, charged as
+    f_theta charges before anything is evaluated.
+
+    Interval digit sets sum f_theta's terms |sin(pi N r) / (N sin(pi r))|
+    with eta = (t + i)/p and r = eta - (eta > 1/2), which is exact for
+    eta in [1/2, 1] (Sterbenz), and 1 at r = 0, as f_theta's
+    eta - round(eta) gives them for theta in [0, 1).  Explicit digit sets
+    split e(-d.(i + theta)/p) into a table entry e(-((d.i) mod p)/p) and
+    a digit phase e(-d.theta/p), so each theta computes #D phases, and
+    each residue term is |sum_d phase_d entry_d| / #D.  The residue
+    terms are added by math.fsum.
+
+    For theta in [0, 1)^n, with u = 2^-53, M the largest digit norm and
+    sin and cos within one ulp, the result is within
+
+        interval sets:  p (2 pi M + 17) u,
+        explicit sets:  p^n (2 #D + 32 + 9 n (2n + 3)) u
+
+    of the exact f at theta.  Interval sets: the two roundings of eta
+    move a term by at most 2 pi M u, since |g| is pi (N - 1)-Lipschitz,
+    and the sines, the ratio and fsum add at most 15 u.  Explicit sets,
+    per residue term: a table entry is within 24 u and a phase within
+    sqrt(2) (2 u + its angle's error) <= (3 + 9 n (2n + 3)) u; the
+    product adds 3 u, sum() sqrt(2) (#D - 1) u, abs 2 u, and fsum and
+    the division by #D 2 u.
+    """
+    size, terms = _residue_terms(factor)
+    ensure_budget(budget).charge(len(thetas) * size * terms, "f(theta) residues")
+    p, sin, fsum = factor.p_int(), math.sin, math.fsum
+    if isinstance(factor.digits, DigitInterval):
+        count = factor.digit_count()
+        scale, each, pi = math.pi * count, float(count), math.pi
+        residues = [float(i) for i in range(p)]
+        sums = []
+        for (t,) in thetas:
+            moduli = []
+            for i in residues:
+                r = (t + i) / p
+                if r > 0.5:
+                    r -= 1.0
+                moduli.append(abs(sin(scale * r) / (each * sin(pi * r))) if r else 1.0)
+            sums.append(fsum(moduli))
+        return sums
+    digits, cos, n = factor.digits.vectors, math.cos, factor.ambient_dim
+    tau = 2.0 * math.pi / p
+    roots = [complex(cos(tau * k), -sin(tau * k)) for k in range(p)]
+    table = [[roots[sum(map(mul, d, i)) % p] for d in digits]
+             for i in product(range(p), repeat=n)]
+    sums = []
+    for theta in thetas:
+        phases = [complex(cos(a), -sin(a))
+                  for a in [tau * sum(map(mul, d, theta)) for d in digits]]
+        sums.append(fsum([abs(sum(map(mul, phases, row))) for row in table]) / len(digits))
+    return sums
 
 
 def _centred_square_sum(digits) -> int:
@@ -213,9 +285,12 @@ def sup_f(
     from _parseval_lipschitz, capped by the crude constant
     L = p^(n-1) 2 pi M (M the largest digit norm).  The search starts
     from the 16^n boxes of side 1/16 and evaluates each level's centres
-    in one f_theta call.  A box is split into its 2^n children while its
-    bound exceeds best + eps, where best is the largest f seen and
-    eps = (L - L') h sqrt(n)/2; a box of side <= h is never split.
+    in one call: _f_theta_lists while the search, this level included,
+    spends at most _LIST_CELLS cells, so that a small search loads no
+    numpy, and f_theta from the level that passes it on.  A box is split
+    into its 2^n children while its bound exceeds best + eps, where best
+    is the largest f seen and eps = (L - L') h sqrt(n)/2; a box of
+    side <= h is never split.
     certified_upper is the largest bound among the retired boxes, so
 
         sup f <= certified_upper <= sup f + max(eps, L' h sqrt(n)/2).
@@ -223,7 +298,7 @@ def sup_f(
     As sup f <= grid max + L' h sqrt(n)/2 on the step-h grid, this is at
     most that grid's max + L h sqrt(n)/2 whenever 2 L' <= L.  Each
     level's thetas x p^n x terms cells are checked against the budget
-    before their array is built, so a search the budget cannot pay for
+    before its centres are built, so a search the budget cannot pay for
     is refused before it allocates.
     """
     if not (0 < h <= 0.5):
@@ -231,37 +306,39 @@ def sup_f(
     n = factor.ambient_dim
     bud = ensure_budget(budget)
     size, terms = _residue_terms(factor)
-    import numpy as np
-
-    from .fourier import lattice_rows
-
     crude = factor.p_int() ** (n - 1) * 2.0 * math.pi * factor.max_digit_norm()
     lip = min(crude, _parseval_lipschitz(factor))
     half_diagonal = math.sqrt(n) / 2.0  # of a box of side 1
     eps = (crude - lip) * h * half_diagonal
     side = 1.0 / _START_BOXES
     bud.check(_START_BOXES ** n * size * terms, "f(theta) residues")
-    centres = (lattice_rows(_START_BOXES, n, 0, _START_BOXES ** n) + 0.5) * side
-    offsets = (lattice_rows(2, n, 0, 2 ** n) - 0.5) / 2  # child centres, per unit side
+    centres = [tuple((c + 0.5) * side for c in box)
+               for box in product(range(_START_BOXES), repeat=n)]
+    offsets = list(product((-0.25, 0.25), repeat=n))  # child centres, per unit side
     best, arg, upper, evaluations = -math.inf, None, -math.inf, 0
-    while len(centres):
-        vals = f_theta(factor, centres, bud)
+    while centres:
+        vals = (_f_theta_lists(factor, centres, bud)
+                if (evaluations + len(centres)) * size * terms <= _LIST_CELLS
+                else f_theta(factor, centres, bud).tolist())
         evaluations += len(centres)
-        i = int(np.argmax(vals))
+        i = vals.index(max(vals))
         if vals[i] > best:
-            best, arg = float(vals[i]), centres[i]
-        bounds = vals + lip * side * half_diagonal
-        split = (bounds > best + eps) & (side > h)
-        upper = max(upper, float(bounds[~split].max(initial=-math.inf)))
-        bud.check(int(split.sum()) * 2 ** n * size * terms, "f(theta) residues")
-        centres = (centres[split][:, None, :] + offsets * side).reshape(-1, n)
+            best, arg = vals[i], centres[i]
+        slack, cut, deep = lip * side * half_diagonal, best + eps, side > h
+        bounds = [v + slack for v in vals]
+        split = [deep and b > cut for b in bounds]
+        upper = max(upper, max((b for b, s in zip(bounds, split) if not s), default=-math.inf))
+        bud.check(sum(split) * 2 ** n * size * terms, "f(theta) residues")
+        steps = [tuple(o * side for o in offset) for offset in offsets]
+        centres = [tuple(map(add, centre, step))
+                   for centre, s in zip(centres, split) if s for step in steps]
         side /= 2
     return SupF(
         sup_estimate=best,
         certified_upper=upper,
-        argmax=tuple(float(a) for a in arg),
+        argmax=arg,
         h=float(h),
-        lipschitz=float(lip),
+        lipschitz=lip,
         evaluations=evaluations,
         cells=evaluations * size * terms,
     )

@@ -36,7 +36,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 # numpy is imported where digit arrays are built, so that the log
-# arithmetic of symbolic bases runs without it.
+# arithmetic of symbolic bases and the digit norms run without it.
 
 # Largest integer we are willing to materialize exactly: anything whose
 # logarithm exceeds ln(2^62) stays symbolic and supports only
@@ -204,10 +204,10 @@ class ExplicitDigits:
         return np.asarray(self.vectors, dtype=np.int64)
 
     def max_euclid_norm(self) -> float:
-        import numpy as np
-
-        mat = self.digit_matrix()
-        return float(np.sqrt((mat.astype(float) ** 2).sum(axis=1)).max())
+        """sqrt of the largest exact integer sum of squares, which is the
+        largest float norm of a digit while the squares are exact
+        (coordinates below 2^26), as sqrt is monotone."""
+        return math.sqrt(max(sum(c * c for c in v) for v in self.vectors))
 
     def is_rectangle(self) -> bool:
         """True when the set equals a product of integer intervals."""

@@ -80,6 +80,16 @@ def test_the_child_reaches_cli_main_without_numpy():
     assert seen == {"numpy_at_main": [False], "openblas": "1"}
 
 
+@pytest.mark.parametrize("job_id, loaded", [
+    ("gr-scaled", False), ("dim-c3sq", False), ("slab-2048", True)])
+def test_child_runs_record_whether_the_cli_loaded_numpy(job_id, loaded):
+    run = bench.run_child(job_id, str(ROOT / "src"))
+    assert run["numpy_loaded"] is loaded
+    assert bench.summarize(job_id, [run, run])["numpy_loaded"] is loaded
+    with pytest.raises(RuntimeError, match=job_id):
+        bench.summarize(job_id, [run, dict(run, numpy_loaded=not loaded)])
+
+
 def test_child_runs_time_the_cli_from_spawn_to_exit():
     job = bench.JOBS["gr-scaled"]
     run = bench.run_child(job.id, str(ROOT / "src"))
@@ -107,7 +117,7 @@ def test_a_spawned_run_that_prints_otherwise_is_refused():
 
 def test_runs_that_disagree_or_exit_unexpectedly_are_refused():
     run = {"seconds": 0.1, "peak_rss_mib": 40.0, "spawn_s": 0.2, "spawn_cpu_s": 0.1,
-           "exit_code": 0, "cells": 526, "sha256": "a"}
+           "exit_code": 0, "cells": 526, "sha256": "a", "numpy_loaded": False}
     with pytest.raises(RuntimeError, match="gr-scaled"):
         bench.summarize("gr-scaled", [run, dict(run, cells=527)])
     with pytest.raises(RuntimeError, match="expected one, with exit code 2"):
@@ -116,7 +126,7 @@ def test_runs_that_disagree_or_exit_unexpectedly_are_refused():
 
 def test_records_give_the_median_and_quartiles_of_the_seconds():
     run = {"seconds": 0.1, "peak_rss_mib": 40.0, "spawn_s": 0.2, "spawn_cpu_s": 0.1,
-           "exit_code": 0, "cells": 526, "sha256": "a"}
+           "exit_code": 0, "cells": 526, "sha256": "a", "numpy_loaded": False}
     runs = [dict(run, seconds=s) for s in (0.5, 0.1, 0.4, 0.2, 0.3)]
     record = bench.summarize("gr-scaled", runs)
     assert record["seconds"] == [0.5, 0.1, 0.4, 0.2, 0.3]
@@ -130,7 +140,7 @@ def test_records_give_the_median_and_quartiles_of_the_seconds():
 
 def test_records_give_the_spawn_to_exit_seconds_with_their_quartiles():
     run = {"seconds": 0.1, "peak_rss_mib": 40.0, "spawn_s": 0.2, "spawn_cpu_s": 0.1,
-           "exit_code": 0, "cells": 526, "sha256": "a"}
+           "exit_code": 0, "cells": 526, "sha256": "a", "numpy_loaded": False}
     runs = [dict(run, spawn_s=s, spawn_cpu_s=c)
             for s, c in ((0.35, 0.3), (0.15, 0.1), (0.3, 0.25), (0.2, 0.15), (0.25, 0.2))]
     record = bench.summarize("gr-scaled", runs)
@@ -145,7 +155,7 @@ def test_records_give_the_spawn_to_exit_seconds_with_their_quartiles():
 
 def test_records_give_the_median_peak_rss_of_the_runs():
     run = {"seconds": 0.1, "peak_rss_mib": 40.0, "spawn_s": 0.2, "spawn_cpu_s": 0.1,
-           "exit_code": 0, "cells": 526, "sha256": "a"}
+           "exit_code": 0, "cells": 526, "sha256": "a", "numpy_loaded": False}
     runs = [dict(run, peak_rss_mib=m) for m in (77.5, 82.7, 77.6)]
     assert bench.summarize("gr-scaled", runs)["peak_rss_mib"] == 77.6  # not the outlier
     runs = [dict(run, peak_rss_mib=m) for m in (40.0, 41.0)]
@@ -154,7 +164,7 @@ def test_records_give_the_median_peak_rss_of_the_runs():
 
 def test_records_keep_every_run_peak_rss_with_its_quartiles():
     run = {"seconds": 0.1, "peak_rss_mib": 40.0, "spawn_s": 0.2, "spawn_cpu_s": 0.1,
-           "exit_code": 0, "cells": 526, "sha256": "a"}
+           "exit_code": 0, "cells": 526, "sha256": "a", "numpy_loaded": False}
     runs = [dict(run, peak_rss_mib=m) for m in (82.44, 77.2, 77.5, 82.7, 77.6)]
     record = bench.summarize("gr-scaled", runs)
     assert record["peak_rss_mib_runs"] == [82.4, 77.2, 77.5, 82.7, 77.6]

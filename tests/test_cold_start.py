@@ -1,7 +1,7 @@
 """What each subcommand imports: a run loads only the modules it calls,
-so `graham` and the symbolic presets never load numpy, no run loads
-numpy.ma or starts BLAS threads, and the package resolves its public
-names lazily."""
+so `graham`, the symbolic presets and the dimension bounds of small
+residue grids never load numpy, no run loads numpy.ma or starts BLAS
+threads, and the package resolves its public names lazily."""
 
 import contextlib
 import io
@@ -21,6 +21,14 @@ from missingdigits.dimension import _logaddexp
 
 C3 = "factor { base = 3; digits = {0,2}; }"
 C3_SQ = f"{C3} {C3}"
+I512 = "factor { base = 512; digits = 0..499; }"
+I729 = "factor { base = 729; digits = 0..700; }"
+E48 = "factor { base = 48; digits = {" + ",".join(str(d) for d in range(0, 48, 2)) + "}; }"
+LINEAR_PAIR = ("factor { base = 5; digits = {0,1,2,3}; } "
+               "factor { base = 7; digits = {0,2,3,5,6}; }")
+# its sup_f search spends 360,448 f(theta) cells, past the list constant
+I4096 = "factor { base = 4096; digits = 0..3999; }"
+NUMPY_RUN = ("dim-bound", "--spec", I4096)
 
 # runs cli.main on its argv in a fresh interpreter and prints the modules
 # loaded, its thread count (None without /proc/self/task) and its
@@ -100,6 +108,27 @@ def test_dimension_bounds_load_no_projection_cylinders_or_graham(argv, code):
     assert "numpy.ma" not in modules  # np.unique would import it
 
 
+@pytest.mark.parametrize("argv, code", [
+    (("dim-bound", "--spec", C3_SQ), 0),
+    (("dim-bound", "--spec", f"{I512} {I512}"), 0),
+    (("dim-bound", "--spec", E48), 0),
+    (("certify", "--radial-lp", "1", "--spec", C3_SQ), 2),
+    (("certify", "--radial-lp", "2", "--spec", f"{I512} {I729}"), 0),
+    (("certify", "--linear", "--spec", LINEAR_PAIR), 0),
+], ids=["dim-c3sq", "dim-512sq", "dim-e48", "cert-l1", "cert-mixed", "cert-linear"])
+def test_small_residue_grids_are_certified_without_numpy(argv, code):
+    modules = _loaded(*argv, code=code)
+    assert "missingdigits.dimension" in modules
+    assert "numpy" not in modules
+    assert "missingdigits.fourier" not in modules
+
+
+def test_a_search_past_the_list_constant_loads_numpy():
+    modules = _loaded(*NUMPY_RUN)
+    assert "numpy" in modules
+    assert "missingdigits.fourier" in modules
+
+
 def test_radial_density_loads_no_certify_dimension_or_graham():
     modules = _loaded("radial-density", "--spec", C3_SQ, "--viewpoint=-1,-1",
                       "--delta", "0.05", "--angles", "10")
@@ -114,7 +143,7 @@ def test_radial_density_loads_no_certify_dimension_or_graham():
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
 def test_a_run_without_a_thread_count_starts_no_blas_threads():
-    doc = _child("dim-bound", "--spec", C3_SQ, env=_environment())
+    doc = _child(*NUMPY_RUN, env=_environment())
     assert "numpy" in doc["modules"]
     assert (doc["threads"], doc["openblas"]) == (1, "1")
 
@@ -122,7 +151,7 @@ def test_a_run_without_a_thread_count_starts_no_blas_threads():
 @pytest.mark.parametrize("name", BLAS_THREAD_VARIABLES)
 def test_a_thread_count_the_user_set_is_kept(name):
     env = _environment(**{name: "2"})
-    doc = _child("dim-bound", "--spec", C3_SQ, env=env)
+    doc = _child(*NUMPY_RUN, env=env)
     assert doc["openblas"] == env.get("OPENBLAS_NUM_THREADS")
     # numpy starts the threads it starts on its own under that setting
     bare = json.loads(subprocess.run(

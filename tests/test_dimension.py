@@ -1,4 +1,5 @@
 import decimal
+import itertools
 import math
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ from oracles import partial_sum_S_k
 
 C3 = explicit_spec(3, [0, 2])
 C5 = explicit_spec(5, [0, 1, 2, 3])
+C7 = explicit_spec(7, [0, 2, 3, 5, 6])
 RNG = np.random.default_rng(4)
 
 FACTORS = {
@@ -88,6 +90,63 @@ def test_f_theta_charges_one_cell_per_term(name):
     assert budget.spent == 10 * factor.p_int() ** factor.ambient_dim * _terms(factor)
 
 
+# the benchmark's factors (C5 and C7 make its linear pair), L10 and the carpet
+LIST_FACTORS = {**FACTORS, "C5": C5, "C7": C7}
+
+
+def _lists_bound(factor):
+    """The rounding bound that _f_theta_lists states, for theta in [0, 1)^n."""
+    u = 2.0 ** -53
+    p, n = factor.p_int(), factor.ambient_dim
+    if isinstance(factor.digits, DigitInterval):
+        return p * (2 * math.pi * factor.max_digit_norm() + 17) * u
+    return p ** n * (2 * factor.digit_count() + 32 + 9 * n * (2 * n + 3)) * u
+
+
+def _exact_f(factor, theta):
+    """f(theta) = sum_i |g((i + theta)/p)| in 200-bit mpmath, from the
+    Dirichlet form for interval digit sets and the digit exponentials
+    otherwise."""
+    p = factor.p_int()
+    with mpmath.workprec(200):
+        total = mpmath.mpf(0)
+        for i in itertools.product(range(p), repeat=factor.ambient_dim):
+            eta = [(mpmath.mpf(t) + k) / p for t, k in zip(theta, i)]
+            if isinstance(factor.digits, DigitInterval):
+                count = factor.digit_count()
+                den = count * mpmath.sinpi(eta[0])
+                total += 1 if den == 0 else abs(mpmath.sinpi(count * eta[0]) / den)
+            else:
+                digits = factor.digits.vectors
+                total += abs(mpmath.fsum(mpmath.expjpi(-2 * mpmath.fsum(
+                    d * e for d, e in zip(digit, eta))) for digit in digits)) / len(digits)
+        return total
+
+
+@pytest.mark.parametrize("name", sorted(LIST_FACTORS))
+def test_list_evaluator_agrees_with_f_theta_within_its_rounding_bound(name):
+    factor = LIST_FACTORS[name]
+    thetas = np.random.default_rng(16).uniform(0, 1, size=(1000, factor.ambient_dim))
+    thetas[0] = 0.0  # eta = 0 on the first residue, where the Dirichlet ratio is 1
+    budget = EvalBudget()
+    lists = dimension._f_theta_lists(factor, [tuple(t) for t in thetas.tolist()], budget)
+    assert budget.spent == 1000 * factor.p_int() ** factor.ambient_dim * _terms(factor)
+    assert all(type(v) is float for v in lists)
+    assert np.abs(np.array(lists) - f_theta(factor, thetas)).max() <= _lists_bound(factor)
+
+
+@pytest.mark.parametrize("name", sorted(LIST_FACTORS))
+def test_list_evaluator_is_within_its_rounding_bound_of_200_bit_values(name):
+    factor = LIST_FACTORS[name]
+    n = factor.ambient_dim
+    thetas = [(0.0,) * n, (1 - 2.0 ** -40,) * n, (0.5,) * n,
+              *map(tuple, np.random.default_rng(17).uniform(0, 1, size=(3, n)).tolist())]
+    bound = _lists_bound(factor)
+    for theta, value in zip(thetas, dimension._f_theta_lists(factor, thetas)):
+        with mpmath.workprec(200):
+            assert abs(mpmath.mpf(value) - _exact_f(factor, theta)) <= bound, theta
+
+
 def test_sup_f_certificate_brackets_estimate():
     sup = sup_f(C3, h=1e-3)
     assert sup.sup_estimate <= sup.certified_upper
@@ -151,8 +210,8 @@ def test_parseval_lipschitz_is_exact_then_rounded_up(factor):
         assert lip <= exact.b * (1 + 1e-14)  # ... by a few ulps
 
 
-def _random_max(factor):
-    thetas = np.random.default_rng(14).uniform(0, 1, size=(10 ** 5, factor.ambient_dim))
+def _random_max(factor, count=10 ** 5):
+    thetas = np.random.default_rng(14).uniform(0, 1, size=(count, factor.ambient_dim))
     return f_theta(factor, thetas, EvalBudget(10 ** 9)).max()
 
 
@@ -180,10 +239,29 @@ def test_sup_f_reports_the_cells_the_budget_was_charged(name):
     factor = FACTORS[name]
     budget = EvalBudget()
     sup = sup_f(factor, budget=budget)
-    assert sup.cells == budget.spent
+    assert sup.cells == budget.spent <= dimension._LIST_CELLS  # the search ran on lists
     assert sup.cells == sup.evaluations * factor.p_int() ** factor.ambient_dim * _terms(factor)
     assert sup.lipschitz == dimension._parseval_lipschitz(factor)
-    assert f_theta(factor, np.array([sup.argmax]))[0] == sup.sup_estimate
+    assert dimension._f_theta_lists(factor, [sup.argmax]) == [sup.sup_estimate]
+    assert abs(f_theta(factor, np.array([sup.argmax]))[0] - sup.sup_estimate) \
+        <= _lists_bound(factor)
+
+
+@pytest.mark.parametrize("factor, count", [
+    (FACTORS["CARPET"], 10 ** 5),  # 1,527,552 cells
+    (interval_spec(4096, 0, 3999), 2000),  # 360,448 cells
+], ids=["CARPET", "I4096"])
+def test_sup_f_above_the_list_constant_spends_the_cells_of_a_search_on_lists(
+        factor, count, monkeypatch):
+    budget = EvalBudget(10 ** 9)
+    sup = sup_f(factor, budget=budget)
+    assert sup.cells == budget.spent > dimension._LIST_CELLS
+    assert sup.certified_upper >= _random_max(factor, count)
+    monkeypatch.setattr(dimension, "_LIST_CELLS", 10 ** 12)
+    lists = sup_f(factor, budget=EvalBudget(10 ** 9))
+    # the routes take the same decisions: equal cells, values within rounding
+    assert (lists.cells, lists.evaluations) == (sup.cells, sup.evaluations)
+    assert abs(lists.certified_upper - sup.certified_upper) <= 2 * _lists_bound(factor)
 
 
 def test_sup_f_carpet_cells_and_certificate():
@@ -197,8 +275,9 @@ def test_sup_f_carpet_cells_and_certificate():
 
 def test_sup_f_refuses_an_over_budget_grid_before_building_it(monkeypatch):
     def no_grid(*args, **kwargs):
-        raise AssertionError("f_theta ran on a level the budget cannot pay for")
+        raise AssertionError("f(theta) ran on a level the budget cannot pay for")
 
+    monkeypatch.setattr(dimension, "_f_theta_lists", no_grid)
     monkeypatch.setattr(dimension, "f_theta", no_grid)
     budget = EvalBudget(16 ** 2 * 72 - 1)
     with pytest.raises(BudgetExceededError, match="f\\(theta\\) residues"):
@@ -208,13 +287,13 @@ def test_sup_f_refuses_an_over_budget_grid_before_building_it(monkeypatch):
 
 def test_sup_f_refuses_a_later_level_before_evaluating_it(monkeypatch):
     levels = []
-    evaluate = dimension.f_theta
+    evaluate = dimension._f_theta_lists
 
     def counted(factor, thetas, budget=None):
         levels.append(len(thetas))
         return evaluate(factor, thetas, budget)
 
-    monkeypatch.setattr(dimension, "f_theta", counted)
+    monkeypatch.setattr(dimension, "_f_theta_lists", counted)
     budget = EvalBudget(16 * 3 * 2 + 1)  # the first level and one theta more
     with pytest.raises(BudgetExceededError, match="f\\(theta\\) residues"):
         sup_f(C3, budget=budget)

@@ -105,6 +105,15 @@ def test_small_power_base_materializes():
 # -------------------------------------------------------------- dimension
 
 
+@pytest.mark.parametrize("factor", [
+    C3, C5, explicit_spec(7, [0, 2, 3, 5, 6]), explicit_spec(48, range(0, 48, 2)), CARPET,
+    explicit_spec(3, [(1, 2)], n=2), explicit_spec(5, [0]),
+], ids=["C3", "C5", "C7", "E48", "CARPET", "ONE", "ZERO"])
+def test_max_digit_norm_equals_the_float_norm_of_the_digit_matrix(factor):
+    mat = factor.digit_matrix().astype(float)
+    assert factor.max_digit_norm() == float(np.sqrt((mat ** 2).sum(axis=1)).max())
+
+
 def test_hausdorff_dim_values():
     assert hausdorff_dim(C3) == pytest.approx(math.log(2) / math.log(3), abs=1e-12)
     assert hausdorff_dim(C5) == pytest.approx(math.log(4) / math.log(5), abs=1e-12)
