@@ -1,5 +1,5 @@
 import sys
 
-from .cli import main
+from .cli import run
 
-sys.exit(main(sys.argv[1:]))
+sys.exit(run(sys.argv[1:]))

@@ -12,7 +12,6 @@ instead of freezing the process.
 from __future__ import annotations
 
 import threading
-from decimal import Decimal
 
 from .errors import BudgetExceededError
 
@@ -63,9 +62,13 @@ class EvalBudget:
             raise self._exceeded(cells, what)
 
     def _exceeded(self, cells: int, what: str) -> BudgetExceededError:
-        # counts of more than 15 digits in scientific form; Decimal takes
-        # ints past the float range
-        need = cells if cells < 10 ** 15 else f"{Decimal(cells):.3e}"
+        need = cells
+        if cells >= 10 ** 15:
+            # in scientific form; Decimal takes ints past the float range,
+            # and is imported here so that no other run loads it
+            from decimal import Decimal
+
+            need = f"{Decimal(cells):.3e}"
         return BudgetExceededError(
             f"budget exceeded: {what} needs {need} cells, "
             f"{self.limit - self.spent} of {self.limit} remain",

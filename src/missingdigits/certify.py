@@ -28,15 +28,14 @@ side conditions.
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 import json
-from dataclasses import dataclass
 
 from .budget import PRESET_NAMES, EvalBudget
 from .dimension import DimensionBound, best_lower_bound
 from .errors import ConfigError
 from .measure import BasePower, Spec, interval_spec, product, square, total_dim
+from .value import Value
 
 
 class Theorem(enum.Enum):
@@ -52,8 +51,7 @@ class Verdict(enum.Enum):
     INCONCLUSIVE = "Inconclusive"
 
 
-@dataclass(frozen=True)
-class CertificateReport:
+class CertificateReport(Value):
     """Outcome of one hypothesis check.
 
     Certified requires all three of: margin strictly positive, a
@@ -61,13 +59,14 @@ class CertificateReport:
     margin from a non-rigorous bound, or an open side condition, is
     Inconclusive; a nonpositive margin is NotCertified."""
 
-    theorem: Theorem
-    threshold: float
-    bound_used: DimensionBound
-    margin: float
-    verdict: Verdict
-    p_exp: int | None = None
-    side_conditions: tuple = ()
+    _fields = ("theorem", "threshold", "bound_used", "margin", "verdict", "p_exp",
+               "side_conditions")
+
+    def __init__(self, theorem: Theorem, threshold: float, bound_used: DimensionBound,
+                 margin: float, verdict: Verdict, p_exp: int | None = None,
+                 side_conditions: tuple = ()):
+        self._set(theorem=theorem, threshold=threshold, bound_used=bound_used, margin=margin,
+                  verdict=verdict, p_exp=p_exp, side_conditions=side_conditions)
 
     def as_dict(self) -> dict:
         """The report as plain JSON values."""
@@ -161,21 +160,18 @@ def _theorem_b_factors():
 
 def preset(name: str, budget: EvalBudget | None = None):
     """Build a named flagship parameter set and certify it; returns
-    (spec, CertificateReport)."""
+    (spec, CertificateReport).  Theorem A is the radial L^2 check,
+    Theorem B the linear one."""
     if name == "theorem-a":
-        spec = _theorem_a_spec()
+        spec, theorem = _theorem_a_spec(), Theorem.THEOREM_A
         report = certify_radial_Lp(spec, 2, budget)
-        return spec, dataclasses.replace(report, theorem=Theorem.THEOREM_A)
-    if name == "theorem-b":
+    elif name in ("theorem-b", "theorem-b-homogeneous"):
         lam1, lam2 = _theorem_b_factors()
-        spec = product(lam1, lam2)
+        spec, theorem = product(lam1, lam2 if name == "theorem-b" else lam1), Theorem.THEOREM_B
         report = certify_linear(spec, budget)
-        return spec, dataclasses.replace(report, theorem=Theorem.THEOREM_B)
-    if name == "theorem-b-homogeneous":
-        lam1, _ = _theorem_b_factors()
-        spec = product(lam1, lam1)
-        report = certify_linear(spec, budget)
-        return spec, dataclasses.replace(report, theorem=Theorem.THEOREM_B)
-    raise ConfigError(
-        f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}"
-    )
+    else:
+        raise ConfigError(
+            f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}"
+        )
+    return spec, _certified_report(report.bound_used, report.threshold, theorem, report.p_exp,
+                                   report.side_conditions)

@@ -16,6 +16,7 @@ exhaustion, 74 stdout closed before the document was written.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -76,28 +77,43 @@ def tolerance(text: str) -> float:
     return value
 
 
-def _shared_options() -> tuple:
-    """Parent parsers of the options that subcommands share: `common`
-    for every subcommand, `spec` for those that parse a measure, `rows`
-    for those that write tabular rows, `tol` for those that sum the
-    transform and `mc` for the density profiles, which can sample."""
-    common, spec, rows, tol, mc = (argparse.ArgumentParser(add_help=False) for _ in range(5))
-    common.add_argument("--config", metavar="FILE",
-                        help="JSON file of defaults (spec text, seed, budget)")
-    common.add_argument("--budget", type=real, default=None, metavar="CELLS",
-                        help=f"max lattice/cylinder evaluations (default {DEFAULT_BUDGET:g})")
-    spec.add_argument("--spec", metavar="TEXT",
-                      help="measure config, e.g. \"factor { base = 3; digits = {0,2}; n = 2; }\"")
-    rows.add_argument("--json", action="store_true",
-                      help="force tabular rows inline in the JSON result")
-    rows.add_argument("--csv", metavar="PATH", help="write tabular rows to PATH")
-    tol.add_argument("--tol", type=tolerance, default=1e-9,
-                     help=f"transform tail bound, at least {TOL_FLOOR:g} (default 1e-9)")
-    mc.add_argument("--seed", type=int, default=None, metavar="U64")
-    mc.add_argument("--mc", type=int, default=None, metavar="SAMPLES",
-                    help="estimate by Monte Carlo from SAMPLES draws")
-    mc.add_argument("--bandwidth", type=real, default=0.01)
-    return common, spec, rows, tol, mc
+# The options that subcommands share, by group: `common` for every
+# subcommand, `spec` for those that parse a measure, `rows` for those
+# that write tabular rows, `tol` for those that sum the transform and
+# `mc` for the density profiles, which can sample.  Each option is a
+# (flag, add_argument keywords) pair.
+_SHARED = {
+    "common": (
+        ("--config", dict(metavar="FILE",
+                          help="JSON file of defaults (spec text, seed, budget)")),
+        ("--budget", dict(type=real, default=None, metavar="CELLS",
+                          help=f"max lattice/cylinder evaluations (default {DEFAULT_BUDGET:g})")),
+    ),
+    "spec": (
+        ("--spec", dict(metavar="TEXT", help="measure config, e.g. "
+                        "\"factor { base = 3; digits = {0,2}; n = 2; }\"")),
+    ),
+    "rows": (
+        ("--json", dict(action="store_true", help="force tabular rows inline in the JSON result")),
+        ("--csv", dict(metavar="PATH", help="write tabular rows to PATH")),
+    ),
+    "tol": (
+        ("--tol", dict(type=tolerance, default=1e-9,
+                       help=f"transform tail bound, at least {TOL_FLOOR:g} (default 1e-9)")),
+    ),
+    "mc": (
+        ("--seed", dict(type=int, default=None, metavar="U64")),
+        ("--mc", dict(type=int, default=None, metavar="SAMPLES",
+                      help="estimate by Monte Carlo from SAMPLES draws")),
+        ("--bandwidth", dict(type=real, default=0.01)),
+    ),
+}
+
+
+def _add_options(parser: argparse.ArgumentParser, options: tuple) -> argparse.ArgumentParser:
+    for flag, keywords in options:
+        parser.add_argument(flag, **keywords)
+    return parser
 
 
 _CONFIG_KEYS = {"spec", "seed", "budget"}
@@ -563,81 +579,88 @@ def _cmd_slab(run, args) -> tuple:
 # --------------------------------------------------------------- parser
 
 
-def build_parser() -> argparse.ArgumentParser:
+# Each subcommand's help, handler, shared option groups (in the order
+# that its --help lists them) and own options.
+_SUBCOMMANDS = {
+    "dim-bound": ("rigorous l1-dimension lower bounds", _cmd_dim_bound, ("common", "spec"), ()),
+    "certify": ("certify a projection hypothesis", _cmd_certify, ("common", "spec"), (
+        ("--radial-lp", dict(type=int, metavar="P", default=None,
+                             help="radial L^p density hypothesis (threshold n - 1/P)")),
+        ("--linear", dict(action="store_true", help="continuous linear-projection density "
+                                                    "hypothesis (threshold n - 1)")),
+    )),
+    "preset": ("rebuild and certify a named flagship parameter set", _cmd_preset, ("common",), (
+        ("name", dict(choices=PRESET_NAMES)),
+    )),
+    "fourier-eval": ("evaluate the measure's Fourier transform", _cmd_fourier_eval,
+                     ("common", "spec", "rows", "tol"), (
+        ("--xi", dict(action="append", metavar="C1,..", help="frequency point (repeatable)")),
+        ("--grid", dict(metavar="RMAX,COUNT", help="symmetric 1-D grid")),
+    )),
+    "radial-density": ("density of directions seen from a viewpoint", _cmd_radial_density,
+                       ("common", "spec", "rows", "mc"), (
+        ("--viewpoint", dict(required=True, metavar="X,Y")),
+        ("--delta", dict(type=real, default=None, metavar="W",
+                         help="tube half-width (tube-count method)")),
+        ("--angles", dict(type=int, default=400, metavar="K")),
+    )),
+    "linear-density": ("density of the projection onto a line", _cmd_linear_density,
+                       ("common", "spec", "rows", "tol", "mc"), (
+        ("--direction", dict(required=True, metavar="DX,DY")),
+        ("--grid", dict(metavar="LO,HI,COUNT", default=None)),
+        ("--tmax", dict(type=real, default=729.0,
+                        help="frequency cutoff for Fourier inversion")),
+    )),
+    "stripe-scan": ("directional stripe sums over an annulus", _cmd_stripe_scan,
+                    ("common", "spec", "rows", "tol"), (
+        ("--radius", dict(type=real, default=81.0, metavar="R")),
+        ("--angles", dict(type=int, default=256, metavar="K")),
+        ("--s1", dict(type=real, default=0.7376)),
+        ("--eps", dict(type=real, default=0.05)),
+    )),
+    "lp-integral": ("weighted transform sum deciding radial L^p", _cmd_lp_integral,
+                    ("common", "spec", "tol"), (
+        ("--p", dict(type=int, required=True)),
+        ("--rmax", dict(type=int, default=1024)),
+    )),
+    "slab-integral": ("transform sum over a thin slab of frequencies", _cmd_slab,
+                      ("common", "spec", "tol"), (
+        ("--direction", dict(required=True, metavar="DX,DY")),
+        ("--tmax", dict(type=real, default=2048.0)),
+    )),
+    "graham": ("integers with digit restrictions in several bases", _cmd_graham,
+               ("common", "rows"), (
+        ("--system", dict(required=True, metavar="B:{D};B:{D}")),
+        ("--limit", dict(type=int, default=None, metavar="N")),
+        ("--scales", dict(default=None, metavar="T1,T2,..")),
+        ("--checkpoints", dict(default=None, metavar="N1,N2,..")),
+    )),
+}
+
+
+def build_parser(name: str | None = None) -> argparse.ArgumentParser:
+    """The CLI's parser: with only NAME's subparser when NAME is a
+    subcommand, and with all of them otherwise.  A run parses with the
+    one that its first argument names, which its help and its usage
+    errors come from; the usage line lists every subcommand either way,
+    so no text changes."""
     parser = _Parser(prog="missingdigits",
                      description="Digit-restricted measures: dimension bounds, "
                                  "Fourier decay, projection densities, digit "
                                  "enumeration.")
-    subs = parser.add_subparsers(dest="subcommand", required=True)
-    common, spec, rows, tol, mc = _shared_options()
-
-    p = subs.add_parser("dim-bound", parents=[common, spec],
-                        help="rigorous l1-dimension lower bounds")
-    p.set_defaults(fn=_cmd_dim_bound)
-
-    p = subs.add_parser("certify", parents=[common, spec], help="certify a projection hypothesis")
-    p.add_argument("--radial-lp", type=int, metavar="P", default=None,
-                   help="radial L^p density hypothesis (threshold n - 1/P)")
-    p.add_argument("--linear", action="store_true",
-                   help="continuous linear-projection density hypothesis (threshold n - 1)")
-    p.set_defaults(fn=_cmd_certify)
-
-    p = subs.add_parser("preset", parents=[common],
-                        help="rebuild and certify a named flagship parameter set")
-    p.add_argument("name", choices=PRESET_NAMES)
-    p.set_defaults(fn=_cmd_preset)
-
-    p = subs.add_parser("fourier-eval", parents=[common, spec, rows, tol],
-                        help="evaluate the measure's Fourier transform")
-    p.add_argument("--xi", action="append", metavar="C1,..",
-                   help="frequency point (repeatable)")
-    p.add_argument("--grid", metavar="RMAX,COUNT", help="symmetric 1-D grid")
-    p.set_defaults(fn=_cmd_fourier_eval)
-
-    p = subs.add_parser("radial-density", parents=[common, spec, rows, mc],
-                        help="density of directions seen from a viewpoint")
-    p.add_argument("--viewpoint", required=True, metavar="X,Y")
-    p.add_argument("--delta", type=real, default=None, metavar="W",
-                   help="tube half-width (tube-count method)")
-    p.add_argument("--angles", type=int, default=400, metavar="K")
-    p.set_defaults(fn=_cmd_radial_density)
-
-    p = subs.add_parser("linear-density", parents=[common, spec, rows, tol, mc],
-                        help="density of the projection onto a line")
-    p.add_argument("--direction", required=True, metavar="DX,DY")
-    p.add_argument("--grid", metavar="LO,HI,COUNT", default=None)
-    p.add_argument("--tmax", type=real, default=729.0,
-                   help="frequency cutoff for Fourier inversion")
-    p.set_defaults(fn=_cmd_linear_density)
-
-    p = subs.add_parser("stripe-scan", parents=[common, spec, rows, tol],
-                        help="directional stripe sums over an annulus")
-    p.add_argument("--radius", type=real, default=81.0, metavar="R")
-    p.add_argument("--angles", type=int, default=256, metavar="K")
-    p.add_argument("--s1", type=real, default=0.7376)
-    p.add_argument("--eps", type=real, default=0.05)
-    p.set_defaults(fn=_cmd_stripe_scan)
-
-    p = subs.add_parser("lp-integral", parents=[common, spec, tol],
-                        help="weighted transform sum deciding radial L^p")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--rmax", type=int, default=1024)
-    p.set_defaults(fn=_cmd_lp_integral)
-
-    p = subs.add_parser("slab-integral", parents=[common, spec, tol],
-                        help="transform sum over a thin slab of frequencies")
-    p.add_argument("--direction", required=True, metavar="DX,DY")
-    p.add_argument("--tmax", type=real, default=2048.0)
-    p.set_defaults(fn=_cmd_slab)
-
-    p = subs.add_parser("graham", parents=[common, rows],
-                        help="integers with digit restrictions in several bases")
-    p.add_argument("--system", required=True, metavar="B:{D};B:{D}")
-    p.add_argument("--limit", type=int, default=None, metavar="N")
-    p.add_argument("--scales", default=None, metavar="T1,T2,..")
-    p.add_argument("--checkpoints", default=None, metavar="N1,N2,..")
-    p.set_defaults(fn=_cmd_graham)
-
+    only = name in _SUBCOMMANDS
+    subs = parser.add_subparsers(dest="subcommand", required=True,
+                                 metavar="{" + ",".join(_SUBCOMMANDS) + "}" if only else None)
+    groups = {}
+    for sub, (help_text, fn, shared, own) in _SUBCOMMANDS.items():
+        if only and sub != name:
+            continue
+        for group in shared:
+            if group not in groups:
+                groups[group] = _add_options(argparse.ArgumentParser(add_help=False),
+                                             _SHARED[group])
+        p = subs.add_parser(sub, parents=[groups[g] for g in shared], help=help_text)
+        _add_options(p, own).set_defaults(fn=fn)
     return parser
 
 
@@ -655,10 +678,11 @@ def _one_blas_thread() -> None:
 
 def main(argv=None) -> int:
     _one_blas_thread()
-    args = build_parser().parse_args(argv)
+    argv = list(sys.argv[1:] if argv is None else argv)
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
-        run = _Run(args, list(sys.argv[1:] if argv is None else argv))
-        return run.finish(*args.fn(run, args))
+        job = _Run(args, argv)
+        return job.finish(*args.fn(job, args))
     except (ConfigError, SymbolicBaseError) as exc:
         print(f"missingdigits: config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -673,5 +697,23 @@ def main(argv=None) -> int:
         return EXIT_IOERR
 
 
+def run(argv=None) -> int:
+    """The process entry of `python -m missingdigits` and of the
+    `missingdigits` script: main(argv) with the cyclic garbage collector
+    off, and the heap frozen before the interpreter exits.
+
+    No run leaves cyclic garbage that grows with its work (a few hundred
+    objects each, argparse's parser among them), so the collector's
+    passes only cost time: importing numpy alone sets off about 30 of
+    them.  The collections that interpreter exit runs skip the frozen
+    objects.  main leaves the collector as it is, for callers in a
+    longer-lived process."""
+    gc.disable()
+    try:
+        return main(argv)
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from itertools import product
 from operator import add, mul
 from typing import TYPE_CHECKING
@@ -47,6 +46,7 @@ from typing import TYPE_CHECKING
 from .budget import EvalBudget, ensure_budget
 from .errors import ConfigError, SymbolicBaseError
 from .measure import DigitInterval, MissingDigitsSpec, Spec, as_product
+from .value import Value
 
 if TYPE_CHECKING:
     import numpy as np
@@ -63,19 +63,17 @@ class BoundKind(enum.Enum):
     PRODUCT_SUM = "ProductSum"
 
 
-@dataclass(frozen=True)
-class DimensionBound:
+class DimensionBound(Value):
     """A dimension value with provenance: how it was computed and
     whether it is backed by a certificate (rigorous) or is merely an
     estimate."""
 
-    value: float
-    kind: BoundKind
-    rigorous: bool
+    _fields = ("value", "kind", "rigorous")
 
-    def __post_init__(self):
-        if not math.isfinite(self.value):
+    def __init__(self, value: float, kind: BoundKind, rigorous: bool):
+        if not math.isfinite(value):
             raise ValueError("dimension bound must be finite")
+        self._set(value=value, kind=kind, rigorous=rigorous)
 
 
 def _clamp(value: float, ambient: float) -> float:
@@ -117,8 +115,8 @@ def f_theta(factor: MissingDigitsSpec, thetas, budget: EvalBudget | None = None)
     (K p^n #D).  Thetas and residues are taken in blocks of about
     F_THETA_BLOCK entries (counting #D for explicit sets), so memory
     stays bounded whatever K and p^n are.  sup_f calls it only once its
-    search passes _LIST_CELLS cells; until then it calls _f_theta_lists,
-    which needs no numpy.
+    search passes _LIST_CELLS cells; until then it evaluates with
+    _f_theta_lists, which needs no numpy.
     """
     size, terms = _residue_terms(factor)
     import numpy as np
@@ -155,10 +153,12 @@ def f_theta(factor: MissingDigitsSpec, thetas, budget: EvalBudget | None = None)
 _LIST_CELLS = 1 << 18
 
 
-def _f_theta_lists(factor: MissingDigitsSpec, thetas: list, budget: EvalBudget | None = None
-                   ) -> list:
-    """f(theta) at each n-tuple of thetas, in Python floats, charged as
-    f_theta charges before anything is evaluated.
+def _f_theta_lists(factor: MissingDigitsSpec):
+    """An evaluator `evaluate(thetas, budget=None)` of f(theta) at each
+    n-tuple of thetas, in Python floats, which charges as f_theta charges
+    before it evaluates anything.  What does not depend on theta (the
+    residues, or the explicit-set table below) is built once, here, so
+    that a sup_f search builds it once for all of its levels.
 
     Interval digit sets sum f_theta's terms |sin(pi N r) / (N sin(pi r))|
     with eta = (t + i)/p and r = eta - (eta > 1/2), which is exact for
@@ -184,33 +184,42 @@ def _f_theta_lists(factor: MissingDigitsSpec, thetas: list, budget: EvalBudget |
     the division by #D 2 u.
     """
     size, terms = _residue_terms(factor)
-    ensure_budget(budget).charge(len(thetas) * size * terms, "f(theta) residues")
     p, sin, fsum = factor.p_int(), math.sin, math.fsum
     if isinstance(factor.digits, DigitInterval):
         count = factor.digit_count()
         scale, each, pi = math.pi * count, float(count), math.pi
         residues = [float(i) for i in range(p)]
-        sums = []
-        for (t,) in thetas:
-            moduli = []
-            for i in residues:
-                r = (t + i) / p
-                if r > 0.5:
-                    r -= 1.0
-                moduli.append(abs(sin(scale * r) / (each * sin(pi * r))) if r else 1.0)
-            sums.append(fsum(moduli))
-        return sums
+
+        def evaluate(thetas: list, budget: EvalBudget | None = None) -> list:
+            ensure_budget(budget).charge(len(thetas) * size * terms, "f(theta) residues")
+            sums = []
+            for (t,) in thetas:
+                moduli = []
+                for i in residues:
+                    r = (t + i) / p
+                    if r > 0.5:
+                        r -= 1.0
+                    moduli.append(abs(sin(scale * r) / (each * sin(pi * r))) if r else 1.0)
+                sums.append(fsum(moduli))
+            return sums
+
+        return evaluate
     digits, cos, n = factor.digits.vectors, math.cos, factor.ambient_dim
     tau = 2.0 * math.pi / p
     roots = [complex(cos(tau * k), -sin(tau * k)) for k in range(p)]
     table = [[roots[sum(map(mul, d, i)) % p] for d in digits]
              for i in product(range(p), repeat=n)]
-    sums = []
-    for theta in thetas:
-        phases = [complex(cos(a), -sin(a))
-                  for a in [tau * sum(map(mul, d, theta)) for d in digits]]
-        sums.append(fsum([abs(sum(map(mul, phases, row))) for row in table]) / len(digits))
-    return sums
+
+    def evaluate(thetas: list, budget: EvalBudget | None = None) -> list:
+        ensure_budget(budget).charge(len(thetas) * size * terms, "f(theta) residues")
+        sums = []
+        for theta in thetas:
+            phases = [complex(cos(a), -sin(a))
+                      for a in [tau * sum(map(mul, d, theta)) for d in digits]]
+            sums.append(fsum([abs(sum(map(mul, phases, row))) for row in table]) / len(digits))
+        return sums
+
+    return evaluate
 
 
 def _centred_square_sum(digits) -> int:
@@ -252,20 +261,19 @@ def _parseval_lipschitz(factor: MissingDigitsSpec) -> float:
     return _up(_up(_up(_up(math.pi) * p ** (n - 1)) * root) / factor.digit_count())
 
 
-@dataclass(frozen=True)
-class SupF:
+class SupF(Value):
     """sup f lies in [sup_estimate, certified_upper]; sup_estimate is f
     at argmax.  The boxes were bounded with the Lipschitz constant
     `lipschitz`, and none of side <= h was split.  f was evaluated at
     `evaluations` thetas for `cells` budget cells."""
 
-    sup_estimate: float
-    certified_upper: float
-    argmax: tuple
-    h: float
-    lipschitz: float
-    evaluations: int
-    cells: int
+    _fields = ("sup_estimate", "certified_upper", "argmax", "h", "lipschitz", "evaluations",
+               "cells")
+
+    def __init__(self, sup_estimate: float, certified_upper: float, argmax: tuple, h: float,
+                 lipschitz: float, evaluations: int, cells: int):
+        self._set(sup_estimate=sup_estimate, certified_upper=certified_upper, argmax=argmax,
+                  h=h, lipschitz=lipschitz, evaluations=evaluations, cells=cells)
 
 
 # Boxes per axis of sup_f's first level.
@@ -285,9 +293,10 @@ def sup_f(
     from _parseval_lipschitz, capped by the crude constant
     L = p^(n-1) 2 pi M (M the largest digit norm).  The search starts
     from the 16^n boxes of side 1/16 and evaluates each level's centres
-    in one call: _f_theta_lists while the search, this level included,
-    spends at most _LIST_CELLS cells, so that a small search loads no
-    numpy, and f_theta from the level that passes it on.  A box is split
+    in one call: with the one _f_theta_lists evaluator of the search
+    while the search, this level included, spends at most _LIST_CELLS
+    cells, so that a small search loads no numpy, and with f_theta from
+    the level that passes it on.  A box is split
     into its 2^n children while its bound exceeds best + eps, where best
     is the largest f seen and eps = (L - L') h sqrt(n)/2; a box of
     side <= h is never split.
@@ -311,13 +320,16 @@ def sup_f(
     half_diagonal = math.sqrt(n) / 2.0  # of a box of side 1
     eps = (crude - lip) * h * half_diagonal
     side = 1.0 / _START_BOXES
-    bud.check(_START_BOXES ** n * size * terms, "f(theta) residues")
+    first = _START_BOXES ** n * size * terms
+    bud.check(first, "f(theta) residues")
+    # a search whose first level passes _LIST_CELLS never evaluates on lists
+    lists = _f_theta_lists(factor) if first <= _LIST_CELLS else None
     centres = [tuple((c + 0.5) * side for c in box)
                for box in product(range(_START_BOXES), repeat=n)]
     offsets = list(product((-0.25, 0.25), repeat=n))  # child centres, per unit side
     best, arg, upper, evaluations = -math.inf, None, -math.inf, 0
     while centres:
-        vals = (_f_theta_lists(factor, centres, bud)
+        vals = (lists(centres, bud)
                 if (evaluations + len(centres)) * size * terms <= _LIST_CELLS
                 else f_theta(factor, centres, bud).tolist())
         evaluations += len(centres)

@@ -22,59 +22,54 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .budget import EvalBudget, ensure_budget
 from .errors import ConfigError
+from .value import Value
 
 ONE = Fraction(1)
 
 
-@dataclass(frozen=True)
-class Restriction:
+class Restriction(Value):
     """One digit condition: base-`base` digits of floor(scale * n)
     must all lie in `digits`."""
 
-    base: int
-    digits: frozenset
-    scale: Fraction = ONE
+    _fields = ("base", "digits", "scale")
 
-    def __post_init__(self):
-        if not isinstance(self.base, int) or self.base < 3:
+    def __init__(self, base: int, digits: frozenset, scale: Fraction = ONE):
+        if not isinstance(base, int) or base < 3:
             raise ConfigError("restriction base must be an integer >= 3")
-        digits = frozenset(int(d) for d in self.digits)
+        digits = frozenset(int(d) for d in digits)
         if not digits:
             raise ConfigError("digit set must be nonempty")
-        if any(d < 0 or d >= self.base for d in digits):
-            raise ConfigError(f"digits must lie in 0..{self.base - 1}")
-        if not isinstance(self.scale, (Fraction, int)):
+        if any(d < 0 or d >= base for d in digits):
+            raise ConfigError(f"digits must lie in 0..{base - 1}")
+        if not isinstance(scale, (Fraction, int)):
             raise ConfigError(
                 "scale must be an exact Fraction (or integer 1); "
                 "floating-point scales misclassify floor boundaries"
             )
-        scale = Fraction(self.scale)
+        scale = Fraction(scale)
         if not 0 < scale <= 1:
             raise ConfigError("scale must lie in (0, 1]")
-        object.__setattr__(self, "digits", digits)
-        object.__setattr__(self, "scale", scale)
+        self._set(base=base, digits=digits, scale=scale)
 
     @property
     def selectivity(self) -> float:
         return len(self.digits) / self.base
 
 
-@dataclass(frozen=True)
-class RestrictionSystem:
-    restrictions: tuple
+class RestrictionSystem(Value):
+    _fields = ("restrictions",)
 
-    def __post_init__(self):
-        rs = tuple(self.restrictions)
+    def __init__(self, restrictions: tuple):
+        rs = tuple(restrictions)
         if not rs:
             raise ConfigError("restriction system must be nonempty")
         if not all(isinstance(r, Restriction) for r in rs):
             raise ConfigError("restrictions must be Restriction instances")
-        object.__setattr__(self, "restrictions", rs)
+        self._set(restrictions=rs)
 
     @property
     def unscaled(self) -> bool:

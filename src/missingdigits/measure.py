@@ -26,11 +26,11 @@ from __future__ import annotations
 import math
 import numbers
 import re
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence, Union
 
 from .budget import EvalBudget, ensure_budget
 from .errors import ConfigError, SymbolicBaseError
+from .value import Value
 
 if TYPE_CHECKING:
     import numpy as np
@@ -53,22 +53,21 @@ _TIE_BITS = 1 << 20
 # ---------------------------------------------------------------- BasePower
 
 
-@dataclass(frozen=True)
-class BasePower:
+class BasePower(Value):
     """Integer of the form b^e, kept symbolic when too large to touch.
 
     log_value() is always available; exact_int() only when
     e*ln(b) <= ln(2^62).
     """
 
-    b: int
-    e: int = 1
+    _fields = ("b", "e")
 
-    def __post_init__(self):
-        if self.b < 2:
-            raise ConfigError(f"base must be >= 2, got {self.b}")
-        if self.e < 1:
-            raise ConfigError(f"exponent must be >= 1, got {self.e}")
+    def __init__(self, b: int, e: int = 1):
+        if b < 2:
+            raise ConfigError(f"base must be >= 2, got {b}")
+        if e < 1:
+            raise ConfigError(f"exponent must be >= 1, got {e}")
+        self._set(b=b, e=e)
 
     def log_value(self) -> float:
         return self.e * math.log(self.b)
@@ -147,8 +146,7 @@ def int_less(x: IntLike, y: IntLike) -> bool:
 # ---------------------------------------------------------------- digit sets
 
 
-@dataclass(frozen=True)
-class ExplicitDigits:
+class ExplicitDigits(Value):
     """Digit set given as explicit vectors in {0,...,p-1}^n.
 
     Vectors are stored sorted lexicographically; duplicates are
@@ -156,7 +154,7 @@ class ExplicitDigits:
     1-vectors.
     """
 
-    vectors: tuple
+    _fields = ("vectors",)
 
     def __init__(self, vectors: Iterable):
         rows = []
@@ -172,7 +170,7 @@ class ExplicitDigits:
             raise ConfigError("digit vectors must share one dimension")
         if len(set(rows)) != len(rows):
             raise ConfigError("digit set contains duplicates")
-        object.__setattr__(self, "vectors", tuple(sorted(rows)))
+        self._set(vectors=tuple(sorted(rows)))
 
     @property
     def dim(self) -> int:
@@ -229,27 +227,25 @@ class ExplicitDigits:
         return "{" + ",".join("(" + ",".join(map(str, v)) + ")" for v in self.vectors) + "}"
 
 
-@dataclass(frozen=True)
-class DigitInterval:
+class DigitInterval(Value):
     """One-dimensional digit interval lo..hi, endpoints possibly symbolic.
 
     Always a rectangle; cardinality hi-lo+1 is computed exactly when the
     endpoints materialize and in log-space otherwise.
     """
 
-    lo: IntLike
-    hi: IntLike
+    _fields = ("lo", "hi")
 
-    def __post_init__(self):
-        lo, hi = self.lo, self.hi
+    def __init__(self, lo: IntLike, hi: IntLike):
         if isinstance(lo, BasePower) and lo.is_exact():
-            object.__setattr__(self, "lo", lo.exact_int())
+            lo = lo.exact_int()
         if isinstance(hi, BasePower) and hi.is_exact():
-            object.__setattr__(self, "hi", hi.exact_int())
-        if isinstance(self.lo, int) and self.lo < 0:
+            hi = hi.exact_int()
+        if isinstance(lo, int) and lo < 0:
             raise ConfigError("digit interval must start at >= 0")
-        if int_less(self.hi, self.lo):
+        if int_less(hi, lo):
             raise ConfigError("digit interval is empty")
+        self._set(lo=lo, hi=hi)
 
     @property
     def dim(self) -> int:
@@ -314,18 +310,16 @@ DigitSet = Union[ExplicitDigits, DigitInterval]
 # ---------------------------------------------------------------- specs
 
 
-@dataclass(frozen=True)
-class MissingDigitsSpec:
+class MissingDigitsSpec(Value):
     """One missing-digits factor: base p = b^e, digit set D, ambient n."""
 
-    base: BasePower
-    digits: DigitSet
-    ambient_dim: int = 1
+    _fields = ("base", "digits", "ambient_dim")
 
-    def __post_init__(self):
-        if self.ambient_dim < 1:
+    def __init__(self, base: BasePower, digits: DigitSet, ambient_dim: int = 1):
+        if ambient_dim < 1:
             raise ConfigError("ambient dimension must be >= 1")
-        self.digits.validate_for(self.base, self.ambient_dim)
+        digits.validate_for(base, ambient_dim)
+        self._set(base=base, digits=digits, ambient_dim=ambient_dim)
 
     # -- log-arithmetic quantities (always available) --
 
@@ -373,11 +367,10 @@ class MissingDigitsSpec:
         return self.config_text()
 
 
-@dataclass(frozen=True)
-class ProductMeasureSpec:
+class ProductMeasureSpec(Value):
     """Product of missing-digits factors, acting on R^(sum of factor dims)."""
 
-    factors: tuple
+    _fields = ("factors",)
 
     def __init__(self, factors: Sequence[MissingDigitsSpec]):
         factors = tuple(factors)
@@ -386,7 +379,7 @@ class ProductMeasureSpec:
         for f in factors:
             if not isinstance(f, MissingDigitsSpec):
                 raise ConfigError("product factors must be MissingDigitsSpec")
-        object.__setattr__(self, "factors", factors)
+        self._set(factors=factors)
 
     @property
     def total_dim(self) -> int:

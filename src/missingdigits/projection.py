@@ -40,7 +40,6 @@ import enum
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,6 +47,7 @@ from .budget import EvalBudget, ensure_budget
 from .errors import ConfigError
 from .fourier import LATTICE_BLOCK, box_blocks, fourier_transform_batch, gather_points
 from .measure import Spec, as_product, draw_cells, sample, total_dim
+from .value import Value
 
 # Fixed step for the inverse-transform quadrature along a ray.  The
 # quadrature aliases the density with period 1/step; the projected
@@ -80,8 +80,7 @@ class ProfileMethod(enum.Enum):
     FOURIER_INVERSION = "FourierInversion"
 
 
-@dataclass(frozen=True)
-class DensityProfile:
+class DensityProfile(Value):
     """A sampled density on a 1-D grid: angles on the circle for radial
     projections, offsets along a line for linear ones.
 
@@ -91,11 +90,8 @@ class DensityProfile:
     carries resolution, truncation, seed and diagnostic information and
     never participates in equality."""
 
-    axis: ProfileAxis
-    grid: np.ndarray
-    values: np.ndarray
-    method: ProfileMethod
-    metadata: dict = field(default_factory=dict, compare=False)
+    _fields = ("axis", "grid", "values", "method", "metadata")
+    _compared = _fields[:4]
 
     def __init__(self, axis, grid, values, method, metadata=None):
         grid = np.asarray(grid, dtype=float)
@@ -108,11 +104,8 @@ class DensityProfile:
             raise ConfigError("profile values must be finite")
         if method is not ProfileMethod.FOURIER_INVERSION and values.min() < 0:
             raise ConfigError("counting profiles cannot be negative")
-        object.__setattr__(self, "axis", axis)
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "method", method)
-        object.__setattr__(self, "metadata", dict(metadata or {}))
+        self._set(axis=axis, grid=grid, values=values, method=method,
+                  metadata=dict(metadata or {}))
 
     @property
     def mass(self) -> float:
@@ -132,8 +125,7 @@ class DensityProfile:
 # ------------------------------------------------------------ shell slopes
 
 
-@dataclass(frozen=True)
-class LatticeDiagnostics:
+class LatticeDiagnostics(Value):
     """A partial sum of |lambda_hat| weights together with its
     dyadic-shell decomposition.  Shell k collects radii in
     (2^(k-1), 2^k] (shell 0 takes [0, 1]); `dyadic_slopes` are the
@@ -141,9 +133,10 @@ class LatticeDiagnostics:
     across the last three shells mean the partial sums are still
     growing: `non_convergent` is then set."""
 
-    partial: float
-    shell_totals: tuple
-    dyadic_slopes: tuple
+    _fields = ("partial", "shell_totals", "dyadic_slopes")
+
+    def __init__(self, partial: float, shell_totals: tuple, dyadic_slopes: tuple):
+        self._set(partial=partial, shell_totals=shell_totals, dyadic_slopes=dyadic_slopes)
 
     @property
     def non_convergent(self) -> bool:

@@ -1,9 +1,11 @@
 import contextlib
 import io
 import json
+import re
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ try:
 except ImportError:  # not on every platform
     resource = None
 
+import missingdigits.cli as cli
 import missingdigits.projection as projection
 from missingdigits import (EvalBudget, crude_bound, exceptional_directions,
                            grid_lower_bound, parse_spec, rectangle_bound)
@@ -100,6 +103,42 @@ def test_exit_64_usage_errors():
         code, out, err = run(argv)
         assert (code, out) == (64, ""), argv
         assert "choose one of" in err
+
+
+def _parse(parser, argv):
+    """What parsing argv gives: the parsed options, or the exit code,
+    and the text written."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+# the options that each subcommand requires
+REQUIRED = {"preset": ["theorem-a"], "radial-density": ["--viewpoint", "1,1"],
+            "linear-density": ["--direction", "1,1"], "lp-integral": ["--p", "2"],
+            "slab-integral": ["--direction", "1,0"], "graham": ["--system", "3:{0}"]}
+
+
+@pytest.mark.parametrize("name", sorted(cli._SUBCOMMANDS))
+def test_the_one_subparser_of_a_run_parses_as_the_full_parser_does(name):
+    required = REQUIRED.get(name, [])
+    for tail in ([], ["--help"], ["--no-such-flag"], ["--budget", "abc"], ["--budget"],
+                 required, [*required, "--budget", "10", "--config", "c.json"],
+                 [*required, "extra"], [*required, "--no-such-flag"]):
+        argv = [name, *tail]
+        assert _parse(cli.build_parser(name), argv) == _parse(cli.build_parser(), argv), argv
+
+
+def test_argv_without_a_subcommand_first_gets_the_full_parser():
+    for argv in ([], ["--help"], ["frobnicate"], ["--budget", "5", "dim-bound"]):
+        assert _parse(cli.build_parser(argv[0] if argv else None), argv) \
+            == _parse(cli.build_parser(), argv)
+    assert set(cli.build_parser()._subparsers._group_actions[0].choices) == set(cli._SUBCOMMANDS)
+    assert list(cli.build_parser("graham")._subparsers._group_actions[0].choices) == ["graham"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -666,6 +705,38 @@ def test_console_script_smoke():
     doc = json.loads(proc.stdout)
     report = doc["result"]["reports"][0]["report"]
     assert report["bound"] == pytest.approx(1.5990674, abs=1e-4)
+
+
+def _script_target() -> str:
+    """The `missingdigits` script's entry in pyproject.toml, as module:function."""
+    text = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+    return re.search(r'^missingdigits = "([^"]+)"$', text, re.M).group(1)
+
+
+def test_the_script_and_python_m_go_through_one_entry_function():
+    module, function = _script_target().split(":")
+    assert (module, function) == ("missingdigits.cli", "run")
+    main_module = (Path(__file__).parents[1] / "src" / "missingdigits" / "__main__.py")
+    assert "sys.exit(run(sys.argv[1:]))" in main_module.read_text()
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["graham", "--system", "3:{0,1};5:{0,1,2}", "--limit", "1000"], 0),
+    (["dim-bound", "--spec", C32_SQ], 0),
+    (["dim-bound", "--spec", "factor { nope }"], 64),
+    (["dim-bound", "--spec", C3, "--no-such-flag"], 64),  # refused by argparse
+    (["dim-bound", "--spec", C32_SQ, "--budget", "100"], 65),
+], ids=["graham", "dim-bound", "config-error", "usage-error", "budget"])
+def test_the_script_entry_and_python_m_print_the_same_document(argv, code):
+    module, function = _script_target().split(":")
+    script = f"import sys; from {module} import {function}; sys.exit({function}())"
+    runs = [subprocess.run([sys.executable, *launcher, *argv], capture_output=True, text=True)
+            for launcher in (["-m", "missingdigits"], ["-c", script])]
+    assert [r.returncode for r in runs] == [code, code]
+    stdouts = [re.sub(r'"wall_time_s": [^,}]+', "", r.stdout) for r in runs]
+    assert stdouts[0] == stdouts[1]
+    assert (stdouts[0] != "") == (code == 0)
+    assert runs[0].stderr == runs[1].stderr
 
 
 # --------------------------------------------------------------- argv fuzz

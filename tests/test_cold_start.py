@@ -4,6 +4,7 @@ residue grids never load numpy, no run loads numpy.ma or starts BLAS
 threads, and the package resolves its public names lazily."""
 
 import contextlib
+import gc
 import io
 import json
 import math
@@ -108,19 +109,37 @@ def test_dimension_bounds_load_no_projection_cylinders_or_graham(argv, code):
     assert "numpy.ma" not in modules  # np.unique would import it
 
 
-@pytest.mark.parametrize("argv, code", [
+# the six dimension-certify runs of small residue grids, by benchmark job
+SMALL_GRID_RUNS = [
     (("dim-bound", "--spec", C3_SQ), 0),
     (("dim-bound", "--spec", f"{I512} {I512}"), 0),
     (("dim-bound", "--spec", E48), 0),
     (("certify", "--radial-lp", "1", "--spec", C3_SQ), 2),
     (("certify", "--radial-lp", "2", "--spec", f"{I512} {I729}"), 0),
     (("certify", "--linear", "--spec", LINEAR_PAIR), 0),
-], ids=["dim-c3sq", "dim-512sq", "dim-e48", "cert-l1", "cert-mixed", "cert-linear"])
+]
+SMALL_GRID_IDS = ["dim-c3sq", "dim-512sq", "dim-e48", "cert-l1", "cert-mixed", "cert-linear"]
+
+
+@pytest.mark.parametrize("argv, code", SMALL_GRID_RUNS, ids=SMALL_GRID_IDS)
 def test_small_residue_grids_are_certified_without_numpy(argv, code):
     modules = _loaded(*argv, code=code)
     assert "missingdigits.dimension" in modules
     assert "numpy" not in modules
     assert "missingdigits.fourier" not in modules
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("graham", "--system", "3:{0,1};5:{0,1,2}", "--limit", "100000"), 0),
+    (("preset", "theorem-a"), 0),
+    (("preset", "theorem-b"), 0),
+    *SMALL_GRID_RUNS,
+], ids=["graham", "preset-a", "preset-b", *SMALL_GRID_IDS])
+def test_numpy_free_runs_load_no_dataclasses_inspect_or_decimal(argv, code):
+    modules = _loaded(*argv, code=code)
+    assert not {"dataclasses", "inspect"} & modules
+    # graham's exact scales are fractions.Fraction, and fractions imports decimal
+    assert ("decimal" in modules) == (argv[0] == "graham")
 
 
 def test_a_search_past_the_list_constant_loads_numpy():
@@ -216,6 +235,62 @@ def test_the_numpy_version_falls_back_to_importlib_metadata(listed):
     read, expected, loaded = json.loads(_python(_VERSION.format(listed=listed)))
     assert read == expected
     assert loaded == ["importlib.metadata"]
+
+
+# ------------------------------------------------------- cyclic collector
+
+# runs cli.main on its argv with the collector off from the start, as
+# cli.run does, and prints the exit code and the cyclic garbage left
+_GARBAGE = """
+import contextlib, gc, io, sys
+gc.disable()
+from missingdigits.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(code, gc.collect())
+"""
+
+
+def _garbage(*argv) -> int:
+    code, garbage = subprocess.run([sys.executable, "-c", _GARBAGE, *argv], capture_output=True,
+                                   text=True, check=True).stdout.split()
+    assert code == "0"
+    return int(garbage)
+
+
+@pytest.mark.parametrize("small, large", [
+    (("dim-bound", "--spec", C3_SQ), ("dim-bound", "--spec", f"{I512} {I512}")),
+    (("radial-density", "--spec", C3_SQ, "--viewpoint=-1,-1", "--delta", "0.05",
+      "--angles", "10"),
+     ("radial-density", "--spec", C3_SQ, "--viewpoint=-1,-1", "--delta", "0.05",
+      "--angles", "200")),
+    (("linear-density", "--spec", C3_SQ, "--direction", "1,1", "--mc", "10000"),
+     ("linear-density", "--spec", C3_SQ, "--direction", "1,1", "--mc", "100000")),
+    (("graham", "--system", "3:{0,1};5:{0,1,2}", "--limit", "10000"),
+     ("graham", "--system", "3:{0,1};5:{0,1,2}", "--limit", "1000000")),
+], ids=["dim-bound", "radial-density", "linear-density", "graham"])
+def test_the_cyclic_garbage_of_a_run_does_not_grow_with_its_work(small, large):
+    # what cli.run leaves to interpreter exit is the same few hundred
+    # objects at either size: switching the collector off costs no memory
+    assert _garbage(*small) == _garbage(*large)
+
+
+def test_main_leaves_the_collector_as_it_found_it():
+    enabled, frozen = gc.isenabled(), gc.get_freeze_count()
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["preset", "theorem-a"]) == 0
+    assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, frozen)
+
+
+def test_run_switches_the_collector_off_and_freezes_the_heap():
+    code = ("import contextlib, gc, io, json\n"
+            "from missingdigits.cli import run\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = run(['preset', 'theorem-a'])\n"
+            "print(json.dumps([code, gc.isenabled(), gc.get_freeze_count()]))")
+    code, enabled, frozen = json.loads(_python(code))
+    assert (code, enabled) == (0, False)
+    assert frozen > 0
 
 
 # ------------------------------------------------------------- lazy package

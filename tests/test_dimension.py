@@ -1,6 +1,7 @@
 import decimal
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 import mpmath
@@ -129,7 +130,7 @@ def test_list_evaluator_agrees_with_f_theta_within_its_rounding_bound(name):
     thetas = np.random.default_rng(16).uniform(0, 1, size=(1000, factor.ambient_dim))
     thetas[0] = 0.0  # eta = 0 on the first residue, where the Dirichlet ratio is 1
     budget = EvalBudget()
-    lists = dimension._f_theta_lists(factor, [tuple(t) for t in thetas.tolist()], budget)
+    lists = dimension._f_theta_lists(factor)([tuple(t) for t in thetas.tolist()], budget)
     assert budget.spent == 1000 * factor.p_int() ** factor.ambient_dim * _terms(factor)
     assert all(type(v) is float for v in lists)
     assert np.abs(np.array(lists) - f_theta(factor, thetas)).max() <= _lists_bound(factor)
@@ -142,9 +143,85 @@ def test_list_evaluator_is_within_its_rounding_bound_of_200_bit_values(name):
     thetas = [(0.0,) * n, (1 - 2.0 ** -40,) * n, (0.5,) * n,
               *map(tuple, np.random.default_rng(17).uniform(0, 1, size=(3, n)).tolist())]
     bound = _lists_bound(factor)
-    for theta, value in zip(thetas, dimension._f_theta_lists(factor, thetas)):
+    for theta, value in zip(thetas, dimension._f_theta_lists(factor)(thetas)):
         with mpmath.workprec(200):
             assert abs(mpmath.mpf(value) - _exact_f(factor, theta)) <= bound, theta
+
+
+def _former_f_theta_lists(factor, thetas, budget=None):
+    """The list evaluator as one function that rebuilt its explicit-set
+    table on every call, kept to pin the evaluator bit for bit."""
+    size, terms = dimension._residue_terms(factor)
+    if budget is not None:
+        budget.charge(len(thetas) * size * terms, "f(theta) residues")
+    p, sin, fsum = factor.p_int(), math.sin, math.fsum
+    if isinstance(factor.digits, DigitInterval):
+        count = factor.digit_count()
+        scale, each, pi = math.pi * count, float(count), math.pi
+        sums = []
+        for (t,) in thetas:
+            moduli = []
+            for i in [float(i) for i in range(p)]:
+                r = (t + i) / p
+                if r > 0.5:
+                    r -= 1.0
+                moduli.append(abs(sin(scale * r) / (each * sin(pi * r))) if r else 1.0)
+            sums.append(fsum(moduli))
+        return sums
+    digits, cos, n = factor.digits.vectors, math.cos, factor.ambient_dim
+    tau = 2.0 * math.pi / p
+    roots = [complex(cos(tau * k), -sin(tau * k)) for k in range(p)]
+    table = [[roots[sum(map(operator.mul, d, i)) % p] for d in digits]
+             for i in itertools.product(range(p), repeat=n)]
+    sums = []
+    for theta in thetas:
+        phases = [complex(cos(a), -sin(a))
+                  for a in [tau * sum(map(operator.mul, d, theta)) for d in digits]]
+        sums.append(fsum([abs(sum(map(operator.mul, phases, row))) for row in table])
+                    / len(digits))
+    return sums
+
+
+# the explicit sets of the benchmark's dim-e48, tube-carpet and cert-linear jobs, and L10
+BIT_FACTORS = {"E48": FACTORS["E48"], "CARPET": FACTORS["CARPET"], "C5": C5, "C7": C7,
+               "L10": FACTORS["L10"]}
+
+
+@pytest.mark.parametrize("name", sorted(BIT_FACTORS))
+def test_one_list_evaluator_gives_the_former_values_bit_for_bit_on_every_call(name):
+    factor = BIT_FACTORS[name]
+    rng = np.random.default_rng(27)
+    evaluate = dimension._f_theta_lists(factor)
+    for count in (1, 7, 64):  # several calls on one evaluator
+        thetas = [tuple(t) for t in rng.uniform(0, 1, (count, factor.ambient_dim)).tolist()]
+        budget, former = EvalBudget(), EvalBudget()
+        values = evaluate(thetas, budget)
+        assert [v.hex() for v in values] == \
+            [v.hex() for v in _former_f_theta_lists(factor, thetas, former)]
+        assert budget.spent == former.spent
+
+
+@pytest.mark.parametrize("name", sorted(BIT_FACTORS))
+def test_sup_f_builds_one_list_evaluator_and_finds_what_the_former_function_found(
+        name, monkeypatch):
+    factor = BIT_FACTORS[name]
+    built = []
+    evaluator = dimension._f_theta_lists
+
+    def counted(factor):
+        built.append(factor)
+        return evaluator(factor)
+
+    monkeypatch.setattr(dimension, "_f_theta_lists", counted)
+    budget = EvalBudget()
+    sup = sup_f(factor, budget=budget)
+    assert built == [factor]
+    monkeypatch.setattr(dimension, "_f_theta_lists",
+                        lambda factor: lambda thetas, budget=None:
+                        _former_f_theta_lists(factor, thetas, budget))
+    former = EvalBudget()
+    assert sup_f(factor, budget=former) == sup
+    assert budget.spent == former.spent == sup.cells
 
 
 def test_sup_f_certificate_brackets_estimate():
@@ -242,7 +319,7 @@ def test_sup_f_reports_the_cells_the_budget_was_charged(name):
     assert sup.cells == budget.spent <= dimension._LIST_CELLS  # the search ran on lists
     assert sup.cells == sup.evaluations * factor.p_int() ** factor.ambient_dim * _terms(factor)
     assert sup.lipschitz == dimension._parseval_lipschitz(factor)
-    assert dimension._f_theta_lists(factor, [sup.argmax]) == [sup.sup_estimate]
+    assert dimension._f_theta_lists(factor)([sup.argmax]) == [sup.sup_estimate]
     assert abs(f_theta(factor, np.array([sup.argmax]))[0] - sup.sup_estimate) \
         <= _lists_bound(factor)
 
@@ -287,11 +364,16 @@ def test_sup_f_refuses_an_over_budget_grid_before_building_it(monkeypatch):
 
 def test_sup_f_refuses_a_later_level_before_evaluating_it(monkeypatch):
     levels = []
-    evaluate = dimension._f_theta_lists
+    evaluator = dimension._f_theta_lists
 
-    def counted(factor, thetas, budget=None):
-        levels.append(len(thetas))
-        return evaluate(factor, thetas, budget)
+    def counted(factor):
+        evaluate = evaluator(factor)
+
+        def level(thetas, budget=None):
+            levels.append(len(thetas))
+            return evaluate(thetas, budget)
+
+        return level
 
     monkeypatch.setattr(dimension, "_f_theta_lists", counted)
     budget = EvalBudget(16 * 3 * 2 + 1)  # the first level and one theta more
