@@ -19,17 +19,23 @@ digit norm), which geometrically sums to
 Lattice sums repeat each factor's coordinates: the radius-256 ball on
 C3 x C3 has about 206k points but only 513 values per axis.  So when a
 factor's coordinate block is all integers (no negative zero), the batch
-evaluates g once per level on the integer box min..max of the block and
-gathers it back by the index (row - min), in O(rows) without a sort.
-The gathered values are those of evaluating every row, bit for bit.
+multiplies the factor's levels of g on the integer box min..max of the
+block (_level_table) and gathers the product back once per row by the
+index (row - min), in O(rows) without a sort: the value of each row is
+that of multiplying the factor's levels at the row, then the factors.
 The table is skipped when that box holds more than half as many points
 as the block has rows, as for the carpet's 2-D factor, whose rows are
-all distinct.  The table does not change the charge.
+all distinct; such a factor multiplies each level into the values.  The
+table does not change the batch's charge: a batch holds all its rows at
+once, and its per-row levels bound what it may hold.  The lattice
+half-ball (half_ball) holds one block of rows at a time and is charged
+what it evaluates: the table entries times the levels, and one cell per
+point and gather.
 
 lambda is a real measure, so lambda_hat(-xi) = conj lambda_hat(xi).  A
 batch takes row K-1-i as the conjugate of row i wherever it is row i's
 bitwise negation (a -0.0 pairs only with a +0.0): every point of a ray
-t = k dt except t = 0, the lattice points of an annulus or ball walked
+t = k dt except t = 0, the lattice points of an annulus walked
 in C order except its +0.0 axis points, and the symmetric points of a
 linspace.  The rest are evaluated as before.  This is bit-exact, not
 only exact in arithmetic: round-to-nearest commutes with negation, so
@@ -257,6 +263,78 @@ def gather_points(spec: Spec, blocks, tol: float, budget: EvalBudget) -> np.ndar
     return np.concatenate(parts)
 
 
+def half_ball(spec: Spec, radius: int, tol: float, budget: EvalBudget):
+    """The transform on the lattice half-ball of a measure on R^n, n = 1
+    or 2: the origin and the integer points xi with |xi| <= radius whose
+    first nonzero coordinate is positive, which with their negations
+    make up the ball.  A generator of (points, values) blocks, each of
+    whole rows of xi_1 (n = 2) in C order, at most LATTICE_BLOCK points
+    unless one row is longer; for n = 1 the half-axis 0..radius is one
+    row.  Memory is O(radius) for the tables plus one block.
+
+    Each factor's depth is the one fourier_transform_batch gives the
+    whole ball, at its largest norm on the factor's block, radius.  A
+    1-D factor with levels whose coordinate's range holds at most half
+    as many values as the half-ball has points (not so for n = 1) has a
+    table over that range (_level_table): its level product, gathered
+    once per point.  Other factors (2-D ones, such as the carpet's, and
+    trivial ones) multiply their levels into each block's values.  So a
+    value is formed by the batch's operations, in the batch's order,
+    wherever the batch tables the same factors.
+
+    The points are checked against the budget first ("lattice ball"):
+    the half-ball holds the radius^2 + radius + 1 points of the half
+    diamond |xi|_1 <= radius (radius + 1 for n = 1), a lower bound
+    found without building anything.  Then the evaluated cells are
+    charged exactly ("transform levels"), before any table or block is
+    built: per table, its entries times the factor's levels, plus one
+    cell per point and gather; per other factor, max(depth, 1) per
+    point."""
+    prod = as_product(spec)
+    n = prod.total_dim
+    budget.check(radius * radius + radius + 1 if n == 2 else radius + 1, "lattice ball")
+    if n == 2:
+        half = [math.isqrt(radius * radius - x * x) for x in range(radius + 1)]
+        lows = np.array([0] + [-h for h in half[1:]])
+        lengths = np.array(half) - lows + 1
+        ranges = ((0, radius), (-radius, radius))
+    else:
+        lows, lengths, ranges = np.zeros(1, dtype=np.int64), np.array([radius + 1]), ((0, radius),)
+    ends = np.cumsum(lengths)
+    count = int(ends[-1])
+    factors, cells = [], 0
+    for (factor, _, _, depth), sl in zip(_factor_blocks(prod, radius * np.eye(n), tol),
+                                         prod.factor_slices()):
+        lo, hi = ranges[sl.start] if factor.ambient_dim == 1 and depth else (None, None)
+        if lo is not None and hi - lo + 1 > count / 2:
+            lo = None  # as in _symbol_table, a table pays only on repeated coordinates
+        cells += count * max(depth, 1) if lo is None else (hi - lo + 1) * depth + count
+        factors.append((factor, sl, depth, lo, hi))
+    budget.charge(cells, "transform levels")
+    tables = [None if lo is None else
+              _level_table(factor, np.arange(lo, hi + 1, dtype=np.float64)[:, None], depth)
+              for factor, sl, depth, lo, hi in factors]
+
+    first = 0
+    while first < lengths.size:
+        done = int(ends[first - 1]) if first else 0
+        stop = max(first + 1, int(np.searchsorted(ends, done + LATTICE_BLOCK, side="right")))
+        sizes = lengths[first:stop]
+        offsets = np.cumsum(sizes) - sizes
+        points = np.empty((int(sizes.sum()), n))
+        points[:, -1] = np.arange(points.shape[0]) - np.repeat(offsets - lows[first:stop], sizes)
+        if n == 2:
+            points[:, 0] = np.repeat(np.arange(first, stop), sizes)
+        values = np.ones(points.shape[0], dtype=np.complex128)
+        for (factor, sl, depth, lo, _), table in zip(factors, tables):
+            if table is None:
+                _multiply_levels(values, factor, points[:, sl], depth)
+            else:
+                values *= table[points[:, sl.start].astype(np.int64) - lo]
+        yield points, values
+        first = stop
+
+
 def _symbol_table(block: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     """(table_rows, index) with table_rows[index] equal to block bit for
     bit, where table_rows is the integer box min..max of block's
@@ -281,6 +359,23 @@ def _symbol_table(block: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     return rows, index
 
 
+def _multiply_levels(out: np.ndarray, factor: MissingDigitsSpec, rows: np.ndarray,
+                     depth: int) -> None:
+    """out *= g(rows / p^j) for j = 1..depth, one level after another."""
+    p = float(factor.p_int())
+    for j in range(1, depth + 1):
+        out *= digit_symbol(factor, rows / p ** j)
+
+
+def _level_table(factor: MissingDigitsSpec, rows: np.ndarray, depth: int) -> np.ndarray:
+    """The factor's depth-level product at each of its table rows,
+    multiplied level by level from 1: gathered once per point, it
+    stands for the depth gathers of the per-level product."""
+    table = np.ones(rows.shape[0], dtype=np.complex128)
+    _multiply_levels(table, factor, rows, depth)
+    return table
+
+
 def fourier_transform_batch(
     spec: Spec,
     xis: np.ndarray,
@@ -292,8 +387,11 @@ def fourier_transform_batch(
     Each factor's truncation depth is chosen from the largest |xi_f| in
     the batch, so every returned point meets the per-point tail bound.
     Row K-1-i that is row i's bitwise negation is not evaluated: its
-    value is the conjugate of row i's and its bound is row i's.  The
-    evaluated rows are charged before any output is allocated.
+    value is the conjugate of row i's and its bound is row i's.  A
+    factor whose block of all K rows has a table (_symbol_table) is
+    gathered from its level product on the table; any other multiplies
+    each level into the values.  The evaluated rows are charged, at
+    sum_f max(depth_f, 1) each, before any output is allocated.
     """
     prod = as_product(spec)
     xis = np.atleast_2d(np.asarray(xis, dtype=np.float64))
@@ -314,12 +412,12 @@ def fourier_transform_batch(
 
     values = np.ones(evaluated.shape[0], dtype=np.complex128)
     errs = np.zeros(evaluated.shape[0], dtype=np.float64)
-    for factor, block, norms, depth in blocks:
-        p = float(factor.p_int())
-        rows, index = _symbol_table(block) if depth else (block, None)
-        for j in range(1, depth + 1):
-            sym = digit_symbol(factor, rows / p ** j)
-            values *= sym if index is None else sym[index]
+    for (factor, block, norms, depth), sl in zip(blocks, prod.factor_slices()):
+        rows, index = _symbol_table(xis[:, sl]) if depth else (None, None)
+        if index is None:
+            _multiply_levels(values, factor, block, depth)
+        else:
+            values *= _level_table(factor, rows, depth)[index if own is None else index[own]]
         errs += _tail_bound(factor, norms, depth)
     if own is None:
         return values, errs

@@ -490,6 +490,76 @@ def _block_table(mat: np.ndarray, p: int, b: int) -> np.ndarray:
     return table
 
 
+class Draws:
+    """The digit draws of `count` points of the depth-truncated series
+    sum_{i<=depth} p^{-i} d_i with i.i.d. uniform digits, held as codes
+    so that the points can be built a range of rows at a time.
+
+    Each factor draws its digits as block codes: one integer per run of
+    b = block_levels(k, depth) levels, for k digits, so k^b <= 4096.
+    A code uniform on [0, k^b) is exactly b i.i.d. uniform digits, read
+    most significant first, so every point is still uniform over the
+    depth-d cylinders.  A table of at most 4096 rows per block length
+    (_block_table) holds each code's partial sum, and a point is
+    sum_i p^-(b i) table[code_i]: ceil(depth/b) draws per point and
+    factor, not depth.  `terms` holds, per factor and run in the order
+    they are drawn, (coordinate slice, block table, scale p^-(b i) or
+    None for the first run, int64 codes); the codes are all the state,
+    8 bytes per point and run.  All terms are nonnegative and each
+    passes at most depth + 3 roundings, so each coordinate is within
+    (depth + 4) 2^-53 (relative) of the exact truncated sum.
+
+    The truncation error per point is at most sqrt(n) * max(D) * p^-depth
+    / (p-1) in each factor.  PCG64 generator; identical seed, identical
+    stream.  The draws are charged (draw_cells) before any is made.
+    """
+
+    __slots__ = ("dim", "terms")
+
+    def __init__(self, spec: Spec, depth: int, count: int, seed=0,
+                 budget: EvalBudget | None = None):
+        import numpy as np
+
+        if depth < 1:
+            raise ValueError("depth must be >= 1")
+        if count < 1:
+            raise ValueError("count must be >= 1")
+        prod = as_product(spec)
+        if not prod.is_enumerable():
+            raise SymbolicBaseError("sampling requires enumerable factors")
+        ensure_budget(budget).charge(draw_cells(prod, depth, count), "digit draws")
+        rng = np.random.Generator(np.random.PCG64(seed))
+        self.dim, self.terms = prod.total_dim, []
+        for f, sl in zip(prod.factors, prod.factor_slices()):
+            mat = f.digit_matrix().astype(np.float64)
+            p, k = f.p_int(), mat.shape[0]
+            b = block_levels(k, depth)
+            tables = {}
+            for start in range(0, depth, b):
+                levels = min(b, depth - start)
+                if levels not in tables:
+                    tables[levels] = _block_table(mat, p, levels)
+                code = rng.integers(0, k ** levels, size=count)
+                self.terms.append((sl, tables[levels], 1 / p ** start if start else None, code))
+
+    def points(self, lo: int, hi: int) -> np.ndarray:
+        """Rows lo..hi-1 of the drawn points, shape (hi - lo, dim): each
+        coordinate is the same adds, in the same order, whatever range
+        it is built in.  A factor's first run is written, not added to
+        0: the table rows are nonnegative, so 0 + row is row exactly."""
+        import numpy as np
+
+        pts = np.empty((hi - lo, self.dim), dtype=np.float64)
+        for sl, table, scale, code in self.terms:
+            block = np.take(table, code[lo:hi], axis=0)
+            if scale is None:
+                pts[:, sl] = block
+            else:
+                block *= scale
+                pts[:, sl] += block
+        return pts
+
+
 def sample(
     spec: Spec,
     depth: int,
@@ -499,51 +569,8 @@ def sample(
 ) -> np.ndarray:
     """Draw `count` points of the depth-truncated series sum_{i<=depth}
     p^{-i} d_i with i.i.d. uniform digits; returns (count, total_dim).
-
-    Each factor draws its digits as block codes: one integer per run of
-    b = block_levels(k, depth) levels, for k digits, so k^b <= 4096.
-    A code uniform on [0, k^b) is exactly b i.i.d. uniform digits, read
-    most significant first, so every point is still uniform over the
-    depth-d cylinders.  A table of at most 4096 rows per block length
-    (_block_table) holds each code's partial sum, and a point is
-    sum_i p^-(b i) table[code_i]: ceil(depth/b) draws per point and
-    factor, not depth, with (count, n) arrays only.  All terms are
-    nonnegative and each passes at most depth + 3 roundings, so each
-    coordinate is within (depth + 4) 2^-53 (relative) of the exact
-    truncated sum.
-
-    The truncation error per point is at most sqrt(n) * max(D) * p^-depth
-    / (p-1) in each factor.  PCG64 generator; identical seed, identical
-    stream.
-    """
-    import numpy as np
-
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    prod = as_product(spec)
-    if not prod.is_enumerable():
-        raise SymbolicBaseError("sampling requires enumerable factors")
-    bud = ensure_budget(budget)
-    bud.charge(draw_cells(prod, depth, count), "digit draws")
-    rng = np.random.Generator(np.random.PCG64(seed))
-    cols = np.zeros((count, prod.total_dim), dtype=np.float64)
-    for f, sl in zip(prod.factors, prod.factor_slices()):
-        mat = f.digit_matrix().astype(np.float64)
-        p, k = f.p_int(), mat.shape[0]
-        b = block_levels(k, depth)
-        tables = {}
-        for start in range(0, depth, b):
-            levels = min(b, depth - start)
-            if levels not in tables:
-                tables[levels] = _block_table(mat, p, levels)
-            code = rng.integers(0, k ** levels, size=count)
-            block = np.take(tables[levels], code, axis=0)
-            if start:
-                block *= 1 / p ** start
-            cols[:, sl] += block
-    return cols
+    The draws, their accuracy and their charge are those of Draws."""
+    return Draws(spec, depth, count, seed, budget).points(0, count)
 
 
 # ---------------------------------------------------------------- parsing

@@ -39,14 +39,14 @@ from __future__ import annotations
 import enum
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from .budget import EvalBudget, ensure_budget
 from .errors import ConfigError
-from .fourier import LATTICE_BLOCK, box_blocks, fourier_transform_batch, gather_points
-from .measure import Spec, as_product, draw_cells, sample, total_dim
+from .fourier import (LATTICE_BLOCK, box_blocks, fourier_transform_batch, gather_points,
+                      half_ball)
+from .measure import Draws, Spec, as_product, draw_cells, total_dim
 from .value import Value
 
 # Fixed step for the inverse-transform quadrature along a ray.  The
@@ -67,6 +67,11 @@ _MC_DEPTH_SLACK = 8.0
 _UNIT_SQUARE_CORNERS = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
 
 _MC_CHUNK = 1 << 17
+
+# Draws per sub-block of a Monte-Carlo chunk: the rows that are built,
+# projected and binned at once, so that a pool thread holds the chunk's
+# codes but not its points and their temporaries.
+_MC_BLOCK = 1 << 14
 
 
 class ProfileAxis(enum.Enum):
@@ -293,14 +298,21 @@ def _mc_profile(spec: Spec, axis: ProfileAxis, depth: int, window: tuple, projec
 
     Chunk i of _MC_CHUNK draws always draws with seed (seed, i) and is
     projected and binned where it is drawn, on one thread per core (at
-    most one per chunk).  Fixed edges decide each draw on its own and
-    the chunks' integer counts add exactly, so the profile does not
-    depend on how the chunks are scheduled."""
+    most one per chunk).  A chunk holds its digit codes (measure.Draws)
+    and builds, projects and bins its points _MC_BLOCK rows at a time,
+    counting the draws below each edge as np.histogram does with fixed
+    edges, without its per-call checks: on two pool threads those
+    short calls cost more in lock hand-offs than they take to run.
+    Fixed edges decide each draw on its own and the integer counts of
+    the sub-blocks and chunks add exactly, so the profile does not
+    depend on how the draws are split or scheduled."""
+    from concurrent.futures import ThreadPoolExecutor
+
     if int(samples) != samples or samples < 1:
         raise ConfigError("Monte-Carlo sampling needs a positive whole sample count")
     samples = int(samples)
     bud = ensure_budget(budget)
-    # the draws of all chunks, as sample charges them, and the bins on
+    # the draws of all chunks, as Draws charges them, and the bins on
     # top of them, before any chunk is drawn
     draws = draw_cells(spec, depth, samples)
     bud.check(draws, "digit draws")
@@ -311,8 +323,15 @@ def _mc_profile(spec: Spec, axis: ProfileAxis, depth: int, window: tuple, projec
 
     def binned(i):
         count = min(_MC_CHUNK, samples - starts[i])
-        pts = sample(spec, depth, count, seed=(seed, i), budget=bud)
-        return np.histogram(project(pts), bins=edges)[0]
+        chunk = Draws(spec, depth, count, seed=(seed, i), budget=bud)
+        # draws below each edge (the last one included), as np.histogram
+        # counts them with explicit edges: a sort and a search per edge
+        below = np.zeros(nbins + 1, dtype=np.int64)
+        for lo in range(0, count, _MC_BLOCK):
+            x = np.sort(project(chunk.points(lo, min(count, lo + _MC_BLOCK))))
+            below[:-1] += x.searchsorted(edges[:-1], "left")
+            below[-1] += x.searchsorted(edges[-1], "right")
+        return np.diff(below)
 
     with ThreadPoolExecutor(min(os.cpu_count() or 1, len(starts))) as pool:
         counts = sum(pool.map(binned, range(len(starts))))
@@ -562,11 +581,13 @@ def lp_criterion_integral(spec: Spec, p_exp: int, R_max: int, tol: float = 1e-9,
     capped at 1 inside the unit ball (the origin cell's exact integral
     is finite and the same for every probability measure).
 
-    The ball is cut block by block from the box |xi|_inf <= R_max, whose
-    points are checked against the budget first ("lattice ball"), and
-    joined by gather_points into one batch, symmetric under xi -> -xi,
-    so the transform evaluates about half of it.  The whole ball is held
-    at once, as the stripe and slab batches are."""
+    |lambda_hat(-xi)| = |lambda_hat(xi)| bit for bit (the mirror is the
+    conjugate), so the sum walks the half-ball of fourier.half_ball,
+    block by block in O(R_max) memory, and counts each point but the
+    origin twice.  The weights of each row of xi_1 go into the shells by
+    one bincount, and the rows' shell sums are added in row order, so
+    the sums do not depend on how the rows are cut into blocks; the
+    partial sum is the correctly rounded sum of the shell totals."""
     if int(p_exp) != p_exp or p_exp < 1:
         raise ConfigError("p_exp must be an integer >= 1")
     R_max = int(R_max)
@@ -576,14 +597,23 @@ def lp_criterion_integral(spec: Spec, p_exp: int, R_max: int, tol: float = 1e-9,
     n = total_dim(spec)
     if n not in (1, 2):
         raise ConfigError("lattice-ball sums need a measure of total dimension 1 or 2")
-    ball = (block[(block ** 2).sum(axis=1) <= R_max * R_max]
-            for block in box_blocks(2 * R_max + 1, n, bud, "lattice ball"))
-    pts = gather_points(spec, ball, tol, bud)
-    values, _ = fourier_transform_batch(spec, pts, tol, bud)
-    norms = np.sqrt((pts ** 2).sum(axis=1))
-    w = np.abs(values) * np.maximum(norms, 1.0) ** (-1.0 / p_exp)
-    totals, slopes = _shell_diagnostics(norms, w, base=2, n_shells=1 + _shell_count(R_max, 2))
-    return LatticeDiagnostics(float(w.sum()), totals, slopes)
+    n_shells = 1 + _shell_count(R_max, 2)
+    edges = 2.0 ** np.arange(n_shells)
+    totals = np.zeros(n_shells)
+    for pts, values in half_ball(spec, R_max, tol, bud):
+        norms = np.sqrt((pts * pts).sum(axis=1))
+        w = np.abs(values) * np.maximum(norms, 1.0) ** (-1.0 / p_exp)
+        w[norms > 0.0] *= 2.0  # the point and its mirror -xi
+        key = np.searchsorted(edges, norms, side="left")
+        rows = 1
+        if n == 2:
+            row = (pts[:, 0] - pts[0, 0]).astype(np.int64)
+            key += row * n_shells
+            rows = int(row[-1]) + 1
+        for row_totals in np.bincount(key, w, rows * n_shells).reshape(rows, n_shells):
+            totals += row_totals
+    return LatticeDiagnostics(math.fsum(totals), tuple(float(t) for t in totals),
+                              _floored_slopes(totals, 2))
 
 
 def _annulus(R: float, budget: EvalBudget):

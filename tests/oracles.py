@@ -2,8 +2,8 @@
 
 No library or CLI path calls these; each recomputes a quantity by a
 second route (corner sums, direct window sums, a single stripe, a
-trapezoid, Monte-Carlo draws), so that the fast paths keep a
-cross-check.
+trapezoid, Monte-Carlo draws, whole-chunk sampling), so that the fast
+paths keep a cross-check.
 
 The corner-sum oracle never touches g or the product: it enumerates the
 depth-m digit prefix sums c = sum_{i<=m} p^-i d_i (the cylinder corner
@@ -25,7 +25,7 @@ from missingdigits.budget import EvalBudget, ensure_budget
 from missingdigits.cylinders import _ray_frames
 from missingdigits.errors import ConfigError
 from missingdigits.fourier import box_blocks, fourier_transform_batch, gather_points
-from missingdigits.measure import Spec, _block_table, as_product, sample
+from missingdigits.measure import Spec, _block_table, as_product, block_levels, sample
 from missingdigits.projection import (_annulus, _enumeration_depth, _require_plane,
                                       _unit_direction, radial_tube_profile)
 
@@ -91,6 +91,43 @@ def fourier_oracle(
         total *= _corner_sum(_block_table(mat, p, rest) * scale, block)
         out *= total / k ** depth
     return out
+
+
+# ---------------------------------------------------------------- sampling
+
+
+def sample_at_once(spec: Spec, depth: int, count: int, seed=0) -> np.ndarray:
+    """The sampler's points built whole: (count, total_dim) zeros, then,
+    for each factor and each run of block_levels(k, depth) levels in
+    turn, the run's block codes drawn for all points and their table rows
+    (scaled by p^-start after the first run) added into the points."""
+    prod = as_product(spec)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    cols = np.zeros((count, prod.total_dim), dtype=np.float64)
+    for f, sl in zip(prod.factors, prod.factor_slices()):
+        mat = f.digit_matrix().astype(np.float64)
+        p, k = f.p_int(), mat.shape[0]
+        b = block_levels(k, depth)
+        for start in range(0, depth, b):
+            levels = min(b, depth - start)
+            code = rng.integers(0, k ** levels, size=count)
+            block = np.take(_block_table(mat, p, levels), code, axis=0)
+            if start:
+                block *= 1 / p ** start
+            cols[:, sl] += block
+    return cols
+
+
+def mc_histogram(spec: Spec, depth: int, samples: int, seed, edges, project) -> np.ndarray:
+    """The counts of a Monte-Carlo profile with each chunk held whole:
+    chunk i of _MC_CHUNK draws drawn by sample_at_once with seed
+    (seed, i), projected and binned at once on edges, the chunks'
+    counts added in order."""
+    from missingdigits.projection import _MC_CHUNK
+
+    return sum(np.histogram(project(sample_at_once(spec, depth, min(_MC_CHUNK, samples - start),
+                                                   seed=(seed, i))), bins=edges)[0]
+               for i, start in enumerate(range(0, samples, _MC_CHUNK)))
 
 
 # ---------------------------------------------------------------- S_k sums

@@ -484,9 +484,12 @@ def test_fourier_chain_refuses_transform_levels_before_building_points(argv):
 
 @pytest.mark.skipif(resource is None, reason="needs the resource module")
 @pytest.mark.parametrize("spec, rmax, label", [
-    (C32_SQ, 2 ** 26, "lattice ball"),   # a box of 2^54 points
-    (C3, 2 ** 30, "lattice ball"),       # an axis of 16 GiB
-    (C3, 2 ** 25, "transform levels"),   # a box the budget admits; its axis is 512 MiB
+    # the half diamond inside the half-ball, 2^52 + 2^26 + 1 points
+    (C32_SQ, 2 ** 26, "lattice ball needs 4.504e+15 cells"),
+    # the half-axis 0..2^30, 8 GiB of points
+    (C3, 2 ** 30, "lattice ball needs 1073741825 cells"),
+    # a half-axis the budget admits, 256 MiB of points at 37 levels each
+    (C3, 2 ** 25, "transform levels needs 1241514021 cells"),
 ])
 def test_lp_integral_refuses_an_oversized_ball_before_building_it(spec, rmax, label):
     proc = subprocess.run([sys.executable, "-m", "missingdigits", "lp-integral", "--spec", spec,

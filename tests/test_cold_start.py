@@ -97,6 +97,27 @@ def test_fourier_runs_load_no_cylinders(argv):
     assert "numpy.ma" not in modules
 
 
+@pytest.mark.parametrize("argv", [
+    ("lp-integral", "--p", "2", "--rmax", "16"),
+    ("stripe-scan", "--radius", "9", "--angles", "16", "--s1", "0.7376", "--eps", "0.05"),
+    ("slab-integral", "--direction", "1,0", "--tmax", "64"),
+    ("linear-density", "--direction", "0.6,0.8", "--grid=-0.1,1.1,61", "--tmax", "81"),
+    ("radial-density", "--viewpoint=-1,-1", "--delta", "0.05", "--angles", "50"),
+])
+def test_runs_without_monte_carlo_load_no_thread_pool(argv):
+    # only the Monte-Carlo profiles run chunks on a pool, and they import
+    # concurrent.futures (with logging, queue and the like) where they do
+    modules = _loaded(*argv, "--spec", C3_SQ)
+    assert "missingdigits.projection" in modules
+    assert "concurrent.futures" not in modules
+
+
+def test_a_monte_carlo_run_loads_the_thread_pool():
+    modules = _loaded("linear-density", "--spec", C3_SQ, "--direction", "1,1",
+                      "--mc", "1000", "--bandwidth", "0.05")
+    assert "concurrent.futures" in modules
+
+
 @pytest.mark.parametrize("argv, code", [
     (("dim-bound", "--spec", C3_SQ), 0),
     (("certify", "--radial-lp", "2", "--spec", C3_SQ), 1),  # NotCertified

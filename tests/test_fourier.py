@@ -193,8 +193,11 @@ CARPET = explicit_spec(3, [(a, b) for a in range(3) for b in range(3) if (a, b) 
 
 
 def _per_level_product(spec, xis, tol=1e-9):
-    # the transform and its bound as a plain product over factors and
-    # levels, with every row evaluated at every level
+    # the transform and its bound as a product over factors and levels,
+    # with every row evaluated at every level: a factor whose block the
+    # batch tables has its levels multiplied first, from 1, and their
+    # product then into the values; any other factor multiplies each
+    # level into the values
     prod = as_product(spec)
     values = np.ones(xis.shape[0], dtype=complex)
     errs = np.zeros(xis.shape[0])
@@ -203,8 +206,12 @@ def _per_level_product(spec, xis, tol=1e-9):
         norms = np.sqrt((block * block).sum(axis=1))
         depth = truncation_depth(factor, float(norms.max()), tol / len(prod.factors))
         p = float(factor.p_int())
+        tabled = depth and _symbol_table(block)[1] is not None
+        levels = np.ones(xis.shape[0], dtype=complex) if tabled else values
         for j in range(1, depth + 1):
-            values *= digit_symbol(factor, block / p ** j)
+            levels *= digit_symbol(factor, block / p ** j)
+        if tabled:
+            values *= levels
         errs += _tail_bound(factor, norms, depth)
     return values, errs
 

@@ -1,5 +1,7 @@
+import concurrent.futures
 import math
 import pickle
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -8,8 +10,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from missingdigits import fourier, projection
-from missingdigits.fourier import transform_levels
-from missingdigits.measure import sample, total_dim
+from missingdigits.fourier import digit_symbol, transform_levels, truncation_depth
+from missingdigits.measure import as_product, block_levels, sample, total_dim
 from missingdigits import (BudgetExceededError, ConfigError, DensityProfile,
                            EvalBudget, ProfileAxis, ProfileMethod,
                            cylinder_mass, exceptional_directions, explicit_spec,
@@ -17,8 +19,8 @@ from missingdigits import (BudgetExceededError, ConfigError, DensityProfile,
                            linear_density, linear_density_mc,
                            lp_criterion_integral, product, radial_density_mc,
                            radial_tube_profile, slab_integral, square, stripe_scan)
-from oracles import (partial_sum_S_k, radial_l2_norm, stripe_integral,
-                     tube_mass_mc)
+from oracles import (mc_histogram, partial_sum_S_k, radial_l2_norm, sample_at_once,
+                     stripe_integral, tube_mass_mc)
 
 LEB2 = lebesgue_spec(3, 2)
 C32 = square(explicit_spec(3, [0, 2]))
@@ -146,7 +148,8 @@ def _machine_with(monkeypatch, cores) -> list:
             super().__init__(threads)
 
     monkeypatch.setattr(projection.os, "cpu_count", lambda: cores)
-    monkeypatch.setattr(projection, "ThreadPoolExecutor", Recording)
+    # projection imports the pool where it runs, from concurrent.futures
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
     return sizes
 
 
@@ -361,6 +364,85 @@ def test_linear_mc_independent_of_worker_count(monkeypatch):
         assert np.array_equal(profile.values, serial)
 
 
+# sample counts off every multiple of the chunk and of the sub-block
+MC_COUNTS = [7, projection._MC_BLOCK + 3, projection._MC_CHUNK + 3 * projection._MC_BLOCK + 5]
+
+
+def _radial_angles(x, window):
+    def project(pts):
+        ang = np.arctan2(pts[:, 1] - x[1], pts[:, 0] - x[0])
+        return np.where(ang < 0, ang + 2 * math.pi, ang) if window[1] > math.pi else ang
+    return project
+
+
+@pytest.mark.parametrize("samples", MC_COUNTS)
+@pytest.mark.parametrize("spec", [C32, CARPET, PAIR_57], ids=["C3^2", "carpet", "(5,7)"])
+def test_mc_profiles_bin_every_draw_as_whole_chunks_do(spec, samples):
+    # the sub-blocks change no count: the linear profile, and the radial
+    # one from below the square and from (2, 0.5), whose window is
+    # unwrapped across pi as mc-radial's is
+    linear = linear_density_mc(spec, (0.6, 0.8), samples, 0.002, seed=5)
+    meta = linear.metadata
+    edges = np.linspace(*meta["window"], len(linear.grid) + 1)
+    counts = mc_histogram(spec, meta["depth"], samples, 5, edges,
+                          lambda pts: pts @ np.array(meta["direction"]))
+    assert np.array_equal(linear.values, counts / (samples * (edges[1] - edges[0])))
+    for x in ((0.3, -1.0), (2.0, 0.5)):
+        radial = radial_density_mc(spec, x, samples, 0.002, seed=5)
+        meta = radial.metadata
+        assert (meta["window"][1] > math.pi) == (x[0] > 1)
+        edges = np.linspace(*meta["window"], len(radial.grid) + 1)
+        counts = mc_histogram(spec, meta["depth"], samples, 5, edges,
+                              _radial_angles(x, meta["window"]))
+        assert np.array_equal(radial.values, counts / (samples * (edges[1] - edges[0])))
+
+
+def test_mc_bins_draws_on_the_edges_as_np_histogram_does():
+    # one-digit draws of Lebesgue base 4, shifted by 1/4, fall on the
+    # edges 1/4, 1/2, 3/4 (left-closed bins) and on the last edge 1 (in
+    # the last bin); -1/4 falls outside the window
+    spec = lebesgue_spec(4, 2)
+    for shift in (0.25, -0.25):
+        def project(pts):
+            return pts[:, 0] + shift
+        profile = projection._mc_profile(spec, ProfileAxis.OFFSET_ON_LINE, 1, (0.0, 1.0),
+                                         project, MC_COUNTS[-1], 0.25, 9, None, direction=(1, 0))
+        edges = np.linspace(0.0, 1.0, 5)
+        counts = mc_histogram(spec, 1, MC_COUNTS[-1], 9, edges, project)
+        assert np.array_equal(profile.values, counts / (MC_COUNTS[-1] * 0.25))
+        if shift > 0:  # draws at 1 count in the last bin
+            assert counts[0] == 0 and counts.sum() == MC_COUNTS[-1]
+        else:  # draws at -1/4 in none
+            assert counts[-1] == 0 and 0 < counts.sum() < MC_COUNTS[-1]
+
+
+@pytest.mark.parametrize("spec, depth", [(C3, 20), (C32, 13), (CARPET, 7), (PAIR_57, 9),
+                                         (LEB10, 5)])
+def test_sample_builds_the_whole_chunk_points_bit_for_bit(spec, depth):
+    for count in (1, 1000, projection._MC_BLOCK + 17):
+        assert np.array_equal(sample(spec, depth, count, seed=(3, 1)).view(np.uint64),
+                              sample_at_once(spec, depth, count, seed=(3, 1)).view(np.uint64))
+
+
+def test_an_mc_chunk_holds_its_codes_and_one_sub_block(monkeypatch):
+    # a chunk held whole peaked at 7.1 MiB here: its (2^17, 2) points,
+    # each run's table rows, the offsets from the viewpoint and the
+    # angles, 2 MiB each or half that; the chunk now holds its int64
+    # codes, one per draw and run of levels, and builds, projects and
+    # bins 2^14 points at a time
+    monkeypatch.setattr(projection.os, "cpu_count", lambda: 1)
+    samples = projection._MC_CHUNK
+    radial_density_mc(CARPET, (2.0, 0.5), samples, 0.002)  # imports and caches first
+    tracemalloc.start()
+    try:
+        profile = radial_density_mc(CARPET, (2.0, 0.5), samples, 0.002)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    runs = math.ceil(profile.metadata["depth"] / block_levels(8, profile.metadata["depth"]))
+    assert peak < 8 * samples * runs + 128 * projection._MC_BLOCK
+
+
 def test_linear_mc_takes_a_whole_float_sample_count():
     whole = linear_density_mc(C32, (1.0, 1.0), 2000, 0.01)
     floating = linear_density_mc(C32, (1.0, 1.0), 2000.0, 0.01)
@@ -429,9 +511,9 @@ def test_lp_integral_budget():
         lp_criterion_integral(C32, 2, 1024, budget=EvalBudget(10_000))
 
 
-def _lp_ball_reference(spec, p_exp, R_max, budget):
-    """The ball sum built from one meshgrid of the box, cut to the ball
-    and transformed as one batch."""
+def _lp_batch_reference(spec, p_exp, R_max, budget=None):
+    """The ball sum by the per-point batch path: one meshgrid of the box,
+    cut to the ball, transformed as one batch and summed at once."""
     n_shells = 1 + math.ceil(math.log(R_max) / math.log(2))
     axis = np.arange(-R_max, R_max + 1)
     box = np.stack(np.meshgrid(*[axis] * total_dim(spec), indexing="ij"), axis=-1)
@@ -444,42 +526,137 @@ def _lp_ball_reference(spec, p_exp, R_max, budget):
     return projection.LatticeDiagnostics(float(w.sum()), totals, slopes), ball
 
 
+def _lp_half_ball_reference(spec, p_exp, R_max, tol=1e-9):
+    """The ball sum by its formula, from one meshgrid of the box: on the
+    half-ball (the origin and the points whose first nonzero coordinate
+    is positive, in C order), each factor's levels multiplied from 1 at
+    its coordinates, then the factors from 1; weights doubled off the
+    origin; each row of xi_1 binned into the shells and the rows' sums
+    added in order; the partial sum the rounded sum of the shells.
+    Also returns the cells it is charged: per 1-D factor with levels
+    whose coordinate's range holds at most half as many values as the
+    half-ball has points, that range times its levels plus one gather
+    per point; per other factor, its levels (at least one) per point."""
+    prod = as_product(spec)
+    n = prod.total_dim
+    n_shells = 1 + math.ceil(math.log(R_max) / math.log(2))
+    axis = np.arange(-R_max, R_max + 1)
+    box = np.stack(np.meshgrid(*[axis] * n, indexing="ij"), axis=-1).reshape(-1, n)
+    first = box[:, 0] if n == 1 else np.where(box[:, 0] != 0, box[:, 0], box[:, 1])
+    pts = box[((box ** 2).sum(axis=1) <= R_max * R_max) & (first >= 0)].astype(float)
+    values = np.ones(pts.shape[0], dtype=complex)
+    cells = 0
+    for factor, sl in zip(prod.factors, prod.factor_slices()):
+        depth = truncation_depth(factor, float(R_max), tol / len(prod.factors))
+        levels = np.ones(pts.shape[0], dtype=complex)
+        for j in range(1, depth + 1):
+            levels *= digit_symbol(factor, pts[:, sl] / float(factor.p_int()) ** j)
+        values *= levels
+        span = R_max + 1 if sl.start == 0 else 2 * R_max + 1
+        tabled = factor.ambient_dim == 1 and depth and span <= len(pts) / 2
+        cells += span * depth + len(pts) if tabled else len(pts) * max(depth, 1)
+    norms = np.sqrt((pts ** 2).sum(axis=1))
+    w = np.abs(values) * np.maximum(norms, 1.0) ** (-1.0 / p_exp)
+    w[norms > 0] *= 2.0
+    edges = 2.0 ** np.arange(n_shells)
+    row = pts[:, 0].astype(int) if n == 2 else np.zeros(len(pts), dtype=int)
+    rows = np.bincount(row * n_shells + np.searchsorted(edges, norms), w,
+                       (row[-1] + 1) * n_shells).reshape(-1, n_shells)
+    totals = np.zeros(n_shells)
+    for row_totals in rows:
+        totals += row_totals
+    diag = projection.LatticeDiagnostics(math.fsum(totals), tuple(float(t) for t in totals),
+                                         projection._floored_slopes(totals, 2))
+    return diag, cells
+
+
 @pytest.mark.parametrize("spec, R_max", [(C3, 256), (C32, 128), (LEB2, 256)])
 def test_lp_integral_walks_the_meshgrid_ball_bit_for_bit(spec, R_max):
-    budget, reference_budget = EvalBudget(), EvalBudget()
+    budget = EvalBudget()
     diag = lp_criterion_integral(spec, 2, R_max, budget=budget)
-    reference, ball = _lp_ball_reference(spec, 2, R_max, reference_budget)
+    reference, cells = _lp_half_ball_reference(spec, 2, R_max)
     assert pickle.dumps(diag) == pickle.dumps(reference)
-    assert budget.spent == reference_budget.spent
-    # the ball is one batch symmetric under xi -> -xi, so the transform
-    # mirrors it: about half its points are charged
-    assert budget.spent < ball.shape[0] * transform_levels(spec, ball)
+    assert budget.spent == cells
+    # the plane's tables and one gather per point and factor cost far
+    # less than the levels of every point of the mirrored batch; the
+    # line has no table and pays the levels of its half
+    batch = EvalBudget()
+    _lp_batch_reference(spec, 2, R_max, batch)
+    assert budget.spent < batch.spent / 10 if total_dim(spec) == 2 else budget.spent == batch.spent
+
+
+@pytest.mark.parametrize("spec", [C3, C32, LEB2, CARPET, ATOM, PAIR_57],
+                         ids=["C3", "C3^2", "L3^2", "carpet", "atom", "(5,7)"])
+def test_lp_integral_is_within_rounding_of_the_per_point_batch(spec):
+    # Both paths multiply the same computed symbols, L = sum of the
+    # depths of them per point, in different orders, then take the same
+    # modulus and weight: each weight is within (6 L + 4) u of the
+    # other's (complex products err by at most 2 sqrt(2) u each).  The
+    # weights are positive, so any order of summing N of them is within
+    # N u of their exact sum.  Hence the bound, relative to the total.
+    R_max = 128
+    diag = lp_criterion_integral(spec, 2, R_max)
+    reference, ball = _lp_batch_reference(spec, 2, R_max)
+    levels = sum(truncation_depth(f, float(R_max), 1e-9 / len(as_product(spec).factors))
+                 for f in as_product(spec).factors)
+    bound = (6 * levels + 4 + 2 * ball.shape[0]) * 2.0 ** -53
+    assert abs(diag.partial - reference.partial) <= bound * reference.partial
+    for new, old in zip(diag.shell_totals, reference.shell_totals):
+        assert abs(new - old) <= bound * old
+    assert len(diag.dyadic_slopes) == len(reference.dyadic_slopes)
+
+
+def test_lp_integral_charges_the_carpet_no_more_than_its_mirrored_batch():
+    # the carpet's 2-D factor has no per-axis table: it pays its levels
+    # at every point of the half-ball, which is the batch's evaluated half
+    budget, batch = EvalBudget(), EvalBudget()
+    lp_criterion_integral(CARPET, 2, 128, budget=budget)
+    _lp_batch_reference(CARPET, 2, 128, batch)
+    assert budget.spent <= batch.spent
 
 
 def test_lp_integral_completes_within_the_budget_its_mirrored_ball_needs():
+    # the 411,737 points of the half-ball, two gathers each, and the
+    # 513 + 1025 entries of the axis tables at 27 levels
     budget = EvalBudget(30_000_000)
     lp_criterion_integral(C32, 2, 512, budget=budget)
-    assert budget.spent == 22_289_094
+    assert budget.spent == 2 * 411_737 + (513 + 1025) * 27 == 865_000
 
 
 def test_lp_integral_refuses_an_unaffordable_ball_before_any_transform(monkeypatch):
-    # the whole ball's levels are checked as it is gathered, not only
-    # those of a first part of it
-    monkeypatch.setattr(projection, "fourier_transform_batch",
+    # the whole half-ball's cells (3,380,170 at R = 1024) are charged
+    # before any table or block is built
+    monkeypatch.setattr(fourier, "digit_symbol",
                         lambda *args: pytest.fail("ball transformed past the budget"))
-    budget = EvalBudget(50_000_000)
-    with pytest.raises(BudgetExceededError, match="transform levels"):
+    budget = EvalBudget(3_380_169)
+    with pytest.raises(BudgetExceededError, match="transform levels needs 3380170 cells"):
         lp_criterion_integral(C32, 2, 1024, budget=budget)
     assert budget.spent == 0
 
 
-def test_lp_integral_refuses_an_oversized_ball_box_before_building_it(monkeypatch):
-    monkeypatch.setattr(projection, "fourier_transform_batch",
+def test_lp_integral_refuses_an_oversized_ball_before_building_it(monkeypatch):
+    monkeypatch.setattr(fourier, "digit_symbol",
                         lambda *args: pytest.fail("ball transformed past the budget"))
-    budget = EvalBudget(1000)
-    with pytest.raises(BudgetExceededError, match="lattice ball needs 1089 cells"):
-        lp_criterion_integral(C32, 2, 16, budget=budget)  # the 33^2 box
+    budget = EvalBudget(200)
+    # the half diamond |xi|_1 <= 16 inside the half-ball holds 273 points
+    with pytest.raises(BudgetExceededError, match="lattice ball needs 273 cells"):
+        lp_criterion_integral(C32, 2, 16, budget=budget)
     assert budget.spent == 0
+
+
+def test_lp_integral_holds_one_block_of_the_ball_at_a_time():
+    # the R = 512 ball of C3^2 has 823,473 points, 12.6 MiB as frequency
+    # rows, and its batch peaked 58 MiB above them; the walk holds O(R)
+    # tables and row lengths (some 40 KiB here) and blocks of at most
+    # LATTICE_BLOCK points: a block's rows, values and the temporaries
+    # of its weights while the next is built, under 192 bytes a point
+    tracemalloc.start()
+    try:
+        lp_criterion_integral(C32, 2, 512)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 192 * fourier.LATTICE_BLOCK
 
 
 def _base_digits(m, base):
