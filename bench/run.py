@@ -78,7 +78,7 @@ def run_once(job_id: str) -> dict:
             super().__init__(*args, **kwargs)
             budgets.append(self)
 
-    cli.EvalBudget = RecordingBudget
+    plain, cli.EvalBudget = cli.EvalBudget, RecordingBudget
     out = io.StringIO()
     start = time.perf_counter()
     with contextlib.redirect_stdout(out):
@@ -86,6 +86,8 @@ def run_once(job_id: str) -> dict:
             exit_code = cli.main(list(JOBS[job_id].argv))
         except SystemExit as exc:
             exit_code = exc.code
+        finally:
+            cli.EvalBudget = plain
     seconds = time.perf_counter() - start
     return {"seconds": seconds, "exit_code": exit_code, "module": cli.__file__,
             "cells": sum(b.spent for b in budgets), "sha256": digest(out.getvalue()),

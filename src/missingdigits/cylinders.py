@@ -18,7 +18,9 @@ arithmetic (_tube_codes) over a grid of boxes, with the terms of each
 grid row and column computed once.  cylinder_mass refines one tube
 breadth-first, its boxes as a one-row grid; ray_tube_masses refines
 (box, angle) pairs for many tubes at once, depth-first, a parent's
-children as the grid of their low corners, with the same predicate.
+children as the grid of their low corners, with the same predicate,
+which on the grids that _clear_columns passes reduces exactly to the
+tube's normal axis (_normal_codes).
 """
 
 from __future__ import annotations
@@ -94,6 +96,65 @@ def _tube_codes(low_x, low_y, sides, terms, half_length, half_width) -> tuple:
     sep |= (np.abs(cx) - hx > ext_x)[:, None]
     sep |= np.abs(cy) - hy > ext_y
     return inside, ~(inside | sep)
+
+
+def _clear_columns(low_x, low_y, sides, terms, half_length) -> np.ndarray:
+    """The columns (P,) of a _tube_codes grid, with (10, P) terms, in
+    which every box of the full p_x * p_y grid is INSIDE on the tube's
+    axis and passes both box-axis tests, decided from the grid's first
+    and last rows and columns alone.
+
+    The rows of low_x and low_y ascend (_Tree.grid sorts them), and
+    rounding to nearest is monotone, so the centre offsets ascend too
+    and their products with an axis are monotone: a grid's extremes of
+    A = cx * tx and B = cy * ty, and of |cx| and |cy|, lie in its end
+    rows.  Every box's tube-axis projection fl(A_i + B_j) then lies
+    between fl(min A + min B) and fl(max A + max B), so
+    fl(max(|fl(max A + max B)|, |fl(min A + min B)|) + rad_t) <= L
+    holds if and only if every box is INSIDE on the tube's axis, and
+    then none is separated on it, as fl(q - r) <= fl(q + r).  A masked
+    grid's boxes are a part of the full grid, so its columns are
+    cleared conservatively.  In a cleared column _tube_codes's codes
+    are therefore INSIDE where fl(|proj_w| + rad_w) <= d and STRADDLE
+    where not INSIDE and fl(|proj_w| - rad_w) <= d (_normal_codes): the
+    same floats, compared with no new constant."""
+    hx, hy = sides / 2.0
+    ox, oy, tx, ty, _, _, rad_t, _, ext_x, ext_y = terms
+    cx = low_x[[0, -1]] + hx - ox
+    cy = low_y[[0, -1]] + hy - oy
+    a, b = cx * tx, cy * ty
+    reach = np.maximum(np.abs(a.max(axis=0) + b.max(axis=0)),
+                       np.abs(a.min(axis=0) + b.min(axis=0)))
+    return ((reach + rad_t <= half_length)
+            & (np.abs(cx).max(axis=0) - hx <= ext_x)
+            & (np.abs(cy).max(axis=0) - hy <= ext_y))
+
+
+def _normal_work() -> list:
+    """Empty work arrays for _normal_codes: two float and two bool."""
+    return [np.empty(0), np.empty(0), np.empty(0, bool), np.empty(0, bool)]
+
+
+def _normal_codes(low_x, low_y, sides, terms, half_width, work) -> tuple:
+    """INSIDE and NEAR (INSIDE or STRADDLE) masks, each (p_x, p_y, P),
+    of a _tube_codes grid whose columns all pass _clear_columns, from
+    the tube's normal axis alone (why that is exact: _clear_columns).
+    The masks and the sums behind them are views of the work arrays
+    (_normal_work), which are replaced in the list by larger ones when
+    the grid does not fit."""
+    hx, hy = sides / 2.0
+    ox, oy, _, _, wx, wy, _, rad_w, _, _ = terms
+    cx = low_x + hx - ox
+    cy = low_y + hy - oy
+    shape = (cx.shape[0], cy.shape[0], cx.shape[1])
+    size = math.prod(shape)
+    if work[0].shape[0] < size:
+        work[:] = [np.empty(size, w.dtype) for w in work]
+    proj_w, edge, inside, near = (w[:size].reshape(shape) for w in work)
+    np.abs(np.add((cx * wx)[:, None], cy * wy, out=proj_w), out=proj_w)
+    np.less_equal(np.add(proj_w, rad_w, out=edge), half_width, out=inside)
+    np.less_equal(np.subtract(proj_w, rad_w, out=edge), half_width, out=near)
+    return inside, near
 
 
 class _Tree:
@@ -189,8 +250,11 @@ def cylinder_mass(spec: Spec, x, angle: float, half_width: float, depth: int,
         lows = (undecided[:, None, :] + offsets[None, :, :]).reshape(-1, n)
 
 
-# Children built and classified at once by ray_tube_masses.
+# Children built and classified at once by ray_tube_masses: at least
+# _CHILD_BLOCK, and more for a shallow descent, so that the boxes held
+# across its levels stay about _HELD_BOXES.
 _CHILD_BLOCK = 1 << 13
+_HELD_BOXES = 1 << 18
 
 # Arrays over the angles that ray_tube_masses holds at once, besides
 # three per level (the INSIDE counts and the boxes' two radii along the
@@ -227,13 +291,22 @@ def ray_tube_masses(spec: Spec, x, half_width: float, angles, depth: int,
     the parents of the next level's blocks, and lower and upper are
     formed from the counts in cylinder_mass's level order.
 
-    A block holds at most _CHILD_BLOCK children (or one parent), and the
-    newest block is refined first, so about depth * _CHILD_BLOCK boxes
-    are held at once.  Budget: the arrays over the angles are checked
-    (ray_tube_cells) before they are set up, and one "cylinder
-    classifications" cell is charged per (box, angle) pair, for a whole
-    block before any child of it is built; that is the sum over the
-    angles of cylinder_mass's classification cells.
+    A (parent, angle) column that passes _clear_columns, an exact check
+    from its grid's end rows and columns, is classified on the tube's
+    normal axis alone (_normal_codes), and every other column by
+    _tube_codes.  At the last level the STRADDLE count is the NEAR count
+    less the INSIDE count, with no STRADDLE mask.
+
+    A block holds at most max(_CHILD_BLOCK, _HELD_BOXES // (depth + 1))
+    children (or one parent), and the newest block is refined first, so
+    at most about max(depth * _CHILD_BLOCK, _HELD_BOXES) boxes are held
+    at once.  _normal_codes fills two float and two bool arrays that are
+    kept for the whole descent, each grown to the largest block's grid.
+    Budget: the arrays over the angles are checked (ray_tube_cells)
+    before they are set up, and one "cylinder classifications" cell is
+    charged per (box, angle) pair, for a whole block before any child of
+    it is built; that is the sum over the angles of cylinder_mass's
+    classification cells.
     """
     tree = _Tree(spec)
     if tree.n != 2:
@@ -258,14 +331,17 @@ def ray_tube_masses(spec: Spec, x, half_width: float, angles, depth: int,
     n_inside = np.zeros((depth + 1, count))
     n_straddle = np.zeros(count)
     # Per level, the children's grid: a block's children lie in
-    # (p_x, p_y, P) arrays, one column per parent.
-    grids = {0: (np.zeros(1), np.zeros(1), np.ones((1, 1, 1), dtype=bool))}
+    # (p_x, p_y, P) arrays, one column per parent; a full grid has no mask.
+    grids = {0: (np.zeros(1), np.zeros(1), None)}
     todo = []  # blocks still to refine, the newest last
+    block = max(_CHILD_BLOCK, _HELD_BOXES // (depth + 1))
 
     def push(level, parents, ang):
-        step = max(1, _CHILD_BLOCK // (tree.branching if level else 1))
+        step = max(1, block // (tree.branching if level else 1))
         for start in range(0, ang.shape[0], step):
             todo.append((level, parents[:, start:start + step], ang[start:start + step]))
+
+    work = _normal_work()  # kept for the whole descent
 
     # The root is the only child of a parent at 0, once per angle.
     push(0, np.zeros((2, count)), np.arange(count))
@@ -273,19 +349,46 @@ def ray_tube_masses(spec: Spec, x, half_width: float, angles, depth: int,
         level, parents, ang = todo.pop()
         bud.charge(ang.shape[0] * (tree.branching if level else 1), "cylinder classifications")
         if level not in grids:
-            grids[level] = tree.grid(level)
+            xs, ys, mask = tree.grid(level)
+            grids[level] = xs, ys, None if mask.all() else mask
         xs, ys, mask = grids[level]
         low_x, low_y = xs[:, None] + parents[0], ys[:, None] + parents[1]
         fixed = np.take(fixed_terms, ang, axis=1)
         terms = np.concatenate([fixed[:6], np.take(radii[level], ang, axis=1), fixed[6:]])
-        inside, straddle = (m & mask for m in _tube_codes(low_x, low_y, sides[level], terms,
-                                                          half_length, half_width))
-        n_inside[level] += np.bincount(ang, np.count_nonzero(inside, axis=(0, 1)), count)
-        if level == depth:
-            n_straddle += np.bincount(ang, np.count_nonzero(straddle, axis=(0, 1)), count)
-        else:
-            i, j, k = np.nonzero(straddle)
-            push(level + 1, np.stack([low_x[i, k], low_y[j, k]]), ang[k])
+        # Columns that pass _clear_columns are classified on the normal
+        # axis alone, the rest by _tube_codes: the same codes either way.
+        clear = _clear_columns(low_x, low_y, sides[level], terms, half_length)
+        parts = [(slice(None), True)] if clear.all() else \
+            [(np.flatnonzero(clear), True), (np.flatnonzero(~clear), False)]
+        children = []
+        for cols, normal in parts:
+            part_x, part_y, part_ang = low_x[:, cols], low_y[:, cols], ang[cols]
+            if part_ang.shape[0] == 0:
+                continue
+            grid = part_x, part_y, sides[level], terms[:, cols]
+            if normal:
+                inside, near = _normal_codes(*grid, half_width, work)
+            else:
+                inside, straddle = _tube_codes(*grid, half_length, half_width)
+                near = inside | straddle
+            if mask is not None:
+                inside &= mask
+                near &= mask
+            n_in = np.count_nonzero(inside, axis=(0, 1))
+            n_inside[level] += np.bincount(part_ang, n_in, count)
+            if level == depth:
+                n_near = np.count_nonzero(near, axis=(0, 1))
+                n_straddle += np.bincount(part_ang, n_near - n_in, count)
+            else:
+                # (i, j, k) of the straddling children from flat indices,
+                # at about half the cost of np.nonzero of a 3-D mask
+                row, k = np.divmod(np.flatnonzero(np.logical_xor(near, inside, out=near)),
+                                   part_ang.shape[0])
+                i, j = np.divmod(row, part_y.shape[0])
+                children.append((part_x[i, k], part_y[j, k], part_ang[k]))
+        if children:
+            child_x, child_y, child_ang = (np.concatenate(c) for c in zip(*children))
+            push(level + 1, np.stack([child_x, child_y]), child_ang)
 
     lower = np.zeros(count)
     for level, counts in enumerate(n_inside):

@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -210,3 +211,35 @@ def test_copies_are_compiled_and_their_runs_import_the_bytecode(tmp_path):
                                       PYTHONDONTWRITEBYTECODE="1")).stderr
     for module in ("__init__", "cli", "budget", "errors"):
         assert f"code object from '{package / '__pycache__' / module}." in verbose, module
+
+
+# The cells and digests of the benchmark's tube jobs; BENCH_28.json
+# holds the digests, made on the Python and numpy it records.
+TUBE_CELLS = {"tube-carpet": 3_416_464, "tube-c3sq": 140_032, "tube-leb10": 16_857_000}
+
+
+@pytest.fixture(scope="module")
+def tube_runs():
+    from missingdigits import budget, cli
+
+    runs = {job_id: bench.run_once(job_id) for job_id in TUBE_CELLS}
+    assert cli.EvalBudget is budget.EvalBudget  # run_once wraps it only while it runs
+    return runs
+
+
+@pytest.mark.parametrize("job_id", TUBE_CELLS)
+def test_tube_jobs_keep_their_exit_code_and_cells(tube_runs, job_id):
+    run = tube_runs[job_id]
+    assert (run["exit_code"], run["cells"]) == (0, TUBE_CELLS[job_id])
+
+
+@pytest.mark.parametrize("job_id", TUBE_CELLS)
+def test_tube_jobs_keep_their_document(tube_runs, job_id):
+    import numpy as np
+
+    recorded = json.loads((ROOT / "BENCH_28.json").read_text())
+    made_on = (recorded["machine"]["python"], recorded["machine"]["numpy"])
+    if (platform.python_version(), np.__version__) != made_on:
+        pytest.skip(f"digests were recorded on Python {made_on[0]} and numpy {made_on[1]}; "
+                    f"this is Python {platform.python_version()} and numpy {np.__version__}")
+    assert tube_runs[job_id]["sha256"] == recorded["trees"]["change"][job_id]["sha256"]

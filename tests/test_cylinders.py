@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,13 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from missingdigits import (BudgetExceededError, EvalBudget, cylinder_mass, cylinders,
-                           explicit_spec, lebesgue_spec, product, ray_tube_masses, square)
-from missingdigits.cylinders import _distinct, _ray_frames, _tube_codes, _tube_terms, _Tree
+                           explicit_spec, lebesgue_spec, product, radial_tube_profile,
+                           ray_tube_masses, square)
+from missingdigits.cylinders import (_clear_columns, _distinct, _normal_codes, _normal_work,
+                                     _ray_frames, _tube_codes, _tube_terms, _Tree)
 from oracles import tube_mass_mc
 
 C32 = square(explicit_spec(3, [0, 2]))
 LEB2 = lebesgue_spec(3, 2)
 CARPET = explicit_spec(3, [(a, b) for a in range(3) for b in range(3) if (a, b) != (1, 1)], n=2)
+PAIR57 = product(explicit_spec(5, [0, 2, 4]), explicit_spec(7, [1, 3, 6]))
 
 
 # ------------------------------------------------------------------ tubes
@@ -169,6 +173,118 @@ def test_tube_codes_of_a_box_do_not_depend_on_its_row():
     assert all(row(lows[i:i + 1])[0] == single[i] for i in range(0, 4099, 97))
 
 
+def _parents(spec, level, count, rng):
+    """Low corners (2, count) of depth-`level` boxes of the tree, drawn
+    at random, with the sums the descent forms: each level's offset
+    added to its parent's corner."""
+    tree = _Tree(spec)
+    lows = np.zeros((count, 2))
+    for lev in range(1, level + 1):
+        offsets = tree.offsets(lev)
+        lows = lows + offsets[rng.integers(0, offsets.shape[0], count)]
+    return lows.T
+
+
+# Viewpoints inside the square, on its edges and corners, on its
+# diagonal (where the far corner (1, 1) sits at the tube's far end),
+# anywhere around it, and dyadic ones, from which the tube at angle 0
+# has edges that box edges of base 4 meet exactly.
+_VIEWPOINTS = st.one_of(
+    st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+    st.sampled_from([(0.0, 0.0), (1.0, 1.0), (0.0, 0.4), (1.0, 0.3), (0.5, 0.0), (2 / 3, 1.0)]),
+    st.sampled_from([(-1.0, -1.0), (-3.0, -3.0), (-2.05, -2.05), (-0.4, 0.45), (1.05, 0.5)]),
+    st.tuples(st.floats(-3.0, 4.0), st.floats(-3.0, 4.0)),
+    st.sampled_from([(-1.0, 0.5), (-0.5, 0.375), (0.25, 0.5), (-2.0, 0.0)]),
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(spec=st.sampled_from([C32, CARPET, LEB2, PAIR57, lebesgue_spec(10, 2),
+                             lebesgue_spec(4, 2)]),
+       x=_VIEWPOINTS, delta=st.sampled_from([0.001, 0.01, 0.05, 0.2, 0.125, 0.25])
+       | st.floats(0.001, 0.5), level=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
+def test_clear_columns_are_exactly_the_grids_that_the_normal_axis_decides(spec, x, delta,
+                                                                          level, seed):
+    # Children grids of random parents at random angles and at the tie
+    # angles of their corners: tubes whose long edges pass through a
+    # child's corner, tubes along the ray through it, the diagonal and
+    # angle 0.
+    rng = np.random.default_rng(seed)
+    parents = _parents(spec, level - 1, 12, rng)
+    tree = _Tree(spec)
+    xs, ys, mask = tree.grid(level)
+    sides = tree.sides(level)
+    corners = (np.stack([xs[rng.integers(0, xs.shape[0], 12)], ys[rng.integers(0, ys.shape[0], 12)]])
+               + parents + rng.integers(0, 2, (2, 12)) * sides[:, None]).T - x
+    r = np.hypot(corners[:, 0], corners[:, 1])
+    corners, r = corners[r > delta], r[r > delta]
+    phi = np.arctan2(corners[:, 1], corners[:, 0])
+    tangent = np.arcsin(delta / r)
+    angles = np.concatenate([rng.uniform(-math.pi, math.pi, 8), phi, phi - tangent, phi + tangent,
+                             [0.0, math.pi / 4, math.atan2(1.0 - x[1], 1.0 - x[0])]])
+    frames, half_length = _ray_frames(x, angles, delta)
+    terms = _tube_terms(frames, sides, half_length, delta)
+    # every (parent, angle) pair is a column
+    k_parent, k_angle = (a.ravel() for a in np.meshgrid(np.arange(12), np.arange(angles.shape[0])))
+    low_x = xs[:, None] + parents[0, k_parent]
+    low_y = ys[:, None] + parents[1, k_parent]
+    terms = terms[:, k_angle]
+
+    clear = _clear_columns(low_x, low_y, sides, terms, half_length)
+    # box by box over the full grid: INSIDE on the tube's axis, and
+    # passing both box-axis tests
+    hx, hy = sides / 2.0
+    ox, oy, tx, ty, _, _, rad_t, _, ext_x, ext_y = terms
+    cx, cy = low_x + hx - ox, low_y + hy - oy
+    proj_t = np.abs((cx * tx)[:, None] + cy * ty)
+    tube_inside = np.all(proj_t + rad_t <= half_length, axis=(0, 1))
+    box_kept = np.all(np.abs(cx) - hx <= ext_x, axis=0) & np.all(np.abs(cy) - hy <= ext_y, axis=0)
+    assert np.array_equal(clear, tube_inside & box_kept)
+    assert not np.any((proj_t - rad_t > half_length)[:, :, clear])
+
+    cols = np.flatnonzero(clear)
+    grid = low_x[:, cols], low_y[:, cols], sides, terms[:, cols]
+    inside, near = _normal_codes(*grid, delta, _normal_work())
+    expected_inside, expected_straddle = _tube_codes(*grid, half_length, delta)
+    assert np.array_equal(inside, expected_inside)
+    assert np.array_equal(near & ~inside, expected_straddle)
+    assert np.array_equal(near & mask, (expected_inside | expected_straddle) & mask)
+
+
+@pytest.mark.parametrize("spec", [C32, CARPET, lebesgue_spec(10, 2)])
+def test_normal_codes_decide_ties_of_the_normal_axis_as_tube_codes_do(spec):
+    # A tube's frame does not depend on its half-width d, so d can be
+    # set to fl(|proj_w| + rad_w) or fl(|proj_w| - rad_w) of a grid's
+    # farthest child: that child is then a tie of INSIDE or of NEAR.
+    rng = np.random.default_rng(5)
+    tree = _Tree(spec)
+    xs, ys, mask = tree.grid(3)
+    sides = tree.sides(3)
+    x = (-1.0, -0.3)
+    parents = _parents(spec, 2, 30, rng)
+    centres = parents + rng.random((2, 30)) / 9.0
+    for k, angle in enumerate(np.arctan2(centres[1] - x[1], centres[0] - x[0])):
+        low_x, low_y = xs[:, None] + parents[:1, k], ys[:, None] + parents[1:, k]
+        frames, half_length = _ray_frames(x, [angle], 1.0)
+        ox, oy, _, _, wx, wy, _, rad_w, _, _ = _tube_terms(frames, sides, half_length, 1.0)
+        proj_w = np.abs(((low_x + sides[0] / 2 - ox) * wx)[:, None]
+                        + (low_y + sides[1] / 2 - oy) * wy)
+        codes = []
+        for delta in (np.max(proj_w + rad_w), np.max(proj_w - rad_w)):
+            frames, half_length = _ray_frames(x, [angle], delta)
+            terms = _tube_terms(frames, sides, half_length, delta)
+            assert _clear_columns(low_x, low_y, sides, terms, half_length).all()
+            inside, near = _normal_codes(low_x, low_y, sides, terms, delta, _normal_work())
+            expected_inside, expected_straddle = _tube_codes(low_x, low_y, sides, terms,
+                                                             half_length, delta)
+            assert np.array_equal(inside, expected_inside)
+            assert np.array_equal(near & ~inside, expected_straddle)
+            codes.append((inside, near))
+        # every child INSIDE, then every child NEAR, the farthest on a tie
+        (inside, _), (tie_inside, near) = codes
+        assert inside.all() and near.all() and not tie_inside.all()
+
+
 def test_tube_validation():
     # A tube of width 0 or less, or seen from a viewpoint that is not a
     # finite point of the plane, is refused by the descent and by its
@@ -251,17 +367,29 @@ def test_ray_tube_masses_equal_per_angle_cylinder_mass_all_around(x, count, chil
     # Viewpoints inside the square, on it, on its diagonal (where the
     # far corner sits at the tube's far end) and beside it, with angles
     # all around the circle, in order and shuffled.  With small child
-    # blocks, every level is cut into blocks of one parent.
+    # blocks, every level is cut into blocks of one parent.  Both paths
+    # are taken: columns classified on the normal axis alone and columns
+    # that _tube_codes classifies.
     monkeypatch.setattr(cylinders, "_CHILD_BLOCK", child_block)
+    monkeypatch.setattr(cylinders, "_HELD_BOXES", child_block)
+    cleared = []
+
+    def clear_columns(*args):
+        clear = _clear_columns(*args)
+        cleared.extend(clear.tolist())
+        return clear
+
+    monkeypatch.setattr(cylinders, "_clear_columns", clear_columns)
     angles = np.linspace(-math.pi, math.pi, count)
     oracle = np.array([cylinder_mass(C32, x, a, 0.05, 3) for a in angles])
     for order in (np.arange(count), np.random.default_rng(count).permutation(count)):
-        lower, upper = ray_tube_masses(C32, x, 0.05, angles[order], depth=3)
+        budget = _LabelBudget()
+        lower, upper = ray_tube_masses(C32, x, 0.05, angles[order], depth=3, budget=budget)
         assert np.array_equal(lower, oracle[order, 0])
         assert np.array_equal(upper, oracle[order, 1])
-
-
-PAIR57 = product(explicit_spec(5, [0, 2, 4]), explicit_spec(7, [1, 3, 6]))
+        if child_block == 3:  # one parent of 4 children, or 3 roots, a block
+            assert max(budget.charges) == 4
+    assert True in cleared and False in cleared
 
 
 @pytest.mark.parametrize("spec, x, delta, depth", [
@@ -273,6 +401,7 @@ PAIR57 = product(explicit_spec(5, [0, 2, 4]), explicit_spec(7, [1, 3, 6]))
 def test_ray_tube_masses_equal_per_angle_cylinder_mass_on_other_specs(spec, x, delta, depth,
                                                                       child_block, monkeypatch):
     monkeypatch.setattr(cylinders, "_CHILD_BLOCK", child_block)
+    monkeypatch.setattr(cylinders, "_HELD_BOXES", child_block)
     angles = np.linspace(-math.pi, math.pi, 47)
     reference = _LabelBudget()
     oracle = np.array([cylinder_mass(spec, x, a, delta, depth, reference) for a in angles])
@@ -284,6 +413,8 @@ def test_ray_tube_masses_equal_per_angle_cylinder_mass_on_other_specs(spec, x, d
         assert np.array_equal(upper, oracle[order, 1])
         assert descent.cells["cylinder classifications"] \
             == reference.cells["cylinder classifications"]
+        if child_block == 3:  # one parent a block
+            assert max(descent.charges) == _Tree(spec).branching
 
 
 @pytest.mark.parametrize("x", [(-1.0, -1.0), (-3.0, -3.0), (-2.05, -2.05), (-0.4, 0.45),
@@ -346,10 +477,12 @@ class _LabelBudget(EvalBudget):
     def __init__(self):
         super().__init__()
         self.cells = {}
+        self.charges = []
 
     def charge(self, cells, what="evaluation"):
         super().charge(cells, what)
         self.cells[what] = self.cells.get(what, 0) + int(cells)
+        self.charges.append(int(cells))
 
 
 @pytest.mark.parametrize("spec, x, delta, depth", [
@@ -366,3 +499,24 @@ def test_ray_tube_masses_charge_cylinder_mass_classifications_summed_over_angles
         cylinder_mass(spec, x, angle, delta, depth, reference)
     assert descent.cells["cylinder classifications"] \
         == reference.cells["cylinder classifications"] > 120
+
+
+@pytest.mark.parametrize("spec, delta, count, cells, mib", [
+    (C32, 1e-9, 1000, 7_976_232, 4.0),  # depth 21
+    (lebesgue_spec(10, 2), 0.01, 800, 16_857_000, 5.0),  # the benchmark's tube-leb10, depth 3
+], ids=["deep-c3sq", "leb10"])
+def test_ray_tube_masses_hold_a_bounded_number_of_boxes(spec, delta, count, cells, mib):
+    # Depth-first, a descent holds at most about
+    # max(depth * _CHILD_BLOCK, _HELD_BOXES) boxes and one block's work
+    # arrays: 2.5 and 3.4 MiB here.  Refining the oldest block first
+    # (breadth-first) held 17.1 and 5.9 MiB.
+    radial_tube_profile(spec, (-1.0, -1.0), delta, 8)  # imports and caches first
+    budget = EvalBudget()
+    tracemalloc.start()
+    try:
+        radial_tube_profile(spec, (-1.0, -1.0), delta, count, budget=budget)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert budget.spent == cells
+    assert peak < mib * 2 ** 20
