@@ -16,31 +16,19 @@ digit norm), which geometrically sums to
 
     tail(J) <= 2 pi M |xi| / (p^J (p - 1)).
 
-Lattice sums repeat each factor's coordinates: the radius-256 ball on
-C3 x C3 has about 206k points but only 513 values per axis.  So when a
-factor's coordinate block is all integers (no negative zero), the batch
-multiplies the factor's levels of g on the integer box min..max of the
-block (_level_table) and gathers the product back once per row by the
-index (row - min), in O(rows) without a sort: the value of each row is
-that of multiplying the factor's levels at the row, then the factors.
-The table is skipped when that box holds more than half as many points
-as the block has rows, as for the carpet's 2-D factor, whose rows are
-all distinct; such a factor multiplies each level into the values.  The
-table does not change the batch's charge: a batch holds all its rows at
-once, and its per-row levels bound what it may hold.  The lattice
-half-ball (half_ball) holds one block of rows at a time and is charged
-what it evaluates: the table entries times the levels, and one cell per
-point and gather.
+The lattice ball and annulus hold no batch: half_ball and
+half_annulus walk their points whose first nonzero coordinate is
+positive, one of each pair +-xi, a block of rows at a time, and charge
+what they evaluate; their per-axis level tables are argued in _walk.
 
 lambda is a real measure, so lambda_hat(-xi) = conj lambda_hat(xi).  A
 batch takes row K-1-i as the conjugate of row i wherever it is row i's
 bitwise negation (a -0.0 pairs only with a +0.0): every point of a ray
-t = k dt except t = 0, the lattice points of an annulus walked
-in C order except its +0.0 axis points, and the symmetric points of a
-linspace.  The rest are evaluated as before.  This is bit-exact, not
-only exact in arithmetic: round-to-nearest commutes with negation, so
-the phases (d, -eta) are the negated phases; the platform's cos is even
-and its sin odd, so each exponential is the conjugate; and the sums,
+t = k dt except t = 0, and the symmetric points of a linspace.  The
+other rows are evaluated.  This is bit-exact, not only exact in
+arithmetic: round-to-nearest commutes with negation, so the phases
+(d, -eta) are the negated phases; the platform's cos is even and its
+sin odd, so each exponential is the conjugate; and the sums,
 the division by #D and each complex product then conjugate term by
 term.  The norms of xi and -xi, and so the depths and tail bounds, are
 equal bit for bit.  The tests pin this on every benchmark spec, since
@@ -66,7 +54,7 @@ from .measure import DigitInterval, MissingDigitsSpec, Spec, as_product
 # interval digit set is trusted in double precision.
 _PHASE_CAP = float(1 << 46)
 
-# Points per block of box_blocks.
+# Points per block of a lattice walk (_walk) and of the slab's columns.
 LATTICE_BLOCK = 1 << 16
 
 # Complex phases (128 KiB) per row chunk of an explicit digit average,
@@ -229,85 +217,106 @@ def lattice_rows(side: int, n: int, start: int, stop: int) -> np.ndarray:
     return np.stack(np.unravel_index(index, (side,) * n), axis=-1).astype(np.float64)
 
 
-def box_blocks(side: int, n: int, budget: EvalBudget, label: str):
-    """The integer box {-h..h}^n, h = (side - 1) // 2, as a generator of
-    blocks of LATTICE_BLOCK points in C order.  Its side^n points are
-    checked against the budget under `label` at the call, so an
-    oversized box is refused before any block is built.  Point K-1-i is
-    the negation of point i, also in any part cut from the blocks by a
-    predicate symmetric under xi -> -xi, so the transform mirrors every
-    such point but those with a +0.0 coordinate."""
-    count = side ** n
-    budget.check(count, label)
-    half = (side - 1) // 2
-    return (lattice_rows(side, n, start, min(count, start + LATTICE_BLOCK)) - half
-            for start in range(0, count, LATTICE_BLOCK))
-
-
-def gather_points(spec: Spec, blocks, tol: float, budget: EvalBudget) -> np.ndarray:
-    """Join blocks of frequency points into one fourier_transform_batch
-    batch, checking after each block half the points so far (rounded
-    up) times the largest transform_levels of any block so far
-    ("transform levels"), so an oversized batch is refused as it grows,
-    before it is transformed.  The transform evaluates at least one row
-    of each pair of rows it mirrors, so that is a lower bound on its
-    charge; fourier_transform_batch makes the exact check.  A walk that
-    starts at its largest point, as the boxes and the ray do, is checked
-    at its final levels from the first block."""
-    parts, kept, levels = [], 0, 0
-    for block in blocks:
-        parts.append(block)
-        kept += block.shape[0]
-        levels = max(levels, transform_levels(spec, block, tol))
-        budget.check(-(-kept // 2) * levels, "transform levels")
-    return np.concatenate(parts)
-
-
 def half_ball(spec: Spec, radius: int, tol: float, budget: EvalBudget):
     """The transform on the lattice half-ball of a measure on R^n, n = 1
     or 2: the origin and the integer points xi with |xi| <= radius whose
     first nonzero coordinate is positive, which with their negations
-    make up the ball.  A generator of (points, values) blocks, each of
-    whole rows of xi_1 (n = 2) in C order, at most LATTICE_BLOCK points
-    unless one row is longer; for n = 1 the half-axis 0..radius is one
-    row.  Memory is O(radius) for the tables plus one block.
-
-    Each factor's depth is the one fourier_transform_batch gives the
-    whole ball, at its largest norm on the factor's block, radius.  A
-    1-D factor with levels whose coordinate's range holds at most half
-    as many values as the half-ball has points (not so for n = 1) has a
-    table over that range (_level_table): its level product, gathered
-    once per point.  Other factors (2-D ones, such as the carpet's, and
-    trivial ones) multiply their levels into each block's values.  So a
-    value is formed by the batch's operations, in the batch's order,
-    wherever the batch tables the same factors.
+    make up the ball.  Row xi_1 = x (n = 2) is the one run
+    |xi_2| <= isqrt(radius^2 - x^2), row 0 from xi_2 = 0; for n = 1 the
+    half-axis 0..radius is one row.  A generator of (points, values)
+    blocks (_walk).
 
     The points are checked against the budget first ("lattice ball"):
     the half-ball holds the radius^2 + radius + 1 points of the half
     diamond |xi|_1 <= radius (radius + 1 for n = 1), a lower bound
-    found without building anything.  Then the evaluated cells are
-    charged exactly ("transform levels"), before any table or block is
-    built: per table, its entries times the factor's levels, plus one
-    cell per point and gather; per other factor, max(depth, 1) per
-    point."""
+    found without building anything."""
     prod = as_product(spec)
     n = prod.total_dim
     budget.check(radius * radius + radius + 1 if n == 2 else radius + 1, "lattice ball")
-    if n == 2:
-        half = [math.isqrt(radius * radius - x * x) for x in range(radius + 1)]
-        lows = np.array([0] + [-h for h in half[1:]])
-        lengths = np.array(half) - lows + 1
-        ranges = ((0, radius), (-radius, radius))
-    else:
-        lows, lengths, ranges = np.zeros(1, dtype=np.int64), np.array([radius + 1]), ((0, radius),)
-    ends = np.cumsum(lengths)
+    highs = np.array([math.isqrt(radius * radius - x * x) for x in range(radius + 1)]
+                     if n == 2 else [radius])
+    lows = np.where(np.arange(highs.size) == 0, 0, -highs)
+    return _walk(prod, lows[:, None], highs[:, None], radius, tol, budget)
+
+
+def half_annulus(spec: Spec, R: float, tol: float, budget: EvalBudget):
+    """The transform on the lattice half-annulus of a measure on R^2,
+    R > 0: the integer points xi with R <= hypot(xi_1, xi_2) <= 2R (in
+    floating point) whose first nonzero coordinate is positive, which
+    with their negations make up the annulus.  Row xi_1 = x holds the
+    runs inner <= |xi_2| <= outer, one run once inner is 0, and row 0
+    the positive run alone.  A generator of (points, values) blocks
+    (_walk).
+
+    The points are checked against the budget first ("lattice
+    annulus"), on the (a + b)(b - a + 1) points of the half diamond ring
+    a <= |xi|_1 <= b inside it, b = floor(2R), a = isqrt(2 ceil(R)^2) + 1:
+    a lower bound found in O(1), so a huge R is refused at once."""
+    top = math.floor(2 * R)
+    low = math.isqrt(2 * math.ceil(R) ** 2) + 1
+    budget.check(max(0, (low + top) * (top - low + 1)), "lattice annulus")
+    x = np.arange(top + 1)
+    # each row's last xi_2 >= -1 inside R, and its last inside 2R, from
+    # estimates within about one of them
+    inner = 1 + _last(np.ceil(np.sqrt(np.maximum((R - x) * (R + x), 0.0))).astype(np.int64) - 1,
+                      lambda y: np.hypot(x, y) < R)
+    outer = _last(np.floor(np.sqrt((2 * R - x) * (2 * R + x))).astype(np.int64),
+                  lambda y: np.hypot(x, y) <= 2 * R)
+    split = (x > 0) & (inner > 0)
+    lows = np.stack([-outer, np.where(split | (x == 0), inner, -outer)], axis=1)
+    highs = np.stack([np.where(split, -inner, -outer - 1), outer], axis=1)
+    return _walk(as_product(spec), lows, highs, top, tol, budget)
+
+
+def _last(y: np.ndarray, holds) -> np.ndarray:
+    """Per row, the last y >= -1 at which holds(y) is true, where holds
+    is true up to it and false past it (holds(-1) counts as true),
+    stepped there from the estimate y."""
+    while (up := holds(y + 1)).any():
+        y = y + up
+    while (down := (y >= 0) & ~holds(y)).any():
+        y = y - down
+    return y
+
+
+def _walk(prod, lows: np.ndarray, highs: np.ndarray, top: int, tol: float,
+          budget: EvalBudget):
+    """The transform on rows of runs of lattice points: run k of row x
+    holds the points (x, y), lows[x, k] <= y <= highs[x, k] (runs in
+    increasing y; empty where highs < lows), or for n = 1 the one row
+    lows[0, 0]..highs[0, 0]; no coordinate exceeds top in modulus.  A
+    generator of (points, values) blocks, each of whole rows in C
+    order, at most LATTICE_BLOCK points unless one row is longer.
+    Memory is O(rows) for the tables plus one block.
+
+    Each factor's depth is the one fourier_transform_batch gives all
+    the points, at their largest norm on the factor's block, found on
+    the rows' outermost points.  A 1-D factor with levels whose
+    coordinate's range (0..top for xi_1, -top..top for xi_2) holds at
+    most half as many values as there are points (never for n = 1) has
+    a table over that range (_level_table): its level product, gathered
+    once per point, so its levels are multiplied from 1 first.  Other
+    factors (2-D ones, such as the carpet's, and trivial ones) multiply
+    their levels into each block's values.
+
+    The evaluated cells are charged exactly ("transform levels"), before
+    any table or block is built: per table, its entries times the
+    factor's levels, plus one cell per point and gather; per other
+    factor, max(depth, 1) per point."""
+    n = prod.total_dim
+    lengths = np.maximum(highs - lows + 1, 0)
+    rows = lengths.sum(axis=1)
+    ends = np.cumsum(rows)
     count = int(ends[-1])
+    reach = np.maximum(-lows, highs).max(axis=1).astype(np.float64)
+    edge = (reach[:, None] if n == 1 else
+            np.stack([np.arange(reach.size, dtype=np.float64), reach], axis=1))
+    ranges = ((0, top), (-top, top))
     factors, cells = [], 0
-    for (factor, _, _, depth), sl in zip(_factor_blocks(prod, radius * np.eye(n), tol),
-                                         prod.factor_slices()):
+    for (factor, _, _, depth), sl in zip(_factor_blocks(prod, edge, tol), prod.factor_slices()):
         lo, hi = ranges[sl.start] if factor.ambient_dim == 1 and depth else (None, None)
         if lo is not None and hi - lo + 1 > count / 2:
-            lo = None  # as in _symbol_table, a table pays only on repeated coordinates
+            lo = None  # a table pays only on repeated coordinates
         cells += count * max(depth, 1) if lo is None else (hi - lo + 1) * depth + count
         factors.append((factor, sl, depth, lo, hi))
     budget.charge(cells, "transform levels")
@@ -316,15 +325,16 @@ def half_ball(spec: Spec, radius: int, tol: float, budget: EvalBudget):
               for factor, sl, depth, lo, hi in factors]
 
     first = 0
-    while first < lengths.size:
+    while first < rows.size:
         done = int(ends[first - 1]) if first else 0
         stop = max(first + 1, int(np.searchsorted(ends, done + LATTICE_BLOCK, side="right")))
-        sizes = lengths[first:stop]
+        sizes = lengths[first:stop].ravel()
         offsets = np.cumsum(sizes) - sizes
         points = np.empty((int(sizes.sum()), n))
-        points[:, -1] = np.arange(points.shape[0]) - np.repeat(offsets - lows[first:stop], sizes)
+        points[:, -1] = (np.arange(points.shape[0])
+                         - np.repeat(offsets - lows[first:stop].ravel(), sizes))
         if n == 2:
-            points[:, 0] = np.repeat(np.arange(first, stop), sizes)
+            points[:, 0] = np.repeat(np.arange(first, stop), rows[first:stop])
         values = np.ones(points.shape[0], dtype=np.complex128)
         for (factor, sl, depth, lo, _), table in zip(factors, tables):
             if table is None:
@@ -333,30 +343,6 @@ def half_ball(spec: Spec, radius: int, tol: float, budget: EvalBudget):
                 values *= table[points[:, sl.start].astype(np.int64) - lo]
         yield points, values
         first = stop
-
-
-def _symbol_table(block: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """(table_rows, index) with table_rows[index] equal to block bit for
-    bit, where table_rows is the integer box min..max of block's
-    coordinates in C order and index is (row - min) raveled, found in
-    O(rows) without a sort; or (block, None) when that box would hold
-    more than half as many points as block has rows, or block is not
-    all integers (a negative zero counts as none, since the box holds
-    only +0.0)."""
-    lo, hi = block.min(axis=0), block.max(axis=0)
-    # spans stay floats until they are known to be small: rows near
-    # 1e18 or 1e150 must not overflow int64
-    spans = hi - lo + 1.0
-    if not float(np.prod(spans)) <= block.shape[0] / 2:
-        return block, None
-    if not (np.round(block) == block).all() or (np.signbit(block) & (block == 0)).any():
-        return block, None
-    # every integer difference here is below 2^53, so each subtraction
-    # and each table entry lo + k is exact
-    shape = tuple(int(s) for s in spans)
-    index = np.ravel_multi_index(tuple((block - lo).astype(np.int64).T), shape)
-    rows = np.indices(shape, dtype=np.float64).reshape(len(shape), -1).T + lo
-    return rows, index
 
 
 def _multiply_levels(out: np.ndarray, factor: MissingDigitsSpec, rows: np.ndarray,
@@ -387,11 +373,10 @@ def fourier_transform_batch(
     Each factor's truncation depth is chosen from the largest |xi_f| in
     the batch, so every returned point meets the per-point tail bound.
     Row K-1-i that is row i's bitwise negation is not evaluated: its
-    value is the conjugate of row i's and its bound is row i's.  A
-    factor whose block of all K rows has a table (_symbol_table) is
-    gathered from its level product on the table; any other multiplies
-    each level into the values.  The evaluated rows are charged, at
-    sum_f max(depth_f, 1) each, before any output is allocated.
+    value is the conjugate of row i's and its bound is row i's.  Each
+    factor multiplies its levels into the values one after another.
+    The evaluated rows are charged, at sum_f max(depth_f, 1) each,
+    before any output is allocated.
     """
     prod = as_product(spec)
     xis = np.atleast_2d(np.asarray(xis, dtype=np.float64))
@@ -399,11 +384,13 @@ def fourier_transform_batch(
         raise ValueError(f"xi rows must have length {prod.total_dim}")
     bud = ensure_budget(budget)
     count = xis.shape[0]
-    # compared as bits, column by column: == would pair a -0.0 with a
-    # +0.0, and a per-row all() costs more than the columns
+    # compared with the negated batch as bits, column by column: == would
+    # pair a -0.0 with a +0.0, and a per-row all() costs more than the columns
+    negated = (-xis).view(np.uint64)
     mirrored = np.ones(count, dtype=bool)
     for column in range(xis.shape[1]):
-        mirrored &= xis[::-1, column].view(np.uint64) == (-xis[:, column]).view(np.uint64)
+        mirrored &= xis[::-1, column].view(np.uint64) == negated[:, column]
+    del negated  # not held while the levels are multiplied
     mirrored[:(count + 1) // 2] = False
     own = ~mirrored if mirrored.any() else None
     evaluated = xis if own is None else xis[own]
@@ -412,12 +399,8 @@ def fourier_transform_batch(
 
     values = np.ones(evaluated.shape[0], dtype=np.complex128)
     errs = np.zeros(evaluated.shape[0], dtype=np.float64)
-    for (factor, block, norms, depth), sl in zip(blocks, prod.factor_slices()):
-        rows, index = _symbol_table(xis[:, sl]) if depth else (None, None)
-        if index is None:
-            _multiply_levels(values, factor, block, depth)
-        else:
-            values *= _level_table(factor, rows, depth)[index if own is None else index[own]]
+    for factor, block, norms, depth in blocks:
+        _multiply_levels(values, factor, block, depth)
         errs += _tail_bound(factor, norms, depth)
     if own is None:
         return values, errs

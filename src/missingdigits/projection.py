@@ -44,8 +44,8 @@ import numpy as np
 
 from .budget import EvalBudget, ensure_budget
 from .errors import ConfigError
-from .fourier import (LATTICE_BLOCK, box_blocks, fourier_transform_batch, gather_points,
-                      half_ball)
+from .fourier import (LATTICE_BLOCK, fourier_transform_batch, half_annulus, half_ball,
+                      transform_levels)
 from .measure import Draws, Spec, as_product, draw_cells, total_dim
 from .value import Value
 
@@ -530,13 +530,13 @@ def linear_density(spec: Spec, theta, u_grid, T_max: float, tol: float = 1e-9,
     bud = ensure_budget(budget)
     dt = LINEAR_QUADRATURE_STEP
     steps = int(round(T_max / dt))
-    # charged before t is built, so a huge T_max is refused at once
+    # charged and checked before t is built, so a huge T_max is refused at
+    # once: the batch evaluates the steps + 1 points up to t = 0 at its ends' levels
     bud.charge(_ray_length(2 * steps + 1, u_grid.size), "ray inversion")
-    # the ray t theta, t = k dt, built from its negative end a block at a time
-    ray = (np.arange(k, min(k + LATTICE_BLOCK, steps + 1))[:, None] * dt * theta[None, :]
-           for k in range(-steps, steps + 1, LATTICE_BLOCK))
-    values, _ = fourier_transform_batch(spec, gather_points(spec, ray, tol, bud), tol, bud)
-    t = np.arange(-steps, steps + 1) * dt
+    bud.check((steps + 1) * transform_levels(spec, steps * dt * theta, tol), "transform levels")
+    k = np.arange(-steps, steps + 1)
+    values, _ = fourier_transform_batch(spec, k[:, None] * dt * theta[None, :], tol, bud)
+    t = k * dt
     density, rounding = _ray_inversion(values * dt, dt, u_0, du, u_grid.size, deviation)
     real = density.real
     imag_l1 = float(np.trapezoid(np.abs(density.imag), u_grid))
@@ -616,44 +616,51 @@ def lp_criterion_integral(spec: Spec, p_exp: int, R_max: int, tol: float = 1e-9,
                               _floored_slopes(totals, 2))
 
 
-def _annulus(R: float, budget: EvalBudget):
-    """Blocks of the lattice points of R <= |xi| <= 2R, walked in C order
-    through the square |xi|_inf <= floor(2R) ("annulus square")."""
-    top = int(math.floor(2 * R))
-    for block in box_blocks(2 * top + 1, 2, budget, "annulus square"):
-        norms = np.hypot(block[:, 0], block[:, 1])
-        yield block[(norms >= R) & (norms <= 2 * R)]
-
-
 def stripe_scan(spec: Spec, R: float, angle_count: int, tol: float = 1e-9,
                 budget: EvalBudget | None = None):
     """Stripe sums at angle_count directions theta_i = i pi / angle_count
     over a half turn (stripes are symmetric under theta -> -theta): the
     sum of |lambda_hat| over the lattice points xi of the annulus
     R <= |xi| <= 2R whose directions are nearly orthogonal to theta,
-    |(theta, xi/|xi|)| <= 1/R, evaluating |lambda_hat| once over the
-    whole annulus.  Returns (angles, values).
+    |(theta, xi/|xi|)| <= 1/R.  Returns (angles, values).
 
-    xi lies in the stripe of theta exactly when theta is within
-    arcsin(1/R) of arg xi + pi/2 (mod pi), so each point's stripes form
-    one contiguous run of angle indices.  The two candidate indices at
-    each end of the run are settled with the stripe predicate
-    |(theta, xi)| <= |xi|/R itself, and the runs are summed with a
-    wrapped difference array: O(points + angles)."""
+    |lambda_hat(-xi)| = |lambda_hat(xi)| bit for bit and -xi lies in the
+    stripes of xi, so the sum walks fourier.half_annulus, a block at a
+    time, with weight 2 |lambda_hat| per point.  Each point's stripes
+    form one contiguous run of angle indices (_stripe_runs), and the
+    runs are summed with a wrapped difference array whose ends are
+    added point after point in the walk's order (np.add.at), so the
+    sums do not depend on the blocks: O(points + angles).  Binning is
+    charged a cell per angle and per point ("stripe binning")."""
     _require_plane(spec, "stripe_scan")
     if R < 2:
         raise ConfigError("stripe annulus needs R >= 2")
     if angle_count < 1:
         raise ConfigError("angle_count must be positive")
     bud = ensure_budget(budget)
-    pts = gather_points(spec, _annulus(R, bud), tol, bud)
-    norms = np.hypot(pts[:, 0], pts[:, 1])
-    bud.charge(pts.shape[0] + angle_count, "stripe binning")
-    values, _ = fourier_transform_batch(spec, pts, tol, bud)
-    mags = np.abs(values)
+    walk = half_annulus(spec, R, tol, bud)  # refuses an annulus it cannot pay for
+    bud.charge(angle_count, "stripe binning")
     angles = np.arange(angle_count) * math.pi / angle_count
     cos, sin = np.cos(angles), np.sin(angles)
-    limit = norms / R
+    opens, closes = np.zeros(2 * angle_count + 1), np.zeros(2 * angle_count + 1)
+    for pts, values in walk:
+        bud.charge(pts.shape[0], "stripe binning")
+        first, run = _stripe_runs(pts, R, cos, sin)
+        weights = 2.0 * np.abs(values)  # the point and its mirror -xi
+        np.add.at(opens, first, weights)
+        np.add.at(closes, first + run, weights)
+    total = np.cumsum((opens - closes)[:2 * angle_count])
+    return angles, total[:angle_count] + total[angle_count:]
+
+
+def _stripe_runs(pts: np.ndarray, R: float, cos: np.ndarray, sin: np.ndarray) -> tuple:
+    """(first, run) per point: its first stripe's angle index (mod the
+    angle count) and its run's length.  xi lies in the stripe of theta
+    exactly when theta is within arcsin(1/R) of arg xi + pi/2 (mod pi);
+    the two candidate indices at each end of the run are settled with
+    the stripe predicate |(theta, xi)| <= |xi|/R itself."""
+    angle_count = cos.size
+    limit = np.hypot(pts[:, 0], pts[:, 1]) / R
 
     def member(i):
         i = np.mod(i, angle_count)
@@ -668,12 +675,7 @@ def stripe_scan(spec: Spec, R: float, angle_count: int, tol: float = 1e-9,
     last = np.where(member(hi + 1), hi + 1, np.where(member(hi), hi, hi - 1))
     # An empty run (a stripe narrower than the angle spacing) adds
     # nothing; with one angle, lo - 1 and hi + 1 are that angle again.
-    run = np.clip(last - first + 1, 0, angle_count)
-    first = np.mod(first, angle_count)
-    slots = 2 * angle_count + 1
-    diff = np.bincount(first, mags, slots) - np.bincount(first + run, mags, slots)
-    total = np.cumsum(diff[:2 * angle_count])
-    return angles, total[:angle_count] + total[angle_count:]
+    return np.mod(first, angle_count), np.clip(last - first + 1, 0, angle_count)
 
 
 def exceptional_directions(spec: Spec, R: float, eps: float, s1: float,
@@ -720,17 +722,22 @@ def slab_integral(spec: Spec, theta, T_max: float, tol: float = 1e-9,
     else:
         lead, other = 1, 0
 
-    def kept(columns):
-        for block in columns:
-            cols = block[:, 0]
-            rows = np.round(-theta[lead] * cols / theta[other]).astype(np.int64)
-            block = np.empty((cols.size, 2))
-            block[:, lead] = cols
-            block[:, other] = rows
-            yield block[(np.abs(block @ theta) <= 1.0 / 200.0)
-                        & ((block ** 2).sum(axis=1) <= T_max * T_max)]
-
-    pts = gather_points(spec, kept(box_blocks(2 * T + 1, 1, bud, "slab columns")), tol, bud)
+    # the batch evaluates at least one of each mirrored pair: half the
+    # kept points (rounded up) times the largest levels are checked as they grow
+    bud.check(2 * T + 1, "slab columns")
+    parts, count, levels = [], 0, 0
+    for start in range(0, 2 * T + 1, LATTICE_BLOCK):
+        cols = np.arange(start, min(2 * T + 1, start + LATTICE_BLOCK), dtype=np.float64) - T
+        block = np.empty((cols.size, 2))
+        block[:, lead] = cols
+        block[:, other] = np.round(-theta[lead] * cols / theta[other]).astype(np.int64)
+        block = block[(np.abs(block @ theta) <= 1.0 / 200.0)
+                      & ((block ** 2).sum(axis=1) <= T_max * T_max)]
+        parts.append(block)
+        count += block.shape[0]
+        levels = max(levels, transform_levels(spec, block, tol))
+        bud.check(-(-count // 2) * levels, "transform levels")
+    pts = np.concatenate(parts)
     values, _ = fourier_transform_batch(spec, pts, tol, bud)
     mags = np.abs(values)
     norms = np.hypot(pts[:, 0], pts[:, 1])

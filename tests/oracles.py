@@ -24,10 +24,10 @@ import numpy as np
 from missingdigits.budget import EvalBudget, ensure_budget
 from missingdigits.cylinders import _ray_frames
 from missingdigits.errors import ConfigError
-from missingdigits.fourier import box_blocks, fourier_transform_batch, gather_points
+from missingdigits.fourier import fourier_transform_batch
 from missingdigits.measure import Spec, _block_table, as_product, block_levels, sample
-from missingdigits.projection import (_annulus, _enumeration_depth, _require_plane,
-                                      _unit_direction, radial_tube_profile)
+from missingdigits.projection import (_enumeration_depth, _require_plane, _unit_direction,
+                                      radial_tube_profile)
 
 # ---------------------------------------------------------------- transform
 
@@ -161,9 +161,10 @@ def partial_sum_S_k(
     if theta.shape != (n,):
         raise ValueError(f"theta must have shape ({n},)")
     bud = ensure_budget(budget)
-    window = box_blocks(2 * p ** k - 1, n, bud, "S_k window")
-    points = gather_points(spec, (block + theta[None, :] for block in window), tol, bud)
-    values, _ = fourier_transform_batch(spec, points, tol, bud)
+    side = 2 * p ** k - 1
+    bud.check(side ** n, "S_k window")
+    window = np.indices((side,) * n, dtype=np.float64).reshape(n, -1).T - (p ** k - 1)
+    values, _ = fourier_transform_batch(spec, window + theta[None, :], tol, bud)
     return float(np.abs(values).sum())
 
 
@@ -174,14 +175,20 @@ def stripe_integral(spec: Spec, theta, R: float, tol: float = 1e-9,
                     budget: EvalBudget | None = None) -> float:
     """Sum of |lambda_hat| over the lattice points of the annulus
     R <= |xi| <= 2R whose directions are nearly orthogonal to theta:
-    |(theta, xi/|xi|)| <= 1/R; one direction of stripe_scan."""
+    |(theta, xi/|xi|)| <= 1/R; one direction of stripe_scan.  The
+    square |xi|_inf <= floor(2R) around the annulus is checked against
+    the budget before its meshgrid is built."""
     _require_plane(spec, "stripe_integral")
     if R < 2:
         raise ConfigError("stripe annulus needs R >= 2")
     theta = _unit_direction(theta)
     bud = ensure_budget(budget)
-    pts = np.concatenate(tuple(_annulus(R, bud)))
-    keep = np.abs(pts @ theta) <= np.hypot(pts[:, 0], pts[:, 1]) / R
+    top = math.floor(2 * R)
+    bud.check((2 * top + 1) ** 2, "annulus square")
+    axis = np.arange(-top, top + 1, dtype=np.float64)
+    pts = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+    norms = np.hypot(pts[:, 0], pts[:, 1])
+    keep = (norms >= R) & (norms <= 2 * R) & (np.abs(pts @ theta) <= norms / R)
     if not keep.any():
         return 0.0
     values, _ = fourier_transform_batch(spec, pts[keep], tol, bud)

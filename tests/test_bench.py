@@ -243,3 +243,48 @@ def test_tube_jobs_keep_their_document(tube_runs, job_id):
         pytest.skip(f"digests were recorded on Python {made_on[0]} and numpy {made_on[1]}; "
                     f"this is Python {platform.python_version()} and numpy {np.__version__}")
     assert tube_runs[job_id]["sha256"] == recorded["trees"]["change"][job_id]["sha256"]
+
+
+# The fourier-lattice jobs: exit codes, cells and digests as BENCH_31.json
+# records them for the tree it calls head, whose differ list names the
+# one job whose document and cells that change meant to move.
+FOURIER_JOBS = ("ld-generic", "ld-coord", "stripe-81", "lp-256", "slab-2048", "feval-1d")
+
+
+@pytest.fixture(scope="module")
+def fourier_runs():
+    from missingdigits import budget, cli
+
+    runs = {job_id: bench.run_once(job_id) for job_id in FOURIER_JOBS}
+    assert cli.EvalBudget is budget.EvalBudget
+    return runs
+
+
+def _bench_31():
+    return json.loads((ROOT / "BENCH_31.json").read_text())
+
+
+def test_bench_31_covers_the_fourier_jobs_and_differs_on_stripe_81_alone():
+    recorded = _bench_31()
+    assert recorded["differ"] == ["stripe-81"]
+    assert set(FOURIER_JOBS) <= set(recorded["trees"]["head"])
+
+
+@pytest.mark.parametrize("job_id", FOURIER_JOBS)
+def test_fourier_jobs_keep_their_exit_code_and_cells(fourier_runs, job_id):
+    record = _bench_31()["trees"]["head"][job_id]
+    run = fourier_runs[job_id]
+    assert (run["exit_code"], run["cells"]) == (record["exit_code"], record["cells"])
+    assert run["exit_code"] == bench.JOBS[job_id].exit_code
+
+
+@pytest.mark.parametrize("job_id", FOURIER_JOBS)
+def test_fourier_jobs_keep_their_document(fourier_runs, job_id):
+    import numpy as np
+
+    recorded = _bench_31()
+    made_on = (recorded["machine"]["python"], recorded["machine"]["numpy"])
+    if (platform.python_version(), np.__version__) != made_on:
+        pytest.skip(f"digests were recorded on Python {made_on[0]} and numpy {made_on[1]}; "
+                    f"this is Python {platform.python_version()} and numpy {np.__version__}")
+    assert fourier_runs[job_id]["sha256"] == recorded["trees"]["head"][job_id]["sha256"]

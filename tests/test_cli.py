@@ -467,18 +467,22 @@ def test_dim_bound_refuses_an_over_budget_theta_grid_before_building_it(spec):
 
 
 @pytest.mark.skipif(resource is None, reason="needs the resource module")
-@pytest.mark.parametrize("argv", [
-    ["stripe-scan", "--radius", "2000"],
-    ["linear-density", "--direction", "1,2", "--tmax", "5e6"],
-    ["slab-integral", "--direction", "1,2", "--tmax", "2e7"],
-])
-def test_fourier_chain_refuses_transform_levels_before_building_points(argv):
-    # each would build 300-600 MiB of frequency points before the
+@pytest.mark.parametrize("argv, code, label", [
+    # the half-annulus is walked a block at a time and charged what it
+    # evaluates, 56.9M cells, so it runs in the 1 GB address space
+    (["stripe-scan", "--radius", "2000"], 0, None),
+    # these would build 300-600 MiB of frequency points before the
     # transform charged them; the refusal must come first
+    (["linear-density", "--direction", "1,2", "--tmax", "5e6"], 65, "transform levels"),
+    (["slab-integral", "--direction", "1,2", "--tmax", "2e7"], 65, "transform levels"),
+    # its row tables alone would hold 2e12 entries
+    (["stripe-scan", "--radius", "1e12"], 65, "lattice annulus"),
+], ids=["argv0", "argv1", "argv2", "argv3"])
+def test_fourier_chain_refuses_transform_levels_before_building_points(argv, code, label):
     proc = subprocess.run([sys.executable, "-m", "missingdigits", *argv, "--spec", C32_SQ],
                           capture_output=True, text=True, preexec_fn=_cap_address_space)
-    assert proc.returncode == 65, proc.stderr
-    assert "transform levels" in proc.stderr
+    assert proc.returncode == code, proc.stderr
+    assert label is None or label in proc.stderr
     assert "Traceback" not in proc.stderr
 
 
@@ -505,16 +509,16 @@ STRIPE_81 = ["stripe-scan", "--spec", C32_SQ, "--radius", "81", "--angles", "256
 
 
 def test_a_mirrored_batch_runs_within_the_budget_it_is_charged():
-    # the annulus is gathered against the half of its points that the
-    # transform evaluates, not all of them (3,215,888 transform levels)
+    # the annulus is walked on its half, one point of each pair +-xi, and
+    # charged what the walk evaluates and bins
     code, full = run_json(STRIPE_81)
     assert code == 0
-    # the run spends 1,678,572 cells in all
-    for budget in ("2000000", "1678572"):
+    # the run spends 105,710 cells in all
+    for budget in ("2000000", "105710"):
         code, doc = run_json(STRIPE_81 + ["--budget", budget])
         assert code == 0
         assert doc["result"] == full["result"]
-    code, out, err = run(STRIPE_81 + ["--budget", "1678571"])
+    code, out, err = run(STRIPE_81 + ["--budget", "105709"])
     assert (code, out) == (65, "")
     assert "budget exhausted" in err
 

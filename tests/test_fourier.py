@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +6,7 @@ import pytest
 from missingdigits import (BudgetExceededError, EvalBudget, digit_symbol,
                            explicit_spec, fourier_transform_batch, interval_spec,
                            lebesgue_spec, product, square, truncation_depth)
-from missingdigits.fourier import _symbol_table, _tail_bound, box_blocks, transform_levels
+from missingdigits.fourier import _tail_bound, half_annulus, half_ball, transform_levels
 from missingdigits.measure import as_product
 from oracles import fourier_oracle, fourier_transform
 
@@ -192,25 +191,23 @@ I512 = interval_spec(512, 0, 499)
 CARPET = explicit_spec(3, [(a, b) for a in range(3) for b in range(3) if (a, b) != (1, 1)], n=2)
 
 
-def _per_level_product(spec, xis, tol=1e-9):
+def _per_level_product(spec, xis, tol=1e-9, tabled=()):
     # the transform and its bound as a product over factors and levels,
-    # with every row evaluated at every level: a factor whose block the
-    # batch tables has its levels multiplied first, from 1, and their
-    # product then into the values; any other factor multiplies each
-    # level into the values
+    # with every row evaluated at every level: a factor in `tabled` has
+    # its levels multiplied first, from 1, and their product then into
+    # the values; any other factor multiplies each level into the values
     prod = as_product(spec)
     values = np.ones(xis.shape[0], dtype=complex)
     errs = np.zeros(xis.shape[0])
-    for factor, sl in zip(prod.factors, prod.factor_slices()):
+    for i, (factor, sl) in enumerate(zip(prod.factors, prod.factor_slices())):
         block = xis[:, sl]
         norms = np.sqrt((block * block).sum(axis=1))
         depth = truncation_depth(factor, float(norms.max()), tol / len(prod.factors))
         p = float(factor.p_int())
-        tabled = depth and _symbol_table(block)[1] is not None
-        levels = np.ones(xis.shape[0], dtype=complex) if tabled else values
+        levels = np.ones(xis.shape[0], dtype=complex) if i in tabled else values
         for j in range(1, depth + 1):
             levels *= digit_symbol(factor, block / p ** j)
-        if tabled:
+        if i in tabled:
             values *= levels
         errs += _tail_bound(factor, norms, depth)
     return values, errs
@@ -223,66 +220,55 @@ def _assert_same_bits(spec, xis):
     assert np.array_equal(errs.view(np.uint64), every_errs.view(np.uint64))
 
 
-def _tabled(block):
-    # the helper's table, after checking that it gathers back to block bit for bit
-    rows, index = _symbol_table(block)
-    if index is None:
-        assert rows is block
-    else:
-        assert rows.shape[0] <= block.shape[0] / 2
-        assert np.array_equal(rows[index].view(np.uint64), block.view(np.uint64))
-    return index is not None
+def _walked(walk, spec, tabled, tol=1e-9):
+    # the walk's points and values, after checking that its values are
+    # the per-level product with the `tabled` factors multiplied from 1,
+    # bit for bit, and that its charge is what it evaluates: per table,
+    # its axis range times its levels plus a gather per point; per other
+    # factor, its levels (at least one) at every point
+    budget = EvalBudget()
+    blocks = list(walk(budget))
+    points = np.concatenate([pts for pts, _ in blocks])
+    values = np.concatenate([v for _, v in blocks])
+    expected, _ = _per_level_product(spec, points, tol, tabled)
+    assert np.array_equal(values.view(np.uint64), expected.view(np.uint64))
+    prod = as_product(spec)
+    top = int(np.abs(points).max())
+    cells = 0
+    for i, (factor, sl) in enumerate(zip(prod.factors, prod.factor_slices())):
+        norms = np.sqrt((points[:, sl] ** 2).sum(axis=1))
+        depth = truncation_depth(factor, float(norms.max()), tol / len(prod.factors))
+        span = top + 1 if sl.start == 0 else 2 * top + 1
+        cells += span * depth + len(points) if i in tabled else len(points) * max(depth, 1)
+    assert budget.spent == cells
+    return points, values
 
 
 def test_symbol_table_on_the_c3_squared_lp_ball():
-    box = np.concatenate(list(box_blocks(161, 2, EvalBudget(), "ball")))
-    ball = box[np.hypot(box[:, 0], box[:, 1]) <= 80]
-    assert _tabled(ball[:, :1]) and _tabled(ball[:, 1:])
-    _assert_same_bits(C3_SQ, ball)
+    # 513 and 1025 values per axis for the 411,737 points of the half-ball,
+    # and 325 per axis for the 30,922 points of the stripe-81 half-annulus
+    points, _ = _walked(lambda budget: half_ball(C3_SQ, 512, 1e-9, budget), C3_SQ, (0, 1))
+    assert len(points) == 411_737
+    points, _ = _walked(lambda budget: half_annulus(C3_SQ, 81.0, 1e-9, budget), C3_SQ, (0, 1))
+    assert len(points) == 30_922
 
 
 def test_symbol_table_on_a_one_dimensional_interval_factor():
-    # I512 takes the Dirichlet path; 20000 integer rows over 6001 values
-    rows = RNG.integers(-3000, 3001, size=20000).astype(np.float64)[:, None]
-    assert _tabled(rows)
-    _assert_same_bits(I512, rows)
-
-
-def test_a_negative_zero_declines_the_table():
-    # the ray along (1, 0) holds -0.0 in its second block
-    t = np.arange(-400, 401) * 0.25
-    ray = t[:, None] * np.array([1.0, 0.0])
-    assert np.signbit(ray[:400, 1]).all()
-    assert not _tabled(ray[:, :1]) and not _tabled(ray[:, 1:])
-    _assert_same_bits(C3_SQ, ray)
-    # an integral block that is tabled without its negative zeros
-    block = np.repeat(np.arange(-20.0, 21.0), 10)[:, None]
-    assert _tabled(block)
-    block[block == 0] = -0.0
-    assert not _tabled(block)
-    _assert_same_bits(C3_SQ, np.hstack([block, block[::-1]]))
+    # I512 and I729 take the Dirichlet path; a line has no table, since
+    # its half-axis holds each value once
+    spec = product(I512, interval_spec(729, 0, 499))
+    _walked(lambda budget: half_ball(spec, 300, 1e-9, budget), spec, (0, 1))
+    _walked(lambda budget: half_annulus(spec, 40.3, 1e-9, budget), spec, (0, 1))
+    _walked(lambda budget: half_ball(I512, 3000, 1e-9, budget), I512, ())
 
 
 def test_a_carpet_block_has_all_rows_distinct_and_no_table():
-    box = np.concatenate(list(box_blocks(129, 2, EvalBudget(), "box")))
-    assert not _tabled(box)
-    _assert_same_bits(CARPET, box)
-
-
-@pytest.mark.parametrize("top", [1e18, 1e150])
-def test_symbol_table_spans_of_huge_integral_rows_do_not_overflow(top):
-    step = np.spacing(top)  # 128 at 1e18, the next float up at 1e150
-    near = np.repeat([top, top + step, top + 2 * step], 400)
-    spread = np.repeat([-top, top], 600)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # an int64 overflow in a cast warns
-        assert _tabled(near[:, None]) == (2 * step + 1 <= 600)
-        assert _tabled(np.full((1200, 1), -top))
-        assert not _tabled(spread[:, None])
-        assert not _tabled(np.stack([near, spread], axis=-1))
-    small = np.tile(np.arange(-5.0, 7.0), 100)
-    for first in (near, -near, spread):
-        _assert_same_bits(C3_SQ, np.stack([first, small], axis=-1))
+    # the carpet's 2-D factor multiplies its levels at every point
+    _walked(lambda budget: half_ball(CARPET, 128, 1e-9, budget), CARPET, ())
+    _walked(lambda budget: half_annulus(CARPET, 40.3, 1e-9, budget), CARPET, ())
+    # a 1-D factor beside it is tabled
+    spec = product(C3, explicit_spec(5, [0, 1, 3]))
+    _walked(lambda budget: half_annulus(spec, 40.3, 1e-9, budget), spec, (0, 1))
 
 
 # ------------------------------------------------------- mirrored ±xi pairs
@@ -303,7 +289,7 @@ def _mirror_batch(kind, n):
     if kind == "axis ray":  # (1, 0): its second block is -0.0 before the centre, +0.0 after
         return t[:, None] * np.array([1.0, 0.0])[:n]
     if kind == "annulus":  # integer points, in C order, with their +0.0 axis points
-        box = np.concatenate(list(box_blocks(97, n, EvalBudget(), "box")))
+        box = np.indices((97,) * n, dtype=np.float64).reshape(n, -1).T - 48
         norms = np.sqrt((box * box).sum(axis=1))
         return box[(norms >= 24) & (norms <= 48)]
     if kind == "odd":  # an odd batch whose centre is 0

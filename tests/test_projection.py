@@ -701,14 +701,78 @@ def test_stripe_coordinate_exceeds_generic():
     assert coord / generic >= 3.0
 
 
-def test_annulus_walks_the_meshgrid_square_bit_for_bit(monkeypatch):
-    for R in (2.0, 5.5, 40.0, 81.0):
-        pts, _ = _annulus(R)
-        walked = np.concatenate(tuple(projection._annulus(R, EvalBudget())))
-        assert walked.dtype == pts.dtype and np.array_equal(walked, pts)
-    monkeypatch.setattr(fourier, "LATTICE_BLOCK", 97)
-    walked = np.concatenate(tuple(projection._annulus(40.0, EvalBudget())))
-    assert np.array_equal(walked, _annulus(40.0)[0])
+class _Checks(EvalBudget):
+    """A budget that remembers the cells it was asked to check, by label."""
+
+    __slots__ = ("checked",)
+
+    def __init__(self):
+        super().__init__()
+        self.checked = {}
+
+    def check(self, cells, what="evaluation"):
+        self.checked[what] = int(cells)
+        super().check(cells, what)
+
+
+def test_half_annulus_and_its_negation_are_the_meshgrid_annulus(monkeypatch):
+    for block in (fourier.LATTICE_BLOCK, 97):
+        monkeypatch.setattr(fourier, "LATTICE_BLOCK", block)
+        for R in (2.0, 5.5, 27.0, 40.0, 40.3, 81.0):
+            pts, _ = _annulus(R)
+            budget = _Checks()
+            blocks = [points for points, _ in fourier.half_annulus(C32, R, 1e-9, budget)]
+            walked = np.concatenate(blocks)
+            # whole rows of xi_1 in C order, the first nonzero coordinate positive
+            assert all(a[-1, 0] < b[0, 0] for a, b in zip(blocks, blocks[1:]))
+            assert np.array_equal(np.lexsort((walked[:, 1], walked[:, 0])),
+                                  np.arange(len(walked)))
+            assert ((walked[:, 0] > 0) | ((walked[:, 0] == 0) & (walked[:, 1] > 0))).all()
+            both = np.concatenate([walked, -walked])
+            assert np.array_equal(both[np.lexsort((both[:, 1], both[:, 0]))], pts)
+            # the half diamond ring checked first lies inside the half-annulus
+            assert 0 < budget.checked["lattice annulus"] <= len(walked)
+
+
+def test_half_annulus_check_is_a_lower_bound_of_its_points():
+    for R in np.linspace(2.0, 60.0, 233):
+        budget = _Checks()
+        walked = sum(len(points) for points, _ in fourier.half_annulus(C32, R, 1e-9, budget))
+        assert budget.checked["lattice annulus"] <= walked == len(_annulus(R)[0]) // 2
+    # the half diamond rings 3 <= |xi|_1 <= 4 and 115 <= |xi|_1 <= 162
+    for R, ring in ((2.0, 14), (81.0, 13_296)):
+        budget = _Checks()
+        fourier.half_annulus(C32, R, 1e-9, budget)
+        assert budget.checked["lattice annulus"] == ring
+
+
+@pytest.mark.parametrize("R", [1e12, 1e150])
+def test_stripe_scan_refuses_a_huge_annulus_before_building_it(monkeypatch, R):
+    # its row tables alone would hold 2R entries; the half diamond ring
+    # is counted in Python integers and refused first
+    monkeypatch.setattr(fourier, "digit_symbol",
+                        lambda *args: pytest.fail("annulus transformed past the budget"))
+    budget = EvalBudget()
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError, match="lattice annulus needs"):
+            stripe_scan(C32, R, 64, budget=budget)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert budget.spent == 0
+    assert peak < 1 << 16
+
+
+def test_stripe_scan_charges_the_walk_of_its_half_annulus():
+    # stripe-81: the 30,922 points of the half-annulus, one gather each
+    # per factor, the 163- and 325-entry axis tables at 26 levels each,
+    # and one binning cell per point and angle
+    ledger = _Ledger()
+    stripe_scan(C32, 81.0, 256, budget=ledger)
+    assert ledger.cells == {"transform levels": 2 * 30_922 + (163 + 325) * 26,
+                            "stripe binning": 30_922 + 256}
+    assert ledger.spent == 105_710
 
 
 def test_stripe_scan_matches_single_integrals():
@@ -721,18 +785,18 @@ def test_stripe_scan_matches_single_integrals():
 @pytest.mark.parametrize("R, angle_count", [
     (16.0, 8),                             # stripes narrower than the spacing
     (27.0, int(round(math.pi * 27.0))),    # neighbouring stripes just touch
-    (2.0, 1), (2.0, 3), (5.5, 7), (40.0, 256),
+    (2.0, 1), (2.0, 3), (5.5, 7), (40.0, 256), (81.0, 256), (300.0, 64),
 ])
 def test_stripe_scan_matches_brute_mask(R, angle_count):
     ledger = _Ledger()
     angles, values = stripe_scan(C32, R, angle_count, budget=ledger)
     pts, norms = _annulus(R)
     mags = np.abs(fourier_transform_batch(C32, pts)[0])
-    dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    mask = np.abs(pts @ dirs.T) <= (norms / R)[:, None]
-    brute = (mags[:, None] * mask).sum(axis=0)
+    brute = np.array([mags[np.abs(pts @ (math.cos(a), math.sin(a))) <= norms / R].sum()
+                      for a in angles])
     assert np.abs(values - brute).max() <= 1e-12 * max(brute.max(), 1.0)
-    assert ledger.cells["stripe binning"] == len(pts) + angle_count
+    # one binning cell per angle and per walked point, half the annulus
+    assert ledger.cells["stripe binning"] == len(pts) // 2 + angle_count
 
 
 def test_exceptional_directions_contain_coordinate_axis():
@@ -764,8 +828,9 @@ def test_stripe_net_multiplicity_bounded():
 
 
 def test_slab_walked_in_blocks_matches_one_block(monkeypatch):
-    # every sum that joins blocks into one batch with gather_points, at
-    # the default block and at 97 points a block
+    # every sum that is built or walked in blocks (the slab's columns,
+    # the stripe's half-annulus and the lp half-ball), and those of the
+    # S_k window and the ray, at the default block and at 97 points a block
     sums = (lambda budget: slab_integral(C32, (1.0, 1.2345), 2048.0, budget=budget),
             lambda budget: stripe_scan(C32, 27.0, 64, budget=budget),
             lambda budget: partial_sum_S_k(C32, (0.3, 0.1), 3, budget=budget),
