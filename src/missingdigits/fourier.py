@@ -24,7 +24,7 @@ what they evaluate; their per-axis level tables are argued in _walk.
 lambda is a real measure, so lambda_hat(-xi) = conj lambda_hat(xi).  A
 batch takes row K-1-i as the conjugate of row i wherever it is row i's
 bitwise negation (a -0.0 pairs only with a +0.0): every point of a ray
-t = k dt except t = 0, and the symmetric points of a linspace.  The
+t = k dt but t = 0, and the symmetric points of a linspace or slab.  The
 other rows are evaluated.  This is bit-exact, not only exact in
 arithmetic: round-to-nearest commutes with negation, so the phases
 (d, -eta) are the negated phases; the platform's cos is even and its

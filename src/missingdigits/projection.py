@@ -730,7 +730,7 @@ def slab_integral(spec: Spec, theta, T_max: float, tol: float = 1e-9,
         cols = np.arange(start, min(2 * T + 1, start + LATTICE_BLOCK), dtype=np.float64) - T
         block = np.empty((cols.size, 2))
         block[:, lead] = cols
-        block[:, other] = np.round(-theta[lead] * cols / theta[other]).astype(np.int64)
+        block[:, other] = np.round(-theta[lead] * cols / theta[other])
         block = block[(np.abs(block @ theta) <= 1.0 / 200.0)
                       & ((block ** 2).sum(axis=1) <= T_max * T_max)]
         parts.append(block)

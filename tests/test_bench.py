@@ -213,78 +213,43 @@ def test_copies_are_compiled_and_their_runs_import_the_bytecode(tmp_path):
         assert f"code object from '{package / '__pycache__' / module}." in verbose, module
 
 
-# The cells and digests of the benchmark's tube jobs; BENCH_28.json
-# holds the digests, made on the Python and numpy it records.
-TUBE_CELLS = {"tube-carpet": 3_416_464, "tube-c3sq": 140_032, "tube-leb10": 16_857_000}
+# The gate: every job's exit code, cells and digest as REFERENCE records
+# them for TREE.  A change that moves a job records a new BENCH_*.json
+# with bench/run.py, whose differ list names the jobs it meant to move.
+REFERENCE = ROOT / "BENCH_32.json"
+TREE = "change"
+recorded = json.loads(REFERENCE.read_text())
 
 
 @pytest.fixture(scope="module")
-def tube_runs():
+def job_runs():
     from missingdigits import budget, cli
 
-    runs = {job_id: bench.run_once(job_id) for job_id in TUBE_CELLS}
+    runs = {job_id: bench.run_once(job_id) for job_id in bench.JOBS}
     assert cli.EvalBudget is budget.EvalBudget  # run_once wraps it only while it runs
     return runs
 
 
-@pytest.mark.parametrize("job_id", TUBE_CELLS)
-def test_tube_jobs_keep_their_exit_code_and_cells(tube_runs, job_id):
-    run = tube_runs[job_id]
-    assert (run["exit_code"], run["cells"]) == (0, TUBE_CELLS[job_id])
+def test_reference_holds_every_job_at_seed_1_and_differs_on_slab_2048_alone():
+    assert recorded["seed"] == 1
+    exit_codes = {job_id: record["exit_code"] for job_id, record in recorded["trees"][TREE].items()}
+    assert exit_codes == {job_id: job.exit_code for job_id, job in bench.JOBS.items()}
+    assert recorded["differ"] == ["slab-2048"]
 
 
-@pytest.mark.parametrize("job_id", TUBE_CELLS)
-def test_tube_jobs_keep_their_document(tube_runs, job_id):
+@pytest.mark.parametrize("job_id", bench.JOBS)
+def test_jobs_keep_their_exit_code_and_cells(job_runs, job_id):
+    record = recorded["trees"][TREE][job_id]
+    assert (job_runs[job_id]["exit_code"], job_runs[job_id]["cells"]) == (
+        record["exit_code"], record["cells"])
+
+
+@pytest.mark.parametrize("job_id", bench.JOBS)
+def test_jobs_keep_their_document(job_runs, job_id):
     import numpy as np
 
-    recorded = json.loads((ROOT / "BENCH_28.json").read_text())
     made_on = (recorded["machine"]["python"], recorded["machine"]["numpy"])
     if (platform.python_version(), np.__version__) != made_on:
         pytest.skip(f"digests were recorded on Python {made_on[0]} and numpy {made_on[1]}; "
                     f"this is Python {platform.python_version()} and numpy {np.__version__}")
-    assert tube_runs[job_id]["sha256"] == recorded["trees"]["change"][job_id]["sha256"]
-
-
-# The fourier-lattice jobs: exit codes, cells and digests as BENCH_31.json
-# records them for the tree it calls head, whose differ list names the
-# one job whose document and cells that change meant to move.
-FOURIER_JOBS = ("ld-generic", "ld-coord", "stripe-81", "lp-256", "slab-2048", "feval-1d")
-
-
-@pytest.fixture(scope="module")
-def fourier_runs():
-    from missingdigits import budget, cli
-
-    runs = {job_id: bench.run_once(job_id) for job_id in FOURIER_JOBS}
-    assert cli.EvalBudget is budget.EvalBudget
-    return runs
-
-
-def _bench_31():
-    return json.loads((ROOT / "BENCH_31.json").read_text())
-
-
-def test_bench_31_covers_the_fourier_jobs_and_differs_on_stripe_81_alone():
-    recorded = _bench_31()
-    assert recorded["differ"] == ["stripe-81"]
-    assert set(FOURIER_JOBS) <= set(recorded["trees"]["head"])
-
-
-@pytest.mark.parametrize("job_id", FOURIER_JOBS)
-def test_fourier_jobs_keep_their_exit_code_and_cells(fourier_runs, job_id):
-    record = _bench_31()["trees"]["head"][job_id]
-    run = fourier_runs[job_id]
-    assert (run["exit_code"], run["cells"]) == (record["exit_code"], record["cells"])
-    assert run["exit_code"] == bench.JOBS[job_id].exit_code
-
-
-@pytest.mark.parametrize("job_id", FOURIER_JOBS)
-def test_fourier_jobs_keep_their_document(fourier_runs, job_id):
-    import numpy as np
-
-    recorded = _bench_31()
-    made_on = (recorded["machine"]["python"], recorded["machine"]["numpy"])
-    if (platform.python_version(), np.__version__) != made_on:
-        pytest.skip(f"digests were recorded on Python {made_on[0]} and numpy {made_on[1]}; "
-                    f"this is Python {platform.python_version()} and numpy {np.__version__}")
-    assert fourier_runs[job_id]["sha256"] == recorded["trees"]["head"][job_id]["sha256"]
+    assert job_runs[job_id]["sha256"] == recorded["trees"][TREE][job_id]["sha256"]

@@ -859,6 +859,15 @@ def test_slab_refused_once_its_kept_points_outgrow_the_budget(monkeypatch):
     assert budget.spent == 0
 
 
+@pytest.mark.parametrize("theta", [(1.0, 0.0), (0.0, 1.0)])
+def test_slab_of_a_coordinate_direction_evaluates_half_its_mirrored_columns(theta):
+    # all 4,097 columns lie in the slab, column T - i the bitwise
+    # negation of column i - T: the batch evaluates 2,049 at 30 levels
+    budget = EvalBudget()
+    slab_integral(C32, theta, 2048.0, budget=budget)
+    assert budget.spent == 2_049 * 30 == 61_470
+
+
 def test_slab_flags_split_by_direction():
     coord = slab_integral(C32, (1.0, 0.0), 2048.0)
     generic = slab_integral(C32, (1.0, 1.2345), 2048.0)
