@@ -24,7 +24,8 @@ equal those of `cli.main`.  Per tree and job OUT records the
 in-process seconds, the peak RSS (import included) and the
 spawn-to-exit seconds and CPU seconds of each run, each with its
 median and quartiles (linear interpolation, as `numpy.percentile`),
-the exit code, the budget cells spent, a SHA-256 of the JSON printed,
+the exit code, the budget cells spent by label, as the printed
+manifest's `cost.cells` gives them, a SHA-256 of the JSON printed,
 without `manifest.wall_time_s`, and whether `cli.main` left numpy
 loaded.  A tree's runs must agree on the last four, with the exit code
 `workloads.py` expects.  Jobs on which trees differ in exit code, cells
@@ -59,6 +60,11 @@ JOBS = {job.id: job for job in workloads.all_jobs(1)}
 OUTCOME = ("exit_code", "cells", "sha256")  # what every run of a job must repeat
 
 
+def outcome(record: dict, keys: tuple = OUTCOME) -> str:
+    """A record's values at keys as sorted JSON, in which cells by label compare whole."""
+    return json.dumps([record[k] for k in keys], sort_keys=True)
+
+
 def digest(stdout: str) -> str:
     """SHA-256 of a CLI JSON document without its wall time."""
     doc = json.loads(stdout)
@@ -69,16 +75,7 @@ def digest(stdout: str) -> str:
 def run_once(job_id: str) -> dict:
     """One timed run of a job through `cli.main` in this process."""
     from missingdigits import cli
-    budgets = []
 
-    class RecordingBudget(cli.EvalBudget):
-        """Keeps every budget the CLI makes, so that its cells can be read."""
-
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            budgets.append(self)
-
-    plain, cli.EvalBudget = cli.EvalBudget, RecordingBudget
     out = io.StringIO()
     start = time.perf_counter()
     with contextlib.redirect_stdout(out):
@@ -86,11 +83,10 @@ def run_once(job_id: str) -> dict:
             exit_code = cli.main(list(JOBS[job_id].argv))
         except SystemExit as exc:
             exit_code = exc.code
-        finally:
-            cli.EvalBudget = plain
     seconds = time.perf_counter() - start
+    stdout = out.getvalue()
     return {"seconds": seconds, "exit_code": exit_code, "module": cli.__file__,
-            "cells": sum(b.spent for b in budgets), "sha256": digest(out.getvalue()),
+            "cells": json.loads(stdout)["manifest"]["cost"]["cells"], "sha256": digest(stdout),
             "numpy_loaded": "numpy" in sys.modules,
             # kibibytes on Linux
             "peak_rss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}
@@ -168,7 +164,7 @@ def summarize(job_id: str, runs: list) -> dict:
     """The record of one tree's runs of a job, which must agree exactly."""
     import numpy as np
 
-    exact = {tuple(r[k] for k in (*OUTCOME, "numpy_loaded")) for r in runs}
+    exact = {outcome(r, (*OUTCOME, "numpy_loaded")) for r in runs}
     if len(exact) != 1 or runs[0]["exit_code"] != JOBS[job_id].exit_code:
         raise RuntimeError(f"{job_id}: runs give (exit code, cells, digest, numpy loaded) "
                            f"{sorted(exact)}; expected one, with exit code "
@@ -240,7 +236,7 @@ def main(argv=None) -> int:
                 records[name][job_id] = summarize(job_id, runs[name])
                 print(job_id, name, records[name][job_id], file=sys.stderr)
     differ = [job_id for job_id in JOBS
-              if len({tuple(records[name][job_id][k] for k in OUTCOME) for name in trees}) != 1]
+              if len({outcome(records[name][job_id]) for name in trees}) != 1]
     doc = {"machine": machine(), "seed": 1, "repeat": args.repeat, "trees": records,
            "differ": differ}
     args.out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")

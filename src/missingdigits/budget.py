@@ -28,20 +28,22 @@ PRESET_NAMES = ("theorem-a", "theorem-b", "theorem-b-homogeneous")
 class EvalBudget:
     """Mutable cell counter with a hard limit.
 
-    charge(n) adds n cells and raises BudgetExceededError once the
+    charge(n, what) adds n cells and raises BudgetExceededError once the
     running total would pass the limit.  A single budget may be threaded
     through several operations so their combined cost is capped, and
     shared by worker threads: the check and the add happen under one
-    lock.
+    lock.  `cells` holds the charged cells by label `what`, so they add
+    up to `spent`; a refused charge adds to neither.
     """
 
-    __slots__ = ("limit", "spent", "_lock")
+    __slots__ = ("limit", "spent", "cells", "_lock")
 
     def __init__(self, limit: int = DEFAULT_BUDGET):
         if limit <= 0:
             raise ValueError("budget limit must be positive")
         self.limit = int(limit)
         self.spent = 0
+        self.cells = {}
         self._lock = threading.Lock()
 
     def charge(self, cells: int, what: str = "evaluation") -> None:
@@ -52,6 +54,7 @@ class EvalBudget:
             if self.spent + cells > self.limit:
                 raise self._exceeded(cells, what)
             self.spent += cells
+            self.cells[what] = self.cells.get(what, 0) + cells
 
     def check(self, cells: int, what: str = "evaluation") -> None:
         """Raise as charge(cells, what) would, but charge nothing: work

@@ -29,7 +29,6 @@ side conditions.
 from __future__ import annotations
 
 import enum
-import json
 
 from .budget import PRESET_NAMES, EvalBudget
 from .dimension import DimensionBound, best_lower_bound
@@ -81,11 +80,6 @@ class CertificateReport(Value):
             "verdict": self.verdict.value,
             "side_conditions": list(self.side_conditions),
         }
-
-    def to_json(self) -> str:
-        """Deterministic serialization: identical reports give
-        identical bytes."""
-        return json.dumps(self.as_dict(), sort_keys=True)
 
 
 def _decide(margin: float, bound: DimensionBound, side_conditions: tuple) -> Verdict:

@@ -2,9 +2,12 @@
 
 Output discipline: each run prints exactly one JSON document to stdout
 holding a run manifest (subcommand, resolved configuration, seed,
-versions, wall time, output paths) plus the result; where a subcommand
-produces tabular rows, `--csv PATH` additionally writes them to PATH
-with comment headers naming the method and units of every column.
+budget limit, cost, versions, wall time, output paths) plus the result.
+The cost, `{"cells": {label: n}, "spent": N}`, gives the budget cells
+the run charged by the label of each charge, and their total.  Where a
+subcommand produces tabular rows, `--csv PATH` additionally writes them
+to PATH with comment headers naming the method and units of every
+column.
 Identical argv and seed produce identical bytes apart from the
 wall-time field.
 
@@ -196,6 +199,7 @@ class _Run:
             },
             "seed": self.seed,
             "budget": self.budget_cells,
+            "cost": {"cells": self.budget.cells, "spent": self.budget.spent},
             "versions": {
                 "package": __version__,
                 "numpy": _numpy_version(),

@@ -265,15 +265,14 @@ class SupF(Value):
     """sup f lies in [sup_estimate, certified_upper]; sup_estimate is f
     at argmax.  The boxes were bounded with the Lipschitz constant
     `lipschitz`, and none of side <= h was split.  f was evaluated at
-    `evaluations` thetas for `cells` budget cells."""
+    `evaluations` thetas."""
 
-    _fields = ("sup_estimate", "certified_upper", "argmax", "h", "lipschitz", "evaluations",
-               "cells")
+    _fields = ("sup_estimate", "certified_upper", "argmax", "h", "lipschitz", "evaluations")
 
     def __init__(self, sup_estimate: float, certified_upper: float, argmax: tuple, h: float,
-                 lipschitz: float, evaluations: int, cells: int):
+                 lipschitz: float, evaluations: int):
         self._set(sup_estimate=sup_estimate, certified_upper=certified_upper, argmax=argmax,
-                  h=h, lipschitz=lipschitz, evaluations=evaluations, cells=cells)
+                  h=h, lipschitz=lipschitz, evaluations=evaluations)
 
 
 # Boxes per axis of sup_f's first level.
@@ -352,7 +351,6 @@ def sup_f(
         h=float(h),
         lipschitz=lip,
         evaluations=evaluations,
-        cells=evaluations * size * terms,
     )
 
 

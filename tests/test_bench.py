@@ -36,7 +36,7 @@ def test_child_runs_agree_and_digest_the_cli_document_without_wall_time():
     runs = [bench.run_child(job.id, str(ROOT / "src")) for _ in range(2)]
     record = bench.summarize(job.id, runs)  # refuses runs that disagree
     assert (record["exit_code"], record["cells"]) == (job.exit_code, runs[1]["cells"])
-    assert record["cells"] > 0 and record["sha256"] == runs[1]["sha256"]
+    assert record["cells"] == {"scaled scan": 526} and record["sha256"] == runs[1]["sha256"]
 
     # the child's digest is that of the document the CLI prints, whatever its wall time
     stdout = subprocess.run([sys.executable, "-m", "missingdigits", *job.argv],
@@ -105,7 +105,7 @@ def test_child_runs_time_the_cli_from_spawn_to_exit():
 
 def test_a_spawned_run_that_prints_otherwise_is_refused():
     run = {"seconds": 0.1, "peak_rss_mib": 40.0, "spawn_s": 0.2, "spawn_cpu_s": 0.1,
-           "exit_code": 0, "cells": 526, "sha256": "a",
+           "exit_code": 0, "cells": {"scaled scan": 526}, "sha256": "a",
            "spawn_exit_code": 0, "spawn_sha256": "a"}
     assert bench.agreed("gr-scaled", run) == {k: v for k, v in run.items()
                                               if k not in ("spawn_exit_code", "spawn_sha256")}
@@ -118,16 +118,18 @@ def test_a_spawned_run_that_prints_otherwise_is_refused():
 
 def test_runs_that_disagree_or_exit_unexpectedly_are_refused():
     run = {"seconds": 0.1, "peak_rss_mib": 40.0, "spawn_s": 0.2, "spawn_cpu_s": 0.1,
-           "exit_code": 0, "cells": 526, "sha256": "a", "numpy_loaded": False}
+           "exit_code": 0, "cells": {"scaled scan": 526}, "sha256": "a", "numpy_loaded": False}
     with pytest.raises(RuntimeError, match="gr-scaled"):
-        bench.summarize("gr-scaled", [run, dict(run, cells=527)])
+        bench.summarize("gr-scaled", [run, dict(run, cells={"scaled scan": 527})])
+    two = dict(run, cells={"a": 1, "b": 2})  # labels agree in any order
+    bench.summarize("gr-scaled", [two, dict(two, cells={"b": 2, "a": 1})])
     with pytest.raises(RuntimeError, match="expected one, with exit code 2"):
         bench.summarize("cert-l1", [run])
 
 
 def test_records_give_the_median_and_quartiles_of_the_seconds():
     run = {"seconds": 0.1, "peak_rss_mib": 40.0, "spawn_s": 0.2, "spawn_cpu_s": 0.1,
-           "exit_code": 0, "cells": 526, "sha256": "a", "numpy_loaded": False}
+           "exit_code": 0, "cells": {"scaled scan": 526}, "sha256": "a", "numpy_loaded": False}
     runs = [dict(run, seconds=s) for s in (0.5, 0.1, 0.4, 0.2, 0.3)]
     record = bench.summarize("gr-scaled", runs)
     assert record["seconds"] == [0.5, 0.1, 0.4, 0.2, 0.3]
@@ -141,7 +143,7 @@ def test_records_give_the_median_and_quartiles_of_the_seconds():
 
 def test_records_give_the_spawn_to_exit_seconds_with_their_quartiles():
     run = {"seconds": 0.1, "peak_rss_mib": 40.0, "spawn_s": 0.2, "spawn_cpu_s": 0.1,
-           "exit_code": 0, "cells": 526, "sha256": "a", "numpy_loaded": False}
+           "exit_code": 0, "cells": {"scaled scan": 526}, "sha256": "a", "numpy_loaded": False}
     runs = [dict(run, spawn_s=s, spawn_cpu_s=c)
             for s, c in ((0.35, 0.3), (0.15, 0.1), (0.3, 0.25), (0.2, 0.15), (0.25, 0.2))]
     record = bench.summarize("gr-scaled", runs)
@@ -156,7 +158,7 @@ def test_records_give_the_spawn_to_exit_seconds_with_their_quartiles():
 
 def test_records_give_the_median_peak_rss_of_the_runs():
     run = {"seconds": 0.1, "peak_rss_mib": 40.0, "spawn_s": 0.2, "spawn_cpu_s": 0.1,
-           "exit_code": 0, "cells": 526, "sha256": "a", "numpy_loaded": False}
+           "exit_code": 0, "cells": {"scaled scan": 526}, "sha256": "a", "numpy_loaded": False}
     runs = [dict(run, peak_rss_mib=m) for m in (77.5, 82.7, 77.6)]
     assert bench.summarize("gr-scaled", runs)["peak_rss_mib"] == 77.6  # not the outlier
     runs = [dict(run, peak_rss_mib=m) for m in (40.0, 41.0)]
@@ -165,7 +167,7 @@ def test_records_give_the_median_peak_rss_of_the_runs():
 
 def test_records_keep_every_run_peak_rss_with_its_quartiles():
     run = {"seconds": 0.1, "peak_rss_mib": 40.0, "spawn_s": 0.2, "spawn_cpu_s": 0.1,
-           "exit_code": 0, "cells": 526, "sha256": "a", "numpy_loaded": False}
+           "exit_code": 0, "cells": {"scaled scan": 526}, "sha256": "a", "numpy_loaded": False}
     runs = [dict(run, peak_rss_mib=m) for m in (82.44, 77.2, 77.5, 82.7, 77.6)]
     record = bench.summarize("gr-scaled", runs)
     assert record["peak_rss_mib_runs"] == [82.4, 77.2, 77.5, 82.7, 77.6]
@@ -216,25 +218,26 @@ def test_copies_are_compiled_and_their_runs_import_the_bytecode(tmp_path):
 # The gate: every job's exit code, cells and digest as REFERENCE records
 # them for TREE.  A change that moves a job records a new BENCH_*.json
 # with bench/run.py, whose differ list names the jobs it meant to move.
-REFERENCE = ROOT / "BENCH_32.json"
+REFERENCE = ROOT / "BENCH_33.json"
 TREE = "change"
 recorded = json.loads(REFERENCE.read_text())
 
 
 @pytest.fixture(scope="module")
 def job_runs():
-    from missingdigits import budget, cli
+    """Every job's run_once record, with the manifest that the job printed."""
+    printed, digest = [], bench.digest
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bench, "digest", lambda stdout: printed.append(stdout) or digest(stdout))
+        return {job_id: dict(bench.run_once(job_id), manifest=json.loads(printed.pop())["manifest"])
+                for job_id in bench.JOBS}
 
-    runs = {job_id: bench.run_once(job_id) for job_id in bench.JOBS}
-    assert cli.EvalBudget is budget.EvalBudget  # run_once wraps it only while it runs
-    return runs
 
-
-def test_reference_holds_every_job_at_seed_1_and_differs_on_slab_2048_alone():
+def test_reference_holds_every_job_at_seed_1_and_differs_on_none():
     assert recorded["seed"] == 1
     exit_codes = {job_id: record["exit_code"] for job_id, record in recorded["trees"][TREE].items()}
     assert exit_codes == {job_id: job.exit_code for job_id, job in bench.JOBS.items()}
-    assert recorded["differ"] == ["slab-2048"]
+    assert recorded["differ"] == []
 
 
 @pytest.mark.parametrize("job_id", bench.JOBS)
@@ -242,6 +245,8 @@ def test_jobs_keep_their_exit_code_and_cells(job_runs, job_id):
     record = recorded["trees"][TREE][job_id]
     assert (job_runs[job_id]["exit_code"], job_runs[job_id]["cells"]) == (
         record["exit_code"], record["cells"])
+    cost = job_runs[job_id]["manifest"]["cost"]
+    assert cost["spent"] == sum(record["cells"].values()) <= job_runs[job_id]["manifest"]["budget"]
 
 
 @pytest.mark.parametrize("job_id", bench.JOBS)

@@ -58,12 +58,16 @@ def test_concurrent_charges_add_up_exactly():
     with pytest.raises(BudgetExceededError):
         budget.charge(1)
     assert budget.spent == THREADS * CHARGES
+    budget.check(0, "checked")
+    # neither a refused charge nor a check adds to the cells by label
+    assert budget.cells == {"test cells": budget.spent}
 
 
 def test_concurrent_overflow_still_raises():
     limit = THREADS * CHARGES - 7
     budget = _YieldingBudget(limit)
     assert _charge_concurrently(budget) == 7
+    assert budget.cells == {"test cells": budget.spent}
     assert budget.spent == limit
 
 

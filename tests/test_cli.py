@@ -335,7 +335,7 @@ def test_manifest_fields_present():
                        "--viewpoint=-1,0.5", "--mc", "5000",
                        "--angles", "32", "--seed", "11", "--budget", "1e8"])
     man = doc["manifest"]
-    assert sorted(man) == ["budget", "config", "outputs", "seed", "subcommand",
+    assert sorted(man) == ["budget", "config", "cost", "outputs", "seed", "subcommand",
                            "versions", "wall_time_s"]
     assert man["subcommand"] == "radial-density"
     assert man["seed"] == 11
@@ -363,13 +363,15 @@ def test_config_file_supplies_defaults_and_flags_override(tmp_path):
 
 
 def test_repeat_runs_identical_outside_wall_time():
-    argv = ["stripe-scan", "--spec", C32_SQ, "--radius", "27",
-            "--angles", "64", "--json"]
-    _, doc_a = run_json(argv)
-    _, doc_b = run_json(argv)
-    doc_a["manifest"].pop("wall_time_s")
-    doc_b["manifest"].pop("wall_time_s")
-    assert json.dumps(doc_a, sort_keys=True) == json.dumps(doc_b, sort_keys=True)
+    for argv in (["stripe-scan", "--spec", C32_SQ, "--radius", "27", "--angles", "64", "--json"],
+                 # three chunks of draws, charged from the pool's threads
+                 ["radial-density", "--spec", C32_SQ, "--viewpoint=-1,0.5", "--mc", "300000",
+                  "--angles", "32", "--seed", "5"]):
+        _, doc_a = run_json(argv)
+        _, doc_b = run_json(argv)
+        doc_a["manifest"].pop("wall_time_s")
+        doc_b["manifest"].pop("wall_time_s")
+        assert json.dumps(doc_a, sort_keys=True) == json.dumps(doc_b, sort_keys=True)
 
 
 # ------------------------------------------------------------------ results

@@ -383,7 +383,7 @@ def test_ray_tube_masses_equal_per_angle_cylinder_mass_all_around(x, count, chil
     angles = np.linspace(-math.pi, math.pi, count)
     oracle = np.array([cylinder_mass(C32, x, a, 0.05, 3) for a in angles])
     for order in (np.arange(count), np.random.default_rng(count).permutation(count)):
-        budget = _LabelBudget()
+        budget = _ChargeLog()
         lower, upper = ray_tube_masses(C32, x, 0.05, angles[order], depth=3, budget=budget)
         assert np.array_equal(lower, oracle[order, 0])
         assert np.array_equal(upper, oracle[order, 1])
@@ -403,11 +403,11 @@ def test_ray_tube_masses_equal_per_angle_cylinder_mass_on_other_specs(spec, x, d
     monkeypatch.setattr(cylinders, "_CHILD_BLOCK", child_block)
     monkeypatch.setattr(cylinders, "_HELD_BOXES", child_block)
     angles = np.linspace(-math.pi, math.pi, 47)
-    reference = _LabelBudget()
+    reference = EvalBudget()
     oracle = np.array([cylinder_mass(spec, x, a, delta, depth, reference) for a in angles])
     assert 0.0 < oracle[:, 0].max() and oracle[:, 1].max() < 1.0
     for order in (np.arange(47), np.random.default_rng(depth).permutation(47)):
-        descent = _LabelBudget()
+        descent = _ChargeLog()
         lower, upper = ray_tube_masses(spec, x, delta, angles[order], depth, descent)
         assert np.array_equal(lower, oracle[order, 0])
         assert np.array_equal(upper, oracle[order, 1])
@@ -471,17 +471,15 @@ def test_ray_tube_masses_check_the_arrays_over_the_angles_first():
     assert budget.spent == 0
 
 
-class _LabelBudget(EvalBudget):
-    """A budget that adds up its charges per label."""
+class _ChargeLog(EvalBudget):
+    """A budget that keeps the size of every charge, in order."""
 
     def __init__(self):
         super().__init__()
-        self.cells = {}
         self.charges = []
 
     def charge(self, cells, what="evaluation"):
         super().charge(cells, what)
-        self.cells[what] = self.cells.get(what, 0) + int(cells)
         self.charges.append(int(cells))
 
 
@@ -492,9 +490,9 @@ class _LabelBudget(EvalBudget):
 def test_ray_tube_masses_charge_cylinder_mass_classifications_summed_over_angles(
         spec, x, delta, depth):
     angles = np.linspace(-math.pi, math.pi, 120)
-    descent = _LabelBudget()
+    descent = EvalBudget()
     ray_tube_masses(spec, x, delta, angles, depth, descent)
-    reference = _LabelBudget()
+    reference = EvalBudget()
     for angle in angles:
         cylinder_mass(spec, x, angle, delta, depth, reference)
     assert descent.cells["cylinder classifications"] \

@@ -221,7 +221,8 @@ def test_sup_f_builds_one_list_evaluator_and_finds_what_the_former_function_foun
                         _former_f_theta_lists(factor, thetas, budget))
     former = EvalBudget()
     assert sup_f(factor, budget=former) == sup
-    assert budget.spent == former.spent == sup.cells
+    cells = sup.evaluations * factor.p_int() ** factor.ambient_dim * _terms(factor)
+    assert budget.cells == former.cells == {"f(theta) residues": cells}
 
 
 def test_sup_f_certificate_brackets_estimate():
@@ -316,8 +317,9 @@ def test_sup_f_reports_the_cells_the_budget_was_charged(name):
     factor = FACTORS[name]
     budget = EvalBudget()
     sup = sup_f(factor, budget=budget)
-    assert sup.cells == budget.spent <= dimension._LIST_CELLS  # the search ran on lists
-    assert sup.cells == sup.evaluations * factor.p_int() ** factor.ambient_dim * _terms(factor)
+    cells = budget.cells["f(theta) residues"]
+    assert cells == budget.spent <= dimension._LIST_CELLS  # the search ran on lists
+    assert cells == sup.evaluations * factor.p_int() ** factor.ambient_dim * _terms(factor)
     assert sup.lipschitz == dimension._parseval_lipschitz(factor)
     assert dimension._f_theta_lists(factor)([sup.argmax]) == [sup.sup_estimate]
     assert abs(f_theta(factor, np.array([sup.argmax]))[0] - sup.sup_estimate) \
@@ -332,12 +334,13 @@ def test_sup_f_above_the_list_constant_spends_the_cells_of_a_search_on_lists(
         factor, count, monkeypatch):
     budget = EvalBudget(10 ** 9)
     sup = sup_f(factor, budget=budget)
-    assert sup.cells == budget.spent > dimension._LIST_CELLS
+    assert budget.cells["f(theta) residues"] == budget.spent > dimension._LIST_CELLS
     assert sup.certified_upper >= _random_max(factor, count)
     monkeypatch.setattr(dimension, "_LIST_CELLS", 10 ** 12)
-    lists = sup_f(factor, budget=EvalBudget(10 ** 9))
+    on_lists = EvalBudget(10 ** 9)
+    lists = sup_f(factor, budget=on_lists)
     # the routes take the same decisions: equal cells, values within rounding
-    assert (lists.cells, lists.evaluations) == (sup.cells, sup.evaluations)
+    assert (on_lists.cells, lists.evaluations) == (budget.cells, sup.evaluations)
     assert abs(lists.certified_upper - sup.certified_upper) <= 2 * _lists_bound(factor)
 
 
@@ -345,7 +348,8 @@ def test_sup_f_carpet_cells_and_certificate():
     carpet = FACTORS["CARPET"]
     budget = EvalBudget()
     sup = sup_f(carpet, budget=budget)
-    assert budget.spent == sup.cells == 1_527_552  # 21,216 thetas x 9 residues x 8 digits
+    assert budget.cells == {"f(theta) residues": 1_527_552}  # 21,216 thetas x 9 x 8 digits
+    assert sup.evaluations == 21_216
     assert 3.0 <= sup.certified_upper < 3.0032
     assert 2 - math.log(sup.certified_upper) / math.log(3) > 0.999
 

@@ -64,20 +64,6 @@ def _annulus(R):
     return grid[keep].astype(float), norms[keep]
 
 
-class _Ledger(EvalBudget):
-    """A budget that remembers its charges by label."""
-
-    __slots__ = ("cells",)
-
-    def __init__(self):
-        super().__init__()
-        self.cells = {}
-
-    def charge(self, cells, what="evaluation"):
-        super().charge(cells, what)
-        self.cells[what] = self.cells.get(what, 0) + int(cells)
-
-
 def _triangle_density(u):
     """Density of (X+Y)/sqrt(2) for independent uniforms on [0,1]."""
     s = SQRT2 * np.asarray(u, dtype=float)
@@ -323,7 +309,7 @@ def test_linear_density_requires_wide_cutoff():
 def test_linear_density_matches_direct_sum():
     theta = (math.cos(0.9), math.sin(0.9))
     u = np.linspace(-0.3, 1.6, 381)
-    ledger = _Ledger()
+    ledger = EvalBudget()
     profile = linear_density(C32, theta, u, 729.0, tol=1e-9, budget=ledger)
     direct = _direct_inversion(C32, theta, u, 729.0)
     bound = profile.metadata["inversion_rounding_bound"]
@@ -461,7 +447,7 @@ def test_linear_mc_refuses_its_bins_before_drawing():
 
 def test_linear_density_checks_the_ray_levels_it_is_charged():
     theta = np.array([1.0, 2.0]) / math.sqrt(5.0)
-    ledger = _Ledger()
+    ledger = EvalBudget()
     linear_density(C32, theta, np.linspace(0.0, 1.0, 11), 100.0, budget=ledger)
     # the points up to t = 0 are evaluated; the rest are their negations
     steps = 400
@@ -768,7 +754,7 @@ def test_stripe_scan_charges_the_walk_of_its_half_annulus():
     # stripe-81: the 30,922 points of the half-annulus, one gather each
     # per factor, the 163- and 325-entry axis tables at 26 levels each,
     # and one binning cell per point and angle
-    ledger = _Ledger()
+    ledger = EvalBudget()
     stripe_scan(C32, 81.0, 256, budget=ledger)
     assert ledger.cells == {"transform levels": 2 * 30_922 + (163 + 325) * 26,
                             "stripe binning": 30_922 + 256}
@@ -788,7 +774,7 @@ def test_stripe_scan_matches_single_integrals():
     (2.0, 1), (2.0, 3), (5.5, 7), (40.0, 256), (81.0, 256), (300.0, 64),
 ])
 def test_stripe_scan_matches_brute_mask(R, angle_count):
-    ledger = _Ledger()
+    ledger = EvalBudget()
     angles, values = stripe_scan(C32, R, angle_count, budget=ledger)
     pts, norms = _annulus(R)
     mags = np.abs(fourier_transform_batch(C32, pts)[0])

@@ -42,9 +42,9 @@ RECORDS = {
     "DimensionBound": (lambda: DimensionBound(1.25, BoundKind.CRUDE, rigorous=True),
                        "DimensionBound(value=1.25, kind=<BoundKind.CRUDE: 'Crude'>, "
                        "rigorous=True)"),
-    "SupF": (lambda: SupF(2.0, 2.5, (0.25,), 1e-4, 3.0, 16, 96),
+    "SupF": (lambda: SupF(2.0, 2.5, (0.25,), 1e-4, 3.0, 16),
              "SupF(sup_estimate=2.0, certified_upper=2.5, argmax=(0.25,), h=0.0001, "
-             "lipschitz=3.0, evaluations=16, cells=96)"),
+             "lipschitz=3.0, evaluations=16)"),
     "LatticeDiagnostics": (lambda: LatticeDiagnostics(3.5, (1.0, 2.5), (1.25,)),
                            "LatticeDiagnostics(partial=3.5, shell_totals=(1.0, 2.5), "
                            "dyadic_slopes=(1.25,))"),
@@ -70,7 +70,7 @@ OTHERS = {
     "MissingDigitsSpec": MissingDigitsSpec(BasePower(3), ExplicitDigits([0, 1])),
     "ProductMeasureSpec": ProductMeasureSpec([_c3()]),
     "DimensionBound": DimensionBound(1.25, BoundKind.CRUDE, rigorous=False),
-    "SupF": SupF(2.0, 2.5, (0.25,), 1e-4, 3.0, 16, 97),
+    "SupF": SupF(2.0, 2.5, (0.25,), 1e-4, 3.0, 17),
     "LatticeDiagnostics": LatticeDiagnostics(3.5, (1.0, 2.5), (1.5,)),
     "Restriction": Restriction(5, {0, 2}),
     "RestrictionSystem": RestrictionSystem((Restriction(3, {0, 2}),)),
