@@ -7,7 +7,10 @@ The cost, `{"cells": {label: n}, "spent": N}`, gives the budget cells
 the run charged by the label of each charge, and their total.  Where a
 subcommand produces tabular rows, `--csv PATH` additionally writes them
 to PATH with comment headers naming the method and units of every
-column.
+column.  Rows whose number the user sets are held as numpy arrays and
+written, inline and to PATH, 4096 rows at a time, so that a run holds
+at most one such block as Python objects; the document is still the
+bytes of json.dumps(doc, sort_keys=True).
 Identical argv and seed produce identical bytes apart from the
 wall-time field.
 
@@ -23,6 +26,7 @@ import gc
 import json
 import math
 import os
+import re
 import sys
 import time
 
@@ -177,20 +181,34 @@ class _Run:
         return self.args.json or self.args.csv is None
 
     def write_csv(self, columns: list, rows, comments: list):
+        """Writes rows, a 2-D array or a list of lists, to the --csv file
+        a block of rows at a time; a list's None cells are left empty."""
         if self.args.csv is None:
             return
-        lines = [f"# {c}" for c in comments]
-        lines.append(",".join(columns))
-        for row in rows:
-            lines.append(",".join("" if v is None else str(v) for v in row))
+        if isinstance(rows, list):
+            def line(row):
+                return ",".join("" if v is None else str(v) for v in row) + "\n"
+        else:
+            def line(row):  # Python floats, whose str is their repr
+                return ",".join(map(repr, row)) + "\n"
         try:
             with open(self.args.csv, "w", encoding="utf-8") as fh:
-                fh.write("\n".join(lines) + "\n")
+                fh.writelines(f"# {c}\n" for c in comments)
+                fh.write(",".join(columns) + "\n")
+                for block in _blocks(rows):
+                    fh.writelines(map(line, block))
         except OSError as exc:
             raise ConfigError(f"cannot write --csv file: {exc}") from exc
         self.outputs.append(self.args.csv)
 
     def finish(self, result: dict, exit_code: int) -> int:
+        """Prints the document, byte for byte json.dumps(doc,
+        sort_keys=True) and a newline.  It is dumped with the mark
+        {"": i} in place of the result's i-th _Inline array, which is
+        written where its mark stands.  User text (the spec, argv,
+        paths) is only ever inside a JSON string, where every '"' is
+        escaped, and no key of the document is empty, so no user text
+        can produce a mark."""
         manifest = {
             "subcommand": self.args.subcommand,
             "config": {
@@ -209,10 +227,60 @@ class _Run:
             "wall_time_s": round(time.monotonic() - self.t0, 6),
             "outputs": self.outputs,
         }
-        doc = {"manifest": manifest, "result": result}
+        arrays: list = []
+        doc = {"manifest": manifest, "result": _marked(result, arrays)}
+        parts = re.split(r'\{"": (\d+)\}', json.dumps(doc, sort_keys=True))
+        out = sys.stdout
+        out.write(parts[0])
+        for i in range(1, len(parts), 2):
+            out.writelines(arrays[int(parts[i])].chunks())
+            out.write(parts[i + 1])
+        out.write("\n")
         # flushed here, so that a closed stdout raises inside main()
-        print(json.dumps(doc, sort_keys=True), flush=True)
+        out.flush()
         return exit_code
+
+
+class _Inline:
+    """A float array of the result (1-D, or a 2-D table of rows) that
+    the document holds as a JSON list of repr strings (a list of them
+    per row), written from the array a block of rows at a time."""
+
+    __slots__ = ("array",)
+
+    def __init__(self, array):
+        self.array = array
+
+    def chunks(self):
+        """The JSON text of the list, in pieces of at most 4096 rows."""
+        yield "["
+        for i, block in enumerate(_blocks(self.array)):
+            if self.array.ndim == 1:
+                text = '"' + '", "'.join(map(repr, block)) + '"'
+            else:
+                text = ", ".join('["' + '", "'.join(map(repr, row)) + '"]' for row in block)
+            yield ", " + text if i else text
+        yield "]"
+
+
+def _blocks(rows):
+    """rows, an array or a list, 4096 at a time as lists (of Python
+    floats, for an array): no more of a long table is held as Python
+    objects at once."""
+    for lo in range(0, len(rows), 4096):
+        block = rows[lo:lo + 4096]
+        yield block if isinstance(block, list) else block.tolist()
+
+
+def _marked(obj, arrays: list):
+    """obj with each _Inline in its dicts replaced by {"": i}, its index
+    in arrays, to which it is appended."""
+    if isinstance(obj, _Inline):
+        arrays.append(obj)
+        return {"": len(arrays) - 1}
+    if isinstance(obj, dict):
+        return {key: _marked(value, arrays) for key, value in obj.items()}
+    return obj
 
 
 def _numpy_version() -> str:
@@ -295,7 +363,7 @@ def _profile_result(run, profile, columns: list, comments: list) -> dict:
     """Writes a density profile's rows and returns its payload."""
     import numpy as np
 
-    run.write_csv(columns, np.column_stack([profile.grid, profile.values]).tolist(), comments)
+    run.write_csv(columns, np.column_stack([profile.grid, profile.values]), comments)
     payload = {
         "axis": profile.axis.value,
         "method": profile.method.value,
@@ -304,8 +372,8 @@ def _profile_result(run, profile, columns: list, comments: list) -> dict:
         "metadata": _jsonable(profile.metadata),
     }
     if run.want_rows_inline():
-        payload["grid"] = [repr(g) for g in profile.grid.tolist()]
-        payload["values"] = [repr(v) for v in profile.values.tolist()]
+        payload["grid"] = _Inline(profile.grid)
+        payload["values"] = _Inline(profile.values)
     return {"profile": payload}
 
 
@@ -424,7 +492,7 @@ def _cmd_fourier_eval(run, args) -> tuple:
     modulus = np.hypot(values.real, values.imag)
     columns = [f"xi_{i + 1}" for i in range(n)] + [
         "transform_re", "transform_im", "transform_abs", "truncation_error_bound"]
-    rows = np.column_stack([xis, values.real, values.imag, modulus, errs]).tolist()
+    rows = np.column_stack([xis, values.real, values.imag, modulus, errs])
     run.write_csv(columns, rows, [
         "fourier transform of the digit measure (dimensionless, |value| <= 1)",
         f"method: self-similar infinite product, tail bound <= {args.tol!r}",
@@ -434,7 +502,7 @@ def _cmd_fourier_eval(run, args) -> tuple:
               "max_error_bound": float(errs.max())}
     if run.want_rows_inline():
         result["columns"] = columns
-        result["rows"] = [[repr(v) for v in row] for row in rows]
+        result["rows"] = _Inline(rows)
     return result, EXIT_OK
 
 
@@ -514,7 +582,7 @@ def _cmd_stripe_scan(run, args) -> tuple:
         spec, args.radius, args.eps, args.s1, args.angles, tol=args.tol, budget=run.budget)
     run.write_csv(
         ["direction_angle_rad", "stripe_weighted_l1_sum"],
-        np.column_stack([angles, integrals]).tolist(),
+        np.column_stack([angles, integrals]),
         ["stripe sums: |transform| summed over lattice points of the annulus "
          f"R <= |xi| <= 2R nearly orthogonal to the direction, R = {args.radius!r}",
          f"method: exact lattice scan; exceptional threshold R^(n-1-s1+2eps) = {threshold!r}"],
@@ -528,8 +596,8 @@ def _cmd_stripe_scan(run, args) -> tuple:
         "exceptional_directions": [[float(c) for c in d] for d in exceptional],
     }
     if run.want_rows_inline():
-        result["angles"] = [repr(a) for a in angles.tolist()]
-        result["integrals"] = [repr(v) for v in integrals.tolist()]
+        result["angles"] = _Inline(angles)
+        result["integrals"] = _Inline(integrals)
     return result, EXIT_OK
 
 

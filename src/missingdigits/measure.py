@@ -496,18 +496,20 @@ class Draws:
     so that the points can be built a range of rows at a time.
 
     Each factor draws its digits as block codes: one integer per run of
-    b = block_levels(k, depth) levels, for k digits, so k^b <= 4096.
-    A code uniform on [0, k^b) is exactly b i.i.d. uniform digits, read
-    most significant first, so every point is still uniform over the
-    depth-d cylinders.  A table of at most 4096 rows per block length
-    (_block_table) holds each code's partial sum, and a point is
-    sum_i p^-(b i) table[code_i]: ceil(depth/b) draws per point and
-    factor, not depth.  `terms` holds, per factor and run in the order
-    they are drawn, (coordinate slice, block table, scale p^-(b i) or
-    None for the first run, int64 codes); the codes are all the state,
-    8 bytes per point and run.  All terms are nonnegative and each
-    passes at most depth + 3 roundings, so each coordinate is within
-    (depth + 4) 2^-53 (relative) of the exact truncated sum.
+    b = block_levels(k, depth) levels, for k digits, so k^b <= 4096
+    unless k > 4096, when b = 1.  A code uniform on [0, k^b) is exactly
+    b i.i.d. uniform digits, read most significant first, so every
+    point is still uniform over the depth-d cylinders.  A table of at
+    most max(k, 4096) rows per block length (_block_table) holds each
+    code's partial sum, and a point is sum_i p^-(b i) table[code_i]:
+    ceil(depth/b) draws per point and factor, not depth.  `terms`
+    holds, per factor and run in the order they are drawn, (coordinate
+    slice, block table, scale p^-(b i) or None for the first run,
+    codes); the codes are all the state, held in the smallest unsigned
+    type that holds k^b - 1: 2 bytes per point and run for k <= 4096.
+    All terms are nonnegative and each passes at most depth + 3
+    roundings, so each coordinate is within (depth + 4) 2^-53
+    (relative) of the exact truncated sum.
 
     The truncation error per point is at most sqrt(n) * max(D) * p^-depth
     / (p-1) in each factor.  PCG64 generator; identical seed, identical
@@ -539,7 +541,9 @@ class Draws:
                 levels = min(b, depth - start)
                 if levels not in tables:
                     tables[levels] = _block_table(mat, p, levels)
+                # the int64 draw fixes the PCG64 stream, whatever the codes are held in
                 code = rng.integers(0, k ** levels, size=count)
+                code = code.astype(np.min_scalar_type(k ** levels - 1))
                 self.terms.append((sl, tables[levels], 1 / p ** start if start else None, code))
 
     def points(self, lo: int, hi: int) -> np.ndarray:

@@ -1,9 +1,11 @@
 import contextlib
 import io
 import json
+import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -20,7 +22,8 @@ except ImportError:  # not on every platform
 import missingdigits.cli as cli
 import missingdigits.projection as projection
 from missingdigits import (EvalBudget, crude_bound, exceptional_directions,
-                           grid_lower_bound, parse_spec, rectangle_bound)
+                           fourier_transform_batch, grid_lower_bound, parse_spec,
+                           rectangle_bound)
 from missingdigits.cli import main
 from oracles import radial_l2_norm
 
@@ -693,6 +696,97 @@ def test_stdout_closed_by_the_reader_exits_74():
     assert proc.wait(timeout=60) == 74, err
     assert "Traceback" not in err
     assert "stdout closed" in err
+
+
+def _fourier_rows(spec, xis):
+    """fourier-eval's rows from the library: the repr strings of each
+    (xi, real part, imaginary part, modulus, error bound) at tol 1e-9."""
+    values, errs = fourier_transform_batch(parse_spec(spec), xis, tol=1e-9)
+    table = np.column_stack([xis, values.real, values.imag,
+                             np.hypot(values.real, values.imag), errs])
+    return [[repr(v) for v in row] for row in table.tolist()]
+
+
+def _csv_as_written_whole(columns, rows, comments) -> str:
+    """A CSV file as it was written from rows held whole as lists."""
+    lines = [f"# {c}" for c in comments] + [",".join(columns)]
+    lines += [",".join("" if v is None else str(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("count", [1, 4095, 4096, 4097])
+def test_streamed_rows_print_the_json_dump_of_the_document(count):
+    # the rows are written 4096 at a time; 4095 to 4097 end on either side
+    # of a block's last row
+    code, out, _ = run(["fourier-eval", "--spec", C3, "--grid", f"995.82,{count}"])
+    doc = strict_json(out)
+    assert code == 0 and out == json.dumps(doc, sort_keys=True) + "\n"
+    assert doc["result"]["count"] == count
+    assert doc["result"]["rows"] == _fourier_rows(C3, np.linspace(-995.82, 995.82, count)[:, None])
+
+
+def test_streamed_xi_rows_print_the_json_dump_of_the_document():
+    code, out, _ = run(["fourier-eval", "--spec", C32_SQ, "--xi", "1,2", "--xi=-3.5,0.25"])
+    doc = strict_json(out)
+    assert code == 0 and out == json.dumps(doc, sort_keys=True) + "\n"
+    assert doc["result"]["rows"] == _fourier_rows(C32_SQ, np.array([[1.0, 2.0], [-3.5, 0.25]]))
+
+
+@pytest.mark.parametrize("argv, inline", [
+    (["fourier-eval", "--spec", C3, "--grid", "995.82,4097"], ("rows",)),
+    (["radial-density", "--spec", CARPET, "--viewpoint=2,0.5", "--mc", "20000",
+      "--bandwidth", "0.0002", "--seed", "3"], ("grid", "values")),
+    (["linear-density", "--spec", C32_SQ, "--direction", "1,2", "--tmax", "9",
+      "--grid", "0,1,5000"], ("grid", "values")),
+    (["stripe-scan", "--spec", C32_SQ, "--radius", "9", "--angles", "4100"],
+     ("angles", "integrals")),
+], ids=lambda v: v[0] if isinstance(v[0], str) else None)
+def test_streamed_json_and_csv_rows_are_the_rows_written_whole(tmp_path, argv, inline):
+    out_csv = tmp_path / "rows.csv"
+    code, out, _ = run(argv + ["--json", "--csv", str(out_csv)])
+    doc = strict_json(out)
+    assert code == 0 and out == json.dumps(doc, sort_keys=True) + "\n"
+    result = doc["result"].get("profile", doc["result"])
+    rows = result["rows"] if inline == ("rows",) else list(zip(*(result[k] for k in inline)))
+    assert len(rows) > 4096
+    header, *_ = [ln for ln in out_csv.read_text().splitlines() if not ln.startswith("#")]
+    comments = [c[2:] for c in _csv_comments(out_csv)]
+    # each repr string is the str of its float, as the CSV writes it
+    assert out_csv.read_text() == _csv_as_written_whole(header.split(","), rows, comments)
+
+
+def test_the_mark_text_in_user_paths_is_echoed_as_it_is(tmp_path):
+    # a streamed array stands in the dump as the mark {"": i}; no spec that
+    # parses holds a '"', so the marks' text goes where the manifest echoes
+    # user text as it is: the config file's path and the CSV path in argv
+    folder = tmp_path / '{"": 0}'
+    folder.mkdir()
+    cfg = folder / '{"": 1}.json'
+    cfg.write_text(json.dumps({"spec": C3}))
+    out_csv = folder / '{"": 0} {"": 2}.csv'
+    argv = ["fourier-eval", "--config", str(cfg), "--grid", "10,5", "--json", "--csv", str(out_csv)]
+    code, out, _ = run(argv)
+    doc = strict_json(out)
+    assert code == 0 and out == json.dumps(doc, sort_keys=True) + "\n"
+    assert doc["manifest"]["config"]["argv"] == argv
+    assert doc["manifest"]["outputs"] == [str(out_csv)]
+    assert doc["result"]["rows"] == _fourier_rows(C3, np.linspace(-10.0, 10.0, 5)[:, None])
+
+
+def test_fourier_eval_holds_its_rows_as_arrays_not_python_objects():
+    # held as lists of Python floats and strings, 200,001 rows peaked at
+    # 140 MiB (735 bytes a row); the table stays in numpy arrays and is
+    # printed 4096 rows at a time: 15.3 MiB
+    argv = ["fourier-eval", "--spec", C3, "--grid", "995.82,200001"]
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        assert main(argv[:-1] + ["995.82,5"]) == 0  # imports and caches first
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 96 * 200_001
 
 
 def test_preset_theorem_b_emits_both_reports():

@@ -11,14 +11,15 @@ from hypothesis import strategies as st
 
 from missingdigits import fourier, projection
 from missingdigits.fourier import digit_symbol, transform_levels, truncation_depth
-from missingdigits.measure import as_product, block_levels, sample, total_dim
+from missingdigits.measure import Draws, as_product, block_levels, sample, total_dim
 from missingdigits import (BudgetExceededError, ConfigError, DensityProfile,
                            EvalBudget, ProfileAxis, ProfileMethod,
                            cylinder_mass, exceptional_directions, explicit_spec,
                            fourier_transform_batch, lebesgue_spec,
                            linear_density, linear_density_mc,
                            lp_criterion_integral, product, radial_density_mc,
-                           radial_tube_profile, slab_integral, square, stripe_scan)
+                           parse_spec, radial_tube_profile, slab_integral, square,
+                           stripe_scan)
 from oracles import (mc_histogram, partial_sum_S_k, radial_l2_norm, sample_at_once,
                      stripe_integral, tube_mass_mc)
 
@@ -402,6 +403,46 @@ def test_mc_bins_draws_on_the_edges_as_np_histogram_does():
             assert counts[-1] == 0 and 0 < counts.sum() < MC_COUNTS[-1]
 
 
+def test_mc_binning_counts_as_np_histogram_on_and_beside_the_edges():
+    # ATOM's draws are all 0; project puts the chunk's draws on the given
+    # offsets: every edge, its nextafter neighbours, the closed last edge,
+    # offsets outside the window and uniform ones, for random windows and
+    # bandwidths (so random linspace edges, up to 2^13 bins)
+    rng = np.random.default_rng(35)
+    for _ in range(100):
+        lo = rng.uniform(-5.0, 5.0)
+        window = (lo, lo + 10.0 ** rng.uniform(-3.0, 1.0))
+        bandwidth = (window[1] - window[0]) / rng.integers(2, 1 << 13) * rng.uniform(0.9, 1.1)
+        nbins = max(2, math.ceil((window[1] - window[0]) / bandwidth))
+        edges = np.linspace(*window, nbins + 1)
+        span = window[1] - window[0]
+        x = np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+                            rng.uniform(window[0] - span, window[1] + span, 1000)])
+        x = rng.permutation(x)[:projection._MC_BLOCK]
+        profile = projection._mc_profile(ATOM, ProfileAxis.OFFSET_ON_LINE, 1, window,
+                                         lambda pts: x[:len(pts)], len(x), bandwidth, 0, None,
+                                         direction=(1, 0))
+        assert np.array_equal(profile.grid, 0.5 * (edges[:-1] + edges[1:]))
+        width = edges[1] - edges[0]
+        assert np.array_equal(profile.values,
+                              np.histogram(x, bins=edges)[0] / (len(x) * width))
+
+
+def test_draws_hold_codes_in_the_smallest_unsigned_type():
+    # k^b reaches 4096 for 64 digits (two bytes); a short last run and one
+    # digit take one byte; a factor of 99,999 digits draws one level per
+    # code, up to 99,998, which needs four
+    wide = parse_spec("factor { base = 100000; digits = 0..99998; }")
+    for spec, depth, sizes in ((CARPET, 9, [2, 2, 1]), (explicit_spec(64, range(64)), 3, [2, 1]),
+                               (ATOM, 4, [1, 1]), (wide, 2, [4, 4])):
+        draws = Draws(spec, depth, 1000, seed=(3, 1))
+        assert [code.dtype.itemsize for *_, code in draws.terms] == sizes
+        assert all(code.dtype.kind == "u" for *_, code in draws.terms)
+        assert np.array_equal(draws.points(0, 1000).view(np.uint64),
+                              sample_at_once(spec, depth, 1000, seed=(3, 1)).view(np.uint64))
+    assert max(int(code.max()) for *_, code in draws.terms) >= 1 << 16
+
+
 @pytest.mark.parametrize("spec, depth", [(C3, 20), (C32, 13), (CARPET, 7), (PAIR_57, 9),
                                          (LEB10, 5)])
 def test_sample_builds_the_whole_chunk_points_bit_for_bit(spec, depth):
@@ -413,9 +454,10 @@ def test_sample_builds_the_whole_chunk_points_bit_for_bit(spec, depth):
 def test_an_mc_chunk_holds_its_codes_and_one_sub_block(monkeypatch):
     # a chunk held whole peaked at 7.1 MiB here: its (2^17, 2) points,
     # each run's table rows, the offsets from the viewpoint and the
-    # angles, 2 MiB each or half that; the chunk now holds its int64
-    # codes, one per draw and run of levels, and builds, projects and
-    # bins 2^14 points at a time
+    # angles, 2 MiB each or half that; the chunk now holds its two-byte
+    # codes, one per draw and run of levels (and one run's int64 draw
+    # while it is cast), and builds, projects and bins 2^14 points at a
+    # time; 1.6 MiB against a bound of 2 MiB
     monkeypatch.setattr(projection.os, "cpu_count", lambda: 1)
     samples = projection._MC_CHUNK
     radial_density_mc(CARPET, (2.0, 0.5), samples, 0.002)  # imports and caches first
@@ -426,7 +468,7 @@ def test_an_mc_chunk_holds_its_codes_and_one_sub_block(monkeypatch):
     finally:
         tracemalloc.stop()
     runs = math.ceil(profile.metadata["depth"] / block_levels(8, profile.metadata["depth"]))
-    assert peak < 8 * samples * runs + 128 * projection._MC_BLOCK
+    assert peak < 2 * samples * runs + 8 * samples + 32 * projection._MC_BLOCK
 
 
 def test_linear_mc_takes_a_whole_float_sample_count():
