@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 import missingdigits
+from missingdigits import projection
 from missingdigits.cli import main
 from missingdigits.dimension import _logaddexp
 
@@ -112,9 +113,20 @@ def test_runs_without_monte_carlo_load_no_thread_pool(argv):
     assert "concurrent.futures" not in modules
 
 
-def test_a_monte_carlo_run_loads_the_thread_pool():
+def test_a_short_monte_carlo_run_loads_no_thread_pool():
+    # its 8 chunks run on the calling thread, and BLAS on one thread, so
+    # the process runs on one thread (None without /proc/self/task)
+    doc = _child("linear-density", "--spec", C3_SQ, "--direction", "1,1",
+                 "--mc", "1000000", "--bandwidth", "0.05", env=_environment())
+    assert "concurrent.futures" not in doc["modules"]
+    assert doc["threads"] in (1, None)
+
+
+@pytest.mark.skipif(os.cpu_count() == 1, reason="one core runs every chunk serially")
+def test_a_long_monte_carlo_run_loads_the_thread_pool():
+    draws = projection._MC_POOL_CHUNKS * projection._MC_CHUNK
     modules = _loaded("linear-density", "--spec", C3_SQ, "--direction", "1,1",
-                      "--mc", "1000", "--bandwidth", "0.05")
+                      "--mc", str(draws), "--bandwidth", "0.2")
     assert "concurrent.futures" in modules
 
 

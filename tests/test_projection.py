@@ -1,5 +1,6 @@
 import concurrent.futures
 import math
+import os
 import pickle
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -11,7 +12,8 @@ from hypothesis import strategies as st
 
 from missingdigits import fourier, projection
 from missingdigits.fourier import digit_symbol, transform_levels, truncation_depth
-from missingdigits.measure import Draws, as_product, block_levels, sample, total_dim
+from missingdigits.measure import (Draws, as_product, block_levels, draw_cells, sample,
+                                   total_dim)
 from missingdigits import (BudgetExceededError, ConfigError, DensityProfile,
                            EvalBudget, ProfileAxis, ProfileMethod,
                            cylinder_mass, exceptional_directions, explicit_spec,
@@ -124,9 +126,9 @@ def test_radial_profile_metadata_and_enclosures():
     assert profile.metadata["delta"] == pytest.approx(3.0 ** -3)
 
 
-def _machine_with(monkeypatch, cores) -> list:
-    """Pretend the machine has `cores` cores; returns the list of thread
-    counts the pools of projection are then built with."""
+def _recorded_pools(monkeypatch) -> list:
+    """Returns the list of thread counts that the pools of projection are
+    from now on built with."""
     sizes = []
 
     class Recording(ThreadPoolExecutor):
@@ -134,21 +136,21 @@ def _machine_with(monkeypatch, cores) -> list:
             sizes.append(threads)
             super().__init__(threads)
 
-    monkeypatch.setattr(projection.os, "cpu_count", lambda: cores)
     # projection imports the pool where it runs, from concurrent.futures
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
     return sizes
 
 
-# three chunks, so three cores run them all at once
+# three chunks, so that three cores run them all at once on a pool
 MC_SAMPLES = 2 * projection._MC_CHUNK + 1000
 
 
 def test_radial_profile_independent_of_worker_count(monkeypatch):
     # one shared descent for all angles, on the calling thread
     profiles = []
+    sizes = _recorded_pools(monkeypatch)
     for cores in (1, 3):
-        sizes = _machine_with(monkeypatch, cores)
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
         profiles.append(radial_tube_profile(C32, (-1.0, 0.5), 3.0 ** -3, 200))
         assert sizes == []
     a, b = profiles
@@ -250,17 +252,6 @@ def test_radial_mc_matches_analytic_density():
     assert abs(profile.mass - 1.0) <= 0.02
 
 
-def test_radial_mc_independent_of_worker_count(monkeypatch):
-    profiles = []
-    for cores in (1, 3):
-        sizes = _machine_with(monkeypatch, cores)
-        profiles.append(radial_density_mc(C32, (-1.0, 0.5), MC_SAMPLES, 0.01, seed=3))
-        assert sizes == [cores]
-    a, b = profiles
-    assert np.array_equal(a.values, b.values)
-    assert np.array_equal(a.grid, b.grid)
-
-
 def test_radial_mc_seed_changes_values():
     a = radial_density_mc(C32, (-1.0, 0.5), 50_000, 0.01, seed=3)
     b = radial_density_mc(C32, (-1.0, 0.5), 50_000, 0.01, seed=4)
@@ -330,25 +321,39 @@ def test_linear_density_refuses_unequal_or_single_point_grid():
             linear_density(LEB2, (1.0, 1.0), grid, 81.0, budget=EvalBudget(1))
 
 
-def test_linear_mc_independent_of_worker_count(monkeypatch):
-    seed, chunk = 6, projection._MC_CHUNK
-    profiles = []
-    for cores in (1, 3):
-        sizes = _machine_with(monkeypatch, cores)
-        profiles.append(linear_density_mc(C32, (2.0, 1.0), MC_SAMPLES, 0.01, seed=seed))
-        assert sizes == [cores]
-    # serial reference: chunk i drawn with seed (seed, i), the chunks
-    # joined in order and binned once on the profile's edges
-    meta = profiles[0].metadata
-    theta = np.array(meta["direction"])
-    offsets = np.concatenate([
-        sample(C32, meta["depth"], min(chunk, MC_SAMPLES - start), seed=(seed, i)) @ theta
-        for i, start in enumerate(range(0, MC_SAMPLES, chunk))])
-    edges = np.linspace(*meta["window"], len(profiles[0].grid) + 1)
-    counts, _ = np.histogram(offsets, bins=edges)
-    serial = counts / (MC_SAMPLES * (edges[1] - edges[0]))
-    for profile in profiles:
-        assert np.array_equal(profile.values, serial)
+def _mc_profiles():
+    """The radial and linear profiles of MC_SAMPLES draws, each with the
+    cells it charged by label."""
+    runs = []
+    for estimate, located in ((radial_density_mc, (-1.0, 0.5)), (linear_density_mc, (2.0, 1.0))):
+        budget = EvalBudget()
+        runs.append((estimate(C32, located, MC_SAMPLES, 0.01, seed=6, budget=budget),
+                     budget.cells))
+    return runs
+
+
+def test_a_short_mc_run_builds_no_pool(monkeypatch):
+    # three chunks, fewer than the pool needs, on a machine of 3 cores
+    assert MC_SAMPLES < projection._MC_POOL_CHUNKS * projection._MC_CHUNK
+    sizes = _recorded_pools(monkeypatch)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    _mc_profiles()
+    assert sizes == []
+
+
+def test_mc_profiles_binned_serially_and_on_the_pool_agree(monkeypatch):
+    serial = _mc_profiles()
+    sizes = _recorded_pools(monkeypatch)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(projection, "_MC_POOL_CHUNKS", 1)
+    pooled = _mc_profiles()
+    assert sizes == [3, 3]
+    for (a, a_cells), (b, b_cells) in zip(serial, pooled):
+        assert np.array_equal(a.grid, b.grid)
+        assert np.array_equal(a.values, b.values)
+        assert a.metadata == b.metadata
+        assert a_cells == b_cells == {"digit draws": draw_cells(C32, a.metadata["depth"],
+                                                                MC_SAMPLES)}
 
 
 # sample counts off every multiple of the chunk and of the sub-block
@@ -451,14 +456,13 @@ def test_sample_builds_the_whole_chunk_points_bit_for_bit(spec, depth):
                               sample_at_once(spec, depth, count, seed=(3, 1)).view(np.uint64))
 
 
-def test_an_mc_chunk_holds_its_codes_and_one_sub_block(monkeypatch):
+def test_an_mc_chunk_holds_its_codes_and_one_sub_block():
     # a chunk held whole peaked at 7.1 MiB here: its (2^17, 2) points,
     # each run's table rows, the offsets from the viewpoint and the
     # angles, 2 MiB each or half that; the chunk now holds its two-byte
     # codes, one per draw and run of levels (and one run's int64 draw
     # while it is cast), and builds, projects and bins 2^14 points at a
     # time; 1.6 MiB against a bound of 2 MiB
-    monkeypatch.setattr(projection.os, "cpu_count", lambda: 1)
     samples = projection._MC_CHUNK
     radial_density_mc(CARPET, (2.0, 0.5), samples, 0.002)  # imports and caches first
     tracemalloc.start()
