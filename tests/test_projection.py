@@ -321,39 +321,56 @@ def test_linear_density_refuses_unequal_or_single_point_grid():
             linear_density(LEB2, (1.0, 1.0), grid, 81.0, budget=EvalBudget(1))
 
 
-def _mc_profiles():
-    """The radial and linear profiles of MC_SAMPLES draws, each with the
-    cells it charged by label."""
-    runs = []
-    for estimate, located in ((radial_density_mc, (-1.0, 0.5)), (linear_density_mc, (2.0, 1.0))):
-        budget = EvalBudget()
-        runs.append((estimate(C32, located, MC_SAMPLES, 0.01, seed=6, budget=budget),
-                     budget.cells))
-    return runs
-
-
 def test_a_short_mc_run_builds_no_pool(monkeypatch):
     # three chunks, fewer than the pool needs, on a machine of 3 cores
     assert MC_SAMPLES < projection._MC_POOL_CHUNKS * projection._MC_CHUNK
     sizes = _recorded_pools(monkeypatch)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    _mc_profiles()
+    radial_density_mc(C32, (-1.0, 0.5), MC_SAMPLES, 0.01, seed=6)
+    linear_density_mc(C32, (2.0, 1.0), MC_SAMPLES, 0.01, seed=6)
     assert sizes == []
 
 
-def test_mc_profiles_binned_serially_and_on_the_pool_agree(monkeypatch):
-    serial = _mc_profiles()
-    sizes = _recorded_pools(monkeypatch)
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+def _mc_on_one_and_three_cores(monkeypatch, estimate, located, seed):
+    """Runs `estimate` on MC_SAMPLES draws on one core and on three, with
+    the pool let in at any number of chunks, so that only the three-core
+    run bins on a pool, of 3 threads; checks that both runs give the same
+    profile and charge the same cells, and returns the profile."""
     monkeypatch.setattr(projection, "_MC_POOL_CHUNKS", 1)
-    pooled = _mc_profiles()
-    assert sizes == [3, 3]
-    for (a, a_cells), (b, b_cells) in zip(serial, pooled):
-        assert np.array_equal(a.grid, b.grid)
-        assert np.array_equal(a.values, b.values)
-        assert a.metadata == b.metadata
-        assert a_cells == b_cells == {"digit draws": draw_cells(C32, a.metadata["depth"],
-                                                                MC_SAMPLES)}
+    sizes = _recorded_pools(monkeypatch)
+    runs = []
+    for cores in (1, 3):
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        budget = EvalBudget()
+        runs.append((estimate(C32, located, MC_SAMPLES, 0.01, seed=seed, budget=budget),
+                     budget.cells))
+    assert sizes == [3]
+    (a, a_cells), (b, b_cells) = runs
+    assert np.array_equal(a.grid, b.grid)
+    assert np.array_equal(a.values, b.values)
+    assert a.metadata == b.metadata
+    assert a_cells == b_cells == {"digit draws": draw_cells(C32, a.metadata["depth"],
+                                                            MC_SAMPLES)}
+    return a
+
+
+def test_radial_mc_independent_of_worker_count(monkeypatch):
+    _mc_on_one_and_three_cores(monkeypatch, radial_density_mc, (-1.0, 0.5), seed=3)
+
+
+def test_linear_mc_independent_of_worker_count(monkeypatch):
+    seed, chunk = 6, projection._MC_CHUNK
+    profile = _mc_on_one_and_three_cores(monkeypatch, linear_density_mc, (2.0, 1.0), seed)
+    # serial reference: chunk i drawn with seed (seed, i), the chunks
+    # joined in order and binned once on the profile's edges
+    meta = profile.metadata
+    theta = np.array(meta["direction"])
+    offsets = np.concatenate([
+        sample(C32, meta["depth"], min(chunk, MC_SAMPLES - start), seed=(seed, i)) @ theta
+        for i, start in enumerate(range(0, MC_SAMPLES, chunk))])
+    edges = np.linspace(*meta["window"], len(profile.grid) + 1)
+    counts, _ = np.histogram(offsets, bins=edges)
+    assert np.array_equal(profile.values, counts / (MC_SAMPLES * (edges[1] - edges[0])))
 
 
 # sample counts off every multiple of the chunk and of the sub-block
