@@ -26,20 +26,18 @@ nonnegative the result is flagged NonConvergent rather than silently
 averaged.
 
 Monte-Carlo estimators (seeded, chunked, reproducible however their
-chunks are scheduled) provide cross-checks for both families, and
+draws are split) provide cross-checks for both families, and
 annulus stripe sums detect the exceptional directions along which the
 lattice mass of |lambda_hat| refuses to decay.  Monte-Carlo draws run
-in chunks, each binned where it is drawn and the chunks' counts added;
-only long runs put the chunks on a pool of one thread per core (see
-_mc_profile for where it pays).  A tube profile is one cylinder descent
-shared by all of its angles, on the calling thread.
+in chunks on the calling thread, each binned where it is drawn and the
+chunks' counts added; a tube profile is one cylinder descent shared by
+all of its angles, on the calling thread too.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-import os
 
 import numpy as np
 
@@ -69,14 +67,9 @@ _UNIT_SQUARE_CORNERS = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
 
 _MC_CHUNK = 1 << 17
 
-# The chunk count from which a Monte-Carlo run bins its chunks on a
-# thread pool; shorter runs bin them on the calling thread (see
-# _mc_profile).
-_MC_POOL_CHUNKS = 48
-
 # Draws per sub-block of a Monte-Carlo chunk: the rows that are built,
-# projected and binned at once, so that a chunk's thread holds its codes
-# but not its points and their temporaries.
+# projected and binned at once, so that a chunk holds its codes but not
+# its points and their temporaries.
 _MC_BLOCK = 1 << 14
 
 
@@ -303,27 +296,20 @@ def _mc_profile(spec: Spec, axis: ProfileAxis, depth: int, window: tuple, projec
     projection (its viewpoint or direction).
 
     Chunk i of _MC_CHUNK draws always draws with seed (seed, i) and is
-    projected and binned where it is drawn.  A chunk holds its digit
-    codes (measure.Draws) and builds, projects and bins its points
-    _MC_BLOCK rows at a time, counting the draws below each edge as
-    np.histogram does with fixed edges, without its per-call checks: on
-    two pool threads those short calls cost more in lock hand-offs than
-    they take to run.  Fixed edges decide each draw on its own and the
+    projected and binned where it is drawn, on the calling thread.  A
+    chunk holds its digit codes (measure.Draws) and builds, projects and
+    bins its points _MC_BLOCK rows at a time, counting the draws below
+    each edge as np.histogram does with fixed edges, without its
+    per-call checks.  Fixed edges decide each draw on its own and the
     integer counts of the sub-blocks and chunks add exactly, so the
-    profile does not depend on how the draws are split or scheduled.
+    profile does not depend on how the draws are split.
 
-    The chunks run on the calling thread unless there are at least
-    _MC_POOL_CHUNKS of them and more than one core; only then is
-    concurrent.futures imported and a pool of one thread per core (at
-    most one per chunk) started, whose threads share the budget under
-    its lock.  Below that the pool does not pay: it costs every run
-    about 3 MiB of peak RSS for the import and the threads' arenas, and
-    on 2 cores its second thread often shared the first one's core for
-    the first few tenths of a second.  Spawned there (the carpet's
-    radial-density at bandwidth 0.002), 4M draws took 0.264 s on the
-    pool against 0.246 s serially, 6M tied (0.336 against 0.331 s), and
-    8M paid (0.281 against 0.413 s), as did every longer run (CHANGES.md
-    has the table); _MC_POOL_CHUNKS chunks lie between 6M and 8M draws."""
+    No pool runs the chunks.  At the benchmark's 4M draws a pool of one
+    thread per core cost each run about 3 MiB of peak RSS (the
+    concurrent.futures import and the threads' arenas) and saved wall
+    time on 2 cores only in some sweeps; it paid 1.5x and more from
+    about 8M draws, where no benchmark job runs (CHANGES.md has the
+    figures)."""
     if int(samples) != samples or samples < 1:
         raise ConfigError("Monte-Carlo sampling needs a positive whole sample count")
     samples = int(samples)
@@ -349,14 +335,7 @@ def _mc_profile(spec: Spec, axis: ProfileAxis, depth: int, window: tuple, projec
             below[-1] += x.searchsorted(edges[-1], "right")
         return np.diff(below)
 
-    cores = os.cpu_count() or 1
-    if len(starts) < _MC_POOL_CHUNKS or cores == 1:
-        counts = sum(map(binned, range(len(starts))))
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(min(cores, len(starts))) as pool:
-            counts = sum(pool.map(binned, range(len(starts))))
+    counts = sum(map(binned, range(len(starts))))
     width = edges[1] - edges[0]
     coverage = float(counts.sum() / samples)
     meta = {

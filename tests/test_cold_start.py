@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 
 import missingdigits
-from missingdigits import projection
 from missingdigits.cli import main
 from missingdigits.dimension import _logaddexp
 
@@ -106,28 +105,18 @@ def test_fourier_runs_load_no_cylinders(argv):
     ("radial-density", "--viewpoint=-1,-1", "--delta", "0.05", "--angles", "50"),
 ])
 def test_runs_without_monte_carlo_load_no_thread_pool(argv):
-    # only the Monte-Carlo profiles run chunks on a pool, and they import
-    # concurrent.futures (with logging, queue and the like) where they do
+    # no run starts a thread pool, so none imports concurrent.futures
+    # (with logging, queue and the like)
     modules = _loaded(*argv, "--spec", C3_SQ)
     assert "missingdigits.projection" in modules
     assert "concurrent.futures" not in modules
 
 
-def test_a_short_monte_carlo_run_loads_no_thread_pool():
-    # its 8 chunks run on the calling thread, and BLAS on one thread, so
-    # the process runs on one thread (None without /proc/self/task)
-    doc = _child("linear-density", "--spec", C3_SQ, "--direction", "1,1",
-                 "--mc", "1000000", "--bandwidth", "0.05", env=_environment())
-    assert "concurrent.futures" not in doc["modules"]
-    assert doc["threads"] in (1, None)
-
-
-@pytest.mark.skipif(os.cpu_count() == 1, reason="one core runs every chunk serially")
-def test_a_long_monte_carlo_run_loads_the_thread_pool():
-    draws = projection._MC_POOL_CHUNKS * projection._MC_CHUNK
+def test_a_monte_carlo_run_loads_no_thread_pool():
+    # its 8 chunks of draws are binned on the calling thread
     modules = _loaded("linear-density", "--spec", C3_SQ, "--direction", "1,1",
-                      "--mc", str(draws), "--bandwidth", "0.2")
-    assert "concurrent.futures" in modules
+                      "--mc", "1000000", "--bandwidth", "0.05")
+    assert "concurrent.futures" not in modules
 
 
 @pytest.mark.parametrize("argv, code", [

@@ -127,8 +127,8 @@ def test_radial_profile_metadata_and_enclosures():
 
 
 def _recorded_pools(monkeypatch) -> list:
-    """Returns the list of thread counts that the pools of projection are
-    from now on built with."""
+    """Returns the list of thread counts of the concurrent.futures pools
+    built from now on; projection builds none."""
     sizes = []
 
     class Recording(ThreadPoolExecutor):
@@ -136,12 +136,11 @@ def _recorded_pools(monkeypatch) -> list:
             sizes.append(threads)
             super().__init__(threads)
 
-    # projection imports the pool where it runs, from concurrent.futures
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
     return sizes
 
 
-# three chunks, so that three cores run them all at once on a pool
+# three chunks of draws
 MC_SAMPLES = 2 * projection._MC_CHUNK + 1000
 
 
@@ -321,22 +320,10 @@ def test_linear_density_refuses_unequal_or_single_point_grid():
             linear_density(LEB2, (1.0, 1.0), grid, 81.0, budget=EvalBudget(1))
 
 
-def test_a_short_mc_run_builds_no_pool(monkeypatch):
-    # three chunks, fewer than the pool needs, on a machine of 3 cores
-    assert MC_SAMPLES < projection._MC_POOL_CHUNKS * projection._MC_CHUNK
-    sizes = _recorded_pools(monkeypatch)
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    radial_density_mc(C32, (-1.0, 0.5), MC_SAMPLES, 0.01, seed=6)
-    linear_density_mc(C32, (2.0, 1.0), MC_SAMPLES, 0.01, seed=6)
-    assert sizes == []
-
-
 def _mc_on_one_and_three_cores(monkeypatch, estimate, located, seed):
-    """Runs `estimate` on MC_SAMPLES draws on one core and on three, with
-    the pool let in at any number of chunks, so that only the three-core
-    run bins on a pool, of 3 threads; checks that both runs give the same
+    """Runs `estimate` on MC_SAMPLES draws on one core and on three;
+    checks that neither run builds a pool and that both give the same
     profile and charge the same cells, and returns the profile."""
-    monkeypatch.setattr(projection, "_MC_POOL_CHUNKS", 1)
     sizes = _recorded_pools(monkeypatch)
     runs = []
     for cores in (1, 3):
@@ -344,7 +331,7 @@ def _mc_on_one_and_three_cores(monkeypatch, estimate, located, seed):
         budget = EvalBudget()
         runs.append((estimate(C32, located, MC_SAMPLES, 0.01, seed=seed, budget=budget),
                      budget.cells))
-    assert sizes == [3]
+    assert sizes == []
     (a, a_cells), (b, b_cells) = runs
     assert np.array_equal(a.grid, b.grid)
     assert np.array_equal(a.values, b.values)
