@@ -8,49 +8,43 @@ tree's `missingdigits` package (a checkout's `src/`).  Before the first
 round every SRC is copied, without bytecode caches, to a directory of
 its own under one temporary parent, so that all trees are timed from
 equivalent places, and each copy is byte-compiled, so that every run
-imports cached bytecode as it would from an installed package; the
-copies are removed at the end.  Each of R rounds
-(default 10, so that medians and quartiles rest on ten alternated runs)
-runs every tree once per job, back to back, in an order reversed every
-round, so drift of the host's speed falls on all trees alike.  Each run
-is a child process that imports `missingdigits.cli` from its tree and
-times `cli.main(argv)` (the in-process seconds), with numpy not yet
-imported, so that the run loads it as the CLI does (with one BLAS
-thread unless the environment sets a count); the child then starts
-`python -m missingdigits ARGV` from the same tree, timed from spawn to
-exit with its CPU seconds from `os.wait4` (the spawn-to-exit seconds,
-start-up and imports included), whose exit code and printed JSON must
-equal those of `cli.main`.  Per tree and job OUT records the
-in-process seconds, the peak RSS (import included) and the
-spawn-to-exit seconds and CPU seconds of each run, each with its
-median and quartiles (linear interpolation, as `numpy.percentile`),
-the exit code, the budget cells spent by label, as the printed
-manifest's `cost.cells` gives them, a SHA-256 of the JSON printed,
-without `manifest.wall_time_s`, and whether `cli.main` left numpy
-loaded.  A tree's runs must agree on the last four, with the exit code
-`workloads.py` expects.  Jobs on which trees differ in exit code, cells
-or digest are listed under `differ`, and then the command exits 1.
-Cells and digests are exact checks; seconds and peak RSS only show the
-trend.
+imports cached bytecode as it would from an installed package; a
+process given a copy on PYTHONPATH must import `missingdigits` from it.
+The copies are removed at the end.  Each of R rounds (default 10, so
+that medians and quartiles rest on ten alternated runs) runs every tree
+once per job, back to back, in an order reversed every round, so drift
+of the host's speed falls on all trees alike.  A run is the job as a
+user runs it, `python -m missingdigits ARGV` from the tree's copy,
+started by `SPAWNER`, which reports the run's seconds from spawn to
+exit (start-up and imports included), and from `os.wait4` its CPU
+seconds, exit code and peak RSS.  Per tree and job OUT records these
+seconds, CPU seconds and peak RSS of each run, and the CLI's own
+seconds (the printed `manifest.wall_time_s`), each with its median and
+quartiles (linear interpolation, as `numpy.percentile`); and the exit
+code, the budget cells spent by label, as the printed manifest's
+`cost.cells` gives them, and a SHA-256 of the JSON printed, without
+`manifest.wall_time_s`.  A tree's runs must agree on these last three,
+with the exit code `workloads.py` expects.  Jobs on which trees differ
+in exit code, cells or digest are listed under `differ`, and then the
+command exits 1.  Cells and digests are exact checks; seconds and peak
+RSS only show the trend.
 """
 
 from __future__ import annotations
 
 import argparse
 import compileall
-import contextlib
 import hashlib
-import io
 import json
 import os
 import platform
-import resource
 import shutil
 import subprocess
 import sys
 import tempfile
-import time
 from pathlib import Path
+
+import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmark"))
 
@@ -59,84 +53,61 @@ import workloads  # noqa: E402
 JOBS = {job.id: job for job in workloads.all_jobs(1)}
 OUTCOME = ("exit_code", "cells", "sha256")  # what every run of a job must repeat
 
+# Run as `python -S -c SPAWNER ARGV`: spawns `python -m missingdigits
+# ARGV` before it imports anything, and after the run's own output
+# prints, one a line, its seconds from spawn to exit, CPU seconds, exit
+# code and peak RSS in KiB.  A process inherits at exec the memory
+# high-water mark of the process that spawned it, so a run's `ru_maxrss`
+# reads no less than its spawner's.  A fresh `python -S` peaks at about
+# 8 MiB (13 MiB with `site`), whatever the harness holds: from a harness
+# at 157 MiB, runs so spawned read gr-scaled 14.5 MiB, dim-e48 14.3,
+# feval-1d 33.6, ld-generic 39.8 and mc-radial 37.2, each its own peak.
+SPAWNER = """
+import os, sys, time
+start = time.perf_counter()
+pid = os.posix_spawn(sys.executable, [sys.executable, "-m", "missingdigits", *sys.argv[1:]],
+                     os.environ)
+_, status, usage = os.wait4(pid, 0)
+print("", time.perf_counter() - start, usage.ru_utime + usage.ru_stime,
+      os.waitstatus_to_exitcode(status), usage.ru_maxrss, sep="\\n")
+"""
 
-def outcome(record: dict, keys: tuple = OUTCOME) -> str:
-    """A record's values at keys as sorted JSON, in which cells by label compare whole."""
-    return json.dumps([record[k] for k in keys], sort_keys=True)
+
+def outcome(record: dict) -> str:
+    """A record's exit code, cells and digest as sorted JSON, in which cells
+    by label compare whole."""
+    return json.dumps([record[k] for k in OUTCOME], sort_keys=True)
 
 
-def digest(stdout: str) -> str:
+def digest(doc: dict) -> str:
     """SHA-256 of a CLI JSON document without its wall time."""
-    doc = json.loads(stdout)
-    del doc["manifest"]["wall_time_s"]
-    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+    manifest = {k: v for k, v in doc["manifest"].items() if k != "wall_time_s"}
+    return hashlib.sha256(json.dumps({**doc, "manifest": manifest},
+                                     sort_keys=True).encode()).hexdigest()
 
 
-def run_once(job_id: str) -> dict:
-    """One timed run of a job through `cli.main` in this process."""
-    from missingdigits import cli
-
-    out = io.StringIO()
-    start = time.perf_counter()
-    with contextlib.redirect_stdout(out):
-        try:
-            exit_code = cli.main(list(JOBS[job_id].argv))
-        except SystemExit as exc:
-            exit_code = exc.code
-    seconds = time.perf_counter() - start
-    stdout = out.getvalue()
-    return {"seconds": seconds, "exit_code": exit_code, "module": cli.__file__,
-            "cells": json.loads(stdout)["manifest"]["cost"]["cells"], "sha256": digest(stdout),
-            "numpy_loaded": "numpy" in sys.modules,
-            # kibibytes on Linux
-            "peak_rss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}
-
-
-def run_spawned(job_id: str) -> dict:
-    """One run of a job as a user runs it, `python -m missingdigits ARGV`
-    in this process's environment: the seconds from spawn to exit, the
-    CPU seconds of its rusage, its exit code and the digest of its
-    output."""
-    with tempfile.TemporaryFile() as out:
-        start = time.perf_counter()
-        proc = subprocess.Popen([sys.executable, "-m", "missingdigits", *JOBS[job_id].argv],
-                                stdout=out)
-        _, status, usage = os.wait4(proc.pid, 0)
-        seconds = time.perf_counter() - start
-        proc.returncode = os.waitstatus_to_exitcode(status)
-        out.seek(0)
-        stdout = out.read().decode()
-    return {"spawn_s": seconds, "spawn_cpu_s": usage.ru_utime + usage.ru_stime,
-            "spawn_exit_code": proc.returncode, "spawn_sha256": digest(stdout)}
-
-
-def agreed(job_id: str, run: dict) -> dict:
-    """A child's run without its spawned run's exit code and digest,
-    which must equal those of its `cli.main` run."""
-    run = dict(run)
-    for key in ("exit_code", "sha256"):
-        if run.pop(f"spawn_{key}") != run[key]:
-            raise RuntimeError(f"{job_id}: `python -m missingdigits` and cli.main differ "
-                               f"in {key}")
-    return run
-
-
-def run_child(job_id: str, src: str) -> dict:
-    """One run of a job in a fresh child process that imports from `src`:
-    a `run_once` run, then a `run_spawned` one that must print the same.
-    The child, not this process, reads the spawned run's output, so that
-    this process's peak RSS, which every child it starts inherits, stays
-    below the jobs'."""
+def tree_env(src: str) -> dict:
+    """This process's environment with src first on PYTHONPATH."""
     path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-    child = subprocess.run([sys.executable, str(Path(__file__).resolve()), "--child", job_id],
-                           capture_output=True, text=True,
-                           env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)))
-    if child.returncode != 0:
-        raise RuntimeError(f"{job_id}: child failed:\n{child.stderr}")
-    run = json.loads(child.stdout)
-    if not Path(run.pop("module")).resolve().is_relative_to(Path(src).resolve()):
-        raise RuntimeError(f"{job_id}: the child did not import missingdigits from {src}")
-    return agreed(job_id, run)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+
+
+def run_spawned(job_id: str, src: str) -> dict:
+    """One run of a job from the tree at src, as a user runs it."""
+    spawner = subprocess.run([sys.executable, "-S", "-c", SPAWNER, *JOBS[job_id].argv],
+                             capture_output=True, text=True, env=tree_env(src))
+    if spawner.returncode != 0:
+        raise RuntimeError(f"{job_id}: the spawner failed:\n{spawner.stderr}")
+    stdout, seconds, cpu_s, exit_code, rss_kib = spawner.stdout.rsplit("\n", 5)[:5]
+    try:
+        manifest = (doc := json.loads(stdout))["manifest"]
+    except ValueError:
+        raise RuntimeError(f"{job_id}: exit {exit_code} without a JSON document:\n"
+                           f"{spawner.stderr}") from None
+    return {"spawn_s": float(seconds), "spawn_cpu_s": float(cpu_s),
+            "peak_rss_mib": int(rss_kib) / 1024, "wall_time_s": manifest["wall_time_s"],
+            "exit_code": int(exit_code), "cells": manifest["cost"]["cells"],
+            "sha256": digest(doc)}
 
 
 def copy_trees(trees: dict, parent: Path) -> dict:
@@ -149,10 +120,16 @@ def copy_trees(trees: dict, parent: Path) -> dict:
 
 def compile_trees(copies: dict) -> None:
     """Byte-compile every copy for this interpreter, so that its runs read
-    bytecode (PYTHONDONTWRITEBYTECODE stops only the writing)."""
+    bytecode (PYTHONDONTWRITEBYTECODE stops only the writing), and check
+    that a process given the copy imports `missingdigits` from it."""
     for name, copy in copies.items():
         if not compileall.compile_dir(copy, quiet=1):
             raise RuntimeError(f"{name}: cannot byte-compile {copy}")
+        module = subprocess.run(
+            [sys.executable, "-c", "import missingdigits; print(missingdigits.__file__)"],
+            capture_output=True, text=True, env=tree_env(copy)).stdout.strip()
+        if not module or not Path(module).resolve().is_relative_to(Path(copy).resolve()):
+            raise RuntimeError(f"{name}: a run would not import missingdigits from {copy}")
 
 
 def schedule(trees: list, repeat: int) -> list:
@@ -162,37 +139,24 @@ def schedule(trees: list, repeat: int) -> list:
 
 def summarize(job_id: str, runs: list) -> dict:
     """The record of one tree's runs of a job, which must agree exactly."""
-    import numpy as np
-
-    exact = {outcome(r, (*OUTCOME, "numpy_loaded")) for r in runs}
+    exact = {outcome(r) for r in runs}
     if len(exact) != 1 or runs[0]["exit_code"] != JOBS[job_id].exit_code:
-        raise RuntimeError(f"{job_id}: runs give (exit code, cells, digest, numpy loaded) "
-                           f"{sorted(exact)}; expected one, with exit code "
-                           f"{JOBS[job_id].exit_code}")
+        raise RuntimeError(f"{job_id}: runs give (exit code, cells, digest) {sorted(exact)}; "
+                           f"expected one, with exit code {JOBS[job_id].exit_code}")
 
-    def quartiles(key: str, digits: int) -> list:
-        return [round(q, digits) for q in
-                np.percentile([r[key] for r in runs], (25, 50, 75)).tolist()]
-
-    q1, median, q3 = quartiles("seconds", 4)
-    rss_q1, rss_median, rss_q3 = quartiles("peak_rss_mib", 1)
-    spawn_q1, spawn_median, spawn_q3 = quartiles("spawn_s", 4)
-    cpu_q1, cpu_median, cpu_q3 = quartiles("spawn_cpu_s", 4)
-    return {"seconds": [round(r["seconds"], 4) for r in runs],
-            "q1_s": q1, "median_s": median, "q3_s": q3,
-            "peak_rss_mib_runs": [round(r["peak_rss_mib"], 1) for r in runs],
-            "q1_rss_mib": rss_q1, "peak_rss_mib": rss_median, "q3_rss_mib": rss_q3,
-            "spawn_s": [round(r["spawn_s"], 4) for r in runs],
-            "q1_spawn_s": spawn_q1, "median_spawn_s": spawn_median, "q3_spawn_s": spawn_q3,
-            "spawn_cpu_s": [round(r["spawn_cpu_s"], 4) for r in runs],
-            "q1_spawn_cpu_s": cpu_q1, "median_spawn_cpu_s": cpu_median,
-            "q3_spawn_cpu_s": cpu_q3,
-            **{k: runs[0][k] for k in (*OUTCOME, "numpy_loaded")}}
+    record = {k: runs[0][k] for k in OUTCOME}
+    for key, names, digits in (
+            ("peak_rss_mib", ("peak_rss_mib_runs", "q1_rss_mib", "peak_rss_mib", "q3_rss_mib"), 1),
+            *((key, (key, f"q1_{key}", f"median_{key}", f"q3_{key}"), 4)
+              for key in ("wall_time_s", "spawn_s", "spawn_cpu_s"))):
+        values = [r[key] for r in runs]
+        record[names[0]] = [round(v, digits) for v in values]
+        quartiles = np.percentile(values, (25, 50, 75)).tolist()
+        record.update((name, round(q, digits)) for name, q in zip(names[1:], quartiles))
+    return record
 
 
 def machine() -> dict:
-    import numpy as np
-
     model = platform.processor() or platform.machine()
     try:
         with open("/proc/cpuinfo") as info:
@@ -209,12 +173,7 @@ def main(argv=None) -> int:
     parser.add_argument("--tree", action="append", metavar="NAME=SRC")
     parser.add_argument("--out", type=Path)
     parser.add_argument("--repeat", type=int, default=10)
-    parser.add_argument("--child", choices=sorted(JOBS), help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
-    if args.child is not None:
-        # the peak RSS of run_once is read before run_spawned reads an output
-        print(json.dumps({**run_once(args.child), **run_spawned(args.child)}))
-        return 0
     if not args.tree or args.out is None:
         parser.error("--tree and --out are required")
     trees = dict(t.partition("=")[::2] for t in args.tree)
@@ -231,7 +190,7 @@ def main(argv=None) -> int:
             runs = {name: [] for name in trees}
             for order in schedule(list(trees), args.repeat):
                 for name in order:
-                    runs[name].append(run_child(job_id, copies[name]))
+                    runs[name].append(run_spawned(job_id, copies[name]))
             for name in trees:
                 records[name][job_id] = summarize(job_id, runs[name])
                 print(job_id, name, records[name][job_id], file=sys.stderr)

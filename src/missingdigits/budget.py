@@ -30,9 +30,10 @@ class EvalBudget:
 
     charge(n, what) adds n cells and raises BudgetExceededError once the
     running total would pass the limit.  A single budget may be threaded
-    through several operations so their combined cost is capped, and
-    shared by worker threads: the check and the add happen under one
-    lock.  `cells` holds the charged cells by label `what`, so they add
+    through several operations so their combined cost is capped.  No
+    library code starts a thread; the check and the add happen under one
+    lock for callers who share one budget across threads of their own.
+    `cells` holds the charged cells by label `what`, so they add
     up to `spent`; a refused charge adds to neither.
     """
 
