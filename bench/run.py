@@ -144,16 +144,24 @@ def summarize(job_id: str, runs: list) -> dict:
         raise RuntimeError(f"{job_id}: runs give (exit code, cells, digest) {sorted(exact)}; "
                            f"expected one, with exit code {JOBS[job_id].exit_code}")
 
-    record = {k: runs[0][k] for k in OUTCOME}
-    for key, names, digits in (
-            ("peak_rss_mib", ("peak_rss_mib_runs", "q1_rss_mib", "peak_rss_mib", "q3_rss_mib"), 1),
-            *((key, (key, f"q1_{key}", f"median_{key}", f"q3_{key}"), 4)
-              for key in ("wall_time_s", "spawn_s", "spawn_cpu_s"))):
-        values = [r[key] for r in runs]
-        record[names[0]] = [round(v, digits) for v in values]
-        quartiles = np.percentile(values, (25, 50, 75)).tolist()
-        record.update((name, round(q, digits)) for name, q in zip(names[1:], quartiles))
-    return record
+    def quartiles(key: str, digits: int) -> list:
+        return [round(q, digits) for q in
+                np.percentile([r[key] for r in runs], (25, 50, 75)).tolist()]
+
+    q1, median, q3 = quartiles("wall_time_s", 4)
+    rss_q1, rss_median, rss_q3 = quartiles("peak_rss_mib", 1)
+    spawn_q1, spawn_median, spawn_q3 = quartiles("spawn_s", 4)
+    cpu_q1, cpu_median, cpu_q3 = quartiles("spawn_cpu_s", 4)
+    return {"wall_time_s": [round(r["wall_time_s"], 4) for r in runs],
+            "q1_wall_time_s": q1, "median_wall_time_s": median, "q3_wall_time_s": q3,
+            "peak_rss_mib_runs": [round(r["peak_rss_mib"], 1) for r in runs],
+            "q1_rss_mib": rss_q1, "peak_rss_mib": rss_median, "q3_rss_mib": rss_q3,
+            "spawn_s": [round(r["spawn_s"], 4) for r in runs],
+            "q1_spawn_s": spawn_q1, "median_spawn_s": spawn_median, "q3_spawn_s": spawn_q3,
+            "spawn_cpu_s": [round(r["spawn_cpu_s"], 4) for r in runs],
+            "q1_spawn_cpu_s": cpu_q1, "median_spawn_cpu_s": cpu_median,
+            "q3_spawn_cpu_s": cpu_q3,
+            **{k: runs[0][k] for k in OUTCOME}}
 
 
 def machine() -> dict:
