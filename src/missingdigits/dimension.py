@@ -51,9 +51,9 @@ from .value import Value
 if TYPE_CHECKING:
     import numpy as np
 
-# numpy and the transform (fourier) are imported only where f_theta
-# evaluates f: the closed-form bounds of symbolic bases, and sup_f
-# searches of at most _LIST_CELLS cells, run without them.
+# numpy is imported only where f_theta evaluates f: the closed-form
+# bounds of symbolic bases, and sup_f searches of at most _LIST_CELLS
+# cells, run without it.
 
 
 class BoundKind(enum.Enum):
@@ -107,49 +107,77 @@ def f_theta(factor: MissingDigitsSpec, thetas, budget: EvalBudget | None = None)
     """f(theta) = sum_i |g((i+theta)/p)| over the full residue grid
     i in {0..p-1}^n; thetas has shape (K, n) (or (K,) when n = 1).
 
-    Interval digit sets sum the Dirichlet modulus
-    |sin(pi N eta) / (N sin(pi eta))| with no complex phase; explicit
-    digit sets average their #D digit exponentials.  The whole call is
-    charged up front as "f(theta) residues": one cell per residue term
-    for interval sets (K p^n) and one per digit term for explicit sets
-    (K p^n #D).  Thetas and residues are taken in blocks of about
-    F_THETA_BLOCK entries (counting #D for explicit sets), so memory
-    stays bounded whatever K and p^n are.  sup_f calls it only once its
-    search passes _LIST_CELLS cells; until then it evaluates with
-    _f_theta_lists, which needs no numpy.
+    The numpy form of _f_theta_lists, term for term: theta reduced to
+    theta - floor(theta), the Dirichlet modulus of interval sets, and
+    the residue table and digit phases of explicit sets, whose products
+    are added digit by digit (no BLAS, whose sums round by position).
+    The whole call is charged up front as "f(theta) residues": one cell
+    per residue term for interval sets (K p^n) and one per digit term
+    for explicit sets (K p^n #D).  Residues, and within them thetas, are
+    taken in blocks of about F_THETA_BLOCK terms (table entries for
+    explicit sets, which also hold the p roots of unity), so memory
+    stays bounded whatever K and p^n are.
+
+    Each residue term is within _f_theta_lists's bound per term.  Where
+    that adds them by fsum (one rounding), numpy's pairwise sum passes a
+    nonnegative term through at most ceil(log2 p^n) + 26 roundings (15
+    adds in one of the 8 accumulators of a 128-term leaf, 3 to join
+    them, 7 for the rest, one per halving, one for the first term), and
+    the B residue blocks are added in turn.  So, in _f_theta_lists's
+    notation and with L = ceil(log2 p^n) + 25 + B, f_theta is within
+
+        interval sets:  p (2 pi M + 16 + L) u,
+        explicit sets:  p^n (2 #D + 31 + 9 n (2n + 3) + L) u.
     """
     size, terms = _residue_terms(factor)
     import numpy as np
 
-    from .fourier import lattice_rows, symbol_modulus
-
     thetas = np.asarray(thetas, dtype=np.float64)
-    n = factor.ambient_dim
+    p, n = factor.p_int(), factor.ambient_dim
     if n == 1 and (thetas.ndim < 2 or thetas.shape[-1] != 1):
         thetas = thetas.reshape(-1, 1)
     elif thetas.ndim == 1:
         thetas = thetas[None, :]
-    p = factor.p_int()
     count = thetas.shape[0]
     ensure_budget(budget).charge(count * size * terms, "f(theta) residues")
+    thetas = thetas - np.floor(thetas)
     cols = min(size, max(1, F_THETA_BLOCK // terms))
     rows = max(1, F_THETA_BLOCK // (cols * terms))
+    interval, span = isinstance(factor.digits, DigitInterval), factor.digit_count()
+    if not interval:
+        mat, tau = factor.digit_matrix(), 2.0 * math.pi / p
+        roots = np.exp(-1j * (tau * np.arange(p)))
     out = np.zeros(count, dtype=np.float64)
-    for r0 in range(0, count, rows):
-        block = thetas[r0: r0 + rows]
-        for c0 in range(0, size, cols):
-            part = lattice_rows(p, n, c0, min(size, c0 + cols))
-            eta = (block[:, None, :] + part[None, :, :]) / p
-            out[r0: r0 + rows] += symbol_modulus(factor, eta).sum(axis=1)
-    return out
+    for c0 in range(0, size, cols):
+        grid = np.stack(np.unravel_index(np.arange(c0, min(size, c0 + cols)), (p,) * n))
+        if not interval:
+            table = roots[(mat @ grid) % p]
+        for r0 in range(0, count, rows):
+            block = thetas[r0: r0 + rows]
+            if interval:
+                eta = (block + grid[0]) / p
+                eta -= np.round(eta)
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    ratio = np.sin(np.pi * span * eta) / (span * np.sin(np.pi * eta))
+                moduli = np.abs(np.where(eta == 0.0, 1.0, ratio))
+            else:
+                dots = sum(block[:, j: j + 1] * mat[:, j] for j in range(n))  # as the lists add
+                phases = np.exp(-1j * (tau * dots))
+                sums = phases[:, :1] * table[0]
+                buf = np.empty_like(sums)
+                for d in range(1, terms):
+                    sums += np.multiply(phases[:, d: d + 1], table[d], out=buf)
+                moduli = np.abs(sums)
+            out[r0: r0 + rows] += moduli.sum(axis=1)
+    return out if interval else out / terms
 
 
 # Most "f(theta) residues" cells that one sup_f search evaluates on
 # Python lists; the level that would pass it, and every later one, goes
 # to f_theta.  Spawned dim-bound runs on 2 cores break even with numpy
-# (whose import costs about 0.13 s) near 300k cells for interval digit
-# sets and 480k for the carpet; the benchmark's factors spend 5,664 to
-# 179,712 per search.
+# (whose import costs about 0.05 s there) near 310k cells for interval
+# digit sets and 335k for the carpet; the benchmark's factors spend
+# 5,664 to 179,712 per search.
 _LIST_CELLS = 1 << 18
 
 
@@ -160,17 +188,18 @@ def _f_theta_lists(factor: MissingDigitsSpec):
     residues, or the explicit-set table below) is built once, here, so
     that a sup_f search builds it once for all of its levels.
 
-    Interval digit sets sum f_theta's terms |sin(pi N r) / (N sin(pi r))|
-    with eta = (t + i)/p and r = eta - (eta > 1/2), which is exact for
-    eta in [1/2, 1] (Sterbenz), and 1 at r = 0, as f_theta's
-    eta - round(eta) gives them for theta in [0, 1).  Explicit digit sets
+    Thetas are reduced to t = theta - floor(theta), exactly.  Interval
+    digit sets sum f_theta's terms |sin(pi N r) / (N sin(pi r))| with
+    eta = (t + i)/p and r = eta - (eta > 1/2), which is exact for eta in
+    [1/2, 1] (Sterbenz), and 1 at r = 0, as f_theta's eta - round(eta)
+    gives them.  Explicit digit sets
     split e(-d.(i + theta)/p) into a table entry e(-((d.i) mod p)/p) and
     a digit phase e(-d.theta/p), so each theta computes #D phases, and
     each residue term is |sum_d phase_d entry_d| / #D.  The residue
     terms are added by math.fsum.
 
-    For theta in [0, 1)^n, with u = 2^-53, M the largest digit norm and
-    sin and cos within one ulp, the result is within
+    With u = 2^-53, M the largest digit norm and sin and cos within one
+    ulp, the result is within
 
         interval sets:  p (2 pi M + 17) u,
         explicit sets:  p^n (2 #D + 32 + 9 n (2n + 3)) u
@@ -184,7 +213,7 @@ def _f_theta_lists(factor: MissingDigitsSpec):
     the division by #D 2 u.
     """
     size, terms = _residue_terms(factor)
-    p, sin, fsum = factor.p_int(), math.sin, math.fsum
+    p, sin, fsum, floor = factor.p_int(), math.sin, math.fsum, math.floor
     if isinstance(factor.digits, DigitInterval):
         count = factor.digit_count()
         scale, each, pi = math.pi * count, float(count), math.pi
@@ -194,6 +223,7 @@ def _f_theta_lists(factor: MissingDigitsSpec):
             ensure_budget(budget).charge(len(thetas) * size * terms, "f(theta) residues")
             sums = []
             for (t,) in thetas:
+                t -= floor(t)
                 moduli = []
                 for i in residues:
                     r = (t + i) / p
@@ -214,6 +244,7 @@ def _f_theta_lists(factor: MissingDigitsSpec):
         ensure_budget(budget).charge(len(thetas) * size * terms, "f(theta) residues")
         sums = []
         for theta in thetas:
+            theta = [t - floor(t) for t in theta]
             phases = [complex(cos(a), -sin(a))
                       for a in [tau * sum(map(mul, d, theta)) for d in digits]]
             sums.append(fsum([abs(sum(map(mul, phases, row))) for row in table]) / len(digits))

@@ -105,31 +105,11 @@ def digit_symbol(factor: MissingDigitsSpec, eta) -> np.ndarray:
     return total.reshape(dots.shape[:-1])[()]  # a scalar for a scalar eta, as mean gave
 
 
-def symbol_modulus(factor: MissingDigitsSpec, eta) -> np.ndarray:
-    """|g(eta)|, same shapes as digit_symbol.
-
-    Interval digit sets take the modulus of the Dirichlet ratio,
-    |sin(pi N eta) / (N sin(pi eta))|, without building the complex
-    phase; explicit digit sets take |digit_symbol|.
-    """
-    if isinstance(factor.digits, DigitInterval):
-        eta = np.asarray(eta, dtype=np.float64)
-        if eta.ndim and eta.shape[-1] == 1:
-            eta = eta[..., 0]
-        count, eta_r = _interval_reduce(factor.digits, eta)
-        return np.abs(_dirichlet_ratio(count, eta_r))
-    return np.abs(digit_symbol(factor, eta))
-
-
 def _interval_symbol(factor: MissingDigitsSpec, eta: np.ndarray) -> np.ndarray:
-    count, eta_r = _interval_reduce(factor.digits, eta)
-    lo = float(factor.digits.lo)
-    phase = np.exp(-1j * np.pi * (2 * lo + count - 1) * eta_r)
-    return phase * _dirichlet_ratio(count, eta_r)
-
-
-def _interval_reduce(digits: DigitInterval, eta: np.ndarray) -> tuple[int, np.ndarray]:
-    """(#D, eta reduced mod 1 to |eta_r| <= 1/2) for an interval digit set."""
+    """g on an interval digit set, from the closed geometric sum: the
+    midpoint's phase times the Dirichlet ratio
+    sin(pi N eta_r) / (N sin(pi eta_r)), with value 1 at eta_r = 0."""
+    digits = factor.digits
     if digits.is_symbolic():
         raise SymbolicBaseError(
             "pointwise evaluation needs materializable digit endpoints"
@@ -141,16 +121,11 @@ def _interval_reduce(digits: DigitInterval, eta: np.ndarray) -> tuple[int, np.nd
         )
     # g is 1-periodic; reduce to |eta_r| <= 1/2 so the Dirichlet ratio
     # is singular only at eta_r = 0, where its limit is 1.
-    return count, eta - np.round(eta)
-
-
-def _dirichlet_ratio(count: int, eta_r: np.ndarray) -> np.ndarray:
-    """sin(pi N eta_r) / (N sin(pi eta_r)), with value 1 at eta_r = 0."""
-    denom = np.sin(np.pi * eta_r)
-    num = np.sin(np.pi * count * eta_r)
+    eta_r = eta - np.round(eta)
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = num / (count * denom)
-    return np.where(eta_r == 0.0, 1.0, ratio)
+        ratio = np.sin(np.pi * count * eta_r) / (count * np.sin(np.pi * eta_r))
+    phase = np.exp(-1j * np.pi * (2 * float(digits.lo) + count - 1) * eta_r)
+    return phase * np.where(eta_r == 0.0, 1.0, ratio)
 
 
 # ------------------------------------------------------- truncation depth
@@ -208,13 +183,6 @@ def transform_levels(spec: Spec, xis, tol: float = 1e-9) -> int:
     the norms, so rows no larger than the batch's give a lower bound."""
     xis = np.atleast_2d(np.asarray(xis, dtype=np.float64))
     return _levels(_factor_blocks(as_product(spec), xis, tol))
-
-
-def lattice_rows(side: int, n: int, start: int, stop: int) -> np.ndarray:
-    """Rows start..stop-1 of the grid {0..side-1}^n in C order, shape
-    (stop - start, n)."""
-    index = np.arange(start, stop)
-    return np.stack(np.unravel_index(index, (side,) * n), axis=-1).astype(np.float64)
 
 
 def half_ball(spec: Spec, radius: int, tol: float, budget: EvalBudget):

@@ -167,7 +167,7 @@ def test_numpy_free_runs_load_no_dataclasses_inspect_or_decimal(argv, code):
 def test_a_search_past_the_list_constant_loads_numpy():
     modules = _loaded(*NUMPY_RUN)
     assert "numpy" in modules
-    assert "missingdigits.fourier" in modules
+    assert "missingdigits.fourier" not in modules  # f_theta needs no transform
 
 
 def test_radial_density_loads_no_certify_dimension_or_graham():

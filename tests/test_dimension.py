@@ -2,6 +2,7 @@ import decimal
 import itertools
 import math
 import operator
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -65,7 +66,7 @@ def test_f_theta_periodic():
 
 
 @pytest.mark.parametrize("name", sorted(FACTORS))
-def test_f_theta_matches_symbol_modulus_sum_over_several_blocks(name):
+def test_f_theta_matches_the_digit_symbol_reference_over_several_blocks(name):
     factor = FACTORS[name]
     per_theta = factor.p_int() ** factor.ambient_dim * _terms(factor)
     k = 3 * max(1, dimension.F_THETA_BLOCK // per_theta) + 5  # four theta blocks
@@ -104,6 +105,15 @@ def _lists_bound(factor):
     return p ** n * (2 * factor.digit_count() + 32 + 9 * n * (2 * n + 3)) * u
 
 
+def _f_theta_bound(factor):
+    """The rounding bound that f_theta states: _lists_bound's with fsum's
+    one rounding replaced by L = ceil(log2 p^n) + 25 + B, B the number of
+    residue blocks."""
+    size, terms = dimension._residue_terms(factor)
+    blocks = -(-size // min(size, max(1, dimension.F_THETA_BLOCK // terms)))
+    return _lists_bound(factor) + size * (math.ceil(math.log2(size)) + 24 + blocks) * 2.0 ** -53
+
+
 def _exact_f(factor, theta):
     """f(theta) = sum_i |g((i + theta)/p)| in 200-bit mpmath, from the
     Dirichlet form for interval digit sets and the digit exponentials
@@ -138,14 +148,42 @@ def test_list_evaluator_agrees_with_f_theta_within_its_rounding_bound(name):
 
 @pytest.mark.parametrize("name", sorted(LIST_FACTORS))
 def test_list_evaluator_is_within_its_rounding_bound_of_200_bit_values(name):
+    # and f_theta within its own
     factor = LIST_FACTORS[name]
     n = factor.ambient_dim
     thetas = [(0.0,) * n, (1 - 2.0 ** -40,) * n, (0.5,) * n,
               *map(tuple, np.random.default_rng(17).uniform(0, 1, size=(3, n)).tolist())]
-    bound = _lists_bound(factor)
-    for theta, value in zip(thetas, dimension._f_theta_lists(factor)(thetas)):
-        with mpmath.workprec(200):
-            assert abs(mpmath.mpf(value) - _exact_f(factor, theta)) <= bound, theta
+    exact = [_exact_f(factor, theta) for theta in thetas]
+    for values, bound in [(dimension._f_theta_lists(factor)(thetas), _lists_bound(factor)),
+                          (f_theta(factor, np.array(thetas)).tolist(), _f_theta_bound(factor))]:
+        for theta, value, want in zip(thetas, values, exact):
+            with mpmath.workprec(200):
+                assert abs(mpmath.mpf(value) - want) <= bound, theta
+
+
+@pytest.mark.parametrize("name", ["E48", "CARPET", "C3", "I729"])
+def test_f_far_from_the_period_cube_is_f_at_the_exactly_reduced_theta(name):
+    factor = FACTORS[name]
+    far = list(itertools.product([2.0 ** 30 + 0.25, 2.0 ** 45 + 0.25, -3.75],
+                                 repeat=factor.ambient_dim))
+    reduced = [tuple(t - math.floor(t) for t in theta) for theta in far]
+    lists = dimension._f_theta_lists(factor)
+    for evaluate in (lists, lambda thetas: f_theta(factor, np.array(thetas)).tolist()):
+        assert [v.hex() for v in evaluate(far)] == [v.hex() for v in evaluate(reduced)]
+
+
+def test_f_theta_holds_no_temporary_much_larger_than_its_block(monkeypatch):
+    factor = explicit_spec(729, range(0, 701, 2))  # its 351 x 729 table is 4 MiB whole
+    monkeypatch.setattr(dimension, "F_THETA_BLOCK", 1 << 14)
+    thetas = np.random.default_rng(18).uniform(0, 1, size=(20, 1))
+    tracemalloc.start()
+    try:
+        values = f_theta(factor, thetas)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * dimension.F_THETA_BLOCK * 16
+    np.testing.assert_allclose(values, _f_theta_reference(factor, thetas), rtol=1e-12, atol=0)
 
 
 def _former_f_theta_lists(factor, thetas, budget=None):

@@ -381,7 +381,7 @@ def _column_symbol(factor, eta):
     (C3, (50_000, 1)),
     (C3, (1,)),  # a scalar eta gives a scalar
     (CARPET, (7, 3001, 2)),
-    (E48, (910, 48, 1)),  # E48's f_theta block at F_THETA_BLOCK: 43,680 rows of 24 phases
+    (E48, (910, 48, 1)),  # 43,680 rows of 24 phases: 128 chunks of 341 rows and 32 more
 ])
 def test_a_chunked_digit_average_equals_the_whole_array_form_bit_for_bit(factor, shape):
     eta = RNG.uniform(-50.0, 50.0, size=shape)
