@@ -19,7 +19,8 @@ started by `SPAWNER`, which reports the run's seconds from spawn to
 exit (start-up and imports included), and from `os.wait4` its CPU
 seconds, exit code and peak RSS.  Per tree and job OUT records these
 seconds, CPU seconds and peak RSS of each run, and the CLI's own
-seconds (the printed `manifest.wall_time_s`), each with its median and
+seconds (the printed `manifest.wall_time_s`, whose span the
+`missingdigits.cli` module docstring states), each with its median and
 quartiles (linear interpolation, as `numpy.percentile`); and the exit
 code, the budget cells spent by label, as the printed manifest's
 `cost.cells` gives them, and a SHA-256 of the JSON printed, without

@@ -14,6 +14,14 @@ bytes of json.dumps(doc, sort_keys=True).
 Identical argv and seed produce identical bytes apart from the
 wall-time field.
 
+The manifest's `wall_time_s` is the run's own seconds: its clock
+starts once argparse has parsed argv, before the config file is read
+and the options resolved, and stops as the manifest is assembled,
+before the document is written to stdout.  So it counts the library
+modules the subcommand imports (numpy among them), its work and any
+`--csv` file, and leaves out interpreter start-up, the import of this
+module, argument parsing and the writing of the document.
+
 Exit codes: 0 success (or verdict Certified), 1 NotCertified or an
 empty result set, 2 Inconclusive, 64 usage/config errors, 65 budget
 exhaustion, 74 stdout closed before the document was written.

@@ -18,9 +18,11 @@ arithmetic (_tube_codes) over a grid of boxes, with the terms of each
 grid row and column computed once.  cylinder_mass refines one tube
 breadth-first, its boxes as a one-row grid; ray_tube_masses refines
 (box, angle) pairs for many tubes at once, depth-first, a parent's
-children as the grid of their low corners, with the same predicate,
-which on the grids that _clear_columns passes reduces exactly to the
-tube's normal axis (_normal_codes).
+children as the grid of their low corners, with the same predicate:
+each block's columns are classified on the tube's normal axis
+(_normal_codes), which is exactly that predicate on the columns that
+_clear_columns passes, and the columns it fails take _tube_codes's
+codes in place.
 """
 
 from __future__ import annotations
@@ -137,11 +139,12 @@ def _normal_work() -> list:
 
 def _normal_codes(low_x, low_y, sides, terms, half_width, work) -> tuple:
     """INSIDE and NEAR (INSIDE or STRADDLE) masks, each (p_x, p_y, P),
-    of a _tube_codes grid whose columns all pass _clear_columns, from
-    the tube's normal axis alone (why that is exact: _clear_columns).
-    The masks and the sums behind them are views of the work arrays
-    (_normal_work), which are replaced in the list by larger ones when
-    the grid does not fit."""
+    of a _tube_codes grid from the tube's normal axis alone: in every
+    column that passes _clear_columns, _tube_codes's codes (why that is
+    exact: _clear_columns); in the others they may differ, and
+    ray_tube_masses overwrites them.  The masks and the sums behind them
+    are views of the work arrays (_normal_work), which are replaced in
+    the list by larger ones when the grid does not fit."""
     hx, hy = sides / 2.0
     ox, oy, _, _, wx, wy, _, rad_w, _, _ = terms
     cx = low_x + hx - ox
@@ -291,11 +294,13 @@ def ray_tube_masses(spec: Spec, x, half_width: float, angles, depth: int,
     the parents of the next level's blocks, and lower and upper are
     formed from the counts in cylinder_mass's level order.
 
-    A (parent, angle) column that passes _clear_columns, an exact check
-    from its grid's end rows and columns, is classified on the tube's
-    normal axis alone (_normal_codes), and every other column by
-    _tube_codes.  At the last level the STRADDLE count is the NEAR count
-    less the INSIDE count, with no STRADDLE mask.
+    Every (parent, angle) column of a block is classified on the tube's
+    normal axis (_normal_codes); the columns that fail _clear_columns,
+    an exact check from their grid's end rows and columns, are
+    classified again by _tube_codes, whose codes overwrite theirs in
+    place.  One mask, count and child decode then serve the whole
+    block.  At the last level the STRADDLE count is the NEAR count less
+    the INSIDE count, with no STRADDLE mask.
 
     A block holds at most max(_CHILD_BLOCK, _HELD_BOXES // (depth + 1))
     children (or one parent), and the newest block is refined first, so
@@ -355,40 +360,31 @@ def ray_tube_masses(spec: Spec, x, half_width: float, angles, depth: int,
         low_x, low_y = xs[:, None] + parents[0], ys[:, None] + parents[1]
         fixed = np.take(fixed_terms, ang, axis=1)
         terms = np.concatenate([fixed[:6], np.take(radii[level], ang, axis=1), fixed[6:]])
-        # Columns that pass _clear_columns are classified on the normal
-        # axis alone, the rest by _tube_codes: the same codes either way.
-        clear = _clear_columns(low_x, low_y, sides[level], terms, half_length)
-        parts = [(slice(None), True)] if clear.all() else \
-            [(np.flatnonzero(clear), True), (np.flatnonzero(~clear), False)]
-        children = []
-        for cols, normal in parts:
-            part_x, part_y, part_ang = low_x[:, cols], low_y[:, cols], ang[cols]
-            if part_ang.shape[0] == 0:
-                continue
-            grid = part_x, part_y, sides[level], terms[:, cols]
-            if normal:
-                inside, near = _normal_codes(*grid, half_width, work)
-            else:
-                inside, straddle = _tube_codes(*grid, half_length, half_width)
-                near = inside | straddle
-            if mask is not None:
-                inside &= mask
-                near &= mask
-            n_in = np.count_nonzero(inside, axis=(0, 1))
-            n_inside[level] += np.bincount(part_ang, n_in, count)
-            if level == depth:
-                n_near = np.count_nonzero(near, axis=(0, 1))
-                n_straddle += np.bincount(part_ang, n_near - n_in, count)
-            else:
-                # (i, j, k) of the straddling children from flat indices,
-                # at about half the cost of np.nonzero of a 3-D mask
-                row, k = np.divmod(np.flatnonzero(np.logical_xor(near, inside, out=near)),
-                                   part_ang.shape[0])
-                i, j = np.divmod(row, part_y.shape[0])
-                children.append((part_x[i, k], part_y[j, k], part_ang[k]))
-        if children:
-            child_x, child_y, child_ang = (np.concatenate(c) for c in zip(*children))
-            push(level + 1, np.stack([child_x, child_y]), child_ang)
+        # Every column on the normal axis; the columns that fail
+        # _clear_columns then take _tube_codes's codes (on the others
+        # the two agree).
+        inside, near = _normal_codes(low_x, low_y, sides[level], terms, half_width, work)
+        fail = np.flatnonzero(~_clear_columns(low_x, low_y, sides[level], terms, half_length))
+        if fail.size:
+            tube_in, straddle = _tube_codes(low_x[:, fail], low_y[:, fail], sides[level],
+                                            terms[:, fail], half_length, half_width)
+            inside[:, :, fail] = tube_in
+            near[:, :, fail] = tube_in | straddle
+        if mask is not None:
+            inside &= mask
+            near &= mask
+        n_in = np.count_nonzero(inside, axis=(0, 1))
+        n_inside[level] += np.bincount(ang, n_in, count)
+        if level == depth:
+            n_near = np.count_nonzero(near, axis=(0, 1))
+            n_straddle += np.bincount(ang, n_near - n_in, count)
+        else:
+            # (i, j, k) of the straddling children from flat indices, at
+            # about half the cost of np.nonzero of a 3-D mask
+            row, k = np.divmod(np.flatnonzero(np.logical_xor(near, inside, out=near)),
+                               ang.shape[0])
+            i, j = np.divmod(row, ys.shape[0])
+            push(level + 1, np.stack([low_x[i, k], low_y[j, k]]), ang[k])
 
     lower = np.zeros(count)
     for level, counts in enumerate(n_inside):

@@ -201,20 +201,19 @@ def half_ball(spec: Spec, radius: int, tol: float, budget: EvalBudget):
     prod = as_product(spec)
     n = prod.total_dim
     budget.check(radius * radius + radius + 1 if n == 2 else radius + 1, "lattice ball")
-    highs = np.array([math.isqrt(radius * radius - x * x) for x in range(radius + 1)]
-                     if n == 2 else [radius])
+    highs = _row_ends(radius * radius, radius + 1) if n == 2 else np.array([radius])
     lows = np.where(np.arange(highs.size) == 0, 0, -highs)
     return _walk(prod, lows[:, None], highs[:, None], radius, tol, budget)
 
 
 def half_annulus(spec: Spec, R: float, tol: float, budget: EvalBudget):
     """The transform on the lattice half-annulus of a measure on R^2,
-    R > 0: the integer points xi with R <= hypot(xi_1, xi_2) <= 2R (in
-    floating point) whose first nonzero coordinate is positive, which
-    with their negations make up the annulus.  Row xi_1 = x holds the
-    runs inner <= |xi_2| <= outer, one run once inner is 0, and row 0
-    the positive run alone.  A generator of (points, values) blocks
-    (_walk).
+    R > 0: the integer points xi with R^2 <= xi_1^2 + xi_2^2 <= 4R^2,
+    exactly (R as the rational it is, one math.isqrt per row and bound),
+    whose first nonzero coordinate is positive, which with their
+    negations make up the annulus.  Row xi_1 = x holds the runs
+    inner <= |xi_2| <= outer, one run once inner is 0, and row 0 the
+    positive run alone.  A generator of (points, values) blocks (_walk).
 
     The points are checked against the budget first ("lattice
     annulus"), on the (a + b)(b - a + 1) points of the half diamond ring
@@ -223,28 +222,23 @@ def half_annulus(spec: Spec, R: float, tol: float, budget: EvalBudget):
     top = math.floor(2 * R)
     low = math.isqrt(2 * math.ceil(R) ** 2) + 1
     budget.check(max(0, (low + top) * (top - low + 1)), "lattice annulus")
+    # the integer x^2 + y^2 is below R^2 = num^2 / den^2 when at most
+    # ceil(R^2) - 1, and at most 4R^2 when at most floor(4R^2)
+    num, den = float(R).as_integer_ratio()
+    inner = 1 + _row_ends(-(-num * num // (den * den)) - 1, top + 1)
+    outer = _row_ends(4 * num * num // (den * den), top + 1)
     x = np.arange(top + 1)
-    # each row's last xi_2 >= -1 inside R, and its last inside 2R, from
-    # estimates within about one of them
-    inner = 1 + _last(np.ceil(np.sqrt(np.maximum((R - x) * (R + x), 0.0))).astype(np.int64) - 1,
-                      lambda y: np.hypot(x, y) < R)
-    outer = _last(np.floor(np.sqrt((2 * R - x) * (2 * R + x))).astype(np.int64),
-                  lambda y: np.hypot(x, y) <= 2 * R)
     split = (x > 0) & (inner > 0)
     lows = np.stack([-outer, np.where(split | (x == 0), inner, -outer)], axis=1)
     highs = np.stack([np.where(split, -inner, -outer - 1), outer], axis=1)
     return _walk(as_product(spec), lows, highs, top, tol, budget)
 
 
-def _last(y: np.ndarray, holds) -> np.ndarray:
-    """Per row, the last y >= -1 at which holds(y) is true, where holds
-    is true up to it and false past it (holds(-1) counts as true),
-    stepped there from the estimate y."""
-    while (up := holds(y + 1)).any():
-        y = y + up
-    while (down := (y >= 0) & ~holds(y)).any():
-        y = y - down
-    return y
+def _row_ends(bound: int, rows: int) -> np.ndarray:
+    """Per row x = 0..rows-1, the largest y >= -1 with x^2 + y^2 <= bound
+    (an integer), exactly: -1 where x^2 > bound."""
+    return np.array([math.isqrt(bound - x * x) if x * x <= bound else -1
+                     for x in range(rows)], dtype=np.int64)
 
 
 def _walk(prod, lows: np.ndarray, highs: np.ndarray, top: int, tol: float,

@@ -622,8 +622,9 @@ def stripe_scan(spec: Spec, R: float, angle_count: int, tol: float = 1e-9,
     """Stripe sums at angle_count directions theta_i = i pi / angle_count
     over a half turn (stripes are symmetric under theta -> -theta): the
     sum of |lambda_hat| over the lattice points xi of the annulus
-    R <= |xi| <= 2R whose directions are nearly orthogonal to theta,
-    |(theta, xi/|xi|)| <= 1/R.  Returns (angles, values).
+    R <= |xi| <= 2R, decided exactly (fourier.half_annulus), whose
+    directions are nearly orthogonal to theta, |(theta, xi/|xi|)| <= 1/R.
+    Returns (angles, values).
 
     |lambda_hat(-xi)| = |lambda_hat(xi)| bit for bit and -xi lies in the
     stripes of xi, so the sum walks fourier.half_annulus, a block at a

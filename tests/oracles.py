@@ -188,7 +188,11 @@ def stripe_integral(spec: Spec, theta, R: float, tol: float = 1e-9,
     axis = np.arange(-top, top + 1, dtype=np.float64)
     pts = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
     norms = np.hypot(pts[:, 0], pts[:, 1])
-    keep = (norms >= R) & (norms <= 2 * R) & (np.abs(pts @ theta) <= norms / R)
+    # the annulus exactly: the integer |xi|^2 against ceil(R^2) and floor(4R^2)
+    num, den = float(R).as_integer_ratio()
+    squares = pts[:, 0] ** 2 + pts[:, 1] ** 2
+    keep = ((squares >= -(-num * num // (den * den))) & (squares <= 4 * num * num // (den * den))
+            & (np.abs(pts @ theta) <= norms / R))
     if not keep.any():
         return 0.0
     values, _ = fourier_transform_batch(spec, pts[keep], tol, bud)

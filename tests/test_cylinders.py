@@ -397,11 +397,28 @@ def test_ray_tube_masses_equal_per_angle_cylinder_mass_all_around(x, count, chil
     (lebesgue_spec(10, 2), (-0.3, 1.4), 0.03, 2),
     (PAIR57, (1.5, -0.3), 0.04, 3),  # axes of different bases
 ], ids=["carpet", "leb10", "pair57"])
-@pytest.mark.parametrize("child_block", [3, 1 << 16])
+@pytest.mark.parametrize("child_block, clearing", [
+    (3, None), (1 << 16, None), (3, "none"), (1 << 16, "none"), (3, "alternate"),
+    (1 << 16, "alternate"),
+], ids=["3", "65536", "3-clear-none", "65536-clear-none", "3-clear-alternate",
+        "65536-clear-alternate"])
 def test_ray_tube_masses_equal_per_angle_cylinder_mass_on_other_specs(spec, x, delta, depth,
-                                                                      child_block, monkeypatch):
+                                                                      child_block, clearing,
+                                                                      monkeypatch):
+    # _clear_columns as it is, clearing no column (every column takes
+    # _tube_codes's codes in place), or only every other column that it
+    # clears (every block with several columns is mixed)
     monkeypatch.setattr(cylinders, "_CHILD_BLOCK", child_block)
     monkeypatch.setattr(cylinders, "_HELD_BOXES", child_block)
+    if clearing is not None:
+        def clear_columns(*args):
+            clear = _clear_columns(*args)
+            if clearing == "none":
+                return np.zeros_like(clear)
+            clear[1::2] = False
+            return clear
+
+        monkeypatch.setattr(cylinders, "_clear_columns", clear_columns)
     angles = np.linspace(-math.pi, math.pi, 47)
     reference = EvalBudget()
     oracle = np.array([cylinder_mass(spec, x, a, delta, depth, reference) for a in angles])

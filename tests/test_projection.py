@@ -1,6 +1,5 @@
 import concurrent.futures
 import math
-import os
 import pickle
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -59,12 +58,15 @@ def _direct_inversion(spec, theta, u, T_max, tol=1e-9):
 
 
 def _annulus(R):
+    """The lattice annulus R^2 <= |xi|^2 <= 4R^2, exactly: the integer
+    |xi|^2 against ceil(R^2) and floor(4R^2) of the rational R."""
+    num, den = float(R).as_integer_ratio()
     top = int(2 * R)
     axis = np.arange(-top, top + 1)
     grid = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
-    norms = np.hypot(grid[:, 0], grid[:, 1])
-    keep = (norms >= R) & (norms <= 2 * R)
-    return grid[keep].astype(float), norms[keep]
+    squares = grid[:, 0] ** 2 + grid[:, 1] ** 2
+    keep = (squares >= -(-num * num // (den * den))) & (squares <= 4 * num * num // (den * den))
+    return grid[keep].astype(float), np.hypot(grid[keep, 0], grid[keep, 1])
 
 
 def _triangle_density(u):
@@ -144,15 +146,11 @@ def _recorded_pools(monkeypatch) -> list:
 MC_SAMPLES = 2 * projection._MC_CHUNK + 1000
 
 
-def test_radial_profile_independent_of_worker_count(monkeypatch):
+def test_radial_profile_builds_no_pool_and_repeats_bit_for_bit(monkeypatch):
     # one shared descent for all angles, on the calling thread
-    profiles = []
     sizes = _recorded_pools(monkeypatch)
-    for cores in (1, 3):
-        monkeypatch.setattr(os, "cpu_count", lambda: cores)
-        profiles.append(radial_tube_profile(C32, (-1.0, 0.5), 3.0 ** -3, 200))
-        assert sizes == []
-    a, b = profiles
+    a, b = (radial_tube_profile(C32, (-1.0, 0.5), 3.0 ** -3, 200) for _ in range(2))
+    assert sizes == []
     assert np.array_equal(a.metadata["lower"], b.metadata["lower"])
     assert np.array_equal(a.metadata["upper"], b.metadata["upper"])
     assert np.array_equal(a.values, b.values)
@@ -320,14 +318,13 @@ def test_linear_density_refuses_unequal_or_single_point_grid():
             linear_density(LEB2, (1.0, 1.0), grid, 81.0, budget=EvalBudget(1))
 
 
-def _mc_on_one_and_three_cores(monkeypatch, estimate, located, seed):
-    """Runs `estimate` on MC_SAMPLES draws on one core and on three;
-    checks that neither run builds a pool and that both give the same
-    profile and charge the same cells, and returns the profile."""
+def _mc_twice(monkeypatch, estimate, located, seed):
+    """Runs `estimate` on MC_SAMPLES draws twice; checks that neither run
+    builds a pool and that both give the same profile and charge the
+    same cells, and returns the profile."""
     sizes = _recorded_pools(monkeypatch)
     runs = []
-    for cores in (1, 3):
-        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    for _ in range(2):
         budget = EvalBudget()
         runs.append((estimate(C32, located, MC_SAMPLES, 0.01, seed=seed, budget=budget),
                      budget.cells))
@@ -341,13 +338,13 @@ def _mc_on_one_and_three_cores(monkeypatch, estimate, located, seed):
     return a
 
 
-def test_radial_mc_independent_of_worker_count(monkeypatch):
-    _mc_on_one_and_three_cores(monkeypatch, radial_density_mc, (-1.0, 0.5), seed=3)
+def test_radial_mc_builds_no_pool_and_repeats_its_profile_and_cells(monkeypatch):
+    _mc_twice(monkeypatch, radial_density_mc, (-1.0, 0.5), seed=3)
 
 
-def test_linear_mc_independent_of_worker_count(monkeypatch):
+def test_linear_mc_builds_no_pool_and_equals_the_chunk_by_chunk_histogram(monkeypatch):
     seed, chunk = 6, projection._MC_CHUNK
-    profile = _mc_on_one_and_three_cores(monkeypatch, linear_density_mc, (2.0, 1.0), seed)
+    profile = _mc_twice(monkeypatch, linear_density_mc, (2.0, 1.0), seed)
     # serial reference: chunk i drawn with seed (seed, i), the chunks
     # joined in order and binned once on the profile's edges
     meta = profile.metadata
@@ -754,7 +751,8 @@ class _Checks(EvalBudget):
 def test_half_annulus_and_its_negation_are_the_meshgrid_annulus(monkeypatch):
     for block in (fourier.LATTICE_BLOCK, 97):
         monkeypatch.setattr(fourier, "LATTICE_BLOCK", block)
-        for R in (2.0, 5.5, 27.0, 40.0, 40.3, 81.0):
+        # the last two round an irrational norm up: sqrt(8) and sqrt(50)
+        for R in (2.0, 5.5, 27.0, 40.0, 40.3, 81.0, 2.8284271247461903, 7.0710678118654755):
             pts, _ = _annulus(R)
             budget = _Checks()
             blocks = [points for points, _ in fourier.half_annulus(C32, R, 1e-9, budget)]
