@@ -586,8 +586,13 @@ def _cmd_stripe_scan(run, args) -> tuple:
     from .projection import exceptional_directions
 
     spec = run.spec()
+    s1 = args.s1
+    if s1 is None:  # the spec's own bound, as dim-bound prints it
+        from .dimension import best_lower_bound
+
+        s1 = best_lower_bound(spec, run.budget).value
     threshold, angles, integrals, exceptional = exceptional_directions(
-        spec, args.radius, args.eps, args.s1, args.angles, tol=args.tol, budget=run.budget)
+        spec, args.radius, args.eps, s1, args.angles, tol=args.tol, budget=run.budget)
     run.write_csv(
         ["direction_angle_rad", "stripe_weighted_l1_sum"],
         np.column_stack([angles, integrals]),
@@ -598,7 +603,7 @@ def _cmd_stripe_scan(run, args) -> tuple:
     result = {
         "radius": args.radius,
         "threshold": threshold,
-        "s1": args.s1,
+        "s1": s1,
         "eps": args.eps,
         "exceptional_count": len(exceptional),
         "exceptional_directions": [[float(c) for c in d] for d in exceptional],
@@ -695,7 +700,8 @@ _SUBCOMMANDS = {
                     ("common", "spec", "rows", "tol"), (
         ("--radius", dict(type=real, default=81.0, metavar="R")),
         ("--angles", dict(type=int, default=256, metavar="K")),
-        ("--s1", dict(type=real, default=0.7376)),
+        ("--s1", dict(type=real, default=None,
+                      help="l1-dimension lower bound (default: the spec's best, as dim-bound)")),
         ("--eps", dict(type=real, default=0.05)),
     )),
     "lp-integral": ("weighted transform sum deciding radial L^p", _cmd_lp_integral,

@@ -15,14 +15,13 @@ out early, so work concentrates on the boundary of G.
 Regions are the ray tubes of radial projections (rotated rectangles in
 the plane, _ray_frames); classification is exact separating-axis
 arithmetic (_tube_codes) over a grid of boxes, with the terms of each
-grid row and column computed once.  cylinder_mass refines one tube
-breadth-first, its boxes as a one-row grid; ray_tube_masses refines
-(box, angle) pairs for many tubes at once, depth-first, a parent's
-children as the grid of their low corners, with the same predicate:
-each block's columns are classified on the tube's normal axis
-(_normal_codes), which is exactly that predicate on the columns that
-_clear_columns passes, and the columns it fails take _tube_codes's
-codes in place.
+grid row and column computed once.  One descent, ray_tube_masses,
+refines (box, angle) pairs for any number of tubes depth-first, a
+parent's children as the grid of their low corners: a block's columns
+are classified on the tube's normal axis (_normal_codes), exactly that
+predicate where _clear_columns passes, and by _tube_codes where it
+fails.  cylinder_mass is that descent at one angle.  It equals
+tests/oracles.cylinder_mass, a breadth-first reference, bit for bit.
 """
 
 from __future__ import annotations
@@ -60,10 +59,10 @@ def _ray_frames(x, angles, half_width: float) -> tuple:
 
 
 def _tube_terms(frames, sides, half_length, half_width) -> np.ndarray:
-    """Frames (_ray_frames: (6,) for one tube, (6, N) for N) with the
-    per-tube terms of _tube_codes for boxes of the given sides
-    appended: the box's radius along the tube's axes and the tube's
-    extent along the box's axes."""
+    """Frames (_ray_frames: (6, N) for N tubes, or one (6,) column, as
+    tests/oracles.cylinder_mass passes) with the per-tube terms of
+    _tube_codes for boxes of the given sides appended: the box's radius
+    along the tube's axes and the tube's extent along the box's axes."""
     hx, hy = sides / 2.0
     atx, aty, awx, awy = np.abs(frames[2:])
     return np.stack([*frames, hx * atx + hy * aty, hx * awx + hy * awy,
@@ -74,9 +73,9 @@ def _tube_terms(frames, sides, half_length, half_width) -> np.ndarray:
 def _tube_codes(low_x, low_y, sides, terms, half_length, half_width) -> tuple:
     """INSIDE and STRADDLE masks, each (p_x, p_y, P), of the boxes of
     the given sides with low corners (low_x[i, k], low_y[j, k]) against
-    tubes of the given half-sides: one tube with (10,) terms
-    (_tube_terms), or tube k for the boxes (i, j, k) with (10, P) terms.
-    A box in neither mask is OUTSIDE.
+    tubes of the given half-sides: tube k for the boxes (i, j, k) with
+    (10, P) terms (_tube_terms), or one tube with (10,) terms for
+    tests/oracles.cylinder_mass.  A box in neither mask is OUTSIDE.
 
     The centre offsets, their products with the tube's axes and the
     box-axis tests are computed once per row of low_x (p_x, P) and of
@@ -213,46 +212,6 @@ def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return distinct, np.searchsorted(distinct, values)
 
 
-def cylinder_mass(spec: Spec, x, angle: float, half_width: float, depth: int,
-                  budget: EvalBudget | None = None) -> tuple[float, float]:
-    """Enclosure [lower, upper] of lambda(T) for the ray tube T of
-    half-width half_width from x in direction angle (_ray_frames), from
-    depth-`depth` cylinder counting, for a planar spec: the reference
-    that ray_tube_masses equals.
-
-    The enclosure is exact for the stated depth: lower counts cylinders
-    whose closed box lies in the tube, upper additionally counts every
-    straddling box.  Enclosures at greater depth are nested within
-    shallower ones.
-    """
-    tree = _Tree(spec)
-    n = tree.n
-    if n != 2:
-        raise ValueError("tubes are two-dimensional")
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
-    frames, half_length = _ray_frames(x, [angle], half_width)
-    bud = ensure_budget(budget)
-
-    lows = np.zeros((1, n), dtype=np.float64)
-    lower = 0.0
-    for level in range(depth + 1):
-        bud.charge(lows.shape[0], "cylinder classifications")
-        sides = tree.sides(level)
-        terms = _tube_terms(frames[:, 0], sides, half_length, half_width)
-        inside, straddle = _tube_codes(lows[None, :, 0], lows[None, :, 1], sides, terms,
-                                       half_length, half_width)
-        mass = tree.mass(level)
-        lower += int(np.count_nonzero(inside)) * mass
-        undecided = lows[straddle[0, 0]]
-        if level == depth or undecided.shape[0] == 0:
-            return lower, lower + undecided.shape[0] * mass
-        # Expand straddling boxes into their digit children.
-        offsets = tree.offsets(level + 1)
-        bud.charge(undecided.shape[0] * offsets.shape[0], "cylinder expansions")
-        lows = (undecided[:, None, :] + offsets[None, :, :]).reshape(-1, n)
-
-
 # Children built and classified at once by ray_tube_masses: at least
 # _CHILD_BLOCK, and more for a shallow descent, so that the boxes held
 # across its levels stay about _HELD_BOXES.
@@ -276,23 +235,23 @@ def ray_tube_cells(count: int, depth: int) -> int:
 
 def ray_tube_masses(spec: Spec, x, half_width: float, angles, depth: int,
                     budget: EvalBudget | None = None) -> tuple:
-    """Arrays lower, upper with [lower[i], upper[i]] =
-    cylinder_mass(spec, x, angles[i], half_width, depth), bit for bit,
-    from one depth-first descent over (box, angle) pairs; the angles may
-    come in any order.
+    """Arrays lower, upper with [lower[i], upper[i]] the depth-`depth`
+    enclosure of lambda(T) for the ray tube T at angles[i] (_ray_frames),
+    bit for bit tests/oracles.cylinder_mass's, from one depth-first
+    descent over (box, angle) pairs; the angles may come in any order.
 
     A block is a set of parent boxes, each with the index of one angle.
     A parent's children lie on the grid of their distinct x and y
     offsets (_Tree.grid), all of it for a product of 1-D factors and a
-    masked part for a 2-D factor such as the carpet.  cylinder_mass's
-    own predicate (_tube_codes) classifies them against the parent's
-    tube from terms of each grid row and column, p_x + p_y of them, not
-    p_x * p_y; a child's projection adds its row's product to its
-    column's: the same floats, in the same order, as for a child
-    classified alone, so no rounding changes.  INSIDE and STRADDLE
-    children are counted per angle and level, straddling children become
-    the parents of the next level's blocks, and lower and upper are
-    formed from the counts in cylinder_mass's level order.
+    masked part for a 2-D factor such as the carpet.  _tube_codes
+    classifies them against the parent's tube from terms of each grid
+    row and column, p_x + p_y of them, not p_x * p_y; a child's
+    projection adds its row's product to its column's: the same floats,
+    in the same order, as for a child classified alone, so no rounding
+    changes.  INSIDE and STRADDLE children are counted per angle and
+    level, straddling children become the parents of the next level's
+    blocks, and lower and upper are formed from the counts in level
+    order.
 
     Every (parent, angle) column of a block is classified on the tube's
     normal axis (_normal_codes); the columns that fail _clear_columns,
@@ -310,8 +269,7 @@ def ray_tube_masses(spec: Spec, x, half_width: float, angles, depth: int,
     Budget: the arrays over the angles are checked (ray_tube_cells)
     before they are set up, and one "cylinder classifications" cell is
     charged per (box, angle) pair, for a whole block before any child of
-    it is built; that is the sum over the angles of cylinder_mass's
-    classification cells.
+    it is built, as the breadth-first reference charges per angle.
     """
     tree = _Tree(spec)
     if tree.n != 2:
@@ -390,3 +348,19 @@ def ray_tube_masses(spec: Spec, x, half_width: float, angles, depth: int,
     for level, counts in enumerate(n_inside):
         lower += counts * tree.mass(level)
     return lower, lower + n_straddle * tree.mass(depth)
+
+
+def cylinder_mass(spec: Spec, x, angle: float, half_width: float, depth: int,
+                  budget: EvalBudget | None = None) -> tuple[float, float]:
+    """Enclosure [lower, upper] of lambda(T) for the ray tube T of
+    half-width half_width from x in direction angle (_ray_frames), from
+    depth-`depth` cylinder counting, for a planar spec: ray_tube_masses
+    at the one angle, charged as it is.
+
+    The enclosure is exact for the stated depth: lower counts cylinders
+    whose closed box lies in the tube, upper additionally counts every
+    straddling box.  Enclosures at greater depth are nested within
+    shallower ones.
+    """
+    lower, upper = ray_tube_masses(spec, x, half_width, [angle], depth, budget)
+    return float(lower[0]), float(upper[0])

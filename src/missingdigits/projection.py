@@ -240,14 +240,14 @@ def radial_tube_profile(spec: Spec, x, delta: float, angle_grid_count: int,
     delta.
 
     f_delta(theta) counts the ray tube of half-width delta from x in
-    direction theta (cylinders._ray_frames).
-    All angles share one depth-first descent over (box, angle) pairs,
-    run on the calling thread (cylinders.ray_tube_masses).  Its
-    enclosures equal cylinder_mass's for each grid angle's tube bit for
-    bit, and it is charged one cell per (box, angle) pair, as the
-    per-angle descents would be.  The arrays over the angles are checked
-    against the budget (cylinders.ray_tube_cells) before the grid is
-    built."""
+    direction theta (cylinders._ray_frames).  All angles share one
+    depth-first descent over (box, angle) pairs, run on the calling
+    thread (cylinders.ray_tube_masses).  Its enclosures equal the
+    breadth-first tests/oracles.cylinder_mass's for each grid angle's
+    tube bit for bit, and it is charged one cell per (box, angle) pair,
+    as that reference is per angle.  The arrays over the angles are
+    checked against the budget (cylinders.ray_tube_cells) before the
+    grid is built."""
     from .cylinders import ray_tube_cells, ray_tube_masses
 
     _require_plane(spec, "radial_tube_profile")

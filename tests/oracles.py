@@ -2,8 +2,8 @@
 
 No library or CLI path calls these; each recomputes a quantity by a
 second route (corner sums, direct window sums, a single stripe, a
-trapezoid, Monte-Carlo draws, whole-chunk sampling), so that the fast
-paths keep a cross-check.
+trapezoid, Monte-Carlo draws, whole-chunk sampling, one tube refined
+breadth-first), so that the fast paths keep a cross-check.
 
 The corner-sum oracle never touches g or the product: it enumerates the
 depth-m digit prefix sums c = sum_{i<=m} p^-i d_i (the cylinder corner
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from missingdigits.budget import EvalBudget, ensure_budget
-from missingdigits.cylinders import _ray_frames
+from missingdigits.cylinders import _ray_frames, _Tree, _tube_codes, _tube_terms
 from missingdigits.errors import ConfigError
 from missingdigits.fourier import fourier_transform_batch
 from missingdigits.measure import Spec, _block_table, as_product, block_levels, sample
@@ -206,6 +206,47 @@ def radial_l2_norm(spec: Spec, x, delta: float, angle_grid_count: int,
     delta exactly when the radial pushforward has an L^2 density;
     diverging like 1/delta for an atom."""
     return radial_tube_profile(spec, x, delta, angle_grid_count, budget=budget).l2_squared
+
+
+def cylinder_mass(spec: Spec, x, angle: float, half_width: float, depth: int,
+                  budget: EvalBudget | None = None) -> tuple[float, float]:
+    """Enclosure [lower, upper] of lambda(T) for the ray tube T of
+    half-width half_width from x in direction angle
+    (cylinders._ray_frames), from depth-`depth` cylinder counting, for a
+    planar spec, one tube refined breadth-first: the reference that
+    cylinders.ray_tube_masses, and so cylinders.cylinder_mass, equals.
+
+    The enclosure is exact for the stated depth: lower counts cylinders
+    whose closed box lies in the tube, upper additionally counts every
+    straddling box.  Enclosures at greater depth are nested within
+    shallower ones.
+    """
+    tree = _Tree(spec)
+    n = tree.n
+    if n != 2:
+        raise ValueError("tubes are two-dimensional")
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
+    frames, half_length = _ray_frames(x, [angle], half_width)
+    bud = ensure_budget(budget)
+
+    lows = np.zeros((1, n), dtype=np.float64)
+    lower = 0.0
+    for level in range(depth + 1):
+        bud.charge(lows.shape[0], "cylinder classifications")
+        sides = tree.sides(level)
+        terms = _tube_terms(frames[:, 0], sides, half_length, half_width)
+        inside, straddle = _tube_codes(lows[None, :, 0], lows[None, :, 1], sides, terms,
+                                       half_length, half_width)
+        mass = tree.mass(level)
+        lower += int(np.count_nonzero(inside)) * mass
+        undecided = lows[straddle[0, 0]]
+        if level == depth or undecided.shape[0] == 0:
+            return lower, lower + undecided.shape[0] * mass
+        # Expand straddling boxes into their digit children.
+        offsets = tree.offsets(level + 1)
+        bud.charge(undecided.shape[0] * offsets.shape[0], "cylinder expansions")
+        lows = (undecided[:, None, :] + offsets[None, :, :]).reshape(-1, n)
 
 
 def tube_mass_mc(spec: Spec, x, angle: float, half_width: float, samples: int,

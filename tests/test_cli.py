@@ -389,13 +389,22 @@ def test_stripe_scan_scans_once(monkeypatch):
         return scan(*args, **kwargs)
 
     monkeypatch.setattr(projection, "stripe_scan", counted)
-    code, doc = run_json(["stripe-scan", "--spec", C32_SQ, "--radius", "27",
-                          "--angles", "64", "--s1", "0.7376", "--eps", "0.05"])
-    assert code == 0
-    assert len(calls) == 1
-    *_, expected = exceptional_directions(parse_spec(C32_SQ), 27.0, 0.05, 0.7376, 64)
-    assert doc["result"]["exceptional_directions"] == [list(d) for d in expected]
-    assert doc["result"]["exceptional_count"] == len(expected) > 0
+    # A given --s1 is used as it is; without one, the spec's own
+    # best_lower_bound.  C3^2's 0.7376 would give the carpet threshold
+    # 4.92 and no exceptional direction.
+    for spec, radius, angles, s1, flags, count in (
+            (C32_SQ, 27, 64, 0.7376, ["--s1", "0.7376"], 14),
+            (C32_SQ, 27, 64, 0.7377721729565001, [], 14),
+            (CARPET, 81, 256, 0.999039718471642, [], 6)):
+        calls.clear()
+        code, doc = run_json(["stripe-scan", "--spec", spec, "--radius", str(radius),
+                              "--angles", str(angles), "--eps", "0.05", *flags])
+        assert code == 0
+        assert len(calls) == 1
+        assert doc["result"]["s1"] == s1
+        *_, expected = exceptional_directions(parse_spec(spec), radius, 0.05, s1, angles)
+        assert doc["result"]["exceptional_directions"] == [list(d) for d in expected]
+        assert doc["result"]["exceptional_count"] == len(expected) == count
 
 
 def test_dim_bound_reports_candidates():
@@ -531,11 +540,13 @@ def test_a_mirrored_batch_runs_within_the_budget_it_is_charged():
 def test_exit_64_when_no_dimension_bound_applies():
     # 3^17 residues exceed the grid cap; crude and rectangle need p >= 4
     corners = "(" + ",".join(["0"] * 17) + "),(" + ",".join(["2"] * 17) + ")"
-    code, out, err = run(["dim-bound", "--spec",
-                          f"factor {{ base = 3; n = 17; digits = {{{corners}}}; }}"])
-    assert code == 64
-    assert out == ""
-    assert "no dimension bound applies" in err
+    spec = f"factor {{ base = 3; n = 17; digits = {{{corners}}}; }}"
+    # stripe-scan without --s1 bounds the spec first, as dim-bound does
+    for argv in (["dim-bound", "--spec", spec], ["stripe-scan", "--spec", spec]):
+        code, out, err = run(argv)
+        assert code == 64
+        assert out == ""
+        assert "no dimension bound applies" in err
 
 
 def test_fourier_eval_point_values():

@@ -11,6 +11,7 @@ from missingdigits import (BudgetExceededError, EvalBudget, cylinder_mass, cylin
                            ray_tube_masses, square)
 from missingdigits.cylinders import (_clear_columns, _distinct, _normal_codes, _normal_work,
                                      _ray_frames, _tube_codes, _tube_terms, _Tree)
+import oracles
 from oracles import tube_mass_mc
 
 C32 = square(explicit_spec(3, [0, 2]))
@@ -104,7 +105,7 @@ def test_tube_codes_per_grid_axis_equal_the_box_by_box_predicate():
     low_x += rng.random(low_x.shape) * 0.01
     codes = _assert_codes_equal(low_x, low_y, sides, terms, half_length, 0.05)
     assert {0, 1, 2} <= set(np.unique(codes))
-    # one tube for the whole grid, as cylinder_mass classifies
+    # one tube for the whole grid, as oracles.cylinder_mass classifies
     _assert_codes_equal(low_x, low_y, sides, terms[:, 3], half_length, 0.05)
 
 
@@ -158,7 +159,7 @@ def test_tube_codes_of_a_box_do_not_depend_on_its_row():
         alone = classify(slice(i, i + 1), slice(j, j + 1), slice(k, k + 1))
         assert alone.shape == (1, 1, 1) and alone[0, 0, 0] == codes[i, j, k]
 
-    # One tube and a one-row grid of boxes, as cylinder_mass classifies.
+    # One tube and a one-row grid of boxes, as oracles.cylinder_mass classifies.
     lows = rng.random((4099, 2))
     frames, half_length = _ray_frames((-0.7, 0.3), [0.21], 0.05)
     one = _tube_terms(frames[:, 0], sides, half_length, 0.05)
@@ -287,8 +288,8 @@ def test_normal_codes_decide_ties_of_the_normal_axis_as_tube_codes_do(spec):
 
 def test_tube_validation():
     # A tube of width 0 or less, or seen from a viewpoint that is not a
-    # finite point of the plane, is refused by the descent and by its
-    # reference alike.
+    # finite point of the plane, is refused by the descent at many
+    # angles and at one alike.
     angles = np.linspace(0.3, 1.2, 5)
     for x, half_width in (((-1.0, -1.0), -0.05), ((-1.0, -1.0), 0.0),
                           ((-1.0, -1.0, 5.0), 0.05), ((-1.0,), 0.05), ((math.nan, 0.5), 0.05)):
@@ -381,7 +382,7 @@ def test_ray_tube_masses_equal_per_angle_cylinder_mass_all_around(x, count, chil
 
     monkeypatch.setattr(cylinders, "_clear_columns", clear_columns)
     angles = np.linspace(-math.pi, math.pi, count)
-    oracle = np.array([cylinder_mass(C32, x, a, 0.05, 3) for a in angles])
+    oracle = np.array([oracles.cylinder_mass(C32, x, a, 0.05, 3) for a in angles])
     for order in (np.arange(count), np.random.default_rng(count).permutation(count)):
         budget = _ChargeLog()
         lower, upper = ray_tube_masses(C32, x, 0.05, angles[order], depth=3, budget=budget)
@@ -421,7 +422,8 @@ def test_ray_tube_masses_equal_per_angle_cylinder_mass_on_other_specs(spec, x, d
         monkeypatch.setattr(cylinders, "_clear_columns", clear_columns)
     angles = np.linspace(-math.pi, math.pi, 47)
     reference = EvalBudget()
-    oracle = np.array([cylinder_mass(spec, x, a, delta, depth, reference) for a in angles])
+    oracle = np.array([oracles.cylinder_mass(spec, x, a, delta, depth, reference)
+                       for a in angles])
     assert 0.0 < oracle[:, 0].max() and oracle[:, 1].max() < 1.0
     for order in (np.arange(47), np.random.default_rng(depth).permutation(47)):
         descent = _ChargeLog()
@@ -439,7 +441,8 @@ def test_ray_tube_masses_equal_per_angle_cylinder_mass_on_other_specs(spec, x, d
 def test_ray_tube_masses_on_angles_where_boxes_touch_the_tube(x):
     # Every angle is a tie of the tube predicate: a ray whose tube edge
     # passes through a depth-2 corner, or the diagonal through the far
-    # corner (1, 1).  The carpet's children fill a masked grid.
+    # corner (1, 1).  The carpet's children fill a masked grid.  The
+    # descent at one angle (cylinder_mass) equals the reference too.
     delta = 0.05
     corners = np.array([(i / 9.0, j / 9.0) for i in range(10) for j in range(10)]) - x
     phi = np.arctan2(corners[:, 1], corners[:, 0])
@@ -449,9 +452,11 @@ def test_ray_tube_masses_on_angles_where_boxes_touch_the_tube(x):
         angles = np.unique(np.where(angles < 0, angles + 2 * math.pi, angles))
     for spec in (C32, CARPET):
         lower, upper = ray_tube_masses(spec, x, delta, angles, depth=3)
-        oracle = np.array([cylinder_mass(spec, x, a, delta, 3) for a in angles])
+        oracle = np.array([oracles.cylinder_mass(spec, x, a, delta, 3) for a in angles])
         assert np.array_equal(lower, oracle[:, 0])
         assert np.array_equal(upper, oracle[:, 1])
+        for a, pair in zip(angles, oracle):
+            assert cylinder_mass(spec, x, a, delta, 3) == tuple(pair)
 
 
 def test_non_finite_angles_are_refused_before_any_cell_is_spent():
@@ -474,7 +479,7 @@ def test_ray_frames_equal_the_frames_of_single_ray_tubes():
     tx, ty, wx, wy = frames[2:]
     assert np.allclose(np.hypot(tx, ty), 1.0, rtol=0, atol=1e-15)
     assert np.array_equal(wx, -ty) and np.array_equal(wy, tx)
-    # each column is the frame cylinder_mass reads for its angle alone
+    # each column is the frame oracles.cylinder_mass reads for its angle alone
     for i in range(0, angles.shape[0], 7):
         frame, length = _ray_frames((1.7, -0.4), [angles[i]], 0.03)
         assert np.array_equal(frames[:, i], frame[:, 0])
@@ -511,7 +516,7 @@ def test_ray_tube_masses_charge_cylinder_mass_classifications_summed_over_angles
     ray_tube_masses(spec, x, delta, angles, depth, descent)
     reference = EvalBudget()
     for angle in angles:
-        cylinder_mass(spec, x, angle, delta, depth, reference)
+        oracles.cylinder_mass(spec, x, angle, delta, depth, reference)
     assert descent.cells["cylinder classifications"] \
         == reference.cells["cylinder classifications"] > 120
 
