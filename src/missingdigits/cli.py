@@ -583,13 +583,14 @@ def _cmd_linear_density(run, args) -> tuple:
 def _cmd_stripe_scan(run, args) -> tuple:
     import numpy as np
 
-    from .projection import exceptional_directions
+    from .projection import _check_stripe_args, exceptional_directions
 
     spec = run.spec()
     s1 = args.s1
     if s1 is None:  # the spec's own bound, as dim-bound prints it
         from .dimension import best_lower_bound
 
+        _check_stripe_args(args.radius, args.eps)  # a bad input pays for no bound
         s1 = best_lower_bound(spec, run.budget).value
     threshold, angles, integrals, exceptional = exceptional_directions(
         spec, args.radius, args.eps, s1, args.angles, tol=args.tol, budget=run.budget)

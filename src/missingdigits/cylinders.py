@@ -355,7 +355,7 @@ def cylinder_mass(spec: Spec, x, angle: float, half_width: float, depth: int,
     """Enclosure [lower, upper] of lambda(T) for the ray tube T of
     half-width half_width from x in direction angle (_ray_frames), from
     depth-`depth` cylinder counting, for a planar spec: ray_tube_masses
-    at the one angle, charged as it is.
+    at the one angle, charged as it is; call that for many angles.
 
     The enclosure is exact for the stated depth: lower counts cylinders
     whose closed box lies in the tube, upper additionally counts every

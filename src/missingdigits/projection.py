@@ -680,6 +680,14 @@ def _stripe_runs(pts: np.ndarray, R: float, cos: np.ndarray, sin: np.ndarray) ->
     return np.mod(first, angle_count), np.clip(last - first + 1, 0, angle_count)
 
 
+def _check_stripe_args(R: float, eps: float) -> None:
+    """Refuse eps <= 0 and R < 2, which need neither s1 nor a scan."""
+    if eps <= 0:
+        raise ConfigError("eps must be positive")
+    if R < 2:
+        raise ConfigError("stripe annulus needs R >= 2")
+
+
 def exceptional_directions(spec: Spec, R: float, eps: float, s1: float,
                            angle_count: int, tol: float = 1e-9,
                            budget: EvalBudget | None = None) -> tuple:
@@ -690,10 +698,7 @@ def exceptional_directions(spec: Spec, R: float, eps: float, s1: float,
     bound.  For measures with decaying generic directions this isolates
     the coordinate-like rays along which |lambda_hat| keeps its mass.
     eps, R and the threshold are checked before the scan is paid for."""
-    if eps <= 0:
-        raise ConfigError("eps must be positive")
-    if R < 2:
-        raise ConfigError("stripe annulus needs R >= 2")
+    _check_stripe_args(R, eps)
     try:
         threshold = float(R) ** (total_dim(spec) - 1 - s1 + 2 * eps)
     except OverflowError as exc:

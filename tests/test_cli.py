@@ -172,6 +172,9 @@ def test_exit_64_on_an_option_the_subcommand_does_not_read(argv):
     ["stripe-scan", "--spec", C32_SQ, "--radius", "27", "--angles", "8", "--eps", "0"],
     ["stripe-scan", "--spec", C3, "--radius", "0"],  # R^x with x < 0 would divide by 0
     ["stripe-scan", "--spec", C32_SQ, "--radius", "27", "--eps", "1e300"],  # R^x overflows
+    # without --s1, eps and R are refused before the spec's bound is paid for
+    ["stripe-scan", "--spec", CARPET, "--eps", "0", "--budget", "1000"],
+    ["stripe-scan", "--spec", CARPET, "--radius", "0", "--budget", "1000"],
     ["graham", "--system", "3:{0,1};5:{0,1,2}", "--scales", "1,abc", "--limit", "100"],
     ["graham", "--system", "3:{0,1};5:{0,1,2}", "--scales", "1,1/0", "--limit", "100"],
     ["graham", "--system", "3:{0,1};5:{0,1,2}", "--checkpoints", "10,abc"],

@@ -217,10 +217,10 @@ def test_tube_density_of_an_edge_hugging_viewpoint_looks_forward_only():
     # tube is empty there, and the profile's enclosure at each grid
     # angle is that count over delta.
     x = (0.5, -0.01)
-    assert cylinder_mass(LEB10, x, -0.02, 0.01, 3) == (0.0, 0.0)
+    assert oracles.cylinder_mass(LEB10, x, -0.02, 0.01, 3) == (0.0, 0.0)
     profile = radial_tube_profile(LEB10, x, 0.01, 41)
     for i in (0, 1, 20, 40):
-        lo, hi = cylinder_mass(LEB10, x, profile.grid[i], 0.01, 3)
+        lo, hi = oracles.cylinder_mass(LEB10, x, profile.grid[i], 0.01, 3)
         assert lo / 0.01 == profile.metadata["lower"][i]
         assert hi / 0.01 == profile.metadata["upper"][i]
 
